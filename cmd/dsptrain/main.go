@@ -129,8 +129,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
 		os.Exit(2)
 	}
-	if kind == strategy.KindP3 && strings.ToLower(*sysName) != "dsp" {
-		fmt.Fprintf(os.Stderr, "dsptrain: -strategy p3 requires -system dsp\n")
+	if kind != strategy.KindDSP && strings.ToLower(*sysName) != "dsp" {
+		fmt.Fprintf(os.Stderr, "dsptrain: -strategy %s requires -system dsp\n", kind)
 		os.Exit(2)
 	}
 	opts.Strategy = string(kind)

@@ -313,7 +313,7 @@ func (b *Baseline) RunEpoch(epoch int) (train.EpochStats, error) {
 				},
 				Train: func(p *sim.Proc, step int, v interface{}) {
 					l := v.(loadedBatch)
-					b.trainer.Step(p, b.m.GPUs[rank], rank, l.mb, l.feats, st)
+					b.trainer.Step(p, b.m.GPUs[rank], rank, l.mb, l.feats, st, b.Opts.GradOpts(), nn.NominalFlops)
 				},
 			}
 		})

@@ -19,6 +19,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
+	"repro/internal/train"
 )
 
 // Common holds the flag values shared by every binary that drives the
@@ -149,22 +150,17 @@ func (c *Common) Policy() (cache.Policy, error) {
 // CacheBudget returns the -cache-budget value.
 func (c *Common) CacheBudget() int64 { return *c.cacheBudget }
 
-// StrategyKind resolves the -strategy flag and rejects flag combinations the
-// p3 layout cannot honour: row-cache policies and budgets act on the hot/cold
-// row split, which a dimension-sliced store does not have.
+// StrategyKind resolves the -strategy flag and rejects the cache flags the
+// strategy cannot honour (strategy.Kind.Compatible holds the rules; an
+// unparsable -cache value is reported by Policy).
 func (c *Common) StrategyKind() (strategy.Kind, error) {
 	kind, err := strategy.Parse(*c.strategy)
 	if err != nil {
 		return kind, err
 	}
-	if kind == strategy.KindP3 {
-		pol, perr := c.Policy()
-		if perr == nil && pol != cache.Static {
-			return kind, fmt.Errorf("cliopts: -strategy p3 is incompatible with -cache %s: the dimension-sliced layout has no rows to promote or rebalance (use -cache static)", pol)
-		}
-		if c.CacheBudget() > 0 {
-			return kind, fmt.Errorf("cliopts: -strategy p3 ignores -cache-budget: each GPU holds the full [#nodes, F/world] slice")
-		}
+	pol, _ := c.Policy()
+	if err := kind.Compatible(train.Options{DynamicCache: pol, FeatureCacheBudget: c.CacheBudget()}); err != nil {
+		return kind, fmt.Errorf("cliopts: %w", err)
 	}
 	return kind, nil
 }

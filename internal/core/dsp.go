@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/ckpt"
@@ -34,41 +35,18 @@ import (
 	"repro/internal/store"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/train"
-)
-
-// Worker ids for communication coordination.
-const (
-	samplerWorker = iota
-	loaderWorker
-	trainerWorker
 )
 
 // DSP is a configured instance of the system on a simulated machine.
 type DSP struct {
 	Opts train.Options
 
-	m         *hw.Machine
-	world     *csp.World
-	store     *featstore.Store
-	hostStore *store.Store
-	cacheMgr  *cache.Manager
-	coord     *pipeline.Coordinator
-
-	loaderComm *comm.Communicator
-	trainer    *train.Trainer
-	sched      train.Schedule
-	inj        *fault.Injector
-
-	// strat owns the per-round gather/forward/backward orchestration
-	// (internal/strategy): the migrated DSP path or the P3 push-pull mode.
-	strat strategy.ExecutionStrategy
-
-	// Multi-instance worker state (paper §5 ablation): extra sampler
-	// worlds and loader communicators, one per instance.
-	worlds      []*csp.World
-	loaderComms []*comm.Communicator
+	// sub is the machine's substrate and execution strategy, assembled by
+	// internal/strategy (shared with serving and every cluster machine).
+	sub   *strategy.Substrate
+	sched train.Schedule
+	inj   *fault.Injector
 }
 
 // New builds a DSP instance: machine, partitioned topology, feature cache,
@@ -78,183 +56,28 @@ func New(opts train.Options) (*DSP, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	kind, err := strategy.Parse(opts.Strategy)
+	m := hw.NewMachineScaled(opts.Data.NumGPUs(), opts.GPU, opts.CPU, opts.LatencyScale)
+	m.Eng.SetParallelism(opts.Parallel)
+	sub, err := strategy.Build(m, opts, strategy.Training)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if kind == strategy.KindP3 {
-		// The P3 layout has no hot/cold rows and no per-row holders, so the
-		// row-cache machinery and the degraded-mode re-routing built on it
-		// do not apply. Reject loudly rather than silently misconfiguring.
-		switch {
-		case opts.ReplicatedCache:
-			return nil, fmt.Errorf("core: -strategy p3 is incompatible with the replicated cache (features are dimension-sliced, not row-cached)")
-		case opts.DynamicCache != cache.Static:
-			return nil, fmt.Errorf("core: -strategy p3 is incompatible with dynamic cache policy %v (the dimension-sliced layout has no rows to rebalance)", opts.DynamicCache)
-		case opts.FeatureCacheBudget > 0:
-			return nil, fmt.Errorf("core: -strategy p3 ignores the feature cache budget: each GPU holds the full [#nodes, F/world] slice")
-		case len(opts.Faults) > 0:
-			return nil, fmt.Errorf("core: -strategy p3 does not support fault injection (no per-row holders to re-route around)")
-		case opts.NumSamplers > 1 || opts.NumLoaders > 1:
-			return nil, fmt.Errorf("core: -strategy p3 does not support multi-instance workers")
-		}
-	}
-	d := opts.Data
-	n := d.NumGPUs()
-	s := &DSP{Opts: opts}
-	s.m = hw.NewMachineScaled(n, opts.GPU, opts.CPU, opts.LatencyScale)
-	s.m.Eng.SetParallelism(opts.Parallel)
-	topoBudget := opts.TopoCacheBudget
-	if topoBudget <= 0 {
-		// Cache the whole patch when it fits; otherwise keep the hottest
-		// adjacency lists within 60% of device memory (the paper: "DSP can
-		// also handle large graph patches by storing the hot nodes in GPU
-		// memory and the other nodes in CPU memory").
-		topoBudget = opts.GPU.MemBytes * 6 / 10
-	}
-	var topo graph.Topology = d.G
-	if opts.CompressTopology {
-		topo = graph.Compress(d.G)
-	}
-	world, err := csp.NewWorldBudget(s.m, topo, d.Offsets, topoBudget)
-	if err != nil {
-		return nil, fmt.Errorf("core: topology layout: %w", err)
-	}
-	s.world = world
-	if opts.OOC {
-		hs, err := store.New(s.m.Eng, topo, d.G.NumNodes(), d.RowBytes(), store.Config{
-			BlockNodes:   opts.OOCBlockNodes,
-			CacheBytes:   opts.OOCBudget,
-			Prefetch:     !opts.OOCNoPrefetch,
-			LatencyScale: opts.LatencyScale,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: out-of-core store: %w", err)
-		}
-		s.hostStore = hs
-		s.world.SetHostStore(hs)
-	}
-
-	// Reserve in-flight worker buffers BEFORE sizing the feature cache (see
-	// the multi-instance note below): extra sampler/loader instances eat
-	// directly into cache memory.
-	nS, nL := opts.NumSamplers, opts.NumLoaders
-	if nS < 1 {
-		nS = 1
-	}
-	if nL < 1 {
-		nL = 1
-	}
-	qc := opts.QueueCap
-	if qc < 1 {
-		qc = 2
-	}
-	// Every extra worker instance holds additional in-flight mini-batches
-	// (graph samples + gathered features) in device memory — the first
-	// reason the paper gives against the multi-instance design ("it
-	// consumes more memory for in-flight works and thus leaves less GPU
-	// memory to cache graph topology and node features").
-	if extra := (nS - 1) + (nL - 1); extra > 0 {
-		slots := int64(extra) * int64(qc)
-		perSlot := int64(opts.BatchSize) * 32 * int64(d.RowBytes())
-		for g := 0; g < n; g++ {
-			dev := s.m.GPUs[g]
-			want := slots * perSlot
-			// In-flight buffers squeeze the feature cache down to nothing
-			// before the build fails outright (leave a 5% floor so the
-			// system still assembles; the cache just starves).
-			if lim := dev.MemFree() * 95 / 100; want > lim {
-				want = lim
-			}
-			if err := dev.Reserve(want); err != nil {
-				return nil, fmt.Errorf("core: in-flight buffers for %d extra workers: %w", extra, err)
-			}
-		}
-	}
-
-	// Feature cache: topology first (the Figure 10 insight), features with
-	// the remaining or configured budget.
-	budget := opts.FeatureCacheBudget
-	if budget <= 0 {
-		budget = s.minFreeMem() * 9 / 10 // leave headroom for activations
-	}
-	policy := featstore.Policy(opts.CachePolicy)
-	switch {
-	case kind == strategy.KindP3:
-		// P3: every GPU holds a full-row [#Nodes, F/world] column slice —
-		// no hot/cold split, no budget knob; the slab either fits or the
-		// Reserve below fails.
-		s.store = featstore.BuildDimSliced(d.Feats, d.FeatDim, n)
-	case opts.ReplicatedCache:
-		s.store = featstore.BuildReplicated(d.G, d.Feats, d.FeatDim, n, budget, policy)
-	default:
-		s.store = featstore.BuildPartitioned(d.G, d.Feats, d.FeatDim, d.Offsets, budget, policy)
-	}
-	for g := 0; g < n; g++ {
-		if err := s.m.GPUs[g].Reserve(s.store.CacheBytes(g)); err != nil {
-			return nil, fmt.Errorf("core: feature cache: %w", err)
-		}
-	}
-	mcfg := opts.CacheTune
-	mcfg.Policy = opts.DynamicCache
-	s.cacheMgr = cache.New(s.store, d.G, d.Offsets, mcfg)
-
-	// Distinct CCC worker ids: samplers 0..nS-1, loaders nS..nS+nL-1,
-	// trainer last.
-	s.coord = pipeline.NewCoordinator(s.m.Eng, n, opts.UseCCC, 2)
-	// The CLIs attach tracers to the machine after New returns, so the
-	// coordinator resolves the tracer at launch time.
-	s.coord.Tracer = func() *trace.Tracer { return s.m.GPUs[0].Tracer }
-	s.worlds = []*csp.World{s.world}
-	for i := 1; i < nS; i++ {
-		s.worlds = append(s.worlds, s.world.Clone())
-	}
-	for j := 0; j < nL; j++ {
-		s.loaderComms = append(s.loaderComms, comm.New(s.m))
-	}
-	s.loaderComm = s.loaderComms[0]
-	trainerComm := comm.New(s.m)
-	if opts.UseCCC {
-		for i, w := range s.worlds {
-			w.Comm.SetGate(s.coord.Gate(i))
-		}
-		for j, lc := range s.loaderComms {
-			lc.SetGate(s.coord.Gate(nS + j))
-		}
-		trainerComm.SetGate(s.coord.Gate(nS + nL))
-	}
-	s.trainer = train.NewTrainer(opts, trainerComm)
-	if kind == strategy.KindP3 {
-		s.strat = strategy.NewP3(opts, s.m, s.store, s.trainer)
-	} else {
-		s.strat = strategy.NewDSP(opts, s.m, s.cacheMgr, s.hostStore, s.trainer)
-	}
-	s.sched = train.NewSchedule(d, opts.BatchSize)
+	s := &DSP{Opts: opts, sub: sub, sched: train.NewSchedule(opts.Data, opts.BatchSize)}
 	if len(opts.Faults) > 0 {
-		inj, err := fault.NewInjector(s.m, opts.Faults)
+		inj, err := fault.NewInjector(m, opts.Faults)
 		if err != nil {
 			return nil, fmt.Errorf("core: fault schedule: %w", err)
 		}
 		s.inj = inj
-		s.cacheMgr.SetView(inj.View())
+		sub.Cache.SetView(inj.View())
 	}
 	return s, nil
 }
 
-func (s *DSP) minFreeMem() int64 {
-	free := s.m.GPUs[0].MemFree()
-	for _, g := range s.m.GPUs[1:] {
-		if f := g.MemFree(); f < free {
-			free = f
-		}
-	}
-	return free
-}
-
 // Name implements train.System.
 func (s *DSP) Name() string {
-	if s.strat != nil && s.strat.Kind() == strategy.KindP3 {
-		return "DSP-P3"
+	if k := s.sub.Strategy.Kind(); k != strategy.KindDSP {
+		return "DSP-" + strings.ToUpper(string(k))
 	}
 	if s.Opts.Pipeline {
 		return "DSP"
@@ -263,15 +86,15 @@ func (s *DSP) Name() string {
 }
 
 // Strategy exposes the active execution strategy.
-func (s *DSP) Strategy() strategy.ExecutionStrategy { return s.strat }
+func (s *DSP) Strategy() strategy.ExecutionStrategy { return s.sub.Strategy }
 
 // StrategySection reports the strategy's wire/compute accounting for the
 // run report (nil for the default DSP strategy, whose accounting already
 // flows through the existing sections).
-func (s *DSP) StrategySection() *prof.StrategySection { return s.strat.Section() }
+func (s *DSP) StrategySection() *prof.StrategySection { return s.sub.Strategy.Section() }
 
 // Machine implements train.System.
-func (s *DSP) Machine() *hw.Machine { return s.m }
+func (s *DSP) Machine() *hw.Machine { return s.sub.M }
 
 // AttachTelemetry registers the trainer's scrape sources on the hub and
 // starts its scraper daemon on this instance's engine: per-GPU busy
@@ -282,13 +105,14 @@ func (s *DSP) AttachTelemetry(h *telemetry.Hub) {
 	if !h.Enabled() {
 		return
 	}
-	for g := range s.m.GPUs {
-		dev := s.m.GPUs[g]
+	m := s.sub.M
+	for g := range m.GPUs {
+		dev := m.GPUs[g]
 		h.Rate(fmt.Sprintf("gpu%d/busy", g), func(now sim.Time) float64 {
 			return float64(dev.BusyAt(now))
 		})
 	}
-	ctr := &s.m.Fabric.Counters
+	ctr := &m.Fabric.Counters
 	h.Counter("wire/sample_bytes", func(sim.Time) float64 {
 		return float64(ctr.TotalWire(hw.TrafficSample))
 	})
@@ -298,91 +122,56 @@ func (s *DSP) AttachTelemetry(h *telemetry.Hub) {
 	h.Counter("wire/gradient_bytes", func(sim.Time) float64 {
 		return float64(ctr.TotalWire(hw.TrafficGradient))
 	})
-	if s.strat == nil || s.strat.Kind() != strategy.KindP3 {
+	if s.sub.Store.Layout != featstore.DimSliced { // dimension slices have no row cache
 		h.Gauge("cache/hit_rate", func(sim.Time) float64 {
-			return s.cacheMgr.Stats().Tiers.HitRate()
+			return s.sub.Cache.Stats().Tiers.HitRate()
 		})
 	}
-	if s.hostStore != nil {
+	if s.sub.Host != nil {
 		h.Gauge("store/resident_bytes", func(sim.Time) float64 {
-			return float64(s.hostStore.Stats().ResidentBytes)
+			return float64(s.sub.Host.Stats().ResidentBytes)
 		})
 	}
-	h.Start(s.m.Eng)
+	h.Start(m.Eng)
 }
 
 // Model implements train.System.
 func (s *DSP) Model() *nn.Model {
-	if len(s.trainer.Models) == 0 {
+	if len(s.sub.Trainer.Models) == 0 {
 		return nil
 	}
-	return s.trainer.Models[0]
+	return s.sub.Trainer.Models[0]
 }
 
 // Replicas returns every per-GPU model replica (empty in cost-only mode).
-func (s *DSP) Replicas() []*nn.Model { return s.trainer.Models }
+func (s *DSP) Replicas() []*nn.Model { return s.sub.Trainer.Models }
 
 // Store exposes the feature cache (for cache-layout assertions in tests).
-func (s *DSP) Store() *featstore.Store { return s.store }
+func (s *DSP) Store() *featstore.Store { return s.sub.Store }
 
 // World exposes the CSP world (for comm-volume measurements).
-func (s *DSP) World() *csp.World { return s.world }
+func (s *DSP) World() *csp.World { return s.sub.Worlds[0] }
 
 // Compression merges the codec accounting of every communicator the system
 // drives — sampler worlds, loader instances, and the gradient allreduce —
 // into one per-traffic-class raw-vs-wire byte map.
 func (s *DSP) Compression() map[hw.TrafficClass]comm.CompressionStats {
-	out := map[hw.TrafficClass]comm.CompressionStats{}
-	merge := func(m map[hw.TrafficClass]comm.CompressionStats) {
-		for class, cs := range m {
-			acc := out[class]
-			acc.Raw += cs.Raw
-			acc.Wire += cs.Wire
-			out[class] = acc
-		}
-	}
-	for _, w := range s.worlds {
-		merge(w.Comm.Compression())
-	}
-	for _, lc := range s.loaderComms {
-		merge(lc.Compression())
-	}
-	merge(s.trainer.Comm.Compression())
-	return out
+	return s.sub.Compression()
 }
 
-// sampleStage builds the step's graph samples via CSP (or the data-pull
-// alternative when the Figure 11 ablation is selected).
-func (s *DSP) sampleStage(p *sim.Proc, rank, epoch, step int) *sample.MiniBatch {
-	return s.sampleStageWith(p, rank, epoch, step, s.world)
-}
-
-func (s *DSP) sampleStageWith(p *sim.Proc, rank, epoch, step int, w *csp.World) *sample.MiniBatch {
+// sample builds (epoch, step)'s graph samples for rank on world w.
+func (s *DSP) sample(p *sim.Proc, w *csp.World, rank, epoch, step int) *sample.MiniBatch {
 	seeds := s.sched.Batch(s.Opts.Data, s.Opts.Seed, epoch, step, rank)
-	bs := train.BatchSeed(s.Opts.Seed, epoch, step, rank)
-	var mb *sample.MiniBatch
-	switch {
-	case s.Opts.PullData:
-		mb = w.PullDataSampleBatch(p, rank, seeds, s.Opts.Sample, bs)
-	case s.Opts.UnfusedSampling:
-		mb = w.SampleBatchUnfused(p, rank, seeds, s.Opts.Sample, bs)
-	default:
-		mb = w.SampleBatch(p, rank, seeds, s.Opts.Sample, bs)
-	}
-	return mb
+	return s.sub.Sample(p, w, rank, seeds, train.BatchSeed(s.Opts.Seed, epoch, step, rank))
 }
 
-// loadStage runs the active strategy's gather/exchange for the sampled
-// batch: DSP's tiered feature fetch (local gather kernel, NVLink all-to-all
-// for remote hot rows, UVA for cold rows in parallel) or P3's push-pull
-// activation exchange. The orchestration bodies live in internal/strategy.
-func (s *DSP) loadStage(p *sim.Proc, rank int, mb *sample.MiniBatch) strategy.Loaded {
-	return s.strat.Load(p, rank, mb, s.loaderComm)
-}
+// multiInstance reports whether the §5 ablation's extra sampler/loader
+// worker instances are configured.
+func (s *DSP) multiInstance() bool { return len(s.sub.Worlds) > 1 || len(s.sub.Loaders) > 1 }
 
 // RunEpoch implements train.System.
 func (s *DSP) RunEpoch(epoch int) (train.EpochStats, error) {
-	if s.Opts.Pipeline && (len(s.worlds) > 1 || len(s.loaderComms) > 1) {
+	if s.Opts.Pipeline && s.multiInstance() {
 		return s.runEpochMulti(epoch)
 	}
 	return s.RunEpochRange(epoch, 0, s.sched.Steps)
@@ -393,26 +182,25 @@ func (s *DSP) RunEpoch(epoch int) (train.EpochStats, error) {
 // the shard rebalance runs at the boundary and its migration cost is charged
 // to the epoch's virtual time.
 func (s *DSP) RunEpochRange(epoch, from, to int) (train.EpochStats, error) {
-	if len(s.worlds) > 1 || len(s.loaderComms) > 1 {
+	if s.multiInstance() {
 		return train.EpochStats{}, fmt.Errorf("core: fault tolerance is unsupported with multi-instance workers")
 	}
-	before := s.cacheMgr.Stats()
-	var storeBefore store.Stats
-	if s.hostStore != nil {
-		storeBefore = s.hostStore.Stats()
-	}
-	st, err := train.RunEpochSteps(s.m, epoch, from, to, s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
-		func(rank int, st *train.EpochStats) pipeline.Stages {
+	sub := s.sub
+	m := sub.M
+	before := sub.Cache.Stats()
+	storeBefore := s.OOCStats()
+	st, err := train.RunEpochSteps([]*hw.Machine{m}, epoch, from, to, s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
+		func(_, rank int, st *train.EpochStats) pipeline.Stages {
 			return pipeline.Stages{
 				NumBatches: s.sched.Steps,
 				Sample: func(p *sim.Proc, step int) interface{} {
-					return s.sampleStage(p, rank, epoch, step)
+					return s.sample(p, sub.Worlds[0], rank, epoch, step)
 				},
 				Load: func(p *sim.Proc, step int, v interface{}) interface{} {
-					return s.loadStage(p, rank, v.(*sample.MiniBatch))
+					return sub.Strategy.Load(p, rank, v.(*sample.MiniBatch), sub.Loaders[0])
 				},
 				Train: func(p *sim.Proc, step int, v interface{}) {
-					s.strat.Train(p, rank, v.(strategy.Loaded), st)
+					sub.Strategy.Train(p, rank, v.(strategy.Loaded), st)
 				},
 			}
 		})
@@ -423,26 +211,26 @@ func (s *DSP) RunEpochRange(epoch, from, to int) (train.EpochStats, error) {
 	// end — checkpoint segments mid-epoch do not rebalance). RunEpochSteps
 	// measures its own window, so the rebalance runs as a separate engine
 	// pass and its duration is added to the epoch time explicitly.
-	if to >= s.sched.Steps && s.cacheMgr.Dynamic() {
-		t0 := s.m.Eng.Now()
-		s.m.Eng.Go("cache/rebalance", func(p *sim.Proc) {
-			s.cacheMgr.Rebalance(p, s.m.Fabric)
+	if to >= s.sched.Steps && sub.Cache.Dynamic() {
+		t0 := m.Eng.Now()
+		m.Eng.Go("cache/rebalance", func(p *sim.Proc) {
+			sub.Cache.Rebalance(p, m.Fabric)
 		})
-		end, err := s.m.Eng.Run()
+		end, err := m.Eng.Run()
 		if err != nil {
 			return st, err
 		}
 		st.EpochTime += end - t0
 	}
-	after := s.cacheMgr.Stats()
+	after := sub.Cache.Stats()
 	st.CacheLocal = after.Tiers.Local - before.Tiers.Local
 	st.CachePeer = after.Tiers.Peer - before.Tiers.Peer
 	st.CacheHost = after.Tiers.Host - before.Tiers.Host
 	st.CachePromoted = after.Promoted - before.Promoted
 	st.RebalanceBytes = after.MovedBytes - before.MovedBytes
 	st.RebalanceTime = after.RebalanceTime - before.RebalanceTime
-	if s.hostStore != nil {
-		ss := s.hostStore.Stats()
+	if sub.Host != nil {
+		ss := sub.Host.Stats()
 		st.StoreHits = ss.Hits - storeBefore.Hits
 		st.StoreMisses = ss.Misses - storeBefore.Misses
 		st.StoreDemandBytes = ss.DemandBytes - storeBefore.DemandBytes
@@ -456,18 +244,18 @@ func (s *DSP) RunEpochRange(epoch, from, to int) (train.EpochStats, error) {
 // OOCStats exposes the out-of-core store's cumulative accounting (zero Stats
 // when the OOC tier is disabled).
 func (s *DSP) OOCStats() store.Stats {
-	if s.hostStore == nil {
+	if s.sub.Host == nil {
 		return store.Stats{}
 	}
-	return s.hostStore.Stats()
+	return s.sub.Host.Stats()
 }
 
 // TopologyResidentBytes reports the world's total resident topology bytes
 // (compressed when Opts.CompressTopology), for memory-frontier assertions.
-func (s *DSP) TopologyResidentBytes() int64 { return s.world.TopologyResidentBytes() }
+func (s *DSP) TopologyResidentBytes() int64 { return s.sub.Worlds[0].TopologyResidentBytes() }
 
 // CacheStats exposes the adaptive cache manager's cumulative accounting.
-func (s *DSP) CacheStats() cache.Stats { return s.cacheMgr.Stats() }
+func (s *DSP) CacheStats() cache.Stats { return s.sub.Cache.Stats() }
 
 // Steps implements train.Recoverable.
 func (s *DSP) Steps() int { return s.sched.Steps }
@@ -480,11 +268,11 @@ func (s *DSP) Injector() *fault.Injector { return s.inj }
 // cost-only mode the state is the cursor alone.
 func (s *DSP) Snapshot(epoch, step int) *ckpt.TrainState {
 	st := &ckpt.TrainState{Epoch: epoch, Step: step, Seed: s.Opts.Seed, Model: s.Opts.Model}
-	if len(s.trainer.Models) > 0 {
-		m := s.trainer.Models[0]
+	if len(s.sub.Trainer.Models) > 0 {
+		m := s.sub.Trainer.Models[0]
 		st.Params = make([]float32, m.ParamCount())
 		m.ParamVector(st.Params)
-		if so, ok := s.trainer.Optims[0].(nn.StatefulOptimizer); ok {
+		if so, ok := s.sub.Trainer.Optims[0].(nn.StatefulOptimizer); ok {
 			st.Optim = so.CaptureState()
 		}
 	}
@@ -497,18 +285,18 @@ func (s *DSP) Restore(st *ckpt.TrainState) error {
 	if st == nil {
 		return fmt.Errorf("core: nil checkpoint")
 	}
-	if len(s.trainer.Models) == 0 {
+	if len(s.sub.Trainer.Models) == 0 {
 		return nil // cost-only: the cursor is the whole state
 	}
 	if st.Model != s.Opts.Model {
 		return fmt.Errorf("core: checkpoint model %+v does not match %+v", st.Model, s.Opts.Model)
 	}
-	for g, m := range s.trainer.Models {
+	for g, m := range s.sub.Trainer.Models {
 		if len(st.Params) != m.ParamCount() {
 			return fmt.Errorf("core: checkpoint has %d params, model wants %d", len(st.Params), m.ParamCount())
 		}
 		m.SetParamVector(st.Params)
-		if so, ok := s.trainer.Optims[g].(nn.StatefulOptimizer); ok {
+		if so, ok := s.sub.Trainer.Optims[g].(nn.StatefulOptimizer); ok {
 			so.RestoreState(m, st.Optim)
 		}
 	}
@@ -518,67 +306,35 @@ func (s *DSP) Restore(st *ckpt.TrainState) error {
 // runEpochMulti runs one epoch with multiple sampler/loader worker
 // instances per GPU (the §5 multi-instance ablation).
 func (s *DSP) runEpochMulti(epoch int) (train.EpochStats, error) {
-	eng := s.m.Eng
-	start := eng.Now()
-	before := s.m.Fabric.Counters
-	for _, g := range s.m.GPUs {
-		g.ResetBusy()
-	}
+	sub := s.sub
 	// More worker instances contend for the same host cores, so each
 	// stage's framework overhead grows with the total instance count (the
 	// paper's second reason: "the resource contention for both CPU and GPU
 	// is more severe").
-	workers := len(s.worlds) + len(s.loaderComms) + 1
+	workers := len(sub.Worlds) + len(sub.Loaders) + 1
 	overhead := s.Opts.EffectiveStageOverhead() * sim.Time(workers) / 3
-	stats := make([]train.EpochStats, len(s.m.GPUs))
-	var dones []*sim.Event
-	for rank := range s.m.GPUs {
-		rank := rank
-		st := &stats[rank]
+	return train.MeasureEpoch([]*hw.Machine{sub.M}, epoch, func(_, rank int, st *train.EpochStats, done *sim.Event) {
 		ms := pipeline.MultiStages{NumBatches: s.sched.Steps}
-		for _, w := range s.worlds {
+		for _, w := range sub.Worlds {
 			w := w
 			ms.Samplers = append(ms.Samplers, func(p *sim.Proc, step int) interface{} {
 				p.Sleep(overhead)
-				return s.sampleStageWith(p, rank, epoch, step, w)
+				return s.sample(p, w, rank, epoch, step)
 			})
 		}
-		for _, lc := range s.loaderComms {
+		for _, lc := range sub.Loaders {
 			lc := lc
 			ms.Loaders = append(ms.Loaders, func(p *sim.Proc, step int, v interface{}) interface{} {
 				p.Sleep(overhead)
-				return s.strat.Load(p, rank, v.(*sample.MiniBatch), lc)
+				return sub.Strategy.Load(p, rank, v.(*sample.MiniBatch), lc)
 			})
 		}
 		ms.Train = func(p *sim.Proc, step int, v interface{}) {
 			p.Sleep(overhead)
-			s.strat.Train(p, rank, v.(strategy.Loaded), st)
+			sub.Strategy.Train(p, rank, v.(strategy.Loaded), st)
 		}
-		done := eng.NewEvent()
-		dones = append(dones, done)
-		pipeline.RunPipelinedMulti(eng, fmt.Sprintf("gpu%d", rank), ms, s.Opts.QueueCap, done)
-	}
-	end, err := eng.Run()
-	if err != nil {
-		return train.EpochStats{}, err
-	}
-	for _, d := range dones {
-		if !d.Fired() {
-			return train.EpochStats{}, fmt.Errorf("core: multi-worker epoch incomplete")
-		}
-	}
-	out := train.EpochStats{Epoch: epoch, EpochTime: end - start}
-	for _, st := range stats {
-		out.Loss += st.Loss
-		out.Correct += st.Correct
-		out.Seen += st.Seen
-	}
-	out.Utilization = s.m.Utilization(start, end)
-	after := s.m.Fabric.Counters
-	out.SampleWire = after.TotalWire(hw.TrafficSample) - before.TotalWire(hw.TrafficSample)
-	out.FeatureWire = after.TotalWire(hw.TrafficFeature) - before.TotalWire(hw.TrafficFeature)
-	out.GradWire = after.TotalWire(hw.TrafficGradient) - before.TotalWire(hw.TrafficGradient)
-	return out, nil
+		pipeline.RunPipelinedMulti(sub.M.Eng, fmt.Sprintf("gpu%d", rank), ms, s.Opts.QueueCap, done)
+	})
 }
 
 // RunSampleEpoch implements train.System: only the samplers run (the
@@ -586,7 +342,7 @@ func (s *DSP) runEpochMulti(epoch int) (train.EpochStats, error) {
 // interference from other workers").
 func (s *DSP) RunSampleEpoch(epoch int) (train.EpochStats, error) {
 	n := s.Opts.Data.NumGPUs()
-	eng := s.m.Eng
+	eng := s.sub.M.Eng
 	start := eng.Now()
 	for rank := 0; rank < n; rank++ {
 		rank := rank
@@ -594,7 +350,7 @@ func (s *DSP) RunSampleEpoch(epoch int) (train.EpochStats, error) {
 			overhead := s.Opts.EffectiveStageOverhead()
 			for step := 0; step < s.sched.Steps; step++ {
 				p.Sleep(overhead)
-				s.sampleStage(p, rank, epoch, step)
+				s.sample(p, s.sub.Worlds[0], rank, epoch, step)
 			}
 		})
 	}
@@ -609,13 +365,13 @@ func (s *DSP) RunSampleEpoch(epoch int) (train.EpochStats, error) {
 // DeepWalk-style workload of the random-walk example).
 func (s *DSP) RandomWalkEpoch(length int) (map[int][][]graph.NodeID, sim.Time, error) {
 	n := s.Opts.Data.NumGPUs()
-	eng := s.m.Eng
+	eng := s.sub.M.Eng
 	start := eng.Now()
 	out := make(map[int][][]graph.NodeID, n)
 	for rank := 0; rank < n; rank++ {
 		rank := rank
 		eng.Go(fmt.Sprintf("gpu%d/walker", rank), func(p *sim.Proc) {
-			out[rank] = s.world.RandomWalk(p, rank, s.Opts.Data.Shards[rank], length,
+			out[rank] = s.World().RandomWalk(p, rank, s.Opts.Data.Shards[rank], length,
 				train.BatchSeed(s.Opts.Seed, 0, 0, rank))
 		})
 	}

@@ -3,19 +3,15 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/arena"
+	"repro/internal/cache"
 	"repro/internal/comm"
 	"repro/internal/compress"
-	"repro/internal/csp"
-	"repro/internal/featstore"
-	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/strategy"
-	"repro/internal/trace"
 	"repro/internal/train"
 )
 
@@ -24,49 +20,25 @@ import (
 // the cold features among the machines. Thus, the machines only communicate
 // for cold features and model synchronization."
 //
-// Every machine runs the full single-machine design (partitioned topology
-// patches, partitioned hot-feature cache, CSP, pipeline, CCC). Cold feature
-// rows are sharded across the machines' CPU memories by node id; fetching a
-// row owned by another machine costs a NIC round trip plus the owner's CPU
-// gather. Gradients synchronise hierarchically: an intra-machine NVLink
-// allreduce, an inter-machine ring over the NICs between machine leaders,
-// and an intra-machine broadcast.
+// Every machine runs the full single-machine design: the same substrate and
+// the same strategy round bodies as core.DSP and serving, built by
+// strategy.Build on the cluster's machines. What is written here is only
+// what a cluster adds — the topology, the striding of each shard's batches
+// across machines, and the hierarchical gradient reducer (intra-machine
+// NVLink allreduce, inter-machine ring over the NICs between machine
+// leaders, cluster barrier). Cold rows owned by another machine's CPU memory
+// cross the NIC inside strategy.DSP.Load.
 type MultiDSP struct {
 	Opts        train.Options
 	NumMachines int
 
 	cluster *hw.Cluster
-	worlds  []*csp.World
-	stores  []*featstore.Store
-	loaders []*comm.Communicator
-	coords  []*pipeline.Coordinator
-
-	// Per-machine intra trainer state; models indexed [machine][rank].
-	trainerComms []*comm.Communicator
-	models       [][]*nn.Model
-	optims       [][]nn.Optimizer
-	grads        [][][]float32
+	subs    []*strategy.Substrate // one per machine
+	steps   int
 
 	// Inter-machine reduction rendezvous.
 	interBarrier *sim.Barrier
 	interSlots   [][]float32
-
-	gpusEach int
-	steps    int
-	zeros    []float32
-
-	// pool recycles gather staging buffers (RealCompute feature assembly);
-	// par offloads their fill between DES commit points.
-	pool arena.Pool
-	par  *sim.ParallelGroup
-}
-
-// group lazily binds the offload group to the cluster engine.
-func (s *MultiDSP) group() *sim.ParallelGroup {
-	if s.par == nil {
-		s.par = s.cluster.Eng.NewParallelGroup()
-	}
-	return s.par
 }
 
 // NewMulti builds a cluster-wide DSP instance with machines copies of the
@@ -80,369 +52,137 @@ func NewMulti(opts train.Options, machines int, net hw.NetworkSpec) (*MultiDSP, 
 	if machines < 1 {
 		return nil, fmt.Errorf("core: need at least one machine")
 	}
+	// Options whose machinery lives in the single-machine epoch driver
+	// (boundary rebalance, fail-stop recovery, multi-instance pipelines) or
+	// assumes one host memory (the out-of-core tier under sharded cold rows).
+	switch {
+	case opts.OOC:
+		return nil, fmt.Errorf("core: multi-machine DSP does not support OOC")
+	case opts.DynamicCache != cache.Static:
+		return nil, fmt.Errorf("core: multi-machine DSP does not support DynamicCache")
+	case len(opts.Faults) > 0:
+		return nil, fmt.Errorf("core: multi-machine DSP does not support Faults")
+	case opts.NumSamplers > 1 || opts.NumLoaders > 1:
+		return nil, fmt.Errorf("core: multi-machine DSP does not support NumSamplers/NumLoaders")
+	}
 	d := opts.Data
 	n := d.NumGPUs()
-	s := &MultiDSP{Opts: opts, NumMachines: machines, gpusEach: n}
+	s := &MultiDSP{Opts: opts, NumMachines: machines}
 	s.cluster = hw.NewCluster(machines, n, opts.GPU, opts.CPU, net, opts.LatencyScale)
 	s.cluster.Eng.SetParallelism(opts.Parallel)
 	s.interBarrier = s.cluster.Eng.NewBarrier(machines * n)
 	s.interSlots = make([][]float32, machines)
-
-	budget := opts.FeatureCacheBudget
-	topoBudget := opts.TopoCacheBudget
-	if topoBudget <= 0 {
-		topoBudget = opts.GPU.MemBytes * 6 / 10
-	}
-	for m := 0; m < machines; m++ {
-		mach := s.cluster.Machines[m]
-		world, err := csp.NewWorldBudget(mach, d.G, d.Offsets, topoBudget)
+	for m, mach := range s.cluster.Machines {
+		sub, err := strategy.Build(mach, opts, strategy.Training)
 		if err != nil {
-			return nil, fmt.Errorf("core: machine %d topology: %w", m, err)
+			return nil, fmt.Errorf("core: machine %d: %w", m, err)
 		}
-		s.worlds = append(s.worlds, world)
-		b := budget
-		if b <= 0 {
-			free := mach.GPUs[0].MemFree()
-			for _, g := range mach.GPUs[1:] {
-				if f := g.MemFree(); f < free {
-					free = f
-				}
-			}
-			b = free * 9 / 10
-		}
-		store := featstore.BuildPartitioned(d.G, d.Feats, d.FeatDim, d.Offsets, b, featstore.Policy(opts.CachePolicy))
-		for g := 0; g < n; g++ {
-			if err := mach.GPUs[g].Reserve(store.CacheBytes(g)); err != nil {
-				return nil, fmt.Errorf("core: machine %d cache: %w", m, err)
-			}
-		}
-		s.stores = append(s.stores, store)
-		coord := pipeline.NewCoordinator(s.cluster.Eng, n, opts.UseCCC, 2)
-		coord.Tracer = func() *trace.Tracer { return mach.GPUs[0].Tracer }
-		s.coords = append(s.coords, coord)
-		loader := comm.New(mach)
-		trainer := comm.New(mach)
-		if opts.UseCCC {
-			world.Comm.SetGate(coord.Gate(samplerWorker))
-			loader.SetGate(coord.Gate(loaderWorker))
-			trainer.SetGate(coord.Gate(trainerWorker))
-		}
-		s.loaders = append(s.loaders, loader)
-		s.trainerComms = append(s.trainerComms, trainer)
-
-		probe := nn.NewModel(opts.Model, opts.Seed)
-		var mm []*nn.Model
-		var oo []nn.Optimizer
-		var gg [][]float32
-		for g := 0; g < n; g++ {
-			gg = append(gg, make([]float32, probe.ParamCount()))
-			if opts.RealCompute {
-				mm = append(mm, nn.NewModel(opts.Model, opts.Seed))
-				oo = append(oo, nn.NewAdam(opts.LR))
-			}
-		}
-		s.models = append(s.models, mm)
-		s.optims = append(s.optims, oo)
-		s.grads = append(s.grads, gg)
+		sub.Trainer.Reduce = clusterReducer{s, m}
+		sub.Trainer.World = machines * n
+		s.subs = append(s.subs, sub)
 	}
 	// Steps: each machine consumes a 1/machines stride of every shard.
 	for _, shard := range d.Shards {
 		per := (len(shard) + machines - 1) / machines
-		st := (per + opts.BatchSize - 1) / opts.BatchSize
-		if st > s.steps {
-			s.steps = st
-		}
+		s.steps = max(s.steps, (per+opts.BatchSize-1)/opts.BatchSize)
 	}
 	return s, nil
 }
 
 // Name implements train.System-style identification.
-func (s *MultiDSP) Name() string { return fmt.Sprintf("DSP-%dx%d", s.NumMachines, s.gpusEach) }
+func (s *MultiDSP) Name() string {
+	return fmt.Sprintf("DSP-%dx%d", s.NumMachines, s.Opts.Data.NumGPUs())
+}
 
 // Cluster exposes the simulated cluster.
 func (s *MultiDSP) Cluster() *hw.Cluster { return s.cluster }
 
 // Model returns machine 0 / rank 0's replica (nil in cost-only mode).
 func (s *MultiDSP) Model() *nn.Model {
-	if len(s.models[0]) == 0 {
+	if len(s.subs[0].Trainer.Models) == 0 {
 		return nil
 	}
-	return s.models[0][0]
+	return s.subs[0].Trainer.Models[0]
 }
 
 // Steps returns batches per epoch per worker.
 func (s *MultiDSP) Steps() int { return s.steps }
 
-// batch returns the seeds for (machine, rank) at (epoch, step): the rank's
-// shard is shuffled per epoch (the shared permutation) and the machines
-// take interleaved batch-sized slices of it.
-func (s *MultiDSP) batch(epoch, step, machine, rank int) []graph.NodeID {
-	full := train.Schedule{BatchSize: s.Opts.BatchSize, Steps: s.steps}
-	return full.Batch(s.Opts.Data, s.Opts.Seed, epoch, step*s.NumMachines+machine, rank)
+// clusterReducer is machine's hierarchical gradient reduction.
+type clusterReducer struct {
+	s       *MultiDSP
+	machine int
 }
 
-// zeroRows returns a zero payload standing in for feature rows.
-func (s *MultiDSP) zeroRows(rows int) []float32 {
-	need := rows * s.Opts.Data.FeatDim
-	if cap(s.zeros) < need {
-		s.zeros = make([]float32, need)
+// AllReduceSum implements train.Reducer: an intra-machine allreduce over
+// NVLink (codec-aware: the machine sum already carries the gradient codec's
+// quantisation error), then an inter-machine ring between machine leaders
+// (rank 0), then the global sum is re-established on every replica. The
+// rendezvous is a full cluster barrier: trainer steps are aligned across
+// machines. Each leader posts its machine sum as the remote machines would
+// decode it (codec round-trip), so the cross-machine reduction is lossy
+// exactly once per hop and every replica still sums identical images.
+func (r clusterReducer) AllReduceSum(p *sim.Proc, rank int, grad []float32, o comm.Opts) {
+	s, machine := r.s, r.machine
+	s.subs[machine].Trainer.Comm.AllReduceSum(p, rank, grad, o)
+	if s.NumMachines == 1 {
+		return
 	}
-	return s.zeros[:need]
+	if rank == 0 {
+		posted := compress.Roundtrip(o.Codec, grad)
+		s.interSlots[machine] = append(s.interSlots[machine][:0], posted...)
+		next := (machine + 1) % s.NumMachines
+		bytes := max(compress.WireBytes(o.Codec, len(grad))/int64(s.NumMachines), 1)
+		for step := 0; step < 2*(s.NumMachines-1); step++ {
+			s.cluster.Net.Send(p, machine, next, bytes, hw.TrafficGradient)
+		}
+	}
+	s.interBarrier.Arrive(p)
+	// Deterministic global sum from the posted machine sums.
+	for i := range grad {
+		var sum float32
+		for m := 0; m < s.NumMachines; m++ {
+			sum += s.interSlots[m][i]
+		}
+		grad[i] = sum
+	}
+	s.interBarrier.Arrive(p)
 }
 
-// coldOwner returns the machine whose CPU memory holds a cold row.
-func (s *MultiDSP) coldOwner(v graph.NodeID) int { return int(v) % s.NumMachines }
-
-// loadStage fetches features on (machine, rank): hot rows exactly as the
-// single-machine loader; cold rows via local UVA when this machine owns
-// them, and a NIC round trip plus remote CPU gather otherwise.
-func (s *MultiDSP) loadStage(p *sim.Proc, machine, rank int, mb *sample.MiniBatch) strategy.Loaded {
-	d := s.Opts.Data
-	mach := s.cluster.Machines[machine]
-	dev := mach.GPUs[rank]
-	store := s.stores[machine]
-	ids := mb.InputNodes()
-	local, remote, host := store.Split(ids, rank)
-	n := s.gpusEach
-
-	// Stage the real feature gather on a worker thread so it overlaps the
-	// virtual-time NIC/NVLink choreography below; the buffer is pooled and
-	// recycled by trainStage once the step has consumed it.
-	var feats []float32
-	var gather *sim.Ticket
-	if s.Opts.RealCompute {
-		feats = s.pool.Get(len(ids) * d.FeatDim)
-		gather = s.group().Submit(func() { train.GatherFeaturesInto(feats, d, mb) })
-	}
-
-	// Cold rows: split by owning machine.
-	var mine int64
-	foreign := make([]int64, s.NumMachines)
-	for _, v := range host {
-		if o := s.coldOwner(v); o == machine {
-			mine++
-		} else {
-			foreign[o]++
-		}
-	}
-	uvaDone := s.cluster.Eng.NewEvent()
-	if mine > 0 {
-		s.cluster.Eng.Go(fmt.Sprintf("m%dg%d/uva", machine, rank), func(cp *sim.Proc) {
-			dev.UVARead(cp, mach.Fabric, mine, d.RowBytes(), hw.TrafficFeature)
-			uvaDone.Trigger()
-		})
-	} else {
-		uvaDone.Trigger()
-	}
-	// Remote-machine cold rows, concurrently with the NVLink path.
-	netDone := s.cluster.Eng.NewEvent()
-	var needNet bool
-	for o, cnt := range foreign {
-		if cnt > 0 && o != machine {
-			needNet = true
-		}
-	}
-	if needNet {
-		s.cluster.Eng.Go(fmt.Sprintf("m%dg%d/net", machine, rank), func(cp *sim.Proc) {
-			for o, cnt := range foreign {
-				if cnt == 0 || o == machine {
-					continue
-				}
-				// Request ids out, owner CPU gathers, rows come back (under
-				// the feature codec when one is set — the NIC is the
-				// narrowest link, so compression pays off most here), then
-				// a staged DMA of the decoded rows into the GPU.
-				s.cluster.Net.Send(cp, machine, o, cnt*4, hw.TrafficFeature)
-				s.cluster.Machines[o].Host.Gather(cp, cnt*int64(d.RowBytes()), 8)
-				s.cluster.Net.Send(cp, o, machine,
-					compress.WireBytes(s.Opts.FeatCodec, int(cnt)*d.FeatDim), hw.TrafficFeature)
-				mach.Fabric.HostDMA(cp, rank, cnt*int64(d.RowBytes()), hw.TrafficFeature)
-			}
-			netDone.Trigger()
-		})
-	} else {
-		netDone.Trigger()
-	}
-
-	if len(local) > 0 {
-		dev.RunKernel(p, hw.KernelGather, int64(len(local))*int64(d.RowBytes()))
-	}
-	if n > 1 {
-		reqIn := comm.AllToAll(s.loaders[machine], p, rank, remote, comm.Raw(4, hw.TrafficFeature))
-		var served int64
-		for q := 0; q < n; q++ {
-			served += int64(len(reqIn[q]))
-		}
-		if served > 0 {
-			dev.RunKernel(p, hw.KernelGather, served*int64(d.RowBytes()))
-		}
-		replies := make([][]float32, n)
-		for q := 0; q < n; q++ {
-			replies[q] = s.zeroRows(len(reqIn[q]))
-		}
-		comm.AllToAll(s.loaders[machine], p, rank, replies, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
-	}
-	uvaDone.Wait(p)
-	netDone.Wait(p)
-	dev.RunKernel(p, hw.KernelGather, int64(len(ids))*int64(d.RowBytes()))
-	gather.Join()
-	return strategy.Loaded{MB: mb, Feats: feats}
-}
-
-// trainStage runs the hierarchical gradient synchronisation.
-func (s *MultiDSP) trainStage(p *sim.Proc, machine, rank int, l strategy.Loaded, st *train.EpochStats) {
-	mach := s.cluster.Machines[machine]
-	dev := mach.GPUs[rank]
-	mb := l.MB
-	grad := s.grads[machine][rank]
-	if s.Opts.RealCompute {
-		m := s.models[machine][rank]
-		m.ZeroGrads()
-		if len(mb.Seeds) > 0 {
-			loss, correct, flops := m.TrainStep(mb, l.Feats, train.SeedLabels(s.Opts.Data, mb))
-			dev.RunKernel(p, hw.KernelCompute, flops)
-			st.Loss += loss
-			st.Correct += correct
-			st.Seen += len(mb.Seeds)
-		}
-		m.GradVector(grad)
-		if l.Feats != nil {
-			s.pool.Put(l.Feats) // the step has consumed the staged gather
-		}
-	} else {
-		if len(mb.Seeds) > 0 {
-			dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(s.Opts.Model, mb))
-			dev.RunKernel(p, hw.KernelCompute, nn.NominalFlops(s.Opts.Model, mb))
-		}
-	}
-	// Intra-machine allreduce over NVLink (codec-aware: the machine sum
-	// already carries the gradient codec's quantisation error).
-	gradOpts := comm.Compressed(s.Opts.GradCodec, hw.TrafficGradient)
-	// Cost-only never writes grad (all-zero every round): encode is reusable.
-	gradOpts.Static = !s.Opts.RealCompute
-	s.trainerComms[machine].AllReduceSum(p, rank, grad, gradOpts)
-	// Inter-machine ring between machine leaders (rank 0), then the global
-	// sum is re-established on every replica. The rendezvous is a full
-	// cluster barrier: trainer steps are aligned across machines. Each
-	// leader posts its machine sum as the remote machines would decode it
-	// (codec round-trip), so the cross-machine reduction is lossy exactly
-	// once per hop and every replica still sums identical images.
-	if s.NumMachines > 1 {
-		if rank == 0 {
-			posted := compress.Roundtrip(s.Opts.GradCodec, grad)
-			s.interSlots[machine] = append(s.interSlots[machine][:0], posted...)
-			next := (machine + 1) % s.NumMachines
-			bytes := compress.WireBytes(s.Opts.GradCodec, len(grad)) / int64(s.NumMachines)
-			if bytes < 1 {
-				bytes = 1
-			}
-			for step := 0; step < 2*(s.NumMachines-1); step++ {
-				s.cluster.Net.Send(p, machine, next, bytes, hw.TrafficGradient)
-			}
-		}
-		s.interBarrier.Arrive(p)
-		// Deterministic global sum from the posted machine sums.
-		for i := range grad {
-			var sum float32
-			for m := 0; m < s.NumMachines; m++ {
-				sum += s.interSlots[m][i]
-			}
-			grad[i] = sum
-		}
-		s.interBarrier.Arrive(p)
-	}
-	if s.Opts.RealCompute {
-		inv := float32(1.0) / float32(s.gpusEach*s.NumMachines)
-		for i := range grad {
-			grad[i] *= inv
-		}
-		m := s.models[machine][rank]
-		m.SetGradVector(grad)
-		s.optims[machine][rank].Step(m)
-	}
-}
-
-// RunEpoch executes one cluster-wide training epoch.
+// RunEpoch executes one cluster-wide training epoch: rank's shard is
+// shuffled per epoch (the shared permutation) and the machines take
+// interleaved batch-sized slices of it.
 func (s *MultiDSP) RunEpoch(epoch int) (train.EpochStats, error) {
-	eng := s.cluster.Eng
-	start := eng.Now()
+	sched := train.Schedule{BatchSize: s.Opts.BatchSize, Steps: s.steps}
+	net := &s.cluster.Net.Bytes
 	var netBefore int64
-	for i := 0; i < len(s.cluster.Net.Bytes); i++ {
-		netBefore += s.cluster.Net.Bytes[i]
+	for _, b := range net {
+		netBefore += b
 	}
-	for _, mach := range s.cluster.Machines {
-		for _, g := range mach.GPUs {
-			g.ResetBusy()
-		}
-	}
-	type wires struct{ s, f, g int64 }
-	before := make([]wires, s.NumMachines)
-	for m, mach := range s.cluster.Machines {
-		before[m] = wires{
-			mach.Fabric.Counters.TotalWire(hw.TrafficSample),
-			mach.Fabric.Counters.TotalWire(hw.TrafficFeature),
-			mach.Fabric.Counters.TotalWire(hw.TrafficGradient),
-		}
-	}
-	stats := make([]train.EpochStats, s.NumMachines*s.gpusEach)
-	var dones []*sim.Event
-	overhead := s.Opts.EffectiveStageOverhead()
-	for m := 0; m < s.NumMachines; m++ {
-		for g := 0; g < s.gpusEach; g++ {
-			m, g := m, g
-			st := &stats[m*s.gpusEach+g]
-			stages := pipeline.Stages{
+	out, err := train.RunEpochSteps(s.cluster.Machines, epoch, 0, -1, s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
+		func(m, g int, st *train.EpochStats) pipeline.Stages {
+			sub := s.subs[m]
+			return pipeline.Stages{
 				NumBatches: s.steps,
 				Sample: func(p *sim.Proc, step int) interface{} {
-					p.Sleep(overhead)
-					seeds := s.batch(epoch, step, m, g)
-					bs := train.BatchSeed(s.Opts.Seed, epoch, step*s.NumMachines+m, g)
-					return s.worlds[m].SampleBatch(p, g, seeds, s.Opts.Sample, bs)
+					stride := step*s.NumMachines + m
+					seeds := sched.Batch(s.Opts.Data, s.Opts.Seed, epoch, stride, g)
+					return sub.Sample(p, sub.Worlds[0], g, seeds, train.BatchSeed(s.Opts.Seed, epoch, stride, g))
 				},
 				Load: func(p *sim.Proc, step int, v interface{}) interface{} {
-					p.Sleep(overhead)
-					return s.loadStage(p, m, g, v.(*sample.MiniBatch))
+					return sub.Strategy.Load(p, g, v.(*sample.MiniBatch), sub.Loaders[0])
 				},
 				Train: func(p *sim.Proc, step int, v interface{}) {
-					p.Sleep(overhead)
-					s.trainStage(p, m, g, v.(strategy.Loaded), st)
+					sub.Strategy.Train(p, g, v.(strategy.Loaded), st)
 				},
 			}
-			done := eng.NewEvent()
-			dones = append(dones, done)
-			name := fmt.Sprintf("m%dg%d", m, g)
-			if s.Opts.Pipeline {
-				pipeline.RunPipelined(eng, name, stages, s.Opts.QueueCap, done)
-			} else {
-				pipeline.RunSequential(eng, name, stages, done)
-			}
-		}
-	}
-	end, err := eng.Run()
+		})
 	if err != nil {
-		return train.EpochStats{}, err
+		return out, err
 	}
-	for _, d := range dones {
-		if !d.Fired() {
-			return train.EpochStats{}, fmt.Errorf("core: cluster epoch incomplete")
-		}
+	for _, b := range net {
+		out.InterWire += b
 	}
-	out := train.EpochStats{Epoch: epoch, EpochTime: end - start}
-	for _, st := range stats {
-		out.Loss += st.Loss
-		out.Correct += st.Correct
-		out.Seen += st.Seen
-	}
-	for m, mach := range s.cluster.Machines {
-		out.Utilization = append(out.Utilization, mach.Utilization(start, end)...)
-		out.SampleWire += mach.Fabric.Counters.TotalWire(hw.TrafficSample) - before[m].s
-		out.FeatureWire += mach.Fabric.Counters.TotalWire(hw.TrafficFeature) - before[m].f
-		out.GradWire += mach.Fabric.Counters.TotalWire(hw.TrafficGradient) - before[m].g
-	}
-	var netAfter int64
-	for i := 0; i < len(s.cluster.Net.Bytes); i++ {
-		netAfter += s.cluster.Net.Bytes[i]
-	}
-	out.InterWire = netAfter - netBefore
+	out.InterWire -= netBefore
 	return out, nil
 }

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/train"
 )
@@ -31,33 +34,108 @@ func TestMultiDSPRuns(t *testing.T) {
 }
 
 func TestMultiDSPSingleMachineMatchesDSP(t *testing.T) {
-	// One machine degenerates to the single-machine system bitwise: same
-	// batches, same seeds, same model after an epoch.
+	// One machine degenerates to the single-machine system bitwise — both
+	// run the strategy layer's round bodies over the same substrate — so
+	// over two epochs, cost-only and real, under either strategy, the epoch
+	// time and every wire class agree to the last bit, and so does the model.
 	td := testData(t, 2)
-	o := smallOpts(td)
-	o.RealCompute = true
+	for _, tc := range []struct {
+		strat string
+		real  bool
+	}{{"dsp", false}, {"dsp", true}, {"p3", false}, {"p3", true}} {
+		real := tc.real
+		o := smallOpts(td)
+		o.Strategy, o.RealCompute = tc.strat, real
+		single, err := core.New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi, err := core.NewMulti(o, 1, hw.InfiniBandEDR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 2; e++ {
+			a, err := single.RunEpoch(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := multi.RunEpoch(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.EpochTime != b.EpochTime || a.SampleWire != b.SampleWire ||
+				a.FeatureWire != b.FeatureWire || a.GradWire != b.GradWire {
+				t.Errorf("%s real=%v epoch %d: DSP time %v wire %d/%d/%d, 1-machine MultiDSP time %v wire %d/%d/%d",
+					tc.strat, real, e, a.EpochTime, a.SampleWire, a.FeatureWire, a.GradWire,
+					b.EpochTime, b.SampleWire, b.FeatureWire, b.GradWire)
+			}
+			if b.InterWire != 0 {
+				t.Errorf("%s real=%v epoch %d: one machine sent %d NIC bytes", tc.strat, real, e, b.InterWire)
+			}
+		}
+		if !real {
+			continue
+		}
+		a := make([]float32, single.Model().ParamCount())
+		b := make([]float32, multi.Model().ParamCount())
+		single.Model().ParamVector(a)
+		multi.Model().ParamVector(b)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: 1-machine MultiDSP diverges from DSP at param %d", tc.strat, i)
+			}
+		}
+	}
+}
 
-	single, err := core.New(o)
+// TestNewMultiHonoursOrRejectsOptions: NewMulti used to accept every option
+// it did not implement and silently run plain DSP at an identical epoch time.
+// Through the shared constructor each option either takes effect (the epoch
+// measurably differs from the plain run) or is refused by name.
+func TestNewMultiHonoursOrRejectsOptions(t *testing.T) {
+	td := testData(t, 2)
+	epoch := func(o train.Options) (train.EpochStats, error) {
+		sys, err := core.NewMulti(o, 2, hw.InfiniBandEDR())
+		if err != nil {
+			return train.EpochStats{}, err
+		}
+		return sys.RunEpoch(0)
+	}
+	plain, err := epoch(smallOpts(td))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := single.RunEpoch(0); err != nil {
-		t.Fatal(err)
-	}
-	multi, err := core.NewMulti(o, 1, hw.InfiniBandEDR())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := multi.RunEpoch(0); err != nil {
-		t.Fatal(err)
-	}
-	a := make([]float32, single.Model().ParamCount())
-	b := make([]float32, multi.Model().ParamCount())
-	single.Model().ParamVector(a)
-	multi.Model().ParamVector(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("1-machine MultiDSP diverges from DSP at param %d", i)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*train.Options)
+		reject string // substring the error must name; "" = the option must work
+	}{
+		{"Strategy nonsense", func(o *train.Options) { o.Strategy = "nonsense" }, "nonsense"},
+		{"Strategy p3", func(o *train.Options) { o.Strategy = "p3" }, ""},
+		{"OOC", func(o *train.Options) { o.OOC = true }, "OOC"},
+		{"DynamicCache", func(o *train.Options) { o.DynamicCache = cache.LFUDecay }, "DynamicCache"},
+		{"ReplicatedCache", func(o *train.Options) { o.ReplicatedCache = true }, ""},
+		{"Faults", func(o *train.Options) {
+			o.Faults = []fault.Fault{{Kind: fault.Crash, GPU: 1, At: 1e-3}}
+		}, "Faults"},
+		{"NumSamplers", func(o *train.Options) { o.NumSamplers = 2 }, "NumSamplers"},
+		{"NumLoaders", func(o *train.Options) { o.NumLoaders = 2 }, "NumLoaders"},
+		{"PullData", func(o *train.Options) { o.PullData = true }, ""},
+		{"UnfusedSampling", func(o *train.Options) { o.UnfusedSampling = true }, ""},
+		{"CompressTopology", func(o *train.Options) { o.CompressTopology = true }, ""},
+	} {
+		o := smallOpts(td)
+		tc.mutate(&o)
+		st, err := epoch(o)
+		switch {
+		case tc.reject != "" && err == nil:
+			t.Errorf("%s: accepted, want an error naming %q", tc.name, tc.reject)
+		case tc.reject != "" && !strings.Contains(err.Error(), tc.reject):
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.reject)
+		case tc.reject == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.reject == "" && st.EpochTime == plain.EpochTime:
+			t.Errorf("%s: epoch time %v identical to the plain run — option ignored", tc.name, st.EpochTime)
 		}
 	}
 }

@@ -247,6 +247,10 @@ type Machine struct {
 	GPUs   []*Device
 	Host   *Host
 	Fabric *Fabric
+	// Cluster is the cluster this machine belongs to (nil for a stand-alone
+	// server) and Index its position in Cluster.Machines.
+	Cluster *Cluster
+	Index   int
 }
 
 // SetTracer attaches an event tracer to every device (nil detaches) and

@@ -63,7 +63,9 @@ func NewCluster(machines, gpusEach int, gpu GPUSpec, cpu CPUSpec, net NetworkSpe
 	}
 	c.Net = NewNetwork(eng, machines, net)
 	for i := 0; i < machines; i++ {
-		c.Machines = append(c.Machines, NewMachineOn(eng, gpusEach, gpu, cpu, latencyDiv))
+		m := NewMachineOn(eng, gpusEach, gpu, cpu, latencyDiv)
+		m.Cluster, m.Index = c, i
+		c.Machines = append(c.Machines, m)
 	}
 	return c
 }

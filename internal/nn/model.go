@@ -355,6 +355,27 @@ func (m *Model) Evaluate(mb *sample.MiniBatch, feats []float32, labels []int32) 
 	return SoftmaxCrossEntropy(logits, labels, dl)
 }
 
+// LayerFlops is the nominal forward cost of layer l over block b, split into
+// its dense (projection matmul) and aggregation terms. Every nominal-cost
+// estimate — training, inference, and the strategies' partial charges — is a
+// weighted sum of these two numbers.
+func LayerFlops(cfg Config, l int, b *sample.Block) (dense, agg int64) {
+	in, out := cfg.dims(l)
+	switch cfg.Arch {
+	case GAT:
+		// Projection over ALL input nodes plus per-edge attention.
+		dense = 2 * int64(len(b.InputNodes)) * int64(in) * int64(out)
+		agg = 12 * int64(len(b.Src)) * int64(out)
+	case SAGE:
+		dense = 4 * int64(len(b.Dst)) * int64(in) * int64(out) // self + neigh
+		agg = 2 * int64(len(b.Src)) * int64(in)
+	default:
+		dense = 2 * int64(len(b.Dst)) * int64(in) * int64(out)
+		agg = 2 * int64(len(b.Src)) * int64(in)
+	}
+	return dense, agg
+}
+
 // NominalFlops estimates the forward+backward FLOPs a batch would execute
 // under cfg without running the math — used by the cost-only trainer mode
 // in the large timing sweeps, where the paper-scale hidden size (256) would
@@ -362,20 +383,7 @@ func (m *Model) Evaluate(mb *sample.MiniBatch, feats []float32, labels []int32) 
 func NominalFlops(cfg Config, mb *sample.MiniBatch) int64 {
 	var total int64
 	for l, b := range mb.Blocks {
-		in, out := cfg.dims(l)
-		var dense, agg int64
-		switch cfg.Arch {
-		case GAT:
-			// Projection over ALL input nodes plus per-edge attention.
-			dense = 2 * int64(len(b.InputNodes)) * int64(in) * int64(out)
-			agg = 12 * int64(len(b.Src)) * int64(out)
-		case SAGE:
-			dense = 4 * int64(len(b.Dst)) * int64(in) * int64(out) // self + neigh
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		default:
-			dense = 2 * int64(len(b.Dst)) * int64(in) * int64(out)
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		}
+		dense, agg := LayerFlops(cfg, l, b)
 		// Forward + two backward matmuls per forward matmul.
 		total += 3*dense + 2*agg
 	}
@@ -388,19 +396,7 @@ func NominalFlops(cfg Config, mb *sample.MiniBatch) int64 {
 func NominalForwardFlops(cfg Config, mb *sample.MiniBatch) int64 {
 	var total int64
 	for l, b := range mb.Blocks {
-		in, out := cfg.dims(l)
-		var dense, agg int64
-		switch cfg.Arch {
-		case GAT:
-			dense = 2 * int64(len(b.InputNodes)) * int64(in) * int64(out)
-			agg = 12 * int64(len(b.Src)) * int64(out)
-		case SAGE:
-			dense = 4 * int64(len(b.Dst)) * int64(in) * int64(out)
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		default:
-			dense = 2 * int64(len(b.Dst)) * int64(in) * int64(out)
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		}
+		dense, agg := LayerFlops(cfg, l, b)
 		total += dense + agg
 	}
 	return total

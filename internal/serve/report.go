@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/hw"
 	"repro/internal/metrics"
+	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -64,13 +65,13 @@ type Report struct {
 	StoreStats store.Stats
 
 	// Execution-strategy accounting ("dsp" unless Config.Strategy picked
-	// another). Under p3 the tier counts above stay zero — every read lands in
-	// the local dimension slice — and PushWire carries the partial-activation
-	// exchange volume instead.
-	Strategy   string
-	FeatureDim int
-	SliceDims  []int
-	PushWire   int64
+	// another). StrategySection is the strategy's own Section() (nil under
+	// dsp). Under p3 the tier counts above stay zero — every read lands in
+	// the local dimension slice — and PushWire (the section's PushBytes)
+	// carries the partial-activation exchange volume instead.
+	Strategy        string
+	StrategySection *prof.StrategySection
+	PushWire        int64
 
 	// Wire traffic totals accumulated over the run (wire bytes) and the
 	// per-traffic-class codec accounting of the run's communicators.
@@ -121,7 +122,7 @@ type Recovery struct {
 }
 
 func (s *Server) report(end sim.Time) *Report {
-	cs := s.cacheMgr.Stats()
+	cs := s.sub.Cache.Stats()
 	r := &Report{
 		Horizon:         s.cfg.Duration,
 		Makespan:        end,
@@ -138,7 +139,7 @@ func (s *Server) report(end sim.Time) *Report {
 		Tiers:           cs.Tiers,
 		PerGPUTiers:     cs.PerGPU,
 		ExpectedHitRate: s.ExpectedCacheHitRate(),
-		CachePolicy:     s.cacheMgr.Policy(),
+		CachePolicy:     s.sub.Cache.Policy(),
 		Rebalances:      cs.Rebalances,
 		PromotedRows:    cs.Promoted,
 		RebalanceBytes:  cs.MovedBytes,
@@ -151,17 +152,12 @@ func (s *Server) report(end sim.Time) *Report {
 		Killed:          s.dead,
 		KilledAt:        s.killedAt,
 	}
-	if s.hostStore != nil {
-		r.StoreStats = s.hostStore.Stats()
+	if s.sub.Host != nil {
+		r.StoreStats = s.sub.Host.Stats()
 	}
-	r.Strategy = "dsp"
-	if s.p3 {
-		r.Strategy = "p3"
-		r.FeatureDim = s.cfg.Data.FeatDim
-		r.PushWire = s.pushWire
-		for g := 0; g < s.store.NumGPUs; g++ {
-			r.SliceDims = append(r.SliceDims, s.store.SliceDim(g))
-		}
+	r.Strategy = string(s.sub.Strategy.Kind())
+	if sec := s.sub.Strategy.Section(); sec != nil {
+		r.StrategySection, r.PushWire = sec, sec.PushBytes
 	}
 	for _, h := range s.latency {
 		r.Latency.Merge(h)
@@ -169,15 +165,7 @@ func (s *Server) report(end sim.Time) *Report {
 	ctr := s.m.Fabric.Counters
 	r.SampleWire = ctr.TotalWire(hw.TrafficSample)
 	r.FeatureWire = ctr.TotalWire(hw.TrafficFeature)
-	r.Compression = map[hw.TrafficClass]comm.CompressionStats{}
-	for _, c := range []*comm.Communicator{s.world.Comm, s.execComm} {
-		for class, cs := range c.Compression() {
-			acc := r.Compression[class]
-			acc.Raw += cs.Raw
-			acc.Wire += cs.Wire
-			r.Compression[class] = acc
-		}
-	}
+	r.Compression = s.sub.Compression()
 	if end > 0 {
 		r.Throughput = float64(len(s.completed)) / float64(end)
 	}
@@ -249,9 +237,9 @@ func (r *Report) String() string {
 			r.CachePolicy, r.Rebalances, r.PromotedRows,
 			float64(r.RebalanceBytes)/1e6, 1e3*float64(r.RebalanceTime))
 	}
-	if r.Strategy == "p3" {
-		fmt.Fprintf(&b, "\nstrategy p3  slices %v  push %.2f MB",
-			r.SliceDims, float64(r.PushWire)/1e6)
+	if sec := r.StrategySection; sec != nil {
+		fmt.Fprintf(&b, "\nstrategy %s  slices %v  push %.2f MB",
+			sec.Name, sec.SliceDims, float64(r.PushWire)/1e6)
 	}
 	if ss := r.StoreStats; ss.Hits+ss.Misses > 0 {
 		fmt.Fprintf(&b, "\nooc store  hit %.1f%%  demand %.2f MB  prefetch acc %.1f%%  stall %.3fms",

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"strings"
+
 	"repro/internal/prof"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -24,15 +26,10 @@ type ReportMeta struct {
 func (r *Report) RunReport(meta ReportMeta) *prof.RunReport {
 	out := prof.New("dspserve")
 	out.System = "DSP"
-	if r.Strategy == "p3" {
-		out.System = "DSP-P3"
-		out.Strategy = &prof.StrategySection{
-			Name:       r.Strategy,
-			FeatureDim: r.FeatureDim,
-			SliceDims:  append([]int(nil), r.SliceDims...),
-			PushBytes:  r.PushWire,
-		}
+	if r.Strategy != "dsp" {
+		out.System = "DSP-" + strings.ToUpper(r.Strategy)
 	}
+	out.Strategy = r.StrategySection
 	out.Dataset = meta.Dataset
 	out.GPUs = meta.GPUs
 	out.Seed = meta.Seed

@@ -32,11 +32,9 @@ import (
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -71,13 +69,6 @@ func (b Batching) String() string {
 		return "dynamic"
 	}
 }
-
-// Worker ids for communication coordination (one gated communicator per
-// worker group, as in training).
-const (
-	samplerWorker = iota
-	execWorker
-)
 
 // Config describes one serving run. Data, Duration and Rate are required.
 type Config struct {
@@ -272,23 +263,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("serve: fan-out depth %d != model layers %d",
 			len(c.Sample.Fanout), c.Model.Layers)
 	}
-	kind, err := strategy.Parse(c.Strategy)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if kind == strategy.KindP3 {
-		// The P3 layout has no per-row holders: degraded-mode re-routing and
-		// row-cache rebalancing are meaningless over a dimension slice.
-		if len(c.Faults) > 0 {
-			return fmt.Errorf("serve: -strategy p3 does not support fault injection (no per-row holders to re-route around)")
-		}
-		if c.DynamicCache != cache.Static {
-			return fmt.Errorf("serve: -strategy p3 is incompatible with dynamic cache policy %v (the dimension-sliced layout has no rows to rebalance)", c.DynamicCache)
-		}
-		if c.FeatureCacheBudget > 0 {
-			return fmt.Errorf("serve: -strategy p3 ignores the feature cache budget: each GPU holds the full [#nodes, F/world] slice")
-		}
-	}
 	return nil
 }
 
@@ -307,6 +281,21 @@ func (c Config) effectiveOverhead() sim.Time {
 		ov /= sim.Time(c.LatencyScale)
 	}
 	return ov
+}
+
+// substrate translates the serving config into the options strategy.Build
+// assembles a machine from; the training-only knobs stay zero.
+func (c Config) substrate() train.Options {
+	return train.Options{
+		Data: c.Data, GPU: c.GPU, CPU: c.CPU, Model: c.Model, Sample: c.Sample,
+		RealCompute: c.RealCompute, Seed: c.Seed, UseCCC: c.UseCCC,
+		FeatureCacheBudget: c.FeatureCacheBudget, TopoCacheBudget: c.TopoCacheBudget,
+		CachePolicy: c.CachePolicy, DynamicCache: c.DynamicCache, CacheTune: c.CacheTune,
+		CompressTopology: c.CompressTopology, OOC: c.OOC, OOCBudget: c.OOCBudget,
+		OOCNoPrefetch: c.OOCNoPrefetch, OOCBlockNodes: c.OOCBlockNodes,
+		LatencyScale: c.LatencyScale, FeatCodec: c.FeatCodec, Faults: c.Faults,
+		Strategy: c.Strategy,
+	}
 }
 
 // Request is one node-classification inference request and its lifecycle
@@ -348,17 +337,17 @@ type execItem struct {
 // Server is a configured single-run serving instance. Build with NewServer,
 // execute with Run (or use the Serve convenience wrapper).
 type Server struct {
-	cfg       Config
-	m         *hw.Machine
-	world     *csp.World
-	store     *featstore.Store
-	hostStore *store.Store
-	cacheMgr  *cache.Manager
-	coord     *pipeline.Coordinator
-	execComm  *comm.Communicator
-	workload  *Workload
-	models    []*nn.Model
-	overhead  sim.Time
+	cfg Config
+	m   *hw.Machine
+	// sub is the fleet's substrate and execution strategy, assembled by
+	// internal/strategy exactly as for training; serving runs its Load +
+	// Infer half. world and execComm are its sampler world and the loader
+	// communicator the executors run rounds over.
+	sub      *strategy.Substrate
+	world    *csp.World
+	execComm *comm.Communicator
+	workload *Workload
+	overhead sim.Time
 
 	// fault tolerance
 	inj  *fault.Injector
@@ -397,12 +386,6 @@ type Server struct {
 	crashes       []Recovery
 	completed     []*Request
 	latency       []*metrics.Histogram
-	zeros         []float32
-
-	// p3 strategy state: dimension-sliced features replace the row cache,
-	// and the first layer runs as a partial-activation push exchange.
-	p3       bool
-	pushWire int64
 }
 
 // NewServer builds the serving fleet: machine, partitioned topology,
@@ -435,72 +418,13 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.Tracer.NamePid(n, "frontend")
 	}
 
-	topoBudget := cfg.TopoCacheBudget
-	if topoBudget <= 0 {
-		topoBudget = cfg.GPU.MemBytes * 6 / 10
-	}
-	var topo graph.Topology = d.G
-	if cfg.CompressTopology {
-		topo = graph.Compress(d.G)
-	}
-	world, err := csp.NewWorldBudget(s.m, topo, d.Offsets, topoBudget)
+	sub, err := strategy.Build(s.m, cfg.substrate(), strategy.Serving)
 	if err != nil {
-		return nil, fmt.Errorf("serve: topology layout: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s.world = world
-	if cfg.OOC {
-		hs, err := store.New(s.m.Eng, topo, d.G.NumNodes(), d.RowBytes(), store.Config{
-			BlockNodes:   cfg.OOCBlockNodes,
-			CacheBytes:   cfg.OOCBudget,
-			Prefetch:     !cfg.OOCNoPrefetch,
-			LatencyScale: cfg.LatencyScale,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: out-of-core store: %w", err)
-		}
-		s.hostStore = hs
-		s.world.SetHostStore(hs)
-	}
-
-	kind, _ := strategy.Parse(cfg.Strategy) // validated above
-	s.p3 = kind == strategy.KindP3
-	if s.p3 {
-		// Dimension-sliced layout: every GPU holds all rows of an F/world
-		// column slice, so there is no hot/cold split and no row cache.
-		s.store = featstore.BuildDimSliced(d.Feats, d.FeatDim, n)
-	} else {
-		budget := cfg.FeatureCacheBudget
-		if budget <= 0 {
-			budget = s.minFreeMem() * 9 / 10
-		}
-		s.store = featstore.BuildPartitioned(d.G, d.Feats, d.FeatDim, d.Offsets,
-			budget, featstore.Policy(cfg.CachePolicy))
-	}
-	for g := 0; g < n; g++ {
-		if err := s.m.GPUs[g].Reserve(s.store.CacheBytes(g)); err != nil {
-			return nil, fmt.Errorf("serve: feature cache: %w", err)
-		}
-	}
-	mcfg := cfg.CacheTune
-	mcfg.Policy = cfg.DynamicCache
-	s.cacheMgr = cache.New(s.store, d.G, d.Offsets, mcfg)
+	s.sub, s.world, s.execComm = sub, sub.Worlds[0], sub.Loaders[0]
 	if cfg.Tracer.Enabled() {
-		s.cacheMgr.SetTracer(cfg.Tracer, n) // frontend lane
-	}
-
-	s.coord = pipeline.NewCoordinator(s.m.Eng, n, cfg.UseCCC, 2)
-	s.coord.Tracer = func() *trace.Tracer { return s.m.GPUs[0].Tracer }
-	s.execComm = comm.New(s.m)
-	if cfg.UseCCC {
-		s.world.Comm.SetGate(s.coord.Gate(samplerWorker))
-		s.execComm.SetGate(s.coord.Gate(execWorker))
-	}
-	if cfg.RealCompute {
-		for g := 0; g < n; g++ {
-			// Identical replicas (same init seed) — any GPU serves any
-			// request, as after BSP training.
-			s.models = append(s.models, nn.NewModel(cfg.Model, cfg.Seed))
-		}
+		sub.Cache.SetTracer(cfg.Tracer, n) // frontend lane
 	}
 	s.workload = NewWorkload(d, cfg.Skew)
 	if cfg.DriftEvery > 0 {
@@ -518,8 +442,8 @@ func NewServer(cfg Config) (*Server, error) {
 		// live GPU takes over grant ordering.
 		s.world.SetView(s.view)
 		s.execComm.SetView(s.view)
-		s.coord.SetView(s.view)
-		s.cacheMgr.SetView(s.view)
+		sub.Coord.SetView(s.view)
+		sub.Cache.SetView(s.view)
 		inj.OnCrash(func(p *sim.Proc, f fault.Fault) { s.onCrash(p, f.GPU) })
 	}
 	if s.cfg.Telemetry.Enabled() {
@@ -560,9 +484,9 @@ func (s *Server) registerTelemetry(n int) {
 			return float64(dev.BusyAt(now))
 		})
 	}
-	if !s.p3 {
+	if s.sub.Store.Layout != featstore.DimSliced { // dimension slices have no row cache
 		h.Gauge(s.pname("cache/hit_rate"), func(sim.Time) float64 {
-			return s.cacheMgr.Stats().Tiers.HitRate()
+			return s.sub.Cache.Stats().Tiers.HitRate()
 		})
 	}
 	ctr := &s.m.Fabric.Counters
@@ -572,9 +496,9 @@ func (s *Server) registerTelemetry(n int) {
 	h.Counter(s.pname("wire/feature_bytes"), func(sim.Time) float64 {
 		return float64(ctr.TotalWire(hw.TrafficFeature))
 	})
-	if s.hostStore != nil {
+	if host := s.sub.Host; host != nil {
 		h.Gauge(s.pname("store/resident_bytes"), func(sim.Time) float64 {
-			return float64(s.hostStore.Stats().ResidentBytes)
+			return float64(host.Stats().ResidentBytes)
 		})
 	}
 	if s.goodput != nil {
@@ -632,21 +556,11 @@ func (s *Server) onCrash(p *sim.Proc, g int) {
 	}
 }
 
-func (s *Server) minFreeMem() int64 {
-	free := s.m.GPUs[0].MemFree()
-	for _, g := range s.m.GPUs[1:] {
-		if f := g.MemFree(); f < free {
-			free = f
-		}
-	}
-	return free
-}
-
 // Machine exposes the simulated fleet (for utilization inspection).
 func (s *Server) Machine() *hw.Machine { return s.m }
 
 // Store exposes the feature placement (for cache assertions).
-func (s *Server) Store() *featstore.Store { return s.store }
+func (s *Server) Store() *featstore.Store { return s.sub.Store }
 
 // Workload exposes the popularity model.
 func (s *Server) Workload() *Workload { return s.workload }
@@ -654,7 +568,7 @@ func (s *Server) Workload() *Workload { return s.workload }
 // ExpectedCacheHitRate is the weight-fraction of feature reads the GPU
 // caches can serve under this workload's popularity distribution.
 func (s *Server) ExpectedCacheHitRate() float64 {
-	return s.store.CachedFraction(s.workload.Weights())
+	return s.sub.Store.CachedFraction(s.workload.Weights())
 }
 
 // pname prefixes a process name with the server's fleet name, if any.
@@ -699,13 +613,13 @@ func (s *Server) Start() {
 	if s.inj != nil {
 		s.inj.Arm()
 	}
-	if s.cacheMgr.Dynamic() {
+	if s.sub.Cache.Dynamic() {
 		// Daemon: rebalances happen while request work is in flight, but a
 		// drained fleet does not stay alive just to keep adapting.
 		s.rebProc = eng.GoDaemon(s.pname("cache/rebalance"), func(p *sim.Proc) {
 			for {
 				p.Sleep(s.cfg.RebalanceEvery)
-				s.cacheMgr.Rebalance(p, s.m.Fabric)
+				s.sub.Cache.Rebalance(p, s.m.Fabric)
 			}
 		})
 	}
@@ -1111,9 +1025,9 @@ func (s *Server) sampler(p *sim.Proc, g int) {
 	}
 }
 
-// executor is GPU g's execution worker: feature load (local gather + NVLink
-// all-to-all + UVA, in parallel) then the forward-only pass, completing
-// every request of the round.
+// executor is GPU g's execution worker: the strategy's Load (DSP: local
+// gather + NVLink all-to-all + UVA, in parallel; p3: the push exchange) then
+// its forward-only Infer, completing every request of the round.
 func (s *Server) executor(p *sim.Proc, g int) {
 	for {
 		v, ok := s.execQ[g].Get(p)
@@ -1123,28 +1037,20 @@ func (s *Server) executor(p *sim.Proc, g int) {
 		}
 		it := v.(*execItem)
 		var preds []int32
-		// Tier counts accumulate per attempt and commit only on success (the
-		// report counts each served request's rows once); the fabric byte
+		// Tier counts ride on the attempt's Loaded and commit only on success
+		// (the report counts each served request's rows once); the fabric byte
 		// counters have no such rollback — an aborted round's wire traffic
 		// really crossed the links. The manager's hotness counters likewise
 		// record every attempt inside Split: the accesses are real.
-		var rc cache.Tiers
+		var l strategy.Loaded
 		var loaded sim.Time
-		runRound(p, func() {
-			s.execComm.Begin(g)
-			rc = cache.Tiers{}
-		}, func() {
+		runRound(p, func() { s.execComm.Begin(g) }, func() {
 			p.Sleep(s.overhead)
-			var feats []float32
-			if s.p3 {
-				feats = s.loadFeaturesP3(p, g, it.mb)
-			} else {
-				feats = s.loadFeatures(p, g, it.mb, &rc)
-			}
+			l = s.sub.Strategy.Load(p, g, it.mb, s.execComm)
 			loaded = p.Now()
-			preds = s.forward(p, g, it.mb, feats)
+			preds = s.sub.Strategy.Infer(p, g, l)
 		})
-		s.cacheMgr.Account(g, rc)
+		s.sub.Cache.Account(g, l.Tiers)
 		now := p.Now()
 		batch := len(it.rd.reqs[g])
 		for i, req := range it.rd.reqs[g] {
@@ -1176,138 +1082,4 @@ func (s *Server) executor(p *sim.Proc, g int) {
 			g, 21, float64(it.rd.start), float64(now),
 			map[string]string{"batch": fmt.Sprint(batch)})
 	}
-}
-
-// loadFeatures mirrors the trainer's loader stage: split by placement, cold
-// rows via UVA concurrently with the NVLink hot-row exchange, then assemble.
-// The cache manager's Split both records row hotness and re-routes rows
-// cached on a dead GPU to host memory (UVA) — the shard is unreachable but
-// the master copy in host RAM is not.
-func (s *Server) loadFeatures(p *sim.Proc, g int, mb *sample.MiniBatch, rc *cache.Tiers) []float32 {
-	d := s.cfg.Data
-	dev := s.m.GPUs[g]
-	ids := mb.InputNodes()
-	local, remote, host := s.cacheMgr.Split(ids, g)
-	rc.Add(cache.CountTiers(local, remote, host))
-	n := s.execComm.N
-
-	// Feature tier of the frontier walk: prefetch the host rows' blocks
-	// (non-blocking, MaxInflight-way parallel) so spill reads overlap the
-	// NVLink exchange instead of serialising in the UVA side path.
-	if s.hostStore != nil && len(host) > 0 {
-		s.hostStore.PrefetchFeatures(host)
-	}
-
-	uvaDone := s.m.Eng.NewEvent()
-	if len(host) > 0 {
-		s.m.Eng.Go(fmt.Sprintf("gpu%d/serve-uva", g), func(cp *sim.Proc) {
-			// Host rows must be block-cache-resident before UVA reads them;
-			// the out-of-core tier stalls this side path on spill fetches.
-			if s.hostStore != nil {
-				s.hostStore.TouchFeatures(cp, host)
-			}
-			dev.UVARead(cp, s.m.Fabric, int64(len(host)), d.RowBytes(), hw.TrafficFeature)
-			uvaDone.Trigger()
-		})
-	} else {
-		uvaDone.Trigger()
-	}
-	if len(local) > 0 {
-		dev.RunKernel(p, hw.KernelGather, int64(len(local))*int64(d.RowBytes()))
-	}
-	if n > 1 {
-		reqIn := comm.AllToAll(s.execComm, p, g, remote, comm.Raw(4, hw.TrafficFeature))
-		var served int64
-		for q := 0; q < n; q++ {
-			served += int64(len(reqIn[q]))
-		}
-		if served > 0 {
-			dev.RunKernel(p, hw.KernelGather, served*int64(d.RowBytes()))
-		}
-		replies := make([][]float32, n)
-		for q := 0; q < n; q++ {
-			replies[q] = s.zeroRows(len(reqIn[q]))
-		}
-		comm.AllToAll(s.execComm, p, g, replies, comm.Compressed(s.cfg.FeatCodec, hw.TrafficFeature))
-	}
-	uvaDone.Wait(p)
-	dev.RunKernel(p, hw.KernelGather, int64(len(ids))*int64(d.RowBytes()))
-	if s.cfg.RealCompute {
-		return train.GatherFeatures(d, mb)
-	}
-	return nil
-}
-
-// loadFeaturesP3 is the executor's feature stage under the p3 strategy: the
-// first layer's partial-activation push exchange (strategy.P3Forward) stands
-// where the hot/cold row gather would be. Under RealCompute the full-width
-// features are still materialised so the forward math is canonical.
-func (s *Server) loadFeaturesP3(p *sim.Proc, g int, mb *sample.MiniBatch) []float32 {
-	h0 := s.cfg.Model.Hidden
-	if s.cfg.Model.Layers == 1 {
-		h0 = s.cfg.Model.Classes
-	}
-	fst := strategy.P3Forward(p, s.m, s.execComm, g, s.store, s.cfg.Model.Arch,
-		h0, s.cfg.FeatCodec, mb.InputNodes(), s.zeroAct)
-	s.pushWire += fst.PushWire
-	if s.execComm.N > 1 {
-		dev := s.m.GPUs[g]
-		dev.Tracer.Counter("p3 push", dev.ID, float64(p.Now()), map[string]float64{
-			"bytes": float64(s.pushWire),
-		})
-	}
-	if s.cfg.RealCompute {
-		return train.GatherFeatures(s.cfg.Data, mb)
-	}
-	return nil
-}
-
-// forward runs the inference pass and returns per-seed argmax predictions
-// (nil in cost-only mode).
-func (s *Server) forward(p *sim.Proc, g int, mb *sample.MiniBatch, feats []float32) []int32 {
-	if len(mb.Seeds) == 0 {
-		return nil
-	}
-	dev := s.m.GPUs[g]
-	dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(s.cfg.Model, mb))
-	flops := nn.NominalForwardFlops(s.cfg.Model, mb)
-	if s.p3 {
-		// The first layer's dense work already ran as partial projections in
-		// the push exchange; charge only the residual here.
-		flops = strategy.P3ResidualForwardFlops(s.cfg.Model, mb)
-	}
-	dev.RunKernel(p, hw.KernelCompute, flops)
-	if !s.cfg.RealCompute {
-		return nil
-	}
-	logits, _ := s.models[g].Forward(mb, feats)
-	preds := make([]int32, logits.R)
-	for i := 0; i < logits.R; i++ {
-		row := logits.Row(i)
-		best := 0
-		for j := 1; j < len(row); j++ {
-			if row[j] > row[best] {
-				best = j
-			}
-		}
-		preds[i] = int32(best)
-	}
-	return preds
-}
-
-func (s *Server) zeroRows(rows int) []float32 {
-	need := rows * s.cfg.Data.FeatDim
-	if cap(s.zeros) < need {
-		s.zeros = make([]float32, need)
-	}
-	return s.zeros[:need]
-}
-
-// zeroAct returns a zero-backed payload standing in for n activation values
-// (shared backing with zeroRows; the payloads only carry timing).
-func (s *Server) zeroAct(n int) []float32 {
-	if cap(s.zeros) < n {
-		s.zeros = make([]float32, n)
-	}
-	return s.zeros[:n]
 }

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/gen"
 	"repro/internal/sample"
 	"repro/internal/trace"
@@ -178,5 +180,61 @@ func TestServeTraceEvents(t *testing.T) {
 	}
 	if rep.Shed > 0 && sheds != rep.Shed {
 		t.Fatalf("shed instants %d != shed count %d", sheds, rep.Shed)
+	}
+}
+
+// TestServeP3Strategy drives serving through the p3 strategy's Load + Infer:
+// requests are conserved, same-seed run reports are byte-identical, the
+// row-cache tiers stay empty (every read lands in the local dimension
+// slice), and the report's push volume is the strategy's own accounting.
+func TestServeP3Strategy(t *testing.T) {
+	cfg := testConfig(t, 4)
+	cfg.Strategy = "p3"
+	cfg.RealCompute = true
+	run := func() (*Server, *Report, []byte) {
+		s, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := rep.RunReport(ReportMeta{Dataset: cfg.Data.Name, GPUs: 4, Seed: cfg.Seed})
+		if err := rr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		js, err := rr.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, rep, js
+	}
+	s, rep, a := run()
+	_, _, b := run()
+	if !bytes.Equal(a, b) {
+		t.Error("same-seed p3 serving reports differ")
+	}
+	if rep.Completed == 0 || rep.Completed+rep.Shed != rep.Arrived {
+		t.Errorf("accounting: completed %d + shed %d != arrived %d", rep.Completed, rep.Shed, rep.Arrived)
+	}
+	if rep.Tiers != (cache.Tiers{}) {
+		t.Errorf("p3 has no row cache, yet tier counts = %+v", rep.Tiers)
+	}
+	sec := s.sub.Strategy.Section()
+	if sec == nil || sec.Name != "p3" || rep.Strategy != "p3" {
+		t.Fatalf("strategy section = %+v, report strategy %q; want p3", sec, rep.Strategy)
+	}
+	if rep.PushWire != sec.PushBytes || rep.PushWire <= 0 {
+		t.Errorf("Report.PushWire = %d, strategy Section().PushBytes = %d; want equal and positive",
+			rep.PushWire, sec.PushBytes)
+	}
+	if sec.PullBytes != 0 {
+		t.Errorf("serving ran no backward pull, yet PullBytes = %d", sec.PullBytes)
+	}
+	for _, req := range rep.Requests {
+		if req.Pred < 0 {
+			t.Fatalf("request %d has no prediction under RealCompute", req.ID)
+		}
 	}
 }

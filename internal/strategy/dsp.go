@@ -3,10 +3,12 @@ package strategy
 import (
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/cache"
 	"repro/internal/comm"
+	"repro/internal/compress"
+	"repro/internal/graph"
 	"repro/internal/hw"
+	"repro/internal/nn"
 	"repro/internal/prof"
 	"repro/internal/sample"
 	"repro/internal/sim"
@@ -14,74 +16,43 @@ import (
 	"repro/internal/train"
 )
 
-// DSP is the paper's execution strategy, migrated verbatim from
-// internal/core: local cache hits via a gather kernel, remote hot rows via
-// all-to-all over NVLink, cold rows via UVA (in parallel on different
-// links), then the standard data-parallel train step.
+// DSP is the paper's execution strategy: local cache hits via a gather
+// kernel, remote hot rows via all-to-all over NVLink, cold rows via UVA (in
+// parallel on different links), then the standard data-parallel step. On a
+// machine of a multi-machine cluster the cold rows are sharded across the
+// machines' CPU memories by node id (paper §3.2): a row owned by another
+// machine costs a NIC round trip plus the owner's CPU gather.
 type DSP struct {
-	Opts    train.Options
-	M       *hw.Machine
-	Cache   *cache.Manager
-	Host    *store.Store // out-of-core host tier (nil unless Opts.OOC)
-	Trainer *train.Trainer
+	replica
+	Cache *cache.Manager
+	Host  *store.Store // out-of-core host tier (nil unless Opts.OOC)
 
-	// zeros backs loader reply payloads (transfer timing without copying
-	// real rows twice).
-	zeros []float32
-	// pool recycles gather staging buffers (RealCompute feature assembly);
-	// par offloads their fill between DES commit points.
-	pool arena.Pool
-	par  *sim.ParallelGroup
-}
-
-// group lazily binds the strategy to the engine's parallel budget.
-func (s *DSP) group() *sim.ParallelGroup {
-	if s.par == nil {
-		s.par = s.M.Eng.NewParallelGroup()
-	}
-	return s.par
-}
-
-// NewDSP assembles the DSP strategy over an already-built substrate.
-func NewDSP(opts train.Options, m *hw.Machine, cacheMgr *cache.Manager, host *store.Store, trainer *train.Trainer) *DSP {
-	return &DSP{Opts: opts, M: m, Cache: cacheMgr, Host: host, Trainer: trainer}
+	// deferTiers leaves committing Loaded.Tiers to the caller (serving
+	// commits once a round survives its collective attempts); otherwise
+	// Load commits at split time.
+	deferTiers bool
 }
 
 // Kind implements ExecutionStrategy.
 func (s *DSP) Kind() Kind { return KindDSP }
 
-// zeroRows returns a zero-backed payload standing in for rows feature rows
-// (cost-only mode sends these so transfer timing stays exact without
-// copying real rows twice).
-func (s *DSP) zeroRows(rows int) []float32 {
-	need := rows * s.Opts.Data.FeatDim
-	if cap(s.zeros) < need {
-		s.zeros = make([]float32, need)
-	}
-	return s.zeros[:need]
-}
-
 // Load implements ExecutionStrategy: fetch features for the sampled batch —
 // local cache hits via a gather kernel, remote hot rows via all-to-all over
-// NVLink, cold rows via UVA — hot and cold fetches run in parallel on
-// different links, as in the paper.
+// NVLink, cold rows via UVA and (in a cluster) the NIC — the paths run in
+// parallel on different links, as in the paper.
 func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communicator) Loaded {
 	d := s.Opts.Data
+	eng := s.M.Eng
 	dev := s.M.GPUs[rank]
 	ids := mb.InputNodes()
-	// Stage the real feature gather on a worker thread so it overlaps the
-	// virtual-time NVLink/UVA choreography below; the buffer is pooled and
-	// recycled by Train once the step has consumed it.
-	var feats []float32
-	var gather *sim.Ticket
-	if s.Opts.RealCompute {
-		feats = s.pool.Get(len(ids) * d.FeatDim)
-		gather = s.group().Submit(func() { train.GatherFeaturesInto(feats, d, mb) })
-	}
+	feats, gather := s.stage(mb)
 	// The manager's Split records row hotness for the epoch-boundary
 	// rebalancer and re-routes dead-holder rows to the host tier.
 	local, remote, host := s.Cache.Split(ids, rank)
-	s.Cache.Account(rank, cache.CountTiers(local, remote, host))
+	tiers := cache.CountTiers(local, remote, host)
+	if !s.deferTiers {
+		s.Cache.Account(rank, tiers)
+	}
 	n := lc.N
 
 	// Feature tier of the frontier walk: the split names exactly the
@@ -92,21 +63,46 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 		s.Host.PrefetchFeatures(host)
 	}
 
-	// Cold rows via UVA, concurrently with the NVLink path.
-	uvaDone := s.M.Eng.NewEvent()
-	if len(host) > 0 {
-		s.M.Eng.Go(fmt.Sprintf("gpu%d/uva", rank), func(cp *sim.Proc) {
+	// Cold rows this machine's CPU memory holds, via UVA, concurrently with
+	// the NVLink path.
+	mine, foreign := s.coldOwners(host)
+	uvaDone := eng.NewEvent()
+	if mine > 0 {
+		eng.Go(fmt.Sprintf("gpu%d/uva", rank), func(cp *sim.Proc) {
 			// Host rows must be cache-resident before UVA can read them:
 			// the out-of-core tier stalls this side path (not the NVLink
 			// path) on any spill-device fetch.
 			if s.Host != nil {
 				s.Host.TouchFeatures(cp, host)
 			}
-			dev.UVARead(cp, s.M.Fabric, int64(len(host)), d.RowBytes(), hw.TrafficFeature)
+			dev.UVARead(cp, s.M.Fabric, mine, d.RowBytes(), hw.TrafficFeature)
 			uvaDone.Trigger()
 		})
 	} else {
 		uvaDone.Trigger()
+	}
+	// Cold rows other machines hold, also concurrently.
+	var netDone *sim.Event
+	if foreign != nil {
+		netDone = eng.NewEvent()
+		eng.Go(fmt.Sprintf("gpu%d/net", rank), func(cp *sim.Proc) {
+			c, me := s.M.Cluster, s.M.Index
+			for o, cnt := range foreign {
+				if cnt == 0 {
+					continue
+				}
+				// Request ids out, owner CPU gathers, rows come back (under
+				// the feature codec when one is set — the NIC is the
+				// narrowest link, so compression pays off most here), then
+				// a staged DMA of the decoded rows into the GPU.
+				c.Net.Send(cp, me, o, cnt*4, hw.TrafficFeature)
+				c.Machines[o].Host.Gather(cp, cnt*int64(d.RowBytes()), 8)
+				c.Net.Send(cp, o, me,
+					compress.WireBytes(s.Opts.FeatCodec, int(cnt)*d.FeatDim), hw.TrafficFeature)
+				s.M.Fabric.HostDMA(cp, rank, cnt*int64(d.RowBytes()), hw.TrafficFeature)
+			}
+			netDone.Trigger()
+		})
 	}
 
 	// Local cache hits: one gather kernel.
@@ -126,24 +122,50 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 		}
 		replies := make([][]float32, n)
 		for q := 0; q < n; q++ {
-			replies[q] = s.zeroRows(len(reqIn[q]))
+			replies[q] = s.zeroed(len(reqIn[q]) * d.FeatDim)
 		}
 		comm.AllToAll(lc, p, rank, replies, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
 	}
 
 	uvaDone.Wait(p)
+	if netDone != nil {
+		netDone.Wait(p)
+	}
 	// Assemble the contiguous input-feature buffer.
 	dev.RunKernel(p, hw.KernelGather, int64(len(ids))*int64(d.RowBytes()))
 	gather.Join()
-	return Loaded{MB: mb, Feats: feats}
+	return Loaded{MB: mb, Feats: feats, Tiers: tiers}
+}
+
+// coldOwners splits the host-tier rows by owning machine: mine counts the
+// rows this machine's CPU memory holds and foreign[o] the rows machine o
+// holds (nil when there are none — always, outside a cluster of several).
+func (s *DSP) coldOwners(host []graph.NodeID) (mine int64, foreign []int64) {
+	c := s.M.Cluster
+	if c == nil || len(c.Machines) == 1 {
+		return int64(len(host)), nil
+	}
+	for _, v := range host {
+		if o := int(v) % len(c.Machines); o == s.M.Index {
+			mine++
+		} else {
+			if foreign == nil {
+				foreign = make([]int64, len(c.Machines))
+			}
+			foreign[o]++
+		}
+	}
+	return mine, foreign
+}
+
+// Infer implements ExecutionStrategy: the full forward pass.
+func (s *DSP) Infer(p *sim.Proc, rank int, l Loaded) []int32 {
+	return s.infer(p, rank, l, nn.NominalForwardFlops(s.Opts.Model, l.MB))
 }
 
 // Train implements ExecutionStrategy: the standard data-parallel step.
 func (s *DSP) Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats) {
-	s.Trainer.Step(p, s.M.GPUs[rank], rank, l.MB, l.Feats, st)
-	if l.Feats != nil {
-		s.pool.Put(l.Feats) // the step has consumed the staged gather
-	}
+	s.train(p, rank, l, st, s.Opts.GradOpts(), nn.NominalFlops)
 }
 
 // Section implements ExecutionStrategy. DSP reports through the existing

@@ -1,11 +1,9 @@
 package strategy
 
 import (
-	"repro/internal/arena"
 	"repro/internal/comm"
 	"repro/internal/compress"
 	"repro/internal/featstore"
-	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/prof"
@@ -28,10 +26,8 @@ import (
 // bit-identical to DSP at the same seed. Only the simulated wire and
 // kernel costs follow the P3 layout.
 type P3 struct {
-	Opts    train.Options
-	M       *hw.Machine
-	Store   *featstore.Store // DimSliced
-	Trainer *train.Trainer
+	replica
+	Store *featstore.Store // DimSliced
 
 	// Cumulative exchange accounting for StrategySection and the trace
 	// counter series (mutated from per-GPU procs; the DES is cooperative).
@@ -39,25 +35,6 @@ type P3 struct {
 	pullWire     int64
 	partialFlops int64
 	reduceBytes  int64
-
-	// zeros backs the activation payloads (timing without real copies).
-	zeros []float32
-	// pool recycles gather staging buffers; par offloads their fill.
-	pool arena.Pool
-	par  *sim.ParallelGroup
-}
-
-// group lazily binds the strategy to the engine's parallel budget.
-func (s *P3) group() *sim.ParallelGroup {
-	if s.par == nil {
-		s.par = s.M.Eng.NewParallelGroup()
-	}
-	return s.par
-}
-
-// NewP3 assembles the P3 strategy over a DimSliced store.
-func NewP3(opts train.Options, m *hw.Machine, fs *featstore.Store, trainer *train.Trainer) *P3 {
-	return &P3{Opts: opts, M: m, Store: fs, Trainer: trainer}
 }
 
 // Kind implements ExecutionStrategy.
@@ -72,14 +49,6 @@ func (s *P3) hidden0() int {
 	return s.Opts.Model.Hidden
 }
 
-// zeroAct returns a zero-backed payload standing in for n activation values.
-func (s *P3) zeroAct(n int) []float32 {
-	if cap(s.zeros) < n {
-		s.zeros = make([]float32, n)
-	}
-	return s.zeros[:n]
-}
-
 // denseFactor is the flops-per-(node x in x out) coefficient of one dense
 // layer: SAGE projects self and neighbour separately.
 func denseFactor(arch nn.Arch) int64 {
@@ -89,36 +58,31 @@ func denseFactor(arch nn.Arch) int64 {
 	return 2
 }
 
-// ForwardStats accounts one forward push-pull exchange.
-type ForwardStats struct {
-	PushWire     int64 // partial-activation wire bytes charged
-	PartialFlops int64 // model-parallel first-layer flops
-	ReduceBytes  int64 // partial-activation reduction kernel bytes
-}
-
-// P3Forward runs the forward half of the push-pull exchange for one batch on
-// one rank: allgather of every batch's input ids, local slab gathers plus
-// partial first-layer projections for all of them, the partial-activation
-// push all-to-all home to each batch's owner, and the local reduction of the
-// incoming partials. Shared by the training loader stage and the serving
-// executor, which differ only in where the accounting lands.
-func P3Forward(p *sim.Proc, m *hw.Machine, c *comm.Communicator, rank int, fs *featstore.Store, arch nn.Arch, h0 int, codec compress.Codec, ids []graph.NodeID, zeros func(int) []float32) ForwardStats {
-	var out ForwardStats
-	dev := m.GPUs[rank]
-	n := c.N
+// Load implements ExecutionStrategy: the forward half of the push-pull
+// exchange stands where DSP's feature gather would be — allgather of every
+// batch's input ids, local slab gathers plus partial first-layer projections
+// for all of them, the partial-activation push all-to-all home to each
+// batch's owner, and the local reduction of the incoming partials.
+func (s *P3) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communicator) Loaded {
+	ids := mb.InputNodes()
+	feats, gather := s.stage(mb)
+	dev := s.M.GPUs[rank]
+	n := lc.N
 	if n == 1 {
 		// A single GPU holds the full width: a plain local gather.
-		dev.RunKernel(p, hw.KernelGather, int64(len(ids))*int64(fs.RowBytes()))
-		return out
+		dev.RunKernel(p, hw.KernelGather, int64(len(ids))*int64(s.Store.RowBytes()))
+		gather.Join()
+		return Loaded{MB: mb, Feats: feats}
 	}
-	slice := fs.SliceDim(rank)
+	h0 := s.hidden0()
+	slice := s.Store.SliceDim(rank)
 	// Every rank learns every batch's input set (the ids ride the feature
 	// class, like DSP's request all-to-all).
-	idsIn := comm.AllGather(c, p, rank, ids, comm.Raw(4, hw.TrafficFeature))
+	idsIn := comm.AllGather(lc, p, rank, ids, comm.Raw(4, hw.TrafficFeature))
 	// Model-parallel first layer: gather the local column slice of every
 	// batch's inputs and project through the local W1 column shard.
 	push := make([][]float32, n)
-	factor := denseFactor(arch)
+	factor := denseFactor(s.Opts.Model.Arch)
 	for q := 0; q < n; q++ {
 		mq := len(idsIn[q])
 		if mq == 0 {
@@ -127,48 +91,41 @@ func P3Forward(p *sim.Proc, m *hw.Machine, c *comm.Communicator, rank int, fs *f
 		dev.RunKernel(p, hw.KernelGather, int64(mq)*int64(slice)*4)
 		flops := factor * int64(mq) * int64(slice) * int64(h0)
 		dev.RunKernel(p, hw.KernelCompute, flops)
-		out.PartialFlops += flops
+		s.partialFlops += flops
 		if q != rank {
-			push[q] = zeros(mq * h0)
+			push[q] = s.zeroed(mq * h0)
 		}
 	}
 	// Push the partial activations home to each batch's owner.
-	comm.AllToAll(c, p, rank, push, comm.Compressed(codec, hw.TrafficFeature))
+	comm.AllToAll(lc, p, rank, push, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
 	for q := 0; q < n; q++ {
 		if q != rank {
-			out.PushWire += compress.WireBytes(codec, len(push[q]))
+			s.pushWire += compress.WireBytes(s.Opts.FeatCodec, len(push[q]))
 		}
 	}
 	// Reduce the n-1 incoming partials into the locally computed one.
 	if len(ids) > 0 {
 		red := int64(n-1) * int64(len(ids)) * int64(h0) * 4
 		dev.RunKernel(p, hw.KernelGather, red)
-		out.ReduceBytes += red
+		s.reduceBytes += red
 	}
-	return out
-}
-
-// Load implements ExecutionStrategy: the P3 forward exchange stands where
-// DSP's feature gather would be.
-func (s *P3) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communicator) Loaded {
-	ids := mb.InputNodes()
-	// Stage the real feature gather on a worker thread so it overlaps the
-	// virtual-time push/partial/reduce choreography of the first layer.
-	var feats []float32
-	var gather *sim.Ticket
-	if s.Opts.RealCompute {
-		feats = s.pool.Get(len(ids) * s.Opts.Data.FeatDim)
-		gather = s.group().Submit(func() { train.GatherFeaturesInto(feats, s.Opts.Data, mb) })
-	}
-	fst := P3Forward(p, s.M, lc, rank, s.Store, s.Opts.Model.Arch, s.hidden0(), s.Opts.FeatCodec, ids, s.zeroAct)
-	s.pushWire += fst.PushWire
-	s.partialFlops += fst.PartialFlops
-	s.reduceBytes += fst.ReduceBytes
-	if lc.N > 1 {
-		s.traceCounter(s.M.GPUs[rank], "p3 push", s.pushWire)
-	}
+	s.traceCounter(dev, "p3 push", s.pushWire)
 	gather.Join()
 	return Loaded{MB: mb, Feats: feats}
+}
+
+// firstDense is the first layer's nominal dense flops: the work the push
+// exchange (forward) and the pull (backward) have already charged as
+// partial projections, so the trainer and inference kernels net it out.
+func firstDense(cfg nn.Config, mb *sample.MiniBatch) int64 {
+	dense, _ := nn.LayerFlops(cfg, 0, mb.Blocks[0])
+	return dense
+}
+
+// Infer implements ExecutionStrategy: the forward pass net of the first
+// layer's dense term.
+func (s *P3) Infer(p *sim.Proc, rank int, l Loaded) []int32 {
+	return s.infer(p, rank, l, nn.NominalForwardFlops(s.Opts.Model, l.MB)-firstDense(s.Opts.Model, l.MB))
 }
 
 // Train implements ExecutionStrategy: pull the layer-1 activation gradients
@@ -177,18 +134,17 @@ func (s *P3) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communic
 func (s *P3) Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats) {
 	t := s.Trainer
 	dev := s.M.GPUs[rank]
-	mb := l.MB
 	n := t.Comm.N
 	h0 := s.hidden0()
 	if n > 1 {
 		// Backward pull: the batch owner's layer-1 activation gradients go
 		// to every peer, each of which grinds out its W1 column shard's
 		// gradient for that batch.
-		ids := mb.InputNodes()
+		ids := l.MB.InputNodes()
 		out := make([][]float32, n)
 		for q := 0; q < n; q++ {
 			if q != rank {
-				out[q] = s.zeroAct(len(ids) * h0)
+				out[q] = s.zeroed(len(ids) * h0)
 			}
 		}
 		in := comm.AllToAll(t.Comm, p, rank, out, comm.Compressed(s.Opts.GradCodec, hw.TrafficGradient))
@@ -206,41 +162,18 @@ func (s *P3) Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats) {
 		}
 		s.traceCounter(dev, "p3 pull", s.pullWire)
 	}
-	gradOpts := comm.Opts{Class: hw.TrafficGradient, ElemBytes: 4, Codec: s.Opts.GradCodec, PriceElems: s.priceElems()}
-	if s.Opts.RealCompute {
-		// The canonical math of train.Trainer.Step: full-width features,
-		// full dense layers, full-vector allreduce. Only the wire PRICE of
-		// the sharded first-layer weights changes (PriceElems above) — the
-		// values reduced are identical to DSP's, so replicas of the two
-		// strategies stay bitwise equal at the same seed.
-		m := t.Models[rank]
-		m.ZeroGrads()
-		if len(mb.Seeds) > 0 {
-			loss, correct, flops := m.TrainStep(mb, l.Feats, train.SeedLabels(s.Opts.Data, mb))
-			dev.RunKernel(p, hw.KernelCompute, flops)
-			st.Loss += loss
-			st.Correct += correct
-			st.Seen += len(mb.Seeds)
-		}
-		if l.Feats != nil {
-			s.pool.Put(l.Feats) // the step has consumed the staged gather
-		}
-		m.GradVector(t.Grad[rank])
-		t.Comm.AllReduceSum(p, rank, t.Grad[rank], gradOpts)
-		inv := float32(1.0) / float32(t.Comm.N)
-		for i := range t.Grad[rank] {
-			t.Grad[rank][i] *= inv
-		}
-		m.SetGradVector(t.Grad[rank])
-		t.Optims[rank].Step(m)
-		return
-	}
-	if len(mb.Seeds) > 0 {
-		dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(s.Opts.Model, mb))
-		dev.RunKernel(p, hw.KernelCompute, s.residualFlops(mb))
-	}
-	gradOpts.Static = true // cost-only never writes Grad; encode is reusable
-	t.Comm.AllReduceSum(p, rank, t.Grad[rank], gradOpts)
+	// The canonical math of train.Trainer.Step: full-width features, full
+	// dense layers, full-vector allreduce. Only the wire PRICE of the
+	// sharded first-layer weights changes (PriceElems) — the values reduced
+	// are identical to DSP's, so replicas of the two strategies stay bitwise
+	// equal at the same seed. Cost-only, the first layer's dense work is
+	// already charged in the loader (partial projections) and the pull
+	// (weight-gradient shards): layer 0 contributes only its aggregation.
+	grad := s.Opts.GradOpts()
+	grad.PriceElems = s.priceElems()
+	s.train(p, rank, l, st, grad, func(cfg nn.Config, mb *sample.MiniBatch) int64 {
+		return nn.NominalFlops(cfg, mb) - 3*firstDense(cfg, mb)
+	})
 }
 
 // priceElems is the allreduce element count the wire is charged for: the
@@ -264,77 +197,6 @@ func (s *P3) shardedParams() int {
 		k = 2
 	}
 	return k * s.Opts.Model.InDim * s.hidden0()
-}
-
-// residualFlops is P3's cost-only trainer kernel: the first layer's dense
-// work is already charged in the loader (partial projections) and the pull
-// (weight-gradient shards), so layer 0 contributes only its aggregation
-// terms; deeper layers run data-parallel exactly as in DSP's NominalFlops.
-func (s *P3) residualFlops(mb *sample.MiniBatch) int64 {
-	cfg := s.Opts.Model
-	var total int64
-	for l, b := range mb.Blocks {
-		in, out := layerDims(cfg, l)
-		var dense, agg int64
-		switch cfg.Arch {
-		case nn.GAT:
-			dense = 2 * int64(len(b.InputNodes)) * int64(in) * int64(out)
-			agg = 12 * int64(len(b.Src)) * int64(out)
-		case nn.SAGE:
-			dense = 4 * int64(len(b.Dst)) * int64(in) * int64(out)
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		default:
-			dense = 2 * int64(len(b.Dst)) * int64(in) * int64(out)
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		}
-		if l == 0 {
-			total += 2 * agg
-		} else {
-			total += 3*dense + 2*agg
-		}
-	}
-	return total
-}
-
-// P3ResidualForwardFlops is the forward-only analogue of residualFlops for
-// the serving path: nn.NominalForwardFlops net of the first layer's dense
-// term, which the push exchange has already charged as partial projections.
-func P3ResidualForwardFlops(cfg nn.Config, mb *sample.MiniBatch) int64 {
-	var total int64
-	for l, b := range mb.Blocks {
-		in, out := layerDims(cfg, l)
-		var dense, agg int64
-		switch cfg.Arch {
-		case nn.GAT:
-			dense = 2 * int64(len(b.InputNodes)) * int64(in) * int64(out)
-			agg = 12 * int64(len(b.Src)) * int64(out)
-		case nn.SAGE:
-			dense = 4 * int64(len(b.Dst)) * int64(in) * int64(out)
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		default:
-			dense = 2 * int64(len(b.Dst)) * int64(in) * int64(out)
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		}
-		if l == 0 {
-			total += agg
-		} else {
-			total += dense + agg
-		}
-	}
-	return total
-}
-
-// layerDims mirrors nn.Config's per-layer dimensions.
-func layerDims(cfg nn.Config, l int) (in, out int) {
-	in = cfg.Hidden
-	if l == 0 {
-		in = cfg.InDim
-	}
-	out = cfg.Hidden
-	if l == cfg.Layers-1 {
-		out = cfg.Classes
-	}
-	return in, out
 }
 
 // traceCounter emits the cumulative push/pull wire-byte counter series so

@@ -5,9 +5,12 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/gen"
+	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/sample"
+	"repro/internal/serve"
 	"repro/internal/strategy"
 	"repro/internal/train"
 )
@@ -135,19 +138,53 @@ func TestP3EpochAndSection(t *testing.T) {
 
 // TestP3RejectsIncompatibleOptions: the p3 layout has no per-row cache, so
 // row-policy knobs and fault injection are configuration errors, not silent
-// no-ops.
+// no-ops — from every constructor that builds a substrate (all three reach
+// the one rule, Kind.Compatible, through Build).
 func TestP3RejectsIncompatibleOptions(t *testing.T) {
 	td := testData(t, 2)
-	for name, mutate := range map[string]func(*train.Options){
-		"dynamic cache":   func(o *train.Options) { o.DynamicCache = cache.LFUDecay },
-		"cache budget":    func(o *train.Options) { o.FeatureCacheBudget = 1 << 20 },
-		"replicated":      func(o *train.Options) { o.ReplicatedCache = true },
-		"unknown variant": func(o *train.Options) { o.Strategy = "p4" },
+	crash := []fault.Fault{{Kind: fault.Crash, GPU: 1, At: 1e-3}}
+	for name, tc := range map[string]struct {
+		train func(*train.Options)
+		serve func(*serve.Config) // nil: serving has no such knob
+	}{
+		"dynamic cache": {
+			func(o *train.Options) { o.DynamicCache = cache.LFUDecay },
+			func(c *serve.Config) { c.DynamicCache = cache.LFUDecay }},
+		"cache budget": {
+			func(o *train.Options) { o.FeatureCacheBudget = 1 << 20 },
+			func(c *serve.Config) { c.FeatureCacheBudget = 1 << 20 }},
+		"faults": {
+			func(o *train.Options) { o.Faults = crash },
+			func(c *serve.Config) { c.Faults = crash }},
+		"unknown variant": {
+			func(o *train.Options) { o.Strategy = "p4" },
+			func(c *serve.Config) { c.Strategy = "p4" }},
+		"replicated":     {func(o *train.Options) { o.ReplicatedCache = true }, nil},
+		"multi-instance": {func(o *train.Options) { o.NumLoaders = 2 }, nil},
 	} {
 		o := realOpts(td, "p3")
-		mutate(&o)
+		tc.train(&o)
 		if _, err := core.New(o); err == nil {
 			t.Errorf("%s: core.New accepted an incompatible p3 config", name)
 		}
+		if _, err := core.NewMulti(o, 2, hw.InfiniBandEDR()); err == nil {
+			t.Errorf("%s: core.NewMulti accepted an incompatible p3 config", name)
+		}
+		if tc.serve == nil {
+			continue
+		}
+		c := serve.Config{Data: td, Duration: 0.01, Rate: 1000, Strategy: "p3"}
+		tc.serve(&c)
+		if _, err := serve.NewServer(c); err == nil {
+			t.Errorf("%s: serve.NewServer accepted an incompatible p3 config", name)
+		}
+	}
+	// The compatible baseline builds everywhere, so the rejections above are
+	// the knobs' doing.
+	if _, err := core.NewMulti(realOpts(td, "p3"), 2, hw.InfiniBandEDR()); err != nil {
+		t.Errorf("core.NewMulti rejected plain p3: %v", err)
+	}
+	if _, err := serve.NewServer(serve.Config{Data: td, Duration: 0.01, Rate: 1000, Strategy: "p3"}); err != nil {
+		t.Errorf("serve.NewServer rejected plain p3: %v", err)
 	}
 }

@@ -21,46 +21,64 @@ import (
 // pay it concurrently, which is part of what the pipeline hides.
 func RunEpoch(m *hw.Machine, epoch int, pipelined bool, queueCap int, overhead sim.Time,
 	stagesFor func(rank int, st *EpochStats) pipeline.Stages) (EpochStats, error) {
-	return RunEpochSteps(m, epoch, 0, -1, pipelined, queueCap, overhead, stagesFor)
+	return RunEpochSteps([]*hw.Machine{m}, epoch, 0, -1, pipelined, queueCap, overhead,
+		func(_, rank int, st *EpochStats) pipeline.Stages { return stagesFor(rank, st) })
 }
 
-// RunEpochSteps is RunEpoch restricted to steps [from, to) — the partial-epoch
-// replay primitive of the fault-tolerance driver. to < 0 keeps the stage
-// builder's NumBatches (a full epoch from from).
-func RunEpochSteps(m *hw.Machine, epoch, from, to int, pipelined bool, queueCap int, overhead sim.Time,
-	stagesFor func(rank int, st *EpochStats) pipeline.Stages) (EpochStats, error) {
-	n := len(m.GPUs)
-	eng := m.Eng
-	start := eng.Now()
-	before := m.Fabric.Counters
-	for _, g := range m.GPUs {
-		g.ResetBusy()
-	}
-	stats := make([]EpochStats, n)
-	for rank := range stats {
-		stats[rank].SampleDist = metrics.New()
-		stats[rank].LoadDist = metrics.New()
-		stats[rank].TrainDist = metrics.New()
-	}
-	var dones []*sim.Event
-	for rank := 0; rank < n; rank++ {
-		stages := stagesFor(rank, &stats[rank])
+// RunEpochSteps is RunEpoch over every GPU of ms (one machine, or the
+// machines of a cluster sharing one engine) restricted to steps [from, to) —
+// the partial-epoch replay primitive of the fault-tolerance driver. to < 0
+// keeps the stage builder's NumBatches (a full epoch from from).
+func RunEpochSteps(ms []*hw.Machine, epoch, from, to int, pipelined bool, queueCap int, overhead sim.Time,
+	stagesFor func(machine, rank int, st *EpochStats) pipeline.Stages) (EpochStats, error) {
+	return MeasureEpoch(ms, epoch, func(machine, rank int, st *EpochStats, done *sim.Event) {
+		m := ms[machine]
+		stages := stagesFor(machine, rank, st)
 		stages.FirstBatch = from
 		if to >= 0 {
 			stages.NumBatches = to
 		}
 		stages = withOverhead(stages, overhead)
-		stages = withStageTiming(stages, &stats[rank])
+		stages = withStageTiming(stages, st)
 		if tr := m.GPUs[rank].Tracer; tr.Enabled() {
 			stages = withTraceSpans(stages, tr, rank)
 		}
-		done := eng.NewEvent()
-		dones = append(dones, done)
 		name := fmt.Sprintf("gpu%d", rank)
+		if m.Cluster != nil {
+			name = fmt.Sprintf("m%dg%d", machine, rank)
+		}
 		if pipelined {
-			pipeline.RunPipelined(eng, name, stages, queueCap, done)
+			pipeline.RunPipelined(m.Eng, name, stages, queueCap, done)
 		} else {
-			pipeline.RunSequential(eng, name, stages, done)
+			pipeline.RunSequential(m.Eng, name, stages, done)
+		}
+	})
+}
+
+// MeasureEpoch is the one epoch bracket every training path shares: reset
+// the busy clocks, let spawn start each GPU's workers (machine-major, rank
+// order — they accumulate into st and fire done), run the engine to
+// quiescence, and fold the per-GPU stats, utilization and per-class fabric
+// wire deltas of the window into one EpochStats.
+func MeasureEpoch(ms []*hw.Machine, epoch int,
+	spawn func(machine, rank int, st *EpochStats, done *sim.Event)) (EpochStats, error) {
+	eng := ms[0].Eng
+	start := eng.Now()
+	before := make([]hw.Counters, len(ms))
+	var stats []*EpochStats
+	var dones []*sim.Event
+	for i, m := range ms {
+		before[i] = m.Fabric.Counters
+		for _, g := range m.GPUs {
+			g.ResetBusy()
+		}
+	}
+	for i, m := range ms {
+		for rank := range m.GPUs {
+			st := &EpochStats{SampleDist: metrics.New(), LoadDist: metrics.New(), TrainDist: metrics.New()}
+			done := eng.NewEvent()
+			stats, dones = append(stats, st), append(dones, done)
+			spawn(i, rank, st, done)
 		}
 	}
 	end, err := eng.Run()
@@ -87,11 +105,13 @@ func RunEpochSteps(m *hw.Machine, epoch, from, to int, pipelined bool, queueCap 
 		out.LoadDist.Merge(st.LoadDist)
 		out.TrainDist.Merge(st.TrainDist)
 	}
-	out.Utilization = m.Utilization(start, end)
-	after := m.Fabric.Counters
-	out.SampleWire = after.TotalWire(hw.TrafficSample) - before.TotalWire(hw.TrafficSample)
-	out.FeatureWire = after.TotalWire(hw.TrafficFeature) - before.TotalWire(hw.TrafficFeature)
-	out.GradWire = after.TotalWire(hw.TrafficGradient) - before.TotalWire(hw.TrafficGradient)
+	for i, m := range ms {
+		out.Utilization = append(out.Utilization, m.Utilization(start, end)...)
+		after := &m.Fabric.Counters
+		out.SampleWire += after.TotalWire(hw.TrafficSample) - before[i].TotalWire(hw.TrafficSample)
+		out.FeatureWire += after.TotalWire(hw.TrafficFeature) - before[i].TotalWire(hw.TrafficFeature)
+		out.GradWire += after.TotalWire(hw.TrafficGradient) - before[i].TotalWire(hw.TrafficGradient)
+	}
 	return out, nil
 }
 
@@ -169,13 +189,26 @@ func withTraceSpans(s pipeline.Stages, tr *trace.Tracer, rank int) pipeline.Stag
 	return s
 }
 
-// Trainer is the data-parallel trainer worker shared by DSP and every
-// baseline: forward/backward (real or nominal-cost), gradient allreduce,
-// synchronous update. All systems execute the same BSP training logic —
-// which is why their accuracy-versus-batch curves coincide (Figure 9a).
+// Reducer sums a gradient vector in place across every replica of a run.
+// *comm.Communicator is the single-machine reducer; a cluster installs a
+// hierarchical one (core.MultiDSP) on each machine's Trainer.
+type Reducer interface {
+	AllReduceSum(p *sim.Proc, rank int, data []float32, o comm.Opts)
+}
+
+// Trainer is the data-parallel trainer worker shared by every strategy,
+// every machine of a cluster and every baseline: forward/backward (real or
+// nominal-cost), gradient allreduce, synchronous update. All systems execute
+// the same BSP training logic — which is why their accuracy-versus-batch
+// curves coincide (Figure 9a).
 type Trainer struct {
-	Opts   Options
+	Opts Options
+	// Comm is the machine's trainer communicator; Reduce the gradient
+	// reduction over World replicas (Comm and its GPU count unless a cluster
+	// reducer is installed).
 	Comm   *comm.Communicator
+	Reduce Reducer
+	World  int
 	Models []*nn.Model
 	Optims []nn.Optimizer
 	Grad   [][]float32
@@ -185,7 +218,7 @@ type Trainer struct {
 // RealCompute is set; in cost-only mode it allocates real-size gradient
 // buffers so allreduce wire volume stays exact.
 func NewTrainer(opts Options, c *comm.Communicator) *Trainer {
-	t := &Trainer{Opts: opts, Comm: c}
+	t := &Trainer{Opts: opts, Comm: c, Reduce: c, World: c.N}
 	n := opts.Data.NumGPUs()
 	probe := nn.NewModel(opts.Model, opts.Seed)
 	for g := 0; g < n; g++ {
@@ -198,8 +231,15 @@ func NewTrainer(opts Options, c *comm.Communicator) *Trainer {
 	return t
 }
 
-// Step runs one mini-batch training step on rank's GPU.
-func (t *Trainer) Step(p *sim.Proc, dev *hw.Device, rank int, mb *sample.MiniBatch, feats []float32, st *EpochStats) {
+// GradOpts is the gradient allreduce's default pricing: the configured
+// gradient codec on the gradient traffic class.
+func (o Options) GradOpts() comm.Opts { return comm.Compressed(o.GradCodec, hw.TrafficGradient) }
+
+// Step runs one mini-batch training step on rank's GPU: the math (or, in
+// cost-only mode, the aggregation kernel plus nominal(model, batch) flops),
+// the gradient reduction under grad, the mean and the optimiser update.
+func (t *Trainer) Step(p *sim.Proc, dev *hw.Device, rank int, mb *sample.MiniBatch, feats []float32, st *EpochStats,
+	grad comm.Opts, nominal func(nn.Config, *sample.MiniBatch) int64) {
 	if t.Opts.RealCompute {
 		m := t.Models[rank]
 		m.ZeroGrads()
@@ -211,8 +251,8 @@ func (t *Trainer) Step(p *sim.Proc, dev *hw.Device, rank int, mb *sample.MiniBat
 			st.Seen += len(mb.Seeds)
 		}
 		m.GradVector(t.Grad[rank])
-		t.Comm.AllReduceSum(p, rank, t.Grad[rank], comm.Compressed(t.Opts.GradCodec, hw.TrafficGradient))
-		inv := float32(1.0) / float32(t.Comm.N)
+		t.Reduce.AllReduceSum(p, rank, t.Grad[rank], grad)
+		inv := float32(1.0) / float32(t.World)
 		for i := range t.Grad[rank] {
 			t.Grad[rank][i] *= inv
 		}
@@ -223,11 +263,10 @@ func (t *Trainer) Step(p *sim.Proc, dev *hw.Device, rank int, mb *sample.MiniBat
 	// Cost-only: charge nominal kernel work; gradients still move for real.
 	if len(mb.Seeds) > 0 {
 		dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(t.Opts.Model, mb))
-		dev.RunKernel(p, hw.KernelCompute, nn.NominalFlops(t.Opts.Model, mb))
+		dev.RunKernel(p, hw.KernelCompute, nominal(t.Opts.Model, mb))
 	}
 	// The cost-only path never writes Grad (it stays all-zero), so the
 	// communicator may reuse its cached encode round over round.
-	o := comm.Compressed(t.Opts.GradCodec, hw.TrafficGradient)
-	o.Static = true
-	t.Comm.AllReduceSum(p, rank, t.Grad[rank], o)
+	grad.Static = true
+	t.Reduce.AllReduceSum(p, rank, t.Grad[rank], grad)
 }

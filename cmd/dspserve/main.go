@@ -38,12 +38,10 @@ import (
 	"repro/internal/compress"
 	"repro/internal/fault"
 	"repro/internal/fleet"
-	"repro/internal/gen"
-	"repro/internal/graphio"
+	"repro/internal/prof"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/train"
 )
 
 func main() {
@@ -71,30 +69,16 @@ func main() {
 	teleOpts := cliopts.RegisterTelemetry(flag.CommandLine)
 	flag.Parse()
 
-	var td *train.Data
-	if *dataIn != "" {
-		var err error
-		td, err = graphio.LoadFile(*dataIn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(1)
-		}
-		*gpus = td.NumGPUs()
-		fmt.Printf("loaded %s: %d nodes, %d patches\n", *dataIn, td.G.NumNodes(), *gpus)
-	} else {
-		if *gpus < 1 || *gpus > 8 {
-			fmt.Fprintf(os.Stderr, "dspserve: -gpus must be 1-8 (DGX-1), got %d\n", *gpus)
-			os.Exit(2)
-		}
-		std := gen.StandardDataset(*dsName, *shrink)
-		fmt.Printf("generating %s (%d nodes, scale factor %.0fx)...\n",
-			std.Config.Name, std.Config.Nodes, std.ScaleFactor)
-		d := gen.Generate(std.Config)
-		fmt.Printf("partitioning into %d patches...\n", *gpus)
-		td = train.Prepare(d, *gpus, 13, true)
-		td.ScaleFactor = std.ScaleFactor
-		td.GPUMemBytes = std.GPUMemBytes()
+	if *dataIn == "" && (*gpus < 1 || *gpus > 8) {
+		fmt.Fprintf(os.Stderr, "dspserve: -gpus must be 1-8 (DGX-1), got %d\n", *gpus)
+		os.Exit(2)
 	}
+	td, nGPU, recShrink, err := cliopts.LoadData(*dataIn, *dsName, *gpus, *shrink)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
+		os.Exit(1)
+	}
+	*gpus = nGPU
 
 	fleetMode := fleetOpts.FleetMode()
 	routerPolicy, err := fleetOpts.Policy()
@@ -209,6 +193,20 @@ func main() {
 
 	hub := teleOpts.Hub(fleetOpts.SLO())
 	cfg.Telemetry = hub
+	// finish is the run epilogue: telemetry document, run report, trace file.
+	finish := func(end sim.Time, totalGPUs int, report func(serve.ReportMeta) *prof.RunReport) {
+		err := common.Finish(teleOpts, hub, end, cfg.Tracer, *traceTo,
+			func(sec *prof.TelemetrySection) *prof.RunReport {
+				return report(serve.ReportMeta{
+					Dataset: td.Name, GPUs: totalGPUs, Seed: *seed, Shrink: recShrink,
+					Tracer: cfg.Tracer, Telemetry: sec,
+				})
+			})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
+			os.Exit(1)
+		}
+	}
 
 	if fleetMode {
 		if *traceTo != "" {
@@ -234,22 +232,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(rep)
-		doc, err := teleOpts.Finish(hub, rep.Makespan)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(1)
-		}
-		meta := serve.ReportMeta{
-			Dataset: td.Name, GPUs: built * *gpus, Seed: *seed,
-			Shrink: reportShrink(*dataIn, *shrink),
-		}
-		if doc != nil {
-			meta.Telemetry = doc.Section()
-		}
-		if err := common.WriteReport(rep.RunReport(meta)); err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(1)
-		}
+		finish(rep.Makespan, built**gpus, rep.RunReport)
 		return
 	}
 
@@ -269,46 +252,8 @@ func main() {
 	}
 	fmt.Println(rep)
 
-	doc, err := teleOpts.Finish(hub, rep.Makespan)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(1)
-	}
-	meta := serve.ReportMeta{
-		Dataset: td.Name, GPUs: *gpus, Seed: *seed,
-		Shrink: reportShrink(*dataIn, *shrink), Tracer: cfg.Tracer,
-	}
-	if doc != nil {
-		meta.Telemetry = doc.Section()
-	}
-	if err := common.WriteReport(rep.RunReport(meta)); err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(1)
-	}
-
+	finish(rep.Makespan, *gpus, rep.RunReport)
 	if *traceTo != "" {
-		f, err := os.Create(*traceTo)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(1)
-		}
-		if err := cfg.Tracer.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(1)
-		}
 		fmt.Printf("trace written to %s (%d events)\n", *traceTo, cfg.Tracer.Len())
 	}
-}
-
-// reportShrink is the shrink divisor recorded in the run report: the flag
-// value for generated datasets, 0 when loading a prepared file (unknown).
-func reportShrink(dataIn string, shrink int) int {
-	if dataIn != "" {
-		return 0
-	}
-	return shrink
 }

@@ -27,17 +27,12 @@ import (
 	"repro/internal/cache"
 	"repro/internal/ckpt"
 	"repro/internal/cliopts"
-	"repro/internal/comm"
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/gen"
-	"repro/internal/graphio"
-	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/prof"
 	"repro/internal/sample"
-	"repro/internal/store"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -69,26 +64,12 @@ func main() {
 	teleOpts := cliopts.RegisterTelemetry(flag.CommandLine)
 	flag.Parse()
 
-	var td *train.Data
-	if *dataIn != "" {
-		var err error
-		td, err = graphio.LoadFile(*dataIn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-			os.Exit(1)
-		}
-		*gpus = td.NumGPUs()
-		fmt.Printf("loaded %s: %d nodes, %d patches\n", *dataIn, td.G.NumNodes(), *gpus)
-	} else {
-		std := gen.StandardDataset(*dsName, *shrink)
-		fmt.Printf("generating %s (%d nodes, scale factor %.0fx)...\n",
-			std.Config.Name, std.Config.Nodes, std.ScaleFactor)
-		d := gen.Generate(std.Config)
-		fmt.Printf("partitioning into %d patches...\n", *gpus)
-		td = train.Prepare(d, *gpus, 13, true)
-		td.ScaleFactor = std.ScaleFactor
-		td.GPUMemBytes = std.GPUMemBytes()
+	td, nGPU, recShrink, err := cliopts.LoadData(*dataIn, *dsName, *gpus, *shrink)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
+		os.Exit(1)
 	}
+	*gpus = nGPU
 
 	faults, err := common.FaultSchedule(*gpus)
 	if err != nil {
@@ -226,6 +207,23 @@ func main() {
 	}
 
 	fmt.Printf("training %s with %s on %d simulated GPUs\n", opts.Model.Arch, sys.Name(), *gpus)
+	// finish is the run epilogue: telemetry document, run report, trace file.
+	finish := func(in train.ReportInput) {
+		in.Command, in.System, in.Dataset = "dsptrain", sys.Name(), td.Name
+		in.GPUs, in.Seed, in.Shrink, in.Tracer = *gpus, *seed, recShrink, tracer
+		err := common.Finish(teleOpts, hub, sys.Machine().Eng.Now(), tracer, *traceTo,
+			func(sec *prof.TelemetrySection) *prof.RunReport {
+				in.Telemetry = sec
+				return train.BuildRunReport(in)
+			})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
+			os.Exit(1)
+		}
+		if tracer != nil && *traceTo != "" {
+			fmt.Printf("wrote %d trace spans to %s (open in chrome://tracing)\n", tracer.Len(), *traceTo)
+		}
+	}
 	if ftMode {
 		rec, ok := sys.(train.Recoverable)
 		if !ok {
@@ -279,18 +277,7 @@ func main() {
 			}
 			fmt.Printf("saved model checkpoint to %s\n", *saveTo)
 		}
-		if err := common.WriteReport(train.BuildRunReport(train.ReportInput{
-			Command: "dsptrain", System: sys.Name(), Dataset: td.Name,
-			GPUs: *gpus, Seed: *seed, Shrink: reportShrink(*dataIn, *shrink),
-			CachePolicy: opts.DynamicCache,
-			Epochs:      rep.Epochs, FT: rep,
-			Tracer: tracer, Compression: compressionOf(sys),
-			Store: oocStatsOf(sys), Strategy: strategySectionOf(sys),
-		})); err != nil {
-			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-			os.Exit(1)
-		}
-		writeTrace(tracer, *traceTo)
+		finish(train.ReportInput{Epochs: rep.Epochs, FT: rep})
 		return
 	}
 	fmt.Println("epoch  sim-time(s)  train-acc  val-acc   sample-MB  feature-MB")
@@ -312,9 +299,9 @@ func main() {
 		fmt.Printf("%5d  %11.4g  %9.3f  %7.3f  %9.1f  %10.1f\n",
 			e, cum, st.Acc(), valAcc,
 			float64(st.SampleWire)/(1<<20), float64(st.FeatureWire)/(1<<20))
-		if total := st.CacheLocal + st.CachePeer + st.CacheHost; total > 0 && opts.DynamicCache != cache.Static {
+		if st.CacheLocal+st.CachePeer+st.CacheHost > 0 && opts.DynamicCache != cache.Static {
 			fmt.Printf("       cache hit %.1f%% (local %d, nvlink %d, host %d)  promoted %d rows, %.1f MB, %.3gms\n",
-				100*float64(st.CacheLocal+st.CachePeer)/float64(total),
+				100*st.CacheHitRate(),
 				st.CacheLocal, st.CachePeer, st.CacheHost,
 				st.CachePromoted, float64(st.RebalanceBytes)/(1<<20), 1e3*float64(st.RebalanceTime))
 		}
@@ -326,84 +313,7 @@ func main() {
 		}
 		fmt.Printf("saved model checkpoint to %s\n", *saveTo)
 	}
-	doc, err := teleOpts.Finish(hub, sys.Machine().Eng.Now())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(1)
-	}
-	in := train.ReportInput{
-		Command: "dsptrain", System: sys.Name(), Dataset: td.Name,
-		GPUs: *gpus, Seed: *seed, Shrink: reportShrink(*dataIn, *shrink),
-		CachePolicy: opts.DynamicCache,
-		Epochs:      allStats, ValAcc: valAccs,
-		Tracer: tracer, Compression: compressionOf(sys),
-		Store: oocStatsOf(sys), Strategy: strategySectionOf(sys),
-	}
-	if doc != nil {
-		in.Telemetry = doc.Section()
-	}
-	if err := common.WriteReport(train.BuildRunReport(in)); err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(1)
-	}
-	writeTrace(tracer, *traceTo)
-}
-
-// reportShrink is the shrink divisor recorded in the run report: the flag
-// value for generated datasets, 0 when loading a prepared file (unknown).
-func reportShrink(dataIn string, shrink int) int {
-	if dataIn != "" {
-		return 0
-	}
-	return shrink
-}
-
-// oocStatsOf extracts out-of-core store accounting from systems that have the
-// tier (DSP with -ooc; zero Stats otherwise).
-func oocStatsOf(sys train.System) store.Stats {
-	if h, ok := sys.(interface{ OOCStats() store.Stats }); ok {
-		return h.OOCStats()
-	}
-	return store.Stats{}
-}
-
-// strategySectionOf extracts the execution strategy's report section from
-// systems that carry one (DSP; nil for the default dsp strategy, whose
-// reports stay byte-identical to the pre-strategy-layer schema).
-func strategySectionOf(sys train.System) *prof.StrategySection {
-	if h, ok := sys.(interface{ StrategySection() *prof.StrategySection }); ok {
-		return h.StrategySection()
-	}
-	return nil
-}
-
-// compressionOf extracts codec accounting from systems that track it (DSP).
-func compressionOf(sys train.System) map[hw.TrafficClass]comm.CompressionStats {
-	if c, ok := sys.(interface {
-		Compression() map[hw.TrafficClass]comm.CompressionStats
-	}); ok {
-		return c.Compression()
-	}
-	return nil
-}
-
-// writeTrace dumps the Chrome trace, if tracing was requested (-report alone
-// records in memory without writing a trace file).
-func writeTrace(tracer *trace.Tracer, path string) {
-	if tracer == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(1)
-	}
-	if err := tracer.WriteJSON(f); err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(1)
-	}
-	f.Close()
-	fmt.Printf("wrote %d trace spans to %s (open in chrome://tracing)\n", tracer.Len(), path)
+	finish(train.ReportInput{Epochs: allStats, ValAcc: valAccs})
 }
 
 // trainerModels returns every model replica of a system so a checkpoint can

@@ -38,7 +38,7 @@ func CacheSweep(cfg RunConfig) (*Table, error) {
 			return nil, err
 		}
 		t.Set(pol.String(), "hit%", 100*rep.CacheHitRate())
-		t.Set(pol.String(), "host MB", float64(rep.HostRows*int64(td.RowBytes()))/1e6)
+		t.Set(pol.String(), "host MB", float64(rep.CacheHost*int64(td.RowBytes()))/1e6)
 		t.Set(pol.String(), "migrated MB", float64(rep.RebalanceBytes)/1e6)
 		if rep.Makespan > 0 {
 			t.Set(pol.String(), "rebal%", 100*float64(rep.RebalanceTime)/float64(rep.Makespan))

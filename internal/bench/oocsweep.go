@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/store"
 	"repro/internal/train"
 )
 
@@ -67,7 +66,7 @@ func OOCSweep(cfg RunConfig) (*Table, error) {
 			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
 		resident := topoResidentOf(sys)
-		st := oocStatsOf(sys)
+		st := countersOf(sys)
 		if p.ooc {
 			// The memory axis counts the host block cache alongside the GPU
 			// topology residency: that cache is what -ooc-budget buys.
@@ -75,9 +74,9 @@ func OOCSweep(cfg RunConfig) (*Table, error) {
 		}
 		t.Set(p.name, "resident MB", float64(resident)/1e6)
 		t.Set(p.name, "epoch s", avg)
-		if st.Hits+st.Misses > 0 {
-			t.Set(p.name, "hit%", 100*st.HitRate())
-			t.Set(p.name, "stall ms", 1e3*float64(st.StallTime))
+		if st.StoreHits+st.StoreMisses > 0 {
+			t.Set(p.name, "hit%", 100*st.StoreHitRate())
+			t.Set(p.name, "stall ms", 1e3*float64(st.StoreStall))
 			t.Set(p.name, "pf acc%", 100*st.PrefetchAccuracy())
 		}
 		results[p.name] = outcome{epoch: avg, resident: resident}
@@ -138,13 +137,13 @@ func oocSweepOpts(td *train.Data, p oocPoint, blockBytes int64, cfg RunConfig) t
 	return opts
 }
 
-// oocStatsOf extracts the out-of-core store accounting from a system that has
-// one (zero Stats otherwise).
-func oocStatsOf(sys train.System) store.Stats {
-	if h, ok := sys.(interface{ OOCStats() store.Stats }); ok {
-		return h.OOCStats()
+// countersOf reads the cumulative counter snapshot of a system that has a
+// substrate (zero Counters otherwise).
+func countersOf(sys train.System) train.Counters {
+	if h, ok := sys.(interface{ Counters() train.Counters }); ok {
+		return h.Counters()
 	}
-	return store.Stats{}
+	return train.Counters{}
 }
 
 // topoResidentOf reads the world's resident topology bytes.

@@ -96,7 +96,6 @@ func TestOOCRunReportByteIdentical(t *testing.T) {
 			Seed:    13,
 			Shrink:  16,
 			Epochs:  epochs,
-			Store:   oocStatsOf(sys),
 		})
 		if err := rep.Validate(); err != nil {
 			t.Fatalf("report fails its own validation: %v", err)

@@ -45,9 +45,7 @@ func PerfReport(cfg RunConfig) (*prof.RunReport, error) {
 	return train.BuildRunReport(train.ReportInput{
 		Command: "dspbench", System: sys.Name(), Dataset: dsName,
 		GPUs: nGPU, Seed: opts.Seed, Shrink: cfg.Shrink,
-		CachePolicy: opts.DynamicCache,
-		Epochs:      epochs,
-		Tracer:      tracer, Compression: sys.Compression(),
+		Epochs: epochs, Tracer: tracer,
 	}), nil
 }
 

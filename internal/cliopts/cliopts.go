@@ -7,6 +7,7 @@ package cliopts
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -14,11 +15,14 @@ import (
 	"repro/internal/compress"
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/gen"
+	"repro/internal/graphio"
 	"repro/internal/prof"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/train"
 )
 
@@ -318,6 +322,63 @@ func (t *Telemetry) Finish(h *telemetry.Hub, end sim.Time) (*telemetry.Doc, erro
 		fmt.Printf("wrote telemetry to %s\n", *t.out)
 	}
 	return doc, nil
+}
+
+// LoadData resolves the dataset flags both frontends share: the prepared
+// .dspd file at path (its patch count overrides gpus) or, with no path, the
+// named standard dataset generated at the shrink divisor and partitioned for
+// gpus GPUs. It returns the data, the GPU count to run with and the shrink
+// divisor to record in the run report (0 for a loaded file: unknown).
+func LoadData(path, name string, gpus, shrink int) (*train.Data, int, int, error) {
+	if path != "" {
+		td, err := graphio.LoadFile(path)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		fmt.Printf("loaded %s: %d nodes, %d patches\n", path, td.G.NumNodes(), td.NumGPUs())
+		return td, td.NumGPUs(), 0, nil
+	}
+	std := gen.StandardDataset(name, shrink)
+	fmt.Printf("generating %s (%d nodes, scale factor %.0fx)...\n",
+		std.Config.Name, std.Config.Nodes, std.ScaleFactor)
+	d := gen.Generate(std.Config)
+	fmt.Printf("partitioning into %d patches...\n", gpus)
+	td := train.Prepare(d, gpus, 13, true)
+	td.ScaleFactor = std.ScaleFactor
+	td.GPUMemBytes = std.GPUMemBytes()
+	return td, gpus, shrink, nil
+}
+
+// Finish is the run epilogue every frontend path shares: close the
+// telemetry hub at virtual time end (validate, write -telemetry-out), hand
+// its section to report and validate + write the result when -report was
+// given, then write the Chrome trace to tracePath when tracing to a file.
+// hub and tracer may be nil.
+func (c *Common) Finish(t *Telemetry, hub *telemetry.Hub, end sim.Time, tracer *trace.Tracer, tracePath string,
+	report func(*prof.TelemetrySection) *prof.RunReport) error {
+	doc, err := t.Finish(hub, end)
+	if err != nil {
+		return err
+	}
+	var sec *prof.TelemetrySection
+	if doc != nil {
+		sec = doc.Section()
+	}
+	if err := c.WriteReport(report(sec)); err != nil {
+		return err
+	}
+	if tracer == nil || tracePath == "" {
+		return nil
+	}
+	f, err := os.Create(tracePath)
+	if err != nil {
+		return err
+	}
+	if err := tracer.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReportPath returns the -report destination (empty = no report requested).

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -28,6 +29,7 @@ func TestDSPDynamicCacheAdaptsAcrossEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var promoted int64
+	var sum train.Counters
 	for e := 0; e < 2; e++ {
 		st, err := sys.RunEpoch(e)
 		if err != nil {
@@ -40,16 +42,16 @@ func TestDSPDynamicCacheAdaptsAcrossEpochs(t *testing.T) {
 			t.Fatalf("epoch %d: promotion without cost: %+v", e, st)
 		}
 		promoted += st.CachePromoted
+		sum.Add(st.Counters)
 	}
 	if promoted == 0 {
 		t.Fatal("dynamic policy never promoted a row over two epochs")
 	}
-	cs := sys.CacheStats()
-	if cs.Rebalances != 2 {
-		t.Fatalf("rebalances %d, want one per epoch boundary", cs.Rebalances)
+	if sum.Rebalances != 2 {
+		t.Fatalf("rebalances %d, want one per epoch boundary", sum.Rebalances)
 	}
-	if cs.MovedBytes == 0 || cs.Tiers.Total() == 0 {
-		t.Fatalf("cache stats empty: %+v", cs)
+	if sum.RebalanceBytes == 0 || !reflect.DeepEqual(sum, sys.Counters()) {
+		t.Fatalf("epoch counters %+v do not sum to the cumulative snapshot %+v", sum, sys.Counters())
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/csp"
@@ -29,10 +28,8 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
-	"repro/internal/prof"
 	"repro/internal/sample"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/train"
@@ -85,54 +82,23 @@ func (s *DSP) Name() string {
 	return "DSP-Seq"
 }
 
-// Strategy exposes the active execution strategy.
-func (s *DSP) Strategy() strategy.ExecutionStrategy { return s.sub.Strategy }
-
-// StrategySection reports the strategy's wire/compute accounting for the
-// run report (nil for the default DSP strategy, whose accounting already
-// flows through the existing sections).
-func (s *DSP) StrategySection() *prof.StrategySection { return s.sub.Strategy.Section() }
+// Counters is the substrate's cumulative counter snapshot; the Counters of
+// every EpochStats this instance returned sum to it.
+func (s *DSP) Counters() train.Counters { return s.sub.Counters() }
 
 // Machine implements train.System.
 func (s *DSP) Machine() *hw.Machine { return s.sub.M }
 
-// AttachTelemetry registers the trainer's scrape sources on the hub and
-// starts its scraper daemon on this instance's engine: per-GPU busy
-// fractions, per-class wire bytes, cache-tier hit rate and out-of-core
-// residency. Call before the first epoch; the scraper daemon survives
-// each epoch's Run-to-quiescence, so one hub spans a multi-epoch loop.
+// AttachTelemetry registers the substrate's scrape sources on the hub and
+// starts its scraper daemon on this instance's engine. Call before the first
+// epoch; the scraper daemon survives each epoch's Run-to-quiescence, so one
+// hub spans a multi-epoch loop.
 func (s *DSP) AttachTelemetry(h *telemetry.Hub) {
 	if !h.Enabled() {
 		return
 	}
-	m := s.sub.M
-	for g := range m.GPUs {
-		dev := m.GPUs[g]
-		h.Rate(fmt.Sprintf("gpu%d/busy", g), func(now sim.Time) float64 {
-			return float64(dev.BusyAt(now))
-		})
-	}
-	ctr := &m.Fabric.Counters
-	h.Counter("wire/sample_bytes", func(sim.Time) float64 {
-		return float64(ctr.TotalWire(hw.TrafficSample))
-	})
-	h.Counter("wire/feature_bytes", func(sim.Time) float64 {
-		return float64(ctr.TotalWire(hw.TrafficFeature))
-	})
-	h.Counter("wire/gradient_bytes", func(sim.Time) float64 {
-		return float64(ctr.TotalWire(hw.TrafficGradient))
-	})
-	if s.sub.Store.Layout != featstore.DimSliced { // dimension slices have no row cache
-		h.Gauge("cache/hit_rate", func(sim.Time) float64 {
-			return s.sub.Cache.Stats().Tiers.HitRate()
-		})
-	}
-	if s.sub.Host != nil {
-		h.Gauge("store/resident_bytes", func(sim.Time) float64 {
-			return float64(s.sub.Host.Stats().ResidentBytes)
-		})
-	}
-	h.Start(m.Eng)
+	s.sub.Observe(h, "")
+	h.Start(s.sub.M.Eng)
 }
 
 // Model implements train.System.
@@ -152,11 +118,10 @@ func (s *DSP) Store() *featstore.Store { return s.sub.Store }
 // World exposes the CSP world (for comm-volume measurements).
 func (s *DSP) World() *csp.World { return s.sub.Worlds[0] }
 
-// Compression merges the codec accounting of every communicator the system
-// drives — sampler worlds, loader instances, and the gradient allreduce —
-// into one per-traffic-class raw-vs-wire byte map.
-func (s *DSP) Compression() map[hw.TrafficClass]comm.CompressionStats {
-	return s.sub.Compression()
+// Compression is the cumulative codec accounting of every communicator the
+// system drives, indexed by traffic class.
+func (s *DSP) Compression() [hw.TrafficOther + 1]comm.CompressionStats {
+	return s.sub.Counters().Codec
 }
 
 // sample builds (epoch, step)'s graph samples for rank on world w.
@@ -186,10 +151,10 @@ func (s *DSP) RunEpochRange(epoch, from, to int) (train.EpochStats, error) {
 		return train.EpochStats{}, fmt.Errorf("core: fault tolerance is unsupported with multi-instance workers")
 	}
 	sub := s.sub
-	m := sub.M
-	before := sub.Cache.Stats()
-	storeBefore := s.OOCStats()
-	st, err := train.RunEpochSteps([]*hw.Machine{m}, epoch, from, to, s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
+	// Epoch-boundary adaptation only when this range reaches the epoch's end
+	// — checkpoint segments mid-epoch do not rebalance.
+	return train.RunEpochSteps(strategy.Window(to >= s.sched.Steps, sub), epoch, from, to,
+		s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
 		func(_, rank int, st *train.EpochStats) pipeline.Stages {
 			return pipeline.Stages{
 				NumBatches: s.sched.Steps,
@@ -204,58 +169,11 @@ func (s *DSP) RunEpochRange(epoch, from, to int) (train.EpochStats, error) {
 				},
 			}
 		})
-	if err != nil {
-		return st, err
-	}
-	// Epoch-boundary adaptation (only when this range reaches the epoch's
-	// end — checkpoint segments mid-epoch do not rebalance). RunEpochSteps
-	// measures its own window, so the rebalance runs as a separate engine
-	// pass and its duration is added to the epoch time explicitly.
-	if to >= s.sched.Steps && sub.Cache.Dynamic() {
-		t0 := m.Eng.Now()
-		m.Eng.Go("cache/rebalance", func(p *sim.Proc) {
-			sub.Cache.Rebalance(p, m.Fabric)
-		})
-		end, err := m.Eng.Run()
-		if err != nil {
-			return st, err
-		}
-		st.EpochTime += end - t0
-	}
-	after := sub.Cache.Stats()
-	st.CacheLocal = after.Tiers.Local - before.Tiers.Local
-	st.CachePeer = after.Tiers.Peer - before.Tiers.Peer
-	st.CacheHost = after.Tiers.Host - before.Tiers.Host
-	st.CachePromoted = after.Promoted - before.Promoted
-	st.RebalanceBytes = after.MovedBytes - before.MovedBytes
-	st.RebalanceTime = after.RebalanceTime - before.RebalanceTime
-	if sub.Host != nil {
-		ss := sub.Host.Stats()
-		st.StoreHits = ss.Hits - storeBefore.Hits
-		st.StoreMisses = ss.Misses - storeBefore.Misses
-		st.StoreDemandBytes = ss.DemandBytes - storeBefore.DemandBytes
-		st.StorePrefetchIssued = ss.PrefetchIssued - storeBefore.PrefetchIssued
-		st.StorePrefetchUsed = ss.PrefetchUsed - storeBefore.PrefetchUsed
-		st.StoreStall = ss.StallTime - storeBefore.StallTime
-	}
-	return st, nil
-}
-
-// OOCStats exposes the out-of-core store's cumulative accounting (zero Stats
-// when the OOC tier is disabled).
-func (s *DSP) OOCStats() store.Stats {
-	if s.sub.Host == nil {
-		return store.Stats{}
-	}
-	return s.sub.Host.Stats()
 }
 
 // TopologyResidentBytes reports the world's total resident topology bytes
 // (compressed when Opts.CompressTopology), for memory-frontier assertions.
 func (s *DSP) TopologyResidentBytes() int64 { return s.sub.Worlds[0].TopologyResidentBytes() }
-
-// CacheStats exposes the adaptive cache manager's cumulative accounting.
-func (s *DSP) CacheStats() cache.Stats { return s.sub.Cache.Stats() }
 
 // Steps implements train.Recoverable.
 func (s *DSP) Steps() int { return s.sched.Steps }
@@ -313,7 +231,7 @@ func (s *DSP) runEpochMulti(epoch int) (train.EpochStats, error) {
 	// is more severe").
 	workers := len(sub.Worlds) + len(sub.Loaders) + 1
 	overhead := s.Opts.EffectiveStageOverhead() * sim.Time(workers) / 3
-	return train.MeasureEpoch([]*hw.Machine{sub.M}, epoch, func(_, rank int, st *train.EpochStats, done *sim.Event) {
+	return train.MeasureEpoch(strategy.Window(true, sub), epoch, func(_, rank int, st *train.EpochStats, done *sim.Event) {
 		ms := pipeline.MultiStages{NumBatches: s.sched.Steps}
 		for _, w := range sub.Worlds {
 			w := w

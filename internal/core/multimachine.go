@@ -154,12 +154,8 @@ func (r clusterReducer) AllReduceSum(p *sim.Proc, rank int, grad []float32, o co
 // interleaved batch-sized slices of it.
 func (s *MultiDSP) RunEpoch(epoch int) (train.EpochStats, error) {
 	sched := train.Schedule{BatchSize: s.Opts.BatchSize, Steps: s.steps}
-	net := &s.cluster.Net.Bytes
-	var netBefore int64
-	for _, b := range net {
-		netBefore += b
-	}
-	out, err := train.RunEpochSteps(s.cluster.Machines, epoch, 0, -1, s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
+	return train.RunEpochSteps(strategy.Window(true, s.subs...), epoch, 0, -1,
+		s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
 		func(m, g int, st *train.EpochStats) pipeline.Stages {
 			sub := s.subs[m]
 			return pipeline.Stages{
@@ -177,12 +173,4 @@ func (s *MultiDSP) RunEpoch(epoch int) (train.EpochStats, error) {
 				},
 			}
 		})
-	if err != nil {
-		return out, err
-	}
-	for _, b := range net {
-		out.InterWire += b
-	}
-	out.InterWire -= netBefore
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,7 +38,9 @@ func TestMultiDSPSingleMachineMatchesDSP(t *testing.T) {
 	// One machine degenerates to the single-machine system bitwise — both
 	// run the strategy layer's round bodies over the same substrate — so
 	// over two epochs, cost-only and real, under either strategy, the epoch
-	// time and every wire class agree to the last bit, and so does the model.
+	// time and the whole counter set (every wire class, the cache tiers the
+	// cluster path used to leave at zero) agree to the last bit, and so does
+	// the model.
 	td := testData(t, 2)
 	for _, tc := range []struct {
 		strat string
@@ -63,14 +66,15 @@ func TestMultiDSPSingleMachineMatchesDSP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.EpochTime != b.EpochTime || a.SampleWire != b.SampleWire ||
-				a.FeatureWire != b.FeatureWire || a.GradWire != b.GradWire {
-				t.Errorf("%s real=%v epoch %d: DSP time %v wire %d/%d/%d, 1-machine MultiDSP time %v wire %d/%d/%d",
-					tc.strat, real, e, a.EpochTime, a.SampleWire, a.FeatureWire, a.GradWire,
-					b.EpochTime, b.SampleWire, b.FeatureWire, b.GradWire)
+			if a.EpochTime != b.EpochTime || !reflect.DeepEqual(a.Counters, b.Counters) {
+				t.Errorf("%s real=%v epoch %d: DSP time %v counters %+v, 1-machine MultiDSP time %v counters %+v",
+					tc.strat, real, e, a.EpochTime, a.Counters, b.EpochTime, b.Counters)
 			}
 			if b.InterWire != 0 {
 				t.Errorf("%s real=%v epoch %d: one machine sent %d NIC bytes", tc.strat, real, e, b.InterWire)
+			}
+			if tc.strat == "dsp" && b.CacheLocal+b.CachePeer+b.CacheHost == 0 {
+				t.Errorf("dsp real=%v epoch %d: 1-machine MultiDSP reports no cache tiers", real, e)
 			}
 		}
 		if !real {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/prof"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/train"
 )
 
 // Report summarises one routed run: router-level admission and dispatch
@@ -194,10 +195,11 @@ func (r *Report) RunReport(meta serve.ReportMeta) *prof.RunReport {
 	out.Shrink = meta.Shrink
 	out.WallTime = float64(r.Makespan)
 	out.Latency = prof.Latency(r.Latency)
+	var sum train.Counters
 	for _, fr := range r.PerFleet {
-		out.Wire.Sample += fr.SampleWire
-		out.Wire.Feature += fr.FeatureWire
+		sum.Add(fr.Counters)
 	}
+	sum.Render(out)
 	sv := &prof.ServingReport{
 		Offered:       r.Offered,
 		Throughput:    r.Throughput,

@@ -20,15 +20,17 @@ func InfiniBandEDR() NetworkSpec {
 // direction pair, plus byte accounting.
 type Network struct {
 	Spec NetworkSpec
-	// Bytes counts wire traffic per traffic class.
+	// Bytes counts wire traffic per traffic class; Sent the same bytes per
+	// sending machine, so each machine's substrate can report its own share.
 	Bytes [numTrafficClasses]int64
+	Sent  []int64
 
 	nics []*sim.Resource // one per machine (send side serializes)
 }
 
 // NewNetwork creates the fabric for machines NICs.
 func NewNetwork(eng *sim.Engine, machines int, spec NetworkSpec) *Network {
-	n := &Network{Spec: spec}
+	n := &Network{Spec: spec, Sent: make([]int64, machines)}
 	for i := 0; i < machines; i++ {
 		n.nics = append(n.nics, eng.NewResource(1))
 	}
@@ -44,6 +46,7 @@ func (n *Network) Send(p *sim.Proc, src, dst int, bytes int64, class TrafficClas
 	dur := sim.Time(float64(bytes)/n.Spec.Bandwidth) + sim.Time(n.Spec.Latency)
 	n.nics[src].Use(p, 1, dur)
 	n.Bytes[class] += bytes
+	n.Sent[src] += bytes
 }
 
 // Cluster is a group of identical machines joined by a Network, sharing one

@@ -134,7 +134,7 @@ func TestRunReportDeterminism(t *testing.T) {
 		rep := train.BuildRunReport(train.ReportInput{
 			Command: "dsptrain", System: sys.Name(), Dataset: "proftest",
 			GPUs: 2, Seed: 13,
-			Epochs: stats, Tracer: tr, Compression: sys.Compression(),
+			Epochs: stats, Tracer: tr,
 		})
 		data, err := rep.EncodeJSON()
 		if err != nil {

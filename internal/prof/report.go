@@ -39,7 +39,9 @@ type RunReport struct {
 	Seed    uint64 `json:"seed"`
 	Shrink  int    `json:"shrink,omitempty"` // dataset shrink divisor, when known
 
-	// WallTime is the total virtual time of the run in seconds.
+	// WallTime is the total VIRTUAL time of the run in seconds — the
+	// simulated clock, not what the simulation cost the host. Host time is
+	// never part of a report (it would break byte-identical same-seed runs).
 	WallTime float64 `json:"wall_time"`
 	// Stages sums per-stage busy time across ranks and steps (seconds);
 	// under the pipeline these overlap, so their sum exceeds WallTime.

@@ -52,9 +52,9 @@ func TestDynamicCacheBeatsStaticUnderDrift(t *testing.T) {
 		t.Fatalf("LFU-decay hit rate %.4f not above static %.4f under drift",
 			lfu.CacheHitRate(), static.CacheHitRate())
 	}
-	if lfu.Rebalances == 0 || lfu.PromotedRows == 0 || lfu.RebalanceBytes == 0 {
+	if lfu.Rebalances == 0 || lfu.CachePromoted == 0 || lfu.RebalanceBytes == 0 {
 		t.Fatalf("dynamic run did not adapt: %d rebalances, %d rows, %d bytes",
-			lfu.Rebalances, lfu.PromotedRows, lfu.RebalanceBytes)
+			lfu.Rebalances, lfu.CachePromoted, lfu.RebalanceBytes)
 	}
 	if lfu.RebalanceTime <= 0 {
 		t.Fatal("rebalance overhead not charged to virtual time")
@@ -86,11 +86,11 @@ func TestDynamicCacheDeterminism(t *testing.T) {
 			t.Fatalf("GPU %d tiers diverged: %+v vs %+v", g, a.PerGPUTiers[g], b.PerGPUTiers[g])
 		}
 	}
-	if a.Rebalances != b.Rebalances || a.PromotedRows != b.PromotedRows ||
+	if a.Rebalances != b.Rebalances || a.CachePromoted != b.CachePromoted ||
 		a.RebalanceBytes != b.RebalanceBytes || a.RebalanceTime != b.RebalanceTime {
 		t.Fatalf("rebalance accounting diverged: %d/%d/%d/%v vs %d/%d/%d/%v",
-			a.Rebalances, a.PromotedRows, a.RebalanceBytes, a.RebalanceTime,
-			b.Rebalances, b.PromotedRows, b.RebalanceBytes, b.RebalanceTime)
+			a.Rebalances, a.CachePromoted, a.RebalanceBytes, a.RebalanceTime,
+			b.Rebalances, b.CachePromoted, b.RebalanceBytes, b.RebalanceTime)
 	}
 	if len(a.Requests) != len(b.Requests) {
 		t.Fatalf("request traces differ: %d vs %d", len(a.Requests), len(b.Requests))
@@ -114,10 +114,10 @@ func TestReportTierConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Tiers.Local != rep.LocalRows || rep.Tiers.Peer != rep.RemoteRows ||
-		rep.Tiers.Host != rep.HostRows {
-		t.Fatalf("flat counts disagree with Tiers: %+v vs %d/%d/%d",
-			rep.Tiers, rep.LocalRows, rep.RemoteRows, rep.HostRows)
+	if rep.Tiers.Local != rep.CacheLocal || rep.Tiers.Peer != rep.CachePeer ||
+		rep.Tiers.Host != rep.CacheHost {
+		t.Fatalf("counter set disagrees with Tiers: %+v vs %d/%d/%d",
+			rep.Tiers, rep.CacheLocal, rep.CachePeer, rep.CacheHost)
 	}
 	var sum cache.Tiers
 	for _, pg := range rep.PerGPUTiers {

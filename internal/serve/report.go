@@ -6,12 +6,9 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/comm"
-	"repro/internal/hw"
 	"repro/internal/metrics"
-	"repro/internal/prof"
 	"repro/internal/sim"
-	"repro/internal/store"
+	"repro/internal/train"
 )
 
 // Report summarises one serving run. All quantities are deterministic
@@ -40,12 +37,16 @@ type Report struct {
 	Latency *metrics.Histogram
 	PerGPU  []*metrics.Histogram
 
-	// Feature-read placement counts across all rounds (rows): the fleet
-	// totals of Tiers. Kept as flat fields for existing consumers; the tiered
-	// breakdown (per requesting GPU) is in PerGPUTiers.
-	LocalRows, RemoteRows, HostRows int64
-	// Tiers is the fleet-total tiered read accounting; PerGPUTiers the
-	// per-requesting-GPU components it sums from.
+	// Counters is the substrate's whole-run snapshot of the shared counter
+	// set — wire per class, feature-read tiers and cache adaptation,
+	// out-of-core store, codecs, and the strategy's exchange (PushWire;
+	// under p3 the tier counts stay zero because every read lands in the
+	// local dimension slice). Counters.Render fills the run report's
+	// sections from it.
+	train.Counters
+	// PerGPUTiers splits the tier counts by requesting GPU; Tiers is their
+	// sum (CacheLocal/CachePeer/CacheHost again, as the cache.Tiers value
+	// benchmark/ reads).
 	Tiers       cache.Tiers
 	PerGPUTiers []cache.Tiers
 	// ExpectedHitRate is the popularity-weighted fraction of reads the GPU
@@ -53,30 +54,9 @@ type Report struct {
 	// (featstore.CachedFraction).
 	ExpectedHitRate float64
 
-	// Adaptive-cache accounting (zero under the static policy).
-	CachePolicy    cache.Policy
-	Rebalances     int
-	PromotedRows   int64
-	RebalanceBytes int64
-	RebalanceTime  sim.Time
-
-	// StoreStats is the out-of-core tier's accounting (zero without
-	// Config.OOC).
-	StoreStats store.Stats
-
-	// Execution-strategy accounting ("dsp" unless Config.Strategy picked
-	// another). StrategySection is the strategy's own Section() (nil under
-	// dsp). Under p3 the tier counts above stay zero — every read lands in
-	// the local dimension slice — and PushWire (the section's PushBytes)
-	// carries the partial-activation exchange volume instead.
-	Strategy        string
-	StrategySection *prof.StrategySection
-	PushWire        int64
-
-	// Wire traffic totals accumulated over the run (wire bytes) and the
-	// per-traffic-class codec accounting of the run's communicators.
-	SampleWire, FeatureWire int64
-	Compression             map[hw.TrafficClass]comm.CompressionStats
+	// Strategy names the execution strategy ("dsp" unless Config.Strategy
+	// picked another).
+	Strategy string
 
 	// Tenants is the per-tenant admission outcome (empty without
 	// Config.Tenants). Admitted+Rejected summed over tenants equals Arrived.
@@ -133,17 +113,11 @@ func (s *Server) report(end sim.Time) *Report {
 		Rounds:          s.rounds,
 		Latency:         metrics.New(),
 		PerGPU:          s.latency,
-		LocalRows:       cs.Tiers.Local,
-		RemoteRows:      cs.Tiers.Peer,
-		HostRows:        cs.Tiers.Host,
+		Counters:        s.sub.Counters(),
 		Tiers:           cs.Tiers,
 		PerGPUTiers:     cs.PerGPU,
 		ExpectedHitRate: s.ExpectedCacheHitRate(),
-		CachePolicy:     s.sub.Cache.Policy(),
-		Rebalances:      cs.Rebalances,
-		PromotedRows:    cs.Promoted,
-		RebalanceBytes:  cs.MovedBytes,
-		RebalanceTime:   cs.RebalanceTime,
+		Strategy:        string(s.sub.Strategy.Kind()),
 		Requests:        s.completed,
 		Tenants:         s.tenants.Counts(),
 		QuotaRejected:   s.quotaRejected,
@@ -152,20 +126,9 @@ func (s *Server) report(end sim.Time) *Report {
 		Killed:          s.dead,
 		KilledAt:        s.killedAt,
 	}
-	if s.sub.Host != nil {
-		r.StoreStats = s.sub.Host.Stats()
-	}
-	r.Strategy = string(s.sub.Strategy.Kind())
-	if sec := s.sub.Strategy.Section(); sec != nil {
-		r.StrategySection, r.PushWire = sec, sec.PushBytes
-	}
 	for _, h := range s.latency {
 		r.Latency.Merge(h)
 	}
-	ctr := s.m.Fabric.Counters
-	r.SampleWire = ctr.TotalWire(hw.TrafficSample)
-	r.FeatureWire = ctr.TotalWire(hw.TrafficFeature)
-	r.Compression = s.sub.Compression()
 	if end > 0 {
 		r.Throughput = float64(len(s.completed)) / float64(end)
 	}
@@ -201,16 +164,6 @@ func (r *Report) ShedRate() float64 {
 	return float64(r.Shed) / float64(r.Arrived)
 }
 
-// CacheHitRate is the measured fraction of feature rows served from any GPU
-// cache (local or NVLink-remote) rather than host memory.
-func (r *Report) CacheHitRate() float64 {
-	total := r.LocalRows + r.RemoteRows + r.HostRows
-	if total == 0 {
-		return 0
-	}
-	return float64(r.LocalRows+r.RemoteRows) / float64(total)
-}
-
 // String renders the operator-facing summary.
 func (r *Report) String() string {
 	var b strings.Builder
@@ -223,7 +176,7 @@ func (r *Report) String() string {
 		1e3*r.Latency.P50(), 1e3*r.Latency.P95(), 1e3*r.Latency.P99(),
 		1e3*r.Latency.Mean(), 1e3*r.Latency.Max())
 	fmt.Fprintf(&b, "feature reads  local %d  nvlink %d  host %d  (gpu-cache hit %.1f%%, expected %.1f%%)",
-		r.LocalRows, r.RemoteRows, r.HostRows, 100*r.CacheHitRate(), 100*r.ExpectedHitRate)
+		r.CacheLocal, r.CachePeer, r.CacheHost, 100*r.CacheHitRate(), 100*r.ExpectedHitRate)
 	if r.Goodput != nil {
 		fmt.Fprintf(&b, "\ngoodput  %d/%d within %.1fms SLO (%.1f%%)  %.0f good req/s",
 			r.Goodput.Good(), r.Goodput.Total(), 1e3*float64(r.SLO),
@@ -234,17 +187,17 @@ func (r *Report) String() string {
 	}
 	if r.CachePolicy != cache.Static {
 		fmt.Fprintf(&b, "\ncache %s  rebalances %d  promoted %d rows  migrated %.2f MB  overhead %.3fms",
-			r.CachePolicy, r.Rebalances, r.PromotedRows,
+			r.CachePolicy, r.Rebalances, r.CachePromoted,
 			float64(r.RebalanceBytes)/1e6, 1e3*float64(r.RebalanceTime))
 	}
-	if sec := r.StrategySection; sec != nil {
+	if sec := r.Layout; sec != nil {
 		fmt.Fprintf(&b, "\nstrategy %s  slices %v  push %.2f MB",
 			sec.Name, sec.SliceDims, float64(r.PushWire)/1e6)
 	}
-	if ss := r.StoreStats; ss.Hits+ss.Misses > 0 {
+	if r.StoreHits+r.StoreMisses > 0 {
 		fmt.Fprintf(&b, "\nooc store  hit %.1f%%  demand %.2f MB  prefetch acc %.1f%%  stall %.3fms",
-			100*ss.HitRate(), float64(ss.DemandBytes)/1e6,
-			100*ss.PrefetchAccuracy(), 1e3*float64(ss.StallTime))
+			100*r.StoreHitRate(), float64(r.StoreDemandBytes)/1e6,
+			100*r.PrefetchAccuracy(), 1e3*float64(r.StoreStall))
 	}
 	if r.Killed {
 		fmt.Fprintf(&b, "\nfleet killed at %.3fs  lost %d", float64(r.KilledAt), r.Lost)

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/prof"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -29,37 +28,13 @@ func (r *Report) RunReport(meta ReportMeta) *prof.RunReport {
 	if r.Strategy != "dsp" {
 		out.System = "DSP-" + strings.ToUpper(r.Strategy)
 	}
-	out.Strategy = r.StrategySection
 	out.Dataset = meta.Dataset
 	out.GPUs = meta.GPUs
 	out.Seed = meta.Seed
 	out.Shrink = meta.Shrink
 	out.WallTime = float64(r.Makespan)
-	out.Wire = prof.Wire{Sample: r.SampleWire, Feature: r.FeatureWire}
-	for class, cs := range r.Compression {
-		if cs.Raw == 0 && cs.Wire == 0 {
-			continue
-		}
-		if out.Compression == nil {
-			out.Compression = map[string]prof.WireStat{}
-		}
-		out.Compression[class.String()] = prof.WireStat{Raw: cs.Raw, Wire: cs.Wire}
-	}
+	r.Counters.Render(out)
 	out.Latency = prof.Latency(r.Latency)
-	if total := r.LocalRows + r.RemoteRows + r.HostRows; total > 0 {
-		out.Cache = &prof.CacheReport{
-			Policy:        r.CachePolicy.String(),
-			Local:         r.LocalRows,
-			Peer:          r.RemoteRows,
-			Host:          r.HostRows,
-			HitRate:       r.CacheHitRate(),
-			Promoted:      r.PromotedRows,
-			MovedBytes:    r.RebalanceBytes,
-			Rebalances:    r.Rebalances,
-			RebalanceTime: float64(r.RebalanceTime),
-		}
-	}
-	out.Store = store.Section(r.StoreStats)
 	sv := ServingRunReport(r)
 	out.Serving = &sv
 	if len(r.Recoveries) > 0 || len(r.DeadGPUs) > 0 {

@@ -447,7 +447,7 @@ func NewServer(cfg Config) (*Server, error) {
 		inj.OnCrash(func(p *sim.Proc, f fault.Fault) { s.onCrash(p, f.GPU) })
 	}
 	if s.cfg.Telemetry.Enabled() {
-		s.registerTelemetry(n)
+		s.registerTelemetry()
 	}
 	return s, nil
 }
@@ -457,7 +457,7 @@ func NewServer(cfg Config) (*Server, error) {
 // fleets constructed together (including autoscaler standbys) all appear
 // in the series set even if they start serving later. Closures guard
 // against being sampled before Start wires the run state.
-func (s *Server) registerTelemetry(n int) {
+func (s *Server) registerTelemetry() {
 	h := s.cfg.Telemetry
 	h.Gauge(s.pname("serve/queue_depth"), func(sim.Time) float64 {
 		total := 0
@@ -478,29 +478,7 @@ func (s *Server) registerTelemetry(n int) {
 	h.Counter(s.pname("serve/completed"), func(sim.Time) float64 {
 		return float64(len(s.completed))
 	})
-	for g := 0; g < n; g++ {
-		dev := s.m.GPUs[g]
-		h.Rate(s.pname(fmt.Sprintf("gpu%d/busy", g)), func(now sim.Time) float64 {
-			return float64(dev.BusyAt(now))
-		})
-	}
-	if s.sub.Store.Layout != featstore.DimSliced { // dimension slices have no row cache
-		h.Gauge(s.pname("cache/hit_rate"), func(sim.Time) float64 {
-			return s.sub.Cache.Stats().Tiers.HitRate()
-		})
-	}
-	ctr := &s.m.Fabric.Counters
-	h.Counter(s.pname("wire/sample_bytes"), func(sim.Time) float64 {
-		return float64(ctr.TotalWire(hw.TrafficSample))
-	})
-	h.Counter(s.pname("wire/feature_bytes"), func(sim.Time) float64 {
-		return float64(ctr.TotalWire(hw.TrafficFeature))
-	})
-	if host := s.sub.Host; host != nil {
-		h.Gauge(s.pname("store/resident_bytes"), func(sim.Time) float64 {
-			return float64(host.Stats().ResidentBytes)
-		})
-	}
+	s.sub.Observe(h, s.pname(""))
 	if s.goodput != nil {
 		h.Gauge(s.pname("serve/goodput"), func(sim.Time) float64 {
 			return s.goodput.Rate()

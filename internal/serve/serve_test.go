@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/compress"
 	"repro/internal/gen"
+	"repro/internal/hw"
 	"repro/internal/sample"
 	"repro/internal/trace"
 	"repro/internal/train"
@@ -221,13 +223,13 @@ func TestServeP3Strategy(t *testing.T) {
 	if rep.Tiers != (cache.Tiers{}) {
 		t.Errorf("p3 has no row cache, yet tier counts = %+v", rep.Tiers)
 	}
-	sec := s.sub.Strategy.Section()
+	sec := rep.RunReport(ReportMeta{}).Strategy
 	if sec == nil || sec.Name != "p3" || rep.Strategy != "p3" {
 		t.Fatalf("strategy section = %+v, report strategy %q; want p3", sec, rep.Strategy)
 	}
-	if rep.PushWire != sec.PushBytes || rep.PushWire <= 0 {
-		t.Errorf("Report.PushWire = %d, strategy Section().PushBytes = %d; want equal and positive",
-			rep.PushWire, sec.PushBytes)
+	if rep.PushWire != sec.PushBytes || rep.PushWire != s.sub.Counters().PushWire || rep.PushWire <= 0 {
+		t.Errorf("Report.PushWire = %d, section push_bytes = %d, substrate snapshot %d; want equal and positive",
+			rep.PushWire, sec.PushBytes, s.sub.Counters().PushWire)
 	}
 	if sec.PullBytes != 0 {
 		t.Errorf("serving ran no backward pull, yet PullBytes = %d", sec.PullBytes)
@@ -236,5 +238,35 @@ func TestServeP3Strategy(t *testing.T) {
 		if req.Pred < 0 {
 			t.Fatalf("request %d has no prediction under RealCompute", req.ID)
 		}
+	}
+}
+
+// TestReportCountersMatchSubstrate: the report's counter set is the serving
+// substrate's snapshot — its wire is the fabric's and its codec stats are the
+// communicators' (the serving rows of core's TestCountersConserved cannot
+// reach the communicators; this does).
+func TestReportCountersMatchSubstrate(t *testing.T) {
+	cfg := testConfig(t, 4)
+	cfg.FeatCodec = compress.FP16{}
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw, wire int64
+	for _, c := range append(s.sub.Loaders, s.sub.Worlds[0].Comm) {
+		cs := c.Compression()[hw.TrafficFeature]
+		raw, wire = raw+cs.Raw, wire+cs.Wire
+	}
+	if got := rep.Codec[hw.TrafficFeature]; got.Raw != raw || got.Wire != wire || wire == 0 || 2*wire != raw {
+		t.Errorf("report codec stats %+v, communicators raw %d wire %d (fp16 halves)", got, raw, wire)
+	}
+	f := &s.m.Fabric.Counters
+	if rep.SampleWire != f.TotalWire(hw.TrafficSample) || rep.FeatureWire != f.TotalWire(hw.TrafficFeature) {
+		t.Errorf("report wire %d/%d != fabric %d/%d", rep.SampleWire, rep.FeatureWire,
+			f.TotalWire(hw.TrafficSample), f.TotalWire(hw.TrafficFeature))
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/nn"
-	"repro/internal/prof"
 	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -168,7 +167,5 @@ func (s *DSP) Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats) {
 	s.train(p, rank, l, st, s.Opts.GradOpts(), nn.NominalFlops)
 }
 
-// Section implements ExecutionStrategy. DSP reports through the existing
-// sections; returning nil keeps its run reports byte-identical to
-// pre-refactor baselines.
-func (s *DSP) Section() *prof.StrategySection { return nil }
+// Count implements ExecutionStrategy: nothing of its own to add.
+func (s *DSP) Count(*train.Counters) {}

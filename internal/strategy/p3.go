@@ -29,7 +29,7 @@ type P3 struct {
 	replica
 	Store *featstore.Store // DimSliced
 
-	// Cumulative exchange accounting for StrategySection and the trace
+	// Cumulative exchange accounting for Count and the trace
 	// counter series (mutated from per-GPU procs; the DES is cooperative).
 	pushWire     int64
 	pullWire     int64
@@ -207,19 +207,16 @@ func (s *P3) traceCounter(dev *hw.Device, name string, bytes int64) {
 	})
 }
 
-// Section implements ExecutionStrategy.
-func (s *P3) Section() *prof.StrategySection {
-	sec := &prof.StrategySection{
+// Count implements ExecutionStrategy.
+func (s *P3) Count(c *train.Counters) {
+	c.PushWire, c.PullWire = s.pushWire, s.pullWire
+	c.PartialFlops, c.ReduceBytes = s.partialFlops, s.reduceBytes
+	c.Layout = &prof.StrategySection{
 		Name:          string(KindP3),
 		FeatureDim:    s.Opts.Data.FeatDim,
-		PushBytes:     s.pushWire,
-		PullBytes:     s.pullWire,
-		PartialFlops:  s.partialFlops,
-		ReduceBytes:   s.reduceBytes,
 		ShardedParams: s.shardedParams(),
 	}
 	for g := 0; g < s.Store.NumGPUs; g++ {
-		sec.SliceDims = append(sec.SliceDims, s.Store.SliceDim(g))
+		c.Layout.SliceDims = append(c.Layout.SliceDims, s.Store.SliceDim(g))
 	}
-	return sec
 }

@@ -36,7 +36,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/hw"
 	"repro/internal/nn"
-	"repro/internal/prof"
 	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/train"
@@ -114,11 +113,11 @@ type ExecutionStrategy interface {
 	// Train runs one training step: forward remainder, backward, and the
 	// gradient allreduce.
 	Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats)
-	// Section reports the strategy's wire/compute accounting for the run
-	// report. DSP returns nil: its accounting already flows through the
-	// existing sections, and omitting the block keeps DSP reports
-	// byte-identical to pre-refactor baselines.
-	Section() *prof.StrategySection
+	// Count adds the strategy's own cumulative counters and its layout
+	// description to a substrate snapshot. DSP adds nothing: its accounting
+	// is the fabric's and the cache's, and its reports carry no strategy
+	// section.
+	Count(c *train.Counters)
 }
 
 // replica is what both layouts share on one machine: the options, the

@@ -109,10 +109,12 @@ func TestP3EpochAndSection(t *testing.T) {
 	if sys.Name() != "DSP-P3" {
 		t.Fatalf("Name() = %q, want DSP-P3", sys.Name())
 	}
-	if _, err := sys.RunEpoch(0); err != nil {
+	st, err := sys.RunEpoch(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sec := sys.StrategySection()
+	rep := train.BuildRunReport(train.ReportInput{Epochs: []train.EpochStats{st}})
+	sec := rep.Strategy
 	if sec == nil || sec.Name != "p3" {
 		t.Fatalf("strategy section = %+v, want name p3", sec)
 	}
@@ -131,8 +133,8 @@ func TestP3EpochAndSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := dsp.StrategySection(); s != nil {
-		t.Fatalf("dsp strategy section = %+v, want nil", s)
+	if l := dsp.Counters().Layout; l != nil {
+		t.Fatalf("dsp strategy layout = %+v, want nil", l)
 	}
 }
 

@@ -11,9 +11,11 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
+	"repro/internal/prof"
 	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/train"
 )
@@ -204,27 +206,109 @@ func (s *Substrate) Sample(p *sim.Proc, w *csp.World, rank int, seeds []graph.No
 	}
 }
 
-// Compression merges the codec accounting of every communicator the
-// substrate drives — sampler worlds, loader instances, and the gradient
-// allreduce — into one per-traffic-class raw-vs-wire byte map.
-func (s *Substrate) Compression() map[hw.TrafficClass]comm.CompressionStats {
-	out := map[hw.TrafficClass]comm.CompressionStats{}
-	merge := func(c *comm.Communicator) {
-		for class, cs := range c.Compression() {
-			acc := out[class]
-			acc.Raw += cs.Raw
-			acc.Wire += cs.Wire
-			out[class] = acc
+// Counters is the substrate's cumulative snapshot of the one counter set —
+// the only place the fabric, NIC, cache manager, out-of-core store,
+// communicators (sampler worlds, loader instances, the gradient allreduce)
+// and strategy are read for reporting. Epoch stats are differences of it,
+// run reports sums of those.
+func (s *Substrate) Counters() train.Counters {
+	c := train.FabricCounters(s.M)
+	if cl := s.M.Cluster; cl != nil {
+		c.InterWire = cl.Net.Sent[s.M.Index]
+	}
+	cs := s.Cache.Stats()
+	c.CachePolicy = s.Cache.Policy()
+	c.CacheLocal, c.CachePeer, c.CacheHost = cs.Tiers.Local, cs.Tiers.Peer, cs.Tiers.Host
+	c.Rebalances, c.RebalanceTime = cs.Rebalances, cs.RebalanceTime
+	c.CachePromoted, c.RebalanceBytes = cs.Promoted, cs.MovedBytes
+	if s.Host != nil {
+		st := s.Host.Stats()
+		c.StoreHits, c.StoreMisses = st.Hits, st.Misses
+		c.StoreDemandBytes, c.StorePrefetchBytes = st.DemandBytes, st.PrefetchBytes
+		c.StorePrefetchIssued, c.StorePrefetchUsed = st.PrefetchIssued, st.PrefetchUsed
+		c.StoreStall = st.StallTime
+		c.StoreDeviceReads, c.StoreDeviceBytes = st.DeviceReads, st.DeviceBytes
+		c.Store = &prof.StoreSection{
+			Blocks: st.Blocks, TopoBlocks: st.TopoBlocks, BlockBytes: st.BlockBytes,
+			Compressed: st.Compressed, CacheBytes: st.CacheBytes,
+			ResidentBytes: st.ResidentBytes, SpilledBytes: st.SpilledBytes,
 		}
 	}
+	comms := append([]*comm.Communicator(nil), s.Loaders...)
 	for _, w := range s.Worlds {
-		merge(w.Comm)
-	}
-	for _, lc := range s.Loaders {
-		merge(lc)
+		comms = append(comms, w.Comm)
 	}
 	if s.Trainer != nil {
-		merge(s.Trainer.Comm)
+		comms = append(comms, s.Trainer.Comm)
 	}
-	return out
+	for _, cm := range comms {
+		for class, cs := range cm.Compression() {
+			c.Codec[class].Raw += cs.Raw
+			c.Codec[class].Wire += cs.Wire
+		}
+	}
+	s.Strategy.Count(&c)
+	return c
+}
+
+// Window is the epoch bracket's view of subs (one machine's substrate, or
+// every machine's of a cluster): their machines, the sum of their snapshots
+// and — when boundary is set, because the window reaches the epoch's end —
+// the rebalance of every dynamic cache.
+func Window(boundary bool, subs ...*Substrate) train.Window {
+	w := train.Window{Counters: func() train.Counters {
+		var c train.Counters
+		for _, s := range subs {
+			c.Add(s.Counters())
+		}
+		return c
+	}}
+	var dynamic []*Substrate
+	for _, s := range subs {
+		w.Machines = append(w.Machines, s.M)
+		if boundary && s.Cache.Dynamic() {
+			dynamic = append(dynamic, s)
+		}
+	}
+	if len(dynamic) > 0 {
+		w.Boundary = func(p *sim.Proc) {
+			for _, s := range dynamic {
+				s.Cache.Rebalance(p, s.M.Fabric)
+			}
+		}
+	}
+	return w
+}
+
+// Observe registers the substrate's scrape sources on the hub, each name
+// under prefix: per-GPU busy fractions, cache-tier hit rate, per-class wire
+// bytes (the gradient class only when the substrate trains) and out-of-core
+// residency. Training and serving both call it, at build time.
+func (s *Substrate) Observe(h *telemetry.Hub, prefix string) {
+	for g, dev := range s.M.GPUs {
+		dev := dev
+		h.Rate(fmt.Sprintf("%sgpu%d/busy", prefix, g), func(now sim.Time) float64 {
+			return float64(dev.BusyAt(now))
+		})
+	}
+	if s.Store.Layout != featstore.DimSliced { // dimension slices have no row cache
+		h.Gauge(prefix+"cache/hit_rate", func(sim.Time) float64 {
+			return s.Cache.Stats().Tiers.HitRate()
+		})
+	}
+	classes := []hw.TrafficClass{hw.TrafficSample, hw.TrafficFeature}
+	if s.Trainer != nil {
+		classes = append(classes, hw.TrafficGradient)
+	}
+	for _, class := range classes {
+		class := class
+		h.Counter(fmt.Sprintf("%swire/%s_bytes", prefix, class), func(sim.Time) float64 {
+			return float64(s.M.Fabric.Counters.TotalWire(class))
+		})
+	}
+	if s.Host != nil {
+		h.Gauge(prefix+"store/resident_bytes", func(sim.Time) float64 {
+			return float64(s.Host.Stats().ResidentBytes)
+		})
+	}
 }

@@ -94,10 +94,13 @@ func RunRecoverable(sys Recoverable, epochs int, mgr *ckpt.Manager, rebuild func
 		return nil, err
 	}
 
-	// segs holds the committed segment stats of the epoch in progress; a
+	// cur folds the committed segments of the epoch in progress, in segment
+	// order — identical between a crash-free run and a crashed-and-replayed
+	// one at the same cadence, which keeps epoch Loss sums bit-identical. A
 	// crash truncates nothing (only committed segments are in it) and replay
-	// appends the re-run segment exactly once.
-	var segs []EpochStats
+	// adds the re-run segment exactly once. Each segment carries its full
+	// counter delta, so the epoch's counters span every fleet incarnation.
+	var cur EpochStats
 	epoch, from := 0, 0
 	for epoch < epochs {
 		segStart := sys.Machine().Eng.Now()
@@ -118,11 +121,12 @@ func RunRecoverable(sys Recoverable, epochs int, mgr *ckpt.Manager, rebuild func
 				if cerr := mgr.Commit(snap, dur); cerr != nil {
 					return nil, cerr
 				}
-				segs = append(segs, st)
+				cur.Add(st)
 				from = to
 				if from >= steps {
-					rep.Epochs = append(rep.Epochs, mergeSegments(epoch, segs))
-					segs = nil
+					cur.Epoch = epoch
+					rep.Epochs = append(rep.Epochs, cur)
+					cur = EpochStats{}
 					epoch, from = epoch+1, 0
 				}
 				continue
@@ -168,7 +172,7 @@ func RunRecoverable(sys Recoverable, epochs int, mgr *ckpt.Manager, rebuild func
 		})
 		// Resume at the checkpoint cursor. The cursor never moves backwards
 		// across an epoch boundary mid-epoch (epoch ends always commit), so
-		// the committed segs of the in-progress epoch remain valid.
+		// the committed segments folded into cur remain valid.
 		epoch, from = last.Epoch, last.Step
 	}
 	rep.Ckpt = mgr.Stats()
@@ -187,36 +191,4 @@ func chargeTime(sys Recoverable, dur sim.Time) error {
 	eng.Go("ckpt/io", func(p *sim.Proc) { p.Sleep(dur) })
 	_, err := eng.Run()
 	return err
-}
-
-// mergeSegments folds per-segment stats into one EpochStats. The merge order
-// is the segment order, which is identical between a crash-free run and a
-// crashed-and-replayed run with the same cadence — keeping epoch Loss sums
-// bit-identical.
-func mergeSegments(epoch int, segs []EpochStats) EpochStats {
-	out := EpochStats{Epoch: epoch}
-	for _, st := range segs {
-		out.EpochTime += st.EpochTime
-		out.Loss += st.Loss
-		out.Correct += st.Correct
-		out.Seen += st.Seen
-		out.SampleWire += st.SampleWire
-		out.FeatureWire += st.FeatureWire
-		out.GradWire += st.GradWire
-		out.InterWire += st.InterWire
-		out.SampleStage += st.SampleStage
-		out.LoadStage += st.LoadStage
-		out.TrainStage += st.TrainStage
-		if out.SampleDist == nil {
-			out.SampleDist, out.LoadDist, out.TrainDist = st.SampleDist, st.LoadDist, st.TrainDist
-		} else if st.SampleDist != nil {
-			out.SampleDist.Merge(st.SampleDist)
-			out.LoadDist.Merge(st.LoadDist)
-			out.TrainDist.Merge(st.TrainDist)
-		}
-		// Utilization of the last segment stands for the epoch (per-segment
-		// busy windows are not directly mergeable).
-		out.Utilization = st.Utilization
-	}
-	return out
 }

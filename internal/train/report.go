@@ -1,12 +1,8 @@
 package train
 
 import (
-	"repro/internal/cache"
-	"repro/internal/comm"
-	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/prof"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -20,8 +16,9 @@ type ReportInput struct {
 	Seed    uint64
 	Shrink  int
 
-	CachePolicy cache.Policy
-	Epochs      []EpochStats
+	// Epochs are the committed epochs; the wire, compression, cache, store
+	// and strategy sections render from the sum of their Counters.
+	Epochs []EpochStats
 	// ValAcc carries the per-epoch validation accuracies the driver measured
 	// (indexed like Epochs; shorter is fine).
 	ValAcc []float64
@@ -29,15 +26,6 @@ type ReportInput struct {
 	FT *FTReport
 	// Tracer, when enabled, contributes the trace-derived pipeline profile.
 	Tracer *trace.Tracer
-	// Compression is the merged codec accounting of the run's communicators
-	// (see core.DSP.Compression).
-	Compression map[hw.TrafficClass]comm.CompressionStats
-	// Store is the out-of-core tier's cumulative accounting (zero Stats
-	// without -ooc; the section is omitted when it saw no traffic).
-	Store store.Stats
-	// Strategy is the execution strategy's accounting (nil for the default
-	// DSP strategy, whose reports stay byte-identical pre/post refactor).
-	Strategy *prof.StrategySection
 	// Telemetry is the scrape/alert summary (nil without -telemetry).
 	Telemetry *prof.TelemetrySection
 }
@@ -52,13 +40,8 @@ func BuildRunReport(in ReportInput) *prof.RunReport {
 	r.Seed = in.Seed
 	r.Shrink = in.Shrink
 
-	sampleDist, loadDist, trainDist := metrics.New(), metrics.New(), metrics.New()
-	var cacheLocal, cachePeer, cacheHost, promoted, moved int64
-	var rebalances int
-	var rebalanceTime float64
-	var cum float64
+	var sum EpochStats
 	for i, st := range in.Epochs {
-		cum += float64(st.EpochTime)
 		er := prof.EpochReport{
 			Epoch:       st.Epoch,
 			Time:        float64(st.EpochTime),
@@ -71,84 +54,26 @@ func BuildRunReport(in ReportInput) *prof.RunReport {
 			er.ValAcc = in.ValAcc[i]
 		}
 		r.Epochs = append(r.Epochs, er)
-		r.Wire.Sample += st.SampleWire
-		r.Wire.Feature += st.FeatureWire
-		r.Wire.Grad += st.GradWire
-		r.Wire.Inter += st.InterWire
-		if st.SampleDist != nil {
-			sampleDist.Merge(st.SampleDist)
-		}
-		if st.LoadDist != nil {
-			loadDist.Merge(st.LoadDist)
-		}
-		if st.TrainDist != nil {
-			trainDist.Merge(st.TrainDist)
-		}
-		cacheLocal += st.CacheLocal
-		cachePeer += st.CachePeer
-		cacheHost += st.CacheHost
-		promoted += st.CachePromoted
-		moved += st.RebalanceBytes
-		if st.RebalanceTime > 0 {
-			rebalances++
-		}
-		rebalanceTime += float64(st.RebalanceTime)
+		sum.Add(st)
 	}
-	r.WallTime = cum
+	r.WallTime = float64(sum.EpochTime)
 	if len(in.Epochs) > 0 {
-		last := in.Epochs[len(in.Epochs)-1]
-		r.Utilization = append([]float64(nil), last.Utilization...)
-		var stages map[string]float64
-		for _, st := range in.Epochs {
-			if stages == nil {
-				stages = map[string]float64{}
+		r.Utilization = append([]float64(nil), sum.Utilization...)
+		r.Stages = map[string]float64{
+			"sample": float64(sum.SampleStage),
+			"load":   float64(sum.LoadStage),
+			"train":  float64(sum.TrainStage),
+		}
+	}
+	for name, dist := range map[string]*metrics.Histogram{"sample": sum.SampleDist, "load": sum.LoadDist, "train": sum.TrainDist} {
+		if s := prof.Latency(dist); s != nil {
+			if r.StageLatency == nil {
+				r.StageLatency = map[string]*prof.LatencySummary{}
 			}
-			stages["sample"] += float64(st.SampleStage)
-			stages["load"] += float64(st.LoadStage)
-			stages["train"] += float64(st.TrainStage)
-		}
-		r.Stages = stages
-	}
-	if s := prof.Latency(sampleDist); s != nil {
-		if r.StageLatency == nil {
-			r.StageLatency = map[string]*prof.LatencySummary{}
-		}
-		r.StageLatency["sample"] = s
-	}
-	if s := prof.Latency(loadDist); s != nil {
-		if r.StageLatency == nil {
-			r.StageLatency = map[string]*prof.LatencySummary{}
-		}
-		r.StageLatency["load"] = s
-	}
-	if s := prof.Latency(trainDist); s != nil {
-		if r.StageLatency == nil {
-			r.StageLatency = map[string]*prof.LatencySummary{}
-		}
-		r.StageLatency["train"] = s
-	}
-	if total := cacheLocal + cachePeer + cacheHost; total > 0 {
-		r.Cache = &prof.CacheReport{
-			Policy:        in.CachePolicy.String(),
-			Local:         cacheLocal,
-			Peer:          cachePeer,
-			Host:          cacheHost,
-			HitRate:       float64(cacheLocal+cachePeer) / float64(total),
-			Promoted:      promoted,
-			MovedBytes:    moved,
-			Rebalances:    rebalances,
-			RebalanceTime: rebalanceTime,
+			r.StageLatency[name] = s
 		}
 	}
-	for class, cs := range in.Compression {
-		if cs.Raw == 0 && cs.Wire == 0 {
-			continue
-		}
-		if r.Compression == nil {
-			r.Compression = map[string]prof.WireStat{}
-		}
-		r.Compression[class.String()] = prof.WireStat{Raw: cs.Raw, Wire: cs.Wire}
-	}
+	sum.Counters.Render(r)
 	if ft := in.FT; ft != nil {
 		r.WallTime = float64(ft.TotalTime)
 		fr := &prof.FaultReport{
@@ -164,8 +89,6 @@ func BuildRunReport(in ReportInput) *prof.RunReport {
 		}
 		r.Faults = fr
 	}
-	r.Store = store.Section(in.Store)
-	r.Strategy = in.Strategy
 	r.Telemetry = in.Telemetry
 	if in.Tracer.Enabled() {
 		r.Profile = prof.Analyze(prof.FromTracer(in.Tracer))

@@ -13,6 +13,21 @@ import (
 	"repro/internal/trace"
 )
 
+// Window is what the epoch bracket measures: the machines whose GPUs run the
+// workers (one machine, or the machines of a cluster sharing one engine) and
+// the counter set read before and after.
+type Window struct {
+	Machines []*hw.Machine
+	// Counters returns the cumulative counters of everything the epoch
+	// drives (strategy.Window sums its substrates' snapshots); nil reads the
+	// machines' fabrics alone, which is all a baseline system counts.
+	Counters func() Counters
+	// Boundary, when set, runs as its own engine pass once the workers are
+	// done — the epoch-boundary cache rebalance. Its duration is added to
+	// EpochTime and what it counts stays inside the epoch's delta.
+	Boundary func(p *sim.Proc)
+}
+
 // RunEpoch spawns per-GPU workers built by stagesFor and runs the engine to
 // completion, collecting timing, utilization and communication-volume stats.
 // pipelined selects the producer-consumer pipeline; otherwise stages run
@@ -21,27 +36,39 @@ import (
 // pay it concurrently, which is part of what the pipeline hides.
 func RunEpoch(m *hw.Machine, epoch int, pipelined bool, queueCap int, overhead sim.Time,
 	stagesFor func(rank int, st *EpochStats) pipeline.Stages) (EpochStats, error) {
-	return RunEpochSteps([]*hw.Machine{m}, epoch, 0, -1, pipelined, queueCap, overhead,
+	return RunEpochSteps(Window{Machines: []*hw.Machine{m}}, epoch, 0, -1, pipelined, queueCap, overhead,
 		func(_, rank int, st *EpochStats) pipeline.Stages { return stagesFor(rank, st) })
 }
 
-// RunEpochSteps is RunEpoch over every GPU of ms (one machine, or the
-// machines of a cluster sharing one engine) restricted to steps [from, to) —
-// the partial-epoch replay primitive of the fault-tolerance driver. to < 0
-// keeps the stage builder's NumBatches (a full epoch from from).
-func RunEpochSteps(ms []*hw.Machine, epoch, from, to int, pipelined bool, queueCap int, overhead sim.Time,
+// RunEpochSteps is RunEpoch over every GPU of w restricted to steps
+// [from, to) — the partial-epoch replay primitive of the fault-tolerance
+// driver. to < 0 keeps the stage builder's NumBatches (a full epoch from
+// from).
+func RunEpochSteps(w Window, epoch, from, to int, pipelined bool, queueCap int, overhead sim.Time,
 	stagesFor func(machine, rank int, st *EpochStats) pipeline.Stages) (EpochStats, error) {
-	return MeasureEpoch(ms, epoch, func(machine, rank int, st *EpochStats, done *sim.Event) {
-		m := ms[machine]
+	return MeasureEpoch(w, epoch, func(machine, rank int, st *EpochStats, done *sim.Event) {
+		m := w.Machines[machine]
 		stages := stagesFor(machine, rank, st)
 		stages.FirstBatch = from
 		if to >= 0 {
 			stages.NumBatches = to
 		}
-		stages = withOverhead(stages, overhead)
-		stages = withStageTiming(stages, st)
-		if tr := m.GPUs[rank].Tracer; tr.Enabled() {
-			stages = withTraceSpans(stages, tr, rank)
+		h := stageHook{overhead: overhead, tracer: m.GPUs[rank].Tracer, rank: rank}
+		if h.tracer.Enabled() {
+			// Arms the pipeline's queue-wait stall tracing on the same lanes.
+			stages.Tracer, stages.Pid = h.tracer, rank
+		}
+		sample, load, train := stages.Sample, stages.Load, stages.Train
+		stages.Sample = func(p *sim.Proc, step int) (v interface{}) {
+			h.run(p, "sample", trace.LaneSampler, step, &st.SampleStage, st.SampleDist, func() { v = sample(p, step) })
+			return v
+		}
+		stages.Load = func(p *sim.Proc, step int, in interface{}) (v interface{}) {
+			h.run(p, "load", trace.LaneLoader, step, &st.LoadStage, st.LoadDist, func() { v = load(p, step, in) })
+			return v
+		}
+		stages.Train = func(p *sim.Proc, step int, in interface{}) {
+			h.run(p, "train", trace.LaneTrainer, step, &st.TrainStage, st.TrainDist, func() { train(p, step, in) })
 		}
 		name := fmt.Sprintf("gpu%d", rank)
 		if m.Cluster != nil {
@@ -55,26 +82,24 @@ func RunEpochSteps(ms []*hw.Machine, epoch, from, to int, pipelined bool, queueC
 	})
 }
 
-// MeasureEpoch is the one epoch bracket every training path shares: reset
-// the busy clocks, let spawn start each GPU's workers (machine-major, rank
-// order — they accumulate into st and fire done), run the engine to
-// quiescence, and fold the per-GPU stats, utilization and per-class fabric
-// wire deltas of the window into one EpochStats.
-func MeasureEpoch(ms []*hw.Machine, epoch int,
+// MeasureEpoch is the one epoch bracket every training path shares: snapshot
+// the window's counters, reset the busy clocks, let spawn start each GPU's
+// workers (machine-major, rank order — they accumulate into st and fire
+// done), run the engine to quiescence, run the boundary pass, and fold the
+// per-GPU stats, the utilization and the counter delta into one EpochStats.
+func MeasureEpoch(w Window, epoch int,
 	spawn func(machine, rank int, st *EpochStats, done *sim.Event)) (EpochStats, error) {
-	eng := ms[0].Eng
+	if w.Counters == nil {
+		w.Counters = func() Counters { return FabricCounters(w.Machines...) }
+	}
+	eng := w.Machines[0].Eng
 	start := eng.Now()
-	before := make([]hw.Counters, len(ms))
+	before := w.Counters()
 	var stats []*EpochStats
 	var dones []*sim.Event
-	for i, m := range ms {
-		before[i] = m.Fabric.Counters
-		for _, g := range m.GPUs {
+	for i, m := range w.Machines {
+		for rank, g := range m.GPUs {
 			g.ResetBusy()
-		}
-	}
-	for i, m := range ms {
-		for rank := range m.GPUs {
 			st := &EpochStats{SampleDist: metrics.New(), LoadDist: metrics.New(), TrainDist: metrics.New()}
 			done := eng.NewEvent()
 			stats, dones = append(stats, st), append(dones, done)
@@ -90,103 +115,48 @@ func MeasureEpoch(ms []*hw.Machine, epoch int,
 			return EpochStats{}, fmt.Errorf("train: epoch did not complete on all GPUs")
 		}
 	}
-	out := EpochStats{
-		Epoch: epoch, EpochTime: end - start,
-		SampleDist: metrics.New(), LoadDist: metrics.New(), TrainDist: metrics.New(),
-	}
+	out := EpochStats{Epoch: epoch}
 	for _, st := range stats {
-		out.Loss += st.Loss
-		out.Correct += st.Correct
-		out.Seen += st.Seen
-		out.SampleStage += st.SampleStage
-		out.LoadStage += st.LoadStage
-		out.TrainStage += st.TrainStage
-		out.SampleDist.Merge(st.SampleDist)
-		out.LoadDist.Merge(st.LoadDist)
-		out.TrainDist.Merge(st.TrainDist)
+		out.Add(*st)
 	}
-	for i, m := range ms {
+	out.EpochTime = end - start
+	for _, m := range w.Machines {
 		out.Utilization = append(out.Utilization, m.Utilization(start, end)...)
-		after := &m.Fabric.Counters
-		out.SampleWire += after.TotalWire(hw.TrafficSample) - before[i].TotalWire(hw.TrafficSample)
-		out.FeatureWire += after.TotalWire(hw.TrafficFeature) - before[i].TotalWire(hw.TrafficFeature)
-		out.GradWire += after.TotalWire(hw.TrafficGradient) - before[i].TotalWire(hw.TrafficGradient)
 	}
+	if w.Boundary != nil {
+		eng.Go("epoch/boundary", w.Boundary)
+		done, err := eng.Run()
+		if err != nil {
+			return out, err
+		}
+		out.EpochTime += done - end
+	}
+	out.Counters = w.Counters().Sub(before)
 	return out, nil
 }
 
-// withOverhead prefixes every stage with the host-side framework cost.
-func withOverhead(s pipeline.Stages, overhead sim.Time) pipeline.Stages {
-	if overhead <= 0 {
-		return s
-	}
-	sample, load, train := s.Sample, s.Load, s.Train
-	s.Sample = func(p *sim.Proc, step int) interface{} {
-		p.Sleep(overhead)
-		return sample(p, step)
-	}
-	s.Load = func(p *sim.Proc, step int, v interface{}) interface{} {
-		p.Sleep(overhead)
-		return load(p, step, v)
-	}
-	s.Train = func(p *sim.Proc, step int, v interface{}) {
-		p.Sleep(overhead)
-		train(p, step, v)
-	}
-	return s
+// stageHook is the one wrapper around a worker stage: it pays the host-side
+// framework overhead, runs the stage, accumulates its virtual duration into
+// the epoch's running total and per-step distribution, and emits the stage
+// span when the GPU is traced.
+type stageHook struct {
+	overhead sim.Time
+	tracer   *trace.Tracer
+	rank     int
 }
 
-// withStageTiming accumulates per-stage virtual durations into st: running
-// totals plus per-step distributions (metrics.Histogram) for tail analysis.
-func withStageTiming(s pipeline.Stages, st *EpochStats) pipeline.Stages {
-	sample, load, train := s.Sample, s.Load, s.Train
-	s.Sample = func(p *sim.Proc, step int) interface{} {
-		t0 := p.Now()
-		v := sample(p, step)
-		st.SampleStage += p.Now() - t0
-		st.SampleDist.Observe(float64(p.Now() - t0))
-		return v
+func (h stageHook) run(p *sim.Proc, name string, lane, step int, total *sim.Time, dist *metrics.Histogram, body func()) {
+	t0 := p.Now()
+	if h.overhead > 0 {
+		p.Sleep(h.overhead)
 	}
-	s.Load = func(p *sim.Proc, step int, v interface{}) interface{} {
-		t0 := p.Now()
-		out := load(p, step, v)
-		st.LoadStage += p.Now() - t0
-		st.LoadDist.Observe(float64(p.Now() - t0))
-		return out
+	body()
+	d := p.Now() - t0
+	*total += d
+	dist.Observe(float64(d))
+	if h.tracer.Enabled() {
+		h.tracer.Complete(fmt.Sprintf("%s step %d", name, step), "stage", h.rank, lane, float64(t0), float64(p.Now()), nil)
 	}
-	s.Train = func(p *sim.Proc, step int, v interface{}) {
-		t0 := p.Now()
-		train(p, step, v)
-		st.TrainStage += p.Now() - t0
-		st.TrainDist.Observe(float64(p.Now() - t0))
-	}
-	return s
-}
-
-// withTraceSpans records one span per worker stage per step and arms the
-// pipeline's queue-wait stall tracing on the same lanes.
-func withTraceSpans(s pipeline.Stages, tr *trace.Tracer, rank int) pipeline.Stages {
-	s.Tracer = tr
-	s.Pid = rank
-	sample, load, train := s.Sample, s.Load, s.Train
-	s.Sample = func(p *sim.Proc, step int) interface{} {
-		t0 := p.Now()
-		v := sample(p, step)
-		tr.Complete(fmt.Sprintf("sample step %d", step), "stage", rank, trace.LaneSampler, float64(t0), float64(p.Now()), nil)
-		return v
-	}
-	s.Load = func(p *sim.Proc, step int, v interface{}) interface{} {
-		t0 := p.Now()
-		out := load(p, step, v)
-		tr.Complete(fmt.Sprintf("load step %d", step), "stage", rank, trace.LaneLoader, float64(t0), float64(p.Now()), nil)
-		return out
-	}
-	s.Train = func(p *sim.Proc, step int, v interface{}) {
-		t0 := p.Now()
-		train(p, step, v)
-		tr.Complete(fmt.Sprintf("train step %d", step), "stage", rank, trace.LaneTrainer, float64(t0), float64(p.Now()), nil)
-	}
-	return s
 }
 
 // Reducer sums a gradient vector in place across every replica of a run.

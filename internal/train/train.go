@@ -139,27 +139,10 @@ type EpochStats struct {
 	Seen    int
 	// Utilization is each GPU's busy fraction during the epoch.
 	Utilization []float64
-	// Comm volumes in wire bytes accumulated during the epoch.
-	SampleWire, FeatureWire, GradWire int64
-	// InterWire is inter-machine NIC traffic (multi-machine runs only).
-	InterWire int64
-	// Tiered feature-read counts for the epoch (rows read from the local
-	// GPU cache, a peer GPU over NVLink, and host memory), recorded by the
-	// adaptive cache manager's tracker (internal/cache).
-	CacheLocal, CachePeer, CacheHost int64
-	// Epoch-boundary cache adaptation: rows promoted into GPU shards, the
-	// migration bytes charged to PCIe, and the virtual time the rebalance
-	// added to the epoch. All zero under the static policy.
-	CachePromoted, RebalanceBytes int64
-	RebalanceTime                 sim.Time
-	// Out-of-core store activity for the epoch (OOC runs only; zero
-	// otherwise): block-touch hits/misses against the host block cache,
-	// demand bytes fetched inline from the spill device, prefetcher
-	// issue/used counts, and the virtual time readers stalled on fetches.
-	StoreHits, StoreMisses                 int64
-	StoreDemandBytes                       int64
-	StorePrefetchIssued, StorePrefetchUsed int64
-	StoreStall                             sim.Time
+	// Counters is the epoch's delta of the substrate's counter set (wire
+	// per class, cache tiers and adaptation, store, codecs, strategy),
+	// taken by the one bracket in MeasureEpoch. Baselines count wire only.
+	Counters
 	// Stage time totals (virtual seconds summed across ranks and steps,
 	// including the host-side stage overhead): how long the epoch spent in
 	// each worker. Under the pipeline these overlap, so their sum exceeds
@@ -168,6 +151,28 @@ type EpochStats struct {
 	// Per-step stage duration distributions (virtual seconds; one
 	// observation per rank per step), merged across ranks by RunEpoch.
 	SampleDist, LoadDist, TrainDist *metrics.Histogram
+}
+
+// Add folds o into e: another rank's share of the same epoch, the next
+// committed segment of it, or the next epoch of a run. Sums are taken in call
+// order, so equal call sequences give bit-identical totals; the utilization
+// of the last operand stands for the whole (busy windows do not merge).
+func (e *EpochStats) Add(o EpochStats) {
+	e.EpochTime += o.EpochTime
+	e.Loss += o.Loss
+	e.Correct += o.Correct
+	e.Seen += o.Seen
+	e.Utilization = o.Utilization
+	e.Counters.Add(o.Counters)
+	e.SampleStage += o.SampleStage
+	e.LoadStage += o.LoadStage
+	e.TrainStage += o.TrainStage
+	if e.SampleDist == nil {
+		e.SampleDist, e.LoadDist, e.TrainDist = metrics.New(), metrics.New(), metrics.New()
+	}
+	e.SampleDist.Merge(o.SampleDist)
+	e.LoadDist.Merge(o.LoadDist)
+	e.TrainDist.Merge(o.TrainDist)
 }
 
 // Acc returns training accuracy for the epoch.

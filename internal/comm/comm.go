@@ -263,12 +263,13 @@ func (c *Communicator) recordCompression(rank int, o Opts, elems int) {
 	}
 	s.Raw += 4 * int64(elems)
 	s.Wire += o.Codec.WireBytes(elems)
-	dev := c.Machine.GPUs[rank]
-	dev.Tracer.Counter("codec "+o.Class.String(), dev.ID,
-		float64(c.Machine.Eng.Now()), map[string]float64{
-			"raw":  float64(s.Raw),
-			"wire": float64(s.Wire),
-		})
+	if dev := c.Machine.GPUs[rank]; dev.Tracer.Enabled() {
+		dev.Tracer.Counter("codec "+o.Class.String(), dev.ID,
+			float64(c.Machine.Eng.Now()), map[string]float64{
+				"raw":  float64(s.Raw),
+				"wire": float64(s.Wire),
+			})
+	}
 }
 
 // roundtrip applies o's codec to a received float32 segment, panicking if a

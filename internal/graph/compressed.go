@@ -341,6 +341,27 @@ func (c *CompressedCSR) NodeBytes(v NodeID) int64 {
 	return end - pos + varintLen(uint64(deg))
 }
 
+// NodeByteTable returns NodeBytes(v) for every node from one linear pass
+// over Data, for callers that price rows repeatedly.
+func (c *CompressedCSR) NodeByteTable() []int64 {
+	out := make([]int64, c.N)
+	var pos int64
+	for v := range out {
+		start := pos
+		deg, k := binary.Uvarint(c.Data[pos:])
+		for i := uint64(0); k > 0 && i < deg; i++ {
+			pos += int64(k)
+			_, k = binary.Uvarint(c.Data[pos:])
+		}
+		if k <= 0 {
+			panic("graph: corrupt compressed adjacency")
+		}
+		pos += int64(k)
+		out[v] = pos - start
+	}
+	return out
+}
+
 func varintLen(x uint64) int64 {
 	n := int64(1)
 	for x >= 0x80 {

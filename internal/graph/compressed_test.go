@@ -173,6 +173,27 @@ func TestNodeBytes(t *testing.T) {
 	}
 }
 
+// TestNodeByteTable asserts the one-pass table equals NodeBytes row by row,
+// block-first and in-block nodes, empty and huge rows, with and without
+// weights.
+func TestNodeByteTable(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		g := randomCSR(t, 70, weighted, 17)
+		for _, bs := range []int{1, 4, 16} {
+			c := CompressBlocks(g, bs)
+			table := c.NodeByteTable()
+			if len(table) != c.N {
+				t.Fatalf("table has %d entries for %d nodes", len(table), c.N)
+			}
+			for v, got := range table {
+				if want := c.NodeBytes(NodeID(v)); got != want {
+					t.Fatalf("weighted=%v block size %d node %d: table %d, NodeBytes %d", weighted, bs, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCheckScale exercises the 100M+-scale overflow guards.
 func TestCheckScale(t *testing.T) {
 	if err := CheckScale(150_000_000, 5_000_000_000); err != nil {

@@ -114,9 +114,11 @@ func (d *Device) RunKernelThreads(p *sim.Proc, kind KernelKind, items int64, thr
 	p.Sleep(dur)
 	d.endBusy()
 	d.threads.Release(threads)
-	d.Tracer.Complete(kernelName(kind), "kernel", d.ID, trace.LaneKernels,
-		float64(start), float64(d.eng.Now()),
-		map[string]string{"items": fmt.Sprint(items), "threads": fmt.Sprint(threads)})
+	if d.Tracer.Enabled() {
+		d.Tracer.Complete(kernelName(kind), "kernel", d.ID, trace.LaneKernels,
+			float64(start), float64(d.eng.Now()),
+			map[string]string{"items": fmt.Sprint(items), "threads": fmt.Sprint(threads)})
+	}
 }
 
 func kernelName(kind KernelKind) string {
@@ -146,9 +148,11 @@ func (d *Device) Transfer(p *sim.Proc, f *Fabric, dst int, bytes int64, class Tr
 	f.Transfer(p, d.ID, dst, bytes, class)
 	d.endBusy()
 	d.threads.Release(commThreads)
-	d.Tracer.Complete(fmt.Sprintf("nvlink->%d", dst), "comm", d.ID, trace.LaneNVLink,
-		float64(start), float64(d.eng.Now()),
-		map[string]string{"bytes": fmt.Sprint(bytes), "class": class.String()})
+	if d.Tracer.Enabled() {
+		d.Tracer.Complete(fmt.Sprintf("nvlink->%d", dst), "comm", d.ID, trace.LaneNVLink,
+			float64(start), float64(d.eng.Now()),
+			map[string]string{"bytes": fmt.Sprint(bytes), "class": class.String()})
+	}
 }
 
 // UVARead is a zero-copy host read initiated by this GPU (busy: the reading
@@ -164,9 +168,11 @@ func (d *Device) UVARead(p *sim.Proc, f *Fabric, items int64, itemBytes int, cla
 	f.UVARead(p, d.ID, items, itemBytes, class)
 	d.endBusy()
 	d.threads.Release(commThreads)
-	d.Tracer.Complete("uva", "comm", d.ID, trace.LaneUVA,
-		float64(start), float64(d.eng.Now()),
-		map[string]string{"items": fmt.Sprint(items), "class": class.String()})
+	if d.Tracer.Enabled() {
+		d.Tracer.Complete("uva", "comm", d.ID, trace.LaneUVA,
+			float64(start), float64(d.eng.Now()),
+			map[string]string{"items": fmt.Sprint(items), "class": class.String()})
+	}
 }
 
 // Malloc models a cudaMalloc/cudaFree pair. Systems with caching allocators

@@ -154,12 +154,13 @@ func (f *Fabric) Transfer(p *sim.Proc, src, dst int, bytes int64, class TrafficC
 	if src == dst || bytes <= 0 {
 		return
 	}
-	path := f.Topo.Route(src, dst)
-	if path == nil {
-		panic(fmt.Sprintf("hw: no NVLink route %d->%d", src, dst))
-	}
-	cur := src
-	for _, next := range path {
+	// Walk the routing table hop by hop rather than through Topo.Route, which
+	// allocates the path: this runs once per message.
+	for cur := src; cur != dst; {
+		next := f.Topo.nextHop[cur][dst]
+		if next < 0 {
+			panic(fmt.Sprintf("hw: no NVLink route %d->%d", src, dst))
+		}
 		li := f.Topo.NVLinkIndex(cur, next)
 		l := f.Topo.Links[li]
 		dur := sim.Time(float64(bytes)/(l.Bandwidth*float64(l.Lanes)*f.scaleOf(li))) + sim.Time(l.Latency)

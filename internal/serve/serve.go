@@ -792,8 +792,10 @@ func (s *Server) generator(p *sim.Proc) {
 			s.cfg.Telemetry.ObserveShed(p.Now())
 			s.quotaRejected++
 			s.tenants.Reject(tenant)
-			cfg.Tracer.Instant("quota-reject", "serve", n, 0, float64(p.Now()), "t",
-				map[string]string{"tenant": s.tenants.Name(tenant)})
+			if cfg.Tracer.Enabled() {
+				cfg.Tracer.Instant("quota-reject", "serve", n, 0, float64(p.Now()), "t",
+					map[string]string{"tenant": s.tenants.Name(tenant)})
+			}
 			continue
 		}
 		g := s.targetGPU(node)
@@ -803,8 +805,10 @@ func (s *Server) generator(p *sim.Proc) {
 			if s.tenants != nil {
 				s.tenants.Reject(tenant)
 			}
-			cfg.Tracer.Instant("shed", "serve", n, 0, float64(p.Now()), "t",
-				map[string]string{"node": fmt.Sprint(node), "gpu": fmt.Sprint(g)})
+			if cfg.Tracer.Enabled() {
+				cfg.Tracer.Instant("shed", "serve", n, 0, float64(p.Now()), "t",
+					map[string]string{"node": fmt.Sprint(node), "gpu": fmt.Sprint(g)})
+			}
 			continue
 		}
 		s.pending[g] = append(s.pending[g], &Request{
@@ -1052,12 +1056,16 @@ func (s *Server) executor(p *sim.Proc, g int) {
 			if s.cfg.OnComplete != nil {
 				s.cfg.OnComplete(req)
 			}
-			s.cfg.Tracer.Complete(fmt.Sprintf("req %d", req.ID), "request",
-				g, 20, float64(req.Arrival), float64(now),
-				map[string]string{"node": fmt.Sprint(req.Node), "round": fmt.Sprint(req.Round)})
+			if s.cfg.Tracer.Enabled() {
+				s.cfg.Tracer.Complete(fmt.Sprintf("req %d", req.ID), "request",
+					g, 20, float64(req.Arrival), float64(now),
+					map[string]string{"node": fmt.Sprint(req.Node), "round": fmt.Sprint(req.Round)})
+			}
 		}
-		s.cfg.Tracer.Complete(fmt.Sprintf("round %d", it.rd.id), "serve",
-			g, 21, float64(it.rd.start), float64(now),
-			map[string]string{"batch": fmt.Sprint(batch)})
+		if s.cfg.Tracer.Enabled() {
+			s.cfg.Tracer.Complete(fmt.Sprintf("round %d", it.rd.id), "serve",
+				g, 21, float64(it.rd.start), float64(now),
+				map[string]string{"batch": fmt.Sprint(batch)})
+		}
 	}
 }

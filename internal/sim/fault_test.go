@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -251,5 +252,74 @@ func TestDaemonDoesNotExtendRun(t *testing.T) {
 	}
 	if daemonFiredAt != 5 {
 		t.Fatalf("daemon fired at %g, want 5", float64(daemonFiredAt))
+	}
+}
+
+// --- Deadlock report wording and process panics ----------------------------
+
+// The report's text is part of what CI compares byte for byte (the
+// ablation tables print it). This string was produced by the channel-handoff
+// kernel, which formatted a reason on every park; the reasons are now built
+// only here, from the park kind.
+func TestDeadlockReportWording(t *testing.T) {
+	e := NewEngine()
+	ev, bar, res := e.NewEvent(), e.NewBarrier(2), e.NewResource(1)
+	full, empty := NewQueueOf[int](e, 1), NewQueueOf[int](e, 1)
+	e.Go("a", func(p *Proc) { p.Sleep(2); ev.Wait(p) })
+	e.Go("b", bar.Arrive)
+	e.Go("c", func(p *Proc) { res.Acquire(p, 1); res.Acquire(p, 1) })
+	e.Go("d", func(p *Proc) { full.Put(p, 1); full.Put(p, 2) })
+	e.Go("e", func(p *Proc) { empty.Get(p) })
+	e.GoDaemon("f", ev.Wait)
+	_, err := e.Run()
+	const want = "sim: deadlock at t=2 with 6 parked processes: " +
+		"a: event; b: barrier; c: resource; d: queue full; e: queue empty; f: event"
+	if err == nil || err.Error() != want {
+		t.Fatalf("deadlock report:\n got %v\nwant %s", err, want)
+	}
+	// A sleeper always has a live timer, so Run never reports these two; they
+	// keep the old kernel's words for whoever prints a parked process.
+	for want, p := range map[string]*Proc{
+		"sleep until 1.5":            {why: parkSleep, until: 1.5},
+		"event or timeout at 0.0025": {why: parkEventTimeout, until: 0.0025},
+	} {
+		if got := p.reason(); got != want {
+			t.Errorf("reason %q, want %q", got, want)
+		}
+	}
+}
+
+// A panic in a process body used to kill the test binary from an anonymous
+// goroutine. Now it surfaces from Run, on the caller's goroutine, naming the
+// process, after the other processes have unwound, and the engine stays
+// usable.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine()
+	unwound := false
+	e.Go("bystander", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Sleep(10)
+	})
+	e.Go("boom", func(p *Proc) {
+		p.Sleep(1)
+		panic(errors.New("kaput"))
+	})
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, `process "boom"`) || !strings.Contains(msg, "kaput") {
+				t.Fatalf("Run panicked with %q, want the process name and the cause", msg)
+			}
+		}()
+		e.Run()
+		t.Fatal("Run returned although a process panicked")
+	}()
+	if !unwound {
+		t.Fatal("the other process was not unwound before the panic was re-raised")
+	}
+	ran := false
+	e.Go("after", func(p *Proc) { p.Sleep(1); ran = true })
+	if end := mustRun(t, e); !ran || end != 2 {
+		t.Fatalf("engine unusable after a process panic: ran=%v end=%v", ran, end)
 	}
 }

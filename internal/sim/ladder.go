@@ -26,6 +26,9 @@ import "slices"
 // a push landing "behind" the drain point can only happen while its bucket
 // is already bottom, so such pushes clamp into the current bucket and get
 // ordered by the bottom insertion (or the pending bucket sort).
+//
+// Bucket storage is recycled through free, so a steady stream of timers
+// settles into the arrays it already has and a Push allocates nothing.
 type timerQueue struct {
 	n         int
 	bottom    []timer // sorted descending by (at, seq); pop from the end
@@ -36,6 +39,7 @@ type timerQueue struct {
 	top       []timer
 	topMin    Time
 	topMax    Time
+	free      [][]timer // drained buckets, emptied, for add to reuse
 }
 
 // timerBefore is the strict (at, seq) ordering shared with the old heap.
@@ -46,7 +50,32 @@ func timerBefore(a, b timer) bool {
 	return a.seq < b.seq
 }
 
+// descending is timerBefore reversed, as a comparison for the slices package:
+// bottom is kept in this order so the earliest timer pops from its end.
+func descending(a, b timer) int {
+	if timerBefore(a, b) {
+		return 1
+	}
+	return -1 // (at, seq) pairs are unique, never equal
+}
+
 func (q *timerQueue) Len() int { return q.n }
+
+// add appends t to bucket b, starting an empty one in recycled storage.
+func (q *timerQueue) add(b []timer, t timer) []timer {
+	if n := len(q.free); b == nil && n > 0 {
+		b, q.free = q.free[n-1], q.free[:n-1]
+	}
+	return append(b, t)
+}
+
+// recycle hands a drained bucket's storage to add.
+func (q *timerQueue) recycle(b []timer) {
+	if cap(b) > 0 {
+		clear(b[:cap(b)]) // drop the *Proc references
+		q.free = append(q.free, b[:0])
+	}
+}
 
 // Push inserts t. The caller guarantees t.at is not before the last popped
 // deadline (DES monotonicity).
@@ -55,12 +84,7 @@ func (q *timerQueue) Push(t timer) {
 	// Nearer than the furthest pending bottom entry: binary-insert into the
 	// descending bottom slice so it pops in order.
 	if len(q.bottom) > 0 && !timerBefore(q.bottom[0], t) {
-		i, _ := slices.BinarySearchFunc(q.bottom, t, func(a, b timer) int {
-			if timerBefore(a, b) {
-				return 1 // descending order
-			}
-			return -1 // (at, seq) pairs are unique, never equal
-		})
+		i, _ := slices.BinarySearchFunc(q.bottom, t, descending)
 		q.bottom = slices.Insert(q.bottom, i, t)
 		return
 	}
@@ -74,7 +98,7 @@ func (q *timerQueue) Push(t timer) {
 		if i >= len(q.rung) {
 			i = len(q.rung) - 1
 		}
-		q.rung[i] = append(q.rung[i], t)
+		q.rung[i] = q.add(q.rung[i], t)
 		return
 	}
 	if len(q.top) == 0 || t.at < q.topMin {
@@ -83,7 +107,7 @@ func (q *timerQueue) Push(t timer) {
 	if len(q.top) == 0 || t.at > q.topMax {
 		q.topMax = t.at
 	}
-	q.top = append(q.top, t)
+	q.top = q.add(q.top, t)
 }
 
 // Pop removes and returns the earliest timer by (at, seq).
@@ -100,17 +124,13 @@ func (q *timerQueue) Pop() timer {
 			q.rung[q.rungIdx] = nil
 			q.rungIdx++
 			if len(b) > 0 {
-				slices.SortFunc(b, func(a, c timer) int {
-					if timerBefore(a, c) {
-						return 1
-					}
-					return -1
-				})
+				slices.SortFunc(b, descending)
+				q.recycle(q.bottom)
 				q.bottom = b
 			}
 			continue
 		}
-		q.rung, q.rungIdx = nil, 0
+		q.rung, q.rungIdx = q.rung[:0], 0
 		if len(q.top) == 0 {
 			panic("sim: pop from empty timer queue")
 		}
@@ -125,20 +145,16 @@ func (q *timerQueue) spread() {
 	q.top = nil
 	span := q.topMax - q.topMin
 	if span <= 0 || len(top) <= 4 {
-		slices.SortFunc(top, func(a, c timer) int {
-			if timerBefore(a, c) {
-				return 1
-			}
-			return -1
-		})
+		slices.SortFunc(top, descending)
+		q.recycle(q.bottom)
 		q.bottom = top
 		return
 	}
-	nb := len(top)
-	if nb > 1024 {
-		nb = 1024
+	nb := min(len(top), 1024)
+	if cap(q.rung) < nb {
+		q.rung = make([][]timer, nb)
 	}
-	q.rung = make([][]timer, nb)
+	q.rung = q.rung[:nb] // reused buckets were set to nil as they drained
 	q.rungStart = q.topMin
 	q.rungWidth = span / Time(nb)
 	if q.rungWidth <= 0 { // span underflowed the division; degenerate to one bucket
@@ -154,8 +170,9 @@ func (q *timerQueue) spread() {
 		if i < 0 {
 			i = 0
 		}
-		q.rung[i] = append(q.rung[i], t)
+		q.rung[i] = q.add(q.rung[i], t)
 	}
+	q.recycle(top)
 }
 
 // clear drops all pending timers (engine teardown).

@@ -1,25 +1,42 @@
+//go:build go1.23
+
+// The line above is not a switch: iter.Pull needs Go 1.23, and go.mod's
+// directive has to stay at 1.22 for the benchmark module that builds this
+// package, so this file states its own language version.
+
 // Package sim implements a deterministic discrete-event simulation (DES)
 // kernel. It is the substrate on which the simulated GPUs, interconnects and
 // training workers of this repository execute.
 //
 // Model: a simulation is a set of processes (Proc) orchestrated by an Engine.
-// Each process runs in its own goroutine, but the engine enforces a strict
-// handoff — exactly one process executes at any instant, and the order in
-// which processes are resumed is a pure function of (virtual time, scheduling
+// Each process body is an iter.Pull coroutine: the engine resumes it with
+// next(), the process hands control back with yield() when it parks, and the
+// Go runtime switches between the two directly, without a scheduler round
+// trip. Exactly one process executes at any instant, and the order in which
+// processes are resumed is a pure function of (virtual time, scheduling
 // sequence number). Runs are therefore bit-for-bit reproducible regardless of
 // GOMAXPROCS.
 //
 // Processes advance virtual time with Sleep, synchronise with Event, Barrier
-// and Resource, and exchange data through bounded Queues. When no process is
+// and Resource, and exchange data through bounded Queues. A park allocates
+// nothing: what a process waits for is a (kind, deadline) value on the Proc
+// that is only put into words when a deadlock is reported. When no process is
 // runnable and no timer is pending but live processes remain parked, Run
 // reports a deadlock together with the parked process names — this is used to
 // demonstrate the communication-deadlock hazard the paper's CCC scheme
 // resolves.
+//
+// The only thing a process may block on in REAL time is Ticket.Join (see
+// parallel.go); the engine waits with it. A panic in a process body unwinds
+// the other processes and is re-raised by Run on its caller's goroutine with
+// the process name in front.
 package sim
 
 import (
 	"fmt"
-	"sort"
+	"iter"
+	"runtime/debug"
+	"slices"
 	"strings"
 )
 
@@ -33,49 +50,82 @@ type abortSignal struct{}
 // Engine is a discrete-event simulation scheduler. Create one with NewEngine,
 // spawn processes with Go, then call Run.
 type Engine struct {
-	now     Time
-	seq     uint64 // monotonically increasing scheduling tiebreaker
-	procSeq uint64 // process spawn counter (deterministic teardown order)
-	timers  timerQueue
-	ready   []*Proc // FIFO run queue at the current instant
-	live    int     // processes started and not yet finished
-	liveND  int     // live non-daemon processes
-	parked  map[*Proc]string
-	yield   chan yieldKind
-	intr    error         // pending interrupt; Run tears down and returns it
-	par     int           // data-work OS-thread budget (see parallel.go)
-	parSem  chan struct{} // worker-slot semaphore shared by all groups
+	now    Time
+	seq    uint64 // monotonically increasing scheduling tiebreaker
+	timers timerQueue
+	ready  ring[*Proc]   // FIFO run queue at the current instant
+	procs  []*Proc       // in spawn order (deterministic teardown); finished ones are swept on spawn
+	live   int           // processes started and not yet finished
+	liveND int           // live non-daemon processes
+	intr   error         // pending interrupt; Run tears down and returns it
+	par    int           // data-work OS-thread budget (see parallel.go)
+	parSem chan struct{} // worker-slot semaphore shared by all groups
 }
-
-type yieldKind int
-
-const (
-	yieldParked yieldKind = iota
-	yieldFinished
-)
 
 // NewEngine returns an empty simulation.
-func NewEngine() *Engine {
-	return &Engine{
-		yield:  make(chan yieldKind),
-		parked: map[*Proc]string{},
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// ring is a growable circular FIFO (power-of-two capacity): popping advances
+// a head index, so a steady push/pop stream reuses one backing array.
+type ring[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		buf := make([]T, max(4, 2*len(r.buf)))
+		for i := range r.n {
+			buf[i] = r.at(i)
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+func (r *ring[T]) pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
+// parkKind says what a parked process waits for; with Proc.until it is the
+// whole deadlock-report reason, kept as a value so parking formats nothing.
+type parkKind uint8
+
+const (
+	notParked parkKind = iota
+	parkSleep
+	parkEvent
+	parkEventTimeout
+	parkBarrier
+	parkResource
+	parkQueueFull
+	parkQueueEmpty
+)
 
 // Proc is a simulation process. All Proc methods must be called from within
 // the process's own function body (engine context).
 type Proc struct {
 	eng    *Engine
 	name   string
-	id     uint64 // spawn order; deterministic tiebreaker
-	resume chan struct{}
+	next   func() (struct{}, bool) // engine side: run until the next park or the end
+	yield  func(struct{}) bool     // process side: switch back to the engine
 	abort  bool
 	daemon bool
 	done   bool
-	gen    uint64 // incremented on every resume; used to discard stale wakeups
+	gen    uint64   // incremented on every resume; used to discard stale wakeups
+	why    parkKind // notParked unless inside park
+	until  Time     // deadline of a parkSleep / parkEventTimeout
 }
 
 // Name returns the process name given to Go.
@@ -86,6 +136,18 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
+
+// reason words what p is parked on for the deadlock report.
+func (p *Proc) reason() string {
+	switch p.why {
+	case parkSleep:
+		return fmt.Sprintf("sleep until %g", float64(p.until))
+	case parkEventTimeout:
+		return fmt.Sprintf("event or timeout at %g", float64(p.until))
+	}
+	return [...]string{parkEvent: "event", parkBarrier: "barrier", parkResource: "resource",
+		parkQueueFull: "queue full", parkQueueEmpty: "queue empty"}[p.why]
+}
 
 // Go spawns a new process. It may be called before Run or from inside a
 // running process; the new process becomes runnable at the current virtual
@@ -104,61 +166,54 @@ func (e *Engine) GoDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	e.procSeq++
-	p := &Proc{eng: e, name: name, id: e.procSeq, daemon: daemon, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name, daemon: daemon}
 	e.live++
 	if !daemon {
 		e.liveND++
 	}
-	go func() {
-		<-p.resume
-		if p.abort { // killed before it ever ran
-			e.yield <- yieldFinished
-			return
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
+		if !p.abort { // else killed before it ever ran
+			fn(p)
 		}
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSignal); ok {
-					e.yield <- yieldFinished
-					return
-				}
-				panic(r)
-			}
-		}()
-		fn(p)
-		e.yield <- yieldFinished
-	}()
-	e.ready = append(e.ready, p)
+	})
+	if len(e.procs) >= 2*e.live+8 {
+		e.procs = slices.DeleteFunc(e.procs, func(q *Proc) bool { return q.done })
+	}
+	e.procs = append(e.procs, p)
+	e.ready.push(p)
 	return p
 }
 
-// runOne resumes p and blocks until it parks or finishes.
-func (e *Engine) runOne(p *Proc) {
-	p.resume <- struct{}{}
-	kind := <-e.yield
-	if kind == yieldFinished {
-		p.done = true
-		e.live--
-		if !p.daemon {
-			e.liveND--
+// exit runs deferred as the process body ends, normally or unwinding. The
+// abort signal stops here; any other panic travels on through next() into
+// Run, which re-raises it, so it gets the process name and its stack now.
+func (p *Proc) exit() {
+	p.done = true
+	p.eng.live--
+	if !p.daemon {
+		p.eng.liveND--
+	}
+	if r := recover(); r != nil {
+		if _, ok := r.(abortSignal); !ok {
+			panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
 		}
-		delete(e.parked, p)
 	}
 }
 
 // park relinquishes control to the engine; it returns when the engine
-// resumes this process. why describes what the process is waiting for
-// (used in deadlock reports).
-func (p *Proc) park(why string) {
+// resumes this process. why and until describe what the process is waiting
+// for (used in deadlock reports).
+func (p *Proc) park(why parkKind, until Time) {
 	if p.abort {
 		// Killed while running: unwind at the next scheduling point.
 		panic(abortSignal{})
 	}
-	p.eng.parked[p] = why
-	p.eng.yield <- yieldParked
-	<-p.resume
+	p.why, p.until = why, until
+	p.yield(struct{}{})
 	p.gen++
-	delete(p.eng.parked, p)
+	p.why = notParked
 	if p.abort {
 		panic(abortSignal{})
 	}
@@ -171,7 +226,7 @@ func (e *Engine) makeReady(p *Proc) {
 	if p.done {
 		return
 	}
-	e.ready = append(e.ready, p)
+	e.ready.push(p)
 }
 
 // Sleep advances the process by d virtual seconds. Negative d sleeps 0.
@@ -182,7 +237,7 @@ func (p *Proc) Sleep(d Time) {
 	e := p.eng
 	e.seq++
 	e.timers.Push(timer{at: e.now + d, seq: e.seq, p: p, gen: p.gen})
-	p.park(fmt.Sprintf("sleep until %g", float64(e.now+d)))
+	p.park(parkSleep, e.now+d)
 }
 
 // DeadlockError reports that the simulation stalled with live processes.
@@ -203,14 +258,17 @@ func (d *DeadlockError) Error() string {
 // and returns the interrupt error. Parked daemon processes survive a clean
 // return and resume on the next Run call.
 func (e *Engine) Run() (Time, error) {
+	defer func() {
+		if r := recover(); r != nil { // a process body panicked (see Proc.exit)
+			e.teardown()
+			panic(r)
+		}
+	}()
 	for {
-		for len(e.ready) > 0 {
-			p := e.ready[0]
-			e.ready = e.ready[1:]
-			if p.done {
-				continue
+		for e.ready.n > 0 {
+			if p := e.ready.pop(); !p.done {
+				p.next()
 			}
-			e.runOne(p)
 		}
 		if e.intr != nil {
 			err := e.intr
@@ -242,8 +300,10 @@ func (e *Engine) Run() (Time, error) {
 	}
 	if e.liveND > 0 {
 		derr := &DeadlockError{At: e.now}
-		for _, p := range e.parkedByID() {
-			derr.Parked = append(derr.Parked, p.name+": "+e.parked[p])
+		for _, p := range e.procs {
+			if p.parked() {
+				derr.Parked = append(derr.Parked, p.name+": "+p.reason())
+			}
 		}
 		e.teardown()
 		return e.now, derr
@@ -277,53 +337,43 @@ func (e *Engine) Kill(p *Proc) {
 		return
 	}
 	p.abort = true
-	for _, q := range e.ready {
-		if q == p {
+	for i := range e.ready.n {
+		if e.ready.at(i) == p {
 			return // already queued; aborts when resumed
 		}
 	}
-	if _, ok := e.parked[p]; ok {
+	if p.parked() {
 		e.makeReady(p)
 	}
 	// Otherwise p is running right now; park's entry check unwinds it.
 }
 
-// parkedByID returns the parked processes in spawn order (deterministic).
-func (e *Engine) parkedByID() []*Proc {
-	procs := make([]*Proc, 0, len(e.parked))
-	for p := range e.parked {
-		procs = append(procs, p)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
-	return procs
-}
+// parked reports whether p is live and inside park (woken or not).
+func (p *Proc) parked() bool { return !p.done && p.why != notParked }
 
 // teardown unwinds every live process in deterministic order (ready queue
-// first, then parked processes by spawn id) and clears all timers. Unwinding
-// one process may ready others (deferred releases admit waiters); those run
-// next, so FIFO admissions stay consistent during shutdown.
+// first, then parked processes in spawn order) and clears all timers.
+// Unwinding one process may ready others (deferred releases admit waiters);
+// those run next, so FIFO admissions stay consistent during shutdown.
 func (e *Engine) teardown() {
 	e.timers.clear()
 	for e.live > 0 {
 		var p *Proc
-		if len(e.ready) > 0 {
-			p = e.ready[0]
-			e.ready = e.ready[1:]
-			if p.done {
+		if e.ready.n > 0 {
+			if p = e.ready.pop(); p.done {
 				continue
 			}
+		} else if i := slices.IndexFunc(e.procs, (*Proc).parked); i >= 0 {
+			p = e.procs[i]
 		} else {
-			parked := e.parkedByID()
-			if len(parked) == 0 {
-				break
-			}
-			p = parked[0]
+			break
 		}
 		p.abort = true
-		e.runOne(p)
+		p.next()
 	}
-	e.ready = nil
-	e.parked = map[*Proc]string{}
+	e.ready = ring[*Proc]{}
+	clear(e.procs)
+	e.procs = e.procs[:0]
 }
 
 type timer struct {
@@ -373,7 +423,7 @@ func (ev *Event) Wait(p *Proc) {
 		return
 	}
 	ev.waiters = append(ev.waiters, eventWaiter{p, p.gen})
-	p.park("event")
+	p.park(parkEvent, 0)
 }
 
 // WaitTimeout parks p until the event fires or d virtual seconds elapse,
@@ -402,7 +452,7 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 	e.seq++
 	e.timers.Push(timer{at: e.now + d, seq: e.seq, p: p, gen: p.gen})
 	ev.waiters = append(ev.waiters, eventWaiter{p, p.gen})
-	p.park(fmt.Sprintf("event or timeout at %g", float64(e.now+d)))
+	p.park(parkEventTimeout, e.now+d)
 	return ev.fired
 }
 
@@ -413,6 +463,16 @@ type Barrier struct {
 	n     int
 	count int
 	wait  []*Proc
+}
+
+// wakeAll readies every process of a wait list and empties it, keeping the
+// backing array for the next round of waiters.
+func (e *Engine) wakeAll(ps []*Proc) []*Proc {
+	for _, p := range ps {
+		e.makeReady(p)
+	}
+	clear(ps)
+	return ps[:0]
 }
 
 // NewBarrier creates a cyclic barrier for n parties.
@@ -428,14 +488,11 @@ func (b *Barrier) Arrive(p *Proc) {
 	b.count++
 	if b.count == b.n {
 		b.count = 0
-		for _, w := range b.wait {
-			b.eng.makeReady(w)
-		}
-		b.wait = nil
+		b.wait = b.eng.wakeAll(b.wait)
 		return
 	}
 	b.wait = append(b.wait, p)
-	p.park("barrier")
+	p.park(parkBarrier, 0)
 }
 
 // Resource is a counted resource with FIFO admission (e.g., SM slots on a
@@ -444,7 +501,7 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []resWaiter
+	waiters  ring[resWaiter]
 }
 
 type resWaiter struct {
@@ -466,12 +523,12 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d", n, r.capacity))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.n == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p, n})
-	p.park("resource")
+	r.waiters.push(resWaiter{p, n})
+	p.park(parkResource, 0)
 }
 
 // Release returns n units and admits waiting processes in FIFO order.
@@ -482,16 +539,16 @@ func (r *Resource) Release(n int) {
 	if r.inUse < 0 {
 		panic("sim: resource over-release")
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.waiters.n > 0 {
+		w := r.waiters.at(0)
 		if w.p.done || w.p.abort {
-			r.waiters = r.waiters[1:]
+			r.waiters.pop()
 			continue
 		}
 		if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters.pop()
 		r.inUse += w.n
 		r.eng.makeReady(w.p)
 	}
@@ -516,7 +573,7 @@ func (r *Resource) InUse() int { return r.inUse }
 type QueueOf[T any] struct {
 	eng      *Engine
 	capacity int
-	items    []T
+	items    ring[T]
 	closed   bool
 	getters  []*Proc
 	putters  []*Proc
@@ -542,7 +599,7 @@ func (e *Engine) NewQueue(capacity int) *Queue {
 }
 
 // Len returns the number of buffered items.
-func (q *QueueOf[T]) Len() int { return len(q.items) }
+func (q *QueueOf[T]) Len() int { return q.items.n }
 
 // Cap returns the queue capacity.
 func (q *QueueOf[T]) Cap() int { return q.capacity }
@@ -550,31 +607,29 @@ func (q *QueueOf[T]) Cap() int { return q.capacity }
 // Put appends v, parking while the queue is full. Put on a closed queue
 // panics (a pipeline bug).
 func (q *QueueOf[T]) Put(p *Proc, v T) {
-	for len(q.items) >= q.capacity {
+	for q.items.n >= q.capacity {
 		q.putters = append(q.putters, p)
-		p.park("queue full")
+		p.park(parkQueueFull, 0)
 	}
 	if q.closed {
 		panic("sim: put on closed queue")
 	}
-	q.items = append(q.items, v)
-	q.wakeGetters()
+	q.items.push(v)
+	q.getters = q.eng.wakeAll(q.getters)
 }
 
 // Get removes and returns the oldest item, parking while empty. ok is false
 // if the queue is closed and drained.
 func (q *QueueOf[T]) Get(p *Proc) (v T, ok bool) {
-	for len(q.items) == 0 && !q.closed {
+	for q.items.n == 0 && !q.closed {
 		q.getters = append(q.getters, p)
-		p.park("queue empty")
+		p.park(parkQueueEmpty, 0)
 	}
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
+	if q.items.n == 0 {
+		return v, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	q.wakePutters()
+	v = q.items.pop()
+	q.putters = q.eng.wakeAll(q.putters)
 	return v, true
 }
 
@@ -585,19 +640,5 @@ func (q *QueueOf[T]) Close() {
 		return
 	}
 	q.closed = true
-	q.wakeGetters()
-}
-
-func (q *QueueOf[T]) wakeGetters() {
-	for _, g := range q.getters {
-		q.eng.makeReady(g)
-	}
-	q.getters = nil
-}
-
-func (q *QueueOf[T]) wakePutters() {
-	for _, w := range q.putters {
-		q.eng.makeReady(w)
-	}
-	q.putters = nil
+	q.getters = q.eng.wakeAll(q.getters)
 }

@@ -364,19 +364,6 @@ func TestManyProcessesStress(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineContextSwitch(b *testing.B) {
-	e := NewEngine()
-	e.Go("spin", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	if _, err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 func TestWaitTimeoutEventFirst(t *testing.T) {
 	e := NewEngine()
 	ev := e.NewEvent()

@@ -202,9 +202,11 @@ func (s *P3) shardedParams() int {
 // traceCounter emits the cumulative push/pull wire-byte counter series so
 // dspprof charts and diffs the exchange volume like any other path.
 func (s *P3) traceCounter(dev *hw.Device, name string, bytes int64) {
-	dev.Tracer.Counter(name, dev.ID, float64(s.M.Eng.Now()), map[string]float64{
-		"bytes": float64(bytes),
-	})
+	if dev.Tracer.Enabled() {
+		dev.Tracer.Counter(name, dev.ID, float64(s.M.Eng.Now()), map[string]float64{
+			"bytes": float64(bytes),
+		})
+	}
 }
 
 // Count implements ExecutionStrategy.

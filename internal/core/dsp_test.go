@@ -1,6 +1,10 @@
 package core_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/baselines"
@@ -480,5 +484,52 @@ func TestDSPTrainsGAT(t *testing.T) {
 	acc := train.Evaluate(td, sys.Model(), o.Sample, 400, 4)
 	if chance := 1.0 / float64(td.NumClasses); acc < 2*chance {
 		t.Fatalf("GAT through DSP stuck at %.3f", acc)
+	}
+}
+
+// TestRealEpochPinned holds one real-compute epoch of each strategy to the
+// virtual epoch time, loss, accuracy count, FLOP-priced train-stage time and
+// parameter bits it had with nn's scalar triple-loop kernels. The constants
+// were recorded at the parent commit (6c6d167) before any kernel was touched;
+// they are amd64 values (arm64 fuses a*b+c in nn's Go loops), so the test
+// only runs there.
+func TestRealEpochPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("pinned constants are amd64 values (arm64 fuses a*b+c)")
+	}
+	td := testData(t, 2)
+	for _, tc := range []struct {
+		strategy           string
+		epoch, loss, stage uint64 // math.Float64bits of EpochTime, Loss, TrainStage
+		correct, seen      int
+		params             uint64 // FNV-1a over the parameter bits
+	}{
+		{"dsp", 0x3f8fbcd3cf744d7e, 0x403c4824ff5b7018, 0x3f94a0614bbce5b3, 558, 4000, 0x8cb1b12cd2e9079e},
+		{"p3", 0x3f8fedffd99003f3, 0x403c4824ff5b7018, 0x3f950b65aba0a27c, 558, 4000, 0x8cb1b12cd2e9079e},
+	} {
+		o := smallOpts(td)
+		o.RealCompute, o.Strategy = true, tc.strategy
+		sys, err := core.New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := sys.RunEpoch(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := make([]float32, sys.Model().ParamCount())
+		sys.Model().ParamVector(v)
+		h := fnv.New64a()
+		var b [4]byte
+		for _, x := range v {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
+			h.Write(b[:])
+		}
+		epoch, loss, stage := math.Float64bits(float64(st.EpochTime)), math.Float64bits(st.Loss), math.Float64bits(float64(st.TrainStage))
+		if epoch != tc.epoch || loss != tc.loss || stage != tc.stage ||
+			st.Correct != tc.correct || st.Seen != tc.seen || h.Sum64() != tc.params {
+			t.Errorf("%s: {epoch: %#x, loss: %#x, stage: %#x, correct: %d, seen: %d, params: %#x}, pinned %+v",
+				tc.strategy, epoch, loss, stage, st.Correct, st.Seen, h.Sum64(), tc)
+		}
 	}
 }

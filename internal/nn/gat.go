@@ -27,91 +27,94 @@ type gatCache struct {
 	block *sample.Block
 	x     *Matrix // layer input (inputNodes x in)
 	z     *Matrix // projected input (inputNodes x out)
-	// Per destination: attention weights over its self+neighbour slots.
-	alpha [][]float32
-	// eRaw are pre-activation attention logits (for LeakyReLU backward).
-	eRaw [][]float32
-	mask []bool
+	// alpha are the attention weights and eRaw the attention logits after
+	// LeakyReLU (its sign drives the LeakyReLU backward), for every
+	// destination's self+neighbour slots back to back: see slots.
+	alpha, eRaw []float32
+	out         *Matrix // ReLU output, whose zeros are the mask (nil on the output layer)
 }
 
-// forwardGAT computes one attention layer.
-func (m *Model) forwardGAT(l int, block *sample.Block, x *Matrix) (*Matrix, *gatCache) {
-	in, out := m.Cfg.dims(l)
-	_ = in
-	c := &gatCache{block: block, x: x}
+// slots returns where destination i's attention slots sit in alpha and eRaw.
+// Slot 0 is the self edge; slots 1.. are the sampled neighbours in Src order.
+func (c *gatCache) slots(i int) (lo, hi int) {
+	return int(c.block.SrcPtr[i]) + i, int(c.block.SrcPtr[i+1]) + i + 1
+}
+
+// slotNode returns the input-node row behind destination i's k-th slot.
+func (c *gatCache) slotNode(i, k int) int {
+	if k == 0 {
+		return int(c.block.DstLocal[i])
+	}
+	return int(c.block.SrcLocal[int(c.block.SrcPtr[i])+k-1])
+}
+
+// forwardGAT computes one attention layer, filling c.
+func (m *Model) forwardGAT(l int, block *sample.Block, x *Matrix, c *gatCache) *Matrix {
+	_, out := m.Cfg.dims(l)
+	ws := &m.ws
+	*c = gatCache{block: block, x: x}
 	// Project every input node once.
-	c.z = NewMatrix(x.R, out)
+	c.z = ws.matrix(x.R, out)
 	MatMul(c.z, x, m.wNeigh[l].W)
 	aSrc := m.attSrc[l].W.Data
 	aDst := m.attDst[l].W.Data
-	h := NewMatrix(len(block.Dst), out)
-	c.alpha = make([][]float32, len(block.Dst))
-	c.eRaw = make([][]float32, len(block.Dst))
+	h := ws.matrix(len(block.Dst), out)
+	c.alpha = ws.matrix(1, len(block.Src)+len(block.Dst)).Data
+	c.eRaw = ws.matrix(1, len(c.alpha)).Data
 	for i := range block.Dst {
-		// Slot 0 is the self edge; slots 1.. are sampled neighbours.
-		n := int(block.SrcPtr[i+1] - block.SrcPtr[i])
-		slots := make([]int32, 0, n+1)
-		slots = append(slots, block.DstLocal[i])
-		slots = append(slots, block.SrcLocal[block.SrcPtr[i]:block.SrcPtr[i+1]]...)
-		e := make([]float32, len(slots))
+		lo, hi := c.slots(i)
+		e, a := c.eRaw[lo:hi], c.alpha[lo:hi]
 		zDstScore := dot(c.z.Row(int(block.DstLocal[i])), aDst)
-		for k, s := range slots {
-			e[k] = leakyReLU(dot(c.z.Row(int(s)), aSrc) + zDstScore)
+		for k := range e {
+			e[k] = leakyReLU(dot(c.z.Row(c.slotNode(i, k)), aSrc) + zDstScore)
 		}
-		c.eRaw[i] = e
-		a := softmax(e)
-		c.alpha[i] = a
+		softmaxInto(a, e)
 		hr := h.Row(i)
-		for k, s := range slots {
-			zr := c.z.Row(int(s))
-			for j := range hr {
-				hr[j] += a[k] * zr[j]
-			}
+		for k, ak := range a {
+			axpy(hr, c.z.Row(c.slotNode(i, k)), ak)
 		}
-		flops += int64(len(slots)) * int64(out) * 4
+		flops += int64(len(e)) * int64(out) * 4
 	}
 	AddBiasInPlace(h, m.bias[l].W.Data)
 	if l < m.Cfg.Layers-1 {
-		c.mask = make([]bool, len(h.Data))
-		ReLUInPlace(h, c.mask)
+		ReLUInPlace(h)
+		c.out = h
 	}
-	return h, c
+	return h
 }
 
 // backwardGAT propagates gradients through the attention layer, returning
-// the input gradient.
+// the input gradient — nil at layer 0, where nothing reads it: Backward's
+// comment gives the rule, inputGradFlops the charge.
 func (m *Model) backwardGAT(l int, c *gatCache, dh *Matrix) *Matrix {
 	in, out := m.Cfg.dims(l)
+	ws := &m.ws
 	block := c.block
-	if c.mask != nil {
-		ReLUBackwardInPlace(dh, c.mask)
+	if c.out != nil {
+		ReLUBackwardInPlace(dh, c.out)
 	}
-	bg := m.bias[l].G
+	bg := m.bias[l].G.Data
 	for i := 0; i < dh.R; i++ {
-		r := dh.Row(i)
-		for j := range r {
-			bg.Data[j] += r[j]
-		}
+		axpy(bg, dh.Row(i), 1)
 	}
-	dz := NewMatrix(c.z.R, out)
+	dz := ws.matrix(c.z.R, out)
 	daSrc := m.attSrc[l].G.Data
 	daDst := m.attDst[l].G.Data
 	aSrc := m.attSrc[l].W.Data
 	aDst := m.attDst[l].W.Data
+	dAlphas := ws.matrix(1, len(c.alpha)).Data
 	for i := range block.Dst {
-		slots := make([]int32, 0, 1+int(block.SrcPtr[i+1]-block.SrcPtr[i]))
-		slots = append(slots, block.DstLocal[i])
-		slots = append(slots, block.SrcLocal[block.SrcPtr[i]:block.SrcPtr[i+1]]...)
-		a := c.alpha[i]
+		lo, hi := c.slots(i)
+		a, eRaw, dAlpha := c.alpha[lo:hi], c.eRaw[lo:hi], dAlphas[lo:hi]
 		dhr := dh.Row(i)
 		// dh/dz via the weighted sum, and dh/dalpha.
-		dAlpha := make([]float32, len(slots))
-		for k, s := range slots {
-			zr := c.z.Row(int(s))
-			dzr := dz.Row(int(s))
+		for k, ak := range a {
+			s := c.slotNode(i, k)
+			zr := c.z.Row(s)
+			dzr := dz.Row(s)
 			var da float32
 			for j := range dhr {
-				dzr[j] += a[k] * dhr[j]
+				dzr[j] += ak * dhr[j]
 				da += dhr[j] * zr[j]
 			}
 			dAlpha[k] = da
@@ -121,34 +124,31 @@ func (m *Model) backwardGAT(l int, c *gatCache, dh *Matrix) *Matrix {
 		for k := range a {
 			mix += a[k] * dAlpha[k]
 		}
-		dstLocal := int(block.DstLocal[i])
 		var dDstScore float32
-		for k, s := range slots {
-			de := a[k] * (dAlpha[k] - mix)
-			de *= leakyGrad(c.eRaw[i][k])
+		for k, ak := range a {
+			de := ak * (dAlpha[k] - mix)
+			de *= leakyGrad(eRaw[k])
 			// e = aSrc·z_s + aDst·z_dst (pre-activation).
-			zr := c.z.Row(int(s))
-			dzr := dz.Row(int(s))
-			for j := range zr {
-				daSrc[j] += de * zr[j]
-				dzr[j] += de * aSrc[j]
-			}
+			s := c.slotNode(i, k)
+			axpy(daSrc, c.z.Row(s), de)
+			axpy(dz.Row(s), aSrc, de)
 			dDstScore += de
 		}
-		zd := c.z.Row(dstLocal)
-		dzd := dz.Row(dstLocal)
-		for j := range zd {
-			daDst[j] += dDstScore * zd[j]
-			dzd[j] += dDstScore * aDst[j]
-		}
-		flops += int64(len(slots)) * int64(out) * 8
+		dstLocal := int(block.DstLocal[i])
+		axpy(daDst, c.z.Row(dstLocal), dDstScore)
+		axpy(dz.Row(dstLocal), aDst, dDstScore)
+		flops += int64(len(a)) * int64(out) * 8
 	}
 	// z = x @ W.
-	gw := NewMatrix(in, out)
+	gw := ws.matrix(in, out)
 	MatMulAT(gw, c.x, dz)
 	addInto(m.wNeigh[l].G, gw)
-	dx := NewMatrix(c.x.R, in)
-	MatMulBT(dx, dz, m.wNeigh[l].W)
+	if l == 0 {
+		flops += inputGradFlops(dz, in)
+		return nil
+	}
+	dx := ws.matrix(c.x.R, in)
+	matMulBT(dx, dz, m.wNeigh[l].W, ws.matrix(out, in))
 	return dx
 }
 
@@ -177,14 +177,14 @@ func leakyGrad(post float32) float32 {
 	return leakySlope
 }
 
-func softmax(e []float32) []float32 {
+// softmaxInto writes softmax(e) into out (same length).
+func softmaxInto(out, e []float32) {
 	maxV := e[0]
 	for _, v := range e {
 		if v > maxV {
 			maxV = v
 		}
 	}
-	out := make([]float32, len(e))
 	var sum float64
 	for i, v := range e {
 		x := math.Exp(float64(v - maxV))
@@ -195,5 +195,4 @@ func softmax(e []float32) []float32 {
 	for i := range out {
 		out[i] *= inv
 	}
-	return out
 }

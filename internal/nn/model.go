@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/rng"
 	"repro/internal/sample"
 )
@@ -72,6 +73,41 @@ type Model struct {
 	wSelf, wNeigh, bias []*Param // wSelf unused for GCN/GAT
 	// attSrc/attDst are GAT's attention vectors (nil otherwise).
 	attSrc, attDst []*Param
+
+	ws workspace
+}
+
+// workspace is a Model's step-local storage: every activation, cache and
+// gradient matrix of one Forward/Backward comes from a pool that the next
+// Forward takes them back into, so a steady-state step allocates nothing.
+// pool.Get returns zeroed memory exactly like make, so no value depends on
+// the recycling.
+type workspace struct {
+	pool   arena.Pool
+	mats   []*Matrix // reusable headers; mats[:used] hold this step's buffers
+	used   int
+	input  Matrix        // the caller's feature buffer as layer 0's input
+	caches []*layerCache // one per block, reused step over step
+}
+
+// reset returns every matrix handed out since the last reset to the pool.
+func (w *workspace) reset() {
+	for _, m := range w.mats[:w.used] {
+		w.pool.Put(m.Data)
+		m.Data = nil
+	}
+	w.used = 0
+}
+
+// matrix returns a zeroed r×c matrix that is valid until the next reset.
+func (w *workspace) matrix(r, c int) *Matrix {
+	if w.used == len(w.mats) {
+		w.mats = append(w.mats, new(Matrix))
+	}
+	m := w.mats[w.used]
+	w.used++
+	*m = Matrix{R: r, C: c, Data: w.pool.Get(r * c)}
+	return m
 }
 
 // NewModel builds a model with Glorot-initialised weights, deterministically
@@ -163,54 +199,58 @@ func (m *Model) ZeroGrads() {
 
 // layerCache holds forward intermediates needed by backward.
 type layerCache struct {
-	block  *sample.Block
-	x      *Matrix // layer input (inputNodes × in)
-	self   *Matrix // rows of x at DstLocal (dst × in)
-	agg    *Matrix // aggregated neighbours (dst × in)
-	mask   []bool  // ReLU mask (nil on the output layer)
-	counts []int32 // per-dst sample counts
-	gat    *gatCache
+	block *sample.Block
+	x     *Matrix // layer input (inputNodes × in)
+	self  *Matrix // rows of x at DstLocal (dst × in)
+	agg   *Matrix // aggregated neighbours (dst × in)
+	out   *Matrix // ReLU output, whose zeros are the mask (nil on the output layer)
+	gat   *gatCache
 }
 
 // Forward computes logits for the batch seeds. feats holds the raw features
 // of mb.InputNodes() in order, row-major with m.Cfg.InDim columns. The
 // returned cache drives Backward.
+//
+// The logits and the caches live in the model's workspace: they are valid
+// until the next Forward (or TrainStep or Evaluate) on the same Model, so
+// consume them before that call.
 func (m *Model) Forward(mb *sample.MiniBatch, feats []float32) (*Matrix, []*layerCache) {
-	inputs := mb.InputNodes()
-	x := &Matrix{R: len(inputs), C: m.Cfg.InDim, Data: feats}
-	caches := make([]*layerCache, 0, m.Cfg.Layers)
+	ws := &m.ws
+	ws.reset()
+	ws.input = Matrix{R: len(mb.InputNodes()), C: m.Cfg.InDim, Data: feats}
+	x := &ws.input
+	for len(ws.caches) < len(mb.Blocks) {
+		ws.caches = append(ws.caches, new(layerCache))
+	}
+	caches := ws.caches[:len(mb.Blocks)]
 	for l, block := range mb.Blocks {
 		in, out := m.Cfg.dims(l)
 		if x.C != in {
 			panic(fmt.Sprintf("nn: layer %d input dim %d, want %d", l, x.C, in))
 		}
+		c := caches[l]
 		if m.Cfg.Arch == GAT {
-			h, gc := m.forwardGAT(l, block, x)
-			caches = append(caches, &layerCache{gat: gc})
-			x = h
+			if c.gat == nil {
+				c.gat = new(gatCache)
+			}
+			x = m.forwardGAT(l, block, x, c.gat)
 			continue
 		}
-		c := &layerCache{block: block, x: x}
-		c.counts = make([]int32, len(block.Dst))
-		for i := range block.Dst {
-			c.counts[i] = block.SrcPtr[i+1] - block.SrcPtr[i]
-		}
+		*c = layerCache{block: block, x: x}
 		// Gather self rows and aggregate neighbour rows.
-		c.self = NewMatrix(len(block.Dst), in)
-		c.agg = NewMatrix(len(block.Dst), in)
+		c.self = ws.matrix(len(block.Dst), in)
+		c.agg = ws.matrix(len(block.Dst), in)
 		for i := range block.Dst {
 			copy(c.self.Row(i), x.Row(int(block.DstLocal[i])))
 			ar := c.agg.Row(i)
-			for e := block.SrcPtr[i]; e < block.SrcPtr[i+1]; e++ {
-				xr := x.Row(int(block.SrcLocal[e]))
-				for j := range ar {
-					ar[j] += xr[j]
-				}
+			lo, hi := block.SrcPtr[i], block.SrcPtr[i+1]
+			for _, s := range block.SrcLocal[lo:hi] {
+				axpy(ar, x.Row(int(s)), 1)
 			}
 			switch m.Cfg.Arch {
 			case SAGE:
-				if c.counts[i] > 0 {
-					inv := 1 / float32(c.counts[i])
+				if hi > lo {
+					inv := 1 / float32(hi-lo)
 					for j := range ar {
 						ar[j] *= inv
 					}
@@ -218,7 +258,7 @@ func (m *Model) Forward(mb *sample.MiniBatch, feats []float32) (*Matrix, []*laye
 			case GCN:
 				// Normalised sum including self.
 				sr := c.self.Row(i)
-				inv := 1 / float32(c.counts[i]+1)
+				inv := 1 / float32(hi-lo+1)
 				for j := range ar {
 					ar[j] = (ar[j] + sr[j]) * inv
 				}
@@ -226,100 +266,95 @@ func (m *Model) Forward(mb *sample.MiniBatch, feats []float32) (*Matrix, []*laye
 		}
 		flops += 2 * int64(len(block.Src)) * int64(in)
 		// Dense transform.
-		h := NewMatrix(len(block.Dst), out)
+		h := ws.matrix(len(block.Dst), out)
 		if m.Cfg.Arch == SAGE {
 			MatMul(h, c.self, m.wSelf[l].W)
-			tmp := NewMatrix(len(block.Dst), out)
+			tmp := ws.matrix(len(block.Dst), out)
 			MatMul(tmp, c.agg, m.wNeigh[l].W)
-			for i := range h.Data {
-				h.Data[i] += tmp.Data[i]
-			}
+			axpy(h.Data, tmp.Data, 1)
 			flops += int64(len(h.Data))
 		} else {
 			MatMul(h, c.agg, m.wNeigh[l].W)
 		}
 		AddBiasInPlace(h, m.bias[l].W.Data)
 		if l < m.Cfg.Layers-1 {
-			c.mask = make([]bool, len(h.Data))
-			ReLUInPlace(h, c.mask)
+			ReLUInPlace(h)
+			c.out = h
 		}
-		caches = append(caches, c)
 		x = h
 	}
 	return x, caches
 }
 
 // Backward propagates dlogits through the cached layers, accumulating
-// parameter gradients.
+// parameter gradients. It stops at layer 0's parameters: the gradient with
+// respect to the input features is read by nothing (features are data, not
+// parameters), so the host does not compute it — but the modelled GPU runs
+// that kernel, so its FLOPs are charged all the same (see inputGradFlops).
 func (m *Model) Backward(caches []*layerCache, dlogits *Matrix) {
+	ws := &m.ws
 	dh := dlogits
 	for l := len(caches) - 1; l >= 0; l-- {
 		c := caches[l]
-		if c.gat != nil {
+		if m.Cfg.Arch == GAT {
 			dh = m.backwardGAT(l, c.gat, dh)
 			continue
 		}
 		in, _ := m.Cfg.dims(l)
-		if c.mask != nil {
-			ReLUBackwardInPlace(dh, c.mask)
+		if c.out != nil {
+			ReLUBackwardInPlace(dh, c.out)
 		}
 		// Bias gradient: column sums.
-		bg := m.bias[l].G
+		bg := m.bias[l].G.Data
 		for i := 0; i < dh.R; i++ {
-			r := dh.Row(i)
-			for j := range r {
-				bg.Data[j] += r[j]
-			}
+			axpy(bg, dh.Row(i), 1)
 		}
 		flops += int64(dh.R) * int64(dh.C)
-		dSelf := NewMatrix(dh.R, in)
-		dAgg := NewMatrix(dh.R, in)
+		gw := ws.matrix(in, dh.C)
 		if m.Cfg.Arch == SAGE {
-			gw := NewMatrix(in, dh.C)
 			MatMulAT(gw, c.self, dh)
 			addInto(m.wSelf[l].G, gw)
-			MatMulAT(gw, c.agg, dh)
-			addInto(m.wNeigh[l].G, gw)
-			MatMulBT(dSelf, dh, m.wSelf[l].W)
-			MatMulBT(dAgg, dh, m.wNeigh[l].W)
-		} else {
-			gw := NewMatrix(in, dh.C)
-			MatMulAT(gw, c.agg, dh)
-			addInto(m.wNeigh[l].G, gw)
-			MatMulBT(dAgg, dh, m.wNeigh[l].W)
 		}
-		// Scatter into dX.
-		dx := NewMatrix(c.x.R, in)
+		MatMulAT(gw, c.agg, dh)
+		addInto(m.wNeigh[l].G, gw)
 		block := c.block
+		if l == 0 {
+			// Charged, not computed: the input-gradient products and their
+			// scatter.
+			products := int64(1)
+			if m.Cfg.Arch == SAGE {
+				products = 2
+			}
+			flops += products*inputGradFlops(dh, in) + 2*int64(len(block.Src))*int64(in)
+			return
+		}
+		var dSelf *Matrix
+		dAgg := ws.matrix(dh.R, in)
+		wt := ws.matrix(dh.C, in)
+		if m.Cfg.Arch == SAGE {
+			dSelf = ws.matrix(dh.R, in)
+			matMulBT(dSelf, dh, m.wSelf[l].W, wt)
+		}
+		matMulBT(dAgg, dh, m.wNeigh[l].W, wt)
+		// Scatter into dX.
+		dx := ws.matrix(c.x.R, in)
 		for i := range block.Dst {
 			ar := dAgg.Row(i)
+			lo, hi := block.SrcPtr[i], block.SrcPtr[i+1]
 			switch m.Cfg.Arch {
 			case SAGE:
-				dr := dx.Row(int(block.DstLocal[i]))
-				sr := dSelf.Row(i)
-				for j := range dr {
-					dr[j] += sr[j]
-				}
-				if c.counts[i] > 0 {
-					inv := 1 / float32(c.counts[i])
-					for e := block.SrcPtr[i]; e < block.SrcPtr[i+1]; e++ {
-						xr := dx.Row(int(block.SrcLocal[e]))
-						for j := range xr {
-							xr[j] += ar[j] * inv
-						}
+				axpy(dx.Row(int(block.DstLocal[i])), dSelf.Row(i), 1)
+				if hi > lo {
+					inv := 1 / float32(hi-lo)
+					for _, s := range block.SrcLocal[lo:hi] {
+						axpy(dx.Row(int(s)), ar, inv)
 					}
 				}
 			case GCN:
-				inv := 1 / float32(c.counts[i]+1)
-				dr := dx.Row(int(block.DstLocal[i]))
-				for j := range dr {
-					dr[j] += ar[j] * inv
-				}
-				for e := block.SrcPtr[i]; e < block.SrcPtr[i+1]; e++ {
-					xr := dx.Row(int(block.SrcLocal[e]))
-					for j := range xr {
-						xr[j] += ar[j] * inv
-					}
+				inv := 1 / float32(hi-lo+1)
+				axpy(dx.Row(int(block.DstLocal[i])), ar, inv)
+				for _, s := range block.SrcLocal[lo:hi] {
+					axpy(dx.Row(int(s)), ar, inv)
 				}
 			}
 		}
@@ -328,21 +363,28 @@ func (m *Model) Backward(caches []*layerCache, dlogits *Matrix) {
 	}
 }
 
+// inputGradFlops is what MatMulBT counts for the input gradient dh @ Wᵀ of a
+// layer with `in` inputs — the charge of layer 0's product, which Backward
+// skips on the host and still bills to the simulated GPU: Trainer.Step turns
+// the FLOP count into virtual kernel time, and NominalFlops prices the same
+// kernel sequence for cost-only runs.
+func inputGradFlops(dh *Matrix, in int) int64 {
+	return 2 * int64(dh.R) * int64(dh.C) * int64(in)
+}
+
 func addInto(dst, src *Matrix) {
-	for i := range dst.Data {
-		dst.Data[i] += src.Data[i]
-	}
+	axpy(dst.Data, src.Data, 1)
 	flops += int64(len(dst.Data))
 }
 
 // TrainStep runs forward, loss and backward for one batch, accumulating
 // gradients (call ZeroGrads first). labels are the seed labels in order.
 // It returns the mean loss, the number of correct predictions, and the
-// FLOPs executed.
+// FLOPs charged.
 func (m *Model) TrainStep(mb *sample.MiniBatch, feats []float32, labels []int32) (loss float64, correct int, stepFlops int64) {
 	start := flops
 	logits, caches := m.Forward(mb, feats)
-	dlogits := NewMatrix(logits.R, logits.C)
+	dlogits := m.ws.matrix(logits.R, logits.C)
 	loss, correct = SoftmaxCrossEntropy(logits, labels, dlogits)
 	m.Backward(caches, dlogits)
 	return loss, correct, flops - start
@@ -351,8 +393,7 @@ func (m *Model) TrainStep(mb *sample.MiniBatch, feats []float32, labels []int32)
 // Evaluate runs forward only and returns loss and accuracy.
 func (m *Model) Evaluate(mb *sample.MiniBatch, feats []float32, labels []int32) (loss float64, correct int) {
 	logits, _ := m.Forward(mb, feats)
-	dl := NewMatrix(logits.R, logits.C)
-	return SoftmaxCrossEntropy(logits, labels, dl)
+	return SoftmaxCrossEntropy(logits, labels, m.ws.matrix(logits.R, logits.C))
 }
 
 // LayerFlops is the nominal forward cost of layer l over block b, split into

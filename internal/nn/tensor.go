@@ -1,8 +1,12 @@
 // Package nn implements the dense math for GNN training: a small matrix
 // library, GraphSAGE and GCN models with manual backpropagation, losses and
 // optimizers. The math is real — Figure 9's learning curves come from
-// genuine gradient descent — and every floating-point operation executed is
-// counted so the simulated GPUs can be charged the equivalent kernel time.
+// genuine gradient descent — and every floating-point operation of the
+// modelled kernel sequence is counted so the simulated GPUs can be charged
+// the equivalent kernel time. The host executes all of them but one product:
+// the first layer's input gradient, which nothing reads, is counted and not
+// computed (Model.Backward). A rate taken from FlopCount over a train step —
+// the benchmark's nn.trainstep_gflops — is therefore a charged-FLOP rate.
 package nn
 
 import (
@@ -48,17 +52,53 @@ func (m *Matrix) GlorotInit(r *rng.RNG) {
 	}
 }
 
-// flops accumulates the floating-point operations executed by this package;
+// flops accumulates the floating-point operations this package charges;
 // callers snapshot it around a training step to charge simulated kernels.
 // It is package-level because model forward/backward spans many helpers; the
 // simulator is single-threaded per step so no synchronisation is needed.
 var flops int64
 
-// FlopCount returns the cumulative FLOPs executed so far.
+// FlopCount returns the cumulative FLOPs charged so far.
 func FlopCount() int64 { return flops }
 
+// axpy computes dst[i] += a*x[i] over len(dst) elements: the one inner loop
+// under MatMul, MatMulAT and MatMulBT and under the model's aggregation,
+// scatter and bias loops. On amd64 the body is SSE2 assembly, four lanes
+// wide, that multiplies (MULPS) and then adds (ADDPS) and never fuses the
+// two: each lane rounds the product and then the sum exactly as the scalar
+// MULSS/ADDSS of the Go loop do, so every result has the bits axpyGo gives —
+// which is what keeps losses, parameters, checkpoints and reports identical
+// to the scalar kernels' at the same seed. An FMA rounds once and would move
+// them all. (SSE2 is in the GOAMD64=v1 baseline, so there is no CPU probe and
+// no second amd64 path.) With a == 1 the product is exact and axpy is a plain
+// vector add.
+func axpy(dst, x []float32, a float32) {
+	if len(x) < len(dst) {
+		panic(axpyLenError{len(dst), len(x)})
+	}
+	axpyVec(dst, x, a)
+}
+
+// axpyLenError is axpy's precondition failure. It is a value rather than a
+// formatted string so that axpy stays within the inlining budget.
+type axpyLenError struct{ dst, x int }
+
+func (e axpyLenError) Error() string {
+	return fmt.Sprintf("nn: axpy over %d elements, x has %d", e.dst, e.x)
+}
+
+// axpyGo is axpy in portable Go: the body on every architecture but amd64,
+// and the oracle the tests hold the assembly to.
+func axpyGo(dst, x []float32, a float32) {
+	x = x[:len(dst)]
+	for i := range dst {
+		dst[i] += a * x[i]
+	}
+}
+
 // MatMul computes out = a @ b (a: m×k, b: k×n). out must be m×n and is
-// overwritten. The inner loops are ordered i-k-j for streaming access.
+// overwritten. The loops are ordered i-k-j for streaming access: each output
+// row is a sum of axpys over the rows of b.
 func MatMul(out, a, b *Matrix) {
 	if a.C != b.R || out.R != a.R || out.C != b.C {
 		panic(fmt.Sprintf("nn: matmul shape (%dx%d)@(%dx%d)->(%dx%d)", a.R, a.C, b.R, b.C, out.R, out.C))
@@ -72,10 +112,7 @@ func MatMul(out, a, b *Matrix) {
 			if av == 0 {
 				continue
 			}
-			br := b.Row(k)
-			for j := range br {
-				or[j] += av * br[j]
-			}
+			axpy(or, b.Row(k), av)
 		}
 	}
 	flops += 2 * int64(a.R) * int64(a.C) * int64(b.C)
@@ -85,7 +122,7 @@ func MatMul(out, a, b *Matrix) {
 // gradient product of backprop.
 func MatMulAT(out, a, b *Matrix) {
 	if a.R != b.R || out.R != a.C || out.C != b.C {
-		panic("nn: matmulAT shape")
+		panic(fmt.Sprintf("nn: matmulAT shape (%dx%d)T@(%dx%d)->(%dx%d)", a.R, a.C, b.R, b.C, out.R, out.C))
 	}
 	out.Zero()
 	for k := 0; k < a.R; k++ {
@@ -95,31 +132,36 @@ func MatMulAT(out, a, b *Matrix) {
 			if av == 0 {
 				continue
 			}
-			or := out.Row(i)
-			for j := range br {
-				or[j] += av * br[j]
-			}
+			axpy(out.Row(i), br, av)
 		}
 	}
 	flops += 2 * int64(a.R) * int64(a.C) * int64(b.C)
 }
 
 // MatMulBT computes out = a @ bᵀ (a: m×k, b: n×k, out: m×n) — the input-
-// gradient product of backprop.
-func MatMulBT(out, a, b *Matrix) {
-	if a.C != b.C || out.R != a.R || out.C != b.R {
-		panic("nn: matmulBT shape")
+// gradient product of backprop. out is overwritten.
+func MatMulBT(out, a, b *Matrix) { matMulBT(out, a, b, NewMatrix(b.C, b.R)) }
+
+// matMulBT is MatMulBT with the caller's k×n scratch for bᵀ. Transposing b
+// once turns the product's n·m serial dot products into the row sweep of
+// MatMul, which vectorises; every out[i][j] is still summed from +0 over k
+// ascending, the dot product's own sequence of rounded operations. There is
+// no zero skip: a dot product multiplies its zeros too (0·Inf is NaN).
+func matMulBT(out, a, b, bt *Matrix) {
+	if a.C != b.C || out.R != a.R || out.C != b.R || bt.R != b.C || bt.C != b.R {
+		panic(fmt.Sprintf("nn: matmulBT shape (%dx%d)@(%dx%d)T->(%dx%d), scratch %dx%d",
+			a.R, a.C, b.R, b.C, out.R, out.C, bt.R, bt.C))
 	}
+	for j := 0; j < b.R; j++ {
+		for k, v := range b.Row(j) {
+			bt.Data[k*bt.C+j] = v
+		}
+	}
+	out.Zero()
 	for i := 0; i < a.R; i++ {
-		ar := a.Row(i)
 		or := out.Row(i)
-		for j := 0; j < b.R; j++ {
-			br := b.Row(j)
-			var s float32
-			for k := range ar {
-				s += ar[k] * br[k]
-			}
-			or[j] = s
+		for k, av := range a.Row(i) {
+			axpy(or, bt.Row(k), av)
 		}
 	}
 	flops += 2 * int64(a.R) * int64(a.C) * int64(b.R)
@@ -128,22 +170,16 @@ func MatMulBT(out, a, b *Matrix) {
 // AddBiasInPlace adds bias (1×C) to every row of m.
 func AddBiasInPlace(m *Matrix, bias []float32) {
 	for i := 0; i < m.R; i++ {
-		r := m.Row(i)
-		for j := range r {
-			r[j] += bias[j]
-		}
+		axpy(m.Row(i), bias, 1)
 	}
 	flops += int64(m.R) * int64(m.C)
 }
 
-// ReLUInPlace applies max(0, x); mask records the active entries for the
-// backward pass.
-func ReLUInPlace(m *Matrix, mask []bool) {
+// ReLUInPlace applies max(0, x). The output is its own mask for the backward
+// pass: an entry was clamped exactly when it is not positive.
+func ReLUInPlace(m *Matrix) {
 	for i, v := range m.Data {
-		if v > 0 {
-			mask[i] = true
-		} else {
-			mask[i] = false
+		if !(v > 0) {
 			m.Data[i] = 0
 		}
 	}
@@ -151,10 +187,10 @@ func ReLUInPlace(m *Matrix, mask []bool) {
 }
 
 // ReLUBackwardInPlace zeroes gradient entries where the activation was
-// clamped.
-func ReLUBackwardInPlace(g *Matrix, mask []bool) {
-	for i := range g.Data {
-		if !mask[i] {
+// clamped; act is the ReLU's output.
+func ReLUBackwardInPlace(g, act *Matrix) {
+	for i, v := range act.Data {
+		if !(v > 0) {
 			g.Data[i] = 0
 		}
 	}

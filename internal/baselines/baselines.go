@@ -300,17 +300,17 @@ func (b *Baseline) RunEpoch(epoch int) (train.EpochStats, error) {
 	if b.Kind == FastGCN {
 		return train.EpochStats{}, fmt.Errorf("baselines: FastGCN supports sampling epochs only (Table 7)")
 	}
-	return train.RunEpoch(b.m, epoch, false, 1, b.Opts.EffectiveStageOverhead(),
-		func(rank int, st *train.EpochStats) pipeline.Stages {
+	return train.RunEpoch(train.Window{Machines: []*hw.Machine{b.m}}, epoch, 0, -1, false, 0, b.Opts.EffectiveStageOverhead(),
+		func(_, rank int, st *train.EpochStats) pipeline.Stages {
 			return pipeline.Stages{
 				NumBatches: b.sched.Steps,
-				Sample: func(p *sim.Proc, step int) interface{} {
+				Samplers: []pipeline.SampleFunc{func(p *sim.Proc, step int) interface{} {
 					return b.sampleStage(p, rank, epoch, step)
-				},
-				Load: func(p *sim.Proc, step int, v interface{}) interface{} {
+				}},
+				Loaders: []pipeline.LoadFunc{func(p *sim.Proc, step int, v interface{}) interface{} {
 					mb := v.(*sample.MiniBatch)
 					return loadedBatch{mb, b.loadStage(p, rank, mb)}
-				},
+				}},
 				Train: func(p *sim.Proc, step int, v interface{}) {
 					l := v.(loadedBatch)
 					b.trainer.Step(p, b.m.GPUs[rank], rank, l.mb, l.feats, st, b.Opts.GradOpts(), nn.NominalFlops)
@@ -321,24 +321,8 @@ func (b *Baseline) RunEpoch(epoch int) (train.EpochStats, error) {
 
 // RunSampleEpoch implements train.System (Table 6 / Table 7 measurements).
 func (b *Baseline) RunSampleEpoch(epoch int) (train.EpochStats, error) {
-	n := b.Opts.Data.NumGPUs()
-	eng := b.m.Eng
-	start := eng.Now()
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		eng.Go(fmt.Sprintf("gpu%d/sampler", rank), func(p *sim.Proc) {
-			overhead := b.Opts.EffectiveStageOverhead()
-			for step := 0; step < b.sched.Steps; step++ {
-				p.Sleep(overhead)
-				b.sampleStage(p, rank, epoch, step)
-			}
-		})
-	}
-	end, err := eng.Run()
-	if err != nil {
-		return train.EpochStats{}, err
-	}
-	return train.EpochStats{Epoch: epoch, SampleTime: end - start, EpochTime: end - start}, nil
+	return train.SampleEpoch(b.m, epoch, b.sched.Steps, b.Opts.EffectiveStageOverhead(),
+		func(p *sim.Proc, rank, step int) { b.sampleStage(p, rank, epoch, step) })
 }
 
 var _ train.System = (*Baseline)(nil)

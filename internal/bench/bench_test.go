@@ -351,18 +351,27 @@ func TestAblationFusedShape(t *testing.T) {
 	}
 }
 
+// TestAblationMultiWorkerRuns runs the sweep at the CLI's epoch counts — the
+// multi-instance pipeline used to deadlock in its second epoch, which one
+// measured epoch never reached — and holds the paper's §5 conclusion where
+// memory is the constraint: on the graphs that do not fit the cache, no
+// multi-instance shape beats one sampler and one loader.
 func TestAblationMultiWorkerRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("worker sweep")
 	}
-	tab, err := AblationMultiWorker(quick)
+	tab, err := AblationMultiWorker(RunConfig{Shrink: 12, Warmup: 1, Measure: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ds := range tab.Cols {
-		for _, row := range tab.Rows {
-			if tab.Get(row, ds) <= 0 {
-				t.Errorf("%s %s: no epoch time", row, ds)
+		single := tab.Get("1S/1L", ds)
+		if single <= 0 {
+			t.Errorf("1S/1L %s: no epoch time", ds)
+		}
+		for _, row := range tab.Rows[1:] {
+			if got := tab.Get(row, ds); got <= 0 || (ds != "products" && got < single) {
+				t.Errorf("%s %s: epoch %.4g, single-instance %.4g", row, ds, got, single)
 			}
 		}
 	}

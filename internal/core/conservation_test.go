@@ -302,47 +302,80 @@ func TestCountersConserved(t *testing.T) {
 }
 
 // TestStageHook: the one stage wrapper observes every stage of every step on
-// every rank exactly once, and tracing changes no total — it only adds one
-// span per observation.
+// every rank exactly once — whichever instance ran it — and tracing changes
+// no total: it only adds one span per observation.
 func TestStageHook(t *testing.T) {
 	td := conservationData(t)
-	run := func(tr *trace.Tracer) train.EpochStats {
-		sys, err := New(conservationOpts(td))
-		if err != nil {
-			t.Fatal(err)
+	for _, sh := range []struct{ s, l int }{{1, 1}, {2, 2}, {3, 2}} {
+		run := func(tr *trace.Tracer) train.EpochStats {
+			o := conservationOpts(td)
+			o.NumSamplers, o.NumLoaders = sh.s, sh.l
+			sys, err := New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Machine().SetTracer(tr)
+			st, err := sys.RunEpoch(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := uint64(sys.Steps() * td.NumGPUs()); st.SampleDist.Count() != want ||
+				st.LoadDist.Count() != want || st.TrainDist.Count() != want {
+				t.Fatalf("%dS/%dL: stage observations %d/%d/%d, want %d each (steps x ranks)", sh.s, sh.l,
+					st.SampleDist.Count(), st.LoadDist.Count(), st.TrainDist.Count(), want)
+			}
+			return st
 		}
-		sys.Machine().SetTracer(tr)
-		st, err := sys.RunEpoch(0)
-		if err != nil {
-			t.Fatal(err)
+		tr := trace.New()
+		off, on := run(nil), run(tr)
+		if off.SampleStage != on.SampleStage || off.LoadStage != on.LoadStage || off.TrainStage != on.TrainStage ||
+			off.EpochTime != on.EpochTime {
+			t.Errorf("%dS/%dL: tracing moved a stage total: off %v/%v/%v on %v/%v/%v", sh.s, sh.l,
+				off.SampleStage, off.LoadStage, off.TrainStage, on.SampleStage, on.LoadStage, on.TrainStage)
 		}
-		if want := uint64(sys.Steps() * td.NumGPUs()); st.SampleDist.Count() != want ||
-			st.LoadDist.Count() != want || st.TrainDist.Count() != want {
-			t.Fatalf("stage observations %d/%d/%d, want %d each (steps x ranks)",
-				st.SampleDist.Count(), st.LoadDist.Count(), st.TrainDist.Count(), want)
+		spans, stalls := 0, 0
+		var dur float64
+		for _, e := range tr.Events() {
+			if e.Cat == "stage" && e.Ph == "X" {
+				spans++
+				dur += e.Dur
+			}
+			if e.Name == "queue-wait" {
+				stalls++
+			}
 		}
-		return st
-	}
-	tr := trace.New()
-	off, on := run(nil), run(tr)
-	if off.SampleStage != on.SampleStage || off.LoadStage != on.LoadStage || off.TrainStage != on.TrainStage ||
-		off.EpochTime != on.EpochTime {
-		t.Errorf("tracing moved a stage total: off %v/%v/%v on %v/%v/%v",
-			off.SampleStage, off.LoadStage, off.TrainStage, on.SampleStage, on.LoadStage, on.TrainStage)
-	}
-	spans := 0
-	var dur float64
-	for _, e := range tr.Events() {
-		if e.Cat == "stage" && e.Ph == "X" {
-			spans++
-			dur += e.Dur
+		if want := 3 * int(on.SampleDist.Count()); spans != want {
+			t.Errorf("%dS/%dL: %d stage spans, want %d (one per observation)", sh.s, sh.l, spans, want)
 		}
-	}
-	if want := 3 * int(on.SampleDist.Count()); spans != want {
-		t.Errorf("%d stage spans, want %d (one per observation)", spans, want)
-	}
-	total := 1e6 * float64(on.SampleStage+on.LoadStage+on.TrainStage) // spans are in microseconds
-	if d := dur - total; d > 1e-9*total || d < -1e-9*total {
-		t.Errorf("stage spans cover %g us, stage totals %g us", dur, total)
+		if stalls == 0 {
+			t.Errorf("%dS/%dL: no queue-wait stall spans", sh.s, sh.l)
+		}
+		total := 1e6 * float64(on.SampleStage+on.LoadStage+on.TrainStage) // spans are in microseconds
+		if d := dur - total; d > 1e-9*total || d < -1e-9*total {
+			t.Errorf("%dS/%dL: stage spans cover %g us, stage totals %g us", sh.s, sh.l, dur, total)
+		}
+		// Two instances of a stage share its lane, so their spans overlap
+		// there; a lane's busy time is the union of the intervals, never
+		// their sum, and its utilisation stays a fraction.
+		summed := map[[2]int]float64{}
+		for _, e := range tr.Events() {
+			if e.Cat == "stage" && e.Ph == "X" {
+				summed[[2]int{e.Pid, e.Tid}] += e.Dur / 1e6
+			}
+		}
+		overlapped := false
+		profile := prof.Analyze(prof.FromTracer(tr))
+		if err := profile.Validate(); err != nil {
+			t.Errorf("%dS/%dL: %v", sh.s, sh.l, err)
+		}
+		for _, lane := range profile.Lanes {
+			if lane.Util > 1 {
+				t.Errorf("%dS/%dL: %s/%s utilisation %g > 1", sh.s, sh.l, lane.GPU, lane.Lane, lane.Util)
+			}
+			overlapped = overlapped || summed[[2]int{lane.Pid, lane.Tid}] > lane.Busy*(1+1e-9)
+		}
+		if overlapped != (sh.s > 1) {
+			t.Errorf("%dS/%dL: stage spans overlapping on one lane: %v", sh.s, sh.l, overlapped)
+		}
 	}
 }

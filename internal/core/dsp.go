@@ -28,7 +28,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
-	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
@@ -124,21 +123,13 @@ func (s *DSP) Compression() [hw.TrafficOther + 1]comm.CompressionStats {
 	return s.sub.Counters().Codec
 }
 
-// sample builds (epoch, step)'s graph samples for rank on world w.
-func (s *DSP) sample(p *sim.Proc, w *csp.World, rank, epoch, step int) *sample.MiniBatch {
-	seeds := s.sched.Batch(s.Opts.Data, s.Opts.Seed, epoch, step, rank)
-	return s.sub.Sample(p, w, rank, seeds, train.BatchSeed(s.Opts.Seed, epoch, step, rank))
+// batch names (epoch, step)'s seeds and sampling seed for rank.
+func (s *DSP) batch(epoch, step, rank int) ([]graph.NodeID, uint64) {
+	return s.sched.Batch(s.Opts.Data, s.Opts.Seed, epoch, step, rank), train.BatchSeed(s.Opts.Seed, epoch, step, rank)
 }
-
-// multiInstance reports whether the §5 ablation's extra sampler/loader
-// worker instances are configured.
-func (s *DSP) multiInstance() bool { return len(s.sub.Worlds) > 1 || len(s.sub.Loaders) > 1 }
 
 // RunEpoch implements train.System.
 func (s *DSP) RunEpoch(epoch int) (train.EpochStats, error) {
-	if s.Opts.Pipeline && s.multiInstance() {
-		return s.runEpochMulti(epoch)
-	}
 	return s.RunEpochRange(epoch, 0, s.sched.Steps)
 }
 
@@ -147,27 +138,14 @@ func (s *DSP) RunEpoch(epoch int) (train.EpochStats, error) {
 // the shard rebalance runs at the boundary and its migration cost is charged
 // to the epoch's virtual time.
 func (s *DSP) RunEpochRange(epoch, from, to int) (train.EpochStats, error) {
-	if s.multiInstance() {
-		return train.EpochStats{}, fmt.Errorf("core: fault tolerance is unsupported with multi-instance workers")
-	}
-	sub := s.sub
 	// Epoch-boundary adaptation only when this range reaches the epoch's end
 	// — checkpoint segments mid-epoch do not rebalance.
-	return train.RunEpochSteps(strategy.Window(to >= s.sched.Steps, sub), epoch, from, to,
+	return train.RunEpoch(strategy.Window(to >= s.sched.Steps, s.sub), epoch, from, to,
 		s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
 		func(_, rank int, st *train.EpochStats) pipeline.Stages {
-			return pipeline.Stages{
-				NumBatches: s.sched.Steps,
-				Sample: func(p *sim.Proc, step int) interface{} {
-					return s.sample(p, sub.Worlds[0], rank, epoch, step)
-				},
-				Load: func(p *sim.Proc, step int, v interface{}) interface{} {
-					return sub.Strategy.Load(p, rank, v.(*sample.MiniBatch), sub.Loaders[0])
-				},
-				Train: func(p *sim.Proc, step int, v interface{}) {
-					sub.Strategy.Train(p, rank, v.(strategy.Loaded), st)
-				},
-			}
+			return s.sub.Stages(rank, s.sched.Steps, st, func(step int) ([]graph.NodeID, uint64) {
+				return s.batch(epoch, step, rank)
+			})
 		})
 }
 
@@ -221,62 +199,13 @@ func (s *DSP) Restore(st *ckpt.TrainState) error {
 	return nil
 }
 
-// runEpochMulti runs one epoch with multiple sampler/loader worker
-// instances per GPU (the §5 multi-instance ablation).
-func (s *DSP) runEpochMulti(epoch int) (train.EpochStats, error) {
-	sub := s.sub
-	// More worker instances contend for the same host cores, so each
-	// stage's framework overhead grows with the total instance count (the
-	// paper's second reason: "the resource contention for both CPU and GPU
-	// is more severe").
-	workers := len(sub.Worlds) + len(sub.Loaders) + 1
-	overhead := s.Opts.EffectiveStageOverhead() * sim.Time(workers) / 3
-	return train.MeasureEpoch(strategy.Window(true, sub), epoch, func(_, rank int, st *train.EpochStats, done *sim.Event) {
-		ms := pipeline.MultiStages{NumBatches: s.sched.Steps}
-		for _, w := range sub.Worlds {
-			w := w
-			ms.Samplers = append(ms.Samplers, func(p *sim.Proc, step int) interface{} {
-				p.Sleep(overhead)
-				return s.sample(p, w, rank, epoch, step)
-			})
-		}
-		for _, lc := range sub.Loaders {
-			lc := lc
-			ms.Loaders = append(ms.Loaders, func(p *sim.Proc, step int, v interface{}) interface{} {
-				p.Sleep(overhead)
-				return sub.Strategy.Load(p, rank, v.(*sample.MiniBatch), lc)
-			})
-		}
-		ms.Train = func(p *sim.Proc, step int, v interface{}) {
-			p.Sleep(overhead)
-			sub.Strategy.Train(p, rank, v.(strategy.Loaded), st)
-		}
-		pipeline.RunPipelinedMulti(sub.M.Eng, fmt.Sprintf("gpu%d", rank), ms, s.Opts.QueueCap, done)
-	})
-}
-
-// RunSampleEpoch implements train.System: only the samplers run (the
-// paper's Table 6 methodology — "running the sampler individually without
-// interference from other workers").
+// RunSampleEpoch implements train.System: only the samplers run (Table 6).
 func (s *DSP) RunSampleEpoch(epoch int) (train.EpochStats, error) {
-	n := s.Opts.Data.NumGPUs()
-	eng := s.sub.M.Eng
-	start := eng.Now()
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		eng.Go(fmt.Sprintf("gpu%d/sampler", rank), func(p *sim.Proc) {
-			overhead := s.Opts.EffectiveStageOverhead()
-			for step := 0; step < s.sched.Steps; step++ {
-				p.Sleep(overhead)
-				s.sample(p, s.sub.Worlds[0], rank, epoch, step)
-			}
+	return train.SampleEpoch(s.sub.M, epoch, s.sched.Steps, s.Opts.EffectiveStageOverhead(),
+		func(p *sim.Proc, rank, step int) {
+			seeds, seed := s.batch(epoch, step, rank)
+			s.sub.Sample(p, s.sub.Worlds[0], rank, seeds, seed)
 		})
-	}
-	end, err := eng.Run()
-	if err != nil {
-		return train.EpochStats{}, err
-	}
-	return train.EpochStats{Epoch: epoch, SampleTime: end - start, EpochTime: end - start}, nil
 }
 
 // RandomWalkEpoch runs one pass of random walks from every shard seed (the

@@ -414,29 +414,45 @@ func TestRandomWalkEpoch(t *testing.T) {
 func TestDSPMultiWorkerBSPIdentical(t *testing.T) {
 	// Multiple sampler/loader instances must not change training results:
 	// the trainer consumes steps in order, so the model is bitwise equal to
-	// the single-worker run.
+	// the single-worker run — under either strategy (whose parameters agree
+	// with each other), and with the pipeline off, where each step simply
+	// runs on the instances that own it.
 	td := testData(t, 2)
-	runModel := func(samplers, loaders int) []float32 {
+	run := func(strat string, pipelined bool, samplers, loaders int) ([]float32, train.EpochStats) {
 		o := smallOpts(td)
 		o.RealCompute = true
+		o.Strategy, o.Pipeline = strat, pipelined
 		o.NumSamplers = samplers
 		o.NumLoaders = loaders
 		sys, err := core.New(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.RunEpoch(0); err != nil {
+		st, err := sys.RunEpoch(0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]float32, sys.Model().ParamCount())
 		sys.Model().ParamVector(buf)
-		return buf
+		return buf, st
 	}
-	single := runModel(1, 1)
-	multi := runModel(3, 2)
-	for i := range single {
-		if single[i] != multi[i] {
-			t.Fatalf("multi-worker model diverges at %d", i)
+	single, _ := run("dsp", true, 1, 1)
+	for _, tc := range []struct {
+		strat     string
+		pipelined bool
+	}{{"dsp", true}, {"p3", true}, {"dsp", false}} {
+		multi, st := run(tc.strat, tc.pipelined, 3, 2)
+		for i := range single {
+			if single[i] != multi[i] {
+				t.Fatalf("%s pipelined=%v: multi-worker model diverges at %d", tc.strat, tc.pipelined, i)
+			}
+		}
+		if tc.strat != "p3" {
+			continue
+		}
+		// The exchange moves the same bytes whichever loader carries it.
+		if _, one := run("p3", true, 1, 1); st.PushWire == 0 || st.PushWire != one.PushWire {
+			t.Errorf("p3 push wire %d with 3S/2L, %d with 1S/1L", st.PushWire, one.PushWire)
 		}
 	}
 }

@@ -3,13 +3,12 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/comm"
 	"repro/internal/compress"
+	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
-	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/train"
@@ -52,18 +51,14 @@ func NewMulti(opts train.Options, machines int, net hw.NetworkSpec) (*MultiDSP, 
 	if machines < 1 {
 		return nil, fmt.Errorf("core: need at least one machine")
 	}
-	// Options whose machinery lives in the single-machine epoch driver
-	// (boundary rebalance, fail-stop recovery, multi-instance pipelines) or
-	// assumes one host memory (the out-of-core tier under sharded cold rows).
+	// Fail-stop recovery lives in the single-machine driver (the injector
+	// and the checkpoint loop know one machine), and the out-of-core tier
+	// assumes one host memory under what a cluster shards as cold rows.
 	switch {
 	case opts.OOC:
 		return nil, fmt.Errorf("core: multi-machine DSP does not support OOC")
-	case opts.DynamicCache != cache.Static:
-		return nil, fmt.Errorf("core: multi-machine DSP does not support DynamicCache")
 	case len(opts.Faults) > 0:
 		return nil, fmt.Errorf("core: multi-machine DSP does not support Faults")
-	case opts.NumSamplers > 1 || opts.NumLoaders > 1:
-		return nil, fmt.Errorf("core: multi-machine DSP does not support NumSamplers/NumLoaders")
 	}
 	d := opts.Data
 	n := d.NumGPUs()
@@ -153,24 +148,14 @@ func (r clusterReducer) AllReduceSum(p *sim.Proc, rank int, grad []float32, o co
 // shuffled per epoch (the shared permutation) and the machines take
 // interleaved batch-sized slices of it.
 func (s *MultiDSP) RunEpoch(epoch int) (train.EpochStats, error) {
-	sched := train.Schedule{BatchSize: s.Opts.BatchSize, Steps: s.steps}
-	return train.RunEpochSteps(strategy.Window(true, s.subs...), epoch, 0, -1,
-		s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
+	o := s.Opts
+	sched := train.Schedule{BatchSize: o.BatchSize, Steps: s.steps}
+	return train.RunEpoch(strategy.Window(true, s.subs...), epoch, 0, -1,
+		o.Pipeline, o.QueueCap, o.EffectiveStageOverhead(),
 		func(m, g int, st *train.EpochStats) pipeline.Stages {
-			sub := s.subs[m]
-			return pipeline.Stages{
-				NumBatches: s.steps,
-				Sample: func(p *sim.Proc, step int) interface{} {
-					stride := step*s.NumMachines + m
-					seeds := sched.Batch(s.Opts.Data, s.Opts.Seed, epoch, stride, g)
-					return sub.Sample(p, sub.Worlds[0], g, seeds, train.BatchSeed(s.Opts.Seed, epoch, stride, g))
-				},
-				Load: func(p *sim.Proc, step int, v interface{}) interface{} {
-					return sub.Strategy.Load(p, g, v.(*sample.MiniBatch), sub.Loaders[0])
-				},
-				Train: func(p *sim.Proc, step int, v interface{}) {
-					sub.Strategy.Train(p, g, v.(strategy.Loaded), st)
-				},
-			}
+			return s.subs[m].Stages(g, s.steps, st, func(step int) ([]graph.NodeID, uint64) {
+				stride := step*s.NumMachines + m
+				return sched.Batch(o.Data, o.Seed, epoch, stride, g), train.BatchSeed(o.Seed, epoch, stride, g)
+			})
 		})
 }

@@ -36,19 +36,32 @@ func TestMultiDSPRuns(t *testing.T) {
 
 func TestMultiDSPSingleMachineMatchesDSP(t *testing.T) {
 	// One machine degenerates to the single-machine system bitwise — both
-	// run the strategy layer's round bodies over the same substrate — so
-	// over two epochs, cost-only and real, under either strategy, the epoch
-	// time and the whole counter set (every wire class, the cache tiers the
-	// cluster path used to leave at zero) agree to the last bit, and so does
-	// the model.
+	// run the strategy layer's round bodies over the same substrate, through
+	// the same epoch entry point — so over two epochs, cost-only and real,
+	// under either strategy, with a rebalancing cache or extra worker
+	// instances, the epoch time and the whole counter set (every wire class,
+	// the cache tiers, the rebalances) agree to the last bit, and so does the
+	// model.
 	td := testData(t, 2)
 	for _, tc := range []struct {
-		strat string
-		real  bool
-	}{{"dsp", false}, {"dsp", true}, {"p3", false}, {"p3", true}} {
-		real := tc.real
+		name   string
+		strat  string
+		real   bool
+		mutate func(*train.Options)
+	}{
+		{"dsp", "dsp", false, nil}, {"dsp real", "dsp", true, nil},
+		{"p3", "p3", false, nil}, {"p3 real", "p3", true, nil},
+		{"dynamic cache", "dsp", false, func(o *train.Options) {
+			o.DynamicCache, o.FeatureCacheBudget = cache.LFUDecay, int64(100*td.RowBytes())
+		}},
+		{"2S/2L", "dsp", true, func(o *train.Options) { o.NumSamplers, o.NumLoaders = 2, 2 }},
+		{"p3 3S/2L", "p3", false, func(o *train.Options) { o.NumSamplers, o.NumLoaders = 3, 2 }},
+	} {
 		o := smallOpts(td)
-		o.Strategy, o.RealCompute = tc.strat, real
+		o.Strategy, o.RealCompute = tc.strat, tc.real
+		if tc.mutate != nil {
+			tc.mutate(&o)
+		}
 		single, err := core.New(o)
 		if err != nil {
 			t.Fatal(err)
@@ -57,6 +70,7 @@ func TestMultiDSPSingleMachineMatchesDSP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rebalances := 0
 		for e := 0; e < 2; e++ {
 			a, err := single.RunEpoch(e)
 			if err != nil {
@@ -67,17 +81,21 @@ func TestMultiDSPSingleMachineMatchesDSP(t *testing.T) {
 				t.Fatal(err)
 			}
 			if a.EpochTime != b.EpochTime || !reflect.DeepEqual(a.Counters, b.Counters) {
-				t.Errorf("%s real=%v epoch %d: DSP time %v counters %+v, 1-machine MultiDSP time %v counters %+v",
-					tc.strat, real, e, a.EpochTime, a.Counters, b.EpochTime, b.Counters)
+				t.Errorf("%s epoch %d: DSP time %v counters %+v, 1-machine MultiDSP time %v counters %+v",
+					tc.name, e, a.EpochTime, a.Counters, b.EpochTime, b.Counters)
 			}
 			if b.InterWire != 0 {
-				t.Errorf("%s real=%v epoch %d: one machine sent %d NIC bytes", tc.strat, real, e, b.InterWire)
+				t.Errorf("%s epoch %d: one machine sent %d NIC bytes", tc.name, e, b.InterWire)
 			}
 			if tc.strat == "dsp" && b.CacheLocal+b.CachePeer+b.CacheHost == 0 {
-				t.Errorf("dsp real=%v epoch %d: 1-machine MultiDSP reports no cache tiers", real, e)
+				t.Errorf("%s epoch %d: 1-machine MultiDSP reports no cache tiers", tc.name, e)
 			}
+			rebalances += b.Rebalances
 		}
-		if !real {
+		if (rebalances > 0) != (o.DynamicCache != cache.Static) {
+			t.Errorf("%s: %d rebalances under cache policy %v", tc.name, rebalances, o.DynamicCache)
+		}
+		if !tc.real {
 			continue
 		}
 		a := make([]float32, single.Model().ParamCount())
@@ -86,7 +104,7 @@ func TestMultiDSPSingleMachineMatchesDSP(t *testing.T) {
 		multi.Model().ParamVector(b)
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s: 1-machine MultiDSP diverges from DSP at param %d", tc.strat, i)
+				t.Fatalf("%s: 1-machine MultiDSP diverges from DSP at param %d", tc.name, i)
 			}
 		}
 	}
@@ -117,13 +135,16 @@ func TestNewMultiHonoursOrRejectsOptions(t *testing.T) {
 		{"Strategy nonsense", func(o *train.Options) { o.Strategy = "nonsense" }, "nonsense"},
 		{"Strategy p3", func(o *train.Options) { o.Strategy = "p3" }, ""},
 		{"OOC", func(o *train.Options) { o.OOC = true }, "OOC"},
-		{"DynamicCache", func(o *train.Options) { o.DynamicCache = cache.LFUDecay }, "DynamicCache"},
+		{"DynamicCache", func(o *train.Options) {
+			// A budget that leaves cold rows to promote.
+			o.DynamicCache, o.FeatureCacheBudget = cache.LFUDecay, int64(100*td.RowBytes())
+		}, ""},
 		{"ReplicatedCache", func(o *train.Options) { o.ReplicatedCache = true }, ""},
 		{"Faults", func(o *train.Options) {
 			o.Faults = []fault.Fault{{Kind: fault.Crash, GPU: 1, At: 1e-3}}
 		}, "Faults"},
-		{"NumSamplers", func(o *train.Options) { o.NumSamplers = 2 }, "NumSamplers"},
-		{"NumLoaders", func(o *train.Options) { o.NumLoaders = 2 }, "NumLoaders"},
+		{"NumSamplers", func(o *train.Options) { o.NumSamplers = 2 }, ""},
+		{"NumLoaders", func(o *train.Options) { o.NumLoaders = 2 }, ""},
 		{"PullData", func(o *train.Options) { o.PullData = true }, ""},
 		{"UnfusedSampling", func(o *train.Options) { o.UnfusedSampling = true }, ""},
 		{"CompressTopology", func(o *train.Options) { o.CompressTopology = true }, ""},
@@ -140,6 +161,9 @@ func TestNewMultiHonoursOrRejectsOptions(t *testing.T) {
 			t.Errorf("%s: %v", tc.name, err)
 		case tc.reject == "" && st.EpochTime == plain.EpochTime:
 			t.Errorf("%s: epoch time %v identical to the plain run — option ignored", tc.name, st.EpochTime)
+		case o.DynamicCache != cache.Static && (st.Rebalances != 2 || st.RebalanceTime <= 0):
+			t.Errorf("%s: %d rebalances charging %v at the epoch boundary, want one per machine",
+				tc.name, st.Rebalances, st.RebalanceTime)
 		}
 	}
 }

@@ -26,10 +26,14 @@ func recoverOpts(td *train.Data, faults []fault.Fault) train.Options {
 }
 
 // runFT drives a full FT run and returns the report plus final parameters.
-func runFT(t *testing.T, td *train.Data, faults []fault.Fault, epochs, ckptEvery int) (*train.FTReport, []float32) {
+func runFT(t *testing.T, td *train.Data, faults []fault.Fault, epochs, ckptEvery int, mutate ...func(*train.Options)) (*train.FTReport, []float32) {
 	t.Helper()
 	build := func() (train.Recoverable, error) {
-		return core.New(recoverOpts(td, faults))
+		o := recoverOpts(td, faults)
+		for _, m := range mutate {
+			m(&o)
+		}
+		return core.New(o)
 	}
 	sys, err := build()
 	if err != nil {
@@ -99,6 +103,30 @@ func TestCrashRecoveryMatchesCrashFreeRun(t *testing.T) {
 	}
 	if pct := crashed.Ckpt.OverheadPercent(crashed.TotalTime); pct <= 0 || pct >= 50 {
 		t.Errorf("checkpoint overhead %.2f%% out of plausible range", pct)
+	}
+}
+
+// TestCrashRecoveryMultiInstance: fault tolerance drives the one pipeline
+// runner over a step range, so extra worker instances are no longer refused
+// and change nothing it promises — crash-free, crashed-and-replayed and
+// single-instance runs end on the same parameters, bit for bit.
+func TestCrashRecoveryMultiInstance(t *testing.T) {
+	td := testData(t, 4)
+	crash := []fault.Fault{{Kind: fault.Crash, GPU: 2, At: 0.005}}
+	_, want := runFT(t, td, nil, 2, 4)
+	for _, sh := range []struct{ s, l int }{{2, 2}, {3, 2}, {2, 1}, {1, 3}} {
+		shape := func(o *train.Options) { o.NumSamplers, o.NumLoaders = sh.s, sh.l }
+		_, clean := runFT(t, td, nil, 2, 4, shape)
+		crashed, replayed := runFT(t, td, crash, 2, 4, shape)
+		if len(crashed.Recoveries) == 0 {
+			t.Fatalf("%dS/%dL: crash never fired", sh.s, sh.l)
+		}
+		for i := range want {
+			if clean[i] != want[i] || replayed[i] != want[i] {
+				t.Fatalf("%dS/%dL: param %d is %g crash-free, %g after recovery, %g single-instance",
+					sh.s, sh.l, i, clean[i], replayed[i], want[i])
+			}
+		}
 	}
 }
 

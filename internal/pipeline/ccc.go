@@ -10,6 +10,22 @@
 // resource the other's peer needs — a cycle. CCC designates GPU 0 the
 // leader: collectives launch everywhere in the order the leader's own
 // workers submitted them, which eliminates cycles by construction.
+//
+// That argument is an induction over the leader's grant log, and the queues
+// must not break it. For the k-th granted collective to launch on a follower,
+// the follower's worker has to reach it, so every operation that enabled the
+// leader's worker to reach it — a peer taking a batch out of a full queue, or
+// putting one into an empty queue — must be enabled on the follower too, by
+// collectives EARLIER in the log (which the induction says complete). The
+// invariant that guarantees it: every queue has exactly one producer and one
+// consumer, each walking a fixed step sequence (RunPipelined). Whether a Put
+// or Get blocks is then a function of step counters alone, identical on every
+// GPU. A queue shared by several instances breaks this: who gets the free
+// slot is a race on that GPU, so the leader's loader 0 can run one step
+// further than a follower's, CCC imposes that order on everyone, and the
+// follower's loader waits on a queue its trainer can only drain after a
+// collective that is behind the loader's in the log — Figure 8 again, one
+// level up.
 package pipeline
 
 import (

@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -11,17 +13,17 @@ import (
 func mkStages(batches int, sampleT, loadT, trainT sim.Time, trace *[]string) Stages {
 	return Stages{
 		NumBatches: batches,
-		Sample: func(p *sim.Proc, step int) interface{} {
+		Samplers: []SampleFunc{func(p *sim.Proc, step int) interface{} {
 			p.Sleep(sampleT)
 			return step * 10
-		},
-		Load: func(p *sim.Proc, step int, v interface{}) interface{} {
+		}},
+		Loaders: []LoadFunc{func(p *sim.Proc, step int, v interface{}) interface{} {
 			if v.(int) != step*10 {
 				panic("load got wrong payload")
 			}
 			p.Sleep(loadT)
 			return step * 100
-		},
+		}},
 		Train: func(p *sim.Proc, step int, v interface{}) {
 			if v.(int) != step*100 {
 				panic("train got wrong payload")
@@ -78,35 +80,44 @@ func TestPipelinePreservesOrder(t *testing.T) {
 	}
 }
 
+// TestQueueCapacityBoundsRunAhead: behind a fast sampler and a slow trainer
+// the pipeline holds what Queues says its queues hold plus the one batch in
+// each worker's hands (both queues full + three in flight = 7 for the plain
+// pipeline at capacity 2) — the count strategy.Build reserves device memory
+// from — and more instances do hold more.
 func TestQueueCapacityBoundsRunAhead(t *testing.T) {
-	// With a fast sampler and slow trainer, the sampler can be at most
-	// queueCap*2+1 steps ahead (both queues full + one in flight).
-	eng := sim.NewEngine()
-	done := eng.NewEvent()
-	var sampled, trained int
-	maxAhead := 0
-	s := Stages{
-		NumBatches: 30,
-		Sample: func(p *sim.Proc, step int) interface{} {
-			sampled++
-			if ahead := sampled - trained; ahead > maxAhead {
-				maxAhead = ahead
-			}
-			p.Sleep(0.01)
-			return nil
-		},
-		Load: func(p *sim.Proc, step int, v interface{}) interface{} { return nil },
-		Train: func(p *sim.Proc, step int, v interface{}) {
+	const queueCap = 2
+	if Queues(1, 1) != 2 || Queues(2, 2) != 4 || Queues(3, 2) != 8 || Queues(2, 1) != 3 || Queues(1, 3) != 6 {
+		t.Fatalf("Queues: %d %d %d %d %d", Queues(1, 1), Queues(2, 2), Queues(3, 2), Queues(2, 1), Queues(1, 3))
+	}
+	prev := 0
+	for _, sh := range shapes[:3] {
+		eng := sim.NewEngine()
+		done := eng.NewEvent()
+		sampled, trained, maxAhead := 0, 0, 0
+		s := Stages{NumBatches: 60, Train: func(p *sim.Proc, step int, v interface{}) {
 			p.Sleep(1)
 			trained++
-		},
-	}
-	RunPipelined(eng, "g", s, 2, done)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxAhead > 7 {
-		t.Fatalf("sampler ran %d steps ahead with capacity 2", maxAhead)
+		}}
+		for i := 0; i < sh.s; i++ {
+			s.Samplers = append(s.Samplers, func(p *sim.Proc, step int) interface{} {
+				sampled++
+				maxAhead = max(maxAhead, sampled-trained)
+				p.Sleep(0.01)
+				return nil
+			})
+		}
+		for j := 0; j < sh.l; j++ {
+			s.Loaders = append(s.Loaders, func(p *sim.Proc, step int, v interface{}) interface{} { return nil })
+		}
+		RunPipelined(eng, "g", s, queueCap, done)
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if bound := Queues(sh.s, sh.l)*queueCap + sh.s + sh.l + 1; maxAhead > bound || maxAhead <= prev {
+			t.Fatalf("%dS/%dL: sampler ran %d steps ahead, want in (%d, %d]", sh.s, sh.l, maxAhead, prev, bound)
+		}
+		prev = maxAhead
 	}
 }
 
@@ -246,8 +257,8 @@ func TestSequentialMatchesPipelineResults(t *testing.T) {
 		var got []int
 		s := Stages{
 			NumBatches: 15,
-			Sample:     func(p *sim.Proc, step int) interface{} { p.Sleep(0.2); return step },
-			Load:       func(p *sim.Proc, step int, v interface{}) interface{} { p.Sleep(0.1); return v.(int) * 2 },
+			Samplers:   []SampleFunc{func(p *sim.Proc, step int) interface{} { p.Sleep(0.2); return step }},
+			Loaders:    []LoadFunc{func(p *sim.Proc, step int, v interface{}) interface{} { p.Sleep(0.1); return v.(int) * 2 }},
 			Train: func(p *sim.Proc, step int, v interface{}) {
 				p.Sleep(0.3)
 				got = append(got, v.(int))
@@ -270,6 +281,212 @@ func TestSequentialMatchesPipelineResults(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("step %d: pipeline %d vs seq %d", i, a[i], b[i])
+		}
+	}
+}
+
+// samplers builds n sampler instances; instance i sleeps d(i), records the
+// step in seen[i] and passes it on as the payload.
+func samplers(n int, d func(i int) sim.Time, seen [][]int) (out []SampleFunc) {
+	for i := 0; i < n; i++ {
+		out = append(out, func(p *sim.Proc, step int) interface{} {
+			p.Sleep(d(i))
+			seen[i] = append(seen[i], step)
+			return step
+		})
+	}
+	return out
+}
+
+// loaders is samplers for the load stage; the payload goes on times mul.
+func loaders(n int, d func(i int) sim.Time, mul int, seen [][]int) (out []LoadFunc) {
+	for i := 0; i < n; i++ {
+		out = append(out, func(p *sim.Proc, step int, v interface{}) interface{} {
+			p.Sleep(d(i))
+			seen[i] = append(seen[i], step)
+			return v.(int) * mul
+		})
+	}
+	return out
+}
+
+func TestMultiPipelineCompletesInOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	done := eng.NewEvent()
+	var got []int
+	// Different sampler instances run at different speeds: the trainer must
+	// still see every step, in order, with its own payload.
+	s := Stages{
+		NumBatches: 23,
+		Samplers:   samplers(3, func(i int) sim.Time { return sim.Time(0.1 * float64(i+1)) }, make([][]int, 3)),
+		Loaders:    loaders(2, func(int) sim.Time { return 0.02 }, 100, make([][]int, 2)),
+		Train: func(p *sim.Proc, step int, v interface{}) {
+			if v.(int) != step*100 {
+				t.Errorf("step %d payload %v", step, v)
+			}
+			p.Sleep(0.05)
+			got = append(got, step)
+		},
+	}
+	RunPipelined(eng, "g", s, 2, done)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !done.Fired() {
+		t.Fatal("did not complete")
+	}
+	if len(got) != 23 {
+		t.Fatalf("trained %d steps", len(got))
+	}
+	for i, s := range got {
+		if s != i {
+			t.Fatalf("out of order at %d: %v", i, got)
+		}
+	}
+}
+
+func TestMultiPipelineLoaderInstanceOrdering(t *testing.T) {
+	// Loader instance j must see steps j, j+L, j+2L... strictly in order.
+	eng := sim.NewEngine()
+	done := eng.NewEvent()
+	const L = 3
+	seen := make([][]int, L)
+	s := Stages{
+		NumBatches: 17,
+		Samplers:   samplers(1, func(int) sim.Time { return 0.01 }, make([][]int, 1)),
+		Loaders:    loaders(L, func(int) sim.Time { return 0 }, 1, seen),
+		Train:      func(p *sim.Proc, step int, v interface{}) {},
+	}
+	RunPipelined(eng, "g", s, 2, done)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < L; j++ {
+		for i, s := range seen[j] {
+			if s != j+i*L {
+				t.Fatalf("loader %d saw %v", j, seen[j])
+			}
+		}
+	}
+}
+
+func TestMultiPipelinePanicsWithoutWorkers(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for empty worker set")
+		}
+	}()
+	RunPipelined(sim.NewEngine(), "g", Stages{NumBatches: 1}, 2, nil)
+}
+
+var shapes = []struct{ s, l int }{{1, 1}, {2, 2}, {3, 2}, {2, 1}, {1, 2}}
+
+// TestFirstBatchResidueClasses: replaying the tail of an epoch, pipelined or
+// sequential, the trainer sees exactly [FirstBatch, NumBatches) in order and
+// every instance only the steps of its own residue class, ascending.
+func TestFirstBatchResidueClasses(t *testing.T) {
+	const batches = 19
+	for _, sh := range shapes[:3] {
+		for _, first := range []int{0, 1, 5} {
+			for _, pipelined := range []bool{true, false} {
+				eng := sim.NewEngine()
+				done := eng.NewEvent()
+				sSeen, lSeen := make([][]int, sh.s), make([][]int, sh.l)
+				var trained []int
+				s := Stages{
+					NumBatches: batches, FirstBatch: first,
+					Samplers: samplers(sh.s, func(i int) sim.Time { return sim.Time(0.03 * float64(i+1)) }, sSeen),
+					Loaders:  loaders(sh.l, func(i int) sim.Time { return sim.Time(0.05 * float64(sh.l-i)) }, 1, lSeen),
+					Train: func(p *sim.Proc, step int, v interface{}) {
+						p.Sleep(0.04)
+						trained = append(trained, v.(int))
+					},
+				}
+				if pipelined {
+					RunPipelined(eng, "g", s, 2, done)
+				} else {
+					RunSequential(eng, "g", s, done)
+				}
+				if _, err := eng.Run(); err != nil || !done.Fired() {
+					t.Fatalf("%dS/%dL from %d pipelined=%v: err %v, done %v", sh.s, sh.l, first, pipelined, err, done.Fired())
+				}
+				if len(trained) != batches-first {
+					t.Fatalf("%dS/%dL from %d: trained %v", sh.s, sh.l, first, trained)
+				}
+				for k, step := range trained {
+					if step != first+k {
+						t.Fatalf("%dS/%dL from %d: trained %v", sh.s, sh.l, first, trained)
+					}
+				}
+				for _, side := range [][][]int{sSeen, lSeen} {
+					total := 0
+					for i, steps := range side {
+						total += len(steps)
+						for k, step := range steps {
+							if step%len(side) != i || step < first || (k > 0 && step <= steps[k-1]) {
+								t.Fatalf("%dS/%dL from %d: instance %d of %d saw %v", sh.s, sh.l, first, i, len(side), steps)
+							}
+						}
+					}
+					if total != batches-first {
+						t.Fatalf("%dS/%dL from %d: instances ran %d steps, want %d", sh.s, sh.l, first, total, batches-first)
+					}
+				}
+			}
+		}
+	}
+}
+
+// jitterRun is the paper's Figure 8 hazard one level up: 4 GPUs whose every
+// stage is a jittered delay, one CCC-gated collective of the instance's own
+// peer group, and a per-GPU jittered tail after it (what lets one GPU's
+// worker get a step ahead of its peer on another GPU), joined by capacity-2
+// queues over 24 steps.
+func jitterRun(seed uint64, nS, nL int) error {
+	const gpus, steps = 4, 24
+	eng := sim.NewEngine()
+	c := NewCoordinator(eng, gpus, true, 2)
+	bars := make([]*sim.Barrier, nS+nL+1)
+	for w := range bars {
+		bars[w] = eng.NewBarrier(gpus)
+	}
+	for g := 0; g < gpus; g++ {
+		stage := func(worker int) func(p *sim.Proc, step int) {
+			return func(p *sim.Proc, step int) {
+				jitter := func(k uint64) sim.Time {
+					return sim.Time(rng.Mix(seed, uint64(g), uint64(worker), uint64(step), k)%1000) * 1e-5
+				}
+				p.Sleep(jitter(0))
+				c.Communicate(p, g, worker, func(p *sim.Proc) { bars[worker].Arrive(p) })
+				p.Sleep(jitter(1))
+			}
+		}
+		s := Stages{NumBatches: steps}
+		for i := 0; i < nS; i++ {
+			run := stage(i)
+			s.Samplers = append(s.Samplers, func(p *sim.Proc, step int) interface{} { run(p, step); return nil })
+		}
+		for j := 0; j < nL; j++ {
+			run := stage(nS + j)
+			s.Loaders = append(s.Loaders, func(p *sim.Proc, step int, v interface{}) interface{} { run(p, step); return nil })
+		}
+		run := stage(nS + nL)
+		s.Train = func(p *sim.Proc, step int, v interface{}) { run(p, step) }
+		RunPipelined(eng, fmt.Sprintf("gpu%d", g), s, 2, eng.NewEvent())
+	}
+	_, err := eng.Run()
+	return err
+}
+
+// TestJitterSweepNoDeadlock: no seed deadlocks at any worker shape. With
+// queues shared between instances (the runner this one replaced) the same
+// sweep deadlocked on most multi-instance seeds; see the package comment.
+func TestJitterSweepNoDeadlock(t *testing.T) {
+	for _, sh := range shapes {
+		for seed := uint64(0); seed < 200; seed++ {
+			if err := jitterRun(seed, sh.s, sh.l); err != nil {
+				t.Fatalf("%dS/%dL seed %d: %v", sh.s, sh.l, seed, err)
+			}
 		}
 	}
 }

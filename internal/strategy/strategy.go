@@ -82,8 +82,6 @@ func (k Kind) Compatible(o train.Options) error {
 		return errors.New("-strategy p3 ignores -cache-budget: each GPU holds the full [#nodes, F/world] slice")
 	case len(o.Faults) > 0:
 		return errors.New("-strategy p3 does not support fault injection (no per-row holders to re-route around)")
-	case o.NumSamplers > 1 || o.NumLoaders > 1:
-		return errors.New("-strategy p3 does not support multi-instance workers")
 	}
 	return nil
 }

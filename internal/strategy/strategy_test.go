@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hw"
 	"repro/internal/nn"
+	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/serve"
 	"repro/internal/strategy"
@@ -161,8 +162,7 @@ func TestP3RejectsIncompatibleOptions(t *testing.T) {
 		"unknown variant": {
 			func(o *train.Options) { o.Strategy = "p4" },
 			func(c *serve.Config) { c.Strategy = "p4" }},
-		"replicated":     {func(o *train.Options) { o.ReplicatedCache = true }, nil},
-		"multi-instance": {func(o *train.Options) { o.NumLoaders = 2 }, nil},
+		"replicated": {func(o *train.Options) { o.ReplicatedCache = true }, nil},
 	} {
 		o := realOpts(td, "p3")
 		tc.train(&o)
@@ -188,5 +188,32 @@ func TestP3RejectsIncompatibleOptions(t *testing.T) {
 	}
 	if _, err := serve.NewServer(serve.Config{Data: td, Duration: 0.01, Rate: 1000, Strategy: "p3"}); err != nil {
 		t.Errorf("serve.NewServer rejected plain p3: %v", err)
+	}
+}
+
+// TestInFlightReserveMatchesQueues: the device memory Build sets aside for
+// in-flight batches is the runner's own count — pipeline.Queues queues of
+// QueueCap slots — beyond the plain pipeline's, which reserves nothing.
+func TestInFlightReserveMatchesQueues(t *testing.T) {
+	td := testData(t, 2)
+	used := func(s, l int) int64 {
+		o := realOpts(td, "dsp")
+		o.NumSamplers, o.NumLoaders = s, l
+		o.QueueCap = 3
+		o.FeatureCacheBudget = int64(100 * td.RowBytes()) // the same cache at every shape
+		sys, err := core.New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.Machine().GPUs[0].MemUsed()
+	}
+	plain := used(1, 1)
+	slot := int64(512 * 32 * td.RowBytes()) // one batch, as Build prices it
+	for _, sh := range []struct{ s, l int }{{1, 1}, {2, 2}, {3, 2}} {
+		want := int64(pipeline.Queues(sh.s, sh.l)-pipeline.Queues(1, 1)) * 3 * slot
+		if got := used(sh.s, sh.l) - plain; got != want {
+			t.Errorf("%dS/%dL: %d bytes reserved for in-flight batches, want %d (%d queues x 3 slots)",
+				sh.s, sh.l, got, want, pipeline.Queues(sh.s, sh.l))
+		}
 	}
 }

@@ -96,25 +96,22 @@ func Build(m *hw.Machine, opts train.Options, role Role) (*Substrate, error) {
 		world.SetHostStore(s.Host)
 	}
 
-	// Every extra worker instance holds additional in-flight mini-batches
-	// (graph samples + gathered features) in device memory — the first
-	// reason the paper gives against the multi-instance design ("it
-	// consumes more memory for in-flight works and thus leaves less GPU
-	// memory to cache graph topology and node features"). Reserve them
-	// BEFORE sizing the feature cache: they eat directly into it.
+	// Every extra worker instance adds pipeline queues, and every queue slot
+	// is an in-flight mini-batch (graph samples + gathered features) held in
+	// device memory — the first reason the paper gives against the
+	// multi-instance design ("it consumes more memory for in-flight works
+	// and thus leaves less GPU memory to cache graph topology and node
+	// features"). The count is the runner's own (pipeline.Queues). Reserve
+	// them BEFORE sizing the feature cache: they eat directly into it.
 	nS, nL := max(opts.NumSamplers, 1), max(opts.NumLoaders, 1)
-	if extra := (nS - 1) + (nL - 1); extra > 0 {
-		qc := opts.QueueCap
-		if qc < 1 {
-			qc = 2
-		}
-		want := int64(extra) * int64(qc) * int64(opts.BatchSize) * 32 * int64(d.RowBytes())
+	if extra := pipeline.Queues(nS, nL) - pipeline.Queues(1, 1); extra > 0 {
+		want := int64(extra) * int64(opts.QueueCap) * int64(opts.BatchSize) * 32 * int64(d.RowBytes())
 		for _, dev := range m.GPUs {
 			// In-flight buffers squeeze the feature cache down to nothing
 			// before the build fails outright (leave a 5% floor so the
 			// system still assembles; the cache just starves).
 			if err := dev.Reserve(min(want, dev.MemFree()*95/100)); err != nil {
-				return nil, fmt.Errorf("in-flight buffers for %d extra workers: %w", extra, err)
+				return nil, fmt.Errorf("in-flight buffers for %d extra queues: %w", extra, err)
 			}
 		}
 	}
@@ -204,6 +201,32 @@ func (s *Substrate) Sample(p *sim.Proc, w *csp.World, rank int, seeds []graph.No
 	default:
 		return w.SampleBatch(p, rank, seeds, s.Opts.Sample, seed)
 	}
+}
+
+// Stages adapts the substrate to rank's pipeline stages for an epoch of
+// steps batches — the one place training's sample → Load → Train chain is
+// written. Sampler instance i samples on world i, loader instance j loads
+// over communicator j, the trainer accumulates into st; batch names the
+// seeds and the sampling seed of a step (the schedule is the caller's: a
+// cluster strides it across machines).
+func (s *Substrate) Stages(rank, steps int, st *train.EpochStats,
+	batch func(step int) (seeds []graph.NodeID, sampleSeed uint64)) pipeline.Stages {
+	ps := pipeline.Stages{NumBatches: steps}
+	for _, w := range s.Worlds {
+		ps.Samplers = append(ps.Samplers, func(p *sim.Proc, step int) interface{} {
+			seeds, seed := batch(step)
+			return s.Sample(p, w, rank, seeds, seed)
+		})
+	}
+	for _, lc := range s.Loaders {
+		ps.Loaders = append(ps.Loaders, func(p *sim.Proc, step int, v interface{}) interface{} {
+			return s.Strategy.Load(p, rank, v.(*sample.MiniBatch), lc)
+		})
+	}
+	ps.Train = func(p *sim.Proc, step int, v interface{}) {
+		s.Strategy.Train(p, rank, v.(Loaded), st)
+	}
+	return ps
 }
 
 // Counters is the substrate's cumulative snapshot of the one counter set —

@@ -28,67 +28,21 @@ type Window struct {
 	Boundary func(p *sim.Proc)
 }
 
-// RunEpoch spawns per-GPU workers built by stagesFor and runs the engine to
-// completion, collecting timing, utilization and communication-volume stats.
-// pipelined selects the producer-consumer pipeline; otherwise stages run
-// back to back (DSP-Seq and all baseline systems). Each stage is preceded
-// by the host-side framework overhead; in pipelined mode the three workers
-// pay it concurrently, which is part of what the pipeline hides.
-func RunEpoch(m *hw.Machine, epoch int, pipelined bool, queueCap int, overhead sim.Time,
-	stagesFor func(rank int, st *EpochStats) pipeline.Stages) (EpochStats, error) {
-	return RunEpochSteps(Window{Machines: []*hw.Machine{m}}, epoch, 0, -1, pipelined, queueCap, overhead,
-		func(_, rank int, st *EpochStats) pipeline.Stages { return stagesFor(rank, st) })
-}
-
-// RunEpochSteps is RunEpoch over every GPU of w restricted to steps
-// [from, to) — the partial-epoch replay primitive of the fault-tolerance
-// driver. to < 0 keeps the stage builder's NumBatches (a full epoch from
-// from).
-func RunEpochSteps(w Window, epoch, from, to int, pipelined bool, queueCap int, overhead sim.Time,
+// RunEpoch is the one epoch entry point every training path shares. It
+// snapshots the window's counters, resets the busy clocks, spawns on every GPU
+// (machine-major, rank order) the workers of the stages stagesFor builds —
+// restricted to steps [from, to), the partial-epoch replay primitive of the
+// fault-tolerance driver; to < 0 keeps the builder's NumBatches — runs the
+// engine to quiescence, runs the boundary pass, and folds the per-GPU stats,
+// the utilization and the counter delta into one EpochStats.
+//
+// pipelined selects the producer-consumer pipeline; otherwise stages run back
+// to back (DSP-Seq and all baseline systems). Every stage instance runs under
+// the stageHook, preceded by the host-side framework overhead; in pipelined
+// mode the workers pay it concurrently, which is part of what the pipeline
+// hides.
+func RunEpoch(w Window, epoch, from, to int, pipelined bool, queueCap int, overhead sim.Time,
 	stagesFor func(machine, rank int, st *EpochStats) pipeline.Stages) (EpochStats, error) {
-	return MeasureEpoch(w, epoch, func(machine, rank int, st *EpochStats, done *sim.Event) {
-		m := w.Machines[machine]
-		stages := stagesFor(machine, rank, st)
-		stages.FirstBatch = from
-		if to >= 0 {
-			stages.NumBatches = to
-		}
-		h := stageHook{overhead: overhead, tracer: m.GPUs[rank].Tracer, rank: rank}
-		if h.tracer.Enabled() {
-			// Arms the pipeline's queue-wait stall tracing on the same lanes.
-			stages.Tracer, stages.Pid = h.tracer, rank
-		}
-		sample, load, train := stages.Sample, stages.Load, stages.Train
-		stages.Sample = func(p *sim.Proc, step int) (v interface{}) {
-			h.run(p, "sample", trace.LaneSampler, step, &st.SampleStage, st.SampleDist, func() { v = sample(p, step) })
-			return v
-		}
-		stages.Load = func(p *sim.Proc, step int, in interface{}) (v interface{}) {
-			h.run(p, "load", trace.LaneLoader, step, &st.LoadStage, st.LoadDist, func() { v = load(p, step, in) })
-			return v
-		}
-		stages.Train = func(p *sim.Proc, step int, in interface{}) {
-			h.run(p, "train", trace.LaneTrainer, step, &st.TrainStage, st.TrainDist, func() { train(p, step, in) })
-		}
-		name := fmt.Sprintf("gpu%d", rank)
-		if m.Cluster != nil {
-			name = fmt.Sprintf("m%dg%d", machine, rank)
-		}
-		if pipelined {
-			pipeline.RunPipelined(m.Eng, name, stages, queueCap, done)
-		} else {
-			pipeline.RunSequential(m.Eng, name, stages, done)
-		}
-	})
-}
-
-// MeasureEpoch is the one epoch bracket every training path shares: snapshot
-// the window's counters, reset the busy clocks, let spawn start each GPU's
-// workers (machine-major, rank order — they accumulate into st and fire
-// done), run the engine to quiescence, run the boundary pass, and fold the
-// per-GPU stats, the utilization and the counter delta into one EpochStats.
-func MeasureEpoch(w Window, epoch int,
-	spawn func(machine, rank int, st *EpochStats, done *sim.Event)) (EpochStats, error) {
 	if w.Counters == nil {
 		w.Counters = func() Counters { return FabricCounters(w.Machines...) }
 	}
@@ -97,13 +51,27 @@ func MeasureEpoch(w Window, epoch int,
 	before := w.Counters()
 	var stats []*EpochStats
 	var dones []*sim.Event
-	for i, m := range w.Machines {
+	for mi, m := range w.Machines {
 		for rank, g := range m.GPUs {
 			g.ResetBusy()
 			st := &EpochStats{SampleDist: metrics.New(), LoadDist: metrics.New(), TrainDist: metrics.New()}
 			done := eng.NewEvent()
 			stats, dones = append(stats, st), append(dones, done)
-			spawn(i, rank, st, done)
+			stages := stagesFor(mi, rank, st)
+			stages.FirstBatch = from
+			if to >= 0 {
+				stages.NumBatches = to
+			}
+			stageHook{overhead: overhead, tracer: g.Tracer, rank: rank}.wrap(&stages, st)
+			name := fmt.Sprintf("gpu%d", rank)
+			if m.Cluster != nil {
+				name = fmt.Sprintf("m%dg%d", mi, rank)
+			}
+			if pipelined {
+				pipeline.RunPipelined(eng, name, stages, queueCap, done)
+			} else {
+				pipeline.RunSequential(eng, name, stages, done)
+			}
 		}
 	}
 	end, err := eng.Run()
@@ -143,6 +111,38 @@ type stageHook struct {
 	overhead sim.Time
 	tracer   *trace.Tracer
 	rank     int
+}
+
+// wrap puts every stage instance of s under the hook, accumulating into st.
+func (h stageHook) wrap(s *pipeline.Stages, st *EpochStats) {
+	// More worker instances contend for the same host cores, so each stage's
+	// framework overhead grows with the total instance count (the paper's
+	// second reason against them: "the resource contention for both CPU and
+	// GPU is more severe"). Only past the plain pipeline's three workers:
+	// x*3/3 is not x in float64, and single-instance byte identity hangs on it.
+	if workers := len(s.Samplers) + len(s.Loaders) + 1; workers > 3 {
+		h.overhead = h.overhead * sim.Time(workers) / 3
+	}
+	if h.tracer.Enabled() {
+		// Arms the pipeline's queue-wait stall tracing on the same lanes.
+		s.Tracer, s.Pid = h.tracer, h.rank
+	}
+	for i, sample := range s.Samplers {
+		s.Samplers[i] = func(p *sim.Proc, step int) (v interface{}) {
+			h.run(p, "sample", trace.LaneSampler, step, &st.SampleStage, st.SampleDist, func() { v = sample(p, step) })
+			return v
+		}
+	}
+	for j, load := range s.Loaders {
+		s.Loaders[j] = func(p *sim.Proc, step int, in interface{}) (v interface{}) {
+			h.run(p, "load", trace.LaneLoader, step, &st.LoadStage, st.LoadDist, func() { v = load(p, step, in) })
+			return v
+		}
+	}
+	train := s.Train
+	s.Train = func(p *sim.Proc, step int, in interface{}) {
+		h.run(p, "train", trace.LaneTrainer, step, &st.TrainStage, st.TrainDist, func() { train(p, step, in) })
+	}
 }
 
 func (h stageHook) run(p *sim.Proc, name string, lane, step int, total *sim.Time, dist *metrics.Histogram, body func()) {

@@ -141,7 +141,7 @@ type EpochStats struct {
 	Utilization []float64
 	// Counters is the epoch's delta of the substrate's counter set (wire
 	// per class, cache tiers and adaptation, store, codecs, strategy),
-	// taken by the one bracket in MeasureEpoch. Baselines count wire only.
+	// taken by the one bracket in RunEpoch. Baselines count wire only.
 	Counters
 	// Stage time totals (virtual seconds summed across ranks and steps,
 	// including the host-side stage overhead): how long the epoch spent in
@@ -195,6 +195,28 @@ type System interface {
 	Machine() *hw.Machine
 	// Model returns rank 0's model replica (nil in cost-only mode).
 	Model() *nn.Model
+}
+
+// SampleEpoch is the sampler-only epoch behind every System.RunSampleEpoch:
+// one worker per GPU of m pays overhead and calls sample for each step, with
+// nothing else running (the paper's Table 6 methodology — "running the
+// sampler individually without interference from other workers").
+func SampleEpoch(m *hw.Machine, epoch, steps int, overhead sim.Time,
+	sample func(p *sim.Proc, rank, step int)) (EpochStats, error) {
+	start := m.Eng.Now()
+	for rank := range m.GPUs {
+		m.Eng.Go(fmt.Sprintf("gpu%d/sampler", rank), func(p *sim.Proc) {
+			for step := 0; step < steps; step++ {
+				p.Sleep(overhead)
+				sample(p, rank, step)
+			}
+		})
+	}
+	end, err := m.Eng.Run()
+	if err != nil {
+		return EpochStats{}, err
+	}
+	return EpochStats{Epoch: epoch, SampleTime: end - start, EpochTime: end - start}, nil
 }
 
 // Options configures a system build. Zero values get defaults from Default.
@@ -354,6 +376,9 @@ func (o Options) Validate() error {
 	}
 	if len(o.Sample.Fanout) != o.Model.Layers {
 		return fmt.Errorf("train: %d fan-outs for %d model layers", len(o.Sample.Fanout), o.Model.Layers)
+	}
+	if o.QueueCap < 0 {
+		return fmt.Errorf("train: negative QueueCap %d (0 selects the default of 2)", o.QueueCap)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -161,6 +162,11 @@ func TestOptionsValidateRejectsMismatch(t *testing.T) {
 	if (Options{}).Validate() == nil {
 		t.Fatal("missing data accepted")
 	}
+	// Defaults resolves 0; a negative capacity is nobody's to clamp.
+	neg := Options{Data: td, QueueCap: -1}.Defaults()
+	if err := neg.Validate(); err == nil || !strings.Contains(err.Error(), "QueueCap") {
+		t.Fatalf("negative QueueCap: %v", err)
+	}
 }
 
 func TestEffectiveStageOverhead(t *testing.T) {
@@ -222,11 +228,11 @@ func TestEpochStatsAcc(t *testing.T) {
 func TestRunEpochPopulatesStageDistributions(t *testing.T) {
 	m := hw.NewMachine(2, hw.V100(), hw.XeonE5())
 	const steps = 4
-	stats, err := RunEpoch(m, 0, true, 2, 0, func(rank int, st *EpochStats) pipeline.Stages {
+	stats, err := RunEpoch(Window{Machines: []*hw.Machine{m}}, 0, 0, -1, true, 2, 0, func(_, rank int, st *EpochStats) pipeline.Stages {
 		return pipeline.Stages{
 			NumBatches: steps,
-			Sample:     func(p *sim.Proc, step int) interface{} { p.Sleep(0.001); return step },
-			Load:       func(p *sim.Proc, step int, v interface{}) interface{} { p.Sleep(0.002); return v },
+			Samplers:   []pipeline.SampleFunc{func(p *sim.Proc, step int) interface{} { p.Sleep(0.001); return step }},
+			Loaders:    []pipeline.LoadFunc{func(p *sim.Proc, step int, v interface{}) interface{} { p.Sleep(0.002); return v }},
 			Train:      func(p *sim.Proc, step int, v interface{}) { p.Sleep(0.003) },
 		}
 	})

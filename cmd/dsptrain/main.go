@@ -142,17 +142,13 @@ func main() {
 	case "dsp-seq":
 		opts.Pipeline = false
 		sys, err = core.New(opts)
-	case "pyg":
-		sys, err = baselines.New(baselines.PyG, opts)
-	case "dgl-cpu":
-		sys, err = baselines.New(baselines.DGLCPU, opts)
-	case "dgl-uva":
-		sys, err = baselines.New(baselines.DGLUVA, opts)
-	case "quiver":
-		sys, err = baselines.New(baselines.Quiver, opts)
 	default:
-		fmt.Fprintf(os.Stderr, "dsptrain: unknown system %q\n", *sysName)
-		os.Exit(2)
+		kind, perr := baselines.Parse(*sysName)
+		if perr != nil {
+			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", perr)
+			os.Exit(2)
+		}
+		sys, err = baselines.New(kind, opts)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
@@ -184,24 +180,23 @@ func main() {
 		at.AttachTelemetry(hub)
 	}
 	if *loadFm != "" {
-		ck, err := nn.LoadFile(*loadFm)
+		ck, err := ckpt.LoadFile(*loadFm)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
 			os.Exit(1)
 		}
-		if ck.Cfg != opts.Model {
-			fmt.Fprintf(os.Stderr, "dsptrain: checkpoint config %+v does not match model %+v\n", ck.Cfg, opts.Model)
+		if ck.Model != opts.Model {
+			fmt.Fprintf(os.Stderr, "dsptrain: checkpoint config %+v does not match model %+v\n", ck.Model, opts.Model)
 			os.Exit(1)
 		}
 		// Every replica starts from the checkpoint (BSP keeps them equal).
-		buf := make([]float32, ck.ParamCount())
-		ck.ParamVector(buf)
 		for _, m := range trainerModels(sys) {
-			i := 0
-			for _, p := range m.Params {
-				copy(p.W.Data, buf[i:i+len(p.W.Data)])
-				i += len(p.W.Data)
+			if len(ck.Params) != m.ParamCount() {
+				fmt.Fprintf(os.Stderr, "dsptrain: checkpoint %s has %d params, model wants %d\n",
+					*loadFm, len(ck.Params), m.ParamCount())
+				os.Exit(1)
 			}
+			m.SetParamVector(ck.Params)
 		}
 		fmt.Printf("loaded checkpoint %s\n", *loadFm)
 	}
@@ -270,13 +265,7 @@ func main() {
 			final.SetParamVector(last.Params)
 		}
 		fmt.Printf("final validation accuracy %.3f\n", train.Evaluate(td, final, opts.Sample, 2000, 99))
-		if *saveTo != "" {
-			if err := final.SaveFile(*saveTo); err != nil {
-				fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("saved model checkpoint to %s\n", *saveTo)
-		}
+		saveModel(*saveTo, opts.Seed, final)
 		finish(train.ReportInput{Epochs: rep.Epochs, FT: rep})
 		return
 	}
@@ -306,14 +295,24 @@ func main() {
 				st.CachePromoted, float64(st.RebalanceBytes)/(1<<20), 1e3*float64(st.RebalanceTime))
 		}
 	}
-	if *saveTo != "" {
-		if err := sys.Model().SaveFile(*saveTo); err != nil {
-			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("saved model checkpoint to %s\n", *saveTo)
-	}
+	saveModel(*saveTo, opts.Seed, sys.Model())
 	finish(train.ReportInput{Epochs: allStats, ValAcc: valAccs})
+}
+
+// saveModel is -save: m's parameters as a params-only checkpoint (cursor zero,
+// no optimizer state) in the one format -load, -ckpt-file and the recovery
+// driver share. A no-op without a path.
+func saveModel(path string, seed uint64, m *nn.Model) {
+	if path == "" {
+		return
+	}
+	st := &ckpt.TrainState{Seed: seed, Model: m.Cfg, Params: make([]float32, m.ParamCount())}
+	m.ParamVector(st.Params)
+	if err := st.SaveFile(path); err != nil {
+		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("saved model checkpoint to %s\n", path)
 }
 
 // trainerModels returns every model replica of a system so a checkpoint can

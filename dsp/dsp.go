@@ -24,7 +24,6 @@ package dsp
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -116,9 +115,6 @@ func PrepareHash(d *Dataset, nGPU int, seed uint64) *Data {
 // partitioned feature cache, CSP sampling, pipelined workers under CCC).
 func New(opts Options) (*Trainer, error) { return core.New(opts) }
 
-// MultiTrainer is the multi-machine DSP system (paper §3.2).
-type MultiTrainer = core.MultiDSP
-
 // NetworkSpec describes the inter-machine interconnect.
 type NetworkSpec = hw.NetworkSpec
 
@@ -128,27 +124,18 @@ func InfiniBandEDR() NetworkSpec { return hw.InfiniBandEDR() }
 // NewMulti builds DSP across machines identical simulated servers: topology
 // and hot features replicate per machine, cold features partition across
 // machines, gradients synchronise hierarchically.
-func NewMulti(opts Options, machines int, net NetworkSpec) (*MultiTrainer, error) {
+func NewMulti(opts Options, machines int, net NetworkSpec) (*Trainer, error) {
 	return core.NewMulti(opts, machines, net)
 }
 
 // NewBaseline builds one of the comparison systems by name: "pyg",
 // "dgl-cpu", "dgl-uva", "quiver" or "fastgcn".
 func NewBaseline(name string, opts Options) (System, error) {
-	switch strings.ToLower(name) {
-	case "pyg":
-		return baselines.New(baselines.PyG, opts)
-	case "dgl-cpu", "dglcpu":
-		return baselines.New(baselines.DGLCPU, opts)
-	case "dgl-uva", "dgluva":
-		return baselines.New(baselines.DGLUVA, opts)
-	case "quiver":
-		return baselines.New(baselines.Quiver, opts)
-	case "fastgcn":
-		return baselines.New(baselines.FastGCN, opts)
-	default:
-		return nil, fmt.Errorf("dsp: unknown baseline %q", name)
+	kind, err := baselines.Parse(name)
+	if err != nil {
+		return nil, fmt.Errorf("dsp: %w", err)
 	}
+	return baselines.New(kind, opts)
 }
 
 // Evaluate computes validation accuracy of a trained model (maxNodes <= 0

@@ -21,6 +21,7 @@ package baselines
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/comm"
 	"repro/internal/hw"
@@ -62,6 +63,18 @@ func (k Kind) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// Parse resolves a system name to its Kind: Kind.String() case-insensitively,
+// the hyphen optional ("dgl-uva", "DGLUVA").
+func Parse(name string) (Kind, error) {
+	fold := func(s string) string { return strings.ReplaceAll(strings.ToLower(s), "-", "") }
+	for k := PyG; k <= FastGCN; k++ {
+		if fold(name) == fold(k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("baselines: unknown system %q", name)
 }
 
 // Per-system CPU sampling parameters: worker threads per GPU process and
@@ -321,8 +334,8 @@ func (b *Baseline) RunEpoch(epoch int) (train.EpochStats, error) {
 
 // RunSampleEpoch implements train.System (Table 6 / Table 7 measurements).
 func (b *Baseline) RunSampleEpoch(epoch int) (train.EpochStats, error) {
-	return train.SampleEpoch(b.m, epoch, b.sched.Steps, b.Opts.EffectiveStageOverhead(),
-		func(p *sim.Proc, rank, step int) { b.sampleStage(p, rank, epoch, step) })
+	return train.SampleEpoch([]*hw.Machine{b.m}, epoch, b.sched.Steps, b.Opts.EffectiveStageOverhead(),
+		func(p *sim.Proc, _, rank, step int) { b.sampleStage(p, rank, epoch, step) })
 }
 
 var _ train.System = (*Baseline)(nil)

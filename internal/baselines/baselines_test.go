@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -34,9 +35,20 @@ func TestKindStrings(t *testing.T) {
 		if k.String() != s {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), s)
 		}
+		// Parse inverts String, whatever the case, with or without the hyphen.
+		for _, name := range []string{s, strings.ToLower(s), strings.ReplaceAll(strings.ToUpper(s), "-", "")} {
+			if got, err := Parse(name); err != nil || got != k {
+				t.Errorf("Parse(%q) = %v, %v, want %v", name, got, err, k)
+			}
+		}
 	}
 	if Kind(99).String() != "unknown" {
 		t.Error("unknown kind string")
+	}
+	for _, name := range []string{"unknown", "", "dsp", "dgl--uva-x"} {
+		if k, err := Parse(name); err == nil {
+			t.Errorf("Parse(%q) = %v, want an error", name, k)
+		}
 	}
 }
 

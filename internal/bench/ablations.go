@@ -263,20 +263,11 @@ func AblationMultiMachine(cfg RunConfig) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for e := 0; e < cfg.Warmup; e++ {
-				if _, err := sys.RunEpoch(e); err != nil {
-					return nil, err
-				}
+			avg, _, err := measure(sys, cfg, false)
+			if err != nil {
+				return nil, err
 			}
-			var total float64
-			for e := 0; e < cfg.Measure; e++ {
-				st, err := sys.RunEpoch(cfg.Warmup + e)
-				if err != nil {
-					return nil, err
-				}
-				total += float64(st.EpochTime)
-			}
-			t.Set(fmt.Sprintf("%d machine%s", m, map[bool]string{true: "s", false: ""}[m > 1]), ds, total/float64(cfg.Measure))
+			t.Set(fmt.Sprintf("%d machine%s", m, map[bool]string{true: "s", false: ""}[m > 1]), ds, avg)
 		}
 	}
 	t.Notes = append(t.Notes, "machines replicate topology + hot features and communicate only cold features and gradients (paper §3.2)")

@@ -53,9 +53,6 @@ type RunConfig struct {
 	Telemetry bool
 }
 
-// DefaultConfig is the benchmark-scale configuration.
-func DefaultConfig() RunConfig { return RunConfig{Shrink: 1, Warmup: 1, Measure: 2} }
-
 // batchCountScale is the paper-batches / stand-in-batches ratio the fixed
 // per-batch costs are divided by (see the package comment).
 const batchCountScale = 25
@@ -292,18 +289,12 @@ func buildSystem(name string, opts train.Options) (train.System, error) {
 	case "P3":
 		opts.Strategy = "p3"
 		return core.New(opts)
-	case "PyG":
-		return baselines.New(baselines.PyG, opts)
-	case "DGL-CPU":
-		return baselines.New(baselines.DGLCPU, opts)
-	case "DGL-UVA":
-		return baselines.New(baselines.DGLUVA, opts)
-	case "Quiver":
-		return baselines.New(baselines.Quiver, opts)
-	case "FastGCN":
-		return baselines.New(baselines.FastGCN, opts)
 	default:
-		return nil, fmt.Errorf("bench: unknown system %q", name)
+		kind, err := baselines.Parse(name)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %w", err)
+		}
+		return baselines.New(kind, opts)
 	}
 }
 

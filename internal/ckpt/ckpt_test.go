@@ -68,17 +68,31 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 func TestSaveLoadFile(t *testing.T) {
-	s := sampleState()
-	path := filepath.Join(t.TempDir(), "state.dspc")
-	if err := s.SaveFile(path); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if !reflect.DeepEqual(s, got) {
-		t.Fatalf("file round trip mismatch")
+	full := sampleState()
+	// What dsptrain -save writes: the parameters alone — cursor zero, no
+	// optimizer state.
+	paramsOnly := &TrainState{Seed: full.Seed, Model: full.Model, Params: full.Params}
+	for name, s := range map[string]*TrainState{"full": full, "params-only": paramsOnly} {
+		path := filepath.Join(t.TempDir(), "state.dspc")
+		if err := s.SaveFile(path); err != nil {
+			t.Fatalf("%s: save: %v", name, err)
+		}
+		got, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("%s: load: %v", name, err)
+		}
+		if !reflect.DeepEqual(s, got) {
+			t.Fatalf("%s: file round trip mismatch:\n  in  %+v\n  out %+v", name, s, got)
+		}
+		// Loaded into a differently-initialised model (dsptrain -load), the
+		// parameters are the saved model's, bit for bit.
+		m := nn.NewModel(got.Model, 7)
+		m.SetParamVector(got.Params)
+		back := make([]float32, m.ParamCount())
+		m.ParamVector(back)
+		if !reflect.DeepEqual(back, s.Params) {
+			t.Fatalf("%s: parameters changed through SetParamVector", name)
+		}
 	}
 }
 

@@ -143,9 +143,6 @@ func (c *Common) FaultSchedule(gpus int) ([]fault.Fault, error) {
 	return fault.ParseSpec(*c.faults, gpus)
 }
 
-// FaultSpec returns the raw -faults string (empty = no faults).
-func (c *Common) FaultSpec() string { return *c.faults }
-
 // Policy resolves the -cache flag.
 func (c *Common) Policy() (cache.Policy, error) {
 	return cache.ParsePolicy(*c.cachePolicy)
@@ -286,9 +283,6 @@ func RegisterTelemetry(fs *flag.FlagSet) *Telemetry {
 
 // Enabled reports whether any telemetry flag turned the hub on.
 func (t *Telemetry) Enabled() bool { return *t.enabled || *t.out != "" }
-
-// OutPath returns the -telemetry-out destination (may be empty).
-func (t *Telemetry) OutPath() string { return *t.out }
 
 // Hub builds the configured hub, or nil when telemetry is off. slo is the
 // run's latency objective (the -slo flag for serving; seconds).

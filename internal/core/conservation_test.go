@@ -95,7 +95,7 @@ func runDSP(t *testing.T, o train.Options) counted {
 		t.Fatal(err)
 	}
 	parts, epochs := trainEpochs(t, sys, 2)
-	return counted{parts: parts, subs: []*strategy.Substrate{sys.sub},
+	return counted{parts: parts, subs: sys.subs,
 		report: train.BuildRunReport(train.ReportInput{Command: "test", Epochs: epochs})}
 }
 
@@ -118,7 +118,7 @@ func runFT(t *testing.T, o train.Options, faults []fault.Fault) counted {
 	build := func() (train.Recoverable, error) {
 		sys, err := New(o)
 		if err == nil {
-			subs = append(subs, sys.sub)
+			subs = append(subs, sys.subs...)
 		}
 		return sys, err
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hw"
+	"repro/internal/telemetry"
 	"repro/internal/train"
 )
 
@@ -121,6 +122,7 @@ func TestNewMultiHonoursOrRejectsOptions(t *testing.T) {
 		if err != nil {
 			return train.EpochStats{}, err
 		}
+		sys.ArmFaults(0)
 		return sys.RunEpoch(0)
 	}
 	plain, err := epoch(smallOpts(td))
@@ -140,9 +142,16 @@ func TestNewMultiHonoursOrRejectsOptions(t *testing.T) {
 			o.DynamicCache, o.FeatureCacheBudget = cache.LFUDecay, int64(100*td.RowBytes())
 		}, ""},
 		{"ReplicatedCache", func(o *train.Options) { o.ReplicatedCache = true }, ""},
+		// Fault GPU ids are cluster-wide: gpu3 is machine 1's GPU 1.
 		{"Faults", func(o *train.Options) {
-			o.Faults = []fault.Fault{{Kind: fault.Crash, GPU: 1, At: 1e-3}}
-		}, "Faults"},
+			o.Faults = []fault.Fault{{Kind: fault.Stall, GPU: 3, At: 1e-3, Duration: 0.02}}
+		}, ""},
+		{"Faults past the cluster", func(o *train.Options) {
+			o.Faults = []fault.Fault{{Kind: fault.Crash, GPU: 4, At: 1e-3}}
+		}, "gpu4 out of range (the run has gpu0..gpu3)"},
+		{"Faults on a link between machines", func(o *train.Options) {
+			o.Faults = []fault.Fault{{Kind: fault.LinkDown, GPU: 1, Peer: 2, At: 1e-3, Duration: 0.01}}
+		}, "gpu1-gpu2 spans machines 0 and 1"},
 		{"NumSamplers", func(o *train.Options) { o.NumSamplers = 2 }, ""},
 		{"NumLoaders", func(o *train.Options) { o.NumLoaders = 2 }, ""},
 		{"PullData", func(o *train.Options) { o.PullData = true }, ""},
@@ -229,7 +238,7 @@ func TestMultiDSPOnlyColdAndGradOverNIC(t *testing.T) {
 	if _, err := sys.RunEpoch(0); err != nil {
 		t.Fatal(err)
 	}
-	net := sys.Cluster().Net
+	net := sys.Machine().Cluster.Net
 	if net.Bytes[hw.TrafficSample] != 0 {
 		t.Errorf("sampling crossed the NIC: %d bytes", net.Bytes[hw.TrafficSample])
 	}
@@ -238,5 +247,51 @@ func TestMultiDSPOnlyColdAndGradOverNIC(t *testing.T) {
 	}
 	if net.Bytes[hw.TrafficGradient] == 0 {
 		t.Error("no gradient NIC traffic")
+	}
+}
+
+// TestAttachTelemetrySeriesNames: one machine registers its scrape sources
+// under the names dsp-telemetry/1 documents have always carried; a cluster
+// registers the same set once per machine, under m<i>/.
+func TestAttachTelemetrySeriesNames(t *testing.T) {
+	td := testData(t, 2)
+	names := func(machines int) []string {
+		var sys *core.DSP
+		var err error
+		if machines > 1 {
+			sys, err = core.NewMulti(smallOpts(td), machines, hw.InfiniBandEDR())
+		} else {
+			sys, err = core.New(smallOpts(td))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		hub := telemetry.New(telemetry.Config{})
+		sys.AttachTelemetry(hub)
+		if _, err := sys.RunEpoch(0); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, s := range hub.Finish(sys.Machine().Eng.Now()).Series {
+			if len(s.Values) == 0 {
+				t.Errorf("%d machine(s): series %s was never scraped", machines, s.Name)
+			}
+			out = append(out, s.Name)
+		}
+		return out
+	}
+	single := []string{"gpu0/busy", "gpu1/busy", "cache/hit_rate",
+		"wire/sample_bytes", "wire/feature_bytes", "wire/gradient_bytes"}
+	if got := names(1); !reflect.DeepEqual(got, single) {
+		t.Errorf("single-machine series %v, want %v", got, single)
+	}
+	var cluster []string
+	for _, prefix := range []string{"m0/", "m1/"} {
+		for _, n := range single {
+			cluster = append(cluster, prefix+n)
+		}
+	}
+	if got := names(2); !reflect.DeepEqual(got, cluster) {
+		t.Errorf("2-machine series %v, want %v", got, cluster)
 	}
 }

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/sample"
 	"repro/internal/train"
@@ -28,10 +30,19 @@ func recoverOpts(td *train.Data, faults []fault.Fault) train.Options {
 // runFT drives a full FT run and returns the report plus final parameters.
 func runFT(t *testing.T, td *train.Data, faults []fault.Fault, epochs, ckptEvery int, mutate ...func(*train.Options)) (*train.FTReport, []float32) {
 	t.Helper()
+	return runFTOn(t, 1, td, faults, epochs, ckptEvery, mutate...)
+}
+
+// runFTOn is runFT on a cluster of machines (a stand-alone machine when 1).
+func runFTOn(t *testing.T, machines int, td *train.Data, faults []fault.Fault, epochs, ckptEvery int, mutate ...func(*train.Options)) (*train.FTReport, []float32) {
+	t.Helper()
 	build := func() (train.Recoverable, error) {
 		o := recoverOpts(td, faults)
 		for _, m := range mutate {
 			m(&o)
+		}
+		if machines > 1 {
+			return core.NewMulti(o, machines, hw.InfiniBandEDR())
 		}
 		return core.New(o)
 	}
@@ -49,6 +60,28 @@ func runFT(t *testing.T, td *train.Data, faults []fault.Fault, epochs, ckptEvery
 		t.Fatalf("no final checkpoint")
 	}
 	return rep, last.Params
+}
+
+// sameOutcome fails unless two FT runs ended on bit-identical parameters and
+// per-epoch training stats.
+func sameOutcome(t *testing.T, name string, a, b *train.FTReport, ap, bp []float32) {
+	t.Helper()
+	if len(ap) == 0 || len(ap) != len(bp) {
+		t.Fatalf("%s: param vectors missing or mismatched: %d vs %d", name, len(ap), len(bp))
+	}
+	for i := range ap {
+		if ap[i] != bp[i] {
+			t.Fatalf("%s: param %d differs: %g vs %g (resume must be bit-identical)", name, i, ap[i], bp[i])
+		}
+	}
+	// Epoch training stats are merged segment-by-segment in the same order,
+	// so the loss curves match bitwise too.
+	for e := range a.Epochs {
+		c, x := a.Epochs[e], b.Epochs[e]
+		if c.Loss != x.Loss || c.Correct != x.Correct || c.Seen != x.Seen {
+			t.Fatalf("%s: epoch %d stats diverge: %+v vs %+v", name, e, c, x)
+		}
+	}
 }
 
 // TestCrashRecoveryMatchesCrashFreeRun is the headline acceptance test: a
@@ -78,23 +111,7 @@ func TestCrashRecoveryMatchesCrashFreeRun(t *testing.T) {
 	if crashed.TotalTime <= clean.TotalTime {
 		t.Errorf("crashed run (%v) not slower than clean run (%v)", crashed.TotalTime, clean.TotalTime)
 	}
-	if len(cleanParams) == 0 || len(cleanParams) != len(crashedParams) {
-		t.Fatalf("param vectors missing or mismatched: %d vs %d", len(cleanParams), len(crashedParams))
-	}
-	for i := range cleanParams {
-		if cleanParams[i] != crashedParams[i] {
-			t.Fatalf("param %d differs after recovery: %g vs %g (resume must be bit-identical)",
-				i, cleanParams[i], crashedParams[i])
-		}
-	}
-	// Epoch training stats are merged segment-by-segment in the same order,
-	// so the loss curves match bitwise too.
-	for e := range clean.Epochs {
-		c, x := clean.Epochs[e], crashed.Epochs[e]
-		if c.Loss != x.Loss || c.Correct != x.Correct || c.Seen != x.Seen {
-			t.Fatalf("epoch %d stats diverge: clean %+v crashed %+v", e, c, x)
-		}
-	}
+	sameOutcome(t, "dsp", clean, crashed, cleanParams, crashedParams)
 	// A crashed segment never committed, and its replay commits exactly once
 	// — so both runs commit the same checkpoint sequence.
 	if crashed.Ckpt.Checkpoints != clean.Ckpt.Checkpoints {
@@ -103,6 +120,46 @@ func TestCrashRecoveryMatchesCrashFreeRun(t *testing.T) {
 	}
 	if pct := crashed.Ckpt.OverheadPercent(crashed.TotalTime); pct <= 0 || pct >= 50 {
 		t.Errorf("checkpoint overhead %.2f%% out of plausible range", pct)
+	}
+
+	// The p3 layout recovers the same way — rebuild, restore, replay; no row
+	// is ever re-routed — and, running identical math, lands on dsp's model.
+	p3 := func(o *train.Options) { o.Strategy = "p3" }
+	p3Clean, p3CleanParams := runFT(t, td, nil, 2, 4, p3)
+	p3Crashed, p3CrashedParams := runFT(t, td, crash, 2, 4, p3)
+	if len(p3Crashed.Recoveries) != 1 {
+		t.Fatalf("p3 crash run recorded %d recoveries, want 1", len(p3Crashed.Recoveries))
+	}
+	sameOutcome(t, "p3", p3Clean, p3Crashed, p3CleanParams, p3CrashedParams)
+	sameOutcome(t, "p3 vs dsp", clean, p3Crashed, cleanParams, p3CrashedParams)
+}
+
+// TestClusterCrashRecoveryMatchesCrashFreeRun: the cluster is the same system
+// type, so the fault-tolerant driver runs it unchanged. Fault GPU ids are
+// cluster-wide: on 2 machines x 2 GPUs, gpu1 is machine 0's and gpu3 machine
+// 1's. A crash on either kills the whole BSP job; the rebuilt cluster restores
+// every machine's replicas and replays to the crash-free result.
+func TestClusterCrashRecoveryMatchesCrashFreeRun(t *testing.T) {
+	td := testData(t, 2)
+	const cadence = 3
+	clean, cleanParams := runFTOn(t, 2, td, nil, 2, cadence)
+	if len(clean.Recoveries) != 0 {
+		t.Fatalf("crash-free cluster run recorded %d recoveries", len(clean.Recoveries))
+	}
+	for _, gpu := range []int{1, 3} {
+		crash := []fault.Fault{{Kind: fault.Crash, GPU: gpu, At: clean.TotalTime / 3}}
+		crashed, crashedParams := runFTOn(t, 2, td, crash, 2, cadence)
+		if len(crashed.Recoveries) != 1 {
+			t.Fatalf("crash@gpu%d: %d recoveries, want exactly 1", gpu, len(crashed.Recoveries))
+		}
+		if rec := crashed.Recoveries[0]; rec.GPU != gpu || rec.ReplaySteps < 1 || rec.ReplaySteps > cadence {
+			t.Errorf("crash@gpu%d: recovery blames gpu%d and replays %d steps (cadence %d)",
+				gpu, rec.GPU, rec.ReplaySteps, cadence)
+		}
+		if crashed.TotalTime <= clean.TotalTime {
+			t.Errorf("crash@gpu%d: crashed run (%v) not slower than clean run (%v)", gpu, crashed.TotalTime, clean.TotalTime)
+		}
+		sameOutcome(t, fmt.Sprintf("crash@gpu%d", gpu), clean, crashed, cleanParams, crashedParams)
 	}
 }
 
@@ -166,21 +223,24 @@ func TestRecoverableRunDeterministic(t *testing.T) {
 }
 
 // TestStallDelaysButDoesNotDiverge: a transient straggler slows the epoch but
-// training completes with identical learning outcomes.
+// training completes with identical learning outcomes — on one machine, and
+// on a cluster whose second machine (gpu2 is machine 1 / GPU 0) stalls.
 func TestStallDelaysButDoesNotDiverge(t *testing.T) {
 	td := testData(t, 2)
-	stall := []fault.Fault{{Kind: fault.Stall, GPU: 0, At: 0.002, Duration: 0.02}}
-	clean, cleanParams := runFT(t, td, nil, 1, 0)
-	slow, slowParams := runFT(t, td, stall, 1, 0)
-	if len(slow.Recoveries) != 0 {
-		t.Fatalf("stall should not trigger recovery, got %d", len(slow.Recoveries))
-	}
-	if slow.TotalTime <= clean.TotalTime {
-		t.Errorf("stalled run (%v) not slower than clean (%v)", slow.TotalTime, clean.TotalTime)
-	}
-	for i := range cleanParams {
-		if cleanParams[i] != slowParams[i] {
-			t.Fatalf("stall changed training outcome at param %d", i)
+	for _, tc := range []struct{ machines, gpu int }{{1, 0}, {2, 2}} {
+		stall := []fault.Fault{{Kind: fault.Stall, GPU: tc.gpu, At: 0.002, Duration: 0.02}}
+		clean, cleanParams := runFTOn(t, tc.machines, td, nil, 1, 0)
+		slow, slowParams := runFTOn(t, tc.machines, td, stall, 1, 0)
+		if len(slow.Recoveries) != 0 {
+			t.Fatalf("%d machine(s): stall should not trigger recovery, got %d", tc.machines, len(slow.Recoveries))
+		}
+		if slow.TotalTime <= clean.TotalTime {
+			t.Errorf("%d machine(s): stalled run (%v) not slower than clean (%v)", tc.machines, slow.TotalTime, clean.TotalTime)
+		}
+		for i := range cleanParams {
+			if cleanParams[i] != slowParams[i] {
+				t.Fatalf("%d machine(s): stall changed training outcome at param %d", tc.machines, i)
+			}
 		}
 	}
 }

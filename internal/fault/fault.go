@@ -294,6 +294,7 @@ func RandomSchedule(seed uint64, n int, horizon sim.Time, crashRate, stallRate f
 
 // CrashError reports a fatal GPU crash that interrupted the run. The
 // training driver recovers from it by restoring a checkpoint and replaying.
+// GPU is the id the schedule named (cluster-wide on a cluster).
 type CrashError struct {
 	GPU int
 	At  sim.Time

@@ -24,7 +24,8 @@ type Applied struct {
 // View and runs the handlers; the fleet keeps running degraded.
 type Injector struct {
 	m      *hw.Machine
-	faults []Fault // sorted by At
+	first  int     // cluster-wide id of m's GPU 0
+	faults []Fault // m's share, sorted by At, under machine-local GPU ids
 	view   *View
 
 	// Base is the global virtual time already consumed by previous
@@ -41,26 +42,44 @@ type Injector struct {
 	applied []Applied
 }
 
-// NewInjector validates the schedule against the machine and returns an
-// unarmed injector. Link faults must name NVLink-adjacent GPU pairs.
+// NewInjector validates the schedule and returns an unarmed injector for m's
+// share of it. Fault GPU ids are cluster-wide: on a stand-alone machine its
+// own, on machine i of a cluster of n-GPU machines GPU g is i*n+g, and every
+// machine's injector takes the whole schedule and keeps its own GPUs' faults.
+// Link faults must name NVLink-adjacent GPU pairs, so both ends on one machine.
 func NewInjector(m *hw.Machine, faults []Fault) (*Injector, error) {
 	n := len(m.GPUs)
+	total := n
+	if m.Cluster != nil {
+		total = n * len(m.Cluster.Machines)
+	}
+	in := &Injector{m: m, first: m.Index * n, view: NewView(n)}
 	sorted := append([]Fault(nil), faults...)
 	Sort(sorted)
 	for _, f := range sorted {
-		if f.GPU < 0 || f.GPU >= n {
-			return nil, fmt.Errorf("fault: gpu%d out of range (machine has %d GPUs)", f.GPU, n)
-		}
+		ids := []int{f.GPU}
 		if f.Kind == LinkDown || f.Kind == LinkDegrade {
-			if f.Peer < 0 || f.Peer >= n {
-				return nil, fmt.Errorf("fault: gpu%d out of range (machine has %d GPUs)", f.Peer, n)
-			}
-			if m.Fabric.Topo.NVLinkIndex(f.GPU, f.Peer) < 0 {
-				return nil, fmt.Errorf("fault: no direct NVLink between gpu%d and gpu%d", f.GPU, f.Peer)
+			ids = append(ids, f.Peer)
+		}
+		for _, id := range ids {
+			if id < 0 || id >= total {
+				return nil, fmt.Errorf("fault: gpu%d out of range (the run has gpu0..gpu%d)", id, total-1)
 			}
 		}
+		if len(ids) == 2 && f.Peer/n != f.GPU/n {
+			return nil, fmt.Errorf("fault: link gpu%d-gpu%d spans machines %d and %d (NVLink joins GPUs of one machine)",
+				f.GPU, f.Peer, f.GPU/n, f.Peer/n)
+		}
+		if f.GPU/n != m.Index {
+			continue // another machine's injector delivers it
+		}
+		if len(ids) == 2 && m.Fabric.Topo.NVLinkIndex(f.GPU%n, f.Peer%n) < 0 {
+			return nil, fmt.Errorf("fault: no direct NVLink between gpu%d and gpu%d", f.GPU, f.Peer)
+		}
+		f.GPU, f.Peer = f.GPU%n, f.Peer%n
+		in.faults = append(in.faults, f)
 	}
-	return &Injector{m: m, faults: sorted, view: NewView(n)}, nil
+	return in, nil
 }
 
 // View returns the injector's membership view (shared with communicators,
@@ -123,7 +142,7 @@ func (in *Injector) apply(p *sim.Proc, f Fault) {
 		}
 		in.view.Kill(f.GPU)
 		if len(in.onCrash) == 0 {
-			eng.Interrupt(&CrashError{GPU: f.GPU, At: now + in.Base})
+			eng.Interrupt(&CrashError{GPU: in.first + f.GPU, At: now + in.Base})
 			return
 		}
 		for _, fn := range in.onCrash {

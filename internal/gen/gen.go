@@ -62,9 +62,6 @@ func (d *Dataset) FeatureBytes() int64 {
 	return int64(len(d.Features)) * 4
 }
 
-// FeatureRowBytes returns the bytes of one feature vector.
-func (d *Dataset) FeatureRowBytes() int { return d.FeatDim * 4 }
-
 // withDefaults fills the zero-value knobs; both generation paths apply it so
 // the RNG consumption (and hence the emitted graphs) stay identical.
 func (cfg Config) withDefaults() Config {

@@ -133,17 +133,6 @@ func FromEdges(n int, src, dst []NodeID) *CSR {
 	return &CSR{Indptr: indptr, Indices: indices}
 }
 
-// InDegrees returns per-node adjacency list lengths (which are in-degrees
-// under this package's storage convention).
-func (g *CSR) InDegrees() []int32 {
-	n := g.NumNodes()
-	deg := make([]int32, n)
-	for v := 0; v < n; v++ {
-		deg[v] = int32(g.Degree(NodeID(v)))
-	}
-	return deg
-}
-
 // NodesByDegreeDesc returns node ids sorted by descending degree (stable:
 // ties broken by ascending id) — the paper's default hot-node criterion.
 func (g *CSR) NodesByDegreeDesc() []NodeID {

@@ -67,9 +67,6 @@ func (c *Counters) TotalAllWire() int64 {
 	return t
 }
 
-// Reset zeroes all counters.
-func (c *Counters) Reset() { *c = Counters{} }
-
 // uvaPayload and uvaRequest describe the PCIe read-amplification model from
 // EMOGI: the minimum PCIe read moves 32 payload bytes plus an 18-byte packet
 // header, i.e. 50 wire bytes per request.
@@ -169,23 +166,6 @@ func (f *Fabric) Transfer(p *sim.Proc, src, dst int, bytes int64, class TrafficC
 		cur = next
 	}
 	f.Counters.UsefulBytes[class] += bytes
-}
-
-// NVLinkTime returns the unloaded transfer duration src->dst for bytes, for
-// cost estimation (no resource contention, no accounting).
-func (f *Fabric) NVLinkTime(src, dst int, bytes int64) sim.Time {
-	if src == dst || bytes <= 0 {
-		return 0
-	}
-	path := f.Topo.Route(src, dst)
-	var total sim.Time
-	cur := src
-	for _, next := range path {
-		l := f.Topo.Links[f.Topo.NVLinkIndex(cur, next)]
-		total += sim.Time(float64(bytes)/(l.Bandwidth*float64(l.Lanes))) + sim.Time(l.Latency)
-		cur = next
-	}
-	return total
 }
 
 // uvaEfficiency is the fraction of peak PCIe bandwidth that irregular

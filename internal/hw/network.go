@@ -72,12 +72,3 @@ func NewCluster(machines, gpusEach int, gpu GPUSpec, cpu CPUSpec, net NetworkSpe
 	}
 	return c
 }
-
-// TotalGPUs returns the cluster-wide GPU count.
-func (c *Cluster) TotalGPUs() int {
-	t := 0
-	for _, m := range c.Machines {
-		t += len(m.GPUs)
-	}
-	return t
-}

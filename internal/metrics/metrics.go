@@ -60,10 +60,6 @@ func bucketValue(b int) float64 {
 // distribution that surfaced it.
 func BucketOf(v float64) int { return bucketOf(v) }
 
-// BucketValue is the representative value of bucket b (inverse of
-// BucketOf up to the ~2% bucket width).
-func BucketValue(b int) float64 { return bucketValue(b) }
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	if h.count == 0 || v < h.min {

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -426,59 +425,6 @@ func TestGATAttentionWeightsNormalized(t *testing.T) {
 		if math.Abs(sum-1) > 1e-5 {
 			t.Fatalf("attention weights at dst %d sum to %v", i, sum)
 		}
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	cfg := Config{Arch: GAT, InDim: 7, Hidden: 5, Classes: 3, Layers: 2}
-	m := NewModel(cfg, 77)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cfg != cfg {
-		t.Fatalf("config %+v, want %+v", got.Cfg, cfg)
-	}
-	a := make([]float32, m.ParamCount())
-	b := make([]float32, got.ParamCount())
-	m.ParamVector(a)
-	got.ParamVector(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("param %d differs", i)
-		}
-	}
-}
-
-func TestCheckpointRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("LOL"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Load(bytes.NewReader([]byte("DSPM\x63\x00\x00\x00"))); err == nil {
-		t.Fatal("bad version accepted")
-	}
-}
-
-func TestCheckpointPredictionsSurvive(t *testing.T) {
-	mb, feats, labels, inDim := tinyBatch(t, 2)
-	cfg := Config{Arch: SAGE, InDim: inDim, Hidden: 8, Classes: 3, Layers: 2}
-	m := NewModel(cfg, 5)
-	lossA, correctA := m.Evaluate(mb, append([]float32(nil), feats...), labels)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossB, correctB := got.Evaluate(mb, append([]float32(nil), feats...), labels)
-	if lossA != lossB || correctA != correctB {
-		t.Fatalf("predictions changed: %v/%d vs %v/%d", lossA, correctA, lossB, correctB)
 	}
 }
 

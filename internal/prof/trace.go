@@ -3,7 +3,6 @@ package prof
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/trace"
@@ -85,15 +84,6 @@ func ParseTrace(data []byte) (*Trace, error) {
 	}
 	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Ts < t.Events[j].Ts })
 	return t, nil
-}
-
-// ReadTraceFile loads a Chrome trace JSON file.
-func ReadTraceFile(path string) (*Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseTrace(data)
 }
 
 // LaneName labels a (pid, tid) lane, synthesising one if unnamed.

@@ -137,14 +137,6 @@ func (r *RNG) ShuffleInts(s []int) {
 	}
 }
 
-// Shuffle shuffles n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Exp returns an exponential variate with rate lambda.
 func (r *RNG) Exp(lambda float64) float64 {
 	return -math.Log(1-r.Float64()) / lambda

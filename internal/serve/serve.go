@@ -681,12 +681,22 @@ func (s *Server) Admit(now sim.Time, id int, node graph.NodeID, tenant int) bool
 		return false
 	}
 	s.arrived++
+	return s.admit(now, id, node, tenant)
+}
+
+// admit is the one admission sequence, behind Admit and the generator: route
+// the request to its target GPU's queue, or shed it when that queue is full.
+func (s *Server) admit(now sim.Time, id int, node graph.NodeID, tenant int) bool {
 	g := s.targetGPU(node)
 	if len(s.pending[g]) >= s.cfg.QueueDepth {
 		s.shed++
 		s.cfg.Telemetry.ObserveShed(now)
 		if s.tenants != nil {
 			s.tenants.Reject(tenant)
+		}
+		if tr := s.cfg.Tracer; tr.Enabled() {
+			tr.Instant("shed", "serve", len(s.pending), 0, float64(now), "t",
+				map[string]string{"node": fmt.Sprint(node), "gpu": fmt.Sprint(g)})
 		}
 		return false
 	}
@@ -798,28 +808,9 @@ func (s *Server) generator(p *sim.Proc) {
 			}
 			continue
 		}
-		g := s.targetGPU(node)
-		if len(s.pending[g]) >= cfg.QueueDepth {
-			s.shed++
-			s.cfg.Telemetry.ObserveShed(p.Now())
-			if s.tenants != nil {
-				s.tenants.Reject(tenant)
-			}
-			if cfg.Tracer.Enabled() {
-				cfg.Tracer.Instant("shed", "serve", n, 0, float64(p.Now()), "t",
-					map[string]string{"node": fmt.Sprint(node), "gpu": fmt.Sprint(g)})
-			}
-			continue
+		if s.admit(p.Now(), s.nextID, node, tenant) {
+			s.nextID++
 		}
-		s.pending[g] = append(s.pending[g], &Request{
-			ID: s.nextID, Node: node, GPU: g, Tenant: tenant, Arrival: p.Now(), Pred: -1,
-		})
-		s.nextID++
-		if s.tenants != nil {
-			s.tenants.Accept(tenant)
-		}
-		s.traceDepth(p.Now())
-		s.signal()
 	}
 	s.genDone = true
 	s.signal()

@@ -66,9 +66,6 @@ func (w *Workload) EnableDrift(interval sim.Time, seed uint64) {
 	w.driftSeed = seed
 }
 
-// DriftInterval returns the configured drift period (0 = static popularity).
-func (w *Workload) DriftInterval() sim.Time { return w.driftEvery }
-
 // mapping returns the rank→node assignment in effect at virtual time now.
 func (w *Workload) mapping(now sim.Time) []graph.NodeID {
 	if w.driftEvery <= 0 {

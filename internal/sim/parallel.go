@@ -47,14 +47,6 @@ func (e *Engine) SetParallelism(n int) {
 	}
 }
 
-// Parallelism returns the configured data-work thread count (minimum 1).
-func (e *Engine) Parallelism() int {
-	if e.par < 1 {
-		return 1
-	}
-	return e.par
-}
-
 // ParallelGroup executes independent units of real data work on OS worker
 // threads between DES commit points (see the file comment for the rules).
 // Groups are cheap handles over the engine's shared worker budget; one per

@@ -564,9 +564,6 @@ func (r *Resource) Use(p *Proc, n int, service Time) {
 	p.Sleep(service)
 }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // QueueOf is a bounded FIFO of T with virtual-time blocking semantics: Put
 // parks while full, Get parks while empty. It implements the
 // producer-consumer queues of the training pipeline.
@@ -600,9 +597,6 @@ func (e *Engine) NewQueue(capacity int) *Queue {
 
 // Len returns the number of buffered items.
 func (q *QueueOf[T]) Len() int { return q.items.n }
-
-// Cap returns the queue capacity.
-func (q *QueueOf[T]) Cap() int { return q.capacity }
 
 // Put appends v, parking while the queue is full. Put on a closed queue
 // panics (a pipeline bug).

@@ -4,7 +4,7 @@
 // (which decides WHEN stages run) and the substrate (hw devices, comm
 // collectives, featstore placement — which decide what they COST); the
 // substrate is one machine's assembled system (Build). Training
-// (internal/core), every machine of a cluster (core.MultiDSP) and serving
+// (internal/core, one machine or every machine of a cluster) and serving
 // (internal/serve) all call Build and run the same bodies: training is
 // Load + Train, serving is Load + Infer.
 //
@@ -63,12 +63,12 @@ func Parse(s string) (Kind, error) {
 	}
 }
 
-// Compatible rejects option combinations the strategy cannot honour. It is
-// the one statement of the p3 rules — Build (and so core.New, core.NewMulti
-// and serve.NewServer) and the CLI flag parser all call it, each prefixing
-// its own package name. The P3 layout has no hot/cold rows and no per-row
-// holders, so the row-cache machinery and the degraded-mode re-routing built
-// on it do not apply: reject loudly rather than silently misconfigure.
+// Compatible rejects row-cache options that have no meaning under the
+// strategy's layout. It is the one statement of the p3 rules — Build (and so
+// core.New, core.NewMulti and serve.NewServer) and the CLI flag parser all
+// call it, each prefixing its own package name. The P3 layout has no hot/cold
+// rows, so the row-cache machinery does not apply: reject loudly rather than
+// silently misconfigure.
 func (k Kind) Compatible(o train.Options) error {
 	if k != KindP3 {
 		return nil
@@ -80,8 +80,6 @@ func (k Kind) Compatible(o train.Options) error {
 		return fmt.Errorf("-strategy p3 is incompatible with -cache %s: the dimension-sliced layout has no rows to promote or rebalance (use -cache static)", o.DynamicCache)
 	case o.FeatureCacheBudget > 0:
 		return errors.New("-strategy p3 ignores -cache-budget: each GPU holds the full [#nodes, F/world] slice")
-	case len(o.Faults) > 0:
-		return errors.New("-strategy p3 does not support fault injection (no per-row holders to re-route around)")
 	}
 	return nil
 }

@@ -140,15 +140,17 @@ func TestP3EpochAndSection(t *testing.T) {
 }
 
 // TestP3RejectsIncompatibleOptions: the p3 layout has no per-row cache, so
-// row-policy knobs and fault injection are configuration errors, not silent
-// no-ops — from every constructor that builds a substrate (all three reach
-// the one rule, Kind.Compatible, through Build).
+// row-policy knobs are configuration errors, not silent no-ops — from every
+// constructor that builds a substrate (all three reach the one rule,
+// Kind.Compatible, through Build). Fault injection is refused only when
+// serving, whose degraded mode re-routes rows to other holders; fail-stop
+// training recovery never does (TestCrashRecoveryMatchesCrashFreeRun's p3 row).
 func TestP3RejectsIncompatibleOptions(t *testing.T) {
 	td := testData(t, 2)
 	crash := []fault.Fault{{Kind: fault.Crash, GPU: 1, At: 1e-3}}
 	for name, tc := range map[string]struct {
-		train func(*train.Options)
-		serve func(*serve.Config) // nil: serving has no such knob
+		train func(*train.Options) // nil: training accepts it
+		serve func(*serve.Config)  // nil: serving has no such knob
 	}{
 		"dynamic cache": {
 			func(o *train.Options) { o.DynamicCache = cache.LFUDecay },
@@ -156,21 +158,21 @@ func TestP3RejectsIncompatibleOptions(t *testing.T) {
 		"cache budget": {
 			func(o *train.Options) { o.FeatureCacheBudget = 1 << 20 },
 			func(c *serve.Config) { c.FeatureCacheBudget = 1 << 20 }},
-		"faults": {
-			func(o *train.Options) { o.Faults = crash },
-			func(c *serve.Config) { c.Faults = crash }},
+		"faults": {nil, func(c *serve.Config) { c.Faults = crash }},
 		"unknown variant": {
 			func(o *train.Options) { o.Strategy = "p4" },
 			func(c *serve.Config) { c.Strategy = "p4" }},
 		"replicated": {func(o *train.Options) { o.ReplicatedCache = true }, nil},
 	} {
-		o := realOpts(td, "p3")
-		tc.train(&o)
-		if _, err := core.New(o); err == nil {
-			t.Errorf("%s: core.New accepted an incompatible p3 config", name)
-		}
-		if _, err := core.NewMulti(o, 2, hw.InfiniBandEDR()); err == nil {
-			t.Errorf("%s: core.NewMulti accepted an incompatible p3 config", name)
+		if tc.train != nil {
+			o := realOpts(td, "p3")
+			tc.train(&o)
+			if _, err := core.New(o); err == nil {
+				t.Errorf("%s: core.New accepted an incompatible p3 config", name)
+			}
+			if _, err := core.NewMulti(o, 2, hw.InfiniBandEDR()); err == nil {
+				t.Errorf("%s: core.NewMulti accepted an incompatible p3 config", name)
+			}
 		}
 		if tc.serve == nil {
 			continue

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cache"
@@ -63,6 +64,12 @@ func Build(m *hw.Machine, opts train.Options, role Role) (*Substrate, error) {
 	}
 	if err := kind.Compatible(opts); err != nil {
 		return nil, err
+	}
+	// Degraded-mode serving re-routes a dead GPU's rows to their other
+	// holders, and a dimension slice has none. Fail-stop training recovery
+	// rebuilds, restores and replays — it never re-routes a row.
+	if kind == KindP3 && role == Serving && len(opts.Faults) > 0 {
+		return nil, errors.New("-strategy p3 does not support fault injection when serving (no per-row holders to re-route around)")
 	}
 	d := opts.Data
 	n := d.NumGPUs()

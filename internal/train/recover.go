@@ -28,8 +28,11 @@ type Recoverable interface {
 	Snapshot(epoch, step int) *ckpt.TrainState
 	// Restore installs a checkpoint into every model replica and optimizer.
 	Restore(st *ckpt.TrainState) error
-	// Injector returns the configured fault injector (nil without faults).
-	Injector() *fault.Injector
+	// ArmFaults arms the configured fault schedule on this incarnation of the
+	// fleet, whose t=0 is global virtual time base (a no-op without faults):
+	// faults at or before a non-zero base were delivered to a previous
+	// incarnation and are skipped.
+	ArmFaults(base sim.Time)
 }
 
 // RecoveryStats records one crash-recovery cycle.
@@ -83,10 +86,7 @@ func RunRecoverable(sys Recoverable, epochs int, mgr *ckpt.Manager, rebuild func
 	steps := sys.Steps()
 	rep := &FTReport{}
 	var base sim.Time // global virtual time of the current fleet's t=0
-	if inj := sys.Injector(); inj != nil {
-		inj.Base = 0
-		inj.Arm()
-	}
+	sys.ArmFaults(base)
 	topo := sys.Machine().Fabric.Topo
 
 	// Commit the initial state so the first segment is covered.
@@ -152,10 +152,7 @@ func RunRecoverable(sys Recoverable, epochs int, mgr *ckpt.Manager, rebuild func
 		}
 		sys = fresh
 		topo = sys.Machine().Fabric.Topo
-		if inj := sys.Injector(); inj != nil {
-			inj.Base = base
-			inj.Arm()
-		}
+		sys.ArmFaults(base)
 		if err := sys.Restore(last); err != nil {
 			return nil, fmt.Errorf("train: restore checkpoint: %w", err)
 		}

@@ -63,14 +63,10 @@ func RunEpoch(w Window, epoch, from, to int, pipelined bool, queueCap int, overh
 				stages.NumBatches = to
 			}
 			stageHook{overhead: overhead, tracer: g.Tracer, rank: rank}.wrap(&stages, st)
-			name := fmt.Sprintf("gpu%d", rank)
-			if m.Cluster != nil {
-				name = fmt.Sprintf("m%dg%d", mi, rank)
-			}
 			if pipelined {
-				pipeline.RunPipelined(eng, name, stages, queueCap, done)
+				pipeline.RunPipelined(eng, workerName(m, rank), stages, queueCap, done)
 			} else {
-				pipeline.RunSequential(eng, name, stages, done)
+				pipeline.RunSequential(eng, workerName(m, rank), stages, done)
 			}
 		}
 	}
@@ -101,6 +97,14 @@ func RunEpoch(w Window, epoch, from, to int, pipelined bool, queueCap int, overh
 	}
 	out.Counters = w.Counters().Sub(before)
 	return out, nil
+}
+
+// workerName prefixes the worker processes of m's GPU rank.
+func workerName(m *hw.Machine, rank int) string {
+	if m.Cluster != nil {
+		return fmt.Sprintf("m%dg%d", m.Index, rank)
+	}
+	return fmt.Sprintf("gpu%d", rank)
 }
 
 // stageHook is the one wrapper around a worker stage: it pays the host-side
@@ -161,7 +165,7 @@ func (h stageHook) run(p *sim.Proc, name string, lane, step int, total *sim.Time
 
 // Reducer sums a gradient vector in place across every replica of a run.
 // *comm.Communicator is the single-machine reducer; a cluster installs a
-// hierarchical one (core.MultiDSP) on each machine's Trainer.
+// hierarchical one (internal/core) on each machine's Trainer.
 type Reducer interface {
 	AllReduceSum(p *sim.Proc, rank int, data []float32, o comm.Opts)
 }

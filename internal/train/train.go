@@ -198,21 +198,25 @@ type System interface {
 }
 
 // SampleEpoch is the sampler-only epoch behind every System.RunSampleEpoch:
-// one worker per GPU of m pays overhead and calls sample for each step, with
-// nothing else running (the paper's Table 6 methodology — "running the
-// sampler individually without interference from other workers").
-func SampleEpoch(m *hw.Machine, epoch, steps int, overhead sim.Time,
-	sample func(p *sim.Proc, rank, step int)) (EpochStats, error) {
-	start := m.Eng.Now()
-	for rank := range m.GPUs {
-		m.Eng.Go(fmt.Sprintf("gpu%d/sampler", rank), func(p *sim.Proc) {
-			for step := 0; step < steps; step++ {
-				p.Sleep(overhead)
-				sample(p, rank, step)
-			}
-		})
+// one worker per GPU of machines (one machine, or a cluster's on one engine)
+// pays overhead and calls sample for each step, with nothing else running (the
+// paper's Table 6 methodology — "running the sampler individually without
+// interference from other workers").
+func SampleEpoch(machines []*hw.Machine, epoch, steps int, overhead sim.Time,
+	sample func(p *sim.Proc, machine, rank, step int)) (EpochStats, error) {
+	eng := machines[0].Eng
+	start := eng.Now()
+	for mi, m := range machines {
+		for rank := range m.GPUs {
+			eng.Go(workerName(m, rank)+"/sampler", func(p *sim.Proc) {
+				for step := 0; step < steps; step++ {
+					p.Sleep(overhead)
+					sample(p, mi, rank, step)
+				}
+			})
+		}
 	}
-	end, err := m.Eng.Run()
+	end, err := eng.Run()
 	if err != nil {
 		return EpochStats{}, err
 	}
@@ -303,7 +307,8 @@ type Options struct {
 	StageOverhead sim.Time
 	// Faults is the injected fault schedule (fault-tolerance runs). The
 	// system builds the injector; the FT driver arms it. Fault times are
-	// GLOBAL virtual time — a rebuilt fleet skips faults already delivered.
+	// GLOBAL virtual time — a rebuilt fleet skips faults already delivered —
+	// and GPU ids are cluster-wide on a cluster (machine*GPUs + GPU).
 	Faults []fault.Fault
 	// Strategy selects the execution strategy: "" or "dsp" is the paper's
 	// row-partitioned hot/cold layout, "p3" the dimension-partitioned

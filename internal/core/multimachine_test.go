@@ -157,6 +157,11 @@ func TestNewMultiHonoursOrRejectsOptions(t *testing.T) {
 		{"PullData", func(o *train.Options) { o.PullData = true }, ""},
 		{"UnfusedSampling", func(o *train.Options) { o.UnfusedSampling = true }, ""},
 		{"CompressTopology", func(o *train.Options) { o.CompressTopology = true }, ""},
+		// It used to build and train on seed-only blocks.
+		{"negative fan-out", func(o *train.Options) { o.Sample.Fanout = []int{10, -1} }, "Fanout[1] = -1"},
+		{"zero layer budget", func(o *train.Options) {
+			o.Sample.Fanout, o.Sample.LayerWise = []int{0, 64}, true
+		}, "Fanout[0] = 0"},
 	} {
 		o := smallOpts(td)
 		tc.mutate(&o)
@@ -174,6 +179,12 @@ func TestNewMultiHonoursOrRejectsOptions(t *testing.T) {
 			t.Errorf("%s: %d rebalances charging %v at the epoch boundary, want one per machine",
 				tc.name, st.Rebalances, st.RebalanceTime)
 		}
+	}
+	// One machine refuses the fan-out the same way: New shares the validator.
+	o := smallOpts(td)
+	o.Sample.Fanout = []int{10, -1}
+	if _, err := core.New(o); err == nil || !strings.Contains(err.Error(), "Fanout[1] = -1") {
+		t.Errorf("core.New with a negative fan-out: %v", err)
 	}
 }
 

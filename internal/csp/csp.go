@@ -20,10 +20,18 @@
 // Sampling results are bit-identical to sample.Reference on the unpartitioned
 // graph because every neighbour draw is seeded by (batch seed, layer, global
 // node id) regardless of the executing GPU.
+//
+// A round allocates only what it hands on (the block's arrays): every other
+// buffer belongs to the rank's roundScratch and is written again next round.
+// That is safe because of one rule — a buffer posted to an all-to-all is read
+// by peers until they finish the phase that consumes it, and this rank does
+// not write it again before every rank has entered a later collective (see
+// roundScratch).
 package csp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/fault"
@@ -142,10 +150,72 @@ type World struct {
 	view *fault.View
 
 	// par offloads the owner-side neighbour draws to worker threads between
-	// the shuffle and reshuffle commit points; dedup holds one per-rank
-	// reusable block-assembly table. Both are lazily built.
-	par   *sim.ParallelGroup
-	dedup []*sample.Deduper
+	// the shuffle and reshuffle commit points; scratch holds one reusable
+	// round workspace per rank. Both are lazily built.
+	par     *sim.ParallelGroup
+	scratch []*roundScratch
+}
+
+// roundScratch is one rank's reusable workspace for sampling rounds: after a
+// warm-up batch a round allocates only the arrays its block keeps.
+//
+// The reuse rule. A buffer posted to an all-to-all is read by peers until
+// they finish the phase that consumes it, and every rank has passed a LATER
+// collective's first arrive before this rank writes the buffer again — so one
+// set per rank suffices, with no double buffering:
+//
+//   - outTasks (posted by the shuffle) is read by each owner's draw unit and
+//     charge loop, both of which end before that owner enters the reshuffle;
+//     this rank refills it at the start of its next round, after it has
+//     itself left the reshuffle.
+//   - replyCounts/replySamples (posted by the reshuffle) are read by each
+//     requester's assembly, which copies out of them in the instant the
+//     reshuffle releases it; this rank's next draw unit, which refills them,
+//     starts only after the next shuffle.
+//
+// Two things keep the rule true when a round does not reach its end. The
+// draw unit runs on a worker thread, reading peers' task buffers and writing
+// this rank's reply buffers, so sampleLayer joins it on every way out of the
+// frame — a kill unwinds through it — and no unit outlives its round. And
+// when a membership change voids the attempt, a rank may unwind out of a
+// collective and start its retry while a peer still sleeps in the old
+// attempt's sample window, its unit reading the tasks this rank posted: open
+// marks a round that began and did not end, and the next round then leaves
+// the old task buffers to their readers and appends to fresh ones.
+//
+// Everything else (counts, owner, cur, hostNodes, outCounts, ahead, peerSeed,
+// the deduper) is read by this rank alone. A Clone starts with no scratch, so
+// every multi-instance sampler world owns its own.
+type roundScratch struct {
+	dedup *sample.Deduper
+	open  bool // a round began and has not left its reshuffle
+	// counts is the node-wise fan-out per frontier node; outTasks[o] the
+	// tasks routed to owner o; owner[i] the owner frontier node i's task went
+	// to (-1: no task). Owner o answers its tasks in posting order, which is
+	// frontier order, so cur[o] — the next reply index and its sample offset
+	// — is all the assembly needs to find node i's samples.
+	counts   []int32
+	outTasks [][]task
+	owner    []int8
+	cur      []replyCursor
+
+	replyCounts  [][]int32
+	replySamples [][]graph.NodeID
+
+	hostNodes []graph.NodeID
+	outCounts []int32
+	ahead     []graph.NodeID // next frontier's host-resident rows (prefetch)
+	peerSeed  []uint64
+}
+
+// replyCursor walks one owner's reply: the next task's index into its count
+// list and where that task's samples start.
+type replyCursor struct{ next, off int32 }
+
+// resized returns s with length n, reusing its storage when it is large
+// enough; the contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // group lazily binds the world to the engine's parallel worker budget.
@@ -156,15 +226,23 @@ func (w *World) group() *sim.ParallelGroup {
 	return w.par
 }
 
-// deduper returns rank's reusable block-assembly table.
-func (w *World) deduper(rank int) *sample.Deduper {
-	if w.dedup == nil {
-		w.dedup = make([]*sample.Deduper, w.Comm.N)
+// scratchOf returns rank's reusable round workspace.
+func (w *World) scratchOf(rank int) *roundScratch {
+	if w.scratch == nil {
+		w.scratch = make([]*roundScratch, w.Comm.N)
 	}
-	if w.dedup[rank] == nil {
-		w.dedup[rank] = sample.NewDeduper(int(w.Offsets[len(w.Offsets)-1]))
+	if w.scratch[rank] == nil {
+		n := w.Comm.N
+		w.scratch[rank] = &roundScratch{
+			dedup:        sample.NewDeduper(int(w.Offsets[len(w.Offsets)-1])),
+			outTasks:     make([][]task, n),
+			cur:          make([]replyCursor, n),
+			replyCounts:  make([][]int32, n),
+			replySamples: make([][]graph.NodeID, n),
+			peerSeed:     make([]uint64, n),
+		}
 	}
-	return w.dedup[rank]
+	return w.scratch[rank]
 }
 
 // SetHostStore attaches the out-of-core tier (nil detaches it).
@@ -256,15 +334,33 @@ func (w *World) TopologyResidentBytes() int64 {
 	return b
 }
 
-// Owner returns the GPU owning global node v (range check over <=8 parts).
+// Owner returns the GPU owning global node v. It counts the inner partition
+// boundaries at or below v (<= 7 of them) rather than returning from the
+// first range that fits: owners of a frontier are data-random, and a counted
+// compare does not mispredict on them.
 func (w *World) Owner(v graph.NodeID) int {
 	id := int64(v)
-	for g := 0; g < len(w.Offsets)-1; g++ {
-		if id < w.Offsets[g+1] {
-			return g
+	last := len(w.Offsets) - 1
+	if id < w.Offsets[0] || id >= w.Offsets[last] {
+		panic(fmt.Sprintf("csp: node %d out of range", v))
+	}
+	g := 0
+	for _, off := range w.Offsets[1:last] {
+		if id >= off {
+			g++
 		}
 	}
-	panic(fmt.Sprintf("csp: node %d out of range", v))
+	return g
+}
+
+// patchOf returns the patch holding v's adjacency as seen from rank: rank's
+// own for every task routed normally, the owner's (the host master copy of a
+// dead GPU's patch) for tasks kept back in degraded mode.
+func (w *World) patchOf(v graph.NodeID, rank int) *PatchStore {
+	if ps := w.Patches[rank]; v >= ps.Lo && v < ps.Hi {
+		return ps
+	}
+	return w.Patches[w.Owner(v)]
 }
 
 // task is a shuffled sampling request: draw Count neighbours of Node.
@@ -309,25 +405,28 @@ func (w *World) SampleBatchUnfused(p *sim.Proc, rank int, seeds []graph.NodeID, 
 // shuffle/sample/reshuffle sequence. All ranks must call it together with
 // the same sharedSeed.
 func (w *World) SampleBatchShared(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sample.Config, sharedSeed uint64) *sample.MiniBatch {
-	peerSeed := make([]uint64, w.Comm.N)
+	peerSeed := w.scratchOf(rank).peerSeed
 	for q := range peerSeed {
 		peerSeed[q] = sharedSeed
 	}
-	return w.sampleLayers(p, rank, seeds, cfg, sharedSeed, peerSeed, true)
+	return w.sampleLayers(p, rank, seeds, cfg, sharedSeed, true)
 }
 
 func (w *World) sampleBatch(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sample.Config, batchSeed uint64, fused bool) *sample.MiniBatch {
 	// Exchange batch seeds so owners can seed draws for any requester.
 	seedsAll := comm.AllGather(w.Comm, p, rank, []uint64{batchSeed}, comm.Raw(8, hw.TrafficOther))
-	peerSeed := make([]uint64, w.Comm.N)
+	peerSeed := w.scratchOf(rank).peerSeed
 	for q := range peerSeed {
 		peerSeed[q] = seedsAll[q][0]
 	}
-	return w.sampleLayers(p, rank, seeds, cfg, batchSeed, peerSeed, fused)
+	return w.sampleLayers(p, rank, seeds, cfg, batchSeed, fused)
 }
 
-func (w *World) sampleLayers(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sample.Config, batchSeed uint64, peerSeed []uint64, fused bool) *sample.MiniBatch {
+// sampleLayers runs the rounds of one batch; the caller has filled the rank's
+// peerSeed table (whose seed each requester's draws take).
+func (w *World) sampleLayers(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sample.Config, batchSeed uint64, fused bool) *sample.MiniBatch {
 	mb := &sample.MiniBatch{Seeds: seeds, Seed: batchSeed}
+	s := w.scratchOf(rank)
 	dst := seeds
 	blocks := make([]*sample.Block, 0, cfg.Layers())
 	for l := 0; l < cfg.Layers(); l++ {
@@ -336,24 +435,26 @@ func (w *World) sampleLayers(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sa
 			info := w.fetchMasses(p, rank, dst)
 			counts = layerCounts(dst, info, cfg, l, batchSeed)
 		} else {
-			counts = make([]int32, len(dst))
+			s.counts = resized(s.counts, len(dst))
+			counts = s.counts
 			for i := range counts {
 				counts[i] = int32(cfg.Fanout[l])
 			}
 		}
-		block := w.sampleLayer(p, rank, dst, counts, cfg, l, peerSeed, fused)
+		block := w.sampleLayer(p, rank, dst, counts, cfg, l, fused)
 		blocks = append(blocks, block)
 		dst = block.InputNodes
 		// Proximity-aware prefetch (BGL-style): the next layer will read the
 		// adjacency of this frontier, so warm the out-of-core tier for its
 		// host-resident rows while this rank continues sampling.
 		if w.hostStore != nil && l+1 < cfg.Layers() {
-			var ahead []graph.NodeID
+			ahead := s.ahead[:0]
 			for _, v := range dst {
 				if w.hostResident(v) {
 					ahead = append(ahead, v)
 				}
 			}
+			s.ahead = ahead
 			if len(ahead) > 0 {
 				w.hostStore.PrefetchTopology(ahead)
 			}
@@ -454,21 +555,33 @@ func (w *World) fetchMasses(p *sim.Proc, rank int, dst []graph.NodeID) []massInf
 
 // sampleLayer runs one shuffle/sample/reshuffle round and assembles the
 // requester-side block. fused selects one kernel for all received tasks
-// (DSP's design) versus one kernel per task (the async alternative).
-func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []int32, cfg sample.Config, layer int, peerSeed []uint64, fused bool) *sample.Block {
+// (DSP's design) versus one kernel per task (the async alternative). Every
+// buffer but the block's own arrays comes from the rank's roundScratch.
+func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []int32, cfg sample.Config, layer int, fused bool) *sample.Block {
 	n := w.Comm.N
 	dev := w.M.GPUs[rank]
+	s := w.scratchOf(rank)
+	peerSeed := s.peerSeed
 
 	// --- shuffle: route tasks to owners -------------------------------
-	outTasks := make([][]task, n)
-	where := make([][2]int32, len(dst))
+	outTasks := s.outTasks
+	for o := range outTasks {
+		if s.open {
+			outTasks[o] = nil
+		} else {
+			outTasks[o] = outTasks[o][:0]
+		}
+	}
+	s.open = true
+	s.owner = resized(s.owner, len(dst))
+	owner := s.owner
 	for i, v := range dst {
-		if counts[i] == 0 {
-			where[i] = [2]int32{-1, -1}
+		if counts[i] <= 0 {
+			owner[i] = -1
 			continue
 		}
 		o := w.routeOwner(v, rank)
-		where[i] = [2]int32{int32(o), int32(len(outTasks[o]))}
+		owner[i] = int8(o)
 		outTasks[o] = append(outTasks[o], task{Node: v, Count: counts[i]})
 	}
 	inTasks := comm.AllToAll(w.Comm, p, rank, outTasks, comm.Raw(taskBytes, hw.TrafficSample))
@@ -479,28 +592,35 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	// they are offloaded to the worker pool here and joined at the
 	// reshuffle commit point below; the timed kernel/UVA charges in between
 	// overlap the draws in real time.
-	replyCounts := make([][]int32, n)
-	replySamples := make([][]graph.NodeID, n)
 	draws := w.group().Submit(func() {
 		for q := 0; q < n; q++ {
-			replyCounts[q] = make([]int32, len(inTasks[q]))
-			var buf []graph.NodeID
+			var total int
+			for _, t := range inTasks[q] {
+				total += int(t.Count)
+			}
+			// A task yields at most Count ids, so the draws never grow buf.
+			rc := resized(s.replyCounts[q], len(inTasks[q]))
+			buf := slices.Grow(s.replySamples[q][:0], total)
 			for i, t := range inTasks[q] {
-				tps := w.Patches[w.Owner(t.Node)]
+				tps := w.patchOf(t.Node, rank)
 				before := len(buf)
 				buf = sample.DrawAdj(tps.Neighbors(t.Node), tps.NeighborWeights(t.Node),
 					t.Node, layer, int(t.Count), cfg, peerSeed[q], buf)
-				replyCounts[q][i] = int32(len(buf) - before)
+				rc[i] = int32(len(buf) - before)
 			}
-			replySamples[q] = buf
+			s.replyCounts[q], s.replySamples[q] = rc, buf
 		}
 	})
+	// No unit outlives its round, however the frame is left (a kill unwinds
+	// through here): it reads peers' task buffers and writes this rank's
+	// reply buffers, and both are written again next round.
+	defer draws.Join()
 	var fusedWork, hostItems, decodeBytes int64
-	var hostNodes []graph.NodeID
+	hostNodes := s.hostNodes[:0]
 	for q := 0; q < n; q++ {
 		for _, t := range inTasks[q] {
 			fusedWork += int64(t.Count)
-			tps := w.Patches[w.Owner(t.Node)]
+			tps := w.patchOf(t.Node, rank)
 			if tps.Comp != nil {
 				decodeBytes += tps.compBytes[tps.Local(t.Node)]
 			}
@@ -514,6 +634,7 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 			}
 		}
 	}
+	s.hostNodes = hostNodes
 	if len(hostNodes) > 0 && w.hostStore != nil {
 		// The out-of-core tier sits below host memory: host-resident rows
 		// whose backing block was spilled to disk must be fetched (and
@@ -540,35 +661,42 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	}
 	// --- reshuffle: results travel back to requesters ------------------
 	draws.Join() // commit point: replyCounts/replySamples valid from here
-	backCounts := comm.AllToAll(w.Comm, p, rank, replyCounts, comm.Raw(4, hw.TrafficSample))
-	backSamples := comm.AllToAll(w.Comm, p, rank, replySamples, comm.Raw(idBytes, hw.TrafficSample))
+	backCounts := comm.AllToAll(w.Comm, p, rank, s.replyCounts, comm.Raw(4, hw.TrafficSample))
+	backSamples := comm.AllToAll(w.Comm, p, rank, s.replySamples, comm.Raw(idBytes, hw.TrafficSample))
+	s.open = false // every rank entered the reshuffle: no draw unit is left
 
 	// --- assembly on the requester -------------------------------------
-	// Per-owner cursors into the concatenated sample buffers.
-	starts := make([][]int32, n)
-	for o := 0; o < n; o++ {
-		starts[o] = make([]int32, len(backCounts[o])+1)
-		for i, c := range backCounts[o] {
-			starts[o][i+1] = starts[o][i] + c
-		}
+	// samples becomes Block.Src: one exact allocation, nil when nothing came
+	// back (as the reference sampler leaves it).
+	var total int
+	for o := range backSamples {
+		total += len(backSamples[o])
 	}
-	outCounts := make([]int32, len(dst))
 	var samples []graph.NodeID
-	for i := range dst {
-		o, j := where[i][0], where[i][1]
+	if total > 0 {
+		samples = make([]graph.NodeID, 0, total)
+	}
+	clear(s.cur)
+	s.outCounts = resized(s.outCounts, len(dst))
+	outCounts := s.outCounts
+	for i, o := range owner {
 		if o < 0 {
+			outCounts[i] = 0
 			continue
 		}
-		seg := backSamples[o][starts[o][j]:starts[o][j+1]]
-		samples = append(samples, seg...)
-		outCounts[i] = int32(len(seg))
+		c := &s.cur[o]
+		k := backCounts[o][c.next]
+		samples = append(samples, backSamples[o][c.off:c.off+k]...)
+		outCounts[i] = k
+		c.next++
+		c.off += k
 	}
 	// The block-assembly kernel (unique + index building) is bandwidth
 	// work proportional to the gathered ids.
 	if len(samples) > 0 {
 		dev.RunKernel(p, hw.KernelGather, int64(len(samples))*16)
 	}
-	return w.deduper(rank).BuildBlock(dst, outCounts, samples)
+	return s.dedup.BuildBlock(dst, outCounts, samples)
 }
 
 // SamplingCommVolume reports the sample-class wire bytes accumulated so far

@@ -43,7 +43,7 @@ func (c *gatCache) slots(i int) (lo, hi int) {
 // slotNode returns the input-node row behind destination i's k-th slot.
 func (c *gatCache) slotNode(i, k int) int {
 	if k == 0 {
-		return int(c.block.DstLocal[i])
+		return i
 	}
 	return int(c.block.SrcLocal[int(c.block.SrcPtr[i])+k-1])
 }
@@ -64,7 +64,7 @@ func (m *Model) forwardGAT(l int, block *sample.Block, x *Matrix, c *gatCache) *
 	for i := range block.Dst {
 		lo, hi := c.slots(i)
 		e, a := c.eRaw[lo:hi], c.alpha[lo:hi]
-		zDstScore := dot(c.z.Row(int(block.DstLocal[i])), aDst)
+		zDstScore := dot(c.z.Row(i), aDst)
 		for k := range e {
 			e[k] = leakyReLU(dot(c.z.Row(c.slotNode(i, k)), aSrc) + zDstScore)
 		}
@@ -134,9 +134,8 @@ func (m *Model) backwardGAT(l int, c *gatCache, dh *Matrix) *Matrix {
 			axpy(dz.Row(s), aSrc, de)
 			dDstScore += de
 		}
-		dstLocal := int(block.DstLocal[i])
-		axpy(daDst, c.z.Row(dstLocal), dDstScore)
-		axpy(dz.Row(dstLocal), aDst, dDstScore)
+		axpy(daDst, c.z.Row(i), dDstScore)
+		axpy(dz.Row(i), aDst, dDstScore)
 		flops += int64(len(a)) * int64(out) * 8
 	}
 	// z = x @ W.

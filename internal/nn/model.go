@@ -201,7 +201,7 @@ func (m *Model) ZeroGrads() {
 type layerCache struct {
 	block *sample.Block
 	x     *Matrix // layer input (inputNodes × in)
-	self  *Matrix // rows of x at DstLocal (dst × in)
+	self  *Matrix // the dst rows of x, its first len(Dst) (dst × in)
 	agg   *Matrix // aggregated neighbours (dst × in)
 	out   *Matrix // ReLU output, whose zeros are the mask (nil on the output layer)
 	gat   *gatCache
@@ -241,7 +241,7 @@ func (m *Model) Forward(mb *sample.MiniBatch, feats []float32) (*Matrix, []*laye
 		c.self = ws.matrix(len(block.Dst), in)
 		c.agg = ws.matrix(len(block.Dst), in)
 		for i := range block.Dst {
-			copy(c.self.Row(i), x.Row(int(block.DstLocal[i])))
+			copy(c.self.Row(i), x.Row(i))
 			ar := c.agg.Row(i)
 			lo, hi := block.SrcPtr[i], block.SrcPtr[i+1]
 			for _, s := range block.SrcLocal[lo:hi] {
@@ -343,7 +343,7 @@ func (m *Model) Backward(caches []*layerCache, dlogits *Matrix) {
 			lo, hi := block.SrcPtr[i], block.SrcPtr[i+1]
 			switch m.Cfg.Arch {
 			case SAGE:
-				axpy(dx.Row(int(block.DstLocal[i])), dSelf.Row(i), 1)
+				axpy(dx.Row(i), dSelf.Row(i), 1)
 				if hi > lo {
 					inv := 1 / float32(hi-lo)
 					for _, s := range block.SrcLocal[lo:hi] {
@@ -352,7 +352,7 @@ func (m *Model) Backward(caches []*layerCache, dlogits *Matrix) {
 				}
 			case GCN:
 				inv := 1 / float32(hi-lo+1)
-				axpy(dx.Row(int(block.DstLocal[i])), ar, inv)
+				axpy(dx.Row(i), ar, inv)
 				for _, s := range block.SrcLocal[lo:hi] {
 					axpy(dx.Row(int(s)), ar, inv)
 				}

@@ -744,7 +744,7 @@ func refBackward(m *Model, caches []*layerCache, dlogits *Matrix) {
 			count := block.SrcPtr[i+1] - block.SrcPtr[i]
 			inv := 1 / float32(count)
 			if m.Cfg.Arch == SAGE {
-				dr := dx.Row(int(block.DstLocal[i]))
+				dr := dx.Row(i)
 				for j, v := range dSelf.Row(i) {
 					dr[j] += v
 				}
@@ -753,7 +753,7 @@ func refBackward(m *Model, caches []*layerCache, dlogits *Matrix) {
 				}
 			} else {
 				inv = 1 / float32(count+1)
-				dr := dx.Row(int(block.DstLocal[i]))
+				dr := dx.Row(i)
 				for j := range dr {
 					dr[j] += ar[j] * inv
 				}
@@ -814,7 +814,7 @@ func refBackwardGAT(m *Model, l int, c *gatCache, dh *Matrix) *Matrix {
 			}
 			dDstScore += de
 		}
-		zd, dzd := c.z.Row(int(block.DstLocal[i])), dz.Row(int(block.DstLocal[i]))
+		zd, dzd := c.z.Row(i), dz.Row(i)
 		for j := range zd {
 			daDst[j] += dDstScore * zd[j]
 			dzd[j] += dDstScore * aDst[j]

@@ -8,7 +8,10 @@
 // recommended by its authors.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic xoshiro256** generator. It is not safe for
 // concurrent use; derive per-worker streams with Split.
@@ -72,34 +75,27 @@ func (r *RNG) Intn(n int) int {
 
 // Uint64n returns a uniform uint64 in [0, n) using Lemire's multiply-shift
 // rejection method. It panics if n == 0.
+//
+// A draw v is rejected only when the low word of v*n falls below 2^64 mod n,
+// which is itself below n — so the modulus (a 64-bit divide) is computed
+// lazily, on the rare draw whose low word is below n, and every other draw
+// costs one widening multiply. Accepted values and generator state are the
+// ones an eagerly computed threshold gives.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with zero n")
 	}
-	// Fast path for powers of two.
+	// Powers of two take the low bits, not the product's high word.
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	threshold := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		for threshold := -n % n; lo < threshold; {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
+	return hi
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -168,3 +168,69 @@ func TestExpPositiveAndMean(t *testing.T) {
 		t.Errorf("Exp(2) mean = %v, want ~0.5", mean)
 	}
 }
+
+// refUint64n is Uint64n as it stood before the lazy threshold: the modulus
+// computed on every call, the widening multiply done by hand.
+func refUint64n(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := -n % n
+	for {
+		hi, lo := refMul64(r.Uint64(), n)
+		if lo >= threshold {
+			return hi
+		}
+	}
+}
+
+func refMul64(a, b uint64) (hi, lo uint64) {
+	const mask = 0xffffffff
+	a0, a1 := a&mask, a>>32
+	b0, b1 := b&mask, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return
+}
+
+// TestUint64nMatchesReference: the lazy threshold accepts the same draws as
+// the eager one — equal values and an equal generator afterwards. The moduli
+// near 2^63 and above reject close to half of all draws, so the redraw loop
+// is exercised, not only the fast exit.
+func TestUint64nMatchesReference(t *testing.T) {
+	moduli := []uint64{1, 2, 1 << 5, 1 << 32, 1 << 63, 3, 15, 1000003,
+		1<<32 - 1, 1<<32 + 1, 1<<63 - 1, 1<<63 + 1, 3 << 62, 1<<64 - 3, 1<<64 - 2, 1<<64 - 1}
+	for _, n := range moduli {
+		got, want := New(n^0xfeed), New(n^0xfeed)
+		for i := 0; i < 100_000; i++ {
+			if g, w := got.Uint64n(n), refUint64n(want, n); g != w {
+				t.Fatalf("n=%d draw %d: %d, reference %d", n, i, g, w)
+			}
+		}
+		if got.s != want.s {
+			t.Fatalf("n=%d: generator state diverged from the reference", n)
+		}
+	}
+}
+
+var sinkUint64 uint64
+
+// BenchmarkUint64n draws below odd bounds (never a power of two), the case
+// the sampler's Floyd kernel hits on almost every step.
+func BenchmarkUint64n(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		fn   func(*RNG, uint64) uint64
+	}{{"lazy", (*RNG).Uint64n}, {"ref", refUint64n}} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := New(1)
+			var acc uint64
+			for i := 0; i < b.N; i++ {
+				acc += bc.fn(r, uint64(i&63)*2+3)
+			}
+			sinkUint64 = acc
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // Block is one layer of a mini-batch sample: a bipartite graph from sampled
@@ -21,10 +22,9 @@ type Block struct {
 	// block consumes: Dst first (self connections), then the remaining
 	// unique Src nodes.
 	InputNodes []graph.NodeID
-	// SrcLocal maps each Src entry to its InputNodes index; DstLocal maps
-	// each Dst entry likewise (DstLocal[i] == i by construction).
+	// SrcLocal maps each Src entry to its InputNodes index. Dst needs no such
+	// table: Dst[i] is InputNodes[i] by construction.
 	SrcLocal []int32
-	DstLocal []int32
 }
 
 // NumEdges returns the number of sampled (src, dst) pairs.
@@ -35,7 +35,8 @@ func (b *Block) NumEdges() int { return len(b.Src) }
 // sampling path. One Deduper serves one rank (it is not safe for concurrent
 // use); node ids must stay below the numNodes it was sized for.
 type Deduper struct {
-	mark []int32 // mark[v] = local index + 1 for the in-flight block
+	mark []int32        // mark[v] = local index + 1 for the in-flight block
+	in   []graph.NodeID // the in-flight block's unique set, before its exact-size copy
 }
 
 // NewDeduper returns a deduper for global ids in [0, numNodes).
@@ -59,30 +60,30 @@ func (d *Deduper) BuildBlock(dst []graph.NodeID, counts []int32, samples []graph
 	if int(total) != len(samples) {
 		panic(fmt.Sprintf("sample: %d samples for counts summing to %d", len(samples), total))
 	}
-	// InputNodes: dst first, then unseen src nodes.
+	// InputNodes: dst first, then unseen src nodes, collected in the reused
+	// buffer so the block keeps one exact-size array (non-nil when empty).
 	mark := d.mark
-	b.InputNodes = make([]graph.NodeID, 0, len(dst)+len(samples)/2)
-	b.DstLocal = make([]int32, len(dst))
+	in := append(d.in[:0], dst...)
 	for i, v := range dst {
 		mark[v] = int32(i) + 1
-		b.InputNodes = append(b.InputNodes, v)
-		b.DstLocal[i] = int32(i)
 	}
 	b.SrcLocal = make([]int32, len(samples))
 	for i, v := range samples {
 		li := mark[v]
 		if li == 0 {
-			li = int32(len(b.InputNodes)) + 1
+			in = append(in, v)
+			li = int32(len(in))
 			mark[v] = li
-			b.InputNodes = append(b.InputNodes, v)
 		}
 		b.SrcLocal[i] = li - 1
 	}
 	// Reset only the touched entries so the table is clean for the next
 	// block at O(unique) cost.
-	for _, v := range b.InputNodes {
+	for _, v := range in {
 		mark[v] = 0
 	}
+	d.in = in
+	b.InputNodes = append(make([]graph.NodeID, 0, len(in)), in...)
 	return b
 }
 
@@ -105,11 +106,9 @@ func BuildBlock(dst []graph.NodeID, counts []int32, samples []graph.NodeID) *Blo
 	// InputNodes: dst first, then unseen src nodes.
 	index := make(map[graph.NodeID]int32, len(dst)+len(samples))
 	b.InputNodes = make([]graph.NodeID, 0, len(dst)+len(samples)/2)
-	b.DstLocal = make([]int32, len(dst))
 	for i, v := range dst {
 		index[v] = int32(i)
 		b.InputNodes = append(b.InputNodes, v)
-		b.DstLocal[i] = int32(i)
 	}
 	b.SrcLocal = make([]int32, len(samples))
 	for i, v := range samples {
@@ -139,9 +138,12 @@ func (b *Block) Validate() error {
 		}
 		seen[v] = true
 	}
+	if len(b.InputNodes) < len(b.Dst) {
+		return fmt.Errorf("sample: %d input nodes for %d dst", len(b.InputNodes), len(b.Dst))
+	}
 	for i, v := range b.Dst {
-		if b.InputNodes[b.DstLocal[i]] != v {
-			return fmt.Errorf("sample: dst local index broken at %d", i)
+		if b.InputNodes[i] != v {
+			return fmt.Errorf("sample: input node %d is not dst %d", i, i)
 		}
 	}
 	for i, v := range b.Src {
@@ -231,6 +233,17 @@ type Config struct {
 // Layers returns the number of sampling hops.
 func (c Config) Layers() int { return len(c.Fanout) }
 
+// Validate rejects a fan-out (or layer budget) below one: the kernels draw
+// nothing for it, so a run would train or serve on seed-only blocks.
+func (c Config) Validate() error {
+	for l, f := range c.Fanout {
+		if f < 1 {
+			return fmt.Errorf("sample: Fanout[%d] = %d, want at least 1", l, f)
+		}
+	}
+	return nil
+}
+
 // Reference samples a mini-batch on a single address space — the oracle the
 // distributed CSP implementation must match exactly, and the kernel the
 // single-GPU / CPU baselines execute. It consumes the Topology interface, so
@@ -296,7 +309,12 @@ func DrawNode(g graph.Topology, v graph.NodeID, layer int, fanout int, cfg Confi
 // it with a patch-local adjacency slice but the global id, which makes its
 // draws bit-identical to the single-address-space Reference sampler.
 func DrawAdj(adj []graph.NodeID, weights []float32, globalID graph.NodeID, layer int, fanout int, cfg Config, batchSeed uint64, out []graph.NodeID) []graph.NodeID {
-	r := NodeSeed(batchSeed, layer, globalID)
+	// The generator lives in this frame: one per task on the hot path, so it
+	// must not be a heap object (NodeSeed's *rng.RNG is for callers that keep
+	// the stream).
+	var gen rng.RNG
+	gen.Seed(nodeSeed(batchSeed, layer, globalID))
+	r := &gen
 	if cfg.Biased {
 		if cfg.WithReplacement {
 			return WeightedWithReplacement(r, adj, weights, fanout, out)

@@ -8,48 +8,65 @@
 // PCIe, and the CPU baselines run them on host cores.
 //
 // Seeding discipline: the neighbour draw for node v in layer l of a batch
-// with seed s uses rng.New(rng.Mix(s, l, v)). Sampling is therefore a pure
-// function of (batch seed, layer, node), independent of which device
-// executes it — this is what lets the tests assert that multi-GPU CSP
-// produces bit-identical samples to a single-address-space sampler.
+// with seed s uses a generator seeded with rng.Mix(s, l, v). Sampling is
+// therefore a pure function of (batch seed, layer, node), independent of
+// which device executes it — this is what lets the tests assert that
+// multi-GPU CSP produces bit-identical samples to a single-address-space
+// sampler.
 package sample
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
+// nodeSeed is the generator seed of (batchSeed, layer, node).
+func nodeSeed(batchSeed uint64, layer int, v graph.NodeID) uint64 {
+	return rng.Mix(batchSeed, uint64(layer), uint64(uint32(v)))
+}
+
 // NodeSeed derives the deterministic RNG for (batchSeed, layer, node).
 func NodeSeed(batchSeed uint64, layer int, v graph.NodeID) *rng.RNG {
-	return rng.New(rng.Mix(batchSeed, uint64(layer), uint64(uint32(v))))
+	return rng.New(nodeSeed(batchSeed, layer, v))
 }
 
 // Uniform draws min(fanout, len(adj)) neighbours without replacement,
 // appending to out. This matches DGL's default neighbour sampling (all
-// neighbours are taken when the degree is at most the fan-out).
+// neighbours are taken when the degree is at most the fan-out). A fan-out
+// below one draws nothing.
+//
+// The draw is Floyd's algorithm on neighbour VALUES — step j draws a position
+// t in [0, d-k+j] and takes adj[t] unless that value was already taken, in
+// which case it takes adj[d-k+j] — because a row may hold the same neighbour
+// twice, so distinct positions do not imply distinct values. Every step draws
+// exactly one position whatever the row holds, which lets the work be
+// reordered: all k positions first, then the k reads they name back to back
+// (independent loads, instead of one cache miss per step queued behind the
+// previous step's scan), then the replacement rule over the gathered values.
 func Uniform(r *rng.RNG, adj []graph.NodeID, fanout int, out []graph.NodeID) []graph.NodeID {
 	d := len(adj)
-	if d == 0 {
+	if d == 0 || fanout <= 0 {
 		return out
 	}
 	if d <= fanout {
 		return append(out, adj...)
 	}
-	// Floyd's algorithm: k distinct indices from [0, d).
 	base := len(out)
-	for i := d - fanout; i < d; i++ {
-		t := r.Intn(i + 1)
-		picked := false
-		for _, v := range out[base:] {
-			if v == adj[t] {
-				picked = true
-				break
-			}
-		}
-		if picked {
-			out = append(out, adj[i])
-		} else {
-			out = append(out, adj[t])
+	out = slices.Grow(out, fanout)[:base+fanout]
+	picks := out[base:]
+	// Positions ride in the output slots they will be replaced in: a row is
+	// indexed by NodeID-sized degrees, so a position fits one.
+	for j := range picks {
+		picks[j] = graph.NodeID(r.Intn(d - fanout + j + 1))
+	}
+	for j, t := range picks {
+		picks[j] = adj[t]
+	}
+	for j := 1; j < fanout; j++ {
+		if slices.Contains(picks[:j], picks[j]) {
+			picks[j] = adj[d-fanout+j]
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -381,6 +382,94 @@ func TestDrawNodeLocationIndependent(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("draws differ: %v vs %v", a, b)
+		}
+	}
+}
+
+// refUniform is Uniform as it stood before the draw-first / gather-second
+// reordering: Floyd's algorithm one step at a time, each step's read queued
+// behind the previous step's scan. The oracle for TestUniformMatchesReference
+// and the baseline beside BenchmarkUniform.
+func refUniform(r *rng.RNG, adj []graph.NodeID, fanout int, out []graph.NodeID) []graph.NodeID {
+	d := len(adj)
+	if d == 0 {
+		return out
+	}
+	if d <= fanout {
+		return append(out, adj...)
+	}
+	base := len(out)
+	for i := d - fanout; i < d; i++ {
+		t := r.Intn(i + 1)
+		picked := false
+		for _, v := range out[base:] {
+			if v == adj[t] {
+				picked = true
+				break
+			}
+		}
+		if picked {
+			out = append(out, adj[i])
+		} else {
+			out = append(out, adj[t])
+		}
+	}
+	return out
+}
+
+// TestUniformMatchesReference: the reordered kernel returns the reference's
+// values and leaves the generator where the reference leaves it, on rows with
+// repeated neighbours (where distinct positions are not distinct values), on
+// every degree around the fan-out, for a fan-out below one (out comes back
+// untouched) and for an out that already holds ids, with and without room.
+func TestUniformMatchesReference(t *testing.T) {
+	type row struct {
+		d, k   int
+		dups   bool
+		prefix int
+		spare  int
+	}
+	rows := []row{
+		{d: 0, k: 5}, {d: 7, k: 0}, {d: 7, k: -1, prefix: 2}, {d: 7, k: -1, prefix: 2, spare: 8},
+		{d: 4, k: 5}, {d: 5, k: 5}, {d: 6, k: 5}, {d: 6, k: 5, dups: true},
+		{d: 40, k: 10, dups: true, prefix: 3}, {d: 40, k: 10, dups: true, prefix: 3, spare: 64},
+		{d: 2, k: 1}, {d: 300, k: 15},
+	}
+	gen := rng.New(20)
+	for len(rows) < 120_000 {
+		k := gen.Intn(13) - 1
+		d := gen.Intn(48)
+		if gen.Intn(3) == 0 {
+			d = max(k+gen.Intn(4)-1, 0) // d in {k-1, k, k+1, k+2}
+		}
+		rows = append(rows, row{d: d, k: k, dups: gen.Intn(2) == 0,
+			prefix: gen.Intn(4), spare: gen.Intn(2) * 32})
+	}
+	for i, rw := range rows {
+		adj := make([]graph.NodeID, rw.d)
+		universe := 1 << 20
+		if rw.dups {
+			universe = rw.d/2 + 1
+		}
+		for j := range adj {
+			adj[j] = graph.NodeID(gen.Intn(universe))
+		}
+		prefix := make([]graph.NodeID, rw.prefix, rw.prefix+rw.spare)
+		for j := range prefix {
+			prefix[j] = graph.NodeID(-1 - j)
+		}
+		seed := uint64(i)
+		rg, rw2 := rng.New(seed), rng.New(seed)
+		got := Uniform(rg, adj, rw.k, prefix)
+		want := refUniform(rw2, adj, rw.k, slices.Clone(prefix))
+		if !slices.Equal(got, want) {
+			t.Fatalf("row %d %+v adj %v: got %v, reference %v", i, rw, adj, got, want)
+		}
+		if rg.Uint64() != rw2.Uint64() {
+			t.Fatalf("row %d %+v: generator left in a different state", i, rw)
+		}
+		if rw.k <= 0 && len(got) != rw.prefix {
+			t.Fatalf("row %d %+v: fan-out below one drew %d ids", i, rw, len(got)-rw.prefix)
 		}
 	}
 }

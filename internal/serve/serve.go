@@ -263,6 +263,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("serve: fan-out depth %d != model layers %d",
 			len(c.Sample.Fanout), c.Model.Layers)
 	}
+	if err := c.Sample.Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -31,6 +32,31 @@ func testConfig(t testing.TB, nGPU int) Config {
 		Rate:     4000,
 		Skew:     0.8,
 		UseCCC:   true,
+	}
+}
+
+// TestNewServerRejectsBadConfig: a configuration that cannot serve is an
+// error naming the field, not a server that runs on nothing — a fan-out below
+// one used to build and answer every request from a seed-only block.
+func TestNewServerRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		reject string
+	}{
+		{"zero duration", func(c *Config) { c.Duration = 0 }, "Duration"},
+		{"negative rate", func(c *Config) { c.Rate = -1 }, "Rate"},
+		{"fan-out depth", func(c *Config) { c.Model.Layers = 3 }, "fan-out depth 2 != model layers 3"},
+		{"negative fan-out", func(c *Config) { c.Sample.Fanout = []int{6, -1} }, "Fanout[1] = -1"},
+		{"zero layer budget", func(c *Config) {
+			c.Sample.Fanout, c.Sample.LayerWise = []int{0, 32}, true
+		}, "Fanout[0] = 0"},
+	} {
+		cfg := testConfig(t, 2)
+		tc.mutate(&cfg)
+		if _, err := NewServer(cfg); err == nil || !strings.Contains(err.Error(), tc.reject) {
+			t.Errorf("%s: NewServer answered %v, want an error naming %q", tc.name, err, tc.reject)
+		}
 	}
 }
 

@@ -382,6 +382,9 @@ func (o Options) Validate() error {
 	if len(o.Sample.Fanout) != o.Model.Layers {
 		return fmt.Errorf("train: %d fan-outs for %d model layers", len(o.Sample.Fanout), o.Model.Layers)
 	}
+	if err := o.Sample.Validate(); err != nil {
+		return fmt.Errorf("train: %w", err)
+	}
 	if o.QueueCap < 0 {
 		return fmt.Errorf("train: negative QueueCap %d (0 selects the default of 2)", o.QueueCap)
 	}

@@ -162,6 +162,14 @@ func TestOptionsValidateRejectsMismatch(t *testing.T) {
 	if (Options{}).Validate() == nil {
 		t.Fatal("missing data accepted")
 	}
+	// A fan-out below one samples nothing: node-wise fan-out and layer-wise
+	// budget alike are refused by position.
+	for _, layerWise := range []bool{false, true} {
+		o.Sample = sample.Config{Fanout: []int{5, -1, 5}, LayerWise: layerWise}
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "Fanout[1] = -1") {
+			t.Fatalf("negative fan-out (layer-wise %v): %v", layerWise, err)
+		}
+	}
 	// Defaults resolves 0; a negative capacity is nobody's to clamp.
 	neg := Options{Data: td, QueueCap: -1}.Defaults()
 	if err := neg.Validate(); err == nil || !strings.Contains(err.Error(), "QueueCap") {

@@ -19,6 +19,9 @@ import (
 	"repro/internal/partition"
 )
 
+// customClasses is the community count of a custom (-nodes/-degree) graph.
+const customClasses = 16
+
 func main() {
 	var (
 		dsName = flag.String("dataset", "", "standard dataset (products, papers, friendster); empty = custom")
@@ -29,42 +32,52 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "partitioner seed")
 	)
 	flag.Parse()
+	switch {
+	case *gpus < 1:
+		usageError("-gpus must be at least 1, got %d", *gpus)
+	case *nodes < customClasses:
+		usageError("-nodes must be at least %d (one per generated community), got %d", customClasses, *nodes)
+	case !(*degree > 0):
+		usageError("-degree must be positive, got %v", *degree)
+	case *shrink < 1:
+		usageError("-shrink must be at least 1, got %d", *shrink)
+	}
 
 	var d *gen.Dataset
 	if *dsName != "" {
 		std := gen.StandardDataset(*dsName, *shrink)
+		if std.Config.Nodes < std.Config.NumClasses {
+			usageError("-shrink %d leaves %s %d nodes for its %d communities", *shrink, *dsName, std.Config.Nodes, std.Config.NumClasses)
+		}
 		fmt.Printf("dataset %s: %d nodes, avg degree %.1f\n", std.Config.Name, std.Config.Nodes, std.Config.AvgDegree)
 		d = gen.Generate(std.Config)
 	} else {
 		d = gen.Generate(gen.Config{
 			Name: "custom", Nodes: *nodes, AvgDegree: *degree,
-			FeatDim: 8, NumClasses: 16, Seed: *seed,
+			FeatDim: 8, NumClasses: customClasses, Seed: *seed,
 		})
 	}
 	g := d.G
 	fmt.Printf("graph: %d nodes, %d adjacency entries\n\n", g.NumNodes(), g.NumEdges())
 
 	fmt.Printf("%-8s  %10s  %8s  %9s  %s\n", "method", "edge-cut", "cut-frac", "imbalance", "part sizes")
-	for _, method := range []string{"metis", "hash"} {
-		var res *partition.Result
-		if method == "metis" {
-			res = partition.Metis(g, *gpus, *seed)
-		} else {
-			res = partition.Hash(g, *gpus)
-		}
-		if err := res.Validate(g.NumNodes()); err != nil {
+	metis := partition.Metis(g, *gpus, *seed)
+	for _, row := range []struct {
+		method string
+		res    *partition.Result
+	}{{"metis", metis}, {"hash", partition.Hash(g, *gpus)}} {
+		if err := row.res.Validate(g.NumNodes()); err != nil {
 			fmt.Fprintf(os.Stderr, "dsppart: %v\n", err)
 			os.Exit(1)
 		}
-		cut, frac := partition.EdgeCut(g, res)
+		cut, frac := partition.EdgeCut(g, row.res)
 		fmt.Printf("%-8s  %10d  %7.1f%%  %9.3f  %v\n",
-			method, cut, 100*frac, res.Imbalance(), res.PartSizes())
+			row.method, cut, 100*frac, row.res.Imbalance(), row.res.PartSizes())
 	}
 
 	// Locality preview: fraction of a simulated frontier whose adjacency is
 	// patch-local under the METIS layout (what CSP exploits).
-	res := partition.Metis(g, *gpus, *seed)
-	ren := partition.BuildRenumbering(res)
+	ren := partition.BuildRenumbering(metis)
 	lg := ren.ApplyToGraph(g)
 	var local, total int64
 	for v := 0; v < lg.NumNodes(); v++ {
@@ -78,4 +91,11 @@ func main() {
 	}
 	fmt.Printf("\nCSP locality under METIS layout: %.1f%% of neighbour references stay on the owning GPU\n",
 		100*float64(local)/float64(total))
+}
+
+// usageError reports a bad flag value on stderr and exits 2, as the flag
+// package does for a flag it cannot parse.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dsppart: "+format+"\n", args...)
+	os.Exit(2)
 }

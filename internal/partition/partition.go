@@ -12,7 +12,6 @@ package partition
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -46,8 +45,11 @@ func (r *Result) PartSizes() []int {
 	return sizes
 }
 
-// Imbalance returns max part size over ideal size.
+// Imbalance returns max part size over ideal size, 0 for no nodes.
 func (r *Result) Imbalance() float64 {
+	if len(r.Parts) == 0 {
+		return 0
+	}
 	sizes := r.PartSizes()
 	maxSize := 0
 	for _, s := range sizes {
@@ -93,6 +95,14 @@ func Hash(g *graph.CSR, k int) *Result {
 // we allow a little more because patches must also balance feature shards).
 const maxImbalance = 1.05
 
+// balanceLimit is the heaviest a part may get: maxImbalance over the ideal
+// weight, but never under ceil(totalW/k) — below an ideal of 20 the product
+// can truncate to less than that, a limit no assignment meets.
+func balanceLimit(totalW int64, k int) int64 {
+	limit := int64(float64(totalW) / float64(k) * maxImbalance)
+	return max(limit, (totalW+int64(k)-1)/int64(k))
+}
+
 // Metis computes a k-way partition with a multilevel scheme. It is
 // deterministic for a given (graph, k, seed).
 func Metis(g *graph.CSR, k int, seed uint64) *Result {
@@ -100,36 +110,25 @@ func Metis(g *graph.CSR, k int, seed uint64) *Result {
 	if k <= 0 {
 		panic("partition: k must be positive")
 	}
+	if n == 0 {
+		return &Result{K: k}
+	}
 	if k == 1 {
 		return &Result{K: 1, Parts: make([]int32, n)}
 	}
 	r := rng.New(seed)
 	w := buildWork(g)
+	order := make([]int, n) // visit-order scratch of every level, see visitOrder
 
-	// Coarsening phase.
-	var levels []*workGraph
-	var maps [][]int32 // maps[i][v] = coarse id of v at level i+1
-	cur := w
-	coarsenTarget := 30 * k
-	if coarsenTarget < 256 {
-		coarsenTarget = 256
-	}
-	for cur.n > coarsenTarget {
-		cmap, coarse := cur.coarsen(r)
-		if coarse.n >= cur.n*95/100 {
-			break // diminishing returns
-		}
-		levels = append(levels, cur)
-		maps = append(maps, cmap)
-		cur = coarse
-	}
+	levels, maps := coarsenLevels(w, k, order, r)
 
 	// Initial partition on the coarsest graph.
+	cur := levels[len(maps)]
 	parts := cur.greedyGrow(k, r)
-	cur.refine(parts, k, 8, r)
+	cur.refine(parts, k, 8, order, r)
 
 	// Uncoarsening with refinement.
-	for i := len(levels) - 1; i >= 0; i-- {
+	for i := len(maps) - 1; i >= 0; i-- {
 		fine := levels[i]
 		cmap := maps[i]
 		fineParts := make([]int32, fine.n)
@@ -137,12 +136,46 @@ func Metis(g *graph.CSR, k int, seed uint64) *Result {
 			fineParts[v] = parts[cmap[v]]
 		}
 		parts = fineParts
-		fine.refine(parts, k, 4, r)
+		fine.refine(parts, k, 4, order, r)
 	}
 	return &Result{K: k, Parts: parts}
 }
 
+// coarsenLevels is the coarsening phase: it contracts w until the graph is
+// small enough for the initial partition or stops shrinking. levels[0] is w,
+// maps[i][v] the id at level i+1 of level i's node v, so levels is one longer
+// than maps and ends with the coarsest graph.
+func coarsenLevels(w *workGraph, k int, order []int, r *rng.RNG) (levels []*workGraph, maps [][]int32) {
+	cur := w
+	coarsenTarget := max(30*k, 256)
+	for cur.n > coarsenTarget {
+		cmap, coarse := cur.coarsen(order, r)
+		if coarse.n >= cur.n*95/100 {
+			break // diminishing returns
+		}
+		levels = append(levels, cur)
+		maps = append(maps, cmap)
+		cur = coarse
+	}
+	return append(levels, cur), maps
+}
+
+// visitOrder fills order[:n] with a random permutation of [0,n): the draws
+// and the result of r.Perm(n), without an allocation per pass.
+func visitOrder(order []int, n int, r *rng.RNG) []int {
+	order = order[:n]
+	for i := range order {
+		order[i] = i
+	}
+	r.ShuffleInts(order)
+	return order
+}
+
 // workGraph is the symmetrized, weighted graph the partitioner operates on.
+// At every level it is symmetric with symmetric weights — u is in v's list
+// with weight wt exactly when v is in u's with wt — has no self-loop, and
+// every list is strictly ascending. Contraction and refinement both lean on
+// that (see transposeInto and refine).
 type workGraph struct {
 	n      int
 	indptr []int64
@@ -152,68 +185,105 @@ type workGraph struct {
 	totalW int64
 }
 
+// transposeInto writes the transpose of the lists (ptr, adj, ew) to (tadj,
+// tew): walking the sources in ascending order, v is appended to the list of
+// every u in v's list. When the input is symmetric — as many lists name u as
+// u's own list has entries, so ptr bounds the output too — the transpose is
+// the input with every list in ascending order: a sort in two linear passes.
+// A nil ew transposes the topology alone. cursor is scratch of len(ptr)-1.
+func transposeInto(ptr []int64, adj []int32, ew []int64, tadj []int32, tew []int64, cursor []int64) {
+	n := len(ptr) - 1
+	copy(cursor, ptr[:n])
+	for v := 0; v < n; v++ {
+		lo, hi := ptr[v], ptr[v+1]
+		if ew == nil {
+			for _, u := range adj[lo:hi] {
+				tadj[cursor[u]] = int32(v)
+				cursor[u]++
+			}
+			continue
+		}
+		for j := lo; j < hi; j++ {
+			u := adj[j]
+			tadj[cursor[u]] = int32(v)
+			tew[cursor[u]] = ew[j]
+			cursor[u]++
+		}
+	}
+}
+
 // buildWork symmetrizes g (union of in/out edges), deduplicates multi-edges
 // into weights and drops self-loops.
 func buildWork(g *graph.CSR) *workGraph {
 	n := g.NumNodes()
-	// Emit both directions of every adjacency entry.
-	type rec struct{ u, v int32 }
-	m := len(g.Indices)
-	recs := make([]rec, 0, 2*m)
+	// Both directions of every adjacency entry: count, then fill. A list
+	// comes out unordered with one copy of u per multi-edge, which makes the
+	// lists symmetric as multisets.
+	ptr := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			if int(u) == v {
-				continue
+			if int(u) != v {
+				ptr[v+1]++
+				ptr[u+1]++
 			}
-			recs = append(recs, rec{int32(v), u})
-			recs = append(recs, rec{u, int32(v)})
 		}
-	}
-	// Bucket by u (counting sort) then sort each bucket by v and merge.
-	counts := make([]int64, n+1)
-	for _, e := range recs {
-		counts[e.u+1]++
 	}
 	for i := 1; i <= n; i++ {
-		counts[i] += counts[i-1]
+		ptr[i] += ptr[i-1]
 	}
-	bucketed := make([]int32, len(recs))
 	cursor := make([]int64, n)
-	copy(cursor, counts[:n])
-	for _, e := range recs {
-		bucketed[cursor[e.u]] = e.v
-		cursor[e.u]++
+	copy(cursor, ptr[:n])
+	raw := make([]int32, ptr[n])
+	for v := 0; v < n; v++ {
+		for _, u := range g.Neighbors(graph.NodeID(v)) {
+			if int(u) != v {
+				raw[cursor[v]] = u
+				cursor[v]++
+				raw[cursor[u]] = int32(v)
+				cursor[u]++
+			}
+		}
 	}
-	w := &workGraph{n: n, nw: make([]int64, n)}
-	w.indptr = make([]int64, n+1)
+	// Sort every list by transposing, then merge each run of equal
+	// neighbours into one entry weighted by the run's length.
+	sorted := make([]int32, len(raw))
+	transposeInto(ptr, raw, nil, sorted, nil, cursor)
+	w := &workGraph{n: n, nw: make([]int64, n), indptr: make([]int64, n+1), totalW: int64(n)}
 	for v := 0; v < n; v++ {
 		w.nw[v] = 1
-		bucket := bucketed[counts[v]:counts[v+1]]
-		slices.Sort(bucket)
-		for i := 0; i < len(bucket); {
-			j := i
-			for j < len(bucket) && bucket[j] == bucket[i] {
-				j++
+		list := sorted[ptr[v]:ptr[v+1]]
+		runs := int64(0)
+		for i, u := range list {
+			if i == 0 || u != list[i-1] {
+				runs++
 			}
-			w.adj = append(w.adj, bucket[i])
-			w.ew = append(w.ew, int64(j-i))
-			i = j
 		}
-		w.indptr[v+1] = int64(len(w.adj))
+		w.indptr[v+1] = w.indptr[v] + runs
 	}
-	w.totalW = int64(n)
+	w.adj = make([]int32, w.indptr[n])
+	w.ew = make([]int64, w.indptr[n])
+	for v := 0; v < n; v++ {
+		list := sorted[ptr[v]:ptr[v+1]]
+		o := w.indptr[v] - 1
+		for i, u := range list {
+			if i == 0 || u != list[i-1] {
+				o++
+				w.adj[o] = u
+			}
+			w.ew[o]++
+		}
+	}
 	return w
 }
 
 // coarsen contracts a heavy-edge matching; returns the fine->coarse map and
 // the coarse graph.
-func (w *workGraph) coarsen(r *rng.RNG) ([]int32, *workGraph) {
+func (w *workGraph) coarsen(order []int, r *rng.RNG) ([]int32, *workGraph) {
 	match := make([]int32, w.n)
 	for i := range match {
 		match[i] = -1
 	}
-	order := r.Perm(w.n)
-	for _, vi := range order {
+	for _, vi := range visitOrder(order, w.n, r) {
 		v := int32(vi)
 		if match[v] >= 0 {
 			continue
@@ -222,7 +292,7 @@ func (w *workGraph) coarsen(r *rng.RNG) ([]int32, *workGraph) {
 		var bestW int64 = -1
 		for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
 			u := w.adj[i]
-			if match[u] >= 0 || u == v {
+			if match[u] >= 0 {
 				continue
 			}
 			if w.ew[i] > bestW {
@@ -254,50 +324,55 @@ func (w *workGraph) coarsen(r *rng.RNG) ([]int32, *workGraph) {
 		}
 		cn++
 	}
-	// Build coarse graph: aggregate edges between coarse nodes.
-	coarse := &workGraph{n: int(cn), nw: make([]int64, cn)}
+	coarse := &workGraph{n: int(cn), nw: make([]int64, cn), totalW: w.totalW}
 	for v := 0; v < w.n; v++ {
 		coarse.nw[cmap[v]] += w.nw[v]
 	}
-	coarse.totalW = w.totalW
-	// Bucket edges by coarse source.
-	type edge struct {
-		u, v int32
-		wt   int64
+	// Aggregate each coarse node's edges into one unordered list. pos[d] is
+	// where the list being built holds its edge to d: lists are laid out one
+	// after another, so a position at or past the current list's start means
+	// d is already in it, anything lower is a leftover of an earlier list.
+	uptr := make([]int64, cn+1)
+	uadj := make([]int32, len(w.adj))
+	uew := make([]int64, len(w.adj))
+	pos := make([]int64, cn)
+	for i := range pos {
+		pos[i] = -1
 	}
-	edges := make([]edge, 0, len(w.adj))
+	var c int32 // next coarse node; ids ascend with each pair's lower member
+	var m int64
 	for v := 0; v < w.n; v++ {
-		cv := cmap[v]
-		for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
-			cu := cmap[w.adj[i]]
-			if cu == cv {
-				continue
+		if cmap[v] != c {
+			continue // the higher member of an earlier pair
+		}
+		start := m
+		for x := int32(v); ; x = match[v] { // v, then its partner if it has one
+			for i := w.indptr[x]; i < w.indptr[x+1]; i++ {
+				d := cmap[w.adj[i]]
+				if d == c {
+					continue
+				}
+				if p := pos[d]; p >= start {
+					uew[p] += w.ew[i]
+				} else {
+					pos[d] = m
+					uadj[m] = d
+					uew[m] = w.ew[i]
+					m++
+				}
 			}
-			edges = append(edges, edge{cv, cu, w.ew[i]})
-		}
-	}
-	slices.SortFunc(edges, func(a, b edge) int {
-		if a.u != b.u {
-			return int(a.u) - int(b.u)
-		}
-		return int(a.v) - int(b.v)
-	})
-	coarse.indptr = make([]int64, cn+1)
-	idx := 0
-	for v := int32(0); v < cn; v++ {
-		for idx < len(edges) && edges[idx].u == v {
-			j := idx
-			var sum int64
-			for j < len(edges) && edges[j].u == v && edges[j].v == edges[idx].v {
-				sum += edges[j].wt
-				j++
+			if x == match[v] {
+				break
 			}
-			coarse.adj = append(coarse.adj, edges[idx].v)
-			coarse.ew = append(coarse.ew, sum)
-			idx = j
 		}
-		coarse.indptr[v+1] = int64(len(coarse.adj))
+		c++
+		uptr[c] = m
 	}
+	// Sort every list by transposing; uptr already is the coarse indptr.
+	coarse.indptr = uptr
+	coarse.adj = make([]int32, m)
+	coarse.ew = make([]int64, m)
+	transposeInto(uptr, uadj, uew, coarse.adj, coarse.ew, pos)
 	return cmap, coarse
 }
 
@@ -384,33 +459,61 @@ func (w *workGraph) greedyGrow(k int, r *rng.RNG) []int32 {
 	return parts
 }
 
+// externalDegree returns, for every node, how many of its neighbours are in
+// another part (METIS's ed): zero marks an interior node.
+func (w *workGraph) externalDegree(parts []int32) []int32 {
+	ed := make([]int32, w.n)
+	for v := 0; v < w.n; v++ {
+		pv := parts[v]
+		for _, u := range w.adj[w.indptr[v]:w.indptr[v+1]] {
+			if parts[u] != pv {
+				ed[v]++
+			}
+		}
+	}
+	return ed
+}
+
+// move puts v in part to and keeps ed exact: the graph being symmetric and
+// free of multi-edges, v is in each neighbour's list exactly once, so a
+// neighbour in the part left gains one external neighbour and one in the part
+// entered loses one.
+func (w *workGraph) move(v, to int32, parts, ed []int32) {
+	from := parts[v]
+	parts[v] = to
+	ed[v] = 0
+	for _, u := range w.adj[w.indptr[v]:w.indptr[v+1]] {
+		switch parts[u] {
+		case to:
+			ed[u]--
+		case from:
+			ed[u]++
+			ed[v]++
+		default:
+			ed[v]++
+		}
+	}
+}
+
 // refine runs FM-style greedy boundary passes: move a node to the
 // neighbouring part with the highest positive gain, subject to the balance
 // constraint.
-func (w *workGraph) refine(parts []int32, k int, passes int, r *rng.RNG) {
+func (w *workGraph) refine(parts []int32, k int, passes int, order []int, r *rng.RNG) {
 	partW := make([]int64, k)
 	for v := 0; v < w.n; v++ {
 		partW[parts[v]] += w.nw[v]
 	}
-	limit := int64(float64(w.totalW) / float64(k) * maxImbalance)
-	conn := make([]int64, k) // scratch: connectivity of v to each part
+	limit := balanceLimit(w.totalW, k)
+	ed := w.externalDegree(parts) // zero for interior nodes: skipped on one load
+	conn := make([]int64, k)      // scratch: connectivity of v to each part
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		order := r.Perm(w.n)
-		for _, vi := range order {
-			v := int32(vi)
-			pv := parts[v]
-			// Compute connectivity to each part; skip interior nodes fast.
-			boundary := false
-			for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
-				if parts[w.adj[i]] != pv {
-					boundary = true
-					break
-				}
-			}
-			if !boundary {
+		for _, vi := range visitOrder(order, w.n, r) {
+			if ed[vi] == 0 {
 				continue
 			}
+			v := int32(vi)
+			pv := parts[v]
 			for p := range conn {
 				conn[p] = 0
 			}
@@ -435,7 +538,7 @@ func (w *workGraph) refine(parts []int32, k int, passes int, r *rng.RNG) {
 			if bestP != pv && bestGain > 0 {
 				partW[pv] -= w.nw[v]
 				partW[bestP] += w.nw[v]
-				parts[v] = bestP
+				w.move(v, bestP, parts, ed)
 				moved++
 			}
 		}
@@ -443,15 +546,17 @@ func (w *workGraph) refine(parts []int32, k int, passes int, r *rng.RNG) {
 			break
 		}
 	}
-	w.rebalance(parts, k, partW, limit, r)
+	w.rebalance(parts, k, partW, limit, order, r)
 }
 
-// rebalance forcibly empties overweight parts: boundary nodes of any part
-// above the balance limit move to their best-connected underweight part,
-// accepting negative gain (gain-driven refinement alone cannot repair a
-// badly imbalanced initial partition). At the finest level node weights are
-// 1, so the limit is always achievable.
-func (w *workGraph) rebalance(parts []int32, k int, partW []int64, limit int64, r *rng.RNG) {
+// rebalance forcibly empties overweight parts: nodes of any part above the
+// balance limit move to their best-connected part with room, accepting
+// negative gain (gain-driven refinement alone cannot repair a badly
+// imbalanced initial partition). At the finest level node weights are 1 and
+// balanceLimit is at least ceil(n/k), so some part always has room and one
+// pass ends with every part within the limit; at a coarser level a heavy node
+// may fit nowhere, and what is left over is repaired one level down.
+func (w *workGraph) rebalance(parts []int32, k int, partW []int64, limit int64, order []int, r *rng.RNG) {
 	conn := make([]int64, k)
 	for pass := 0; pass < 8; pass++ {
 		over := false
@@ -464,8 +569,7 @@ func (w *workGraph) rebalance(parts []int32, k int, partW []int64, limit int64, 
 			return
 		}
 		moved := 0
-		order := r.Perm(w.n)
-		for _, vi := range order {
+		for _, vi := range visitOrder(order, w.n, r) {
 			v := int32(vi)
 			pv := parts[v]
 			if partW[pv] <= limit {
@@ -495,9 +599,6 @@ func (w *workGraph) rebalance(parts []int32, k int, partW []int64, limit int64, 
 				partW[best] += w.nw[v]
 				parts[v] = best
 				moved++
-				if partW[pv] <= limit {
-					continue
-				}
 			}
 		}
 		if moved == 0 {

@@ -140,10 +140,8 @@ func previewFeatureLayouts(td *train.Data) {
 // whether a static cache placement can hold up or the adaptive rebalancer has
 // work to do.
 func previewWorkload(td *train.Data, skew float64, drift sim.Time, draws, phases int, seed uint64) {
-	w := serve.NewWorkload(td, skew)
-	if drift > 0 {
-		w.EnableDrift(drift, rng.Mix(seed, 0xD21F7))
-	} else {
+	w := serve.NewWorkload(td, skew, drift, seed)
+	if drift <= 0 {
 		phases = 1
 	}
 	n := td.G.NumNodes()
@@ -161,7 +159,9 @@ func previewWorkload(td *train.Data, skew float64, drift sim.Time, draws, phases
 		for i := 0; i < draws; i++ {
 			v := w.Draw(r, now)
 			freq[v]++
-			perGPU[w.Owner(v)]++
+			// v's patch owner: offsets[g] <= v < offsets[g+1].
+			g := sort.Search(len(perGPU), func(g int) bool { return td.Offsets[g+1] > int64(v) })
+			perGPU[g]++
 		}
 		counts := make([]int, 0, len(freq))
 		for _, c := range freq {

@@ -116,16 +116,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
 			os.Exit(2)
 		}
-		crashed := map[int]bool{}
-		for _, f := range faults {
-			if f.Kind == fault.Crash {
-				crashed[f.GPU] = true
-			}
-		}
-		if len(crashed) >= *gpus {
-			fmt.Fprintf(os.Stderr, "dspserve: fault schedule crashes all %d GPUs; at least one must survive\n", *gpus)
-			os.Exit(2)
-		}
 	}
 
 	var batching serve.Batching
@@ -243,9 +233,14 @@ func main() {
 		cfg.Tracer.SetMaxEvents(common.TraceMaxEvents())
 	}
 
+	srv, err := serve.NewServer(cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
+		os.Exit(2)
+	}
 	fmt.Printf("serving %s on %d GPUs: %s batching, %.0f req/s for %.2fs...\n",
 		td.Name, *gpus, batching, *rate, *duration)
-	rep, err := serve.Serve(cfg)
+	rep, err := srv.Run()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
 		os.Exit(1)

@@ -7,15 +7,16 @@
 // routed p99 crosses SLO bands, and whole-fleet crash faults drain a replica
 // mid-run with its traffic re-routed to the survivors.
 //
-// Everything is deterministic: per-fleet seeds derive from the router seed,
-// so each replica drifts through its own popularity phases while the whole
-// run stays a pure function of the Config.
+// Everything is deterministic: one serve.Intake keyed by the router seed
+// draws every arrival, per-fleet seeds derived from it drive each replica's
+// rounds and model, and the whole run is a pure function of the Config.
 package fleet
 
 import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/serve"
@@ -24,10 +25,9 @@ import (
 )
 
 // Config describes one routed serving run. Serve is the per-fleet template:
-// its Data/Rate/Duration/Skew describe the router's single arrival process,
-// and its Tenants/SLO are enforced at the router. The router owns the fields
-// a replica cannot (Engine, Name, External, OnComplete, Faults); setting them
-// on the template is an error.
+// its Data/Rate/Duration/Skew/DriftEvery/Tenants describe the router's single
+// arrival process, and its SLO is kept per fleet and merged. Faults are the
+// router's (Config.Faults); setting them on the template is an error.
 type Config struct {
 	Serve serve.Config
 	// Fleets is the initially active replica count (required, >= 1).
@@ -47,10 +47,15 @@ func (c Config) validate() (Config, error) {
 	if c.Fleets < 1 {
 		return c, fmt.Errorf("fleet: Config.Fleets must be >= 1")
 	}
-	if c.Serve.Engine != nil || c.Serve.External || c.Serve.Name != "" ||
-		c.Serve.OnComplete != nil || len(c.Serve.Faults) > 0 {
-		return c, fmt.Errorf("fleet: Serve template must leave Engine/Name/External/OnComplete/Faults to the router")
+	if c.Serve.Data == nil {
+		return c, fmt.Errorf("fleet: Config.Serve.Data is required")
 	}
+	if len(c.Serve.Faults) > 0 {
+		return c, fmt.Errorf("fleet: Serve template must leave Faults to the router (Config.Faults)")
+	}
+	// Per-request tracing across N fleets would interleave pids; the router
+	// reports aggregates instead.
+	c.Serve.Tracer = nil
 	c.Autoscale = c.Autoscale.withDefaults(c.Serve.SLO)
 	if c.Autoscale.enabled() {
 		if c.Autoscale.Max < c.Fleets {
@@ -80,9 +85,8 @@ type Router struct {
 	state   []State
 	view    *fault.View // fleet-level membership (whole-fleet crashes)
 	whole   []fault.FleetFault
-
-	workload *serve.Workload
-	tenants  *serve.TenantTable
+	// in is the run's one arrival process and its admission totals.
+	in *serve.Intake
 
 	// win is the per-fleet latency window feeding the latency-aware policy
 	// and the autoscaler; reset every Autoscale.Period.
@@ -91,11 +95,7 @@ type Router struct {
 	// routing state and accounting
 	rr        int
 	scratch   []int // routable() scratch buffer
-	nextID    int
-	arrived   int
-	shed      int
-	quotaRej  int
-	rerouted  int // requests rescued from dying fleets
+	rerouted  int   // requests rescued from dying fleets
 	routed    []int
 	rescued   []int // per-fleet: orphans rescued FROM it at its death
 	completed []int
@@ -106,8 +106,8 @@ type Router struct {
 // instrumentation; every hub method is nil-safe).
 func (r *Router) hub() *telemetry.Hub { return r.cfg.Serve.Telemetry }
 
-// NewRouter builds the shared engine, all replicas (External mode, derived
-// seeds, scoped fault schedules) and the router state.
+// NewRouter builds the shared engine, the arrival process, all replicas
+// (derived seeds, scoped fault schedules) and the router state.
 func NewRouter(cfg Config) (*Router, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
@@ -125,26 +125,20 @@ func NewRouter(cfg Config) (*Router, error) {
 		routed:    make([]int, n),
 		rescued:   make([]int, n),
 		completed: make([]int, n),
+		// Keyed by the router seed (distinct from every derived fleet seed).
+		in: serve.NewIntake(cfg.Serve),
 	}
 	whole, scoped := fault.SplitFleet(cfg.Faults, n)
 	r.whole = whole
 	for f := 0; f < n; f++ {
 		f := f
 		scfg := cfg.Serve
-		scfg.Engine = r.eng
-		scfg.Name = fmt.Sprintf("fleet%d", f)
-		scfg.External = true
-		// Independent seed stream per replica: each fleet's round seeds,
-		// model init and popularity drift are its own.
+		// Independent seed stream per replica: each fleet's round seeds and
+		// model init are its own.
 		scfg.Seed = rng.Mix(cfg.Serve.Seed, 0xF1EE7, uint64(f))
-		// Quotas and tenant accounting live at the router, not the replicas.
-		scfg.Tenants = nil
-		// Per-request tracing across N fleets would interleave pids; the
-		// router reports aggregates instead.
-		scfg.Tracer = nil
 		scfg.Faults = scoped[f]
-		scfg.OnComplete = func(req *serve.Request) { r.onComplete(f, req) }
-		srv, err := serve.NewServer(scfg)
+		srv, err := serve.NewReplica(scfg, eng, fmt.Sprintf("fleet%d", f), r.in,
+			func(req *serve.Request) { r.onComplete(f, req) })
 		if err != nil {
 			return nil, fmt.Errorf("fleet %d: %w", f, err)
 		}
@@ -154,22 +148,14 @@ func NewRouter(cfg Config) (*Router, error) {
 			r.state[f] = Standby
 		}
 	}
-	// The router's own arrival process mirrors a standalone server's: same
-	// stream constants, but keyed by the router seed (distinct from every
-	// derived fleet seed).
-	r.workload = serve.NewWorkload(cfg.Serve.Data, cfg.Serve.Skew)
-	if cfg.Serve.DriftEvery > 0 {
-		r.workload.EnableDrift(cfg.Serve.DriftEvery, rng.Mix(cfg.Serve.Seed, 0xD21F7))
-	}
-	r.tenants = serve.NewTenantTable(cfg.Serve.Tenants)
 	if hub := r.hub(); hub.Enabled() {
 		// Router-level sources on top of each replica's own series (the
-		// replicas registered theirs under fleetN/ prefixes in NewServer).
+		// replicas registered theirs under fleetN/ prefixes in NewReplica).
 		hub.Gauge("router/active_fleets", func(sim.Time) float64 {
 			return float64(r.countState(Active))
 		})
 		hub.Counter("router/shed", func(sim.Time) float64 {
-			return float64(r.shed)
+			return float64(r.in.Shed)
 		})
 		hub.Counter("router/rerouted", func(sim.Time) float64 {
 			return float64(r.rerouted)
@@ -193,7 +179,12 @@ func (r *Router) Run() (*Report, error) {
 	for _, s := range r.servers {
 		s.Start()
 	}
-	r.eng.Go("router/generator", r.generate)
+	r.eng.Go("router/generator", func(p *sim.Proc) {
+		r.in.Run(p, r.admit)
+		for _, s := range r.servers {
+			s.CloseIntake()
+		}
+	})
 	for _, ff := range r.whole {
 		ff := ff
 		// Non-daemon: the crash must fire even if traffic quiesces first.
@@ -221,58 +212,21 @@ func (r *Router) Run() (*Report, error) {
 	return r.report(end)
 }
 
-// generate is the router's open-loop arrival process: Poisson gaps at the
-// offered rate, node drawn from the router's own (drifting) popularity,
-// tenant drawn and charged against its quota, then policy dispatch.
-func (r *Router) generate(p *sim.Proc) {
-	cfg := r.cfg.Serve
-	rg := rng.New(rng.Mix(cfg.Seed, 0xA221A1))
-	tr := rng.New(rng.Mix(cfg.Seed, 0x7E4A47))
-	for {
-		p.Sleep(sim.Time(rg.Exp(cfg.Rate)))
-		if p.Now() >= cfg.Duration {
-			break
-		}
-		node := r.workload.Draw(rg, p.Now())
-		tenant := 0
-		if r.tenants != nil {
-			tenant = r.tenants.Draw(tr)
-		}
-		r.arrived++
-		if r.tenants != nil && !r.tenants.TakeToken(tenant, p.Now()) {
-			r.shed++
-			r.hub().ObserveShed(p.Now())
-			r.quotaRej++
-			r.tenants.Reject(tenant)
-			continue
-		}
-		f := r.route(node)
-		if f < 0 {
-			// No routable fleet: the router sheds before any server sees the
-			// request (a server-side Admit failure feeds the hub itself).
-			r.shed++
-			r.hub().ObserveShed(p.Now())
-			if r.tenants != nil {
-				r.tenants.Reject(tenant)
-			}
-			continue
-		}
-		if !r.servers[f].Admit(p.Now(), r.nextID, node, tenant) {
-			r.shed++
-			if r.tenants != nil {
-				r.tenants.Reject(tenant)
-			}
-			continue
-		}
-		r.nextID++
-		r.routed[f]++
-		if r.tenants != nil {
-			r.tenants.Accept(tenant)
-		}
+// admit routes one arrival the intake let through its quota to the policy's
+// fleet, reporting false when no active fleet can take it.
+func (r *Router) admit(now sim.Time, id int, node graph.NodeID, tenant int) bool {
+	f := r.route(node)
+	if f < 0 {
+		// No routable fleet: the router sheds before any server sees the
+		// request (a server-side Admit failure feeds the hub itself).
+		r.hub().ObserveShed(now)
+		return false
 	}
-	for _, s := range r.servers {
-		s.CloseIntake()
+	if !r.servers[f].Admit(now, id, node, tenant) {
+		return false
 	}
+	r.routed[f]++
+	return true
 }
 
 // killFleet applies a whole-fleet crash: the replica's processes die at this
@@ -296,7 +250,7 @@ func (r *Router) killFleet(p *sim.Proc, f int) {
 			continue
 		}
 		// No survivor can take it: it dies with the fleet.
-		r.shed++
+		r.in.Shed++
 		if t < 0 {
 			r.hub().ObserveShed(p.Now())
 		}

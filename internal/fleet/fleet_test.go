@@ -2,13 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/sample"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/train"
 )
 
@@ -136,52 +137,6 @@ func TestFleetRunReportDeterminism(t *testing.T) {
 	a, b := encode(), encode()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("runreport not byte-identical across runs:\n%s\n---\n%s", a, b)
-	}
-}
-
-// TestFleetDriftIndependence: each replica derives its own seed, so its
-// popularity drift walks through its own phase mappings — no two fleets (and
-// neither fleet and the router) share a re-mapping.
-func TestFleetDriftIndependence(t *testing.T) {
-	cfg := testConfig(t, 3)
-	cfg.Serve.DriftEvery = 0.01
-	r, err := NewRouter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := sim.Time(0.015) // phase 1
-	maps := [][]int64{}
-	for _, s := range r.Servers() {
-		m := s.Workload().MappingAt(at)
-		ids := make([]int64, len(m))
-		for i, v := range m {
-			ids[i] = int64(v)
-		}
-		maps = append(maps, ids)
-	}
-	same := func(a, b []int64) bool {
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range maps {
-		for j := i + 1; j < len(maps); j++ {
-			if same(maps[i], maps[j]) {
-				t.Fatalf("fleets %d and %d share a drift mapping at phase 1", i, j)
-			}
-		}
-		if p0 := r.Servers()[i].Workload().MappingAt(0); same(maps[i], func() []int64 {
-			ids := make([]int64, len(p0))
-			for k, v := range p0 {
-				ids[k] = int64(v)
-			}
-			return ids
-		}()) {
-			t.Fatalf("fleet %d did not drift at phase 1", i)
-		}
 	}
 }
 
@@ -324,12 +279,37 @@ func TestFleetAutoscalerDrains(t *testing.T) {
 }
 
 // TestFleetSingleEqualsServe: a 1-fleet router is the degenerate case — the
-// same conservation laws hold and all traffic lands on fleet 0.
+// same conservation laws hold, all traffic lands on fleet 0, and it runs the
+// stand-alone server's one arrival process: same arrivals, same quota
+// rejections and tenant split, the same requests at the same instants.
 func TestFleetSingleEqualsServe(t *testing.T) {
-	rep := mustRun(t, testConfig(t, 1))
+	cfg := testConfig(t, 1)
+	cfg.Serve.Tenants = []serve.TenantSpec{{Name: "free", Weight: 4, Rate: 500}, {Name: "pro", Weight: 1}}
+	cfg.Serve.DriftEvery = 0.01
+	rep := mustRun(t, cfg)
 	checkAccounting(t, rep)
 	if rep.Fleets[0].Routed != rep.Arrived-rep.Shed {
 		t.Fatalf("fleet0 routed %d != admitted %d", rep.Fleets[0].Routed, rep.Arrived-rep.Shed)
+	}
+	alone, err := serve.Serve(cfg.Serve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Arrived != alone.Arrived || rep.QuotaRejected != alone.QuotaRejected ||
+		!reflect.DeepEqual(rep.Tenants, alone.Tenants) {
+		t.Fatalf("router admission %d arrived, %d quota-rejected, tenants %+v; stand-alone %d, %d, %+v",
+			rep.Arrived, rep.QuotaRejected, rep.Tenants, alone.Arrived, alone.QuotaRejected, alone.Tenants)
+	}
+	t.Logf("arrived %d, quota-rejected %d, tenants %+v", rep.Arrived, rep.QuotaRejected, rep.Tenants)
+	routed := rep.PerFleet[0].Requests
+	if len(routed) != len(alone.Requests) {
+		t.Fatalf("router completed %d requests, stand-alone %d", len(routed), len(alone.Requests))
+	}
+	for i, a := range alone.Requests {
+		b := routed[i]
+		if a.ID != b.ID || a.Node != b.Node || a.Tenant != b.Tenant || a.Arrival != b.Arrival {
+			t.Fatalf("request %d differs: stand-alone %+v, routed %+v", i, *a, *b)
+		}
 	}
 }
 
@@ -344,8 +324,21 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("Autoscale.Max below Fleets accepted")
 	}
 	cfg = testConfig(t, 2)
-	cfg.Serve.External = true
+	cfg.Serve.Faults = []fault.Fault{{Kind: fault.Crash, GPU: 0, At: 0.01}}
 	if _, err := NewRouter(cfg); err == nil {
-		t.Fatal("router-owned template field accepted")
+		t.Fatal("template fault schedule accepted")
+	}
+	// A scoped schedule that kills every GPU of one fleet leaves its
+	// degraded mode nowhere to re-route: the replica constructor rejects it
+	// and points at the fleet-level crash.
+	ffs, err := fault.ParseFleetSpec("crash@fleet0/gpu0:t=0.01,crash@fleet0/gpu1:t=0.02", 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = testConfig(t, 2)
+	cfg.Faults = ffs
+	if _, err := NewRouter(cfg); err == nil || !strings.Contains(err.Error(), "fleet 0: serve: fault schedule crashes all 2 GPUs") ||
+		!strings.Contains(err.Error(), "crash@fleetF") {
+		t.Fatalf("all-GPU crash of fleet 0: NewRouter answered %v", err)
 	}
 }

@@ -22,22 +22,17 @@ type Report struct {
 	// Throughput is completions across all fleets over the makespan.
 	Throughput float64
 
-	// Router admission accounting. Arrived = Completed-sum + Shed + Lost-sum:
+	// Admission is the router's admission accounting; Goodput merges every
+	// fleet's (nil without an SLO). Arrived = Completed() + Shed + Lost():
 	// every arrival is either turned away at the router (quota, no admitting
 	// fleet, un-rescuable orphan — all in Shed), completed by some fleet, or
 	// lost inside a crashed fleet's pipeline.
-	Arrived       int
-	Shed          int
-	QuotaRejected int
+	serve.Admission
 	// Rerouted counts requests rescued from dying fleets onto survivors.
 	Rerouted int
-	Tenants  []serve.TenantCount
 
-	// Latency and Goodput merge every fleet's distributions (Goodput nil
-	// without an SLO).
+	// Latency merges every fleet's distribution.
 	Latency *metrics.Histogram
-	Goodput *metrics.Goodput
-	SLO     sim.Time
 
 	Fleets []FleetStat
 	Scale  []ScaleEvent
@@ -64,19 +59,16 @@ type FleetStat struct {
 
 func (r *Router) report(end sim.Time) (*Report, error) {
 	rep := &Report{
-		Policy:        r.cfg.Policy,
-		Horizon:       r.cfg.Serve.Duration,
-		Makespan:      end,
-		Offered:       r.cfg.Serve.Rate,
-		Arrived:       r.arrived,
-		Shed:          r.shed,
-		QuotaRejected: r.quotaRej,
-		Rerouted:      r.rerouted,
-		Tenants:       r.tenants.Counts(),
-		Latency:       metrics.New(),
-		SLO:           r.cfg.Serve.SLO,
-		Scale:         append([]ScaleEvent(nil), r.scale...),
+		Policy:    r.cfg.Policy,
+		Horizon:   r.cfg.Serve.Duration,
+		Makespan:  end,
+		Offered:   r.cfg.Serve.Rate,
+		Admission: r.in.Totals(),
+		Rerouted:  r.rerouted,
+		Latency:   metrics.New(),
+		Scale:     append([]ScaleEvent(nil), r.scale...),
 	}
+	rep.SLO = r.cfg.Serve.SLO
 	total := 0
 	for f, s := range r.servers {
 		fr, err := s.Finish(end)
@@ -130,14 +122,6 @@ func (r *Report) Lost() int {
 	return n
 }
 
-// ShedRate is the fraction of arrivals turned away at the router.
-func (r *Report) ShedRate() float64 {
-	if r.Arrived == 0 {
-		return 0
-	}
-	return float64(r.Shed) / float64(r.Arrived)
-}
-
 // DeadFleets lists fleets killed by whole-fleet faults, ascending.
 func (r *Report) DeadFleets() []int {
 	var out []int
@@ -159,14 +143,7 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "throughput %.0f req/s\n", r.Throughput)
 	fmt.Fprintf(&b, "latency  p50 %.3fms  p95 %.3fms  p99 %.3fms  mean %.3fms",
 		1e3*r.Latency.P50(), 1e3*r.Latency.P95(), 1e3*r.Latency.P99(), 1e3*r.Latency.Mean())
-	if r.Goodput != nil {
-		fmt.Fprintf(&b, "\ngoodput  %d/%d within %.1fms SLO (%.1f%%)  %.0f good req/s",
-			r.Goodput.Good(), r.Goodput.Total(), 1e3*float64(r.SLO),
-			100*r.Goodput.GoodFraction(), r.Goodput.Rate())
-	}
-	for _, tc := range r.Tenants {
-		fmt.Fprintf(&b, "\ntenant %-10s admitted %d  rejected %d", tc.Name, tc.Admitted, tc.Rejected)
-	}
+	b.WriteString(r.Summary())
 	for _, f := range r.Fleets {
 		fmt.Fprintf(&b, "\nfleet%d %-8s routed %-6d completed %-6d p99 %.3fms",
 			f.ID, f.State, f.Routed, f.Completed, 1e3*float64(f.P99))
@@ -201,17 +178,13 @@ func (r *Report) RunReport(meta serve.ReportMeta) *prof.RunReport {
 	}
 	sum.Render(out)
 	sv := &prof.ServingReport{
-		Offered:       r.Offered,
-		Throughput:    r.Throughput,
-		Arrived:       r.Arrived,
-		Completed:     r.Completed(),
-		Shed:          r.Shed,
-		ShedRate:      r.ShedRate(),
-		Rerouted:      r.Rerouted,
-		Lost:          r.Lost(),
-		QuotaRejected: r.QuotaRejected,
-		Goodput:       prof.GoodputFrom(r.Goodput),
+		Offered:    r.Offered,
+		Throughput: r.Throughput,
+		Completed:  r.Completed(),
+		Rerouted:   r.Rerouted,
+		Lost:       r.Lost(),
 	}
+	r.RenderServing(sv)
 	var rounds int
 	var batch float64
 	for _, fr := range r.PerFleet {
@@ -221,11 +194,6 @@ func (r *Report) RunReport(meta serve.ReportMeta) *prof.RunReport {
 	}
 	if rounds > 0 {
 		sv.MeanBatch = batch / float64(rounds)
-	}
-	for _, tc := range r.Tenants {
-		sv.Tenants = append(sv.Tenants, prof.TenantReport{
-			Name: tc.Name, Admitted: tc.Admitted, Rejected: tc.Rejected,
-		})
 	}
 	out.Serving = sv
 

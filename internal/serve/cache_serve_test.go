@@ -139,9 +139,8 @@ func TestReportTierConsistency(t *testing.T) {
 // function of (seed, phase).
 func TestWorkloadDrift(t *testing.T) {
 	d := testData(t, 2)
-	plain := NewWorkload(d, 0.9)
-	drift := NewWorkload(d, 0.9)
-	drift.EnableDrift(0.1, 7)
+	plain := NewWorkload(d, 0.9, 0, 7)
+	drift := NewWorkload(d, 0.9, 0.1, 7)
 
 	ra, rb := rng.New(3), rng.New(3)
 	for i := 0; i < 200; i++ {

@@ -24,9 +24,10 @@ type Report struct {
 	Offered    float64
 	Throughput float64
 
-	Arrived   int
+	// Admission is what arrived and was shed, per tenant, and the goodput
+	// (Arrived, Shed, ShedRate, QuotaRejected, Tenants, Goodput, SLO).
+	Admission
 	Completed int
-	Shed      int
 	Rounds    int
 	// MeanBatch is the mean number of requests per round per GPU slot that
 	// carried at least one request.
@@ -57,18 +58,6 @@ type Report struct {
 	// Strategy names the execution strategy ("dsp" unless Config.Strategy
 	// picked another).
 	Strategy string
-
-	// Tenants is the per-tenant admission outcome (empty without
-	// Config.Tenants). Admitted+Rejected summed over tenants equals Arrived.
-	Tenants []TenantCount
-	// QuotaRejected counts arrivals turned away by per-tenant token buckets
-	// (a subset of Shed).
-	QuotaRejected int
-
-	// Goodput is the windowed within-SLO completion counter (nil without
-	// Config.SLO); SLO echoes the configured objective.
-	Goodput *metrics.Goodput
-	SLO     sim.Time
 
 	// Requests holds every completed request sorted by ID — the per-request
 	// latency trace used by the determinism tests.
@@ -107,9 +96,8 @@ func (s *Server) report(end sim.Time) *Report {
 		Horizon:         s.cfg.Duration,
 		Makespan:        end,
 		Offered:         s.cfg.Rate,
-		Arrived:         s.arrived,
+		Admission:       *s.adm,
 		Completed:       len(s.completed),
-		Shed:            s.shed,
 		Rounds:          s.rounds,
 		Latency:         metrics.New(),
 		PerGPU:          s.latency,
@@ -119,13 +107,13 @@ func (s *Server) report(end sim.Time) *Report {
 		ExpectedHitRate: s.ExpectedCacheHitRate(),
 		Strategy:        string(s.sub.Strategy.Kind()),
 		Requests:        s.completed,
-		Tenants:         s.tenants.Counts(),
-		QuotaRejected:   s.quotaRejected,
-		Goodput:         s.goodput,
-		SLO:             s.cfg.SLO,
 		Killed:          s.dead,
 		KilledAt:        s.killedAt,
 	}
+	if s.intake != nil {
+		r.Admission = s.intake.Totals()
+	}
+	r.Goodput, r.SLO = s.goodput, s.cfg.SLO
 	for _, h := range s.latency {
 		r.Latency.Merge(h)
 	}
@@ -156,14 +144,6 @@ func (s *Server) report(end sim.Time) *Report {
 	return r
 }
 
-// ShedRate is the fraction of arrivals rejected by admission control.
-func (r *Report) ShedRate() float64 {
-	if r.Arrived == 0 {
-		return 0
-	}
-	return float64(r.Shed) / float64(r.Arrived)
-}
-
 // String renders the operator-facing summary.
 func (r *Report) String() string {
 	var b strings.Builder
@@ -177,14 +157,7 @@ func (r *Report) String() string {
 		1e3*r.Latency.Mean(), 1e3*r.Latency.Max())
 	fmt.Fprintf(&b, "feature reads  local %d  nvlink %d  host %d  (gpu-cache hit %.1f%%, expected %.1f%%)",
 		r.CacheLocal, r.CachePeer, r.CacheHost, 100*r.CacheHitRate(), 100*r.ExpectedHitRate)
-	if r.Goodput != nil {
-		fmt.Fprintf(&b, "\ngoodput  %d/%d within %.1fms SLO (%.1f%%)  %.0f good req/s",
-			r.Goodput.Good(), r.Goodput.Total(), 1e3*float64(r.SLO),
-			100*r.Goodput.GoodFraction(), r.Goodput.Rate())
-	}
-	for _, tc := range r.Tenants {
-		fmt.Fprintf(&b, "\ntenant %-10s admitted %d  rejected %d", tc.Name, tc.Admitted, tc.Rejected)
-	}
+	b.WriteString(r.Summary())
 	if r.CachePolicy != cache.Static {
 		fmt.Fprintf(&b, "\ncache %s  rebalances %d  promoted %d rows  migrated %.2f MB  overhead %.3fms",
 			r.CachePolicy, r.Rebalances, r.CachePromoted,

@@ -35,8 +35,18 @@ func (r *Report) RunReport(meta ReportMeta) *prof.RunReport {
 	out.WallTime = float64(r.Makespan)
 	r.Counters.Render(out)
 	out.Latency = prof.Latency(r.Latency)
-	sv := ServingRunReport(r)
-	out.Serving = &sv
+	out.Serving = &prof.ServingReport{
+		Offered:         r.Offered,
+		Throughput:      r.Throughput,
+		Completed:       r.Completed,
+		Rounds:          r.Rounds,
+		MeanBatch:       r.MeanBatch,
+		ExpectedHitRate: r.ExpectedHitRate,
+		Rerouted:        r.Rerouted,
+		Lost:            r.Lost,
+		DeadGPUs:        append([]int(nil), r.DeadGPUs...),
+	}
+	r.RenderServing(out.Serving)
 	if len(r.Recoveries) > 0 || len(r.DeadGPUs) > 0 {
 		fr := &prof.FaultReport{}
 		var sum float64
@@ -60,30 +70,4 @@ func (r *Report) RunReport(meta ReportMeta) *prof.RunReport {
 		out.Profile = prof.Analyze(prof.FromTracer(meta.Tracer))
 	}
 	return out
-}
-
-// ServingRunReport extracts the serving-only scalar section.
-func ServingRunReport(r *Report) prof.ServingReport {
-	sv := prof.ServingReport{
-		Offered:         r.Offered,
-		Throughput:      r.Throughput,
-		Arrived:         r.Arrived,
-		Completed:       r.Completed,
-		Shed:            r.Shed,
-		ShedRate:        r.ShedRate(),
-		Rounds:          r.Rounds,
-		MeanBatch:       r.MeanBatch,
-		ExpectedHitRate: r.ExpectedHitRate,
-		Rerouted:        r.Rerouted,
-		Lost:            r.Lost,
-		DeadGPUs:        append([]int(nil), r.DeadGPUs...),
-		QuotaRejected:   r.QuotaRejected,
-		Goodput:         prof.GoodputFrom(r.Goodput),
-	}
-	for _, tc := range r.Tenants {
-		sv.Tenants = append(sv.Tenants, prof.TenantReport{
-			Name: tc.Name, Admitted: tc.Admitted, Rejected: tc.Rejected,
-		})
-	}
-	return sv
 }

@@ -75,19 +75,6 @@ type Config struct {
 	Data *train.Data
 	GPU  hw.GPUSpec
 	CPU  hw.CPUSpec
-	// Engine, when set, builds the fleet's machine on an existing simulation
-	// engine so several Server instances share one virtual clock (replicated
-	// fleets behind a router). The caller then owns the run loop: it must use
-	// Start/Finish rather than Run.
-	Engine *sim.Engine
-	// Name prefixes the server's process names (disambiguates fleets that
-	// share an engine). Empty = no prefix.
-	Name string
-	// External disables the internal arrival generator: requests enter
-	// through Admit and the intake is ended with CloseIntake (router mode).
-	// Duration, Rate and Skew then describe the router's arrival process, not
-	// this server's.
-	External bool
 	// Model is the forward pass served; defaults to a 2-layer GraphSAGE
 	// sized to the dataset.
 	Model nn.Config
@@ -100,7 +87,8 @@ type Config struct {
 	Seed        uint64
 	// Parallel is the OS-thread budget for offloaded data work between DES
 	// commit points (sim.SetParallelism); results are bitwise identical at
-	// any value. Ignored when Engine is set (the engine owner configures it).
+	// any value. Ignored by NewReplica (the shared engine's owner configures
+	// it).
 	Parallel int
 
 	// Duration is the virtual-time horizon of the arrival process.
@@ -173,10 +161,6 @@ type Config struct {
 	SLO sim.Time
 	// GoodputWindow is the goodput counter's bucket width (default 10 ms).
 	GoodputWindow sim.Time
-	// OnComplete, when set, is invoked in engine context at each request's
-	// completion instant (after its latency is recorded). The fleet router
-	// uses it to feed routing and autoscaling state.
-	OnComplete func(*Request)
 
 	// Tracer, when set, records per-request spans, round spans, queue-depth
 	// counters and shed markers.
@@ -187,7 +171,8 @@ type Config struct {
 	// re-route to the next live GPU, in-flight collectives abort and retry
 	// under the reduced membership, and reads of its patch and feature shard
 	// fall back to host memory. The schedule must leave at least one GPU
-	// alive.
+	// alive (NewServer rejects one that does not; a whole-fleet death is a
+	// router's crash@fleetF).
 	Faults []fault.Fault
 
 	// Strategy selects the execution strategy: "" or "dsp" serves off the
@@ -266,6 +251,16 @@ func (c Config) validate() error {
 	if err := c.Sample.Validate(); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
+	n := c.Data.NumGPUs()
+	crashed := map[int]bool{}
+	for _, f := range c.Faults {
+		if f.Kind == fault.Crash && f.GPU >= 0 && f.GPU < n {
+			crashed[f.GPU] = true
+		}
+	}
+	if len(crashed) == n {
+		return fmt.Errorf("serve: fault schedule crashes all %d GPUs; at least one must survive (a whole-fleet death is crash@fleetF under a router)", n)
+	}
 	return nil
 }
 
@@ -338,10 +333,15 @@ type execItem struct {
 }
 
 // Server is a configured single-run serving instance. Build with NewServer,
-// execute with Run (or use the Serve convenience wrapper).
+// execute with Run (or use the Serve convenience wrapper); a fleet router
+// builds its replicas with NewReplica.
 type Server struct {
 	cfg Config
 	m   *hw.Machine
+	// name prefixes process and series names (a replica's fleetN; empty
+	// stand-alone) and onComplete, when set, runs at each completion.
+	name       string
+	onComplete func(*Request)
 	// sub is the fleet's substrate and execution strategy, assembled by
 	// internal/strategy exactly as for training; serving runs its Load +
 	// Infer half. world and execComm are its sampler world and the loader
@@ -349,15 +349,19 @@ type Server struct {
 	sub      *strategy.Substrate
 	world    *csp.World
 	execComm *comm.Communicator
-	workload *Workload
 	overhead sim.Time
+	// weights is the run's phase-0 popularity, for ExpectedCacheHitRate.
+	weights []float64
 
 	// fault tolerance
 	inj  *fault.Injector
 	view *fault.View
 
-	// multi-tenancy and SLO accounting
-	tenants *TenantTable
+	// intake is a stand-alone server's arrival process (nil for a replica,
+	// which a router admits into); adm is where this server's arrivals and
+	// sheds are counted — the intake's totals when it has one.
+	intake  *Intake
+	adm     *Admission
 	goodput *metrics.Goodput
 
 	// run state
@@ -368,47 +372,60 @@ type Server struct {
 	sampQ     []*sim.Queue
 	execQ     []*sim.Queue
 	dones     []*sim.Event
-	genProc   *sim.Proc
 	ctrlProc  *sim.Proc
 	rebProc   *sim.Proc
 	sampProcs []*sim.Proc
 	execProcs []*sim.Proc
 	nextRound int
-	nextID    int
 
 	// whole-fleet crash state (router-driven Shutdown)
 	dead     bool
 	killedAt sim.Time
 
 	// accounting
-	arrived, shed int
-	quotaRejected int
-	rerouted      int
-	rounds        int
-	batchSum      int64
-	crashes       []Recovery
-	completed     []*Request
-	latency       []*metrics.Histogram
+	rerouted  int
+	rounds    int
+	batchSum  int64
+	crashes   []Recovery
+	completed []*Request
+	latency   []*metrics.Histogram
 }
 
-// NewServer builds the serving fleet: machine, partitioned topology,
-// partitioned feature cache, gated communicators and model replicas — the
-// same data layout the trainer uses, now serving reads.
+// NewServer builds a stand-alone serving fleet — machine, partitioned
+// topology, partitioned feature cache, gated communicators and model
+// replicas, the same data layout the trainer uses, now serving reads — fed
+// by its own Intake.
 func NewServer(cfg Config) (*Server, error) {
+	return newServer(cfg, nil, "", nil, nil)
+}
+
+// NewReplica builds one replica of a routed fleet on the router's engine: no
+// arrival process of its own (the router's intake admits through Admit and
+// ends with CloseIntake; the caller drives Start, the engine and Finish),
+// process and series names prefixed with name, and onComplete called in
+// engine context at each completion. The replica reads in's popularity for
+// its ExpectedHitRate.
+func NewReplica(cfg Config, eng *sim.Engine, name string, in *Intake, onComplete func(*Request)) (*Server, error) {
+	return newServer(cfg, eng, name, in, onComplete)
+}
+
+func newServer(cfg Config, eng *sim.Engine, name string, in *Intake, onComplete func(*Request)) (*Server, error) {
 	cfg = cfg.defaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d := cfg.Data
-	n := d.NumGPUs()
-	s := &Server{cfg: cfg, overhead: cfg.effectiveOverhead()}
-	if cfg.Engine != nil {
-		s.m = hw.NewMachineOn(cfg.Engine, n, cfg.GPU, cfg.CPU, cfg.LatencyScale)
+	n := cfg.Data.NumGPUs()
+	s := &Server{cfg: cfg, name: name, onComplete: onComplete, overhead: cfg.effectiveOverhead()}
+	if eng != nil {
+		s.m = hw.NewMachineOn(eng, n, cfg.GPU, cfg.CPU, cfg.LatencyScale)
+		s.adm = new(Admission)
 	} else {
 		s.m = hw.NewMachineScaled(n, cfg.GPU, cfg.CPU, cfg.LatencyScale)
 		s.m.Eng.SetParallelism(cfg.Parallel)
+		in = NewIntake(cfg)
+		s.intake, s.adm = in, &in.Admission
 	}
-	s.tenants = NewTenantTable(cfg.Tenants)
+	s.weights = in.pop.Weights()
 	if cfg.SLO > 0 {
 		s.goodput = metrics.NewGoodput(float64(cfg.GoodputWindow), float64(cfg.SLO))
 	}
@@ -428,10 +445,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.sub, s.world, s.execComm = sub, sub.Worlds[0], sub.Loaders[0]
 	if cfg.Tracer.Enabled() {
 		sub.Cache.SetTracer(cfg.Tracer, n) // frontend lane
-	}
-	s.workload = NewWorkload(d, cfg.Skew)
-	if cfg.DriftEvery > 0 {
-		s.workload.EnableDrift(cfg.DriftEvery, rng.Mix(cfg.Seed, 0xD21F7))
 	}
 	if len(cfg.Faults) > 0 {
 		inj, err := fault.NewInjector(s.m, cfg.Faults)
@@ -473,10 +486,10 @@ func (s *Server) registerTelemetry() {
 		return float64(s.Outstanding())
 	})
 	h.Counter(s.pname("serve/arrived"), func(sim.Time) float64 {
-		return float64(s.arrived)
+		return float64(s.adm.Arrived)
 	})
 	h.Counter(s.pname("serve/shed"), func(sim.Time) float64 {
-		return float64(s.shed)
+		return float64(s.adm.Shed)
 	})
 	h.Counter(s.pname("serve/completed"), func(sim.Time) float64 {
 		return float64(len(s.completed))
@@ -524,7 +537,7 @@ func (s *Server) onCrash(p *sim.Proc, g int) {
 		t := s.view.NextLive(g)
 		for _, r := range s.pending[g] {
 			if len(s.pending[t]) >= s.cfg.QueueDepth {
-				s.shed++
+				s.adm.Shed++
 				s.cfg.Telemetry.ObserveShed(p.Now())
 				continue
 			}
@@ -543,28 +556,25 @@ func (s *Server) Machine() *hw.Machine { return s.m }
 // Store exposes the feature placement (for cache assertions).
 func (s *Server) Store() *featstore.Store { return s.sub.Store }
 
-// Workload exposes the popularity model.
-func (s *Server) Workload() *Workload { return s.workload }
-
 // ExpectedCacheHitRate is the weight-fraction of feature reads the GPU
-// caches can serve under this workload's popularity distribution.
+// caches can serve under the run's phase-0 popularity distribution.
 func (s *Server) ExpectedCacheHitRate() float64 {
-	return s.sub.Store.CachedFraction(s.workload.Weights())
+	return s.sub.Store.CachedFraction(s.weights)
 }
 
 // pname prefixes a process name with the server's fleet name, if any.
 func (s *Server) pname(base string) string {
-	if s.cfg.Name == "" {
+	if s.name == "" {
 		return base
 	}
-	return s.cfg.Name + "/" + base
+	return s.name + "/" + base
 }
 
 // Start spawns the serving pipeline's processes on the engine without running
-// it: the generator (unless External), the frontend controller, per-GPU
-// sampler and executor workers, the fault injector and the cache-rebalance
-// daemon. Callers that share an engine across servers Start each of them and
-// then drive Engine.Run themselves, finishing each with Finish.
+// it: the intake (stand-alone only), the frontend controller, per-GPU sampler
+// and executor workers, the fault injector and the cache-rebalance daemon.
+// Callers that share an engine across replicas Start each of them and then
+// drive Engine.Run themselves, finishing each with Finish.
 func (s *Server) Start() {
 	if s.started {
 		return
@@ -580,8 +590,11 @@ func (s *Server) Start() {
 		s.latency = append(s.latency, metrics.New())
 		s.dones = append(s.dones, eng.NewEvent())
 	}
-	if !s.cfg.External {
-		s.genProc = eng.Go(s.pname("serve/generator"), s.generator)
+	if s.intake != nil {
+		eng.Go(s.pname("serve/generator"), func(p *sim.Proc) {
+			s.intake.Run(p, s.admit)
+			s.CloseIntake()
+		})
 	}
 	s.ctrlProc = eng.Go(s.pname("serve/controller"), s.controller)
 	for g := 0; g < n; g++ {
@@ -647,13 +660,10 @@ func (s *Server) Outstanding() int {
 	return n + int(s.batchSum) - len(s.completed)
 }
 
-// Dead reports whether the whole server was killed by Shutdown.
-func (s *Server) Dead() bool { return s.dead }
-
 // targetGPU resolves the admission queue for a node: its patch owner, or the
 // next live GPU when the owner is dead (counted as a reroute).
 func (s *Server) targetGPU(node graph.NodeID) int {
-	g := s.workload.Owner(node)
+	g := s.world.Owner(node)
 	if !s.alive(g) {
 		g = s.view.NextLive(g)
 		s.rerouted++
@@ -668,35 +678,36 @@ func (s *Server) CanAdmit(node graph.NodeID) bool {
 	if s.dead || !s.started {
 		return false
 	}
-	g := s.workload.Owner(node)
+	g := s.world.Owner(node)
 	if !s.alive(g) {
 		g = s.view.NextLive(g)
 	}
 	return len(s.pending[g]) < s.cfg.QueueDepth
 }
 
-// Admit injects one externally generated request (router mode) at virtual
-// time now and reports whether it was admitted. The request is owned by this
+// Admit injects one router-generated request into a replica at virtual time
+// now and reports whether it was admitted. The request is owned by this
 // server from admission to completion; a false return means the target GPU's
 // admission queue was full and the request was shed here.
 func (s *Server) Admit(now sim.Time, id int, node graph.NodeID, tenant int) bool {
 	if s.dead {
 		return false
 	}
-	s.arrived++
-	return s.admit(now, id, node, tenant)
+	s.adm.Arrived++
+	if !s.admit(now, id, node, tenant) {
+		s.adm.Shed++
+		return false
+	}
+	return true
 }
 
-// admit is the one admission sequence, behind Admit and the generator: route
-// the request to its target GPU's queue, or shed it when that queue is full.
+// admit is the one admission sequence, behind Admit and the stand-alone
+// intake: route the request to its target GPU's queue, or shed it (false)
+// when that queue is full. The caller counts the outcome.
 func (s *Server) admit(now sim.Time, id int, node graph.NodeID, tenant int) bool {
 	g := s.targetGPU(node)
 	if len(s.pending[g]) >= s.cfg.QueueDepth {
-		s.shed++
 		s.cfg.Telemetry.ObserveShed(now)
-		if s.tenants != nil {
-			s.tenants.Reject(tenant)
-		}
 		if tr := s.cfg.Tracer; tr.Enabled() {
 			tr.Instant("shed", "serve", len(s.pending), 0, float64(now), "t",
 				map[string]string{"node": fmt.Sprint(node), "gpu": fmt.Sprint(g)})
@@ -706,17 +717,14 @@ func (s *Server) admit(now sim.Time, id int, node graph.NodeID, tenant int) bool
 	s.pending[g] = append(s.pending[g], &Request{
 		ID: id, Node: node, GPU: g, Tenant: tenant, Arrival: now, Pred: -1,
 	})
-	if s.tenants != nil {
-		s.tenants.Accept(tenant)
-	}
 	s.traceDepth(now)
 	s.signal()
 	return true
 }
 
-// CloseIntake marks the external arrival stream finished (router mode): the
-// controller drains the remaining admitted requests and the pipeline shuts
-// down. Must be called in engine context.
+// CloseIntake marks the arrival stream finished: the controller drains the
+// remaining admitted requests and the pipeline shuts down. Must be called in
+// engine context.
 func (s *Server) CloseIntake() {
 	if s.genDone {
 		return
@@ -743,7 +751,7 @@ func (s *Server) Shutdown(p *sim.Proc) []*Request {
 	if s.inj != nil {
 		s.inj.Stop()
 	}
-	for _, pr := range []*sim.Proc{s.genProc, s.ctrlProc, s.rebProc} {
+	for _, pr := range []*sim.Proc{s.ctrlProc, s.rebProc} {
 		if pr != nil {
 			eng.Kill(pr)
 		}
@@ -775,48 +783,6 @@ func (s *Server) signal() {
 	old := s.wake
 	s.wake = s.m.Eng.NewEvent()
 	old.Trigger()
-}
-
-// generator is the open-loop arrival process: Poisson gaps at cfg.Rate until
-// the horizon, each arrival routed to its owner GPU's admission queue or
-// shed when that queue is full.
-func (s *Server) generator(p *sim.Proc) {
-	cfg := s.cfg
-	r := rng.New(rng.Mix(cfg.Seed, 0xA221A1))
-	// Tenant assignment draws from its own stream so configuring tenants
-	// perturbs neither arrival timing nor node popularity.
-	tr := rng.New(rng.Mix(cfg.Seed, 0x7E4A47))
-	n := cfg.Data.NumGPUs()
-	for {
-		p.Sleep(sim.Time(r.Exp(cfg.Rate)))
-		if p.Now() >= cfg.Duration {
-			break
-		}
-		node := s.workload.Draw(r, p.Now())
-		tenant := 0
-		if s.tenants != nil {
-			tenant = s.tenants.Draw(tr)
-		}
-		s.arrived++
-		if s.tenants != nil && !s.tenants.TakeToken(tenant, p.Now()) {
-			// Quota rejection: admission control turned the request away
-			// before it reached any queue.
-			s.shed++
-			s.cfg.Telemetry.ObserveShed(p.Now())
-			s.quotaRejected++
-			s.tenants.Reject(tenant)
-			if cfg.Tracer.Enabled() {
-				cfg.Tracer.Instant("quota-reject", "serve", n, 0, float64(p.Now()), "t",
-					map[string]string{"tenant": s.tenants.Name(tenant)})
-			}
-			continue
-		}
-		if s.admit(p.Now(), s.nextID, node, tenant) {
-			s.nextID++
-		}
-	}
-	s.genDone = true
-	s.signal()
 }
 
 // traceDepth samples every GPU's admission-queue depth as one counter event.
@@ -1047,8 +1013,8 @@ func (s *Server) executor(p *sim.Proc, g int) {
 				Arrival: req.Arrival, Dispatch: it.rd.start,
 				Sampled: it.sampledAt, Loaded: loaded, Done: now,
 			})
-			if s.cfg.OnComplete != nil {
-				s.cfg.OnComplete(req)
+			if s.onComplete != nil {
+				s.onComplete(req)
 			}
 			if s.cfg.Tracer.Enabled() {
 				s.cfg.Tracer.Complete(fmt.Sprintf("req %d", req.ID), "request",

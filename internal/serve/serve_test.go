@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/compress"
+	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/hw"
 	"repro/internal/sample"
@@ -51,6 +52,11 @@ func TestNewServerRejectsBadConfig(t *testing.T) {
 		{"zero layer budget", func(c *Config) {
 			c.Sample.Fanout, c.Sample.LayerWise = []int{0, 32}, true
 		}, "Fanout[0] = 0"},
+		// Degraded mode re-routes a dead GPU's requests to a live one; with
+		// no survivor there is none, so the schedule is an input error.
+		{"every GPU crashes", func(c *Config) {
+			c.Faults = []fault.Fault{{Kind: fault.Crash, GPU: 0, At: 0.01}, {Kind: fault.Crash, GPU: 1, At: 0.02}}
+		}, "crashes all 2 GPUs; at least one must survive (a whole-fleet death is crash@fleetF"},
 	} {
 		cfg := testConfig(t, 2)
 		tc.mutate(&cfg)

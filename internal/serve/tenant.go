@@ -88,10 +88,12 @@ func FormatTenants(specs []TenantSpec) string {
 	return strings.Join(parts, ",")
 }
 
-// TenantTable is the runtime admission state of a tenant set: a seeded
+// tenantTable is the runtime admission state of a tenant set: a seeded
 // weight-proportional tenant draw, one token bucket per quota-bearing tenant,
-// and per-tenant admitted/rejected counts. All methods run in engine context.
-type TenantTable struct {
+// and per-tenant admitted/rejected counts. All methods run in engine context
+// and are no-ops on the nil table of an untenanted run (every arrival is
+// tenant 0 and within quota).
+type tenantTable struct {
 	specs  []TenantSpec
 	cum    []float64 // cumulative weights for Draw
 	tokens []float64
@@ -99,12 +101,12 @@ type TenantTable struct {
 	counts []TenantCount
 }
 
-// NewTenantTable builds the runtime table (nil for an empty spec set).
-func NewTenantTable(specs []TenantSpec) *TenantTable {
+// newTenantTable builds the runtime table (nil for an empty spec set).
+func newTenantTable(specs []TenantSpec) *tenantTable {
 	if len(specs) == 0 {
 		return nil
 	}
-	t := &TenantTable{
+	t := &tenantTable{
 		specs:  specs,
 		cum:    make([]float64, len(specs)),
 		tokens: make([]float64, len(specs)),
@@ -122,7 +124,7 @@ func NewTenantTable(specs []TenantSpec) *TenantTable {
 }
 
 // burst is tenant i's effective bucket depth.
-func (t *TenantTable) burst(i int) float64 {
+func (t *tenantTable) burst(i int) float64 {
 	s := t.specs[i]
 	if s.Rate <= 0 {
 		return 0
@@ -137,14 +139,15 @@ func (t *TenantTable) burst(i int) float64 {
 	return b
 }
 
-// N returns the tenant count.
-func (t *TenantTable) N() int { return len(t.specs) }
-
 // Name returns tenant id's name.
-func (t *TenantTable) Name(id int) string { return t.specs[id].Name }
+func (t *tenantTable) Name(id int) string { return t.specs[id].Name }
 
-// Draw samples a tenant id proportionally to the spec weights.
-func (t *TenantTable) Draw(r *rng.RNG) int {
+// Draw samples a tenant id proportionally to the spec weights (0, drawing
+// nothing, when untenanted).
+func (t *tenantTable) Draw(r *rng.RNG) int {
+	if t == nil {
+		return 0
+	}
 	u := r.Float64() * t.cum[len(t.cum)-1]
 	for i, c := range t.cum {
 		if u < c {
@@ -157,7 +160,10 @@ func (t *TenantTable) Draw(r *rng.RNG) int {
 // TakeToken charges one request against tenant id's quota at virtual time
 // now, reporting whether the quota admits it. Tenants without a Rate always
 // pass. The bucket refills continuously at Rate up to Burst.
-func (t *TenantTable) TakeToken(id int, now sim.Time) bool {
+func (t *tenantTable) TakeToken(id int, now sim.Time) bool {
+	if t == nil {
+		return true
+	}
 	s := t.specs[id]
 	if s.Rate <= 0 {
 		return true
@@ -177,13 +183,21 @@ func (t *TenantTable) TakeToken(id int, now sim.Time) bool {
 }
 
 // Accept records an admitted request for tenant id.
-func (t *TenantTable) Accept(id int) { t.counts[id].Admitted++ }
+func (t *tenantTable) Accept(id int) {
+	if t != nil {
+		t.counts[id].Admitted++
+	}
+}
 
-// Reject records a rejected request (quota or queue shed) for tenant id.
-func (t *TenantTable) Reject(id int) { t.counts[id].Rejected++ }
+// Reject records a rejected request (quota or shed) for tenant id.
+func (t *tenantTable) Reject(id int) {
+	if t != nil {
+		t.counts[id].Rejected++
+	}
+}
 
 // Counts returns a copy of the per-tenant outcome totals.
-func (t *TenantTable) Counts() []TenantCount {
+func (t *tenantTable) Counts() []TenantCount {
 	if t == nil {
 		return nil
 	}

@@ -22,13 +22,12 @@ type Workload struct {
 	cum []float64
 	// weights[v] is node v's popularity mass (indexed by node id).
 	weights []float64
-	offsets []int64
 
 	// Drifting popularity: every driftEvery of virtual time the rank→node
 	// assignment is re-drawn (the mass profile stays fixed, but which nodes
 	// are hot changes), modelling trending-content churn in production
 	// serving. Phase 0 is the identity mapping, so an un-drifted workload
-	// (driftEvery == 0) is bit-identical to the original.
+	// (driftEvery <= 0) is bit-identical to the original.
 	driftEvery sim.Time
 	driftSeed  uint64
 	phase      int
@@ -37,12 +36,16 @@ type Workload struct {
 
 // NewWorkload ranks d's nodes by degree and assigns popularity mass
 // proportional to 1/(rank+1)^skew. skew 0 is uniform; ~1 matches the
-// heavy-tailed access patterns of production feature stores.
-func NewWorkload(d *train.Data, skew float64) *Workload {
+// heavy-tailed access patterns of production feature stores. driftEvery > 0
+// re-draws the rank→node assignment at that virtual period, from a stream of
+// seed independent of the arrival process (so drift does not perturb arrival
+// timing).
+func NewWorkload(d *train.Data, skew float64, driftEvery sim.Time, seed uint64) *Workload {
 	w := &Workload{
-		ranked:  d.G.NodesByDegreeDesc(),
-		offsets: d.Offsets,
-		weights: make([]float64, d.G.NumNodes()),
+		ranked:     d.G.NodesByDegreeDesc(),
+		weights:    make([]float64, d.G.NumNodes()),
+		driftEvery: driftEvery,
+		driftSeed:  rng.Mix(seed, 0xD21F7),
 	}
 	w.cum = make([]float64, len(w.ranked))
 	var total float64
@@ -56,14 +59,6 @@ func NewWorkload(d *train.Data, skew float64) *Workload {
 		w.weights[v] = mass
 	}
 	return w
-}
-
-// EnableDrift re-draws the rank→node assignment every interval of virtual
-// time, from a stream independent of the arrival process (so drift does not
-// perturb arrival timing). interval <= 0 disables drift.
-func (w *Workload) EnableDrift(interval sim.Time, seed uint64) {
-	w.driftEvery = interval
-	w.driftSeed = seed
 }
 
 // mapping returns the rank→node assignment in effect at virtual time now.
@@ -93,13 +88,6 @@ func (w *Workload) mapping(now sim.Time) []graph.NodeID {
 	return w.phased
 }
 
-// MappingAt returns a copy of the rank→node assignment in effect at virtual
-// time now (index = popularity rank). Tests use it to check that fleets with
-// independent seeds drift through independent phase mappings.
-func (w *Workload) MappingAt(now sim.Time) []graph.NodeID {
-	return append([]graph.NodeID(nil), w.mapping(now)...)
-}
-
 // Draw samples one target node from the popularity distribution in effect at
 // virtual time now.
 func (w *Workload) Draw(r *rng.RNG, now sim.Time) graph.NodeID {
@@ -111,14 +99,6 @@ func (w *Workload) Draw(r *rng.RNG, now sim.Time) graph.NodeID {
 	return w.mapping(now)[i]
 }
 
-// Owner returns the GPU owning node v under the layout partitioning.
-func (w *Workload) Owner(v graph.NodeID) int {
-	// offsets[g] <= v < offsets[g+1]
-	return sort.Search(len(w.offsets)-1, func(g int) bool {
-		return w.offsets[g+1] > int64(v)
-	})
-}
-
-// Weights exposes the per-node popularity mass (for expected cache-hit-rate
-// estimates via featstore.Store.CachedFraction).
+// Weights exposes the per-node phase-0 popularity mass (for expected
+// cache-hit-rate estimates via featstore.Store.CachedFraction).
 func (w *Workload) Weights() []float64 { return w.weights }

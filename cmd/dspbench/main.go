@@ -74,14 +74,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dspbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		if s := bench.SweepByName(name); s != nil {
-			if a, ok := s.(bench.Asserter); ok {
-				if err := a.Assert(); err != nil {
-					fmt.Fprintf(os.Stderr, "dspbench: %s: assert: %v\n", name, err)
-					os.Exit(1)
-				}
-			}
-		}
 		if !*asJSON {
 			fmt.Printf("[%s finished in %v wall time]\n\n", name, time.Since(start).Round(time.Millisecond))
 		}

@@ -137,7 +137,7 @@ func New(kind Kind, opts train.Options) (*Baseline, error) {
 	}
 	d := opts.Data
 	b := &Baseline{Kind: kind, Opts: opts}
-	b.m = hw.NewMachineScaled(d.NumGPUs(), opts.GPU, opts.CPU, opts.LatencyScale)
+	b.m = hw.NewMachineScaled(d.NumGPUs(), opts.GPU, hw.XeonE5(), opts.LatencyScale)
 	b.m.Eng.SetParallelism(opts.Parallel)
 	b.trainer = train.NewTrainer(opts, comm.New(b.m))
 	b.sched = train.NewSchedule(d, opts.BatchSize)

@@ -30,8 +30,6 @@ func AblationPartition(cfg RunConfig) (*Table, error) {
 		for _, metis := range []bool{true, false} {
 			td := prepared(ds, 4, cfg.Shrink, false, metis)
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			sys, err := buildSystem("DSP", opts)
 			if err != nil {
 				return nil, err
@@ -65,8 +63,6 @@ func AblationCachePolicy(cfg RunConfig) (*Table, error) {
 		td := prepared(ds, 8, cfg.Shrink, false, true)
 		for _, pol := range policies {
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			opts.CachePolicy = int(pol)
 			opts.FeatureCacheBudget = td.FeatureBytes() / 4 / 8 // 25% aggregate across 8 GPUs
 			sys, err := buildSystem("DSP", opts)
@@ -97,8 +93,6 @@ func AblationQueueCap(cfg RunConfig) (*Table, error) {
 		td := prepared(ds, 8, cfg.Shrink, false, true)
 		for i, c := range caps {
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			opts.QueueCap = c
 			sys, err := buildSystem("DSP", opts)
 			if err != nil {
@@ -125,8 +119,6 @@ func AblationCCC(cfg RunConfig) (*Table, error) {
 		td := prepared(ds, 4, cfg.Shrink, false, true)
 		for _, useCCC := range []bool{true, false} {
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			opts.UseCCC = useCCC
 			row := "without-CCC"
 			if useCCC {
@@ -161,8 +153,6 @@ func AblationReplicatedCache(cfg RunConfig) (*Table, error) {
 		td := prepared(ds, 8, cfg.Shrink, false, true)
 		for _, repl := range []bool{false, true} {
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			opts.ReplicatedCache = repl
 			opts.FeatureCacheBudget = td.FeatureBytes() / 4 / 8
 			sys, err := buildSystem("DSP", opts)
@@ -195,8 +185,6 @@ func AblationFusedKernels(cfg RunConfig) (*Table, error) {
 		td := prepared(ds, 4, cfg.Shrink, false, true)
 		for _, unfused := range []bool{false, true} {
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			opts.UnfusedSampling = unfused
 			sys, err := buildSystem("DSP", opts)
 			if err != nil {
@@ -229,8 +217,6 @@ func AblationMultiWorker(cfg RunConfig) (*Table, error) {
 			s, l int
 		}{{"1S/1L", 1, 1}, {"2S/2L", 2, 2}, {"3S/2L", 3, 2}} {
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			opts.NumSamplers = w.s
 			opts.NumLoaders = w.l
 			sys, err := buildSystem("DSP", opts)
@@ -257,8 +243,6 @@ func AblationMultiMachine(cfg RunConfig) (*Table, error) {
 		td := prepared(ds, 4, cfg.Shrink, false, true)
 		for _, m := range []int{1, 2, 4} {
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			sys, err := core.NewMulti(opts, m, hw.InfiniBandEDR())
 			if err != nil {
 				return nil, err
@@ -290,7 +274,6 @@ func ExtensionGNNArchs(cfg RunConfig) (*Table, error) {
 		for _, a := range archs {
 			opts := baseOpts(td, cfg)
 			opts.Model = nn.Config{Arch: a, InDim: td.FeatDim, Hidden: 256, Classes: td.NumClasses, Layers: 3}
-			opts.Sample = defaultFanout()
 			sys, err := buildSystem("DSP", opts)
 			if err != nil {
 				return nil, err

@@ -1,7 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Section 7) on the simulated machine. Each experiment returns
-// a structured Table that the dspbench CLI and the root testing.B benches
-// print and assert on.
+// a structured Table that the dspbench CLI prints and this package's tests
+// assert on.
 //
 // Scaling methodology: datasets are scaled stand-ins (internal/gen) and the
 // simulated GPU memory shrinks by the same factor, so cache-pressure
@@ -15,8 +15,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -28,7 +30,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hw"
 	"repro/internal/nn"
-	"repro/internal/sample"
 	"repro/internal/train"
 )
 
@@ -178,6 +179,39 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// WriteJSON emits the table as a single machine-readable JSON object.
+func (t *Table) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(struct {
+		Title string      `json:"title"`
+		Unit  string      `json:"unit,omitempty"`
+		Cols  []string    `json:"cols"`
+		Rows  []string    `json:"rows"`
+		Cells [][]float64 `json:"cells"`
+		Notes []string    `json:"notes,omitempty"`
+	}{t.Title, t.Unit, t.Cols, t.Rows, t.Cells, t.Notes})
+}
+
+// check refuses a table that is not a consistent rows x cols grid of finite
+// cells — a NaN or Inf is a division the experiment should not have made.
+func (t *Table) check() error {
+	if len(t.Cells) != len(t.Rows) {
+		return fmt.Errorf("bench: table %q: %d cell rows for %d row labels", t.Title, len(t.Cells), len(t.Rows))
+	}
+	for i, row := range t.Cells {
+		if len(row) != len(t.Cols) {
+			return fmt.Errorf("bench: table %q row %q: %d cells for %d col labels", t.Title, t.Rows[i], len(row), len(t.Cols))
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("bench: table %q cell (%s, %s) is %v", t.Title, t.Rows[i], t.Cols[j], v)
+			}
+		}
+	}
+	return nil
+}
+
 // formatCell prints with three significant figures, like the paper.
 func formatCell(v float64) string {
 	switch {
@@ -250,9 +284,10 @@ func scaledGPU() hw.GPUSpec {
 }
 
 // baseOpts assembles the default paper configuration for a prepared dataset:
-// 3-layer GraphSAGE, hidden 256, fan-out [15,10,5], cost-only compute. The
-// batch size is the registry's scaled recommendation (steps per epoch stay
-// in the paper's regime).
+// cost-only compute, and train.Options.Defaults' model and fan-out (3-layer
+// GraphSAGE, hidden 256, fan-out [15,10,5]) unless the experiment sets its
+// own. The batch size is the registry's scaled recommendation (steps per
+// epoch stay in the paper's regime).
 func baseOpts(td *train.Data, cfg RunConfig) train.Options {
 	batch := td.BenchBatch
 	if batch == 0 {
@@ -346,10 +381,14 @@ var Experiments = map[string]func(w io.Writer, cfg RunConfig) error{
 	"ablation-workers":  runnerFor(AblationMultiWorker),
 	"ext-multimachine":  runnerFor(AblationMultiMachine),
 	"ext-gnn-archs":     runnerFor(ExtensionGNNArchs),
+	"serve-load":        runnerFor(ServeLoad),
+	"cache-sweep":       runnerFor(CacheSweep),
+	"compress-sweep":    runnerFor(CompressSweep),
+	"router-sweep":      runnerFor(RouterSweep),
+	"ooc-sweep":         runnerFor(OOCSweep),
+	"strategy-sweep":    runnerFor(StrategySweep),
+	"fault-sweep":       runnerFor(FaultSweep),
 	"perf":              Perf,
-	// The seven parameter sweeps (serve-load, cache-sweep, compress-sweep,
-	// router-sweep, ooc-sweep, strategy-sweep, fault-sweep) register
-	// through the Sweeps registry (sweep.go).
 }
 
 // ExperimentNames returns the registry keys sorted.
@@ -362,28 +401,30 @@ func ExperimentNames() []string {
 	return names
 }
 
+// runnerFor adapts a Table-producing experiment to the registry: it runs the
+// experiment, checks the table (Table.check) and renders it as aligned text,
+// or as one JSON object when cfg.JSON is set.
 func runnerFor(f func(cfg RunConfig) (*Table, error)) func(w io.Writer, cfg RunConfig) error {
 	return func(w io.Writer, cfg RunConfig) error {
 		t, err := f(cfg)
 		if err != nil {
 			return err
 		}
-		return renderTable(w, t, cfg)
+		if err := t.check(); err != nil {
+			return err
+		}
+		if cfg.JSON {
+			return t.WriteJSON(w)
+		}
+		t.Fprint(w)
+		return nil
 	}
-}
-
-// sageModel returns the paper's GraphSAGE config for a dataset.
-func sageModel(td *train.Data) nn.Config {
-	return nn.Config{Arch: nn.SAGE, InDim: td.FeatDim, Hidden: 256, Classes: td.NumClasses, Layers: 3}
 }
 
 // gcnModel returns the paper's GCN config for a dataset.
 func gcnModel(td *train.Data) nn.Config {
 	return nn.Config{Arch: nn.GCN, InDim: td.FeatDim, Hidden: 256, Classes: td.NumClasses, Layers: 3}
 }
-
-// defaultFanout is the paper's neighbour-sampling fan-out.
-func defaultFanout() sample.Config { return sample.Config{Fanout: []int{15, 10, 5}} }
 
 // colName builds "products/4" style column labels.
 func colName(ds string, gpus int) string { return fmt.Sprintf("%s/%d", ds, gpus) }

@@ -34,8 +34,6 @@ func Fig1(cfg RunConfig) (*Table, error) {
 	for _, ds := range dsList {
 		td := prepared(ds, 8, cfg.Shrink, false, true)
 		opts := baseOpts(td, cfg)
-		opts.Model = sageModel(td)
-		opts.Sample = defaultFanout()
 
 		uva, err := buildSystem("DGL-UVA", opts)
 		if err != nil {
@@ -102,10 +100,7 @@ func epochTimeTable(cfg RunConfig, title string, gcn bool, counts []int) (*Table
 			opts := baseOpts(td, cfg)
 			if gcn {
 				opts.Model = gcnModel(td)
-			} else {
-				opts.Model = sageModel(td)
 			}
-			opts.Sample = defaultFanout()
 			for _, name := range systemNames {
 				sys, err := buildSystem(name, opts)
 				if err != nil {
@@ -148,8 +143,6 @@ func Table6(cfg RunConfig) (*Table, error) {
 		for _, n := range gpuCounts {
 			td := prepared(ds, n, cfg.Shrink, false, true)
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			for _, name := range systemNames {
 				sys, err := buildSystem(name, opts)
 				if err != nil {
@@ -207,8 +200,6 @@ func Fig6(cfg RunConfig) (*Table, error) {
 		for _, n := range gpuCounts {
 			td := prepared(ds, n, cfg.Shrink, false, true)
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			for _, name := range []string{"DSP-Seq", "DSP"} {
 				sys, err := buildSystem(name, opts)
 				if err != nil {
@@ -322,8 +313,6 @@ func Fig10(cfg RunConfig) (*Table, error) {
 		for i, f := range fractions {
 			featBudget := int64(f * float64(total))
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			opts.FeatureCacheBudget = featBudget
 			opts.TopoCacheBudget = total - featBudget
 			// The budget replaces the memory-derived default; make sure the
@@ -364,7 +353,6 @@ func Fig11(cfg RunConfig) (*Table, error) {
 		td := prepared(ds, 4, cfg.Shrink, true, true)
 		for _, mode := range []string{"CSP", "PullData"} {
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
 			opts.Sample = sample.Config{Fanout: []int{15, 10, 5}, Biased: true}
 			opts.PullData = mode == "PullData"
 			sys, err := buildSystem("DSP", opts)
@@ -393,8 +381,6 @@ func Fig12(cfg RunConfig) (*Table, error) {
 		for _, n := range gpuCounts {
 			td := prepared(ds, n, cfg.Shrink, false, true)
 			opts := baseOpts(td, cfg)
-			opts.Model = sageModel(td)
-			opts.Sample = defaultFanout()
 			var times [2]float64
 			for i, name := range []string{"DSP-Seq", "DSP"} {
 				sys, err := buildSystem(name, opts)

@@ -115,8 +115,6 @@ func OOCSweep(cfg RunConfig) (*Table, error) {
 // budgets so the host tier actually sees traffic.
 func oocSweepOpts(td *train.Data, p oocPoint, blockBytes int64, cfg RunConfig) train.Options {
 	opts := baseOpts(td, cfg)
-	opts.Model = sageModel(td)
-	opts.Sample = defaultFanout()
 	opts.CompressTopology = p.compress
 	if p.ooc {
 		// Three quarters of the patch topology and half the owned feature

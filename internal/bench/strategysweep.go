@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/gen"
+	"repro/internal/nn"
 	"repro/internal/train"
 )
 
@@ -114,8 +115,6 @@ func strategySweepData(featDim, shrink int) *train.Data {
 // is the regime P3 is built for.
 func strategySweepOpts(td *train.Data, cfg RunConfig) train.Options {
 	opts := baseOpts(td, cfg)
-	opts.Model = sageModel(td)
-	opts.Model.Hidden = 64
-	opts.Sample = defaultFanout()
+	opts.Model = nn.Config{Arch: nn.SAGE, InDim: td.FeatDim, Hidden: 64, Classes: td.NumClasses, Layers: 3}
 	return opts
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -55,29 +57,22 @@ func TestTableWriteJSON(t *testing.T) {
 	}
 }
 
+// TestSweepRegistry: the seven parameter sweeps are experiments like any
+// other, and every registered table runner refuses a table with a non-finite
+// cell instead of printing it.
 func TestSweepRegistry(t *testing.T) {
-	want := []string{"serve-load", "cache-sweep", "compress-sweep", "router-sweep",
-		"ooc-sweep", "strategy-sweep", "fault-sweep"}
-	for _, name := range want {
-		s := SweepByName(name)
-		if s == nil {
-			t.Fatalf("sweep %q not registered", name)
-		}
-		if s.Name() != name {
-			t.Fatalf("sweep %q reports name %q", name, s.Name())
-		}
+	for _, name := range []string{"serve-load", "cache-sweep", "compress-sweep", "router-sweep",
+		"ooc-sweep", "strategy-sweep", "fault-sweep"} {
 		if _, ok := Experiments[name]; !ok {
-			t.Fatalf("sweep %q not folded into Experiments", name)
+			t.Errorf("sweep %q not registered in Experiments", name)
 		}
 	}
-	if SweepByName("table4") != nil {
-		t.Fatal("non-sweep experiment must not resolve as a sweep")
-	}
-	if _, ok := SweepByName("serve-load").(Asserter); !ok {
-		t.Fatal("table sweeps should implement Asserter")
-	}
-	// Assert before Run reports a clear error rather than passing vacuously.
-	if err := (&tableSweep{name: "x", f: ServeLoad}).Assert(); err == nil {
-		t.Fatal("Assert before Run: want error")
+	run := runnerFor(func(RunConfig) (*Table, error) {
+		tb := NewTable("nan", "x", []string{"r"}, []string{"a", "b"})
+		tb.Set("r", "b", math.NaN())
+		return tb, nil
+	})
+	if err := run(io.Discard, RunConfig{}); err == nil || !strings.Contains(err.Error(), "cell (r, b) is NaN") {
+		t.Fatalf("runner accepted a NaN cell: %v", err)
 	}
 }

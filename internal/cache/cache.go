@@ -41,9 +41,10 @@ const (
 	Static Policy = iota
 	// LFUDecay ranks rows purely by the EWMA-decayed access frequency.
 	LFUDecay
-	// DegreeHybrid blends the decayed frequency with a normalized degree
-	// prior, so rows with no observations yet still rank by the offline
-	// score (useful early, before the tracker warms up).
+	// DegreeHybrid adds a normalized degree prior to the decayed frequency,
+	// so rows with no observations yet still rank by the offline score
+	// (useful early, before the tracker warms up): a max-degree row with no
+	// observations ranks like a row observed once.
 	DegreeHybrid
 )
 
@@ -106,10 +107,6 @@ type Config struct {
 	// MaxMovesPerGPU caps promotions per GPU per rebalance, bounding the
 	// migration burst a single rebalance may charge (default 1024).
 	MaxMovesPerGPU int
-	// DegreeWeight scales the degree prior under DegreeHybrid: a max-degree
-	// row with no observations ranks like a row observed DegreeWeight times
-	// (default 1).
-	DegreeWeight float64
 }
 
 func (c Config) defaults() Config {
@@ -118,9 +115,6 @@ func (c Config) defaults() Config {
 	}
 	if c.MaxMovesPerGPU <= 0 {
 		c.MaxMovesPerGPU = 1024
-	}
-	if c.DegreeWeight <= 0 {
-		c.DegreeWeight = 1
 	}
 	return c
 }
@@ -256,7 +250,7 @@ func (m *Manager) Stats() Stats { return m.stats.Clone() }
 // score ranks row v for shard residency under the configured policy.
 func (m *Manager) score(v int) float64 {
 	if m.cfg.Policy == DegreeHybrid {
-		return m.counts[v] + m.cfg.DegreeWeight*m.prior[v]
+		return m.counts[v] + m.prior[v]
 	}
 	return m.counts[v]
 }

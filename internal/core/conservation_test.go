@@ -147,7 +147,7 @@ func serveConfig(td *train.Data) serve.Config {
 		Duration: 0.03, Rate: 4000, Skew: 0.8, UseCCC: true,
 		FeatCodec:          compress.FP16{},
 		FeatureCacheBudget: int64(200 * td.FeatDim * 4),
-		CompressTopology:   true, OOC: true, OOCBlockNodes: 256,
+		CompressTopology:   true, OOC: true,
 	}
 }
 

@@ -53,7 +53,7 @@ func New(opts train.Options) (*DSP, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	m := hw.NewMachineScaled(opts.Data.NumGPUs(), opts.GPU, opts.CPU, opts.LatencyScale)
+	m := hw.NewMachineScaled(opts.Data.NumGPUs(), opts.GPU, hw.XeonE5(), opts.LatencyScale)
 	return build(opts, []*hw.Machine{m})
 }
 
@@ -75,7 +75,7 @@ func NewMulti(opts train.Options, machines int, net hw.NetworkSpec) (*DSP, error
 	if opts.OOC {
 		return nil, fmt.Errorf("core: multi-machine DSP does not support OOC")
 	}
-	return build(opts, hw.NewCluster(machines, opts.Data.NumGPUs(), opts.GPU, opts.CPU, net, opts.LatencyScale).Machines)
+	return build(opts, hw.NewCluster(machines, opts.Data.NumGPUs(), opts.GPU, hw.XeonE5(), net, opts.LatencyScale).Machines)
 }
 
 // build assembles the system over machines (one stand-alone, or a cluster's on

@@ -71,15 +71,13 @@ func (b Batching) String() string {
 }
 
 // Config describes one serving run. Data, Duration and Rate are required.
+// The machine is the paper's (V100 GPUs, memory scaled by the dataset, behind
+// a Xeon host) and the model served is a 2-layer GraphSAGE of hidden width
+// 64 sized to the dataset.
 type Config struct {
 	Data *train.Data
-	GPU  hw.GPUSpec
-	CPU  hw.CPUSpec
-	// Model is the forward pass served; defaults to a 2-layer GraphSAGE
-	// sized to the dataset.
-	Model nn.Config
 	// Sample is the neighbourhood expansion per request; defaults to
-	// fan-out [10, 5].
+	// fan-out [10, 5] and must be as deep as the model (2).
 	Sample sample.Config
 	// RealCompute runs the actual fp32 forward math and records argmax
 	// predictions; false charges nominal kernel costs only.
@@ -106,12 +104,9 @@ type Config struct {
 	// QueueDepth bounds each GPU's admission queue; arrivals beyond it are
 	// shed (default 4×MaxBatch).
 	QueueDepth int
-	// QueueCap is the sampler→executor pipeline depth (default 2).
-	QueueCap int
-	UseCCC   bool
+	UseCCC     bool
 
 	FeatureCacheBudget int64
-	TopoCacheBudget    int64
 	// CompressTopology stores the partitioned topology varint-compressed
 	// (resident bytes at the encoded size, a decode kernel per sampled row).
 	CompressTopology bool
@@ -121,10 +116,6 @@ type Config struct {
 	OOC           bool
 	OOCBudget     int64
 	OOCNoPrefetch bool
-	// OOCBlockNodes overrides the store block width in nodes (0 = default).
-	OOCBlockNodes int
-	// CachePolicy selects the hot-node criterion (0 = by degree).
-	CachePolicy int
 	// DynamicCache selects the adaptive cache policy (cache.Static keeps the
 	// offline placement). Non-static policies rebalance each GPU's feature
 	// shard every RebalanceEvery of virtual time, promoting observed-hot rows
@@ -133,17 +124,12 @@ type Config struct {
 	// RebalanceEvery is the rebalance period (default 25 ms when a dynamic
 	// policy is selected).
 	RebalanceEvery sim.Time
-	// CacheTune tunes the adaptive manager (decay, move cap, degree weight);
-	// zero values take the cache package defaults.
+	// CacheTune tunes the adaptive manager (decay, move cap); zero values
+	// take the cache package defaults.
 	CacheTune cache.Config
 	// DriftEvery re-draws the workload's popularity assignment at this virtual
 	// period (0 = static popularity). Drift is what dynamic caching adapts to.
 	DriftEvery sim.Time
-	// StageOverhead is the host-side cost per worker stage per round
-	// (default 0.5 ms; negative disables). Divided by LatencyScale.
-	StageOverhead sim.Time
-	// LatencyScale divides per-message link latencies (benchmark scaling).
-	LatencyScale float64
 	// FeatCodec compresses the NVLink feature-reply all-to-all between GPUs
 	// (nil = raw fp32 rows). UVA host reads are zero-copy and uncompressed.
 	FeatCodec compress.Codec
@@ -157,10 +143,9 @@ type Config struct {
 	Tenants []TenantSpec
 	// SLO is the end-to-end latency objective. When positive, the run keeps
 	// a windowed goodput counter (requests completed within SLO per virtual
-	// second) reported alongside the latency histogram.
+	// second, in goodputWindow buckets) reported alongside the latency
+	// histogram.
 	SLO sim.Time
-	// GoodputWindow is the goodput counter's bucket width (default 10 ms).
-	GoodputWindow sim.Time
 
 	// Tracer, when set, records per-request spans, round spans, queue-depth
 	// counters and shed markers.
@@ -189,26 +174,18 @@ type Config struct {
 	Telemetry *telemetry.Hub
 }
 
+// The serving design point. An inference server launches rounds from a
+// compiled runtime, not a Python training loop, so its host-side cost per
+// worker stage per round is a quarter of training's; execQueueCap is the
+// sampler→executor pipeline depth and goodputWindow the goodput counter's
+// bucket width.
+const (
+	stageOverhead sim.Time = 0.5e-3
+	execQueueCap           = 2
+	goodputWindow sim.Time = 10e-3
+)
+
 func (c Config) defaults() Config {
-	if c.GPU.Threads == 0 {
-		c.GPU = hw.V100()
-	}
-	if c.Data != nil && c.Data.GPUMemBytes > 0 {
-		c.GPU.MemBytes = c.Data.GPUMemBytes
-	}
-	if c.CPU.Cores == 0 {
-		c.CPU = hw.XeonE5()
-	}
-	if c.Model.Layers == 0 {
-		c.Model = nn.Config{Arch: nn.SAGE, InDim: c.Data.FeatDim, Hidden: 64,
-			Classes: c.Data.NumClasses, Layers: 2}
-	}
-	if c.Model.InDim == 0 {
-		c.Model.InDim = c.Data.FeatDim
-	}
-	if c.Model.Classes == 0 {
-		c.Model.Classes = c.Data.NumClasses
-	}
 	if len(c.Sample.Fanout) == 0 {
 		c.Sample.Fanout = []int{10, 5}
 	}
@@ -221,18 +198,14 @@ func (c Config) defaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
 	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 2
-	}
 	if c.RebalanceEvery <= 0 {
 		c.RebalanceEvery = 25e-3
-	}
-	if c.GoodputWindow <= 0 {
-		c.GoodputWindow = 10e-3
 	}
 	return c
 }
 
+// validate holds the serving checks; the substrate's own (model, fan-out)
+// are train.Options.Validate's.
 func (c Config) validate() error {
 	if c.Data == nil {
 		return fmt.Errorf("serve: Config.Data is required")
@@ -242,14 +215,6 @@ func (c Config) validate() error {
 	}
 	if c.Rate <= 0 {
 		return fmt.Errorf("serve: Config.Rate must be positive")
-	}
-	if len(c.Sample.Fanout) != 0 && c.Model.Layers != 0 &&
-		len(c.Sample.Fanout) != c.Model.Layers {
-		return fmt.Errorf("serve: fan-out depth %d != model layers %d",
-			len(c.Sample.Fanout), c.Model.Layers)
-	}
-	if err := c.Sample.Validate(); err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	n := c.Data.NumGPUs()
 	crashed := map[int]bool{}
@@ -264,34 +229,17 @@ func (c Config) validate() error {
 	return nil
 }
 
-// effectiveOverhead mirrors train.Options.EffectiveStageOverhead with a
-// serving-appropriate 0.5 ms default (an inference server launches rounds
-// from a compiled runtime, not a Python training loop).
-func (c Config) effectiveOverhead() sim.Time {
-	ov := c.StageOverhead
-	switch {
-	case ov < 0:
-		return 0
-	case ov == 0:
-		ov = 0.5e-3
-	}
-	if c.LatencyScale > 1 {
-		ov /= sim.Time(c.LatencyScale)
-	}
-	return ov
-}
-
 // substrate translates the serving config into the options strategy.Build
-// assembles a machine from; the training-only knobs stay zero.
+// assembles a machine from, with the served model. Defaults fills the rest:
+// the GPU spec, the model's input and class widths, and training knobs the
+// Serving role never reads.
 func (c Config) substrate() train.Options {
 	return train.Options{
-		Data: c.Data, GPU: c.GPU, CPU: c.CPU, Model: c.Model, Sample: c.Sample,
+		Data: c.Data, Model: nn.Config{Arch: nn.SAGE, Hidden: 64, Layers: 2}, Sample: c.Sample,
 		RealCompute: c.RealCompute, Seed: c.Seed, UseCCC: c.UseCCC,
-		FeatureCacheBudget: c.FeatureCacheBudget, TopoCacheBudget: c.TopoCacheBudget,
-		CachePolicy: c.CachePolicy, DynamicCache: c.DynamicCache, CacheTune: c.CacheTune,
+		FeatureCacheBudget: c.FeatureCacheBudget, DynamicCache: c.DynamicCache, CacheTune: c.CacheTune,
 		CompressTopology: c.CompressTopology, OOC: c.OOC, OOCBudget: c.OOCBudget,
-		OOCNoPrefetch: c.OOCNoPrefetch, OOCBlockNodes: c.OOCBlockNodes,
-		LatencyScale: c.LatencyScale, FeatCodec: c.FeatCodec, Faults: c.Faults,
+		OOCNoPrefetch: c.OOCNoPrefetch, FeatCodec: c.FeatCodec, Faults: c.Faults,
 		Strategy: c.Strategy,
 	}
 }
@@ -349,7 +297,6 @@ type Server struct {
 	sub      *strategy.Substrate
 	world    *csp.World
 	execComm *comm.Communicator
-	overhead sim.Time
 	// weights is the run's phase-0 popularity, for ExpectedCacheHitRate.
 	weights []float64
 
@@ -414,31 +361,35 @@ func newServer(cfg Config, eng *sim.Engine, name string, in *Intake, onComplete 
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	o := cfg.substrate().Defaults()
+	if err := o.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	n := cfg.Data.NumGPUs()
-	s := &Server{cfg: cfg, name: name, onComplete: onComplete, overhead: cfg.effectiveOverhead()}
+	s := &Server{cfg: cfg, name: name, onComplete: onComplete}
 	if eng != nil {
-		s.m = hw.NewMachineOn(eng, n, cfg.GPU, cfg.CPU, cfg.LatencyScale)
+		s.m = hw.NewMachineOn(eng, n, o.GPU, hw.XeonE5(), 1)
 		s.adm = new(Admission)
 	} else {
-		s.m = hw.NewMachineScaled(n, cfg.GPU, cfg.CPU, cfg.LatencyScale)
+		s.m = hw.NewMachine(n, o.GPU, hw.XeonE5())
 		s.m.Eng.SetParallelism(cfg.Parallel)
 		in = NewIntake(cfg)
 		s.intake, s.adm = in, &in.Admission
 	}
 	s.weights = in.pop.Weights()
 	if cfg.SLO > 0 {
-		s.goodput = metrics.NewGoodput(float64(cfg.GoodputWindow), float64(cfg.SLO))
+		s.goodput = metrics.NewGoodput(float64(goodputWindow), float64(cfg.SLO))
 	}
 	if cfg.Tracer.Enabled() {
 		s.m.SetTracer(cfg.Tracer)
 		for g := 0; g < n; g++ {
-			cfg.Tracer.NameLane(g, 20, "requests")
-			cfg.Tracer.NameLane(g, 21, "serve rounds")
+			cfg.Tracer.NameLane(g, trace.LaneRequests, "requests")
+			cfg.Tracer.NameLane(g, trace.LaneRounds, "serve rounds")
 		}
 		cfg.Tracer.NamePid(n, "frontend")
 	}
 
-	sub, err := strategy.Build(s.m, cfg.substrate(), strategy.Serving)
+	sub, err := strategy.Build(s.m, o, strategy.Serving)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -586,7 +537,7 @@ func (s *Server) Start() {
 	s.pending = make([][]*Request, n)
 	for g := 0; g < n; g++ {
 		s.sampQ = append(s.sampQ, eng.NewQueue(1))
-		s.execQ = append(s.execQ, eng.NewQueue(s.cfg.QueueCap))
+		s.execQ = append(s.execQ, eng.NewQueue(execQueueCap))
 		s.latency = append(s.latency, metrics.New())
 		s.dones = append(s.dones, eng.NewEvent())
 	}
@@ -956,7 +907,7 @@ func (s *Server) sampler(p *sim.Proc, g int) {
 		}
 		rd := v.(*round)
 		runRound(p, func() { s.world.Comm.Begin(g) }, func() {
-			p.Sleep(s.overhead)
+			p.Sleep(stageOverhead)
 			seeds := make([]graph.NodeID, len(rd.reqs[g]))
 			for i, r := range rd.reqs[g] {
 				seeds[i] = r.Node
@@ -987,7 +938,7 @@ func (s *Server) executor(p *sim.Proc, g int) {
 		var l strategy.Loaded
 		var loaded sim.Time
 		runRound(p, func() { s.execComm.Begin(g) }, func() {
-			p.Sleep(s.overhead)
+			p.Sleep(stageOverhead)
 			l = s.sub.Strategy.Load(p, g, it.mb, s.execComm)
 			loaded = p.Now()
 			preds = s.sub.Strategy.Infer(p, g, l)
@@ -1018,13 +969,13 @@ func (s *Server) executor(p *sim.Proc, g int) {
 			}
 			if s.cfg.Tracer.Enabled() {
 				s.cfg.Tracer.Complete(fmt.Sprintf("req %d", req.ID), "request",
-					g, 20, float64(req.Arrival), float64(now),
+					g, trace.LaneRequests, float64(req.Arrival), float64(now),
 					map[string]string{"node": fmt.Sprint(req.Node), "round": fmt.Sprint(req.Round)})
 			}
 		}
 		if s.cfg.Tracer.Enabled() {
 			s.cfg.Tracer.Complete(fmt.Sprintf("round %d", it.rd.id), "serve",
-				g, 21, float64(it.rd.start), float64(now),
+				g, trace.LaneRounds, float64(it.rd.start), float64(now),
 				map[string]string{"batch": fmt.Sprint(batch)})
 		}
 	}

@@ -47,7 +47,7 @@ func TestNewServerRejectsBadConfig(t *testing.T) {
 	}{
 		{"zero duration", func(c *Config) { c.Duration = 0 }, "Duration"},
 		{"negative rate", func(c *Config) { c.Rate = -1 }, "Rate"},
-		{"fan-out depth", func(c *Config) { c.Model.Layers = 3 }, "fan-out depth 2 != model layers 3"},
+		{"fan-out depth", func(c *Config) { c.Sample.Fanout = []int{6, 4, 2} }, "3 fan-outs for 2 model layers"},
 		{"negative fan-out", func(c *Config) { c.Sample.Fanout = []int{6, -1} }, "Fanout[1] = -1"},
 		{"zero layer budget", func(c *Config) {
 			c.Sample.Fanout, c.Sample.LayerWise = []int{0, 32}, true

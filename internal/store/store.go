@@ -22,7 +22,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Config tunes the out-of-core tier.
@@ -47,10 +46,6 @@ type Config struct {
 	// LatencyScale divides the spill device's fixed per-read latency, the
 	// same scaling the fabric applies for shrunk benchmark runs.
 	LatencyScale float64
-	// Tracer, when set, records "store" counter events (resident bytes, hit
-	// and prefetch totals) at every block fetch; TracePid selects the lane.
-	Tracer   *trace.Tracer
-	TracePid int
 }
 
 // Stats is the tier's cumulative accounting.
@@ -357,7 +352,6 @@ func (s *Store) fetch(p *sim.Proc, b int) {
 	s.resident += blk.bytes
 	ev.Trigger()
 	s.evict(b)
-	s.emitCounter(p)
 }
 
 // evict drops least-recently-used resident blocks (never the one just
@@ -380,18 +374,4 @@ func (s *Store) evict(keep int) {
 		s.blocks[victim].viaPrefetch = false
 		s.resident -= s.blocks[victim].bytes
 	}
-}
-
-// emitCounter records the tier's headline counters as a trace counter event.
-func (s *Store) emitCounter(p *sim.Proc) {
-	if s.cfg.Tracer == nil {
-		return
-	}
-	s.cfg.Tracer.Counter("store", s.cfg.TracePid, float64(p.Now()), map[string]float64{
-		"resident_mb":    float64(s.resident) / (1 << 20),
-		"hits":           float64(s.stats.Hits),
-		"misses":         float64(s.stats.Misses),
-		"prefetch_used":  float64(s.stats.PrefetchUsed),
-		"prefetch_total": float64(s.stats.PrefetchIssued),
-	})
 }

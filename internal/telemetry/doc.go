@@ -188,7 +188,7 @@ func (h *Hub) Finish(end sim.Time) *Doc {
 			Duration: summarize(h.stageHist[i]),
 		}
 	}
-	for _, ex := range h.topExemplars(h.cfg.MaxExemplars) {
+	for _, ex := range h.topExemplars(maxExemplars) {
 		req.Exemplars = append(req.Exemplars, ExemplarDoc{
 			Bucket:   ex.Bucket,
 			ID:       ex.ID,

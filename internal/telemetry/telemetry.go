@@ -66,12 +66,11 @@ type Config struct {
 	// Target is the availability objective; the error budget is
 	// 1 - Target. Default 0.99 (1% budget).
 	Target float64
-	// Rules are the burn-rate alert rules. Default DefaultRules().
-	Rules []Rule
-	// MaxExemplars caps how many latency-bucket exemplars the document
-	// keeps (the highest buckets win — the p99 drill-down). Default 8.
-	MaxExemplars int
 }
+
+// maxExemplars caps how many latency-bucket exemplars the document keeps
+// (the highest buckets win — the p99 drill-down).
+const maxExemplars = 8
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -85,12 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Target <= 0 || c.Target >= 1 {
 		c.Target = 0.99
-	}
-	if c.Rules == nil {
-		c.Rules = DefaultRules()
-	}
-	if c.MaxExemplars <= 0 {
-		c.MaxExemplars = 8
 	}
 	return c
 }
@@ -269,9 +262,8 @@ func New(cfg Config) *Hub {
 	for i := range h.stageHist {
 		h.stageHist[i] = metrics.New()
 	}
-	h.rules = make([]ruleState, len(cfg.Rules))
-	for i, r := range cfg.Rules {
-		h.rules[i] = ruleState{Rule: r}
+	for _, r := range DefaultRules() {
+		h.rules = append(h.rules, ruleState{Rule: r})
 	}
 	return h
 }

@@ -227,7 +227,6 @@ func SampleEpoch(machines []*hw.Machine, epoch, steps int, overhead sim.Time,
 type Options struct {
 	Data      *Data
 	GPU       hw.GPUSpec
-	CPU       hw.CPUSpec
 	Model     nn.Config
 	Sample    sample.Config
 	BatchSize int
@@ -300,11 +299,6 @@ type Options struct {
 	// all-to-all replies of the load stage and the inter-machine NIC sends
 	// (nil = raw fp32). UVA host reads are zero-copy and never compressed.
 	FeatCodec compress.Codec
-	// StageOverhead is the host-side framework cost per worker stage per
-	// batch (Python/driver bookkeeping; the GPU is idle during it). It is
-	// divided by LatencyScale like other per-batch fixed costs. 0 selects
-	// the 2 ms default; negative disables it.
-	StageOverhead sim.Time
 	// Faults is the injected fault schedule (fault-tolerance runs). The
 	// system builds the injector; the FT driver arms it. Fault times are
 	// GLOBAL virtual time — a rebuilt fleet skips faults already delivered —
@@ -322,33 +316,27 @@ type Options struct {
 	Parallel int
 }
 
-// EffectiveStageOverhead resolves the per-stage host cost after scaling.
+// stageOverhead is the host-side framework cost per worker stage per batch
+// (Python and CUDA-runtime bookkeeping; the GPU is idle during it).
+const stageOverhead sim.Time = 2e-3
+
+// EffectiveStageOverhead is the per-stage host cost, divided by LatencyScale
+// like the other per-batch fixed costs.
 func (o Options) EffectiveStageOverhead() sim.Time {
-	ov := o.StageOverhead
-	switch {
-	case ov < 0:
-		return 0
-	case ov == 0:
-		ov = 2e-3
-	}
 	if o.LatencyScale > 1 {
-		ov /= sim.Time(o.LatencyScale)
+		return stageOverhead / sim.Time(o.LatencyScale)
 	}
-	return ov
+	return stageOverhead
 }
 
 // Defaults fills unset fields: V100 GPUs (memory possibly scaled by the
-// dataset), Xeon host, paper model (3-layer, hidden 256), fan-out [15,10,5],
-// batch 1024.
+// dataset), paper model (3-layer, hidden 256), fan-out [15,10,5], batch 1024.
 func (o Options) Defaults() Options {
 	if o.GPU.Threads == 0 {
 		o.GPU = hw.V100()
 	}
 	if o.Data != nil && o.Data.GPUMemBytes > 0 {
 		o.GPU.MemBytes = o.Data.GPUMemBytes
-	}
-	if o.CPU.Cores == 0 {
-		o.CPU = hw.XeonE5()
 	}
 	if o.Model.Layers == 0 {
 		o.Model = nn.Config{Arch: nn.SAGE, InDim: o.Data.FeatDim, Hidden: 256, Classes: o.Data.NumClasses, Layers: 3}
@@ -374,10 +362,21 @@ func (o Options) Defaults() Options {
 	return o
 }
 
-// Validate rejects inconsistent options.
+// Validate rejects inconsistent options, naming the field at fault. It is
+// the one check of a resolved substrate configuration: training, the
+// baselines and serving all run their Defaults through it.
 func (o Options) Validate() error {
 	if o.Data == nil {
 		return fmt.Errorf("train: options missing Data")
+	}
+	if o.Model.Layers < 1 {
+		return fmt.Errorf("train: Model.Layers = %d, want >= 1", o.Model.Layers)
+	}
+	if o.Model.Layers > 1 && o.Model.Hidden < 1 {
+		return fmt.Errorf("train: Model.Hidden = %d, want >= 1 for a %d-layer model", o.Model.Hidden, o.Model.Layers)
+	}
+	if o.BatchSize < 0 {
+		return fmt.Errorf("train: negative BatchSize %d (0 selects the default of 1024)", o.BatchSize)
 	}
 	if len(o.Sample.Fanout) != o.Model.Layers {
 		return fmt.Errorf("train: %d fan-outs for %d model layers", len(o.Sample.Fanout), o.Model.Layers)

@@ -177,12 +177,42 @@ func TestOptionsValidateRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestOptionsValidateRejectsBadModelAndBatch: a model or batch flag no run
+// can use is an error naming its field, not a panic in nn.NewModel (negative
+// hidden width), a zero-width model, or an epoch of no steps reported as a
+// result (negative batch size).
+func TestOptionsValidateRejectsBadModelAndBatch(t *testing.T) {
+	td := Prepare(testDataset(), 2, 1, true)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Options)
+		reject string // "" = accepted
+	}{
+		{"negative layers", func(o *Options) { o.Model.Layers = -1 }, "Model.Layers = -1"},
+		{"negative hidden", func(o *Options) { o.Model.Hidden = -1 }, "Model.Hidden = -1"},
+		{"zero hidden", func(o *Options) { o.Model.Hidden = 0 }, "Model.Hidden = 0"},
+		{"negative batch", func(o *Options) { o.BatchSize = -5 }, "BatchSize -5"},
+		// One layer maps InDim straight to Classes: no hidden width to size.
+		{"one layer, no hidden", func(o *Options) {
+			o.Model.Layers, o.Model.Hidden, o.Sample.Fanout = 1, 0, []int{5}
+		}, ""},
+	} {
+		o := Options{Data: td, Model: nn.Config{Arch: nn.SAGE, Hidden: 8, Layers: 3}}
+		tc.mutate(&o)
+		err := o.Defaults().Validate()
+		if tc.reject == "" {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.reject) {
+			t.Errorf("%s: Validate answered %v, want an error naming %q", tc.name, err, tc.reject)
+		}
+	}
+}
+
 func TestEffectiveStageOverhead(t *testing.T) {
 	if got := (Options{}).EffectiveStageOverhead(); got != 2e-3 {
 		t.Errorf("default overhead %v", got)
-	}
-	if got := (Options{StageOverhead: -1}).EffectiveStageOverhead(); got != 0 {
-		t.Errorf("disabled overhead %v", got)
 	}
 	if got := (Options{LatencyScale: 10}).EffectiveStageOverhead(); got != 2e-4 {
 		t.Errorf("scaled overhead %v", got)

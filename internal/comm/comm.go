@@ -1,5 +1,5 @@
 // Package comm implements NCCL-style collectives (all-to-all, allreduce,
-// allgather, broadcast) over the simulated NVLink fabric.
+// allgather) over the simulated NVLink fabric.
 //
 // A Communicator is shared by one group of peer workers (one per GPU) — DSP
 // creates one communicator per worker type (sampler, loader, trainer), just
@@ -16,19 +16,21 @@
 // view (Begin opens each retryable attempt). This is how degraded-mode
 // serving keeps collectives running across GPU crashes.
 //
-// Collectives move real Go data between ranks (node ids, feature rows,
+// Collectives move real Go data between ranks (node ids, sampled adjacency,
 // gradients) while charging virtual time for the wire transfers, following
 // the paper's protocol: each rank first notifies peers of the sizes they
-// will receive, then the payload moves via all-to-all over NVLink.
+// will receive, then the payload moves via all-to-all over NVLink. Payloads
+// the simulation only models — feature rows and first-layer activations,
+// whose values the host assembles elsewhere — ride AllToAllCounts, which
+// moves element counts and charges exactly what AllToAll would charge for
+// payloads of those lengths.
 //
-// Every collective takes an Opts describing the wire format. When
-// Opts.Codec is set (float32 payloads only), the codec determines both the
-// charged wire bytes AND the values the receivers observe — payloads are
-// round-tripped through Encode/Decode, so a lossy codec degrades the
-// training for real rather than only discounting the bill. AllReduceSum
-// under a codec quantises each rank's contribution once and has every rank
-// decode and sum them in rank order, preserving the BSP guarantee that all
-// replicas stay bitwise identical.
+// Every collective takes an Opts describing the wire format. Opts.Codec
+// prices float32 payloads on every collective, but changes values only in
+// AllReduceSum: there each rank's contribution is quantised once and every
+// rank decodes and sums the same images in rank order, so a lossy codec
+// degrades training for real while all replicas stay bitwise identical.
+// All-to-alls deliver payloads exactly as posted.
 package comm
 
 import (
@@ -48,9 +50,9 @@ type Opts struct {
 	// ElemBytes is the raw wire size of one element. Ignored when Codec is
 	// set (the codec prices float32 elements itself).
 	ElemBytes int
-	// Codec, when non-nil, compresses the payload: wire bytes follow
-	// Codec.WireBytes and received values are round-tripped through the
-	// codec. Only valid for float32 payloads; collectives panic otherwise.
+	// Codec, when non-nil, prices the payload as float32 elements: wire
+	// bytes follow Codec.WireBytes. Only AllReduceSum also round-trips the
+	// values through it; all-to-alls deliver their payloads unchanged.
 	Codec compress.Codec
 	// PriceElems, when positive, caps the element count the WIRE is charged
 	// for in AllReduceSum while the full vector still moves and reduces —
@@ -272,33 +274,35 @@ func (c *Communicator) recordCompression(rank int, o Opts, elems int) {
 	}
 }
 
-// roundtrip applies o's codec to a received float32 segment, panicking if a
-// codec was set on a non-float32 collective.
-func roundtrip[T any](o Opts, seg []T) []T {
-	if o.Codec == nil || len(seg) == 0 {
-		return seg
-	}
-	vals, ok := any(seg).([]float32)
-	if !ok {
-		panic(fmt.Sprintf("comm: codec %q set on non-float32 payload %T", o.Codec.Name(), seg))
-	}
-	return any(compress.Roundtrip(o.Codec, vals)).([]T)
-}
-
 // sizeHeaderBytes is the per-peer size-notification message preceding each
 // all-to-all (the "notify the amount of data" step in the paper).
 const sizeHeaderBytes = 8
 
-// AllToAll exchanges slices: rank r's out[q] is delivered as the return
-// value's [r] on rank q. o describes the wire format; with a codec set,
-// every cross-GPU segment is round-tripped through it (the self segment
-// never touches the wire and stays exact). Must be called by all ranks.
+// AllToAll exchanges slices: rank r's out[q] is delivered, unchanged, as the
+// return value's [r] on rank q. o prices the wire (a codec discounts the
+// bill but never touches the values). Must be called by all ranks.
 func AllToAll[T any](c *Communicator, p *sim.Proc, rank int, out [][]T, o Opts) [][]T {
+	return exchange(c, p, rank, out, o, func(seg []T) int { return len(seg) })
+}
+
+// AllToAllCounts is AllToAll for a modelled payload: rank sends counts[q]
+// elements to q and gets back, indexed by sender, the count each live peer
+// sent it (zero from dead ranks). The virtual time, fabric bytes and codec
+// accounting are exactly AllToAll's on payloads of those lengths; no
+// element is materialised. Must be called by all ranks.
+func AllToAllCounts(c *Communicator, p *sim.Proc, rank int, counts []int, o Opts) []int {
+	return exchange(c, p, rank, counts, o, func(n int) int { return n })
+}
+
+// exchange is the one all-to-all body: post, synchronise, collect, the timed
+// wire loop, synchronise. out[q] is what rank sends q and elems(out[q]) its
+// element count on the wire.
+func exchange[S any](c *Communicator, p *sim.Proc, rank int, out []S, o Opts, elems func(S) int) []S {
 	if len(out) != c.N {
 		panic(fmt.Sprintf("comm: rank %d posted %d buffers for %d ranks", rank, len(out), c.N))
 	}
 	if c.N == 1 {
-		return [][]T{out[0]}
+		return []S{out[0]}
 	}
 	c.enter(p, rank)
 	defer c.exit(rank)
@@ -306,18 +310,13 @@ func AllToAll[T any](c *Communicator, p *sim.Proc, rank int, out [][]T, o Opts) 
 	c.slots[rank] = out
 	c.arrive(p, rank)
 	// Collect (data is valid now; timing is enforced below). Dead ranks
-	// contribute nothing — their in[q] stays nil (empty). Cross-GPU
-	// segments pass through the codec as the receiver would see them.
-	in := make([][]T, c.N)
+	// contribute nothing — their in[q] stays the zero value (empty).
+	in := make([]S, c.N)
 	for q := 0; q < c.N; q++ {
 		if !c.alive(q) || c.slots[q] == nil {
 			continue
 		}
-		seg := c.slots[q].([][]T)[rank]
-		if q != rank {
-			seg = roundtrip(o, seg)
-		}
-		in[q] = seg
+		in[q] = c.slots[q].([]S)[rank]
 	}
 	// Timed wire movement: size headers then payloads, charged to the
 	// sender in deterministic peer order. Nothing is sent to dead ranks.
@@ -327,11 +326,12 @@ func AllToAll[T any](c *Communicator, p *sim.Proc, rank int, out [][]T, o Opts) 
 		if !c.alive(q) {
 			continue
 		}
+		n := elems(out[q])
 		dev.Transfer(p, c.Machine.Fabric, q, sizeHeaderBytes, hw.TrafficOther)
-		if n := o.wireBytes(len(out[q])); n > 0 {
-			dev.Transfer(p, c.Machine.Fabric, q, n, o.Class)
+		if w := o.wireBytes(n); w > 0 {
+			dev.Transfer(p, c.Machine.Fabric, q, w, o.Class)
 		}
-		c.recordCompression(rank, o, len(out[q]))
+		c.recordCompression(rank, o, n)
 	}
 	c.arrive(p, rank)
 	return in
@@ -541,36 +541,6 @@ func (c *Communicator) AllReduceSum(p *sim.Proc, rank int, data []float32, o Opt
 		c.pool.Put(c.arSum)
 		c.arSum, c.arLive = nil, 0
 	}
-}
-
-// Broadcast sends root's slice to all ranks (returned; root gets its own;
-// non-root ranks observe the payload through o's codec, if any).
-func Broadcast[T any](c *Communicator, p *sim.Proc, rank, root int, data []T, o Opts) []T {
-	if c.N == 1 {
-		return data
-	}
-	c.enter(p, rank)
-	defer c.exit(rank)
-	if rank == root {
-		c.slots[root] = data
-	}
-	c.arrive(p, rank)
-	got := c.slots[root].([]T)
-	if rank == root {
-		dev := c.Machine.GPUs[rank]
-		for i := 1; i < c.N; i++ {
-			q := (rank + i) % c.N
-			if !c.alive(q) {
-				continue
-			}
-			dev.Transfer(p, c.Machine.Fabric, q, o.wireBytes(len(data)), o.Class)
-			c.recordCompression(rank, o, len(data))
-		}
-	} else {
-		got = roundtrip(o, got)
-	}
-	c.arrive(p, rank)
-	return got
 }
 
 // Barrier synchronises the group without moving data. rank identifies the

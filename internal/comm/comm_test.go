@@ -162,30 +162,6 @@ func TestAllGather(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	const n = 4
-	m, c := newWorld(n)
-	got := make([][]float32, n)
-	for r := 0; r < n; r++ {
-		r := r
-		m.Eng.Go("rank", func(p *sim.Proc) {
-			var data []float32
-			if r == 2 {
-				data = []float32{1, 2, 3}
-			}
-			got[r] = Broadcast(c, p, r, 2, data, Raw(4, hw.TrafficOther))
-		})
-	}
-	if _, err := m.Eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < n; r++ {
-		if len(got[r]) != 3 || got[r][2] != 3 {
-			t.Fatalf("rank %d got %v", r, got[r])
-		}
-	}
-}
-
 func TestSequentialCollectivesOnOneCommunicator(t *testing.T) {
 	// Multiple collectives in program order must not cross-talk.
 	const n = 4

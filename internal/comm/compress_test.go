@@ -103,21 +103,20 @@ func TestCompressedAllReduceDeterministic(t *testing.T) {
 	}
 }
 
-// TestCompressedAllToAllRoundtripsValues checks that feature-style float32
-// all-to-all segments pass through the codec (fp16 here: cross-GPU values
-// are halved in precision, the self segment stays exact).
-func TestCompressedAllToAllRoundtripsValues(t *testing.T) {
+// TestAllToAllDeliversPayloadsUnchanged: a codec on an all-to-all prices the
+// wire (fp16: two bytes per element) but delivers every segment, self and
+// cross-GPU, exactly as posted.
+func TestAllToAllDeliversPayloadsUnchanged(t *testing.T) {
 	const n = 2
 	m, c := newWorld(n)
 	got := make([][][]float32, n)
-	v := float32(1.0009765625) // 1 + 2^-10: representable in fp16? 1+2^-10 yes; use 1+2^-12 to force rounding
-	vLossy := float32(1.000244140625)
+	vLossy := float32(1.000244140625) // 1 + 2^-12: fp16 would round it
 	for r := 0; r < n; r++ {
 		r := r
 		m.Eng.Go("rank", func(p *sim.Proc) {
 			out := make([][]float32, n)
 			for q := 0; q < n; q++ {
-				out[q] = []float32{v, vLossy}
+				out[q] = []float32{float32(r), vLossy}
 			}
 			got[r] = AllToAll(c, p, r, out, Compressed(compress.FP16{}, hw.TrafficFeature))
 		})
@@ -126,46 +125,15 @@ func TestCompressedAllToAllRoundtripsValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < n; r++ {
-		self, peer := got[r][r], got[r][1-r]
-		if self[0] != v || self[1] != vLossy {
-			t.Fatalf("rank %d self segment went through the codec: %v", r, self)
-		}
-		if peer[0] != v {
-			t.Fatalf("rank %d: fp16-exact value changed: %v", r, peer[0])
-		}
-		if peer[1] == vLossy {
-			t.Fatalf("rank %d: fp16 should round 1+2^-12, still exact", r)
+		for q := 0; q < n; q++ {
+			if seg := got[r][q]; len(seg) != 2 || seg[0] != float32(q) || seg[1] != vLossy {
+				t.Fatalf("rank %d from %d received %v, want [%d %v]", r, q, seg, q, vLossy)
+			}
 		}
 	}
 	// Wire bytes: each rank sends one 2-element fp16 segment to its peer.
 	if gotB := m.Fabric.Counters.NVLinkBytes[hw.TrafficFeature]; gotB != 2*2*2 {
 		t.Errorf("fp16 feature bytes %d, want %d", gotB, 2*2*2)
-	}
-}
-
-// TestCodecOnNonFloat32Panics ensures the misuse is loud, not silent.
-func TestCodecOnNonFloat32Panics(t *testing.T) {
-	m, c := newWorld(2)
-	panicked := make([]bool, 2)
-	for r := 0; r < 2; r++ {
-		r := r
-		m.Eng.Go("rank", func(p *sim.Proc) {
-			defer func() {
-				if recover() != nil {
-					panicked[r] = true
-					// Unblock the peer's barrier by dying loudly is not an
-					// option inside the sim; both ranks panic at collect
-					// time after the same barrier, so no one is stranded.
-				}
-			}()
-			out := make([][]int32, 2)
-			out[1-r] = []int32{1, 2}
-			AllToAll(c, p, r, out, Compressed(compress.FP16{}, hw.TrafficSample))
-		})
-	}
-	_, _ = m.Eng.Run()
-	if !panicked[0] || !panicked[1] {
-		t.Errorf("codec on []int32 should panic on both ranks, got %v", panicked)
 	}
 }
 

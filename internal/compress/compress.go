@@ -4,10 +4,12 @@
 //
 // A Codec answers two questions: how many bytes does a vector of n float32
 // values occupy on the wire (WireBytes), and what values come out the far
-// end (Encode then Decode). The comm package charges WireBytes for the
-// timed transfers and round-trips the actual data through the codec, so a
-// lossy codec degrades training accuracy for real instead of being modelled
-// away by a wire-scale factor.
+// end (Encode then Decode). The comm package charges WireBytes for every
+// codec-bearing transfer; the gradient allreduce also round-trips the
+// actual data through the codec, so a lossy gradient codec degrades
+// training accuracy for real instead of being modelled away by a
+// wire-scale factor. Modelled payloads (feature rows, p3 activations) are
+// priced only.
 //
 // All codecs are pure functions of (seed, input): the same seed and input
 // produce bit-identical output on every rank and every run, which preserves

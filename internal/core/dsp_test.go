@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/baselines"
+	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/hw"
@@ -505,26 +506,45 @@ func TestDSPTrainsGAT(t *testing.T) {
 
 // TestRealEpochPinned holds one real-compute epoch of each strategy to the
 // virtual epoch time, loss, accuracy count, FLOP-priced train-stage time and
-// parameter bits it had with nn's scalar triple-loop kernels. The constants
-// were recorded at the parent commit (6c6d167) before any kernel was touched;
-// they are amd64 values (arm64 fuses a*b+c in nn's Go loops), so the test
-// only runs there.
+// parameter bits it had with nn's scalar triple-loop kernels, plus the wire
+// and codec byte totals. The first two rows were recorded at commit 6c6d167
+// before any kernel was touched, the codec rows at 410a76c while the
+// feature reply, the p3 push and the p3 pull still round-tripped zero
+// vectors through the codec. They are amd64 values (arm64 fuses a*b+c in
+// nn's Go loops), so the test only runs there.
 func TestRealEpochPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("pinned constants are amd64 values (arm64 fuses a*b+c)")
 	}
 	td := testData(t, 2)
+	// wire pins the epoch's FeatureWire, GradWire and PushWire, then the
+	// codec's cumulative {Raw, Wire} on the feature and gradient classes.
+	type wire [7]int64
 	for _, tc := range []struct {
 		strategy           string
+		feat, grad         compress.Codec
 		epoch, loss, stage uint64 // math.Float64bits of EpochTime, Loss, TrainStage
 		correct, seen      int
 		params             uint64 // FNV-1a over the parameter bits
+		wire               wire
 	}{
-		{"dsp", 0x3f8fbcd3cf744d7e, 0x403c4824ff5b7018, 0x3f94a0614bbce5b3, 558, 4000, 0x8cb1b12cd2e9079e},
-		{"p3", 0x3f8fedffd99003f3, 0x403c4824ff5b7018, 0x3f950b65aba0a27c, 558, 4000, 0x8cb1b12cd2e9079e},
+		{"dsp", nil, nil, 0x3f8fbcd3cf744d7e, 0x403c4824ff5b7018, 0x3f94a0614bbce5b3, 558, 4000, 0x8cb1b12cd2e9079e,
+			wire{2858724, 104000, 0, 0, 0, 0, 0}},
+		{"p3", nil, nil, 0x3f8fedffd99003f3, 0x403c4824ff5b7018, 0x3f950b65aba0a27c, 558, 4000, 0x8cb1b12cd2e9079e,
+			wire{7524132, 7318208, 7296128, 0, 0, 0, 0}},
+		// Codec rows, recorded before the modelled all-to-alls went
+		// count-only: the feature codec prices the reply and the push, the
+		// gradient codec the pull and the allreduce.
+		{"dsp", compress.NewInt8(3), nil, 0x3f8fb785dedcea85, 0x403c4824ff5b7018, 0x3f94a0614bbce5b4, 558, 4000, 0x8cb1b12cd2e9079e,
+			wire{801332, 104000, 0, 2772096, 714704, 0, 0}},
+		{"p3", compress.NewInt8(3), nil, 0x3f8fdfe08fa65e86, 0x403c4824ff5b7018, 0x3f950b65aba0a27c, 558, 4000, 0x8cb1b12cd2e9079e,
+			wire{2109076, 7318208, 1881072, 7296128, 1881072, 0, 0}},
+		{"p3", nil, compress.NewInt8(3), 0x3f8fdfcf09a476d6, 0x403c48d29df7e212, 0x3f94d271ee75f15d, 558, 4000, 0xceaa68fdd771f07e,
+			wire{7524132, 1886832, 7296128, 0, 0, 7318208, 1886832}},
 	} {
 		o := smallOpts(td)
 		o.RealCompute, o.Strategy = true, tc.strategy
+		o.FeatCodec, o.GradCodec = tc.feat, tc.grad
 		sys, err := core.New(o)
 		if err != nil {
 			t.Fatal(err)
@@ -542,10 +562,14 @@ func TestRealEpochPinned(t *testing.T) {
 			h.Write(b[:])
 		}
 		epoch, loss, stage := math.Float64bits(float64(st.EpochTime)), math.Float64bits(st.Loss), math.Float64bits(float64(st.TrainStage))
+		codec := sys.Compression()
+		cf, cg := codec[hw.TrafficFeature], codec[hw.TrafficGradient]
+		w := wire{st.FeatureWire, st.GradWire, st.PushWire, cf.Raw, cf.Wire, cg.Raw, cg.Wire}
 		if epoch != tc.epoch || loss != tc.loss || stage != tc.stage ||
-			st.Correct != tc.correct || st.Seen != tc.seen || h.Sum64() != tc.params {
-			t.Errorf("%s: {epoch: %#x, loss: %#x, stage: %#x, correct: %d, seen: %d, params: %#x}, pinned %+v",
-				tc.strategy, epoch, loss, stage, st.Correct, st.Seen, h.Sum64(), tc)
+			st.Correct != tc.correct || st.Seen != tc.seen || h.Sum64() != tc.params || w != tc.wire {
+			t.Errorf("%s feat=%s grad=%s: {epoch: %#x, loss: %#x, stage: %#x, correct: %d, seen: %d, params: %#x, wire: %v}, pinned %+v",
+				tc.strategy, compress.Name(tc.feat), compress.Name(tc.grad),
+				epoch, loss, stage, st.Correct, st.Seen, h.Sum64(), w, tc)
 		}
 	}
 }

@@ -217,20 +217,56 @@ func (s *Store) Demote(v graph.NodeID) {
 }
 
 // Split partitions requested ids by placement for requesting GPU g:
-// local rows, per-remote-GPU rows, and host rows.
+// local rows, per-remote-GPU rows, and host rows, each in request order and
+// nil when empty. A counting pass sizes every list exactly and a second
+// pass places each row into one backing array, where the lists lie end to
+// end. Each list is capped at its length, so an append (the cache manager's
+// dead-holder reroute) copies instead of overwriting a neighbour.
 func (s *Store) Split(ids []graph.NodeID, g int) (local []graph.NodeID, remote [][]graph.NodeID, host []graph.NodeID) {
-	remote = make([][]graph.NodeID, s.NumGPUs)
+	n := s.NumGPUs
+	next := make([]int, n+1)
 	for _, v := range ids {
-		switch p, holder := s.Locate(v, g); p {
-		case LocalGPU:
-			local = append(local, v)
-		case RemoteGPU:
-			remote[holder] = append(remote[holder], v)
-		default:
-			host = append(host, v)
-		}
+		next[s.list(v, g)]++
 	}
-	return local, remote, host
+	// Counts to start offsets: next[l] is where list l's next row goes.
+	off := 0
+	for l, c := range next {
+		next[l], off = off, off+c
+	}
+	buf := make([]graph.NodeID, len(ids))
+	for _, v := range ids {
+		l := s.list(v, g)
+		buf[next[l]] = v
+		next[l]++
+	}
+	// next[l] is now where list l ends and list l+1 starts. lists[q] is GPU
+	// q's rows (q == g: the local ones), lists[n] the host's.
+	lists := make([][]graph.NodeID, n+1)
+	lo := 0
+	for l, hi := range next {
+		if hi > lo {
+			lists[l] = buf[lo:hi:hi]
+		}
+		lo = hi
+	}
+	local, host = lists[g], lists[n]
+	lists[g] = nil
+	return local, lists[:n:n], host
+}
+
+// list is the Split list v's row belongs to for requesting GPU g: the
+// holding GPU of a GPU-cached row (g for a local one), NumGPUs for a host
+// row. On the partitioned layout it is branch-free — the placement of a
+// batch's rows is data-random, so a branch on it mispredicts.
+func (s *Store) list(v graph.NodeID, g int) int {
+	if s.Layout == Partitioned {
+		h := int(s.cacheGPU[v]) // -1 when uncached: -1 + NumGPUs+1
+		return h + (h>>63)&(s.NumGPUs+1)
+	}
+	if p, holder := s.Locate(v, g); p != HostMemory {
+		return holder
+	}
+	return s.NumGPUs
 }
 
 // CachedFraction returns the weight-fraction of expected feature reads that

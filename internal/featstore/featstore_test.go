@@ -1,6 +1,7 @@
 package featstore
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +19,7 @@ type fixture struct {
 	k       int
 }
 
-func build(t *testing.T, k int) *fixture {
+func build(t testing.TB, k int) *fixture {
 	t.Helper()
 	d := gen.Generate(gen.Config{
 		Name: "t", Nodes: 2000, AvgDegree: 10, FeatDim: 8, NumClasses: 4, Seed: 3,
@@ -341,6 +342,68 @@ func TestSplitExactPartitionAllLayouts(t *testing.T) {
 		}
 		if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// refSplit is Split as it was before the lists were sized by a counting
+// pass: one append per id into growing lists.
+func refSplit(s *Store, ids []graph.NodeID, g int) (local []graph.NodeID, remote [][]graph.NodeID, host []graph.NodeID) {
+	remote = make([][]graph.NodeID, s.NumGPUs)
+	for _, v := range ids {
+		switch p, holder := s.Locate(v, g); p {
+		case LocalGPU:
+			local = append(local, v)
+		case RemoteGPU:
+			remote[holder] = append(remote[holder], v)
+		default:
+			host = append(host, v)
+		}
+	}
+	return local, remote, host
+}
+
+// TestSplitMatchesReference: on every layout, at 4 and 10 GPUs, Split
+// equals the append loop by reflect.DeepEqual — id order and the nil-ness
+// of empty lists included — and every list is capped at its length, so
+// appending to one never writes into another.
+func TestSplitMatchesReference(t *testing.T) {
+	for _, k := range []int{4, 10} {
+		f := build(t, k)
+		budget := int64(60 * f.d.FeatDim * 4)
+		stores := map[string]*Store{
+			"partitioned": BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, budget, ByDegree),
+			"replicated":  BuildReplicated(f.g, f.feats, f.d.FeatDim, k, budget, ByDegree),
+			"hostonly":    BuildHostOnly(f.g.NumNodes(), f.feats, f.d.FeatDim, k),
+			"zerobudget":  BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, 0, ByDegree),
+			"everything":  BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, 1<<40, ByDegree),
+			"dimsliced":   BuildDimSliced(f.feats, f.d.FeatDim, k),
+		}
+		for name, s := range stores {
+			s := s
+			check := func(seed uint64, gRaw uint8) bool {
+				r := rng.New(seed)
+				g := int(gRaw) % k
+				ids := make([]graph.NodeID, r.Intn(300))
+				for i := range ids {
+					ids[i] = graph.NodeID(r.Intn(f.g.NumNodes()))
+				}
+				local, remote, host := s.Split(ids, g)
+				wl, wr, wh := refSplit(s, ids, g)
+				if !reflect.DeepEqual(local, wl) || !reflect.DeepEqual(remote, wr) || !reflect.DeepEqual(host, wh) {
+					return false
+				}
+				lists := append([][]graph.NodeID{local, host}, remote...)
+				for _, l := range lists {
+					if cap(l) != len(l) {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+				t.Errorf("k=%d %s: %v", k, name, err)
+			}
 		}
 	}
 }

@@ -81,7 +81,7 @@ func (s *P3) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communic
 	idsIn := comm.AllGather(lc, p, rank, ids, comm.Raw(4, hw.TrafficFeature))
 	// Model-parallel first layer: gather the local column slice of every
 	// batch's inputs and project through the local W1 column shard.
-	push := make([][]float32, n)
+	push := make([]int, n)
 	factor := denseFactor(s.Opts.Model.Arch)
 	for q := 0; q < n; q++ {
 		mq := len(idsIn[q])
@@ -93,15 +93,14 @@ func (s *P3) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communic
 		dev.RunKernel(p, hw.KernelCompute, flops)
 		s.partialFlops += flops
 		if q != rank {
-			push[q] = s.zeroed(mq * h0)
+			push[q] = mq * h0
 		}
 	}
-	// Push the partial activations home to each batch's owner.
-	comm.AllToAll(lc, p, rank, push, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
-	for q := 0; q < n; q++ {
-		if q != rank {
-			s.pushWire += compress.WireBytes(s.Opts.FeatCodec, len(push[q]))
-		}
+	// Push the partial activations home to each batch's owner (modelled:
+	// only the element counts move).
+	comm.AllToAllCounts(lc, p, rank, push, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
+	for _, elems := range push {
+		s.pushWire += compress.WireBytes(s.Opts.FeatCodec, elems)
 	}
 	// Reduce the n-1 incoming partials into the locally computed one.
 	if len(ids) > 0 {
@@ -140,23 +139,23 @@ func (s *P3) Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats) {
 		// Backward pull: the batch owner's layer-1 activation gradients go
 		// to every peer, each of which grinds out its W1 column shard's
 		// gradient for that batch.
-		ids := l.MB.InputNodes()
-		out := make([][]float32, n)
+		elems := len(l.MB.InputNodes()) * h0
+		out := make([]int, n)
 		for q := 0; q < n; q++ {
 			if q != rank {
-				out[q] = s.zeroed(len(ids) * h0)
+				out[q] = elems
 			}
 		}
-		in := comm.AllToAll(t.Comm, p, rank, out, comm.Compressed(s.Opts.GradCodec, hw.TrafficGradient))
+		in := comm.AllToAllCounts(t.Comm, p, rank, out, comm.Compressed(s.Opts.GradCodec, hw.TrafficGradient))
 		factor := denseFactor(s.Opts.Model.Arch)
 		slice := int64(s.Store.SliceDim(rank))
 		for q := 0; q < n; q++ {
 			if q == rank {
 				continue
 			}
-			s.pullWire += compress.WireBytes(s.Opts.GradCodec, len(out[q]))
-			// The received segment length recovers peer q's batch size.
-			if mq := len(in[q]) / h0; mq > 0 {
+			s.pullWire += compress.WireBytes(s.Opts.GradCodec, elems)
+			// The received element count recovers peer q's batch size.
+			if mq := in[q] / h0; mq > 0 {
 				dev.RunKernel(p, hw.KernelCompute, factor*int64(mq)*slice*int64(h0))
 			}
 		}

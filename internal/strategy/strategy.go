@@ -125,21 +125,10 @@ type replica struct {
 	Models  []*nn.Model
 	Trainer *train.Trainer
 
-	// zeros backs collective payloads (transfer timing without copying real
-	// rows twice).
-	zeros []float32
 	// pool recycles gather staging buffers (RealCompute feature assembly);
 	// par offloads their fill between DES commit points.
 	pool arena.Pool
 	par  *sim.ParallelGroup
-}
-
-// zeroed returns a zero-backed payload of n values.
-func (r *replica) zeroed(n int) []float32 {
-	if cap(r.zeros) < n {
-		r.zeros = make([]float32, n)
-	}
-	return r.zeros[:n]
 }
 
 // stage starts the real feature gather on a worker thread so it overlaps the

@@ -26,7 +26,6 @@ func main() {
 		shrink  = flag.Int("shrink", 1, "dataset shrink divisor (1 = benchmark scale)")
 		warmup  = flag.Int("warmup", 1, "warm-up epochs per configuration")
 		measure = flag.Int("measure", 2, "measured epochs per configuration")
-		report  = flag.String("report", "", "run the canonical perf workload and write its run report JSON here")
 		par     = flag.Int("parallel", 1, "OS threads for offloaded simulator data work (results are bitwise identical at any value)")
 		asJSON  = flag.Bool("json", false, "emit result tables as JSON objects instead of aligned text")
 		tele    = flag.Bool("telemetry", false, "attach the telemetry hub to serving sweeps and fail if the burn-rate alert engine fires on a healthy baseline row")
@@ -40,21 +39,6 @@ func main() {
 		return
 	}
 	cfg := bench.RunConfig{Shrink: *shrink, Warmup: *warmup, Measure: *measure, Parallel: *par, JSON: *asJSON, Telemetry: *tele}
-	if *report != "" {
-		r, err := bench.PerfReport(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dspbench: perf: %v\n", err)
-			os.Exit(1)
-		}
-		if err := r.WriteFile(*report); err != nil {
-			fmt.Fprintf(os.Stderr, "dspbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote perf run report to %s\n", *report)
-		if *exp == "" {
-			return
-		}
-	}
 	if *exp == "" {
 		fmt.Fprintln(os.Stderr, "dspbench: -exp required (use -list to enumerate)")
 		os.Exit(2)
@@ -64,13 +48,13 @@ func main() {
 		names = bench.ExperimentNames()
 	}
 	for _, name := range names {
-		runner, ok := bench.Experiments[name]
+		experiment, ok := bench.Experiments[name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "dspbench: unknown experiment %q\n", name)
 			os.Exit(2)
 		}
 		start := time.Now()
-		if err := runner(os.Stdout, cfg); err != nil {
+		if err := bench.Run(os.Stdout, experiment, cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "dspbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}

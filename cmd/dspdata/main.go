@@ -76,14 +76,16 @@ func main() {
 		return
 	}
 
-	std := gen.StandardDataset(*dsName, *shrink)
-	fmt.Printf("generating %s (%d nodes)...\n", std.Config.Name, std.Config.Nodes)
-	d := gen.Generate(std.Config)
-	fmt.Printf("partitioning into %d patches (metis=%v)...\n", *gpus, !*hash)
-	td := train.Prepare(d, *gpus, *seed, !*hash)
-	td.ScaleFactor = std.ScaleFactor
-	td.GPUMemBytes = std.GPUMemBytes()
-	td.BenchBatch = std.BenchBatch
+	td, err := train.StandardData(*dsName, *gpus, *shrink, *seed, !*hash, func(std gen.Standard) *gen.Dataset {
+		fmt.Printf("generating %s (%d nodes)...\n", std.Config.Name, std.Config.Nodes)
+		d := gen.Generate(std.Config)
+		fmt.Printf("partitioning into %d patches (metis=%v)...\n", *gpus, !*hash)
+		return d
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dspdata: %v\n", err)
+		os.Exit(2)
+	}
 	if graphOpts.Compress() {
 		previewMemory(td.G)
 	}

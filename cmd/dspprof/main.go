@@ -1,15 +1,16 @@
 // Command dspprof analyses DSP runs: Chrome traces (from -trace) and run
 // reports (from -report) feed the same pipeline profiler, which answers
 // where the virtual time went — per-lane utilisation, queue/CCC stall
-// attribution, the critical path, and comm/compute overlap — and A/B-diffs
-// two reports as a perf-regression gate.
+// attribution, the critical path, and comm/compute overlap — and checks a
+// report against its schema. It compares nothing: virtual results are
+// deterministic, so the regression gate is exact equality in tier-1
+// (internal/bench's TestTrainPinned, internal/serve's TestServePinned).
 //
 // Usage:
 //
 //	dspprof summary run.json            # trace or run report
 //	dspprof critical-path trace.json    # what bounded the wall time
 //	dspprof top trace.json -n 10        # hottest spans by self time
-//	dspprof diff base.json cand.json -threshold 0.15   # exit 1 on regression
 //	dspprof validate report.json        # schema check
 package main
 
@@ -35,8 +36,6 @@ func main() {
 		err = cmdCriticalPath(os.Args[2:])
 	case "top":
 		err = cmdTop(os.Args[2:])
-	case "diff":
-		err = cmdDiff(os.Args[2:])
 	case "validate":
 		err = cmdValidate(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -58,7 +57,6 @@ func usage() {
   dspprof summary <file>                      profile overview (trace or run report)
   dspprof critical-path <file> [-n N]         critical-path segments and decomposition
   dspprof top <file> [-n N]                   hottest spans by self time
-  dspprof diff <base> <candidate> [-threshold T]  compare reports; exit 1 on regression
   dspprof validate <file>                     check a run report against the schema`)
 }
 
@@ -83,28 +81,20 @@ func load(path string) (*prof.Profile, *prof.RunReport, error) {
 	return prof.Analyze(t), nil, nil
 }
 
-// parseMixed parses args allowing flags and positional arguments in any
-// order (stdlib flag stops at the first positional), returning the
-// positionals.
-func parseMixed(fs *flag.FlagSet, args []string) ([]string, error) {
+// one parses args, allowing flags and the input file in any order (stdlib
+// flag stops at the first positional), and returns the one input file.
+func one(args []string, fs *flag.FlagSet) (string, error) {
 	var pos []string
 	for {
 		if err := fs.Parse(args); err != nil {
-			return nil, err
+			return "", err
 		}
 		rest := fs.Args()
 		if len(rest) == 0 {
-			return pos, nil
+			break
 		}
 		pos = append(pos, rest[0])
 		args = rest[1:]
-	}
-}
-
-func one(args []string, fs *flag.FlagSet) (string, error) {
-	pos, err := parseMixed(fs, args)
-	if err != nil {
-		return "", err
 	}
 	if len(pos) != 1 {
 		return "", fmt.Errorf("expected exactly one input file")
@@ -351,32 +341,6 @@ func cmdTop(args []string) error {
 	fmt.Printf("%-32s %-8s %8s %12s %12s\n", "name", "cat", "count", "total(s)", "self(s)")
 	for _, a := range rows {
 		fmt.Printf("%-32s %-8s %8d %12.4g %12.4g\n", a.Name, a.Cat, a.Count, a.Total, a.Self)
-	}
-	return nil
-}
-
-func cmdDiff(args []string) error {
-	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	threshold := fs.Float64("threshold", 0.15, "tolerated relative worsening before a metric counts as a regression")
-	pos, err := parseMixed(fs, args)
-	if err != nil {
-		return err
-	}
-	if len(pos) != 2 {
-		return fmt.Errorf("diff needs exactly two run-report files")
-	}
-	a, err := prof.ReadReportFile(pos[0])
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	b, err := prof.ReadReportFile(pos[1])
-	if err != nil {
-		return fmt.Errorf("candidate: %w", err)
-	}
-	d := prof.Diff(a, b, *threshold)
-	d.WriteText(os.Stdout)
-	if d.Regressions > 0 {
-		os.Exit(1)
 	}
 	return nil
 }

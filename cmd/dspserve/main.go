@@ -69,14 +69,10 @@ func main() {
 	teleOpts := cliopts.RegisterTelemetry(flag.CommandLine)
 	flag.Parse()
 
-	if *dataIn == "" && (*gpus < 1 || *gpus > 8) {
-		fmt.Fprintf(os.Stderr, "dspserve: -gpus must be 1-8 (DGX-1), got %d\n", *gpus)
-		os.Exit(2)
-	}
 	td, nGPU, recShrink, err := cliopts.LoadData(*dataIn, *dsName, *gpus, *shrink)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	*gpus = nGPU
 

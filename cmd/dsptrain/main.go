@@ -67,7 +67,7 @@ func main() {
 	td, nGPU, recShrink, err := cliopts.LoadData(*dataIn, *dsName, *gpus, *shrink)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	*gpus = nGPU
 

@@ -89,15 +89,10 @@ func Standard(name string, shrink int) StandardSpec {
 }
 
 // StandardData generates and prepares a standard dataset for nGPU simulated
-// GPUs in one call, with the registry's memory scaling applied.
-func StandardData(name string, nGPU, shrink int) *Data {
-	std := gen.StandardDataset(name, shrink)
-	d := gen.Generate(std.Config)
-	td := train.Prepare(d, nGPU, 13, true)
-	td.ScaleFactor = std.ScaleFactor
-	td.GPUMemBytes = std.GPUMemBytes()
-	td.BenchBatch = std.BenchBatch
-	return td
+// GPUs in one call, with the registry's memory scaling applied. An unknown
+// name or a GPU count outside 1-8 is an error.
+func StandardData(name string, nGPU, shrink int) (*Data, error) {
+	return train.StandardData(name, nGPU, shrink, 13, true, nil)
 }
 
 // Prepare partitions a dataset into nGPU patches with METIS-style

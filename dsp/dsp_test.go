@@ -77,7 +77,10 @@ func TestPublicAPIBaselines(t *testing.T) {
 }
 
 func TestPublicAPIStandardData(t *testing.T) {
-	data := dsp.StandardData("products", 2, 20)
+	data, err := dsp.StandardData("products", 2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if data.NumGPUs() != 2 {
 		t.Fatalf("gpus %d", data.NumGPUs())
 	}

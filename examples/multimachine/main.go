@@ -14,7 +14,10 @@ import (
 )
 
 func main() {
-	data := dsp.StandardData("papers", 4, 8)
+	data, err := dsp.StandardData("papers", 4, 8)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("papers stand-in: %d nodes on 4 GPUs per machine\n\n", data.G.NumNodes())
 
 	opts := dsp.Options{

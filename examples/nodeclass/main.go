@@ -17,7 +17,10 @@ func main() {
 	// The papers stand-in at 1/8 scale keeps real fp32 training quick on a
 	// laptop host; the simulated GPU memory shrinks with it so the cache
 	// behaviour matches the full benchmark.
-	data := dsp.StandardData("papers", 8, 8)
+	data, err := dsp.StandardData("papers", 8, 8)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("papers stand-in: %d nodes, %d adjacency entries, %d classes\n",
 		data.G.NumNodes(), data.G.NumEdges(), data.NumClasses)
 

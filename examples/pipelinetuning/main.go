@@ -14,7 +14,10 @@ import (
 )
 
 func main() {
-	data := dsp.StandardData("papers", 8, 8)
+	data, err := dsp.StandardData("papers", 8, 8)
+	if err != nil {
+		log.Fatal(err)
+	}
 	base := dsp.Options{
 		Data:      data,
 		Sample:    dsp.SampleConfig{Fanout: []int{15, 10, 5}},

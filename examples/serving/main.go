@@ -17,7 +17,10 @@ func main() {
 	// The products-sim stand-in (shrunk for a fast run), partitioned for
 	// four GPUs exactly as for training: METIS-style patches, renumbered
 	// so each GPU owns a consecutive id range.
-	data := dsp.StandardData("products", 4, 4)
+	data, err := dsp.StandardData("products", 4, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Serve 30 virtual seconds of traffic. Requests arrive open-loop at
 	// 2000 req/s; targets follow a power-law over the degree ranking, so

@@ -237,25 +237,25 @@ var (
 )
 
 // dataset returns the (possibly weighted) generated stand-in, cached.
-func dataset(name string, shrink int, weighted bool) (*gen.Dataset, gen.Standard) {
-	std := gen.StandardDataset(name, shrink)
-	key := fmt.Sprintf("%s/%d/%v", name, shrink, weighted)
+func dataset(std gen.Standard, weighted bool) *gen.Dataset {
+	key := fmt.Sprintf("%s/%d/%v", std.Config.Name, std.Config.Nodes, weighted)
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	if d, ok := dsCache[key]; ok {
-		return d, std
+		return d
 	}
 	d := gen.Generate(std.Config)
 	if weighted {
 		d.AttachUniformWeights(std.Config.Seed + 7)
 	}
 	dsCache[key] = d
-	return d, std
+	return d
 }
 
 // prepared returns the partitioned, renumbered dataset for nGPU, cached.
+// Experiments name their own datasets and GPU counts, so a bad one is a
+// programming error.
 func prepared(name string, nGPU, shrink int, weighted, metis bool) *train.Data {
-	d, std := dataset(name, shrink, weighted)
 	key := fmt.Sprintf("%s/%d/%d/%v/%v", name, nGPU, shrink, weighted, metis)
 	cacheMu.Lock()
 	if td, ok := prepCache[key]; ok {
@@ -263,10 +263,12 @@ func prepared(name string, nGPU, shrink int, weighted, metis bool) *train.Data {
 		return td
 	}
 	cacheMu.Unlock()
-	td := train.Prepare(d, nGPU, 13, metis)
-	td.ScaleFactor = std.ScaleFactor
-	td.GPUMemBytes = std.GPUMemBytes()
-	td.BenchBatch = std.BenchBatch
+	td, err := train.StandardData(name, nGPU, shrink, 13, metis, func(std gen.Standard) *gen.Dataset {
+		return dataset(std, weighted)
+	})
+	if err != nil {
+		panic(err)
+	}
 	cacheMu.Lock()
 	prepCache[key] = td
 	cacheMu.Unlock()
@@ -358,37 +360,36 @@ func measure(sys train.System, cfg RunConfig, sampleOnly bool) (avgEpoch float64
 	return total / float64(cfg.Measure), last, nil
 }
 
-// Experiments is the registry for the dspbench CLI: id -> runner.
-var Experiments = map[string]func(w io.Writer, cfg RunConfig) error{
-	"table1":            runnerFor(Table1),
-	"fig1":              runnerFor(Fig1),
-	"fig2":              runnerFor(Fig2),
-	"table4":            runnerFor(Table4),
-	"table5":            runnerFor(Table5),
-	"table6":            runnerFor(Table6),
-	"table7":            runnerFor(Table7),
-	"fig6":              runnerFor(Fig6),
-	"fig9":              runnerFor(Fig9),
-	"fig10":             runnerFor(Fig10),
-	"fig11":             runnerFor(Fig11),
-	"fig12":             runnerFor(Fig12),
-	"ablation-layout":   runnerFor(AblationPartition),
-	"ablation-policy":   runnerFor(AblationCachePolicy),
-	"ablation-queue":    runnerFor(AblationQueueCap),
-	"ablation-ccc":      runnerFor(AblationCCC),
-	"ablation-repcache": runnerFor(AblationReplicatedCache),
-	"ablation-fused":    runnerFor(AblationFusedKernels),
-	"ablation-workers":  runnerFor(AblationMultiWorker),
-	"ext-multimachine":  runnerFor(AblationMultiMachine),
-	"ext-gnn-archs":     runnerFor(ExtensionGNNArchs),
-	"serve-load":        runnerFor(ServeLoad),
-	"cache-sweep":       runnerFor(CacheSweep),
-	"compress-sweep":    runnerFor(CompressSweep),
-	"router-sweep":      runnerFor(RouterSweep),
-	"ooc-sweep":         runnerFor(OOCSweep),
-	"strategy-sweep":    runnerFor(StrategySweep),
-	"fault-sweep":       runnerFor(FaultSweep),
-	"perf":              Perf,
+// Experiments is the registry for the dspbench CLI: id -> experiment.
+var Experiments = map[string]func(cfg RunConfig) (*Table, error){
+	"table1":            Table1,
+	"fig1":              Fig1,
+	"fig2":              Fig2,
+	"table4":            Table4,
+	"table5":            Table5,
+	"table6":            Table6,
+	"table7":            Table7,
+	"fig6":              Fig6,
+	"fig9":              Fig9,
+	"fig10":             Fig10,
+	"fig11":             Fig11,
+	"fig12":             Fig12,
+	"ablation-layout":   AblationPartition,
+	"ablation-policy":   AblationCachePolicy,
+	"ablation-queue":    AblationQueueCap,
+	"ablation-ccc":      AblationCCC,
+	"ablation-repcache": AblationReplicatedCache,
+	"ablation-fused":    AblationFusedKernels,
+	"ablation-workers":  AblationMultiWorker,
+	"ext-multimachine":  AblationMultiMachine,
+	"ext-gnn-archs":     ExtensionGNNArchs,
+	"serve-load":        ServeLoad,
+	"cache-sweep":       CacheSweep,
+	"compress-sweep":    CompressSweep,
+	"router-sweep":      RouterSweep,
+	"ooc-sweep":         OOCSweep,
+	"strategy-sweep":    StrategySweep,
+	"fault-sweep":       FaultSweep,
 }
 
 // ExperimentNames returns the registry keys sorted.
@@ -401,24 +402,21 @@ func ExperimentNames() []string {
 	return names
 }
 
-// runnerFor adapts a Table-producing experiment to the registry: it runs the
-// experiment, checks the table (Table.check) and renders it as aligned text,
-// or as one JSON object when cfg.JSON is set.
-func runnerFor(f func(cfg RunConfig) (*Table, error)) func(w io.Writer, cfg RunConfig) error {
-	return func(w io.Writer, cfg RunConfig) error {
-		t, err := f(cfg)
-		if err != nil {
-			return err
-		}
-		if err := t.check(); err != nil {
-			return err
-		}
-		if cfg.JSON {
-			return t.WriteJSON(w)
-		}
-		t.Fprint(w)
-		return nil
+// Run runs an experiment, checks its table (Table.check) and renders it as
+// aligned text, or as one JSON object when cfg.JSON is set.
+func Run(w io.Writer, exp func(cfg RunConfig) (*Table, error), cfg RunConfig) error {
+	t, err := exp(cfg)
+	if err != nil {
+		return err
 	}
+	if err := t.check(); err != nil {
+		return err
+	}
+	if cfg.JSON {
+		return t.WriteJSON(w)
+	}
+	t.Fprint(w)
+	return nil
 }
 
 // gcnModel returns the paper's GCN config for a dataset.

@@ -330,7 +330,7 @@ func TestExperimentRegistry(t *testing.T) {
 		t.Fatalf("registry has %d experiments", len(Experiments))
 	}
 	var buf bytes.Buffer
-	if err := Experiments["table1"](&buf, quick); err != nil {
+	if err := Run(&buf, Experiments["table1"], quick); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {

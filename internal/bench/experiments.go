@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/gen"
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/sample"
@@ -308,8 +309,7 @@ func Fig10(cfg RunConfig) (*Table, error) {
 		[]string{"papers", "friendster", "papers/sampling", "friendster/sampling"}, cols)
 	for _, ds := range []string{"papers", "friendster"} {
 		td := prepared(ds, 8, cfg.Shrink, false, true)
-		_, std := dataset(ds, cfg.Shrink, false)
-		total := std.CacheBudgetBytes(6 << 30)
+		total := gen.StandardDataset(ds, cfg.Shrink).CacheBudgetBytes(6 << 30)
 		for i, f := range fractions {
 			featBudget := int64(f * float64(total))
 			opts := baseOpts(td, cfg)

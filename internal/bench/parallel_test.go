@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -13,28 +12,10 @@ import (
 
 // The parallel data-work offload (sim.ParallelGroup) must be unobservable in
 // every simulation result: same seed, -parallel 1 vs -parallel 8, identical
-// outputs bit for bit. These property tests run the three run modes (train,
-// serve, fleet) at both settings and compare complete reports. Run them
-// under -race to also catch unsynchronised sharing between offloaded units.
-
-func TestParallelDeterminismTrain(t *testing.T) {
-	reportBytes := func(par int) []byte {
-		r, err := PerfReport(RunConfig{Shrink: 16, Warmup: 1, Measure: 1, Parallel: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := r.EncodeJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	serial := reportBytes(1)
-	parallel := reportBytes(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("train run report differs between -parallel 1 and -parallel 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-}
+// outputs bit for bit. These property tests run serving and a fleet at both
+// settings and compare complete reports (training is TestTrainPinned's
+// paper-parallel-8 row). Run them under -race to also catch unsynchronised
+// sharing between offloaded units.
 
 func TestParallelDeterminismServe(t *testing.T) {
 	run := func(par int) *serve.Report {

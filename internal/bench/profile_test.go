@@ -1,17 +1,14 @@
 package bench
 
-import (
-	"io"
-	"testing"
-)
+import "testing"
 
-// BenchmarkPerfEpoch runs the canonical perf workload end to end; it is the
+// BenchmarkPerfEpoch runs TestTrainPinned's paper row end to end; it is the
 // profiling entry point for simulator wall-clock work (go test -bench
 // PerfEpoch -cpuprofile ...). Kept small so CI's -benchtime=1x smoke stays
 // fast.
 func BenchmarkPerfEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := PerfReport(RunConfig{Shrink: 16, Warmup: 1, Measure: 2}); err != nil {
+		if _, err := trainReport(trainRows[0], 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -24,7 +21,7 @@ func BenchmarkTable4EpochTime(b *testing.B) {
 		b.Skip("heavy profiling benchmark")
 	}
 	for i := 0; i < b.N; i++ {
-		if err := Experiments["table4"](io.Discard, RunConfig{Shrink: 12, Warmup: 1, Measure: 2}); err != nil {
+		if _, err := Table4(RunConfig{Shrink: 12, Warmup: 1, Measure: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

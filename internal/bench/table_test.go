@@ -58,8 +58,8 @@ func TestTableWriteJSON(t *testing.T) {
 }
 
 // TestSweepRegistry: the seven parameter sweeps are experiments like any
-// other, and every registered table runner refuses a table with a non-finite
-// cell instead of printing it.
+// other, and Run refuses a table with a non-finite cell instead of printing
+// it.
 func TestSweepRegistry(t *testing.T) {
 	for _, name := range []string{"serve-load", "cache-sweep", "compress-sweep", "router-sweep",
 		"ooc-sweep", "strategy-sweep", "fault-sweep"} {
@@ -67,12 +67,12 @@ func TestSweepRegistry(t *testing.T) {
 			t.Errorf("sweep %q not registered in Experiments", name)
 		}
 	}
-	run := runnerFor(func(RunConfig) (*Table, error) {
+	nan := func(RunConfig) (*Table, error) {
 		tb := NewTable("nan", "x", []string{"r"}, []string{"a", "b"})
 		tb.Set("r", "b", math.NaN())
 		return tb, nil
-	})
-	if err := run(io.Discard, RunConfig{}); err == nil || !strings.Contains(err.Error(), "cell (r, b) is NaN") {
+	}
+	if err := Run(io.Discard, nan, RunConfig{}); err == nil || !strings.Contains(err.Error(), "cell (r, b) is NaN") {
 		t.Fatalf("runner accepted a NaN cell: %v", err)
 	}
 }

@@ -320,9 +320,10 @@ func (t *Telemetry) Finish(h *telemetry.Hub, end sim.Time) (*telemetry.Doc, erro
 
 // LoadData resolves the dataset flags both frontends share: the prepared
 // .dspd file at path (its patch count overrides gpus) or, with no path, the
-// named standard dataset generated at the shrink divisor and partitioned for
-// gpus GPUs. It returns the data, the GPU count to run with and the shrink
-// divisor to record in the run report (0 for a loaded file: unknown).
+// named standard dataset from train.StandardData. It returns the data, the GPU
+// count to run with and the shrink divisor to record in the run report (0 for
+// a loaded file: unknown). Every error is a bad command line — an unreadable
+// file, an unknown dataset, a GPU count outside 1-8 — so the frontends exit 2.
 func LoadData(path, name string, gpus, shrink int) (*train.Data, int, int, error) {
 	if path != "" {
 		td, err := graphio.LoadFile(path)
@@ -332,14 +333,16 @@ func LoadData(path, name string, gpus, shrink int) (*train.Data, int, int, error
 		fmt.Printf("loaded %s: %d nodes, %d patches\n", path, td.G.NumNodes(), td.NumGPUs())
 		return td, td.NumGPUs(), 0, nil
 	}
-	std := gen.StandardDataset(name, shrink)
-	fmt.Printf("generating %s (%d nodes, scale factor %.0fx)...\n",
-		std.Config.Name, std.Config.Nodes, std.ScaleFactor)
-	d := gen.Generate(std.Config)
-	fmt.Printf("partitioning into %d patches...\n", gpus)
-	td := train.Prepare(d, gpus, 13, true)
-	td.ScaleFactor = std.ScaleFactor
-	td.GPUMemBytes = std.GPUMemBytes()
+	td, err := train.StandardData(name, gpus, shrink, 13, true, func(std gen.Standard) *gen.Dataset {
+		fmt.Printf("generating %s (%d nodes, scale factor %.0fx)...\n",
+			std.Config.Name, std.Config.Nodes, std.ScaleFactor)
+		d := gen.Generate(std.Config)
+		fmt.Printf("partitioning into %d patches...\n", gpus)
+		return d
+	})
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	return td, gpus, shrink, nil
 }
 

@@ -4,13 +4,15 @@
 // attribution, the critical path of the run (which stage on which GPU
 // bounded wall time), and comm/compute overlap fractions.
 //
-// It also defines the versioned RunReport JSON schema every CLI emits
-// (dsptrain, dspserve, dspbench via -report), replacing the ad-hoc
-// per-command report structs with one machine-readable document the
-// dspprof analyzer can summarise and A/B-diff as a perf-regression gate.
+// It also defines the versioned RunReport JSON schema dsptrain and dspserve
+// emit with -report: one machine-readable document the dspprof analyzer
+// summarises and validates.
 //
 // All quantities are functions of virtual time, so identical seeds produce
-// byte-identical reports on any host.
+// byte-identical reports on any host. That makes the regression gate exact:
+// tier-1 holds the reports of fixed runs to pinned hashes (internal/bench's
+// TestTrainPinned, internal/serve's TestServePinned) rather than comparing
+// metrics under a tolerance.
 package prof
 
 import (

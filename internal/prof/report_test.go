@@ -8,6 +8,16 @@ import (
 	"repro/internal/metrics"
 )
 
+func sampleReport(wall float64, p99 float64) *RunReport {
+	r := New("dsptrain")
+	r.System = "DSP"
+	r.GPUs = 2
+	r.WallTime = wall
+	r.Latency = &LatencySummary{Count: 100, Mean: p99 / 2, P50: p99 / 3, P95: p99 * 0.9, P99: p99, Min: 1, Max: p99}
+	r.Wire = Wire{Sample: 1000, Feature: 2000, Grad: 3000}
+	return r
+}
+
 func TestReportRoundTrip(t *testing.T) {
 	r := sampleReport(12.5, 3.2)
 	r.Stages = map[string]float64{"sample": 1, "load": 2, "train": 3}

@@ -30,11 +30,20 @@ func Sparkline(values []float64, width int) string {
 		lo = math.Min(lo, v)
 		hi = math.Max(hi, v)
 	}
+	span := hi - lo
+	if math.IsInf(span, 0) {
+		// The series spans more than MaxFloat64: scale it by a half, which
+		// keeps every difference finite and every fraction in [0, 1].
+		lo, span = lo/2, hi/2-lo/2
+		for i := range cols {
+			cols[i] /= 2
+		}
+	}
 	var b strings.Builder
 	for _, v := range cols {
 		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(sparkRunes)-1))
+		if span > 0 {
+			idx = int((v - lo) / span * float64(len(sparkRunes)-1))
 		}
 		b.WriteRune(sparkRunes[idx])
 	}

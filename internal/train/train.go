@@ -6,6 +6,8 @@ package train
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/compress"
@@ -69,6 +71,35 @@ func Prepare(d *gen.Dataset, nGPU int, seed uint64, useMetis bool) *Data {
 		td.Shards = append(td.Shards, ren.SortOwned(trainIDs, g))
 	}
 	return td
+}
+
+// StandardData is the one recipe for a paper stand-in ready to run: generate
+// gen.StandardDataset(name, shrink), Prepare it for gpus GPUs with the
+// partitioner seed (METIS, or hash partitioning when metis is false) and
+// stamp the stand-in's ScaleFactor, GPUMemBytes and BenchBatch. generate
+// turns the resolved spec into the dataset (nil: gen.Generate of its
+// Config), so a caller can cache it, attach edge weights or print progress.
+// An unknown name or a GPU count outside 1-8 (one DGX-1) is an error naming
+// the value.
+func StandardData(name string, gpus, shrink int, seed uint64, metis bool, generate func(gen.Standard) *gen.Dataset) (*Data, error) {
+	if !slices.Contains(gen.StandardNames, name) {
+		return nil, fmt.Errorf("train: unknown dataset %q (want %s)", name, strings.Join(gen.StandardNames, ", "))
+	}
+	if gpus < 1 || gpus > 8 {
+		return nil, fmt.Errorf("train: %d GPUs, want 1-8 (one DGX-1)", gpus)
+	}
+	std := gen.StandardDataset(name, shrink)
+	var d *gen.Dataset
+	if generate != nil {
+		d = generate(std)
+	} else {
+		d = gen.Generate(std.Config)
+	}
+	td := Prepare(d, gpus, seed, metis)
+	td.ScaleFactor = std.ScaleFactor
+	td.GPUMemBytes = std.GPUMemBytes()
+	td.BenchBatch = std.BenchBatch
+	return td, nil
 }
 
 // NumGPUs returns the shard count.

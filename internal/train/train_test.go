@@ -73,6 +73,41 @@ func TestPrepareHashVsMetis(t *testing.T) {
 	}
 }
 
+// TestStandardData: the recipe stamps the stand-in's scaling on the prepared
+// data, hands generate the resolved spec, and refuses an unknown name or a
+// GPU count outside one DGX-1 by name instead of panicking in gen, partition
+// or hw.
+func TestStandardData(t *testing.T) {
+	var seen string
+	td, err := StandardData("products", 2, 40, 13, true, func(std gen.Standard) *gen.Dataset {
+		seen = std.Config.Name
+		return gen.Generate(std.Config)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	std := gen.StandardDataset("products", 40)
+	if seen != std.Config.Name || td.NumGPUs() != 2 || td.ScaleFactor != std.ScaleFactor ||
+		td.GPUMemBytes != std.GPUMemBytes() || td.BenchBatch != std.BenchBatch {
+		t.Fatalf("generate saw %q; data has %d GPUs, scale %g, mem %d, batch %d; spec %+v",
+			seen, td.NumGPUs(), td.ScaleFactor, td.GPUMemBytes, td.BenchBatch, std)
+	}
+	for _, tc := range []struct {
+		name string
+		gpus int
+		want string
+	}{
+		{"nosuch", 4, `unknown dataset "nosuch"`},
+		{"products", 0, "0 GPUs"},
+		{"products", -2, "-2 GPUs"},
+		{"products", 9, "9 GPUs"},
+	} {
+		if _, err := StandardData(tc.name, tc.gpus, 40, 13, true, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("StandardData(%q, %d): %v, want an error containing %q", tc.name, tc.gpus, err, tc.want)
+		}
+	}
+}
+
 func TestScheduleCoversEveryShardOnce(t *testing.T) {
 	d := testDataset()
 	td := Prepare(d, 4, 1, true)

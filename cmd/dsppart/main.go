@@ -13,6 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -33,6 +35,8 @@ func main() {
 	)
 	flag.Parse()
 	switch {
+	case *dsName != "" && !slices.Contains(gen.StandardNames, *dsName):
+		usageError("unknown dataset %q (want %s)", *dsName, strings.Join(gen.StandardNames, ", "))
 	case *gpus < 1:
 		usageError("-gpus must be at least 1, got %d", *gpus)
 	case *nodes < customClasses:

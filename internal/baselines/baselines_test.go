@@ -159,7 +159,7 @@ func TestFastGCNOnlySamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SampleTime <= 0 {
+	if st.EpochTime <= 0 {
 		t.Fatal("no sampling time")
 	}
 }

@@ -432,6 +432,3 @@ var dsList = gen.StandardNames
 
 // gpuCounts are the evaluated GPU counts.
 var gpuCounts = []int{1, 2, 4, 8}
-
-// joinNotes formats a note list.
-func joinNotes(parts ...string) string { return strings.Join(parts, "; ") }

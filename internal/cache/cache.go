@@ -125,12 +125,12 @@ type Stats struct {
 	// components they sum from.
 	Tiers  Tiers
 	PerGPU []Tiers
-	// Rebalances counts rebalance passes; Promoted/Demoted the rows moved
-	// in/out of GPU shards; MovedBytes the promotion bytes charged to PCIe;
-	// RebalanceTime the virtual time spent migrating.
+	// Rebalances counts rebalance passes; Promoted the rows moved into GPU
+	// shards, each paired with one demoted out, so it is also the demotion
+	// count; MovedBytes the promotion bytes charged to PCIe; RebalanceTime
+	// the virtual time spent migrating.
 	Rebalances    int
 	Promoted      int64
-	Demoted       int64
 	MovedBytes    int64
 	RebalanceTime sim.Time
 }
@@ -347,7 +347,6 @@ func (m *Manager) rebalanceGPU(p *sim.Proc, fab *hw.Fabric, g int) int64 {
 	bytes := int64(moves) * int64(m.store.RowBytes())
 	fab.HostDMA(p, g, bytes, hw.TrafficCache)
 	m.stats.Promoted += int64(moves)
-	m.stats.Demoted += int64(moves)
 	m.stats.MovedBytes += bytes
 	return int64(moves)
 }

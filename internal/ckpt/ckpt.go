@@ -249,16 +249,6 @@ type Manager struct {
 	stats Stats
 }
 
-// Due reports whether a checkpoint should be taken after completing steps
-// [from, to) of an epoch (to == stepsPerEpoch is an epoch boundary, always
-// due).
-func (m *Manager) Due(to, stepsPerEpoch int) bool {
-	if to >= stepsPerEpoch {
-		return true
-	}
-	return m.EverySteps > 0 && to%m.EverySteps == 0
-}
-
 // SegmentEnd returns the step at which the segment starting at from should
 // end: the next checkpoint boundary or the epoch end.
 func (m *Manager) SegmentEnd(from, stepsPerEpoch int) int {

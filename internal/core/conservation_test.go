@@ -328,10 +328,10 @@ func TestStageHook(t *testing.T) {
 		}
 		tr := trace.New()
 		off, on := run(nil), run(tr)
-		if off.SampleStage != on.SampleStage || off.LoadStage != on.LoadStage || off.TrainStage != on.TrainStage ||
-			off.EpochTime != on.EpochTime {
+		if off.SampleDist.Sum() != on.SampleDist.Sum() || off.LoadDist.Sum() != on.LoadDist.Sum() ||
+			off.TrainDist.Sum() != on.TrainDist.Sum() || off.EpochTime != on.EpochTime {
 			t.Errorf("%dS/%dL: tracing moved a stage total: off %v/%v/%v on %v/%v/%v", sh.s, sh.l,
-				off.SampleStage, off.LoadStage, off.TrainStage, on.SampleStage, on.LoadStage, on.TrainStage)
+				off.SampleDist.Sum(), off.LoadDist.Sum(), off.TrainDist.Sum(), on.SampleDist.Sum(), on.LoadDist.Sum(), on.TrainDist.Sum())
 		}
 		spans, stalls := 0, 0
 		var dur float64
@@ -350,7 +350,7 @@ func TestStageHook(t *testing.T) {
 		if stalls == 0 {
 			t.Errorf("%dS/%dL: no queue-wait stall spans", sh.s, sh.l)
 		}
-		total := 1e6 * float64(on.SampleStage+on.LoadStage+on.TrainStage) // spans are in microseconds
+		total := 1e6 * (on.SampleDist.Sum() + on.LoadDist.Sum() + on.TrainDist.Sum()) // spans are in microseconds
 		if d := dur - total; d > 1e-9*total || d < -1e-9*total {
 			t.Errorf("%dS/%dL: stage spans cover %g us, stage totals %g us", sh.s, sh.l, dur, total)
 		}

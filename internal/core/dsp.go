@@ -237,9 +237,7 @@ func (s *DSP) Snapshot(epoch, step int) *ckpt.TrainState {
 	if m := s.Model(); m != nil {
 		st.Params = make([]float32, m.ParamCount())
 		m.ParamVector(st.Params)
-		if so, ok := s.subs[0].Trainer.Optims[0].(nn.StatefulOptimizer); ok {
-			st.Optim = so.CaptureState()
-		}
+		st.Optim = s.subs[0].Trainer.Optims[0].CaptureState()
 	}
 	return st
 }
@@ -262,9 +260,7 @@ func (s *DSP) Restore(st *ckpt.TrainState) error {
 				return fmt.Errorf("core: checkpoint has %d params, model wants %d", len(st.Params), m.ParamCount())
 			}
 			m.SetParamVector(st.Params)
-			if so, ok := sub.Trainer.Optims[g].(nn.StatefulOptimizer); ok {
-				so.RestoreState(m, st.Optim)
-			}
+			sub.Trainer.Optims[g].RestoreState(m, st.Optim)
 		}
 	}
 	return nil

@@ -242,10 +242,10 @@ func TestSamplingEpochOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		times[kind] = float64(st.SampleTime)
+		times[kind] = float64(st.EpochTime)
 	}
-	if float64(dspStat.SampleTime) >= times[baselines.DGLUVA] {
-		t.Errorf("CSP sampling (%v) not faster than UVA (%v)", dspStat.SampleTime, times[baselines.DGLUVA])
+	if float64(dspStat.EpochTime) >= times[baselines.DGLUVA] {
+		t.Errorf("CSP sampling (%v) not faster than UVA (%v)", dspStat.EpochTime, times[baselines.DGLUVA])
 	}
 	if times[baselines.DGLUVA] >= times[baselines.DGLCPU] {
 		t.Errorf("UVA sampling (%v) not faster than CPU (%v)", times[baselines.DGLUVA], times[baselines.DGLCPU])
@@ -473,7 +473,7 @@ func TestDSPUnfusedSamplingSlower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(st.SampleTime)
+		return float64(st.EpochTime)
 	}
 	fused := run(false)
 	unfused := run(true)
@@ -523,7 +523,7 @@ func TestRealEpochPinned(t *testing.T) {
 	for _, tc := range []struct {
 		strategy           string
 		feat, grad         compress.Codec
-		epoch, loss, stage uint64 // math.Float64bits of EpochTime, Loss, TrainStage
+		epoch, loss, stage uint64 // math.Float64bits of EpochTime, Loss, TrainDist.Sum()
 		correct, seen      int
 		params             uint64 // FNV-1a over the parameter bits
 		wire               wire
@@ -561,7 +561,7 @@ func TestRealEpochPinned(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
 			h.Write(b[:])
 		}
-		epoch, loss, stage := math.Float64bits(float64(st.EpochTime)), math.Float64bits(st.Loss), math.Float64bits(float64(st.TrainStage))
+		epoch, loss, stage := math.Float64bits(float64(st.EpochTime)), math.Float64bits(st.Loss), math.Float64bits(st.TrainDist.Sum())
 		codec := sys.Compression()
 		cf, cg := codec[hw.TrafficFeature], codec[hw.TrafficGradient]
 		w := wire{st.FeatureWire, st.GradWire, st.PushWire, cf.Raw, cf.Wire, cg.Raw, cg.Wire}

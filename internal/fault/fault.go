@@ -10,6 +10,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,9 +84,11 @@ func (f Fault) String() string {
 	}
 }
 
+// formatDur renders d in whole milliseconds when parseDur reads that back as
+// d exactly, and in seconds otherwise (0.009 s is not 9 * 1e-3).
 func formatDur(d sim.Time) string {
 	ms := float64(d) * 1e3
-	if ms == float64(int64(ms)) {
+	if ms == float64(int64(ms)) && sim.Time(float64(int64(ms))*1e-3) == d {
 		return fmt.Sprintf("%dms", int64(ms))
 	}
 	return fmt.Sprintf("%gs", float64(d))
@@ -182,7 +185,7 @@ func parseEntry(s string, nGPU int) (Fault, error) {
 				return f, fmt.Errorf("degrade factor must look like x4, got %q", fac)
 			}
 			v, err := strconv.ParseFloat(fac[1:], 64)
-			if err != nil || v <= 1 {
+			if err != nil || !(v > 1) || math.IsInf(v, 1) {
 				return f, fmt.Errorf("degrade factor must be a number > 1, got %q", fac)
 			}
 			f.Factor = v
@@ -193,11 +196,16 @@ func parseEntry(s string, nGPU int) (Fault, error) {
 	}
 	tv := tPart[2:]
 	durStr := ""
-	if base, d, ok := strings.Cut(tv, "+"); ok {
-		tv, durStr = base, d
+	// The duration follows the first '+' that is not an exponent's sign
+	// (Fault.String renders t=1e+21 for a late enough fault).
+	for i := 1; i < len(tv); i++ {
+		if tv[i] == '+' && tv[i-1] != 'e' && tv[i-1] != 'E' {
+			tv, durStr = tv[:i], tv[i+1:]
+			break
+		}
 	}
 	at, err := strconv.ParseFloat(tv, 64)
-	if err != nil || at < 0 {
+	if err != nil || !(at >= 0) || math.IsInf(at, 1) {
 		return f, fmt.Errorf("bad injection time %q (want non-negative seconds)", tv)
 	}
 	f.At = sim.Time(at)
@@ -246,7 +254,7 @@ func parseDur(s string) (sim.Time, error) {
 		s = s[:len(s)-1]
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
+	if err != nil || !(v*mult > 0) || math.IsInf(v, 1) {
 		return 0, fmt.Errorf("bad duration %q (want e.g. 50ms, 0.05s)", s)
 	}
 	return sim.Time(v * mult), nil

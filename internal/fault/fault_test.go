@@ -50,6 +50,10 @@ func TestParseSpecErrors(t *testing.T) {
 		"linkdown@gpu0:t=1+5ms",          // link fault without pair
 		"degrade@gpu0-gpu0:t=1+5s",       // same endpoints
 		"degrade@gpu0-gpu1:t=1+5ms:x0.5", // factor <= 1
+		"crash@gpu0:t=NaN",               // not a time
+		"crash@gpu0:t=inf",               // never
+		"stall@gpu0:t=1+NaNms",           // not a duration
+		"degrade@gpu0-gpu1:t=1+5ms:xInf", // no bandwidth left
 	}
 	for _, s := range bad {
 		if _, err := ParseSpec(s, 4); err == nil {
@@ -107,7 +111,7 @@ func TestCrashInterruptsEngine(t *testing.T) {
 		t.Fatalf("crash = %+v at end %g, want gpu2 t=0.5", ce, float64(end))
 	}
 	if inj.View().Alive(2) || inj.View().LiveCount() != 3 {
-		t.Fatalf("view not updated: %v", inj.View().LiveRanks())
+		t.Fatalf("view not updated: dead %v", inj.View().Dead())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Applied records one fault the injector actually fired (for reports).
@@ -177,17 +178,13 @@ func (in *Injector) apply(p *sim.Proc, f Fault) {
 	}
 }
 
-// faultLane is the trace lane faults render on (distinct from kernel and
-// transfer lanes).
-const faultLane = 20
-
 func (in *Injector) instant(gpu int, name string) {
 	tr := in.m.GPUs[gpu].Tracer
 	// Process-scoped: a fault marker concerns the whole GPU, not one lane.
-	tr.Instant(name, "fault", gpu, faultLane, float64(in.m.Eng.Now()), "p", nil)
+	tr.Instant(name, "fault", gpu, trace.LaneFaults, float64(in.m.Eng.Now()), "p", nil)
 }
 
 func (in *Injector) span(gpu int, name string, start, end sim.Time) {
 	tr := in.m.GPUs[gpu].Tracer
-	tr.Complete(name, "fault", gpu, faultLane, float64(start), float64(end), nil)
+	tr.Complete(name, "fault", gpu, trace.LaneFaults, float64(start), float64(end), nil)
 }

@@ -58,17 +58,6 @@ func (v *View) NextLive(g int) int {
 	return -1
 }
 
-// LiveRanks returns the live GPU ids in ascending order.
-func (v *View) LiveRanks() []int {
-	out := make([]int, 0, v.liveN)
-	for g, a := range v.alive {
-		if a {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // Dead returns the dead GPU ids in ascending order.
 func (v *View) Dead() []int {
 	out := make([]int, 0, len(v.alive)-v.liveN)

@@ -50,9 +50,6 @@ const (
 	Partitioned Layout = iota
 	// Replicated: every GPU caches the same globally-hot rows (Quiver).
 	Replicated
-	// HostOnly: no GPU cache at all (DGL-UVA on graphs whose features do
-	// not fit a single GPU, as in the paper's experiments).
-	HostOnly
 	// DimSliced: every GPU holds ALL rows restricted to a contiguous
 	// [#Nodes, F/world] column slice (P3's hybrid-parallel layout). There
 	// are no hot/cold rows and no host tier — every read is GPU-local, and
@@ -153,8 +150,6 @@ func (s *Store) Locate(v graph.NodeID, g int) (Placement, int) {
 		if s.hot[v] {
 			return LocalGPU, g
 		}
-		return HostMemory, -1
-	case HostOnly:
 		return HostMemory, -1
 	case DimSliced:
 		// Every GPU holds a slice of every row; the row read is local and
@@ -405,15 +400,6 @@ func BuildDimSliced(features []float32, dim, numGPUs int) *Store {
 		s.CachedRows[g] = rows
 	}
 	return s
-}
-
-// BuildHostOnly keeps every row in CPU memory (DGL-UVA without caching).
-func BuildHostOnly(n int, features []float32, dim, numGPUs int) *Store {
-	return &Store{
-		Layout: HostOnly, Dim: dim, NumGPUs: numGPUs,
-		features:   features,
-		CachedRows: make([]int64, numGPUs),
-	}
 }
 
 // AggregateCachedRows returns the number of DISTINCT rows cached across all

@@ -137,19 +137,6 @@ func TestLocateReplicatedNeverRemote(t *testing.T) {
 	}
 }
 
-func TestHostOnlyAlwaysHost(t *testing.T) {
-	f := build(t, 2)
-	s := BuildHostOnly(f.g.NumNodes(), f.feats, f.d.FeatDim, 2)
-	for v := 0; v < 100; v++ {
-		if p, _ := s.Locate(graph.NodeID(v), 0); p != HostMemory {
-			t.Fatal("host-only store cached something")
-		}
-	}
-	if s.AggregateCachedRows() != 0 {
-		t.Fatal("host-only store reports cached rows")
-	}
-}
-
 func TestSplitPartitionsRequest(t *testing.T) {
 	f := build(t, 4)
 	s := BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, int64(100*f.d.FeatDim*4), ByDegree)
@@ -182,7 +169,7 @@ func TestSplitPartitionsRequest(t *testing.T) {
 
 func TestGatherCopiesRows(t *testing.T) {
 	f := build(t, 2)
-	s := BuildHostOnly(f.g.NumNodes(), f.feats, f.d.FeatDim, 2)
+	s := BuildDimSliced(f.feats, f.d.FeatDim, 2)
 	ids := []graph.NodeID{5, 0, 17}
 	out := s.Gather(ids)
 	if len(out) != 3*f.d.FeatDim {
@@ -287,17 +274,16 @@ func TestSplitProperty(t *testing.T) {
 }
 
 // TestSplitExactPartitionAllLayouts: for every layout — partitioned,
-// replicated, host-only, and a zero-budget partitioned store — Split's three
-// outputs are exactly a permutation of the input multiset: concatenated they
-// have the same length and the same per-id multiplicity, with no id invented
-// or dropped.
+// replicated, dimension-sliced, and a zero-budget partitioned store (every
+// row on the host) — Split's three outputs are exactly a permutation of the
+// input multiset: concatenated they have the same length and the same per-id
+// multiplicity, with no id invented or dropped.
 func TestSplitExactPartitionAllLayouts(t *testing.T) {
 	f := build(t, 4)
 	budget := int64(120 * f.d.FeatDim * 4)
 	stores := map[string]*Store{
 		"partitioned": BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, budget, ByDegree),
 		"replicated":  BuildReplicated(f.g, f.feats, f.d.FeatDim, 4, budget, ByDegree),
-		"hostonly":    BuildHostOnly(f.g.NumNodes(), f.feats, f.d.FeatDim, 4),
 		"zerobudget":  BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, 0, ByDegree),
 		"dimsliced":   BuildDimSliced(f.feats, f.d.FeatDim, 4),
 	}
@@ -374,7 +360,6 @@ func TestSplitMatchesReference(t *testing.T) {
 		stores := map[string]*Store{
 			"partitioned": BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, budget, ByDegree),
 			"replicated":  BuildReplicated(f.g, f.feats, f.d.FeatDim, k, budget, ByDegree),
-			"hostonly":    BuildHostOnly(f.g.NumNodes(), f.feats, f.d.FeatDim, k),
 			"zerobudget":  BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, 0, ByDegree),
 			"everything":  BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, 1<<40, ByDegree),
 			"dimsliced":   BuildDimSliced(f.feats, f.d.FeatDim, k),

@@ -93,13 +93,12 @@ type Router struct {
 	win []*metrics.Histogram
 
 	// routing state and accounting
-	rr        int
-	scratch   []int // routable() scratch buffer
-	rerouted  int   // requests rescued from dying fleets
-	routed    []int
-	rescued   []int // per-fleet: orphans rescued FROM it at its death
-	completed []int
-	scale     []ScaleEvent
+	rr       int
+	scratch  []int // routable() scratch buffer
+	rerouted int   // requests rescued from dying fleets
+	routed   []int
+	rescued  []int // per-fleet: orphans rescued FROM it at its death
+	scale    []ScaleEvent
 }
 
 // hub is the shared telemetry hub from the serve template (nil disables all
@@ -117,14 +116,13 @@ func NewRouter(cfg Config) (*Router, error) {
 	eng := sim.NewEngine()
 	eng.SetParallelism(cfg.Serve.Parallel)
 	r := &Router{
-		cfg:       cfg,
-		eng:       eng,
-		state:     make([]State, n),
-		view:      fault.NewView(n),
-		win:       make([]*metrics.Histogram, n),
-		routed:    make([]int, n),
-		rescued:   make([]int, n),
-		completed: make([]int, n),
+		cfg:     cfg,
+		eng:     eng,
+		state:   make([]State, n),
+		view:    fault.NewView(n),
+		win:     make([]*metrics.Histogram, n),
+		routed:  make([]int, n),
+		rescued: make([]int, n),
 		// Keyed by the router seed (distinct from every derived fleet seed).
 		in: serve.NewIntake(cfg.Serve),
 	}
@@ -167,10 +165,9 @@ func NewRouter(cfg Config) (*Router, error) {
 // Servers exposes the replica set (tests inspect per-fleet state).
 func (r *Router) Servers() []*serve.Server { return r.servers }
 
-// onComplete runs in engine context at each completion: per-fleet counts and
-// the latency window the router's policies read.
+// onComplete runs in engine context at each completion: it feeds the latency
+// window the router's policies read.
 func (r *Router) onComplete(f int, req *serve.Request) {
-	r.completed[f]++
 	r.win[f].Observe(float64(req.Latency()))
 }
 

@@ -13,7 +13,6 @@ package gen
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -62,8 +61,7 @@ func (d *Dataset) FeatureBytes() int64 {
 	return int64(len(d.Features)) * 4
 }
 
-// withDefaults fills the zero-value knobs; both generation paths apply it so
-// the RNG consumption (and hence the emitted graphs) stay identical.
+// withDefaults fills the zero-value knobs.
 func (cfg Config) withDefaults() Config {
 	if cfg.PowerLaw == 0 {
 		cfg.PowerLaw = 2.2
@@ -83,103 +81,6 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// topoPlan is the deterministic endpoint-sampling state shared by Generate
-// and GenerateTopology: community labels, member lists, Chung-Lu degree
-// propensities and the alias samplers over them. Building it consumes exactly
-// one r.Perm(n), so both paths stay on the same RNG stream.
-type topoPlan struct {
-	labels      []int32
-	members     [][]graph.NodeID
-	prop        []float64
-	propSum     float64
-	global      *weightedSampler
-	community   []*weightedSampler
-	targetEdges int64
-}
-
-func planTopology(cfg Config, r *rng.RNG) *topoPlan {
-	n := cfg.Nodes
-	p := &topoPlan{targetEdges: int64(float64(n) * cfg.AvgDegree)}
-
-	// Assign nodes to communities in contiguous runs of randomised length,
-	// then shuffle node ids so community != id order (the partitioner has
-	// to discover the structure).
-	p.labels = make([]int32, n)
-	perClass := n / cfg.NumClasses
-	for v := 0; v < n; v++ {
-		c := v / perClass
-		if c >= cfg.NumClasses {
-			c = cfg.NumClasses - 1
-		}
-		p.labels[v] = int32(c)
-	}
-	// Community member lists.
-	p.members = make([][]graph.NodeID, cfg.NumClasses)
-	for v := 0; v < n; v++ {
-		p.members[p.labels[v]] = append(p.members[p.labels[v]], graph.NodeID(v))
-	}
-
-	// Power-law degree propensities (Chung-Lu style): w_i = (i+1)^(-1/(a-1))
-	// over a random permutation of nodes, scaled to hit the target edge
-	// count in expectation. Hot nodes emerge inside every community.
-	alpha := 1.0 / (cfg.PowerLaw - 1.0)
-	p.prop = make([]float64, n)
-	perm := r.Perm(n)
-	for i, v := range perm {
-		w := math.Pow(float64(i+1), -alpha)
-		p.prop[v] = w
-		p.propSum += w
-	}
-
-	// Build alias-like cumulative samplers per community and globally, over
-	// propensities, for endpoint selection.
-	p.global = newWeightedSampler(p.prop)
-	p.community = make([]*weightedSampler, cfg.NumClasses)
-	for c := 0; c < cfg.NumClasses; c++ {
-		w := make([]float64, len(p.members[c]))
-		for i, v := range p.members[c] {
-			w[i] = p.prop[v]
-		}
-		p.community[c] = newWeightedSampler(w)
-	}
-	return p
-}
-
-// drawInNeighbors appends node v's in-neighbour draws to buf and returns it.
-// Each node receives in-edges proportional to its propensity, from endpoints
-// drawn within-community with IntraProb. Draw order is the flat adjacency
-// order FromEdges stores, so callers that need the canonical compressed form
-// sort the result.
-func (p *topoPlan) drawInNeighbors(cfg Config, r *rng.RNG, v int, buf []graph.NodeID) []graph.NodeID {
-	share := p.prop[v] / p.propSum
-	deg := int(share * float64(p.targetEdges))
-	// Probabilistic rounding keeps the total close to target.
-	frac := share*float64(p.targetEdges) - float64(deg)
-	if r.Float64() < frac {
-		deg++
-	}
-	if deg == 0 {
-		deg = 1 // no isolated nodes
-	}
-	c := p.labels[v]
-	for k := 0; k < deg; k++ {
-		var u graph.NodeID
-		if r.Float64() < cfg.IntraProb {
-			u = p.members[c][p.community[c].Sample(r)]
-		} else {
-			u = graph.NodeID(p.global.Sample(r))
-		}
-		if u == graph.NodeID(v) {
-			u = p.members[c][p.community[c].Sample(r)]
-			if u == graph.NodeID(v) {
-				continue
-			}
-		}
-		buf = append(buf, u)
-	}
-	return buf
-}
-
 // Generate builds a dataset from the config. The same config (including
 // Seed) always produces the same dataset.
 func Generate(cfg Config) *Dataset {
@@ -190,14 +91,78 @@ func Generate(cfg Config) *Dataset {
 	r := rng.New(cfg.Seed)
 	n := cfg.Nodes
 
-	p := planTopology(cfg, r)
-	labels := p.labels
-	src := make([]graph.NodeID, 0, p.targetEdges)
-	dst := make([]graph.NodeID, 0, p.targetEdges)
-	buf := make([]graph.NodeID, 0, 64)
+	// Assign nodes to communities in contiguous runs of randomised length,
+	// then shuffle node ids so community != id order (the partitioner has
+	// to discover the structure).
+	labels := make([]int32, n)
+	perClass := n / cfg.NumClasses
 	for v := 0; v < n; v++ {
-		buf = p.drawInNeighbors(cfg, r, v, buf[:0])
-		for _, u := range buf {
+		c := v / perClass
+		if c >= cfg.NumClasses {
+			c = cfg.NumClasses - 1
+		}
+		labels[v] = int32(c)
+	}
+	// Community member lists.
+	members := make([][]graph.NodeID, cfg.NumClasses)
+	for v := 0; v < n; v++ {
+		members[labels[v]] = append(members[labels[v]], graph.NodeID(v))
+	}
+
+	// Power-law degree propensities (Chung-Lu style): w_i = (i+1)^(-1/(a-1))
+	// over a random permutation of nodes, scaled to hit the target edge
+	// count in expectation. Hot nodes emerge inside every community.
+	alpha := 1.0 / (cfg.PowerLaw - 1.0)
+	prop := make([]float64, n)
+	var propSum float64
+	for i, v := range r.Perm(n) {
+		w := math.Pow(float64(i+1), -alpha)
+		prop[v] = w
+		propSum += w
+	}
+
+	// Build alias-like cumulative samplers per community and globally, over
+	// propensities, for endpoint selection.
+	global := newWeightedSampler(prop)
+	community := make([]*weightedSampler, cfg.NumClasses)
+	for c := 0; c < cfg.NumClasses; c++ {
+		w := make([]float64, len(members[c]))
+		for i, v := range members[c] {
+			w[i] = prop[v]
+		}
+		community[c] = newWeightedSampler(w)
+	}
+
+	// Each node receives in-edges proportional to its propensity, from
+	// endpoints drawn within-community with IntraProb.
+	targetEdges := int64(float64(n) * cfg.AvgDegree)
+	src := make([]graph.NodeID, 0, targetEdges)
+	dst := make([]graph.NodeID, 0, targetEdges)
+	for v := 0; v < n; v++ {
+		share := prop[v] / propSum
+		deg := int(share * float64(targetEdges))
+		// Probabilistic rounding keeps the total close to target.
+		frac := share*float64(targetEdges) - float64(deg)
+		if r.Float64() < frac {
+			deg++
+		}
+		if deg == 0 {
+			deg = 1 // no isolated nodes
+		}
+		c := labels[v]
+		for k := 0; k < deg; k++ {
+			var u graph.NodeID
+			if r.Float64() < cfg.IntraProb {
+				u = members[c][community[c].Sample(r)]
+			} else {
+				u = graph.NodeID(global.Sample(r))
+			}
+			if u == graph.NodeID(v) {
+				u = members[c][community[c].Sample(r)]
+				if u == graph.NodeID(v) {
+					continue
+				}
+			}
 			src = append(src, u)
 			dst = append(dst, graph.NodeID(v))
 		}
@@ -242,36 +207,6 @@ func Generate(cfg Config) *Dataset {
 		}
 	}
 	return d
-}
-
-// GenerateTopology emits the exact topology Generate(cfg) would build,
-// directly in compressed form, without ever materialising the flat CSR or
-// the src/dst edge arrays — the path that scales to 100M+-node graphs where
-// flat adjacency alone would need tens of gigabytes. Peak transient memory is
-// the O(n) planning state plus one node's adjacency list; the output is the
-// varint-encoded stream.
-//
-// The result is byte-identical to graph.CompressBlocks(Generate(cfg).G,
-// blockSize): both paths consume the same RNG stream through planTopology and
-// drawInNeighbors, and the per-node sort here matches the canonicalisation
-// Compress applies.
-func GenerateTopology(cfg Config, blockSize int) *graph.CompressedCSR {
-	if cfg.Nodes <= 0 || cfg.AvgDegree <= 0 || cfg.NumClasses <= 0 {
-		panic(fmt.Sprintf("gen: invalid config %+v", cfg))
-	}
-	cfg = cfg.withDefaults()
-	r := rng.New(cfg.Seed)
-	n := cfg.Nodes
-
-	p := planTopology(cfg, r)
-	enc := graph.NewEncoder(n, blockSize, false)
-	buf := make([]graph.NodeID, 0, 64)
-	for v := 0; v < n; v++ {
-		buf = p.drawInNeighbors(cfg, r, v, buf[:0])
-		sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
-		enc.AppendNode(buf, nil)
-	}
-	return enc.Finish()
 }
 
 // AttachUniformWeights adds per-edge weights drawn uniformly from (0, 1] for

@@ -2,10 +2,8 @@ package gen
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -256,61 +254,11 @@ func TestWeightedSamplerMatchesWeights(t *testing.T) {
 	}
 }
 
-func TestGenerateTopologyMatchesCompressedFlat(t *testing.T) {
-	for _, bs := range []int{1, 7, 64} {
-		cfg := smallCfg()
-		stream := GenerateTopology(cfg, bs)
-		flat := graph.CompressBlocks(Generate(cfg).G, bs)
-		if !reflect.DeepEqual(stream, flat) {
-			t.Fatalf("blockSize %d: streaming topology differs from CompressBlocks(Generate().G)", bs)
-		}
-	}
-}
-
-func TestGenerateTopologyAcrossConfigs(t *testing.T) {
-	cfgs := []Config{
-		{Name: "tiny", Nodes: 37, AvgDegree: 3, FeatDim: 4, NumClasses: 5, Seed: 7},
-		{Name: "skewed", Nodes: 1500, AvgDegree: 18, FeatDim: 8, NumClasses: 4,
-			PowerLaw: 2.0, IntraProb: 0.5, Seed: 99},
-	}
-	for _, cfg := range cfgs {
-		stream := GenerateTopology(cfg, 16)
-		flat := graph.CompressBlocks(Generate(cfg).G, 16)
-		if !reflect.DeepEqual(stream, flat) {
-			t.Fatalf("%s: streaming topology differs from compressed flat", cfg.Name)
-		}
-	}
-}
-
-func TestGenerateTopologyNeverBuildsFlat(t *testing.T) {
-	// The streaming path must match the flat path's neighbour lists when
-	// decoded — the round-trip proves the encoder saw the same draws.
-	cfg := smallCfg()
-	c := GenerateTopology(cfg, 1)
-	g := Generate(cfg).G.Sorted()
-	if c.NumNodes() != g.NumNodes() || c.NumEdges() != g.NumEdges() {
-		t.Fatalf("shape mismatch: %d/%d nodes, %d/%d edges",
-			c.NumNodes(), g.NumNodes(), c.NumEdges(), g.NumEdges())
-	}
-	for v := 0; v < c.NumNodes(); v++ {
-		cn := c.Neighbors(graph.NodeID(v))
-		gn := g.Neighbors(graph.NodeID(v))
-		if len(cn) != len(gn) {
-			t.Fatalf("node %d: degree %d vs %d", v, len(cn), len(gn))
-		}
-		for i := range cn {
-			if cn[i] != gn[i] {
-				t.Fatalf("node %d: neighbour %d differs", v, i)
-			}
-		}
-	}
-}
-
-func TestGenerateTopologyInvalidPanics(t *testing.T) {
+func TestGenerateInvalidPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic on invalid config")
 		}
 	}()
-	GenerateTopology(Config{Nodes: 0, AvgDegree: 5, NumClasses: 2}, 1)
+	Generate(Config{Nodes: 0, AvgDegree: 5, FeatDim: 4, NumClasses: 2})
 }

@@ -19,8 +19,8 @@ const MaxNodes = math.MaxInt32 - 1
 const MaxEdges = int64(1) << 40
 
 // CheckScale validates a (node count, edge count) pair against the storage
-// limits. gen and FromEdges call it before sizing any slice, so 100M+-node
-// configurations fail loudly instead of corrupting int32 ids.
+// limits. FromEdges and NewEncoder call it before sizing any slice, so
+// 100M+-node configurations fail loudly instead of corrupting int32 ids.
 func CheckScale(nodes int64, edges int64) error {
 	if nodes < 0 || edges < 0 {
 		return fmt.Errorf("graph: negative scale (%d nodes, %d edges)", nodes, edges)
@@ -150,9 +150,7 @@ func CompressBlocks(g *CSR, blockSize int) *CompressedCSR {
 }
 
 // Encoder streams adjacency lists into a CompressedCSR one node at a time,
-// in ascending node order, without ever materialising the flat arrays —
-// internal/gen uses it to emit 100M+-node graphs directly in compressed
-// form.
+// in ascending node order; CompressBlocks feeds it from a flat CSR.
 type Encoder struct {
 	c      *CompressedCSR
 	next   int

@@ -272,6 +272,7 @@ func (m *Machine) SetTracer(t *trace.Tracer) {
 		t.NameLane(d.ID, trace.LaneLoader, "loader stage")
 		t.NameLane(d.ID, trace.LaneTrainer, "trainer stage")
 		t.NameLane(d.ID, trace.LaneCCC, "ccc wait")
+		t.NameLane(d.ID, trace.LaneFaults, "faults")
 	}
 }
 

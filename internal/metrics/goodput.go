@@ -2,23 +2,22 @@ package metrics
 
 import "fmt"
 
-// Goodput is a windowed within-SLO completion counter: observations are
-// bucketed by completion time into fixed-width windows of virtual time, and
-// each window tracks how many requests completed at all versus how many
-// completed within the latency SLO. It answers "how much useful work per
-// virtual second did the fleet deliver", which a plain throughput number
-// cannot (late answers count for nothing against an SLO).
+// Goodput is a windowed within-SLO completion counter: it counts how many
+// requests completed at all and how many within the latency SLO, and the
+// first and last fixed-width window of virtual time a completion fell in. It
+// answers "how much useful work per virtual second did the fleet deliver",
+// which a plain throughput number cannot (late answers count for nothing
+// against an SLO).
 //
 // Like Histogram, Goodput merges losslessly: merging two counters built from
 // disjoint observation streams yields exactly the counter that would have
-// observed the union (per-window counts are additive). Counters only merge
+// observed the union (counts add, window bounds widen). Counters only merge
 // when their window width and SLO agree — merging mismatched configurations
 // would silently corrupt the accounting, so it panics.
 type Goodput struct {
 	window float64
 	slo    float64
-	good   map[int]uint64
-	total  map[int]uint64
+	good   uint64
 	minW   int
 	maxW   int
 	count  uint64
@@ -33,12 +32,7 @@ func NewGoodput(window, slo float64) *Goodput {
 	if slo <= 0 {
 		panic("metrics: goodput SLO must be positive")
 	}
-	return &Goodput{
-		window: window,
-		slo:    slo,
-		good:   map[int]uint64{},
-		total:  map[int]uint64{},
-	}
+	return &Goodput{window: window, slo: slo}
 }
 
 // Window returns the bucket width in virtual seconds.
@@ -65,9 +59,8 @@ func (g *Goodput) Observe(doneAt, latency float64) {
 	if g.count == 0 || w > g.maxW {
 		g.maxW = w
 	}
-	g.total[w]++
 	if latency <= g.slo {
-		g.good[w]++
+		g.good++
 	}
 	g.count++
 }
@@ -76,13 +69,7 @@ func (g *Goodput) Observe(doneAt, latency float64) {
 func (g *Goodput) Total() uint64 { return g.count }
 
 // Good returns the number of completions within SLO.
-func (g *Goodput) Good() uint64 {
-	var n uint64
-	for _, c := range g.good {
-		n += c
-	}
-	return n
-}
+func (g *Goodput) Good() uint64 { return g.good }
 
 // GoodFraction is the fraction of completions within SLO (0 if empty).
 func (g *Goodput) GoodFraction() float64 {
@@ -111,27 +98,9 @@ func (g *Goodput) Rate() float64 {
 	return float64(g.Good()) / span
 }
 
-// WorstWindowRate is the lowest per-window goodput rate over the observed
-// span, including interior windows that saw no completions at all (a stalled
-// fleet's empty window is the worst case, not a gap in the data).
-func (g *Goodput) WorstWindowRate() float64 {
-	if g.count == 0 {
-		return 0
-	}
-	worst := -1.0
-	for w := g.minW; w <= g.maxW; w++ {
-		r := float64(g.good[w]) / g.window
-		if worst < 0 || r < worst {
-			worst = r
-		}
-	}
-	return worst
-}
-
 // Merge adds all observations recorded in other into g. Merging is lossless
-// (per-window counts are additive). It panics if the two counters disagree
-// on window width or SLO — Histogram.Merge semantics over compatible
-// configurations.
+// (counts are additive). It panics if the two counters disagree on window
+// width or SLO — Histogram.Merge semantics over compatible configurations.
 func (g *Goodput) Merge(other *Goodput) {
 	if other == nil || other.count == 0 {
 		return
@@ -146,12 +115,7 @@ func (g *Goodput) Merge(other *Goodput) {
 	if g.count == 0 || other.maxW > g.maxW {
 		g.maxW = other.maxW
 	}
-	for w, c := range other.good {
-		g.good[w] += c
-	}
-	for w, c := range other.total {
-		g.total[w] += c
-	}
+	g.good += other.good
 	g.count += other.count
 }
 

@@ -29,16 +29,12 @@ func TestGoodputBasics(t *testing.T) {
 	if r := g.Rate(); r != 3/0.4 {
 		t.Fatalf("rate %g != %g", r, 3/0.4)
 	}
-	// Interior empty windows (1, 2) drive the worst-window rate to zero.
-	if w := g.WorstWindowRate(); w != 0 {
-		t.Fatalf("worst window rate %g != 0", w)
-	}
 }
 
 func TestGoodputEmpty(t *testing.T) {
 	g := NewGoodput(1, 1)
 	if g.Rate() != 0 || g.Good() != 0 || g.Total() != 0 || g.Span() != 0 ||
-		g.GoodFraction() != 0 || g.WorstWindowRate() != 0 {
+		g.GoodFraction() != 0 {
 		t.Fatal("empty counter not all-zero")
 	}
 	g.Merge(nil)
@@ -69,8 +65,7 @@ func TestGoodputMergeLossless(t *testing.T) {
 		t.Fatalf("merge lost observations: %d/%d vs %d/%d",
 			merged.Good(), merged.Total(), whole.Good(), whole.Total())
 	}
-	if merged.Span() != whole.Span() || merged.Rate() != whole.Rate() ||
-		merged.WorstWindowRate() != whole.WorstWindowRate() {
+	if merged.Span() != whole.Span() || merged.Rate() != whole.Rate() {
 		t.Fatalf("merge changed derived stats: %v vs %v", merged, whole)
 	}
 }
@@ -87,10 +82,9 @@ func TestGoodputWindowEdges(t *testing.T) {
 	if g.Span() != 0.75 {
 		t.Fatalf("span %g != 0.75: boundary observations mis-bucketed", g.Span())
 	}
-	// Each of windows 0, 1, 2 holds exactly one in-SLO completion, so the
-	// worst window matches the average: 1 good per 0.25 s.
-	if w, r := g.WorstWindowRate(), g.Rate(); w != 4 || r != 4 {
-		t.Fatalf("worst %g rate %g, want 4 and 4", w, r)
+	// Windows 0, 1, 2 hold one in-SLO completion each: 1 good per 0.25 s.
+	if r := g.Rate(); r != 4 {
+		t.Fatalf("rate %g, want 4", r)
 	}
 	// Negative completion times clamp into window 0 rather than going to
 	// a negative bucket index.
@@ -122,8 +116,7 @@ func TestGoodputZeroWindowPanics(t *testing.T) {
 
 // TestGoodputMergeMisaligned merges two counters whose observed window
 // ranges neither overlap nor touch: the merged span must cover the hull
-// including the interior windows nobody observed, and those empty
-// interior windows must drag the worst-window rate to zero.
+// including the interior windows nobody observed.
 func TestGoodputMergeMisaligned(t *testing.T) {
 	a := NewGoodput(0.25, 1e-2)
 	a.Observe(0.1, 1e-3) // window 0
@@ -138,9 +131,6 @@ func TestGoodputMergeMisaligned(t *testing.T) {
 	// Hull is windows 0..7 inclusive = 8 * 0.25 s.
 	if a.Span() != 2 {
 		t.Fatalf("merged span %g != 2", a.Span())
-	}
-	if w := a.WorstWindowRate(); w != 0 {
-		t.Fatalf("worst window rate %g != 0: empty interior windows ignored", w)
 	}
 	if r := a.Rate(); r != 1.5 {
 		t.Fatalf("merged rate %g != 1.5 (3 good over 2 s)", r)

@@ -76,8 +76,14 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
+// Sum returns the sum of all observations (0 for a nil histogram, e.g. the
+// stage distributions of a sampler-only epoch).
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum
+}
 
 // Min returns the smallest observation (0 if empty).
 func (h *Histogram) Min() float64 { return h.min }

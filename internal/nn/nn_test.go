@@ -291,29 +291,6 @@ func TestModelsDeterministic(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumMoves(t *testing.T) {
-	cfg := Config{Arch: GCN, InDim: 2, Hidden: 2, Classes: 2, Layers: 1}
-	m := NewModel(cfg, 1)
-	before := make([]float32, m.ParamCount())
-	m.ParamVector(before)
-	g := make([]float32, m.ParamCount())
-	for i := range g {
-		g[i] = 1
-	}
-	opt := NewSGD(0.1, 0.9)
-	m.SetGradVector(g)
-	opt.Step(m)
-	opt.Step(m)
-	after := make([]float32, m.ParamCount())
-	m.ParamVector(after)
-	// Two steps with momentum: delta = 0.1*(1) + 0.1*(1.9) = 0.29.
-	for i := range after {
-		if math.Abs(float64(before[i]-after[i])-0.29) > 1e-5 {
-			t.Fatalf("momentum update wrong: delta %v", before[i]-after[i])
-		}
-	}
-}
-
 func TestAdamReducesLossFast(t *testing.T) {
 	// Single-parameter sanity: Adam drives a quadratic toward zero.
 	cfg := Config{Arch: GCN, InDim: 1, Hidden: 1, Classes: 2, Layers: 1}

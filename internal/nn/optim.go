@@ -2,33 +2,15 @@ package nn
 
 import "math"
 
-// Optimizer updates model parameters from accumulated gradients.
-type Optimizer interface {
-	// Step applies the current gradients (already averaged across replicas)
-	// and advances the optimizer state.
-	Step(m *Model)
-}
-
-// OptState is a flattened optimizer-state snapshot for checkpointing. Data
-// layout is optimizer-specific but always concatenates per-parameter slices
-// in Model.Params order, so a state restored into an identically-shaped
-// model resumes bit-identically. Empty Data means "never stepped".
+// OptState is a flattened Adam-state snapshot for checkpointing: the first
+// moments then the second, each concatenating per-parameter slices in
+// Model.Params order, so a state restored into an identically-shaped model
+// resumes bit-identically. Empty Data means "never stepped".
 type OptState struct {
-	// Step is Adam's bias-correction step count (0 for SGD).
+	// Step is Adam's bias-correction step count.
 	Step int
-	// Data holds the moment/velocity vectors.
+	// Data holds the moment vectors.
 	Data []float32
-}
-
-// StatefulOptimizer is an Optimizer whose internal state can be captured
-// and restored for checkpoint/resume.
-type StatefulOptimizer interface {
-	Optimizer
-	// CaptureState snapshots the optimizer state (a deep copy).
-	CaptureState() OptState
-	// RestoreState replaces the optimizer state. m provides the parameter
-	// shapes; st must come from an optimizer over an identical model.
-	RestoreState(m *Model, st OptState)
 }
 
 // flatten concatenates per-parameter state vectors.
@@ -59,62 +41,8 @@ func unflatten(m *Model, buf []float32) [][]float32 {
 	return out
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity [][]float32
-}
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(m *Model) {
-	if o.velocity == nil && o.Momentum != 0 {
-		o.velocity = make([][]float32, len(m.Params))
-		for i, p := range m.Params {
-			o.velocity[i] = make([]float32, len(p.W.Data))
-		}
-	}
-	lr := float32(o.LR)
-	mu := float32(o.Momentum)
-	for i, p := range m.Params {
-		if o.Momentum == 0 {
-			for j := range p.W.Data {
-				p.W.Data[j] -= lr * p.G.Data[j]
-			}
-			continue
-		}
-		v := o.velocity[i]
-		for j := range p.W.Data {
-			v[j] = mu*v[j] + p.G.Data[j]
-			p.W.Data[j] -= lr * v[j]
-		}
-	}
-}
-
-// CaptureState implements StatefulOptimizer (velocity vectors; empty until
-// the first momentum step).
-func (o *SGD) CaptureState() OptState {
-	if o.velocity == nil {
-		return OptState{}
-	}
-	return OptState{Data: flatten(o.velocity)}
-}
-
-// RestoreState implements StatefulOptimizer.
-func (o *SGD) RestoreState(m *Model, st OptState) {
-	if len(st.Data) == 0 {
-		o.velocity = nil
-		return
-	}
-	o.velocity = unflatten(m, st.Data)
-}
-
-// Adam is the Adam optimizer with bias correction.
+// Adam is the Adam optimizer with bias correction, the one optimizer every
+// training path builds.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	t                     int
@@ -126,7 +54,8 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies the current gradients (already averaged across replicas) and
+// advances the optimizer state.
 func (o *Adam) Step(m *Model) {
 	if o.m1 == nil {
 		o.m1 = make([][]float32, len(m.Params))
@@ -153,8 +82,8 @@ func (o *Adam) Step(m *Model) {
 	}
 }
 
-// CaptureState implements StatefulOptimizer (step count plus first and
-// second moments, concatenated; empty until the first step).
+// CaptureState snapshots the optimizer state as a deep copy: the step count
+// plus first and second moments, concatenated (empty until the first step).
 func (o *Adam) CaptureState() OptState {
 	if o.m1 == nil {
 		return OptState{Step: o.t}
@@ -162,7 +91,8 @@ func (o *Adam) CaptureState() OptState {
 	return OptState{Step: o.t, Data: append(flatten(o.m1), flatten(o.m2)...)}
 }
 
-// RestoreState implements StatefulOptimizer.
+// RestoreState replaces the optimizer state. m provides the parameter
+// shapes; st must come from an optimizer over an identical model.
 func (o *Adam) RestoreState(m *Model, st OptState) {
 	o.t = st.Step
 	if len(st.Data) == 0 {

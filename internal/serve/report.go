@@ -98,7 +98,7 @@ func (s *Server) report(end sim.Time) *Report {
 		Offered:         s.cfg.Rate,
 		Admission:       *s.adm,
 		Completed:       len(s.completed),
-		Rounds:          s.rounds,
+		Rounds:          s.nextRound,
 		Latency:         metrics.New(),
 		PerGPU:          s.latency,
 		Counters:        s.sub.Counters(),
@@ -120,8 +120,8 @@ func (s *Server) report(end sim.Time) *Report {
 	if end > 0 {
 		r.Throughput = float64(len(s.completed)) / float64(end)
 	}
-	if s.rounds > 0 {
-		r.MeanBatch = float64(s.batchSum) / float64(s.rounds*len(s.latency))
+	if s.nextRound > 0 {
+		r.MeanBatch = float64(s.batchSum) / float64(s.nextRound*len(s.latency))
 	}
 	sort.Slice(r.Requests, func(i, j int) bool { return r.Requests[i].ID < r.Requests[j].ID })
 	if s.view != nil || s.dead {

@@ -323,6 +323,7 @@ type Server struct {
 	rebProc   *sim.Proc
 	sampProcs []*sim.Proc
 	execProcs []*sim.Proc
+	// nextRound is the next round's id: the count of rounds dispatched.
 	nextRound int
 
 	// whole-fleet crash state (router-driven Shutdown)
@@ -331,7 +332,6 @@ type Server struct {
 
 	// accounting
 	rerouted  int
-	rounds    int
 	batchSum  int64
 	crashes   []Recovery
 	completed []*Request
@@ -852,7 +852,6 @@ func (s *Server) dispatch(p *sim.Proc) {
 		dispatched += k
 		s.batchSum += int64(k)
 	}
-	s.rounds++
 	s.traceDepth(p.Now())
 	for g := range s.sampQ {
 		if s.alive(g) {

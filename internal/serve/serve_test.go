@@ -217,6 +217,36 @@ func TestServeTraceEvents(t *testing.T) {
 	}
 }
 
+// TestServeFaultSpansOnFaultLane: a traced run's fault spans render on the
+// fault lane, never on the lane serving draws its request spans on, where
+// the profile would count a stall as "requests" busy time.
+func TestServeFaultSpansOnFaultLane(t *testing.T) {
+	cfg := testConfig(t, 4)
+	cfg.Faults = []fault.Fault{{Kind: fault.Stall, GPU: 1, At: 0.01, Duration: 0.005}}
+	tr := trace.New()
+	cfg.Tracer = tr
+	if _, err := Serve(cfg); err != nil {
+		t.Fatal(err)
+	}
+	faults := 0
+	for _, e := range tr.Events() {
+		if e.Cat != "fault" {
+			continue
+		}
+		faults++
+		if e.Tid == trace.LaneRequests || e.Tid != trace.LaneFaults {
+			t.Errorf("fault event %q on lane %d, want trace.LaneFaults (%d), never trace.LaneRequests (%d)",
+				e.Name, e.Tid, trace.LaneFaults, trace.LaneRequests)
+		}
+	}
+	if faults == 0 {
+		t.Fatal("traced stall emitted no fault event")
+	}
+	if got := tr.LaneNames()[[2]int{1, trace.LaneFaults}]; got != "faults" {
+		t.Errorf("GPU 1's fault lane is named %q, want \"faults\"", got)
+	}
+}
+
 // TestServeP3Strategy drives serving through the p3 strategy's Load + Infer:
 // requests are conserved, same-seed run reports are byte-identical, the
 // row-cache tiers stay empty (every read lands in the local dimension

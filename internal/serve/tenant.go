@@ -72,22 +72,6 @@ func ParseTenants(spec string) ([]TenantSpec, error) {
 	return out, nil
 }
 
-// FormatTenants renders specs in the grammar accepted by ParseTenants.
-func FormatTenants(specs []TenantSpec) string {
-	parts := make([]string, len(specs))
-	for i, t := range specs {
-		s := fmt.Sprintf("%s:%g", t.Name, t.Weight)
-		if t.Rate > 0 {
-			s += fmt.Sprintf(":%g", t.Rate)
-			if t.Burst > 0 {
-				s += fmt.Sprintf(":%g", t.Burst)
-			}
-		}
-		parts[i] = s
-	}
-	return strings.Join(parts, ",")
-}
-
 // tenantTable is the runtime admission state of a tenant set: a seeded
 // weight-proportional tenant draw, one token bucket per quota-bearing tenant,
 // and per-tenant admitted/rejected counts. All methods run in engine context

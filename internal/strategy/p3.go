@@ -198,8 +198,9 @@ func (s *P3) shardedParams() int {
 	return k * s.Opts.Model.InDim * s.hidden0()
 }
 
-// traceCounter emits the cumulative push/pull wire-byte counter series so
-// dspprof charts and diffs the exchange volume like any other path.
+// traceCounter emits the cumulative push/pull wire-byte counter series into
+// the Chrome trace, where a trace viewer charts the exchange volume over
+// time.
 func (s *P3) traceCounter(dev *hw.Device, name string, bytes int64) {
 	if dev.Tracer.Enabled() {
 		dev.Tracer.Counter(name, dev.ID, float64(s.M.Eng.Now()), map[string]float64{

@@ -126,19 +126,6 @@ func (h *Hub) closeAlert(rs *ruleState, end sim.Time) {
 	})
 }
 
-// Firing reports whether any rule is firing as of the last scrape.
-func (h *Hub) Firing() bool {
-	if h == nil {
-		return false
-	}
-	for i := range h.rules {
-		if h.rules[i].firing {
-			return true
-		}
-	}
-	return false
-}
-
 // PageFiring reports whether any paging-severity rule is firing as of
 // the last scrape. The fleet autoscaler consumes this: a firing page
 // forces a scale-up and suppresses drains.

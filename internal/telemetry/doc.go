@@ -171,7 +171,7 @@ func (h *Hub) Finish(end sim.Time) *Doc {
 	}
 
 	req := RequestsDoc{
-		Observed: h.observed,
+		Observed: int(h.latency.Count()),
 		Good:     h.good,
 		Bad:      h.bad,
 		Shed:     h.shed,

@@ -223,7 +223,6 @@ type Event struct {
 type Hub struct {
 	cfg Config
 
-	eng     *sim.Engine
 	started bool
 
 	series []*Series
@@ -233,7 +232,6 @@ type Hub struct {
 	// bad = completions over SLO + shed requests.
 	good, bad int
 	shed      int
-	observed  int
 
 	latency   *metrics.Histogram
 	stageHist [numStages]*metrics.Histogram
@@ -319,7 +317,6 @@ func (h *Hub) Start(eng *sim.Engine) {
 		return
 	}
 	h.started = true
-	h.eng = eng
 	eng.GoDaemon("telemetry/scraper", func(p *sim.Proc) {
 		for {
 			p.Sleep(h.cfg.Interval)
@@ -356,7 +353,6 @@ func (h *Hub) ObserveRequest(rs RequestSample) {
 	if lat < 0 {
 		lat = 0
 	}
-	h.observed++
 	h.latency.Observe(float64(lat))
 	if lat <= h.cfg.SLO {
 		h.good++

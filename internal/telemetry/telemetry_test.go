@@ -162,8 +162,8 @@ func TestBurnRateFiresOnBadStream(t *testing.T) {
 	if pages == 0 {
 		t.Fatalf("no page alert in %+v", doc.Alerts)
 	}
-	if h.Firing() {
-		t.Fatal("still firing after 100 clean ticks")
+	if h.PageFiring() {
+		t.Fatal("page still firing after 100 clean ticks")
 	}
 }
 
@@ -308,7 +308,7 @@ func TestNilHubSafe(t *testing.T) {
 	h.ObserveRequest(RequestSample{})
 	h.ObserveShed(0)
 	h.RecordEvent(0, "e", "")
-	if h.Firing() || h.PageFiring() {
+	if h.PageFiring() {
 		t.Fatal("nil hub firing")
 	}
 	if h.Finish(1) != nil {

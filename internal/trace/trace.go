@@ -15,7 +15,8 @@ import (
 
 // Canonical thread-lane ids shared by every emitter so analysis code
 // (internal/prof) can classify spans without string-matching lane labels.
-// GPU pids use 1-13; the serving frontend adds 20/21 on GPU pids.
+// Every id is distinct: the device and worker lanes are 1-13, the serving
+// frontend's 20/21, and injected faults render on 22. All are GPU pids.
 const (
 	LaneKernels  = 1  // compute/gather/sample kernels
 	LaneNVLink   = 2  // NVLink transfers
@@ -26,6 +27,7 @@ const (
 	LaneCCC      = 13 // CCC launch-gate waits
 	LaneRequests = 20 // serving: per-request spans
 	LaneRounds   = 21 // serving: dispatch-round spans
+	LaneFaults   = 22 // fault injector: crash instants, stall and link spans
 )
 
 // Event is one trace event in microseconds of virtual time. Ph is "X"

@@ -46,9 +46,9 @@ func BuildRunReport(in ReportInput) *prof.RunReport {
 			Epoch:       st.Epoch,
 			Time:        float64(st.EpochTime),
 			Acc:         st.Acc(),
-			SampleStage: float64(st.SampleStage),
-			LoadStage:   float64(st.LoadStage),
-			TrainStage:  float64(st.TrainStage),
+			SampleStage: st.SampleDist.Sum(),
+			LoadStage:   st.LoadDist.Sum(),
+			TrainStage:  st.TrainDist.Sum(),
 		}
 		if i < len(in.ValAcc) {
 			er.ValAcc = in.ValAcc[i]
@@ -60,9 +60,9 @@ func BuildRunReport(in ReportInput) *prof.RunReport {
 	if len(in.Epochs) > 0 {
 		r.Utilization = append([]float64(nil), sum.Utilization...)
 		r.Stages = map[string]float64{
-			"sample": float64(sum.SampleStage),
-			"load":   float64(sum.LoadStage),
-			"train":  float64(sum.TrainStage),
+			"sample": sum.SampleDist.Sum(),
+			"load":   sum.LoadDist.Sum(),
+			"train":  sum.TrainDist.Sum(),
 		}
 	}
 	for name, dist := range map[string]*metrics.Histogram{"sample": sum.SampleDist, "load": sum.LoadDist, "train": sum.TrainDist} {

@@ -108,9 +108,9 @@ func workerName(m *hw.Machine, rank int) string {
 }
 
 // stageHook is the one wrapper around a worker stage: it pays the host-side
-// framework overhead, runs the stage, accumulates its virtual duration into
-// the epoch's running total and per-step distribution, and emits the stage
-// span when the GPU is traced.
+// framework overhead, runs the stage, records its virtual duration in the
+// epoch's per-step distribution, and emits the stage span when the GPU is
+// traced.
 type stageHook struct {
 	overhead sim.Time
 	tracer   *trace.Tracer
@@ -133,31 +133,29 @@ func (h stageHook) wrap(s *pipeline.Stages, st *EpochStats) {
 	}
 	for i, sample := range s.Samplers {
 		s.Samplers[i] = func(p *sim.Proc, step int) (v interface{}) {
-			h.run(p, "sample", trace.LaneSampler, step, &st.SampleStage, st.SampleDist, func() { v = sample(p, step) })
+			h.run(p, "sample", trace.LaneSampler, step, st.SampleDist, func() { v = sample(p, step) })
 			return v
 		}
 	}
 	for j, load := range s.Loaders {
 		s.Loaders[j] = func(p *sim.Proc, step int, in interface{}) (v interface{}) {
-			h.run(p, "load", trace.LaneLoader, step, &st.LoadStage, st.LoadDist, func() { v = load(p, step, in) })
+			h.run(p, "load", trace.LaneLoader, step, st.LoadDist, func() { v = load(p, step, in) })
 			return v
 		}
 	}
 	train := s.Train
 	s.Train = func(p *sim.Proc, step int, in interface{}) {
-		h.run(p, "train", trace.LaneTrainer, step, &st.TrainStage, st.TrainDist, func() { train(p, step, in) })
+		h.run(p, "train", trace.LaneTrainer, step, st.TrainDist, func() { train(p, step, in) })
 	}
 }
 
-func (h stageHook) run(p *sim.Proc, name string, lane, step int, total *sim.Time, dist *metrics.Histogram, body func()) {
+func (h stageHook) run(p *sim.Proc, name string, lane, step int, dist *metrics.Histogram, body func()) {
 	t0 := p.Now()
 	if h.overhead > 0 {
 		p.Sleep(h.overhead)
 	}
 	body()
-	d := p.Now() - t0
-	*total += d
-	dist.Observe(float64(d))
+	dist.Observe(float64(p.Now() - t0))
 	if h.tracer.Enabled() {
 		h.tracer.Complete(fmt.Sprintf("%s step %d", name, step), "stage", h.rank, lane, float64(t0), float64(p.Now()), nil)
 	}
@@ -184,7 +182,7 @@ type Trainer struct {
 	Reduce Reducer
 	World  int
 	Models []*nn.Model
-	Optims []nn.Optimizer
+	Optims []*nn.Adam
 	Grad   [][]float32
 }
 

@@ -159,11 +159,9 @@ func BatchSeed(runSeed uint64, epoch, step, rank int) uint64 {
 // EpochStats reports one measured epoch.
 type EpochStats struct {
 	Epoch int
-	// EpochTime is the virtual wall time of the epoch.
+	// EpochTime is the virtual wall time of the epoch (for a sampler-only
+	// epoch, Table 6's sampling time).
 	EpochTime sim.Time
-	// SampleTime is the sampler-only epoch time when measured standalone
-	// (Table 6); zero in full training runs.
-	SampleTime sim.Time
 	// Loss/Correct/Seen aggregate training progress (real-compute runs).
 	Loss    float64
 	Correct int
@@ -174,13 +172,11 @@ type EpochStats struct {
 	// per class, cache tiers and adaptation, store, codecs, strategy),
 	// taken by the one bracket in RunEpoch. Baselines count wire only.
 	Counters
-	// Stage time totals (virtual seconds summed across ranks and steps,
-	// including the host-side stage overhead): how long the epoch spent in
-	// each worker. Under the pipeline these overlap, so their sum exceeds
-	// EpochTime.
-	SampleStage, LoadStage, TrainStage sim.Time
-	// Per-step stage duration distributions (virtual seconds; one
-	// observation per rank per step), merged across ranks by RunEpoch.
+	// Per-step stage duration distributions (virtual seconds, including the
+	// host-side stage overhead; one observation per rank per step), merged
+	// across ranks by RunEpoch. Their Sum() is how long the epoch spent in
+	// each worker; under the pipeline the stages overlap, so the sums add up
+	// to more than EpochTime. All three are nil for a sampler-only epoch.
 	SampleDist, LoadDist, TrainDist *metrics.Histogram
 }
 
@@ -195,9 +191,6 @@ func (e *EpochStats) Add(o EpochStats) {
 	e.Seen += o.Seen
 	e.Utilization = o.Utilization
 	e.Counters.Add(o.Counters)
-	e.SampleStage += o.SampleStage
-	e.LoadStage += o.LoadStage
-	e.TrainStage += o.TrainStage
 	if e.SampleDist == nil {
 		e.SampleDist, e.LoadDist, e.TrainDist = metrics.New(), metrics.New(), metrics.New()
 	}
@@ -251,7 +244,7 @@ func SampleEpoch(machines []*hw.Machine, epoch, steps int, overhead sim.Time,
 	if err != nil {
 		return EpochStats{}, err
 	}
-	return EpochStats{Epoch: epoch, SampleTime: end - start, EpochTime: end - start}, nil
+	return EpochStats{Epoch: epoch, EpochTime: end - start}, nil
 }
 
 // Options configures a system build. Zero values get defaults from Default.

@@ -319,9 +319,9 @@ func TestRunEpochPopulatesStageDistributions(t *testing.T) {
 			t.Fatalf("%s dist has %d observations, want %d", name, h.Count(), 2*steps)
 		}
 	}
-	// The distributions carry the per-step stage durations: the sums must
-	// reconcile with the running totals.
-	if got, want := stats.SampleDist.Sum(), float64(stats.SampleStage); math.Abs(got-want) > 1e-12 {
+	// The distributions carry the per-step stage durations, so a sum is the
+	// stage's total: 2 GPUs x 4 steps x 1 ms of sampling.
+	if got, want := stats.SampleDist.Sum(), 2*steps*0.001; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sample dist sum %g != stage total %g", got, want)
 	}
 	if p50 := stats.TrainDist.P50(); math.Abs(p50-0.003) > 0.0002 {

@@ -20,8 +20,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/featstore"
@@ -294,6 +295,26 @@ func (m *Manager) Rebalance(p *sim.Proc, fab *hw.Fabric) {
 	}
 }
 
+// hottestFirst orders GPU g's ids hottest first. Score ties rank
+// currently-held rows above unheld ones (hysteresis: a row is never displaced
+// without evidence, so unobserved rows keep their offline placement), then
+// break by id — a total order, so the unstable sort is deterministic.
+func (m *Manager) hottestFirst(ids []graph.NodeID, g int) {
+	slices.SortFunc(ids, func(a, b graph.NodeID) int {
+		if c := cmp.Compare(m.score(int(b)), m.score(int(a))); c != 0 {
+			return c
+		}
+		ha, hb := m.store.Holder(a) == g, m.store.Holder(b) == g
+		if ha != hb {
+			if ha {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
 // rebalanceGPU adapts GPU g's shard and returns the number of promoted rows.
 func (m *Manager) rebalanceGPU(p *sim.Proc, fab *hw.Fabric, g int) int64 {
 	lo, hi := m.offsets[g], m.offsets[g+1]
@@ -305,20 +326,7 @@ func (m *Manager) rebalanceGPU(p *sim.Proc, fab *hw.Fabric, g int) int64 {
 	for v := lo; v < hi; v++ {
 		ids = append(ids, graph.NodeID(v))
 	}
-	// Hottest first. Score ties rank currently-held rows above unheld ones
-	// (hysteresis: a row is never displaced without evidence, so unobserved
-	// rows keep their offline placement), then break by id for determinism.
-	sort.SliceStable(ids, func(a, b int) bool {
-		sa, sb := m.score(int(ids[a])), m.score(int(ids[b]))
-		if sa != sb {
-			return sa > sb
-		}
-		ha, hb := m.store.Holder(ids[a]) == g, m.store.Holder(ids[b]) == g
-		if ha != hb {
-			return ha
-		}
-		return ids[a] < ids[b]
-	})
+	m.hottestFirst(ids, g)
 	// The target shard is the top `budget` rows. Promotions are target rows
 	// not yet held; each is paired with the coldest held row outside the
 	// target, so the shard size is invariant.

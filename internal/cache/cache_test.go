@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/fault"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/partition"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -256,5 +259,42 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+}
+
+// TestHottestFirstMatchesStableSort holds the rebalancer's ranking to the
+// stable comparison sort it replaced, on counters with many score ties (few,
+// repeated observations) and with held and unheld rows in each range.
+func TestHottestFirstMatchesStableSort(t *testing.T) {
+	f := build(t, 3)
+	for _, policy := range []Policy{LFUDecay, DegreeHybrid} {
+		s := f.store(50)
+		mgr := New(s, f.g, f.offsets, Config{Policy: policy})
+		r := rng.New(uint64(policy))
+		for i := 0; i < 200; i++ {
+			mgr.Split([]graph.NodeID{graph.NodeID(r.Intn(f.g.NumNodes()))}, r.Intn(3))
+		}
+		for g := 0; g < 3; g++ {
+			var ids []graph.NodeID
+			for v := f.offsets[g]; v < f.offsets[g+1]; v++ {
+				ids = append(ids, graph.NodeID(v))
+			}
+			want := slices.Clone(ids)
+			sort.SliceStable(want, func(a, b int) bool {
+				sa, sb := mgr.score(int(want[a])), mgr.score(int(want[b]))
+				if sa != sb {
+					return sa > sb
+				}
+				ha, hb := s.Holder(want[a]) == g, s.Holder(want[b]) == g
+				if ha != hb {
+					return ha
+				}
+				return want[a] < want[b]
+			})
+			mgr.hottestFirst(ids, g)
+			if !slices.Equal(ids, want) {
+				t.Fatalf("policy %v GPU %d: ranking differs from the stable sort", policy, g)
+			}
+		}
 	}
 }

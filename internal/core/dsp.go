@@ -44,6 +44,16 @@ type DSP struct {
 	subs  []*strategy.Substrate // one per machine
 	sched train.Schedule
 	injs  []*fault.Injector // one per machine when Opts.Faults is set
+	// perms[rank] is rank's shard permutation for one epoch, drawn into the
+	// last epoch's array at the epoch's first batch and shared by every
+	// machine.
+	perms []epochPerm
+}
+
+// epochPerm is a schedule permutation and the epoch it was drawn for.
+type epochPerm struct {
+	epoch int
+	perm  []int
 }
 
 // New builds a DSP instance on one stand-alone machine: partitioned topology,
@@ -82,7 +92,8 @@ func NewMulti(opts train.Options, machines int, net hw.NetworkSpec) (*DSP, error
 // one engine) from resolved options.
 func build(opts train.Options, machines []*hw.Machine) (*DSP, error) {
 	machines[0].Eng.SetParallelism(opts.Parallel)
-	s := &DSP{Opts: opts, sched: train.Schedule{BatchSize: opts.BatchSize}}
+	s := &DSP{Opts: opts, sched: train.Schedule{BatchSize: opts.BatchSize},
+		perms: make([]epochPerm, opts.Data.NumGPUs())}
 	// Each machine consumes a 1/machines stride of every shard.
 	for _, shard := range opts.Data.Shards {
 		per := (len(shard) + len(machines) - 1) / len(machines)
@@ -185,11 +196,15 @@ func (s *DSP) Compression() [hw.TrafficOther + 1]comm.CompressionStats {
 func (s *DSP) window(boundary bool) train.Window { return strategy.Window(boundary, s.subs...) }
 
 // batch names (epoch, step)'s seeds and sampling seed for rank on machine:
-// rank's shard is shuffled per epoch (the shared permutation) and the machines
-// take interleaved batch-sized slices of it.
+// rank's shard is shuffled per epoch (the shared permutation, drawn once) and
+// the machines take interleaved batch-sized slices of it.
 func (s *DSP) batch(machine, epoch, step, rank int) ([]graph.NodeID, uint64) {
+	ep := &s.perms[rank]
+	if ep.perm == nil || ep.epoch != epoch {
+		*ep = epochPerm{epoch: epoch, perm: s.sched.Perm(ep.perm, s.Opts.Data, s.Opts.Seed, epoch, rank)}
+	}
 	stride := step*len(s.subs) + machine
-	return s.sched.Batch(s.Opts.Data, s.Opts.Seed, epoch, stride, rank), train.BatchSeed(s.Opts.Seed, epoch, stride, rank)
+	return s.sched.Seeds(s.Opts.Data, ep.perm, stride, rank), train.BatchSeed(s.Opts.Seed, epoch, stride, rank)
 }
 
 // RunEpoch implements train.System.
@@ -271,7 +286,8 @@ func (s *DSP) RunSampleEpoch(epoch int) (train.EpochStats, error) {
 	return train.SampleEpoch(s.window(false).Machines, epoch, s.sched.Steps, s.Opts.EffectiveStageOverhead(),
 		func(p *sim.Proc, m, rank, step int) {
 			seeds, seed := s.batch(m, epoch, step, rank)
-			s.subs[m].Sample(p, s.subs[m].Worlds[0], rank, seeds, seed)
+			w := s.subs[m].Worlds[0]
+			w.Release(rank, s.subs[m].Sample(p, w, rank, seeds, seed))
 		})
 }
 

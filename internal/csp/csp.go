@@ -26,7 +26,10 @@
 // That is safe because of one rule — a buffer posted to an all-to-all is read
 // by peers until they finish the phase that consumes it, and this rank does
 // not write it again before every rank has entered a later collective (see
-// roundScratch).
+// roundScratch). What it hands on it allocates only until the batch's last
+// reader gives the batch back with Release: the next batch is rebuilt in the
+// released one's arrays, so a steady-state round allocates nothing the
+// caller releases.
 package csp
 
 import (
@@ -184,10 +187,20 @@ type World struct {
 // the old task buffers to their readers and appends to fresh ones.
 //
 // Everything else (counts, owner, cur, hostNodes, outCounts, ahead, peerSeed,
-// the deduper) is read by this rank alone. A Clone starts with no scratch, so
-// every multi-instance sampler world owns its own.
+// samples, the deduper) is read by this rank alone. A Clone starts with no
+// scratch, so every multi-instance sampler world owns its own.
+//
+// The release rule. free holds the batches this rank's last readers handed
+// back with Release; the next batch pops one and is rebuilt in its arrays.
+// A block's arrays are never posted to a collective (the shuffle copies the
+// frontier into tasks, the assembly copies replies out), so a released batch
+// is read by nobody here — the caller promises the same of itself: a batch
+// is released once, by its last reader, and is never read again. A reader
+// that cannot promise it (a serving round some attempt of which aborted,
+// leaving a staged gather behind) drops the batch instead.
 type roundScratch struct {
 	dedup *sample.Deduper
+	free  []*sample.MiniBatch
 	open  bool // a round began and has not left its reshuffle
 	// counts is the node-wise fan-out per frontier node; outTasks[o] the
 	// tasks routed to owner o; owner[i] the owner frontier node i's task went
@@ -204,8 +217,38 @@ type roundScratch struct {
 
 	hostNodes []graph.NodeID
 	outCounts []int32
+	samples   []graph.NodeID // the assembled layer, before Rebuild copies it
 	ahead     []graph.NodeID // next frontier's host-resident rows (prefetch)
 	peerSeed  []uint64
+}
+
+// Release hands rank's batch mb, sampled on this world, back to the world:
+// the rank's next batch is built in its arrays. The caller must be mb's last
+// reader — nothing may read mb, its blocks or their arrays afterwards.
+func (w *World) Release(rank int, mb *sample.MiniBatch) {
+	s := w.scratchOf(rank)
+	s.free = append(s.free, mb)
+}
+
+// batch returns the batch rank's next sample is built in, with layers blocks
+// in sampling order (output-most first): the last released batch, cleared,
+// or a new one.
+func (s *roundScratch) batch(layers int) *sample.MiniBatch {
+	var mb *sample.MiniBatch
+	if k := len(s.free); k > 0 {
+		mb = s.free[k-1]
+		s.free[k-1] = nil
+		s.free = s.free[:k-1]
+		*mb = sample.MiniBatch{Blocks: mb.Blocks}
+		slices.Reverse(mb.Blocks)
+	} else {
+		mb = &sample.MiniBatch{Blocks: make([]*sample.Block, 0, layers)}
+	}
+	for len(mb.Blocks) < layers {
+		mb.Blocks = append(mb.Blocks, new(sample.Block))
+	}
+	mb.Blocks = mb.Blocks[:layers]
+	return mb
 }
 
 // replyCursor walks one owner's reply: the next task's index into its count
@@ -425,11 +468,11 @@ func (w *World) sampleBatch(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sam
 // sampleLayers runs the rounds of one batch; the caller has filled the rank's
 // peerSeed table (whose seed each requester's draws take).
 func (w *World) sampleLayers(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sample.Config, batchSeed uint64, fused bool) *sample.MiniBatch {
-	mb := &sample.MiniBatch{Seeds: seeds, Seed: batchSeed}
 	s := w.scratchOf(rank)
+	mb := s.batch(cfg.Layers())
+	mb.Seeds, mb.Seed = seeds, batchSeed
 	dst := seeds
-	blocks := make([]*sample.Block, 0, cfg.Layers())
-	for l := 0; l < cfg.Layers(); l++ {
+	for l, block := range mb.Blocks {
 		var counts []int32
 		if cfg.LayerWise {
 			info := w.fetchMasses(p, rank, dst)
@@ -441,8 +484,7 @@ func (w *World) sampleLayers(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sa
 				counts[i] = int32(cfg.Fanout[l])
 			}
 		}
-		block := w.sampleLayer(p, rank, dst, counts, cfg, l, fused)
-		blocks = append(blocks, block)
+		w.sampleLayer(p, rank, dst, counts, cfg, l, fused, block)
 		dst = block.InputNodes
 		// Proximity-aware prefetch (BGL-style): the next layer will read the
 		// adjacency of this frontier, so warm the out-of-core tier for its
@@ -460,10 +502,7 @@ func (w *World) sampleLayers(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sa
 			}
 		}
 	}
-	for i, j := 0, len(blocks)-1; i < j; i, j = i+1, j-1 {
-		blocks[i], blocks[j] = blocks[j], blocks[i]
-	}
-	mb.Blocks = blocks
+	slices.Reverse(mb.Blocks)
 	return mb
 }
 
@@ -554,10 +593,10 @@ func (w *World) fetchMasses(p *sim.Proc, rank int, dst []graph.NodeID) []massInf
 }
 
 // sampleLayer runs one shuffle/sample/reshuffle round and assembles the
-// requester-side block. fused selects one kernel for all received tasks
-// (DSP's design) versus one kernel per task (the async alternative). Every
-// buffer but the block's own arrays comes from the rank's roundScratch.
-func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []int32, cfg sample.Config, layer int, fused bool) *sample.Block {
+// requester-side block into block. fused selects one kernel for all received
+// tasks (DSP's design) versus one kernel per task (the async alternative).
+// Every buffer but the block's own arrays comes from the rank's roundScratch.
+func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []int32, cfg sample.Config, layer int, fused bool, block *sample.Block) {
 	n := w.Comm.N
 	dev := w.M.GPUs[rank]
 	s := w.scratchOf(rank)
@@ -666,16 +705,11 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	s.open = false // every rank entered the reshuffle: no draw unit is left
 
 	// --- assembly on the requester -------------------------------------
-	// samples becomes Block.Src: one exact allocation, nil when nothing came
-	// back (as the reference sampler leaves it).
 	var total int
 	for o := range backSamples {
 		total += len(backSamples[o])
 	}
-	var samples []graph.NodeID
-	if total > 0 {
-		samples = make([]graph.NodeID, 0, total)
-	}
+	samples := slices.Grow(s.samples[:0], total)
 	clear(s.cur)
 	s.outCounts = resized(s.outCounts, len(dst))
 	outCounts := s.outCounts
@@ -691,12 +725,13 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 		c.next++
 		c.off += k
 	}
+	s.samples = samples
 	// The block-assembly kernel (unique + index building) is bandwidth
 	// work proportional to the gathered ids.
 	if len(samples) > 0 {
 		dev.RunKernel(p, hw.KernelGather, int64(len(samples))*16)
 	}
-	return s.dedup.BuildBlock(dst, outCounts, samples)
+	s.dedup.Rebuild(block, dst, outCounts, samples)
 }
 
 // SamplingCommVolume reports the sample-class wire bytes accumulated so far

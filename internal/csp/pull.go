@@ -1,6 +1,8 @@
 package csp
 
 import (
+	"slices"
+
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/hw"
@@ -18,10 +20,11 @@ import (
 func (w *World) PullDataSampleBatch(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sample.Config, batchSeed uint64) *sample.MiniBatch {
 	// Batch seeds still need no exchange: sampling happens on the
 	// requester, but keep the collective structure aligned across ranks.
-	mb := &sample.MiniBatch{Seeds: seeds, Seed: batchSeed}
+	s := w.scratchOf(rank)
+	mb := s.batch(cfg.Layers())
+	mb.Seeds, mb.Seed = seeds, batchSeed
 	dst := seeds
-	blocks := make([]*sample.Block, 0, cfg.Layers())
-	for l := 0; l < cfg.Layers(); l++ {
+	for l, block := range mb.Blocks {
 		adjs, wts := w.pullAdjacency(p, rank, dst, cfg.Biased)
 		var counts []int32
 		if cfg.LayerWise {
@@ -53,7 +56,7 @@ func (w *World) PullDataSampleBatch(p *sim.Proc, rank int, seeds []graph.NodeID,
 			w.M.GPUs[rank].RunKernel(p, hw.KernelSample, work)
 		}
 		outCounts := make([]int32, len(dst))
-		var samples []graph.NodeID
+		samples := s.samples[:0]
 		for i, v := range dst {
 			if counts[i] == 0 {
 				continue
@@ -62,17 +65,14 @@ func (w *World) PullDataSampleBatch(p *sim.Proc, rank int, seeds []graph.NodeID,
 			samples = sample.DrawAdj(adjs[i], wts[i], v, l, int(counts[i]), cfg, batchSeed, samples)
 			outCounts[i] = int32(len(samples) - before)
 		}
+		s.samples = samples
 		if len(samples) > 0 {
 			w.M.GPUs[rank].RunKernel(p, hw.KernelGather, int64(len(samples))*16)
 		}
-		block := sample.BuildBlock(dst, outCounts, samples)
-		blocks = append(blocks, block)
+		s.dedup.Rebuild(block, dst, outCounts, samples)
 		dst = block.InputNodes
 	}
-	for i, j := 0, len(blocks)-1; i < j; i, j = i+1, j-1 {
-		blocks[i], blocks[j] = blocks[j], blocks[i]
-	}
-	mb.Blocks = blocks
+	slices.Reverse(mb.Blocks)
 	return mb
 }
 

@@ -82,9 +82,13 @@ func TestSampleRoundSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScratchReuseInvisible: the workspace carries nothing from one batch to
-// the next. Every mode samples three consecutive, different batches on one
-// world and each must equal the reference sampler down to nil-ness
-// (reflect.DeepEqual, the comparison the benchmark's own check uses).
+// the next. Every mode samples consecutive, different batches on one world and
+// each must equal the reference sampler down to nil-ness (reflect.DeepEqual,
+// the comparison the benchmark's own check uses). The released modes check
+// each batch as it comes back and release it, so the next one is rebuilt in
+// its arrays; their windows shrink and grow past every earlier size, and the
+// seedless rank samples, passes no seeds (its Src must come back nil), then
+// samples again.
 func TestScratchReuseInvisible(t *testing.T) {
 	const nGPU = 4
 	all := []int{0, 1, 2, 3}
@@ -96,7 +100,13 @@ func TestScratchReuseInvisible(t *testing.T) {
 		prepare  func(tw *world) (ranks []int)
 		noSeeds  int // rank that passes no seeds, -1 for none
 		shared   bool
+		release  bool
+		pull     bool
 	}
+	// released[k] is the seed window of a released mode's round k; the
+	// seedless rank passes none in round emptyRound.
+	released := [][2]int{{24, 40}, {0, 64}, {60, 62}, {8, 56}, {0, 64}}
+	const emptyRound = 3
 	modes := []mode{
 		{name: "node-wise", cfg: sample.Config{Fanout: []int{5, 3, 2}}, noSeeds: -1},
 		{name: "biased", cfg: sample.Config{Fanout: []int{6, 4}, Biased: true}, biased: true, noSeeds: -1},
@@ -111,6 +121,10 @@ func TestScratchReuseInvisible(t *testing.T) {
 				view.Kill(1)
 				return []int{0, 2, 3}
 			}},
+		{name: "released", cfg: sample.Config{Fanout: []int{5, 3, 2}}, parallel: 4, noSeeds: 2, release: true},
+		{name: "released biased layer-wise", cfg: sample.Config{Fanout: []int{40, 40}, LayerWise: true, Biased: true},
+			biased: true, noSeeds: 2, release: true},
+		{name: "released data pull", cfg: sample.Config{Fanout: []int{5, 3}}, noSeeds: 2, release: true, pull: true},
 	}
 	for _, md := range modes {
 		t.Run(md.name, func(t *testing.T) {
@@ -124,9 +138,18 @@ func TestScratchReuseInvisible(t *testing.T) {
 			}
 			// Round k samples a window of the rank's seeds under its own
 			// batch seed, so consecutive batches differ in size and content.
+			rounds := 3
+			seedless := func(r, round int) bool { return r == md.noSeeds }
+			if md.release {
+				rounds = len(released)
+				seedless = func(r, round int) bool { return r == md.noSeeds && round == emptyRound }
+			}
 			seedsOf := func(r, round int) []graph.NodeID {
-				if r == md.noSeeds {
+				if seedless(r, round) {
 					return nil
+				}
+				if md.release {
+					return tw.seeds[r][released[round][0]:released[round][1]]
 				}
 				return tw.seeds[r][round*8 : 64-round*16]
 			}
@@ -136,35 +159,55 @@ func TestScratchReuseInvisible(t *testing.T) {
 				}
 				return tw.bseeds[r] + uint64(round)
 			}
-			const rounds = 3
 			got := make([][]*sample.MiniBatch, rounds)
 			for round := range got {
 				got[round] = make([]*sample.MiniBatch, nGPU)
 			}
-			runRounds(t, tw, tw.w, ranks, rounds, func(p *sim.Proc, w *World, r, round int) *sample.MiniBatch {
-				var mb *sample.MiniBatch
-				if md.shared {
-					w.Comm.Begin(r)
-					mb = w.SampleBatchShared(p, r, seedsOf(r, round), md.cfg, bseed(r, round))
-				} else {
-					mb = w.SampleBatch(p, r, seedsOf(r, round), md.cfg, bseed(r, round))
+			// check runs inside the sampler processes in the released modes,
+			// so it reports with Errorf.
+			check := func(r, round int, mb *sample.MiniBatch) {
+				want := sample.Reference(tw.g, seedsOf(r, round), md.cfg, bseed(r, round))
+				if !reflect.DeepEqual(mb.Blocks, want.Blocks) {
+					t.Errorf("round %d rank %d: blocks differ from the reference (%v)", round, r, sameBatch(mb, want))
+					return
 				}
-				got[round][r] = mb
-				return mb
-			})
-			for round := 0; round < rounds; round++ {
-				for _, r := range ranks {
-					want := sample.Reference(tw.g, seedsOf(r, round), md.cfg, bseed(r, round))
-					if !reflect.DeepEqual(got[round][r].Blocks, want.Blocks) {
-						t.Fatalf("round %d rank %d: blocks differ from the reference (%v)", round, r, sameBatch(got[round][r], want))
+				if !seedless(r, round) {
+					return
+				}
+				for _, b := range mb.Blocks {
+					if b.Src != nil || b.InputNodes == nil || len(b.InputNodes) != 0 {
+						t.Errorf("round %d seedless rank %d: Src %v (want nil), InputNodes %v (want empty, non-nil)", round, r, b.Src, b.InputNodes)
+						return
 					}
 				}
 			}
-			if r := md.noSeeds; r >= 0 {
-				for _, b := range got[rounds-1][r].Blocks {
-					if b.Src != nil || b.InputNodes == nil || len(b.InputNodes) != 0 {
-						t.Fatalf("seedless rank: Src %v (want nil), InputNodes %v (want empty, non-nil)", b.Src, b.InputNodes)
+			runRounds(t, tw, tw.w, ranks, rounds, func(p *sim.Proc, w *World, r, round int) *sample.MiniBatch {
+				var mb *sample.MiniBatch
+				switch {
+				case md.pull:
+					mb = w.PullDataSampleBatch(p, r, seedsOf(r, round), md.cfg, bseed(r, round))
+				case md.shared:
+					w.Comm.Begin(r)
+					mb = w.SampleBatchShared(p, r, seedsOf(r, round), md.cfg, bseed(r, round))
+				default:
+					mb = w.SampleBatch(p, r, seedsOf(r, round), md.cfg, bseed(r, round))
+				}
+				got[round][r] = mb
+				if md.release {
+					check(r, round, mb)
+					if round > 0 && mb != got[round-1][r] {
+						t.Errorf("round %d rank %d: not built in the batch released the round before", round, r)
 					}
+					w.Release(r, mb)
+				}
+				return mb
+			})
+			if md.release {
+				return
+			}
+			for round := 0; round < rounds; round++ {
+				for _, r := range ranks {
+					check(r, round, got[round][r])
 				}
 			}
 		})

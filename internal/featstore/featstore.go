@@ -11,8 +11,9 @@
 package featstore
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -307,6 +308,18 @@ func Scores(g *graph.CSR, policy Policy) []float64 {
 	return scores
 }
 
+// hottestFirst orders ids by descending score, ties by ascending id. That is
+// a total order, so the unstable sort is deterministic. The builders skip it
+// when the budget takes every id.
+func hottestFirst(ids []graph.NodeID, scores []float64) {
+	slices.SortFunc(ids, func(a, b graph.NodeID) int {
+		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
 // BuildPartitioned builds DSP's partitioned cache: GPU g caches the
 // highest-scoring rows of its own id range [offsets[g], offsets[g+1]) up to
 // budgetPerGPU bytes. The graph must already be in layout order.
@@ -330,16 +343,9 @@ func BuildPartitioned(g *graph.CSR, features []float32, dim int, offsets []int64
 		for v := lo; v < hi; v++ {
 			ids = append(ids, graph.NodeID(v))
 		}
-		sort.SliceStable(ids, func(a, b int) bool {
-			sa, sb := scores[ids[a]], scores[ids[b]]
-			if sa != sb {
-				return sa > sb
-			}
-			return ids[a] < ids[b]
-		})
-		take := int64(len(ids))
-		if take > capRows {
-			take = capRows
+		take := min(int64(len(ids)), capRows)
+		if take < int64(len(ids)) {
+			hottestFirst(ids, scores)
 		}
 		for _, v := range ids[:take] {
 			s.cacheGPU[v] = int8(gpu)
@@ -363,17 +369,9 @@ func BuildReplicated(g *graph.CSR, features []float32, dim int, numGPUs int, bud
 	for i := range ids {
 		ids[i] = graph.NodeID(i)
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		sa, sb := scores[ids[a]], scores[ids[b]]
-		if sa != sb {
-			return sa > sb
-		}
-		return ids[a] < ids[b]
-	})
-	capRows := budgetPerGPU / int64(dim*4)
-	take := int64(len(ids))
-	if take > capRows {
-		take = capRows
+	take := min(int64(len(ids)), budgetPerGPU/int64(dim*4))
+	if take < int64(len(ids)) {
+		hottestFirst(ids, scores)
 	}
 	for _, v := range ids[:take] {
 		s.hot[v] = true

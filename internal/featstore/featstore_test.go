@@ -2,6 +2,7 @@ package featstore
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -548,5 +549,62 @@ func TestCachedFractionWeighted(t *testing.T) {
 	}
 	if got := s.CachedFraction(solo); got != want {
 		t.Fatalf("solo fraction %g, want %g", got, want)
+	}
+}
+
+// refHottest is the builders' ranking as it was: a stable comparison sort of
+// ids by descending score, ties by ascending id.
+func refHottest(ids []graph.NodeID, scores []float64) {
+	sort.SliceStable(ids, func(a, b int) bool {
+		sa, sb := scores[ids[a]], scores[ids[b]]
+		if sa != sb {
+			return sa > sb
+		}
+		return ids[a] < ids[b]
+	})
+}
+
+// TestBuildersMatchStableSort: under every policy and budget — none, part of
+// a range, exactly a range, all of it — the partitioned holders and the
+// replicated hot set equal the top rows of the old stable sort.
+func TestBuildersMatchStableSort(t *testing.T) {
+	for _, k := range []int{4, 10} {
+		f := build(t, k)
+		row := int64(f.d.FeatDim * 4)
+		rangeRows := f.offsets[1] - f.offsets[0]
+		for _, policy := range []Policy{ByDegree, ByPageRank, ByReversePageRank} {
+			scores := Scores(f.g, policy)
+			for _, rows := range []int64{0, 1, 60, rangeRows, 1 << 30} {
+				p := BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, rows*row, policy)
+				for g := 0; g < k; g++ {
+					var ids []graph.NodeID
+					for v := f.offsets[g]; v < f.offsets[g+1]; v++ {
+						ids = append(ids, graph.NodeID(v))
+					}
+					refHottest(ids, scores)
+					take := min(int64(len(ids)), rows)
+					if p.CachedRows[g] != take {
+						t.Fatalf("k=%d policy %d rows %d: GPU %d caches %d rows, want %d", k, policy, rows, g, p.CachedRows[g], take)
+					}
+					for i, v := range ids {
+						if cached := p.cacheGPU[v] == int8(g); cached != (int64(i) < take) {
+							t.Fatalf("k=%d policy %d rows %d: node %d (rank %d) cached=%v", k, policy, rows, v, i, cached)
+						}
+					}
+				}
+				r := BuildReplicated(f.g, f.feats, f.d.FeatDim, k, rows*row, policy)
+				ids := make([]graph.NodeID, f.g.NumNodes())
+				for i := range ids {
+					ids[i] = graph.NodeID(i)
+				}
+				refHottest(ids, scores)
+				take := min(int64(len(ids)), rows)
+				for i, v := range ids {
+					if r.hot[v] != (int64(i) < take) {
+						t.Fatalf("k=%d policy %d rows %d: replicated node %d (rank %d) hot=%v", k, policy, rows, v, i, r.hot[v])
+					}
+				}
+			}
+		}
 	}
 }

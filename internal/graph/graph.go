@@ -5,10 +5,7 @@
 // from.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeID is a global node identifier.
 type NodeID = int32
@@ -134,20 +131,30 @@ func FromEdges(n int, src, dst []NodeID) *CSR {
 }
 
 // NodesByDegreeDesc returns node ids sorted by descending degree (stable:
-// ties broken by ascending id) — the paper's default hot-node criterion.
+// ties broken by ascending id) — the paper's default hot-node criterion. It
+// is a counting sort: each id goes to the next slot of its degree's run.
 func (g *CSR) NodesByDegreeDesc() []NodeID {
 	n := g.NumNodes()
-	ids := make([]NodeID, n)
-	for i := range ids {
-		ids[i] = NodeID(i)
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, g.Degree(NodeID(v)))
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		da, db := g.Degree(ids[a]), g.Degree(ids[b])
-		if da != db {
-			return da > db
-		}
-		return ids[a] < ids[b]
-	})
+	// next[d] is the slot of the next id of degree d: after every id of a
+	// higher degree and every lower id of degree d.
+	next := make([]int, maxDeg+1)
+	for v := 0; v < n; v++ {
+		next[g.Degree(NodeID(v))]++
+	}
+	pos := 0
+	for d := maxDeg; d >= 0; d-- {
+		next[d], pos = pos, pos+next[d]
+	}
+	ids := make([]NodeID, n)
+	for v := 0; v < n; v++ {
+		d := g.Degree(NodeID(v))
+		ids[next[d]] = NodeID(v)
+		next[d]++
+	}
 	return ids
 }
 
@@ -215,8 +222,19 @@ type Patch struct {
 
 // ExtractPatch builds a patch for the given owned nodes (must be sorted
 // ascending and unique). The source may be flat or compressed; a compressed
-// source yields sorted adjacency lists.
+// source yields sorted adjacency lists. A flat source over a contiguous id
+// range shares its arrays with the patch (see rangePatch): neither may be
+// written afterwards.
 func ExtractPatch(g Topology, nodes []NodeID) *Patch {
+	if c, ok := g.(*CSR); ok && len(nodes) > 0 && int(nodes[len(nodes)-1]-nodes[0]) == len(nodes)-1 {
+		return c.rangePatch(nodes)
+	}
+	return copyPatch(g, nodes)
+}
+
+// copyPatch is ExtractPatch into arrays of the patch's own, decoding a
+// compressed source row by row.
+func copyPatch(g Topology, nodes []NodeID) *Patch {
 	p := &Patch{Nodes: nodes}
 	p.Adj.Indptr = make([]int64, len(nodes)+1)
 	var total int64
@@ -233,6 +251,25 @@ func ExtractPatch(g Topology, nodes []NodeID) *Patch {
 		for _, v := range nodes {
 			p.Adj.Weights = append(p.Adj.Weights, g.NeighborWeights(v)...)
 		}
+	}
+	return p
+}
+
+// rangePatch is ExtractPatch over the contiguous range nodes: the patch's
+// Indices and Weights are the range's stretch of g's, capped at its end so an
+// append cannot reach a neighbouring row, and only Indptr is copied (rebased
+// to start at zero).
+func (g *CSR) rangePatch(nodes []NodeID) *Patch {
+	first, last := nodes[0], nodes[len(nodes)-1]
+	lo, hi := g.Indptr[first], g.Indptr[last+1]
+	p := &Patch{Nodes: nodes}
+	p.Adj.Indptr = make([]int64, len(nodes)+1)
+	for i := range nodes {
+		p.Adj.Indptr[i+1] = g.Indptr[int(first)+i+1] - lo
+	}
+	p.Adj.Indices = g.Indices[lo:hi:hi]
+	if g.Weights != nil {
+		p.Adj.Weights = g.Weights[lo:hi:hi]
 	}
 	return p
 }

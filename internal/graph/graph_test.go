@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -220,5 +221,59 @@ func TestTopologyBytes(t *testing.T) {
 	g.Weights = make([]float32, 5)
 	if got := g.TopologyBytes(); got != want+20 {
 		t.Fatalf("weighted TopologyBytes=%d want %d", got, want+20)
+	}
+}
+
+// TestNodesByDegreeDescMatchesSort holds the counting sort to the stable
+// comparison sort it replaced.
+func TestNodesByDegreeDescMatchesSort(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		g := randomCSR(t, 2+trial*7, false, uint64(trial))
+		want := make([]NodeID, g.NumNodes())
+		for i := range want {
+			want[i] = NodeID(i)
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			da, db := g.Degree(want[a]), g.Degree(want[b])
+			if da != db {
+				return da > db
+			}
+			return want[a] < want[b]
+		})
+		if got := g.NodesByDegreeDesc(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// TestRangePatchAliasesGraph: a flat patch over a contiguous range equals the
+// copying path, shares the graph's arrays, and its capacity stops at the
+// range's end.
+func TestRangePatchAliasesGraph(t *testing.T) {
+	r := rng.New(11)
+	g := randomCSR(t, 200, true, 11)
+	for trial := 0; trial < 50; trial++ {
+		lo := r.Intn(g.NumNodes())
+		hi := lo + 1 + r.Intn(g.NumNodes()-lo)
+		nodes := make([]NodeID, 0, hi-lo)
+		for v := lo; v < hi; v++ {
+			nodes = append(nodes, NodeID(v))
+		}
+		got := ExtractPatch(g, nodes)
+		if want := copyPatch(g, nodes); !reflect.DeepEqual(got, want) {
+			t.Fatalf("[%d,%d): patch differs from the copy", lo, hi)
+		}
+		n := len(got.Adj.Indices)
+		if cap(got.Adj.Indices) != n || cap(got.Adj.Weights) != n {
+			t.Fatalf("[%d,%d): cap %d/%d for %d entries", lo, hi, cap(got.Adj.Indices), cap(got.Adj.Weights), n)
+		}
+		if n > 0 && (&got.Adj.Indices[0] != &g.Indices[g.Indptr[lo]] || &got.Adj.Weights[0] != &g.Weights[g.Indptr[lo]]) {
+			t.Fatalf("[%d,%d): patch copied the graph's arrays", lo, hi)
+		}
+	}
+	// A gap in the node list takes the copying path.
+	p := ExtractPatch(g, []NodeID{3, 5})
+	if !reflect.DeepEqual(p, copyPatch(g, []NodeID{3, 5})) {
+		t.Fatal("non-contiguous patch differs from the copy")
 	}
 }

@@ -45,13 +45,39 @@ func NewDeduper(numNodes int) *Deduper {
 }
 
 // BuildBlock is identical in results to the package-level BuildBlock but
-// reuses the deduper's mark table for the unique-input-node index.
+// reuses the deduper's mark table for the unique-input-node index. The block
+// keeps samples as its Src.
 func (d *Deduper) BuildBlock(dst []graph.NodeID, counts []int32, samples []graph.NodeID) *Block {
+	b := &Block{Src: samples}
+	d.build(b, dst, counts, samples)
+	return b
+}
+
+// Rebuild is BuildBlock writing into b, a block of a batch its sampler got
+// back: Src, SrcPtr, SrcLocal and InputNodes are written into b's own
+// arrays, each grown with headroom when it is too small, and samples is
+// copied, not kept. The result equals BuildBlock's by reflect.DeepEqual — Src
+// is nil when samples is empty (its storage is dropped with it), SrcLocal and
+// InputNodes are non-nil.
+func (d *Deduper) Rebuild(b *Block, dst []graph.NodeID, counts []int32, samples []graph.NodeID) {
+	src := b.Src
+	b.Src = nil
+	if len(samples) > 0 {
+		b.Src = fit(src, len(samples))
+		copy(b.Src, samples)
+	}
+	d.build(b, dst, counts, samples)
+}
+
+// build writes b's Dst, SrcPtr, SrcLocal and InputNodes for samples, in b's
+// arrays when it has them (see fit).
+func (d *Deduper) build(b *Block, dst []graph.NodeID, counts []int32, samples []graph.NodeID) {
 	if len(dst) != len(counts) {
 		panic("sample: dst/counts length mismatch")
 	}
-	b := &Block{Dst: dst, Src: samples}
-	b.SrcPtr = make([]int32, len(dst)+1)
+	b.Dst = dst
+	b.SrcPtr = fit(b.SrcPtr, len(dst)+1)
+	b.SrcPtr[0] = 0
 	var total int32
 	for i, c := range counts {
 		total += c
@@ -61,13 +87,13 @@ func (d *Deduper) BuildBlock(dst []graph.NodeID, counts []int32, samples []graph
 		panic(fmt.Sprintf("sample: %d samples for counts summing to %d", len(samples), total))
 	}
 	// InputNodes: dst first, then unseen src nodes, collected in the reused
-	// buffer so the block keeps one exact-size array (non-nil when empty).
+	// buffer so the block keeps one array of its own (non-nil when empty).
 	mark := d.mark
 	in := append(d.in[:0], dst...)
 	for i, v := range dst {
 		mark[v] = int32(i) + 1
 	}
-	b.SrcLocal = make([]int32, len(samples))
+	b.SrcLocal = fit(b.SrcLocal, len(samples))
 	for i, v := range samples {
 		li := mark[v]
 		if li == 0 {
@@ -83,8 +109,22 @@ func (d *Deduper) BuildBlock(dst []graph.NodeID, counts []int32, samples []graph
 		mark[v] = 0
 	}
 	d.in = in
-	b.InputNodes = append(make([]graph.NodeID, 0, len(in)), in...)
-	return b
+	b.InputNodes = fit(b.InputNodes, len(in))
+	copy(b.InputNodes, in)
+}
+
+// fit returns s with length n and unspecified contents, never nil. A nil s
+// (a new block's array) gets exactly n; a reused one keeps its storage when
+// that is large enough and otherwise gets a quarter of headroom, since the
+// next batch of the same shape differs by a few per cent.
+func fit[T any](s []T, n int) []T {
+	switch {
+	case s == nil:
+		return make([]T, n)
+	case cap(s) >= n:
+		return s[:n]
+	}
+	return make([]T, n, n+n/4)
 }
 
 // BuildBlock assembles a block from per-destination sample lists and

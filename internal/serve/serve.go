@@ -873,8 +873,9 @@ const retryBackoff sim.Time = 50e-6
 // barrier release: at any crash instant, either all live ranks already passed
 // the round's last collective (only local work remains) or all of them abort
 // and repeat the round together under the new membership. Kill-unwinds of the
-// dead GPU's own workers (not fault.Aborted) pass through untouched.
-func runRound(p *sim.Proc, begin func(), body func()) {
+// dead GPU's own workers (not fault.Aborted) pass through untouched. retried
+// reports whether an attempt was voided before the one that completed.
+func runRound(p *sim.Proc, begin func(), body func()) (retried bool) {
 	for attempt := 0; ; attempt++ {
 		if func() (done bool) {
 			defer func() {
@@ -889,7 +890,7 @@ func runRound(p *sim.Proc, begin func(), body func()) {
 			body()
 			return true
 		}() {
-			return
+			return attempt > 0
 		}
 	}
 }
@@ -919,7 +920,10 @@ func (s *Server) sampler(p *sim.Proc, g int) {
 
 // executor is GPU g's execution worker: the strategy's Load (DSP: local
 // gather + NVLink all-to-all + UVA, in parallel; p3: the push exchange) then
-// its forward-only Infer, completing every request of the round.
+// its forward-only Infer, completing every request of the round. It is the
+// batch's last reader and releases it to the sampler world — unless an
+// attempt was voided, whose staged gather may still be reading the batch on
+// a worker thread: that batch is dropped.
 func (s *Server) executor(p *sim.Proc, g int) {
 	for {
 		v, ok := s.execQ[g].Get(p)
@@ -936,12 +940,15 @@ func (s *Server) executor(p *sim.Proc, g int) {
 		// record every attempt inside Split: the accesses are real.
 		var l strategy.Loaded
 		var loaded sim.Time
-		runRound(p, func() { s.execComm.Begin(g) }, func() {
+		retried := runRound(p, func() { s.execComm.Begin(g) }, func() {
 			p.Sleep(stageOverhead)
 			l = s.sub.Strategy.Load(p, g, it.mb, s.execComm)
 			loaded = p.Now()
 			preds = s.sub.Strategy.Infer(p, g, l)
 		})
+		if !retried {
+			s.world.Release(g, it.mb)
+		}
 		s.sub.Cache.Account(g, l.Tiers)
 		now := p.Now()
 		batch := len(it.rd.reqs[g])

@@ -127,6 +127,9 @@ type Store struct {
 	pending []int
 	clock   int64
 	stats   Stats
+	// seen[b] == gen marks block b as listed by the current uniqueBlocks call.
+	seen []uint32
+	gen  uint32
 }
 
 // New builds the block table over a topology plus featRows feature rows of
@@ -179,6 +182,7 @@ func New(eng *sim.Engine, topo graph.Topology, featRows, rowBytes int, cfg Confi
 		s.blocks = append(s.blocks, block{bytes: b})
 		s.totalBytes += b
 	}
+	s.seen = make([]uint32, len(s.blocks))
 	if s.cfg.CacheBytes <= 0 {
 		s.cfg.CacheBytes = s.totalBytes / 2
 	}
@@ -233,16 +237,22 @@ func (s *Store) PrefetchFeatures(ids []graph.NodeID) {
 
 // uniqueBlocks maps ids to block indices (offset by base for the feature
 // tier), deduplicated in first-appearance order — deterministic for a
-// deterministic id stream.
+// deterministic id stream. A block is listed once per call: each call takes a
+// new generation and stamps the blocks it lists. The list is the caller's
+// (touches sleep on fetches while other readers call in).
 func (s *Store) uniqueBlocks(ids []graph.NodeID, base int) []int {
-	seen := make(map[int]struct{}, 8)
+	s.gen++
+	if s.gen == 0 { // wrapped: no stale stamp may equal a generation again
+		clear(s.seen)
+		s.gen = 1
+	}
 	var out []int
 	for _, v := range ids {
 		b := base + int(v)/s.blockNodes
-		if _, ok := seen[b]; ok {
+		if s.seen[b] == s.gen {
 			continue
 		}
-		seen[b] = struct{}{}
+		s.seen[b] = s.gen
 		out = append(out, b)
 	}
 	return out

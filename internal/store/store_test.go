@@ -319,3 +319,51 @@ func TestBlockNodesAlignsToCompressedBlockSize(t *testing.T) {
 		t.Errorf("block bytes sum %d != topology bytes %d", total, g.TopologyBytes())
 	}
 }
+
+// refUniqueBlocks is uniqueBlocks as it was: a map of the blocks seen.
+func refUniqueBlocks(s *Store, ids []graph.NodeID, base int) []int {
+	seen := make(map[int]struct{}, 8)
+	var out []int
+	for _, v := range ids {
+		b := base + int(v)/s.blockNodes
+		if _, ok := seen[b]; ok {
+			continue
+		}
+		seen[b] = struct{}{}
+		out = append(out, b)
+	}
+	return out
+}
+
+// TestUniqueBlocksMatchesMap: on random id streams over both tiers — empty,
+// repeating, spanning every block — the stamped table lists the same blocks
+// in the same first-appearance order as the map, through a wrap of the
+// generation counter.
+func TestUniqueBlocksMatchesMap(t *testing.T) {
+	const n = 500
+	eng := sim.NewEngine()
+	s, err := New(eng, uniformCSR(n, 3), n, 64, Config{BlockNodes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	// Stamps as a wrapped counter would reach again: a block stamped long ago
+	// must not read as listed once the generation comes round.
+	for b := range s.seen {
+		s.seen[b] = uint32(b%4 + 1)
+	}
+	s.gen = ^uint32(0) - 3
+	for call := 0; call < 400; call++ {
+		ids := make([]graph.NodeID, r.Intn(40))
+		for i := range ids {
+			ids[i] = graph.NodeID(r.Intn(n))
+		}
+		base := 0
+		if call%2 == 1 {
+			base = s.nTopo
+		}
+		if got, want := s.uniqueBlocks(ids, base), refUniqueBlocks(s, ids, base); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d (gen %d): got %v, want %v", call, s.gen, got, want)
+		}
+	}
+}

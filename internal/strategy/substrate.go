@@ -213,7 +213,8 @@ func (s *Substrate) Sample(p *sim.Proc, w *csp.World, rank int, seeds []graph.No
 // Stages adapts the substrate to rank's pipeline stages for an epoch of
 // steps batches — the one place training's sample → Load → Train chain is
 // written. Sampler instance i samples on world i, loader instance j loads
-// over communicator j, the trainer accumulates into st; batch names the
+// over communicator j, the trainer accumulates into st and, as the batch's
+// last reader, releases it to the world that sampled it; batch names the
 // seeds and the sampling seed of a step (the schedule is the caller's: a
 // cluster strides it across machines).
 func (s *Substrate) Stages(rank, steps int, st *train.EpochStats,
@@ -231,7 +232,9 @@ func (s *Substrate) Stages(rank, steps int, st *train.EpochStats,
 		})
 	}
 	ps.Train = func(p *sim.Proc, step int, v interface{}) {
-		s.Strategy.Train(p, rank, v.(Loaded), st)
+		l := v.(Loaded)
+		s.Strategy.Train(p, rank, l, st)
+		s.Worlds[step%len(s.Worlds)].Release(rank, l.MB)
 	}
 	return ps
 }

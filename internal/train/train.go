@@ -134,16 +134,31 @@ func NewSchedule(d *Data, batchSize int) Schedule {
 // Batch returns rank's seed slice for (epoch, step), shuffled per epoch with
 // a deterministic permutation shared by every system.
 func (s Schedule) Batch(d *Data, runSeed uint64, epoch, step, rank int) []graph.NodeID {
+	return s.Seeds(d, s.Perm(nil, d, runSeed, epoch, rank), step, rank)
+}
+
+// Perm writes rank's shard permutation for epoch — the one Batch slices —
+// into buf's storage when it is large enough and returns it. A caller that
+// walks an epoch's steps draws it once and slices it with Seeds.
+func (s Schedule) Perm(buf []int, d *Data, runSeed uint64, epoch, rank int) []int {
+	n := len(d.Shards[rank])
+	buf = slices.Grow(buf[:0], n)[:n]
+	for i := range buf {
+		buf[i] = i
+	}
+	rng.New(rng.Mix(runSeed, 0xE0C, uint64(epoch), uint64(rank))).ShuffleInts(buf)
+	return buf
+}
+
+// Seeds returns rank's seed slice for step under perm, its Perm of the epoch:
+// a new array, nil once the shard is exhausted.
+func (s Schedule) Seeds(d *Data, perm []int, step, rank int) []graph.NodeID {
 	shard := d.Shards[rank]
-	perm := rng.New(rng.Mix(runSeed, 0xE0C, uint64(epoch), uint64(rank))).Perm(len(shard))
 	lo := step * s.BatchSize
 	if lo >= len(shard) {
 		return nil
 	}
-	hi := lo + s.BatchSize
-	if hi > len(shard) {
-		hi = len(shard)
-	}
+	hi := min(lo+s.BatchSize, len(shard))
 	out := make([]graph.NodeID, 0, hi-lo)
 	for _, idx := range perm[lo:hi] {
 		out = append(out, shard[idx])

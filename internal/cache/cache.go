@@ -1,6 +1,8 @@
 // Package cache is the adaptive feature-cache subsystem layered over
-// featstore: an always-on access tracker, an epoch-boundary (training) or
-// interval (serving) shard rebalancer, and tiered hit accounting.
+// featstore: an access tracker, an epoch-boundary (training) or interval
+// (serving) shard rebalancer, and tiered hit accounting. The tracker runs
+// only under a rebalancing policy (Manager.Dynamic): the static placement
+// reads no hotness counter, so none is kept.
 //
 // DSP's tailored data layout picks each GPU's hot rows once, offline, by a
 // presample score (degree by default). Under workload drift — popularity
@@ -36,9 +38,8 @@ import (
 type Policy int
 
 const (
-	// Static keeps the offline presample placement: the tracker still
-	// records accesses (for accounting) but no rebalancing happens. This is
-	// the DSP-paper baseline.
+	// Static keeps the offline presample placement: no access is tracked
+	// and no rebalancing happens. This is the DSP-paper baseline.
 	Static Policy = iota
 	// LFUDecay ranks rows purely by the EWMA-decayed access frequency.
 	LFUDecay
@@ -98,8 +99,8 @@ func (t *Tiers) Add(o Tiers) {
 	t.Host += o.Host
 }
 
-// Config tunes the manager. The zero value is a valid always-on tracker with
-// the Static (no-rebalance) policy.
+// Config tunes the manager. The zero value is the Static (no-rebalance,
+// untracked) policy.
 type Config struct {
 	Policy Policy
 	// Decay multiplies every hotness counter at each rebalance (EWMA with a
@@ -122,10 +123,8 @@ func (c Config) defaults() Config {
 
 // Stats is the manager's cumulative accounting.
 type Stats struct {
-	// Tiers are fleet-total committed read counts; PerGPU the per-requester
-	// components they sum from.
-	Tiers  Tiers
-	PerGPU []Tiers
+	// Tiers are fleet-total committed read counts.
+	Tiers Tiers
 	// Rebalances counts rebalance passes; Promoted the rows moved into GPU
 	// shards, each paired with one demoted out, so it is also the demotion
 	// count; MovedBytes the promotion bytes charged to PCIe; RebalanceTime
@@ -136,20 +135,14 @@ type Stats struct {
 	RebalanceTime sim.Time
 }
 
-// Clone returns a deep copy (PerGPU is a fresh slice).
-func (s Stats) Clone() Stats {
-	s.PerGPU = append([]Tiers(nil), s.PerGPU...)
-	return s
-}
-
 // Manager owns the adaptive cache state for one store. All methods run in
 // engine context (the simulation is single-threaded), so no locking.
 type Manager struct {
 	store   *featstore.Store
 	cfg     Config
 	offsets []int64
-	// counts[v] is v's EWMA-decayed access frequency; prior[v] the
-	// normalized degree prior.
+	// counts[v] is v's EWMA-decayed access frequency (nil unless Dynamic);
+	// prior[v] the normalized degree prior (nil unless DegreeHybrid).
 	counts []float64
 	prior  []float64
 	view   *fault.View
@@ -162,24 +155,24 @@ type Manager struct {
 // are the per-GPU ownership ranges of the layout (promotion candidates for
 // GPU g are its own range, as in the partitioned layout).
 func New(store *featstore.Store, g *graph.CSR, offsets []int64, cfg Config) *Manager {
-	n := store.NumRows()
-	m := &Manager{
-		store:   store,
-		cfg:     cfg.defaults(),
-		offsets: offsets,
-		counts:  make([]float64, n),
-		prior:   make([]float64, n),
+	m := &Manager{store: store, cfg: cfg.defaults(), offsets: offsets}
+	if !m.Dynamic() {
+		return m
 	}
-	maxDeg := 1
-	for v := 0; v < n; v++ {
-		if d := g.Degree(graph.NodeID(v)); d > maxDeg {
-			maxDeg = d
+	n := store.NumRows()
+	m.counts = make([]float64, n)
+	if m.cfg.Policy == DegreeHybrid {
+		m.prior = make([]float64, n)
+		maxDeg := 1
+		for v := 0; v < n; v++ {
+			if d := g.Degree(graph.NodeID(v)); d > maxDeg {
+				maxDeg = d
+			}
+		}
+		for v := 0; v < n; v++ {
+			m.prior[v] = float64(g.Degree(graph.NodeID(v))) / float64(maxDeg)
 		}
 	}
-	for v := 0; v < n; v++ {
-		m.prior[v] = float64(g.Degree(graph.NodeID(v))) / float64(maxDeg)
-	}
-	m.stats.PerGPU = make([]Tiers, store.NumGPUs)
 	return m
 }
 
@@ -204,18 +197,20 @@ func (m *Manager) Dynamic() bool {
 }
 
 // Split is the tracked replacement for featstore.Store.Split: it records
-// every requested row into the hotness counters, classifies the request by
-// placement for requesting GPU g, and — when a membership view is attached —
-// re-routes rows cached on dead GPUs to the host tier (the shard is
-// unreachable; the master copy in host RAM is not).
+// every requested row into the hotness counters (when Dynamic), classifies
+// the request by placement for requesting GPU g, and — when a membership
+// view is attached — re-routes rows cached on dead GPUs to the host tier
+// (the shard is unreachable; the master copy in host RAM is not).
 //
 // Tier counts are NOT committed here: compute them from the returned lists
 // and call Account when the read actually completes, so aborted collective
 // attempts do not double-count (the hotness counters deliberately do count
 // every attempt — the access pattern is real even if the round retries).
 func (m *Manager) Split(ids []graph.NodeID, g int) (local []graph.NodeID, remote [][]graph.NodeID, host []graph.NodeID) {
-	for _, v := range ids {
-		m.counts[v]++
+	if m.counts != nil {
+		for _, v := range ids {
+			m.counts[v]++
+		}
 	}
 	local, remote, host = m.store.Split(ids, g)
 	if m.view != nil {
@@ -238,15 +233,13 @@ func CountTiers(local []graph.NodeID, remote [][]graph.NodeID, host []graph.Node
 	return t
 }
 
-// Account commits tier counts for requesting GPU g (call once per completed
-// read; serving calls it when a round survives its collective attempts).
-func (m *Manager) Account(g int, t Tiers) {
-	m.stats.PerGPU[g].Add(t)
-	m.stats.Tiers.Add(t)
-}
+// Account commits requesting GPU g's tier counts into the fleet totals (call
+// once per completed read; serving calls it when a round survives its
+// collective attempts).
+func (m *Manager) Account(_ int, t Tiers) { m.stats.Tiers.Add(t) }
 
 // Stats returns a snapshot of the cumulative accounting.
-func (m *Manager) Stats() Stats { return m.stats.Clone() }
+func (m *Manager) Stats() Stats { return m.stats }
 
 // score ranks row v for shard residency under the configured policy.
 func (m *Manager) score(v int) float64 {

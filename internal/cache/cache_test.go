@@ -108,6 +108,9 @@ func TestStaticPolicyNeverMoves(t *testing.T) {
 	if mgr.Dynamic() {
 		t.Fatal("static manager claims to be dynamic")
 	}
+	if mgr.counts != nil || mgr.prior != nil {
+		t.Fatal("static manager keeps hotness state nothing reads")
+	}
 	hot := coldIDs(s, f.offsets, 0, 10)
 	before := append([]int64(nil), s.CachedRows...)
 	runSim(t, 2, func(p *sim.Proc, m *hw.Machine) {
@@ -177,6 +180,9 @@ func TestMaxMovesCapAndDecay(t *testing.T) {
 	f := build(t, 2)
 	s := f.store(50)
 	mgr := New(s, f.g, f.offsets, Config{Policy: LFUDecay, MaxMovesPerGPU: 3, Decay: 0.5})
+	if mgr.prior != nil {
+		t.Fatal("lfu-decay manager keeps a degree prior it never reads")
+	}
 	hot := coldIDs(s, f.offsets, 0, 10)
 	runSim(t, 2, func(p *sim.Proc, m *hw.Machine) {
 		mgr.Split(hot, 0)
@@ -200,9 +206,6 @@ func TestAccountTiersAndHitRate(t *testing.T) {
 	st := mgr.Stats()
 	if st.Tiers != (Tiers{Local: 7, Peer: 2, Host: 6}) {
 		t.Fatalf("fleet tiers %+v", st.Tiers)
-	}
-	if st.PerGPU[0] != (Tiers{Local: 6, Peer: 2, Host: 2}) {
-		t.Fatalf("per-GPU tiers %+v", st.PerGPU[0])
 	}
 	if got, want := st.Tiers.HitRate(), 9.0/15.0; got != want {
 		t.Fatalf("hit rate %g, want %g", got, want)

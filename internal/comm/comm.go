@@ -16,14 +16,17 @@
 // view (Begin opens each retryable attempt). This is how degraded-mode
 // serving keeps collectives running across GPU crashes.
 //
-// Collectives move real Go data between ranks (node ids, sampled adjacency,
-// gradients) while charging virtual time for the wire transfers, following
-// the paper's protocol: each rank first notifies peers of the sizes they
-// will receive, then the payload moves via all-to-all over NVLink. Payloads
-// the simulation only models — feature rows and first-layer activations,
-// whose values the host assembles elsewhere — ride AllToAllCounts, which
-// moves element counts and charges exactly what AllToAll would charge for
-// payloads of those lengths.
+// A value moves only when some rank reads it. Collectives move real Go data
+// between ranks (sampled adjacency, real-compute gradients) while charging
+// virtual time for the wire transfers, following the paper's protocol: each
+// rank first notifies peers of the sizes they will receive, then the payload
+// moves via all-to-all over NVLink. Payloads whose values no rank reads —
+// feature requests and rows, p3's batch ids and first-layer activations,
+// cost-only gradients — ride the count-only collectives instead:
+// AllToAllCounts moves element counts and AllReduceCount moves nothing, and
+// each charges exactly the virtual time, fabric bytes and codec accounting
+// of its value-moving twin (AllToAll, AllReduceSum) on payloads of those
+// lengths.
 //
 // Every collective takes an Opts describing the wire format. Opts.Codec
 // prices float32 payloads on every collective, but changes values only in
@@ -55,19 +58,13 @@ type Opts struct {
 	// values through it; all-to-alls deliver their payloads unchanged.
 	Codec compress.Codec
 	// PriceElems, when positive, caps the element count the WIRE is charged
-	// for in AllReduceSum while the full vector still moves and reduces —
-	// the values are untouched. This models parameter shards that are
-	// replica-local and never ride the ring (P3's dimension-sharded first
-	// layer): the BSP sum stays bitwise identical across strategies, only
-	// the bill shrinks. Ignored by the other collectives.
+	// for in AllReduceSum and AllReduceCount while the full vector still
+	// moves and reduces — the values are untouched. This models parameter
+	// shards that are replica-local and never ride the ring (P3's
+	// dimension-sharded first layer): the BSP sum stays bitwise identical
+	// across strategies, only the bill shrinks. Ignored by the other
+	// collectives.
 	PriceElems int
-	// Static promises that the caller's contribution buffer holds content
-	// bitwise identical to what the SAME buffer held on the previous
-	// AllReduceSum call that also set Static (cost-only training reduces
-	// the same all-zero gradient vector every round). The communicator may
-	// then reuse the cached encoded image instead of re-quantising. Ignored
-	// by the other collectives and without a lossy codec.
-	Static bool
 }
 
 // Raw returns Opts for an uncompressed payload of elemBytes-sized elements.
@@ -124,7 +121,6 @@ type Communicator struct {
 	par    *sim.ParallelGroup // offload/segment-parallel data work
 	arSum  []float32          // the in-flight collective's shared reduction
 	arLive int                // live contributors captured with arSum
-	arEnc  []arEncEntry       // per-rank cached encodes for Static reduces
 
 	// Fault-aware membership (serving degraded mode). When view is set,
 	// collectives synchronise over the live ranks only and an in-flight
@@ -359,30 +355,6 @@ type arPost struct {
 	tick *sim.Ticket
 }
 
-// arEncEntry caches one rank's encoded contribution for Opts.Static
-// allreduces, keyed by the buffer's identity (backing array + length) and
-// the codec; the Static contract guarantees the content hasn't changed.
-type arEncEntry struct {
-	ptr   *float32
-	n     int
-	codec string
-	enc   *compress.Buf
-}
-
-// staticEncode returns rank's cached encode of data under o.Codec, encoding
-// (inline, once) on the first call or whenever the buffer or codec changes.
-func (c *Communicator) staticEncode(rank int, data []float32, o Opts) *compress.Buf {
-	if c.arEnc == nil {
-		c.arEnc = make([]arEncEntry, c.N)
-	}
-	e := &c.arEnc[rank]
-	if e.enc != nil && e.ptr == &data[0] && e.n == len(data) && e.codec == o.Codec.Name() {
-		return e.enc
-	}
-	*e = arEncEntry{ptr: &data[0], n: len(data), codec: o.Codec.Name(), enc: o.Codec.Encode(data)}
-	return e.enc
-}
-
 // group lazily binds the communicator to the engine's parallel budget.
 func (c *Communicator) group() *sim.ParallelGroup {
 	if c.par == nil {
@@ -415,13 +387,6 @@ func (c *Communicator) reduceOnce(n int, o Opts, lossy bool) {
 		for i, peer := range posts {
 			peer.tick.Join() // enc is valid from here
 			encs[i] = peer.enc
-		}
-		// When every contribution is constant per chunk (scale-0 int8
-		// encodes — cost-only training's untouched zero gradients), the sum
-		// collapses to one add sequence per chunk instead of per element.
-		if compress.SumConstant(encs, sum) {
-			c.arSum, c.arLive = sum, live
-			return
 		}
 		var decodes []func()
 		for _, enc := range encs {
@@ -490,14 +455,10 @@ func (c *Communicator) AllReduceSum(p *sim.Proc, rank int, data []float32, o Opt
 	post := &arPost{raw: data}
 	lossy := o.Codec != nil && !compress.Identity(o.Codec)
 	if lossy {
-		if o.Static && len(data) > 0 {
-			post.enc = c.staticEncode(rank, data, o)
-		} else {
-			// Quantisation is pure data work keyed by element index and value;
-			// offload it so ranks' encodes overlap in real time. data is
-			// untouched until the copy-out barrier, well after the Join.
-			post.tick = c.group().Submit(func() { post.enc = o.Codec.Encode(data) })
-		}
+		// Quantisation is pure data work keyed by element index and value;
+		// offload it so ranks' encodes overlap in real time. data is
+		// untouched until the copy-out barrier, well after the Join.
+		post.tick = c.group().Submit(func() { post.enc = o.Codec.Encode(data) })
 	}
 	c.slots[rank] = post
 	c.arrive(p, rank)
@@ -508,15 +469,48 @@ func (c *Communicator) AllReduceSum(p *sim.Proc, rank int, data []float32, o Opt
 	if c.arSum == nil {
 		c.reduceOnce(len(data), o, lossy)
 	}
-	sum, live := c.arSum, c.arLive
-	// Timed ring: each rank sends 2(live-1) chunks of the codec-priced
-	// vector divided over the live ranks, to its live successor.
+	sum := c.arSum
+	c.ring(p, rank, len(data), c.arLive, o)
+	copy(data, sum)
+	c.arrive(p, rank)
+	// Every rank has copied out; the first one through recycles the shared
+	// buffer for the next collective.
+	if c.arSum != nil {
+		c.pool.Put(c.arSum)
+		c.arSum, c.arLive = nil, 0
+	}
+}
+
+// AllReduceCount is AllReduceSum for a vector of n elements whose values no
+// rank reads (cost-only training's gradients): the same gate, barriers,
+// ring transfers and codec accounting, with nothing posted, reduced or
+// copied. Must be called by all ranks.
+func (c *Communicator) AllReduceCount(p *sim.Proc, rank, n int, o Opts) {
+	if c.N == 1 {
+		return
+	}
+	c.enter(p, rank)
+	defer c.exit(rank)
+	c.arrive(p, rank)
+	live := c.N
+	if c.view != nil {
+		live = c.view.LiveCount()
+	}
+	c.ring(p, rank, n, live, o)
+	c.arrive(p, rank)
+}
+
+// ring is the timed body of an n-element allreduce over live ranks: each
+// rank sends 2(live-1) chunks of the codec-priced vector divided over the
+// live ranks to its live successor, accounts the codec, and waits for the
+// ring to finish.
+func (c *Communicator) ring(p *sim.Proc, rank, n, live int, o Opts) {
 	dev := c.Machine.GPUs[rank]
 	next := (rank + 1) % c.N
 	if c.view != nil {
 		next = c.view.NextLive(rank)
 	}
-	priced := len(data)
+	priced := n
 	if o.PriceElems > 0 && o.PriceElems < priced {
 		priced = o.PriceElems
 	}
@@ -533,14 +527,6 @@ func (c *Communicator) AllReduceSum(p *sim.Proc, rank int, data []float32, o Opt
 	}
 	c.recordCompression(rank, o, priced)
 	c.arrive(p, rank)
-	copy(data, sum)
-	c.arrive(p, rank)
-	// Every rank has copied out; the first one through recycles the shared
-	// buffer for the next collective.
-	if c.arSum != nil {
-		c.pool.Put(c.arSum)
-		c.arSum, c.arLive = nil, 0
-	}
 }
 
 // Barrier synchronises the group without moving data. rank identifies the

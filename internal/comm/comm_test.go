@@ -209,7 +209,9 @@ func TestSingleGPUCollectivesAreLocal(t *testing.T) {
 	if end != 0 {
 		t.Errorf("single-GPU collectives consumed virtual time %g", end)
 	}
-	if m.Fabric.Counters.TotalAllWire() != 0 {
-		t.Error("single-GPU collectives moved wire bytes")
+	for class := hw.TrafficSample; class <= hw.TrafficOther; class++ {
+		if w := m.Fabric.Counters.TotalWire(class); w != 0 {
+			t.Errorf("single-GPU collectives moved %d %v wire bytes", w, class)
+		}
 	}
 }

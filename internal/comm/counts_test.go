@@ -143,3 +143,85 @@ func TestAllToAllCountsMatchesZeroPayloads(t *testing.T) {
 		}
 	}
 }
+
+// reduceOutcome is everything an allreduce leaves that a caller or a report
+// can observe.
+type reduceOutcome struct {
+	end    sim.Time
+	fabric hw.Counters
+	comp   map[hw.TrafficClass]CompressionStats
+}
+
+// runReduce runs two rounds of an elems-element allreduce on n ranks
+// through AllReduceCount (counted) or AllReduceSum on zero vectors, the
+// cost-only gradients it replaced. With dead >= 0 that rank is dead under a
+// fault.View from the start and takes no part.
+func runReduce(t *testing.T, n, elems, dead int, o Opts, counted bool) reduceOutcome {
+	t.Helper()
+	m, c := newWorld(n)
+	if dead >= 0 {
+		view := fault.NewView(n)
+		view.Kill(dead)
+		c.SetView(view)
+	}
+	for r := 0; r < n; r++ {
+		if r == dead {
+			continue
+		}
+		r := r
+		m.Eng.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+			grad := make([]float32, elems)
+			for round := 0; round < 2; round++ {
+				c.Begin(r)
+				if counted {
+					c.AllReduceCount(p, r, elems, o)
+					continue
+				}
+				c.AllReduceSum(p, r, grad, o)
+				for i, v := range grad {
+					if v != 0 {
+						t.Errorf("rank %d: zero vectors summed to %g at %d", r, v, i)
+						return
+					}
+				}
+			}
+		})
+	}
+	end, err := m.Eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reduceOutcome{end: end, fabric: m.Fabric.Counters, comp: c.Compression()}
+}
+
+// TestAllReduceCountMatchesSum: AllReduceCount prices exactly as
+// AllReduceSum does on zero vectors of the same length — finish time, fabric
+// bytes per class and link, and CompressionStats — for every codec, rank
+// count and price cap, and with a rank dead under a membership view.
+func TestAllReduceCountMatchesSum(t *testing.T) {
+	const elems = 3000 // several int8 chunks, a partial last one
+	codecs := []compress.Codec{nil, compress.FP32{}, compress.FP16{}, compress.NewInt8(9), compress.NewTopK(0.1)}
+	for _, n := range []int{2, 4, 8} {
+		for _, dead := range []int{-1, 1} {
+			live := n
+			if dead >= 0 {
+				live--
+			}
+			for _, price := range []int{0, elems / 3} {
+				for _, codec := range codecs {
+					o := Compressed(codec, hw.TrafficGradient)
+					o.PriceElems = price
+					want := runReduce(t, n, elems, dead, o, false)
+					got := runReduce(t, n, elems, dead, o, true)
+					name := fmt.Sprintf("n=%d/dead=%d/price=%d/%s", n, dead, price, compress.Name(codec))
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: count %+v\nzero vectors %+v", name, got, want)
+					}
+					if live > 1 && got.fabric.NVLinkBytes[hw.TrafficGradient] == 0 {
+						t.Errorf("%s: no gradient bytes on the fabric", name)
+					}
+				}
+			}
+		}
+	}
+}

@@ -269,8 +269,8 @@ func (c Int8) Encode(vals []float32) *Buf {
 		}
 		b.Mins[ci] = mn
 		if mn == mx {
-			// Constant chunk (commonly all-zero gradients in cost-only
-			// mode): scale 0, codes stay zero, decode reproduces mn exactly.
+			// Constant chunk: scale 0, codes stay zero, decode reproduces
+			// mn exactly.
 			continue
 		}
 		scale := (mx - mn) / 255
@@ -298,46 +298,6 @@ func (c Int8) Encode(vals []float32) *Buf {
 		}
 	}
 	return b
-}
-
-// SumConstant detects the case where every contribution of an int8-encoded
-// allreduce is constant per chunk (scale 0 — e.g. the all-zero gradients of
-// cost-only training) and fills dst with their rank-order sum directly:
-// every element of a chunk would run the identical add sequence, so it is
-// computed once per chunk. Returns false, leaving dst untouched, when any
-// buffer is not an all-constant int8 encoding; the caller then runs the
-// general decode-and-accumulate path. When it returns true, dst is exactly
-// — bit for bit — what decoding each buffer and accumulating into a zeroed
-// dst would have produced.
-func SumConstant(bufs []*Buf, dst []float32) bool {
-	for _, b := range bufs {
-		if b == nil || b.U8 == nil || b.Scales == nil || b.Mins == nil || b.N != len(dst) {
-			return false
-		}
-		for _, s := range b.Scales {
-			if s != 0 {
-				return false
-			}
-		}
-	}
-	n := len(dst)
-	for lo := 0; lo < n; lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		ci := lo / chunkSize
-		var v float32 // the zeroed accumulator element
-		for _, b := range bufs {
-			// Identical to Decode's constant-chunk fill (mn + 0*sc) added in.
-			v += b.Mins[ci] + 0*b.Scales[ci]
-		}
-		seg := dst[lo:hi]
-		for i := range seg {
-			seg[i] = v
-		}
-	}
-	return true
 }
 
 func (Int8) Decode(b *Buf, out []float32) {

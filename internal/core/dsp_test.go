@@ -271,7 +271,7 @@ func TestDSPSamplingCommBelowUVA(t *testing.T) {
 	if _, err := uva.RunSampleEpoch(0); err != nil {
 		t.Fatal(err)
 	}
-	dspWire := dsp.World().SamplingCommVolume()
+	dspWire := dsp.Machine().Fabric.Counters.TotalWire(hw.TrafficSample)
 	uvaSample := uva.Machine().Fabric.Counters.TotalWire(hw.TrafficSample)
 	if dspWire >= uvaSample {
 		t.Fatalf("CSP wire bytes %d not below UVA %d", dspWire, uvaSample)

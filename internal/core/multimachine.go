@@ -57,16 +57,11 @@ func installClusterReducer(subs []*strategy.Substrate) {
 // decode it (codec round-trip), so the cross-machine reduction is lossy
 // exactly once per hop and every replica still sums identical images.
 func (r clusterReducer) AllReduceSum(p *sim.Proc, rank int, grad []float32, o comm.Opts) {
-	machines := len(r.intra)
 	r.intra[r.machine].AllReduceSum(p, rank, grad, o)
 	if rank == 0 {
 		posted := compress.Roundtrip(o.Codec, grad)
 		r.slots[r.machine] = append(r.slots[r.machine][:0], posted...)
-		next := (r.machine + 1) % machines
-		bytes := max(compress.WireBytes(o.Codec, len(grad))/int64(machines), 1)
-		for step := 0; step < 2*(machines-1); step++ {
-			r.net.Send(p, r.machine, next, bytes, hw.TrafficGradient)
-		}
+		r.leaderRing(p, len(grad), o)
 	}
 	r.barrier.Arrive(p)
 	// Deterministic global sum from the posted machine sums.
@@ -78,4 +73,28 @@ func (r clusterReducer) AllReduceSum(p *sim.Proc, rank int, grad []float32, o co
 		grad[i] = sum
 	}
 	r.barrier.Arrive(p)
+}
+
+// AllReduceCount implements train.Reducer for a gradient whose values nobody
+// reads: AllReduceSum's collectives at the same bytes — the intra-machine
+// count, the leaders' NIC ring, both cluster barriers — with no sum formed.
+func (r clusterReducer) AllReduceCount(p *sim.Proc, rank, n int, o comm.Opts) {
+	r.intra[r.machine].AllReduceCount(p, rank, n, o)
+	if rank == 0 {
+		r.leaderRing(p, n, o)
+	}
+	r.barrier.Arrive(p)
+	r.barrier.Arrive(p)
+}
+
+// leaderRing sends machine leader's share of the inter-machine ring over the
+// NICs: 2(machines-1) steps of the codec-priced n-element sum split over the
+// machines.
+func (r clusterReducer) leaderRing(p *sim.Proc, n int, o comm.Opts) {
+	machines := len(r.intra)
+	next := (r.machine + 1) % machines
+	bytes := max(compress.WireBytes(o.Codec, n)/int64(machines), 1)
+	for step := 0; step < 2*(machines-1); step++ {
+		r.net.Send(p, r.machine, next, bytes, hw.TrafficGradient)
+	}
 }

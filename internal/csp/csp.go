@@ -733,9 +733,3 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	}
 	s.dedup.Rebuild(block, dst, outCounts, samples)
 }
-
-// SamplingCommVolume reports the sample-class wire bytes accumulated so far
-// (Figure 1 / Figure 11 measurements read this).
-func (w *World) SamplingCommVolume() int64 {
-	return w.M.Fabric.Counters.TotalWire(hw.TrafficSample)
-}

@@ -171,7 +171,7 @@ func TestTaskPushBeatsDataPullOnVolume(t *testing.T) {
 			}
 			return tw.w.SampleBatch(p, r, tw.seeds[r], cfg, tw.bseeds[r])
 		})
-		return tw.w.SamplingCommVolume()
+		return tw.m.Fabric.Counters.TotalWire(hw.TrafficSample)
 	}
 	push := volume(false)
 	pull := volume(true)
@@ -186,8 +186,10 @@ func TestCSPSingleGPUNoCommunication(t *testing.T) {
 	runCollective(t, tw, func(p *sim.Proc, r int) *sample.MiniBatch {
 		return tw.w.SampleBatch(p, r, tw.seeds[r], cfg, tw.bseeds[r])
 	})
-	if tw.m.Fabric.Counters.TotalAllWire() != 0 {
-		t.Fatal("single-GPU CSP moved wire bytes")
+	for class := hw.TrafficSample; class <= hw.TrafficOther; class++ {
+		if w := tw.m.Fabric.Counters.TotalWire(class); w != 0 {
+			t.Fatalf("single-GPU CSP moved %d %v wire bytes", w, class)
+		}
 	}
 }
 
@@ -213,7 +215,7 @@ func TestCSPEmptySeedRankStillServes(t *testing.T) {
 func TestPatchesReserveDeviceMemory(t *testing.T) {
 	tw := buildWorld(t, 4, false)
 	for g, dev := range tw.m.GPUs {
-		if dev.MemUsed() == 0 {
+		if dev.MemFree() == dev.Spec.MemBytes {
 			t.Errorf("GPU %d reserved no memory for its patch", g)
 		}
 	}

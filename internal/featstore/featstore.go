@@ -399,27 +399,3 @@ func BuildDimSliced(features []float32, dim, numGPUs int) *Store {
 	}
 	return s
 }
-
-// AggregateCachedRows returns the number of DISTINCT rows cached across all
-// GPUs — the partitioned layout's headline advantage over replication.
-func (s *Store) AggregateCachedRows() int64 {
-	switch s.Layout {
-	case Partitioned:
-		var t int64
-		for _, c := range s.CachedRows {
-			t += c
-		}
-		return t
-	case Replicated:
-		if s.NumGPUs == 0 {
-			return 0
-		}
-		return s.CachedRows[0]
-	case DimSliced:
-		// Each row is jointly held by all GPUs (one slice each): every
-		// distinct row is GPU-resident exactly once at full width.
-		return int64(s.NumRows())
-	default:
-		return 0
-	}
-}

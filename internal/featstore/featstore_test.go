@@ -58,8 +58,8 @@ func TestPartitionedRespectsBudgetAndOwnership(t *testing.T) {
 			t.Fatalf("node %d cached on GPU %d outside its range", v, h)
 		}
 	}
-	if s.AggregateCachedRows() != 800 {
-		t.Errorf("aggregate %d, want 800", s.AggregateCachedRows())
+	if got := cachedTotal(s); got != 800 {
+		t.Errorf("aggregate %d, want 800", got)
 	}
 }
 
@@ -93,9 +93,11 @@ func TestReplicatedVsPartitionedAggregate(t *testing.T) {
 	budget := int64(150 * f.d.FeatDim * 4)
 	p := BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, budget, ByDegree)
 	r := BuildReplicated(f.g, f.feats, f.d.FeatDim, 4, budget, ByDegree)
-	if p.AggregateCachedRows() != 4*r.AggregateCachedRows() {
+	// A replicated row is cached on every GPU, so one GPU's count is the
+	// distinct total.
+	if cachedTotal(p) != 4*r.CachedRows[0] {
 		t.Errorf("partitioned %d distinct rows vs replicated %d",
-			p.AggregateCachedRows(), r.AggregateCachedRows())
+			cachedTotal(p), r.CachedRows[0])
 	}
 }
 
@@ -204,8 +206,8 @@ func TestPolicies(t *testing.T) {
 			t.Fatalf("%v: all-zero scores", pol)
 		}
 		s := BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, int64(50*f.d.FeatDim*4), pol)
-		if s.AggregateCachedRows() != 100 {
-			t.Fatalf("%v: aggregate %d", pol, s.AggregateCachedRows())
+		if got := cachedTotal(s); got != 100 {
+			t.Fatalf("%v: aggregate %d", pol, got)
 		}
 	}
 }
@@ -396,7 +398,7 @@ func TestSplitMatchesReference(t *testing.T) {
 
 // TestDimSlicedExactPartition: the column slices of a DimSliced store tile
 // [0, Dim) exactly — contiguous, disjoint, widths within one of each other —
-// and the derived accounting (CacheBytes, AggregateCachedRows, Locate) is
+// and the derived accounting (CacheBytes, CachedRows, Locate) is
 // consistent with every GPU holding all rows of its slice.
 func TestDimSlicedExactPartition(t *testing.T) {
 	f := build(t, 4)
@@ -435,8 +437,11 @@ func TestDimSlicedExactPartition(t *testing.T) {
 		if bytes != int64(s.NumRows())*int64(dim)*4 {
 			return false
 		}
-		if s.AggregateCachedRows() != int64(s.NumRows()) {
-			return false
+		// Every GPU holds its slice of every row.
+		for _, rows := range s.CachedRows {
+			if rows != int64(s.NumRows()) {
+				return false
+			}
 		}
 		return true
 	}
@@ -496,8 +501,8 @@ func TestPromoteDemoteHolder(t *testing.T) {
 func TestZeroBudgetCachesNothing(t *testing.T) {
 	f := build(t, 2)
 	s := BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, 0, ByDegree)
-	if s.AggregateCachedRows() != 0 {
-		t.Fatalf("zero budget cached %d rows", s.AggregateCachedRows())
+	if got := cachedTotal(s); got != 0 {
+		t.Fatalf("zero budget cached %d rows", got)
 	}
 	for v := 0; v < 50; v++ {
 		if p, _ := s.Locate(graph.NodeID(v), 0); p != HostMemory {
@@ -509,8 +514,8 @@ func TestZeroBudgetCachesNothing(t *testing.T) {
 func TestHugeBudgetCachesEverything(t *testing.T) {
 	f := build(t, 2)
 	s := BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, 1<<40, ByDegree)
-	if int(s.AggregateCachedRows()) != f.g.NumNodes() {
-		t.Fatalf("cached %d of %d rows", s.AggregateCachedRows(), f.g.NumNodes())
+	if got := cachedTotal(s); int(got) != f.g.NumNodes() {
+		t.Fatalf("cached %d of %d rows", got, f.g.NumNodes())
 	}
 	for v := 0; v < f.g.NumNodes(); v += 37 {
 		if p, _ := s.Locate(graph.NodeID(v), 1); p == HostMemory {
@@ -607,4 +612,14 @@ func TestBuildersMatchStableSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cachedTotal is the number of distinct rows a partitioned store caches
+// across all GPUs: each row has at most one holder.
+func cachedTotal(s *Store) int64 {
+	var t int64
+	for _, c := range s.CachedRows {
+		t += c
+	}
+	return t
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/sample"
 	"repro/internal/serve"
+	"repro/internal/sim"
 	"repro/internal/train"
 )
 
@@ -340,5 +342,36 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewRouter(cfg); err == nil || !strings.Contains(err.Error(), "fleet 0: serve: fault schedule crashes all 2 GPUs") ||
 		!strings.Contains(err.Error(), "crash@fleetF") {
 		t.Fatalf("all-GPU crash of fleet 0: NewRouter answered %v", err)
+	}
+}
+
+// TestNonFiniteKnobsRejected: a NaN or infinite duration, rate, skew or
+// period is refused by name — by a stand-alone server and by a router —
+// instead of hanging the arrival loop or flushing every round.
+func TestNonFiniteKnobsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		set   func(*serve.Config)
+	}{
+		{"Duration", func(c *serve.Config) { c.Duration = sim.Time(nan) }},
+		{"Duration", func(c *serve.Config) { c.Duration = sim.Time(inf) }},
+		{"Rate", func(c *serve.Config) { c.Rate = nan }},
+		{"Rate", func(c *serve.Config) { c.Rate = inf }},
+		{"Skew", func(c *serve.Config) { c.Skew = nan }},
+		{"MaxWait", func(c *serve.Config) { c.MaxWait = sim.Time(nan) }},
+		{"RebalanceEvery", func(c *serve.Config) { c.RebalanceEvery = sim.Time(-inf) }},
+		{"DriftEvery", func(c *serve.Config) { c.DriftEvery = sim.Time(nan) }},
+		{"SLO", func(c *serve.Config) { c.SLO = sim.Time(inf) }},
+	} {
+		cfg := testConfig(t, 2)
+		tc.set(&cfg.Serve)
+		want := "Config." + tc.field + " must be finite"
+		if _, err := serve.NewServer(cfg.Serve); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: NewServer answered %v, want %q", tc.field, err, want)
+		}
+		if _, err := NewRouter(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: NewRouter answered %v, want %q", tc.field, err, want)
+		}
 	}
 }

@@ -197,9 +197,6 @@ func (d *Device) Reserve(bytes int64) error {
 	return nil
 }
 
-// MemUsed returns reserved device memory in bytes.
-func (d *Device) MemUsed() int64 { return d.memUsed }
-
 // MemFree returns the remaining device memory budget in bytes.
 func (d *Device) MemFree() int64 { return d.Spec.MemBytes - d.memUsed }
 

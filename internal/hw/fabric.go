@@ -58,15 +58,6 @@ func (c *Counters) TotalWire(class TrafficClass) int64 {
 	return c.NVLinkBytes[class] + c.PCIeBytes[class]
 }
 
-// TotalAllWire returns total wire bytes across all classes.
-func (c *Counters) TotalAllWire() int64 {
-	var t int64
-	for i := 0; i < int(numTrafficClasses); i++ {
-		t += c.NVLinkBytes[i] + c.PCIeBytes[i]
-	}
-	return t
-}
-
 // uvaPayload and uvaRequest describe the PCIe read-amplification model from
 // EMOGI: the minimum PCIe read moves 32 payload bytes plus an 18-byte packet
 // header, i.e. 50 wire bytes per request.

@@ -167,16 +167,6 @@ func (c *Coordinator) Exit(gpu int) {
 	c.slot[gpu].Release(1)
 }
 
-// Communicate runs body as worker workerID's communication kernel on GPU
-// gpu. The body typically performs a collective (which internally blocks on
-// peers). Under CCC the kernel launches in leader order; without CCC it
-// launches immediately on resource availability, reproducing the hazard.
-func (c *Coordinator) Communicate(p *sim.Proc, gpu, workerID int, body func(*sim.Proc)) {
-	c.Enter(p, gpu, workerID)
-	body(p)
-	c.Exit(gpu)
-}
-
 // WorkerGate is a comm.Gate view of the coordinator bound to one worker id:
 // install one per worker-group communicator with SetGate.
 type WorkerGate struct {

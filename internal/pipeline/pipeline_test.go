@@ -130,11 +130,11 @@ func TestCoordinatorUncoordinatedDeadlocks(t *testing.T) {
 	barB := eng.NewBarrier(2)
 	launch := func(gpu int, first, second int, firstBar, secondBar *sim.Barrier) {
 		eng.Go("gpu", func(p *sim.Proc) {
-			c.Communicate(p, gpu, first, func(p *sim.Proc) { firstBar.Arrive(p) })
+			communicate(c, p, gpu, first, func(p *sim.Proc) { firstBar.Arrive(p) })
 		})
 		eng.Go("gpu", func(p *sim.Proc) {
 			p.Sleep(0.1)
-			c.Communicate(p, gpu, second, func(p *sim.Proc) { secondBar.Arrive(p) })
+			communicate(c, p, gpu, second, func(p *sim.Proc) { secondBar.Arrive(p) })
 		})
 	}
 	launch(0, 0, 1, barA, barB) // GPU 0: A first
@@ -156,7 +156,7 @@ func TestCoordinatorCCCResolvesDeadlock(t *testing.T) {
 	comm := func(gpu, worker int, bar *sim.Barrier, delay sim.Time) {
 		eng.Go("w", func(p *sim.Proc) {
 			p.Sleep(delay)
-			c.Communicate(p, gpu, worker, func(p *sim.Proc) {
+			communicate(c, p, gpu, worker, func(p *sim.Proc) {
 				bar.Arrive(p)
 				p.Sleep(0.05)
 			})
@@ -187,13 +187,13 @@ func TestCCCKernelsStillOverlapAcrossGPUs(t *testing.T) {
 	for gpu := 0; gpu < 2; gpu++ {
 		gpu := gpu
 		eng.Go("a", func(p *sim.Proc) {
-			c.Communicate(p, gpu, 0, func(p *sim.Proc) {
+			communicate(c, p, gpu, 0, func(p *sim.Proc) {
 				barA.Arrive(p)
 				p.Sleep(1)
 			})
 		})
 		eng.Go("b", func(p *sim.Proc) {
-			c.Communicate(p, gpu, 1, func(p *sim.Proc) {
+			communicate(c, p, gpu, 1, func(p *sim.Proc) {
 				barB.Arrive(p)
 				p.Sleep(1)
 			})
@@ -221,7 +221,7 @@ func TestCoordinatorManyRoundsNoDeadlock(t *testing.T) {
 				for round := 0; round < 10; round++ {
 					// Jitter readiness differently per gpu/worker/round.
 					p.Sleep(sim.Time(float64((gpu*7+w*13+round*3)%5) * 0.001))
-					c.Communicate(p, gpu, w, func(p *sim.Proc) {
+					communicate(c, p, gpu, w, func(p *sim.Proc) {
 						bars[w].Arrive(p)
 						p.Sleep(0.002)
 					})
@@ -457,7 +457,7 @@ func jitterRun(seed uint64, nS, nL int) error {
 					return sim.Time(rng.Mix(seed, uint64(g), uint64(worker), uint64(step), k)%1000) * 1e-5
 				}
 				p.Sleep(jitter(0))
-				c.Communicate(p, g, worker, func(p *sim.Proc) { bars[worker].Arrive(p) })
+				communicate(c, p, g, worker, func(p *sim.Proc) { bars[worker].Arrive(p) })
 				p.Sleep(jitter(1))
 			}
 		}
@@ -489,4 +489,14 @@ func TestJitterSweepNoDeadlock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// communicate runs body as worker workerID's communication kernel on GPU gpu,
+// bracketed by Enter/Exit exactly as a gated collective is: under CCC the
+// kernel launches in leader order; without CCC it launches immediately on
+// resource availability, reproducing the hazard.
+func communicate(c *Coordinator, p *sim.Proc, gpu, workerID int, body func(*sim.Proc)) {
+	c.Enter(p, gpu, workerID)
+	body(p)
+	c.Exit(gpu)
 }

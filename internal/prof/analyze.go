@@ -157,13 +157,11 @@ func Analyze(t *Trace) *Profile {
 	// The window is the span extent: a tracer attached mid-run (e.g. after
 	// benchmark warm-up epochs) profiles only what it saw, with no phantom
 	// lead-in idle.
-	return AnalyzeWindow(t, lo*usec, hi*usec)
-}
-
-// AnalyzeWindow profiles the [start, end] window (virtual seconds).
-func AnalyzeWindow(t *Trace, start, end float64) *Profile {
+	start, end := lo*usec, hi*usec
 	p := &Profile{Window: Window{Start: start, End: end}}
-	spans := clipSpans(t.Spans(), start/usec, end/usec)
+	// Clip to the window as stored (seconds, back in µs); this also drops
+	// zero-length spans.
+	spans = clipSpans(spans, start/usec, end/usec)
 	p.Lanes = laneStats(t, spans, p.Window)
 	p.Stalls = stallReport(t, spans)
 	p.CriticalPath = criticalPath(t, spans, p.Window)

@@ -65,8 +65,8 @@ func TestDynamicCacheBeatsStaticUnderDrift(t *testing.T) {
 }
 
 // TestDynamicCacheDeterminism: two same-seed dynamic runs produce
-// bit-identical reports, including per-tier counts, per-GPU tier components
-// and rebalance byte totals.
+// bit-identical reports, including per-tier counts and rebalance byte
+// totals.
 func TestDynamicCacheDeterminism(t *testing.T) {
 	run := func() *Report {
 		cfg := driftConfig(t)
@@ -80,11 +80,6 @@ func TestDynamicCacheDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a.Tiers != b.Tiers {
 		t.Fatalf("fleet tiers diverged: %+v vs %+v", a.Tiers, b.Tiers)
-	}
-	for g := range a.PerGPUTiers {
-		if a.PerGPUTiers[g] != b.PerGPUTiers[g] {
-			t.Fatalf("GPU %d tiers diverged: %+v vs %+v", g, a.PerGPUTiers[g], b.PerGPUTiers[g])
-		}
 	}
 	if a.Rebalances != b.Rebalances || a.CachePromoted != b.CachePromoted ||
 		a.RebalanceBytes != b.RebalanceBytes || a.RebalanceTime != b.RebalanceTime {
@@ -105,8 +100,8 @@ func TestDynamicCacheDeterminism(t *testing.T) {
 	}
 }
 
-// TestReportTierConsistency: the flat row counts, the Tiers struct and the
-// per-GPU components all agree, and the derived hit rate matches.
+// TestReportTierConsistency: the flat row counts and the Tiers struct agree,
+// and the derived hit rate matches.
 func TestReportTierConsistency(t *testing.T) {
 	cfg := driftConfig(t)
 	cfg.DynamicCache = cache.LFUDecay
@@ -118,13 +113,6 @@ func TestReportTierConsistency(t *testing.T) {
 		rep.Tiers.Host != rep.CacheHost {
 		t.Fatalf("counter set disagrees with Tiers: %+v vs %d/%d/%d",
 			rep.Tiers, rep.CacheLocal, rep.CachePeer, rep.CacheHost)
-	}
-	var sum cache.Tiers
-	for _, pg := range rep.PerGPUTiers {
-		sum.Add(pg)
-	}
-	if sum != rep.Tiers {
-		t.Fatalf("per-GPU tiers sum %+v != fleet %+v", sum, rep.Tiers)
 	}
 	if rep.Tiers.Total() == 0 {
 		t.Fatal("no reads accounted")

@@ -33,10 +33,8 @@ type Report struct {
 	// carried at least one request.
 	MeanBatch float64
 
-	// Latency is the fleet-wide end-to-end latency distribution (seconds);
-	// PerGPU the per-GPU components it was merged from.
+	// Latency is the fleet-wide end-to-end latency distribution (seconds).
 	Latency *metrics.Histogram
-	PerGPU  []*metrics.Histogram
 
 	// Counters is the substrate's whole-run snapshot of the shared counter
 	// set — wire per class, feature-read tiers and cache adaptation,
@@ -45,11 +43,9 @@ type Report struct {
 	// local dimension slice). Counters.Render fills the run report's
 	// sections from it.
 	train.Counters
-	// PerGPUTiers splits the tier counts by requesting GPU; Tiers is their
-	// sum (CacheLocal/CachePeer/CacheHost again, as the cache.Tiers value
-	// benchmark/ reads).
-	Tiers       cache.Tiers
-	PerGPUTiers []cache.Tiers
+	// Tiers is the tier counts (CacheLocal/CachePeer/CacheHost again, as
+	// the cache.Tiers value benchmark/ reads).
+	Tiers cache.Tiers
 	// ExpectedHitRate is the popularity-weighted fraction of reads the GPU
 	// caches should serve under this workload's phase-0 popularity
 	// (featstore.CachedFraction).
@@ -91,7 +87,6 @@ type Recovery struct {
 }
 
 func (s *Server) report(end sim.Time) *Report {
-	cs := s.sub.Cache.Stats()
 	r := &Report{
 		Horizon:         s.cfg.Duration,
 		Makespan:        end,
@@ -100,10 +95,8 @@ func (s *Server) report(end sim.Time) *Report {
 		Completed:       len(s.completed),
 		Rounds:          s.nextRound,
 		Latency:         metrics.New(),
-		PerGPU:          s.latency,
 		Counters:        s.sub.Counters(),
-		Tiers:           cs.Tiers,
-		PerGPUTiers:     cs.PerGPU,
+		Tiers:           s.sub.Cache.Stats().Tiers,
 		ExpectedHitRate: s.ExpectedCacheHitRate(),
 		Strategy:        string(s.sub.Strategy.Kind()),
 		Requests:        s.completed,

@@ -21,6 +21,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/comm"
@@ -210,6 +211,18 @@ func (c Config) validate() error {
 	if c.Data == nil {
 		return fmt.Errorf("serve: Config.Data is required")
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Duration", float64(c.Duration)}, {"Rate", c.Rate}, {"Skew", c.Skew},
+		{"MaxWait", float64(c.MaxWait)}, {"RebalanceEvery", float64(c.RebalanceEvery)},
+		{"DriftEvery", float64(c.DriftEvery)}, {"SLO", float64(c.SLO)},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("serve: Config.%s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("serve: Config.Duration must be positive")
 	}
@@ -357,10 +370,10 @@ func NewReplica(cfg Config, eng *sim.Engine, name string, in *Intake, onComplete
 }
 
 func newServer(cfg Config, eng *sim.Engine, name string, in *Intake, onComplete func(*Request)) (*Server, error) {
-	cfg = cfg.defaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.defaults()
 	o := cfg.substrate().Defaults()
 	if err := o.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)

@@ -109,16 +109,21 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 		dev.RunKernel(p, hw.KernelGather, int64(len(local))*int64(d.RowBytes()))
 	}
 
-	// Remote hot rows: request ids, owners gather, rows come back. The reply
-	// is modelled (real-compute rows are assembled on the host by stage), so
-	// only its element counts move, priced under the feature codec.
+	// Remote hot rows: request ids, owners gather, rows come back. Both are
+	// modelled (real-compute rows are assembled on the host by stage), so
+	// only their element counts move, the reply priced under the feature
+	// codec.
 	if n > 1 {
-		reqIn := comm.AllToAll(lc, p, rank, remote, comm.Raw(4, hw.TrafficFeature))
+		reqs := make([]int, n)
+		for q, ids := range remote {
+			reqs[q] = len(ids)
+		}
+		reqIn := comm.AllToAllCounts(lc, p, rank, reqs, comm.Raw(4, hw.TrafficFeature))
 		replies := make([]int, n)
 		var served int64
 		for q := 0; q < n; q++ {
-			served += int64(len(reqIn[q]))
-			replies[q] = len(reqIn[q]) * d.FeatDim
+			served += int64(reqIn[q])
+			replies[q] = reqIn[q] * d.FeatDim
 		}
 		if served > 0 {
 			dev.RunKernel(p, hw.KernelGather, served*int64(d.RowBytes()))

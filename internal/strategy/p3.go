@@ -77,14 +77,22 @@ func (s *P3) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communic
 	h0 := s.hidden0()
 	slice := s.Store.SliceDim(rank)
 	// Every rank learns every batch's input set (the ids ride the feature
-	// class, like DSP's request all-to-all).
-	idsIn := comm.AllGather(lc, p, rank, ids, comm.Raw(4, hw.TrafficFeature))
+	// class, like DSP's request all-to-all). Only the set sizes are read, so
+	// only the counts move.
+	out := make([]int, n)
+	for q := range out {
+		if q != rank {
+			out[q] = len(ids)
+		}
+	}
+	sizes := comm.AllToAllCounts(lc, p, rank, out, comm.Raw(4, hw.TrafficFeature))
+	sizes[rank] = len(ids)
 	// Model-parallel first layer: gather the local column slice of every
 	// batch's inputs and project through the local W1 column shard.
 	push := make([]int, n)
 	factor := denseFactor(s.Opts.Model.Arch)
 	for q := 0; q < n; q++ {
-		mq := len(idsIn[q])
+		mq := sizes[q]
 		if mq == 0 {
 			continue
 		}
@@ -179,7 +187,7 @@ func (s *P3) Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats) {
 // full gradient vector minus the first layer's dimension-sharded dense
 // weights, which are replica-local under P3 and never ride the ring.
 func (s *P3) priceElems() int {
-	pe := len(s.Trainer.Grad[0]) - s.shardedParams()
+	pe := s.Trainer.Params - s.shardedParams()
 	if pe < 1 {
 		pe = 1
 	}

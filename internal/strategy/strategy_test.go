@@ -207,7 +207,8 @@ func TestInFlightReserveMatchesQueues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys.Machine().GPUs[0].MemUsed()
+		gpu := sys.Machine().GPUs[0]
+		return gpu.Spec.MemBytes - gpu.MemFree()
 	}
 	plain := used(1, 1)
 	slot := int64(512 * 32 * td.RowBytes()) // one batch, as Build prices it

@@ -282,28 +282,3 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	enc.SetEscapeHTML(false)
 	return enc.Encode(all)
 }
-
-// SpanStat aggregates the complete spans of one (category, name) key.
-type SpanStat struct {
-	Dur   float64 // total duration, microseconds
-	Count int     // number of spans
-}
-
-// Summary aggregates span time and span counts per (category, name), useful
-// for programmatic breakdowns and tests.
-func (t *Tracer) Summary() map[string]SpanStat {
-	out := map[string]SpanStat{}
-	if t == nil {
-		return out
-	}
-	for _, e := range t.events {
-		if e.Ph != "X" {
-			continue
-		}
-		s := out[e.Cat+"/"+e.Name]
-		s.Dur += e.Dur
-		s.Count++
-		out[e.Cat+"/"+e.Name] = s
-	}
-	return out
-}

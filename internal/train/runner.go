@@ -161,11 +161,13 @@ func (h stageHook) run(p *sim.Proc, name string, lane, step int, dist *metrics.H
 	}
 }
 
-// Reducer sums a gradient vector in place across every replica of a run.
+// Reducer sums a gradient vector in place across every replica of a run, or
+// (AllReduceCount) prices the sum of n elements whose values nobody reads.
 // *comm.Communicator is the single-machine reducer; a cluster installs a
 // hierarchical one (internal/core) on each machine's Trainer.
 type Reducer interface {
 	AllReduceSum(p *sim.Proc, rank int, data []float32, o comm.Opts)
+	AllReduceCount(p *sim.Proc, rank, n int, o comm.Opts)
 }
 
 // Trainer is the data-parallel trainer worker shared by every strategy,
@@ -181,21 +183,24 @@ type Trainer struct {
 	Comm   *comm.Communicator
 	Reduce Reducer
 	World  int
+	// Params is the model's parameter count, the gradient vector's length.
+	Params int
 	Models []*nn.Model
 	Optims []*nn.Adam
-	Grad   [][]float32
+	// Grad is each rank's gradient buffer under RealCompute (nil cost-only,
+	// where the allreduce is priced by Params alone).
+	Grad [][]float32
 }
 
-// NewTrainer builds per-rank model replicas (identical seeds) when
-// RealCompute is set; in cost-only mode it allocates real-size gradient
-// buffers so allreduce wire volume stays exact.
+// NewTrainer builds per-rank model replicas (identical seeds) and their
+// gradient buffers when RealCompute is set; cost-only it records only the
+// parameter count the allreduce is priced by.
 func NewTrainer(opts Options, c *comm.Communicator) *Trainer {
 	t := &Trainer{Opts: opts, Comm: c, Reduce: c, World: c.N}
-	n := opts.Data.NumGPUs()
-	probe := nn.NewModel(opts.Model, opts.Seed)
-	for g := 0; g < n; g++ {
-		t.Grad = append(t.Grad, make([]float32, probe.ParamCount()))
-		if opts.RealCompute {
+	t.Params = nn.NewModel(opts.Model, opts.Seed).ParamCount()
+	if opts.RealCompute {
+		for g := 0; g < opts.Data.NumGPUs(); g++ {
+			t.Grad = append(t.Grad, make([]float32, t.Params))
 			t.Models = append(t.Models, nn.NewModel(opts.Model, opts.Seed))
 			t.Optims = append(t.Optims, nn.NewAdam(opts.LR))
 		}
@@ -232,13 +237,11 @@ func (t *Trainer) Step(p *sim.Proc, dev *hw.Device, rank int, mb *sample.MiniBat
 		t.Optims[rank].Step(m)
 		return
 	}
-	// Cost-only: charge nominal kernel work; gradients still move for real.
+	// Cost-only: charge nominal kernel work and the gradient allreduce; no
+	// gradient value exists, so none moves.
 	if len(mb.Seeds) > 0 {
 		dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(t.Opts.Model, mb))
 		dev.RunKernel(p, hw.KernelCompute, nominal(t.Opts.Model, mb))
 	}
-	// The cost-only path never writes Grad (it stays all-zero), so the
-	// communicator may reuse its cached encode round over round.
-	grad.Static = true
-	t.Reduce.AllReduceSum(p, rank, t.Grad[rank], grad)
+	t.Reduce.AllReduceCount(p, rank, t.Params, grad)
 }

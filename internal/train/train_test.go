@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/comm"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/hw"
@@ -326,5 +327,34 @@ func TestRunEpochPopulatesStageDistributions(t *testing.T) {
 	}
 	if p50 := stats.TrainDist.P50(); math.Abs(p50-0.003) > 0.0002 {
 		t.Fatalf("train p50 %g, want ~0.003", p50)
+	}
+}
+
+// TestCostOnlyTrainerHoldsNoGradients: a cost-only trainer's allreduce is
+// priced by the parameter count alone, so it allocates no gradient buffer
+// and no replica; a real-compute trainer holds one of each per rank, sized
+// by the same count.
+func TestCostOnlyTrainerHoldsNoGradients(t *testing.T) {
+	td := Prepare(testDataset(), 2, 1, true)
+	o := Options{Data: td, Model: nn.Config{Arch: nn.SAGE, Hidden: 8, Layers: 2}}.Defaults()
+	c := comm.New(hw.NewMachine(2, hw.V100(), hw.XeonE5()))
+	want := nn.NewModel(o.Model, o.Seed).ParamCount()
+	cost := NewTrainer(o, c)
+	if cost.Grad != nil || cost.Models != nil || cost.Optims != nil {
+		t.Fatalf("cost-only trainer holds %d gradients, %d models, %d optimisers",
+			len(cost.Grad), len(cost.Models), len(cost.Optims))
+	}
+	if cost.Params != want {
+		t.Fatalf("Params = %d, model has %d", cost.Params, want)
+	}
+	o.RealCompute = true
+	real := NewTrainer(o, c)
+	if real.Params != want || len(real.Grad) != 2 || len(real.Models) != 2 {
+		t.Fatalf("real trainer: Params %d, %d gradients, %d models", real.Params, len(real.Grad), len(real.Models))
+	}
+	for g, buf := range real.Grad {
+		if len(buf) != want {
+			t.Fatalf("rank %d gradient has %d elements, want %d", g, len(buf), want)
+		}
 	}
 }

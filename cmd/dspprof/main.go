@@ -113,123 +113,9 @@ func cmdSummary(args []string) error {
 		return err
 	}
 	if r != nil {
-		fmt.Printf("%s run: %s on %s, %d GPUs, seed %d\n", r.Command, r.System, r.Dataset, r.GPUs, r.Seed)
-		fmt.Printf("wall time %.6gs\n", r.WallTime)
-		if len(r.Stages) > 0 {
-			keys := sortedKeys(r.Stages)
-			fmt.Print("stage time ")
-			for _, k := range keys {
-				fmt.Printf(" %s %.4gs", k, r.Stages[k])
-			}
-			fmt.Println()
-		}
-		if r.Latency != nil {
-			fmt.Printf("latency p50 %.4gms  p95 %.4gms  p99 %.4gms (n=%d)\n",
-				1e3*r.Latency.P50, 1e3*r.Latency.P95, 1e3*r.Latency.P99, r.Latency.Count)
-		}
-		if r.Cache != nil {
-			fmt.Printf("cache hit %.1f%% (local %d, peer %d, host %d)\n",
-				100*r.Cache.HitRate, r.Cache.Local, r.Cache.Peer, r.Cache.Host)
-		}
-		if s := r.Strategy; s != nil {
-			fmt.Printf("strategy %s: feature dim %d, slices %v\n", s.Name, s.FeatureDim, s.SliceDims)
-			fmt.Printf("strategy %s: push %.2f MB  pull %.2f MB  partial %.3g flops  reduce %.2f MB  sharded params %d\n",
-				s.Name, float64(s.PushBytes)/1e6, float64(s.PullBytes)/1e6,
-				float64(s.PartialFlops), float64(s.ReduceBytes)/1e6, s.ShardedParams)
-		}
-		if s := r.Store; s != nil {
-			comp := ""
-			if s.Compressed {
-				comp = ", compressed topology"
-			}
-			fmt.Printf("ooc store: %d blocks (%d topo%s), %.2f MB over a %.2f MB cache\n",
-				s.Blocks, s.TopoBlocks, comp,
-				float64(s.BlockBytes)/1e6, float64(s.CacheBytes)/1e6)
-			fmt.Printf("ooc store: hit %.1f%% (%d/%d)  demand %.2f MB  stall %.4gs\n",
-				100*s.HitRate, s.Hits, s.Hits+s.Misses, float64(s.DemandBytes)/1e6, s.StallTime)
-			if s.PrefetchIssued > 0 {
-				fmt.Printf("ooc store: prefetch %d issued, %d used (%.1f%% accuracy), %.2f MB\n",
-					s.PrefetchIssued, s.PrefetchUsed, 100*s.PrefetchAccuracy,
-					float64(s.PrefetchBytes)/1e6)
-			}
-		}
-		if r.Serving != nil {
-			fmt.Printf("serving: throughput %.0f req/s  shed %.1f%%  rounds %d\n",
-				r.Serving.Throughput, 100*r.Serving.ShedRate, r.Serving.Rounds)
-			if g := r.Serving.Goodput; g != nil {
-				fmt.Printf("goodput: %d/%d within %.4gms SLO (%.1f%%)  %.0f good req/s\n",
-					g.Good, g.Total, 1e3*g.SLO, 100*g.Fraction, g.Rate)
-			}
-			for _, tc := range r.Serving.Tenants {
-				fmt.Printf("tenant %-10s admitted %d  rejected %d\n", tc.Name, tc.Admitted, tc.Rejected)
-			}
-		}
-		if f := r.Fleet; f != nil {
-			fmt.Printf("fleet router: %s policy, %d built, %d active at end, %d rerouted\n",
-				f.Policy, f.Built, f.Active, f.Rerouted)
-			if len(f.DeadFleets) > 0 {
-				fmt.Printf("dead fleets: %v\n", f.DeadFleets)
-			}
-			for _, e := range f.PerFleet {
-				fmt.Printf("  fleet%d %-8s routed %-6d completed %-6d p99 %.4gms",
-					e.ID, e.State, e.Routed, e.Completed, 1e3*e.P99)
-				if e.Rerouted > 0 || e.Lost > 0 {
-					fmt.Printf("  rerouted %d  lost %d", e.Rerouted, e.Lost)
-				}
-				fmt.Println()
-			}
-			for _, e := range f.Scale {
-				if e.Reason != "" {
-					fmt.Printf("  scale %.4gs %s fleet%d (%s, p99 %.4gms)\n", e.At, e.Action, e.Fleet, e.Reason, 1e3*e.P99)
-				} else {
-					fmt.Printf("  scale %.4gs %s fleet%d (p99 %.4gms)\n", e.At, e.Action, e.Fleet, 1e3*e.P99)
-				}
-			}
-		}
-		if r.Faults != nil {
-			fmt.Printf("faults: %d recoveries, mean MTTR %.4gms\n",
-				len(r.Faults.Recoveries), 1e3*r.Faults.MeanMTTR)
-		}
-		if t := r.Telemetry; t != nil {
-			fmt.Printf("telemetry: %d series, %d scrapes @ %.4gms cadence, %d samples retained",
-				t.Series, t.Scrapes, 1e3*t.Interval, t.Samples)
-			if t.Dropped > 0 {
-				fmt.Printf(" (%d dropped)", t.Dropped)
-			}
-			fmt.Println()
-			if t.Requests > 0 || t.Shed > 0 {
-				fmt.Printf("telemetry: %d requests observed, %d shed, bad fraction %.4g, %d exemplars\n",
-					t.Requests, t.Shed, t.BadFraction, t.Exemplars)
-			}
-			for _, ru := range t.Rules {
-				fmt.Printf("  rule %-8s burn>%.3g over %.3gs/%.3gs windows  fired %d\n",
-					ru.Name, ru.Burn, ru.Short, ru.Long, ru.Fired)
-			}
-			for _, a := range t.Alerts {
-				fmt.Printf("  alert %-8s [%.4gs, %.4gs] peak burn %.3g\n",
-					a.Rule, a.Start, a.End, a.Peak)
-			}
-		}
+		fmt.Print(r.Summary())
 	}
-	if p == nil {
-		if r != nil {
-			fmt.Println("(no profile section — rerun with -trace or -report)")
-			return nil
-		}
-		return fmt.Errorf("no profile available")
-	}
-	fmt.Printf("profile window [%.6g, %.6g]s\n", p.Window.Start, p.Window.End)
-	fmt.Printf("pipeline overlap %.1f%%  comm/compute overlap %.1f%%\n",
-		100*p.PipelineOverlap, 100*p.CommComputeOverlap)
-	fmt.Printf("stalls: queue %.4gs  ccc %.4gs  (%d events)\n",
-		p.Stalls.QueueWait, p.Stalls.CCCWait, p.Stalls.Count)
-	if len(p.Lanes) > 0 {
-		fmt.Printf("%-10s %-16s %10s %10s %7s %8s\n", "gpu", "lane", "busy(s)", "stall(s)", "util", "spans")
-		for _, l := range p.Lanes {
-			fmt.Printf("%-10s %-16s %10.4g %10.4g %6.1f%% %8d\n",
-				l.GPU, l.Lane, l.Busy, l.Stall, 100*l.Util, l.Count)
-		}
-	}
+	fmt.Print(p.Summary())
 	return nil
 }
 

@@ -69,6 +69,11 @@ func main() {
 	teleOpts := cliopts.RegisterTelemetry(flag.CommandLine)
 	flag.Parse()
 
+	hub, err := teleOpts.Hub(fleetOpts.SLO())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
+		os.Exit(2)
+	}
 	td, nGPU, recShrink, err := cliopts.LoadData(*dataIn, *dsName, *gpus, *shrink)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
@@ -168,6 +173,7 @@ func main() {
 		Faults:             faults,
 		Tenants:            tenants,
 		SLO:                fleetOpts.SLO(),
+		Telemetry:          hub,
 		CompressTopology:   graphOpts.Compress(),
 		OOC:                graphOpts.OOC(),
 		OOCBudget:          graphOpts.OOCBudget(),
@@ -177,21 +183,18 @@ func main() {
 		fmt.Printf("graph storage: %s\n", desc)
 	}
 
-	hub := teleOpts.Hub(fleetOpts.SLO())
-	cfg.Telemetry = hub
-	// finish is the run epilogue: telemetry document, run report, trace file.
-	finish := func(end sim.Time, totalGPUs int, report func(serve.ReportMeta) *prof.RunReport) {
-		err := common.Finish(teleOpts, hub, end, cfg.Tracer, *traceTo,
-			func(sec *prof.TelemetrySection) *prof.RunReport {
-				return report(serve.ReportMeta{
-					Dataset: td.Name, GPUs: totalGPUs, Seed: *seed, Shrink: recShrink,
-					Tracer: cfg.Tracer, Telemetry: sec,
-				})
-			})
-		if err != nil {
+	// finish is the run epilogue: telemetry document, run report, trace file,
+	// then the report's summary (what dspprof summary prints for it).
+	finish := func(end sim.Time, totalGPUs int, r *prof.RunReport) {
+		r.Dataset, r.GPUs, r.Seed, r.Shrink = td.Name, totalGPUs, *seed, recShrink
+		if err := common.Finish(teleOpts, hub, end, cfg.Tracer, *traceTo, r); err != nil {
 			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
 			os.Exit(1)
 		}
+		if *traceTo != "" {
+			fmt.Printf("trace written to %s (%d events)\n", *traceTo, cfg.Tracer.Len())
+		}
+		fmt.Print(r.Summary())
 	}
 
 	if fleetMode {
@@ -217,8 +220,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println(rep)
-		finish(rep.Makespan, built**gpus, rep.RunReport)
+		finish(rep.Makespan, built**gpus, rep.RunReport())
 		return
 	}
 
@@ -241,10 +243,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println(rep)
-
-	finish(rep.Makespan, *gpus, rep.RunReport)
-	if *traceTo != "" {
-		fmt.Printf("trace written to %s (%d events)\n", *traceTo, cfg.Tracer.Len())
-	}
+	finish(rep.Makespan, *gpus, rep.RunReport())
 }

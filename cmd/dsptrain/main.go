@@ -64,6 +64,11 @@ func main() {
 	teleOpts := cliopts.RegisterTelemetry(flag.CommandLine)
 	flag.Parse()
 
+	hub, err := teleOpts.Hub(0)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
+		os.Exit(2)
+	}
 	td, nGPU, recShrink, err := cliopts.LoadData(*dataIn, *dsName, *gpus, *shrink)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
@@ -164,7 +169,6 @@ func main() {
 		sys.Machine().SetTracer(tracer)
 	}
 
-	hub := teleOpts.Hub(0)
 	if hub.Enabled() {
 		if ftMode {
 			// The fault-tolerant driver rebuilds a fresh engine per recovery
@@ -203,14 +207,10 @@ func main() {
 
 	fmt.Printf("training %s with %s on %d simulated GPUs\n", opts.Model.Arch, sys.Name(), *gpus)
 	// finish is the run epilogue: telemetry document, run report, trace file.
-	finish := func(in train.ReportInput) {
-		in.Command, in.System, in.Dataset = "dsptrain", sys.Name(), td.Name
-		in.GPUs, in.Seed, in.Shrink, in.Tracer = *gpus, *seed, recShrink, tracer
-		err := common.Finish(teleOpts, hub, sys.Machine().Eng.Now(), tracer, *traceTo,
-			func(sec *prof.TelemetrySection) *prof.RunReport {
-				in.Telemetry = sec
-				return train.BuildRunReport(in)
-			})
+	finish := func(r *prof.RunReport) {
+		r.Command, r.System, r.Dataset = "dsptrain", sys.Name(), td.Name
+		r.GPUs, r.Seed, r.Shrink = *gpus, *seed, recShrink
+		err := common.Finish(teleOpts, hub, sys.Machine().Eng.Now(), tracer, *traceTo, r)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
 			os.Exit(1)
@@ -266,7 +266,7 @@ func main() {
 		}
 		fmt.Printf("final validation accuracy %.3f\n", train.Evaluate(td, final, opts.Sample, 2000, 99))
 		saveModel(*saveTo, opts.Seed, final)
-		finish(train.ReportInput{Epochs: rep.Epochs, FT: rep})
+		finish(train.BuildRunReport(rep.Epochs, nil, rep))
 		return
 	}
 	fmt.Println("epoch  sim-time(s)  train-acc  val-acc   sample-MB  feature-MB")
@@ -296,7 +296,7 @@ func main() {
 		}
 	}
 	saveModel(*saveTo, opts.Seed, sys.Model())
-	finish(train.ReportInput{Epochs: allStats, ValAcc: valAccs})
+	finish(train.BuildRunReport(allStats, valAccs, nil))
 }
 
 // saveModel is -save: m's parameters as a params-only checkpoint (cursor zero,

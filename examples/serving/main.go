@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println(rep)
+	fmt.Print(rep)
 	fmt.Printf("\np99/p50 tail ratio %.2fx  mean batch %.1f req/GPU-round\n",
 		rep.Latency.P99()/rep.Latency.P50(), rep.MeanBatch)
 }

@@ -88,15 +88,9 @@ func TestOOCRunReportByteIdentical(t *testing.T) {
 			}
 			epochs = append(epochs, st)
 		}
-		rep := train.BuildRunReport(train.ReportInput{
-			Command: "dsptrain",
-			System:  "DSP",
-			Dataset: "products-sim",
-			GPUs:    4,
-			Seed:    13,
-			Shrink:  16,
-			Epochs:  epochs,
-		})
+		rep := train.BuildRunReport(epochs, nil, nil)
+		rep.Command, rep.System, rep.Dataset = "dsptrain", "DSP", "products-sim"
+		rep.GPUs, rep.Seed, rep.Shrink = 4, 13, 16
 		if err := rep.Validate(); err != nil {
 			t.Fatalf("report fails its own validation: %v", err)
 		}

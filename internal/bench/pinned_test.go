@@ -76,11 +76,11 @@ func trainReport(row trainRow, parallel int) (*prof.RunReport, error) {
 		}
 		epochs = append(epochs, st)
 	}
-	return train.BuildRunReport(train.ReportInput{
-		Command: "dspbench", System: sys.Name(), Dataset: dsName,
-		GPUs: nGPU, Seed: opts.Seed, Shrink: cfg.Shrink,
-		Epochs: epochs, Tracer: tracer,
-	}), nil
+	r := train.BuildRunReport(epochs, nil, nil)
+	r.Command, r.System, r.Dataset = "dspbench", sys.Name(), dsName
+	r.GPUs, r.Seed, r.Shrink = nGPU, opts.Seed, cfg.Shrink
+	r.Attach(nil, tracer)
+	return r, nil
 }
 
 // TestTrainPinned holds every virtual result of five training configurations

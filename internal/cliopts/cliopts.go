@@ -7,6 +7,7 @@ package cliopts
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -169,7 +170,7 @@ func (c *Common) StrategyKind() (strategy.Kind, error) {
 // FeatCodec resolves the -compress-feat flag; the seed drives stochastic
 // codecs so runs stay reproducible.
 func (c *Common) FeatCodec(seed uint64) (compress.Codec, error) {
-	return compress.Parse(*c.compressFeat, seed)
+	return codec("-compress-feat", *c.compressFeat, seed)
 }
 
 // GradCodec resolves the -compress-grad flag (RegisterGrad must have run).
@@ -177,7 +178,16 @@ func (c *Common) GradCodec(seed uint64) (compress.Codec, error) {
 	if c.compressGrad == nil {
 		return nil, nil
 	}
-	return compress.Parse(*c.compressGrad, seed)
+	return codec("-compress-grad", *c.compressGrad, seed)
+}
+
+// codec parses a -compress-* spec, naming the flag in its error.
+func codec(name, spec string, seed uint64) (compress.Codec, error) {
+	c, err := compress.Parse(spec, seed)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return c, nil
 }
 
 // Fleet holds the replicated-serving flag values (dspserve only): fleet
@@ -216,7 +226,11 @@ func (f *Fleet) Policy() (fleet.Policy, error) {
 
 // Tenants resolves the -tenants spec.
 func (f *Fleet) Tenants() ([]serve.TenantSpec, error) {
-	return serve.ParseTenants(*f.tenants)
+	specs, err := serve.ParseTenants(*f.tenants)
+	if err != nil {
+		return nil, fmt.Errorf("-tenants: %w", err)
+	}
+	return specs, nil
 }
 
 // SLO returns the -slo objective.
@@ -285,17 +299,27 @@ func RegisterTelemetry(fs *flag.FlagSet) *Telemetry {
 func (t *Telemetry) Enabled() bool { return *t.enabled || *t.out != "" }
 
 // Hub builds the configured hub, or nil when telemetry is off. slo is the
-// run's latency objective (the -slo flag for serving; seconds).
-func (t *Telemetry) Hub(slo sim.Time) *telemetry.Hub {
+// run's latency objective (the -slo flag for serving; seconds). A non-finite
+// -telemetry-interval or -slo-target is an error naming the flag, telemetry
+// on or off, so a bad command line stops before the run.
+func (t *Telemetry) Hub(slo sim.Time) (*telemetry.Hub, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-telemetry-interval", *t.interval}, {"-slo-target", *t.target}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("cliopts: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if !t.Enabled() {
-		return nil
+		return nil, nil
 	}
 	return telemetry.New(telemetry.Config{
 		Interval: sim.Time(*t.interval),
 		RingCap:  *t.ring,
 		SLO:      slo,
 		Target:   *t.target,
-	})
+	}), nil
 }
 
 // Finish closes the hub at virtual time end, validates the document,
@@ -347,12 +371,13 @@ func LoadData(path, name string, gpus, shrink int) (*train.Data, int, int, error
 }
 
 // Finish is the run epilogue every frontend path shares: close the
-// telemetry hub at virtual time end (validate, write -telemetry-out), hand
-// its section to report and validate + write the result when -report was
-// given, then write the Chrome trace to tracePath when tracing to a file.
-// hub and tracer may be nil.
+// telemetry hub at virtual time end (validate, write -telemetry-out), attach
+// its section and the tracer's profile to r (prof.RunReport.Attach),
+// validate and write r when -report was given, then write the Chrome trace
+// to tracePath when tracing to a file. r carries the builder's sections and
+// the caller's identity; hub and tracer may be nil.
 func (c *Common) Finish(t *Telemetry, hub *telemetry.Hub, end sim.Time, tracer *trace.Tracer, tracePath string,
-	report func(*prof.TelemetrySection) *prof.RunReport) error {
+	r *prof.RunReport) error {
 	doc, err := t.Finish(hub, end)
 	if err != nil {
 		return err
@@ -361,8 +386,15 @@ func (c *Common) Finish(t *Telemetry, hub *telemetry.Hub, end sim.Time, tracer *
 	if doc != nil {
 		sec = doc.Section()
 	}
-	if err := c.WriteReport(report(sec)); err != nil {
-		return err
+	r.Attach(sec, tracer)
+	if *c.report != "" {
+		if err := r.Validate(); err != nil {
+			return err
+		}
+		if err := r.WriteFile(*c.report); err != nil {
+			return err
+		}
+		fmt.Printf("wrote run report to %s\n", *c.report)
 	}
 	if tracer == nil || tracePath == "" {
 		return nil
@@ -380,19 +412,3 @@ func (c *Common) Finish(t *Telemetry, hub *telemetry.Hub, end sim.Time, tracer *
 
 // ReportPath returns the -report destination (empty = no report requested).
 func (c *Common) ReportPath() string { return *c.report }
-
-// WriteReport validates and writes the run report when -report was given,
-// printing a confirmation line. No-op without the flag.
-func (c *Common) WriteReport(r *prof.RunReport) error {
-	if *c.report == "" {
-		return nil
-	}
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	if err := r.WriteFile(*c.report); err != nil {
-		return err
-	}
-	fmt.Printf("wrote run report to %s\n", *c.report)
-	return nil
-}

@@ -2,6 +2,7 @@ package cliopts
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -105,4 +106,47 @@ func TestBadSpecsError(t *testing.T) {
 	if _, err := c.GradCodec(1); err == nil {
 		t.Error("bad grad codec accepted")
 	}
+}
+
+// TestNonFiniteSpecsNamed: a non-finite spec value is an error naming its
+// flag before any run, with telemetry on or off. NaN used to pass every
+// comparison and fail only when the finished report was encoded.
+func TestNonFiniteSpecsNamed(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+		err  func(*Common, *Telemetry, *Fleet) error
+	}{
+		{[]string{"-telemetry-interval", "NaN"}, "-telemetry-interval", hubErr},
+		{[]string{"-telemetry", "-telemetry-interval", "Inf"}, "-telemetry-interval", hubErr},
+		{[]string{"-slo-target", "NaN"}, "-slo-target", hubErr},
+		{[]string{"-compress-feat", "topk:nan"}, "-compress-feat", func(c *Common, _ *Telemetry, _ *Fleet) error {
+			_, err := c.FeatCodec(1)
+			return err
+		}},
+		{[]string{"-compress-grad", "topk:NaN"}, "-compress-grad", func(c *Common, _ *Telemetry, _ *Fleet) error {
+			_, err := c.GradCodec(1)
+			return err
+		}},
+		{[]string{"-tenants", "a:Inf,b:1"}, "-tenants", func(_ *Common, _ *Telemetry, f *Fleet) error {
+			_, err := f.Tenants()
+			return err
+		}},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		c := Register(fs)
+		c.RegisterGrad(fs)
+		tel, fl := RegisterTelemetry(fs), RegisterFleet(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.err(c, tel, fl); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
+func hubErr(_ *Common, tel *Telemetry, _ *Fleet) error {
+	_, err := tel.Hub(0)
+	return err
 }

@@ -74,7 +74,7 @@ func Parse(spec string, seed uint64) (Codec, error) {
 		return NewTopK(0.1), nil
 	case strings.HasPrefix(spec, "topk:"):
 		r, err := strconv.ParseFloat(spec[len("topk:"):], 64)
-		if err != nil || r <= 0 || r > 1 {
+		if err != nil || !(r > 0 && r <= 1) { // NaN fails both
 			return nil, fmt.Errorf("compress: bad topk ratio %q (want 0 < ratio <= 1)", spec)
 		}
 		return NewTopK(r), nil

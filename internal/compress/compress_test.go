@@ -257,11 +257,32 @@ func TestParse(t *testing.T) {
 			t.Fatalf("Parse(%q) = %v, %v; want codec %q", spec, c, err, name)
 		}
 	}
-	for _, bad := range []string{"zstd", "topk:0", "topk:1.5", "topk:x"} {
+	for _, bad := range []string{"zstd", "topk:0", "topk:1.5", "topk:x", "topk:nan", "topk:NaN", "topk:inf"} {
 		if _, err := Parse(bad, 1); err == nil {
 			t.Fatalf("Parse(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParse feeds arbitrary -compress-grad / -compress-feat specs to Parse,
+// seeded with the CLI doc values and the non-finite ratios it once accepted
+// (topk:nan trained with a codec named topkNaN). A bad spec is an error,
+// never a panic, and an accepted top-k ratio lies in (0, 1].
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"", "none", "fp32", "fp16", "int8", "topk", "topk:0.25", "topk:1", "topk:nan", "topk:inf", "topk:-0",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := Parse(spec, 1)
+		if err != nil {
+			return
+		}
+		if tk, ok := c.(TopK); ok && !(tk.Ratio > 0 && tk.Ratio <= 1) {
+			t.Fatalf("Parse(%q) accepted top-k ratio %v", spec, tk.Ratio)
+		}
+	})
 }
 
 func TestIdentity(t *testing.T) {

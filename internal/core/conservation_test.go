@@ -88,6 +88,13 @@ func trainEpochs(t *testing.T, sys interface {
 	return parts, epochs
 }
 
+// testReport renders a training run's report under the command name "test".
+func testReport(epochs []train.EpochStats, ft *train.FTReport) *prof.RunReport {
+	r := train.BuildRunReport(epochs, nil, ft)
+	r.Command = "test"
+	return r
+}
+
 func runDSP(t *testing.T, o train.Options) counted {
 	t.Helper()
 	sys, err := New(o)
@@ -96,7 +103,7 @@ func runDSP(t *testing.T, o train.Options) counted {
 	}
 	parts, epochs := trainEpochs(t, sys, 2)
 	return counted{parts: parts, subs: sys.subs,
-		report: train.BuildRunReport(train.ReportInput{Command: "test", Epochs: epochs})}
+		report: testReport(epochs, nil)}
 }
 
 func runMulti(t *testing.T, o train.Options, machines int) counted {
@@ -108,7 +115,7 @@ func runMulti(t *testing.T, o train.Options, machines int) counted {
 	}
 	parts, epochs := trainEpochs(t, sys, 2)
 	return counted{parts: parts, subs: sys.subs,
-		report: train.BuildRunReport(train.ReportInput{Command: "test", Epochs: epochs})}
+		report: testReport(epochs, nil)}
 }
 
 func runFT(t *testing.T, o train.Options, faults []fault.Fault) counted {
@@ -134,7 +141,7 @@ func runFT(t *testing.T, o train.Options, faults []fault.Fault) counted {
 		t.Fatalf("%d recoveries for %d faults", len(rep.Recoveries), len(faults))
 	}
 	out := counted{subs: subs, replayed: len(faults) > 0,
-		report: train.BuildRunReport(train.ReportInput{Command: "test", Epochs: rep.Epochs, FT: rep})}
+		report: testReport(rep.Epochs, rep)}
 	for _, st := range rep.Epochs {
 		out.parts = append(out.parts, st.Counters)
 	}
@@ -162,7 +169,7 @@ func runServe(t *testing.T, td *train.Data) counted {
 		t.Fatal(err)
 	}
 	return counted{parts: []train.Counters{rep.Counters}, snapshot: rep.Counters,
-		machines: []*hw.Machine{s.Machine()}, report: rep.RunReport(serve.ReportMeta{})}
+		machines: []*hw.Machine{s.Machine()}, report: rep.RunReport()}
 }
 
 func runFleet(t *testing.T, td *train.Data) counted {
@@ -175,7 +182,7 @@ func runFleet(t *testing.T, td *train.Data) counted {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := counted{report: rep.RunReport(serve.ReportMeta{})}
+	out := counted{report: rep.RunReport()}
 	for i, fr := range rep.PerFleet {
 		out.parts = append(out.parts, fr.Counters)
 		out.machines = append(out.machines, r.Servers()[i].Machine())

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -85,15 +83,6 @@ type ScaleEvent struct {
 	// Reason is "burn-rate" when a firing page alert forced the action
 	// ahead of the p99 bands; empty for band-driven actions.
 	Reason string
-}
-
-func (e ScaleEvent) String() string {
-	if e.Reason != "" {
-		return fmt.Sprintf("%.3fs %s fleet%d (%s, window p99 %.3fms)",
-			float64(e.At), e.Action, e.Fleet, e.Reason, 1e3*float64(e.P99))
-	}
-	return fmt.Sprintf("%.3fs %s fleet%d (window p99 %.3fms)",
-		float64(e.At), e.Action, e.Fleet, 1e3*float64(e.P99))
 }
 
 // autoscaler is the periodic scaling daemon: each period it merges the

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sample"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/train"
 )
 
@@ -68,7 +69,7 @@ func checkAccounting(t *testing.T, rep *Report) {
 
 func TestFleetSmoke(t *testing.T) {
 	rep := mustRun(t, testConfig(t, 2))
-	t.Logf("\n%s", rep)
+	t.Logf("\n%s", rep.RunReport().Summary())
 	if rep.Completed() == 0 {
 		t.Fatal("no requests completed")
 	}
@@ -122,11 +123,11 @@ func TestParsePolicy(t *testing.T) {
 // TestFleetRunReportDeterminism: the same seed with N fleets produces a
 // byte-identical dsp-runreport document across runs.
 func TestFleetRunReportDeterminism(t *testing.T) {
-	meta := serve.ReportMeta{Dataset: "fleet-t", GPUs: 6, Seed: 42}
 	encode := func() []byte {
 		cfg := testConfig(t, 3)
 		cfg.Policy = LeastLoaded
-		rr := mustRun(t, cfg).RunReport(meta)
+		rr := mustRun(t, cfg).RunReport()
+		rr.Dataset, rr.GPUs, rr.Seed = "fleet-t", 6, 42
 		if err := rr.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -142,6 +143,29 @@ func TestFleetRunReportDeterminism(t *testing.T) {
 	}
 }
 
+// TestFleetReportCarriesTelemetry: a routed run with a hub gets its
+// telemetry section from the one run-report epilogue, as a stand-alone run
+// does. The fleet builder once stamped its own epilogue and dropped the
+// section, so `dspserve -fleets 2 -telemetry -report` wrote none.
+func TestFleetReportCarriesTelemetry(t *testing.T) {
+	cfg := testConfig(t, 2)
+	hub := telemetry.New(telemetry.Config{SLO: cfg.Serve.SLO})
+	cfg.Serve.Telemetry = hub
+	rep := mustRun(t, cfg)
+	doc := hub.Finish(rep.Makespan)
+	rr := rep.RunReport()
+	rr.Attach(doc.Section(), nil)
+	if rr.Telemetry == nil || rr.Telemetry.Scrapes == 0 || !reflect.DeepEqual(rr.Telemetry, doc.Section()) {
+		t.Fatalf("fleet report telemetry = %+v, want the hub's section %+v", rr.Telemetry, doc.Section())
+	}
+	if err := rr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rr.Summary(), "telemetry: ") {
+		t.Fatalf("summary has no telemetry line:\n%s", rr.Summary())
+	}
+}
+
 // TestFleetCrashReroute: killing one of three fleets mid-run drains it, the
 // router re-homes its queued requests, and the run still completes with the
 // loss attributed to the dead replica.
@@ -154,7 +178,7 @@ func TestFleetCrashReroute(t *testing.T) {
 	}
 	cfg.Faults = ffs
 	rep := mustRun(t, cfg)
-	t.Logf("\n%s", rep)
+	t.Logf("\n%s", rep.RunReport().Summary())
 	checkAccounting(t, rep)
 	if got := rep.DeadFleets(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("dead fleets %v, want [1]", got)
@@ -209,7 +233,7 @@ func TestFleetTenantQuota(t *testing.T) {
 		{Name: "pro", Weight: 1},
 	}
 	rep := mustRun(t, cfg)
-	t.Logf("\n%s", rep)
+	t.Logf("\n%s", rep.RunReport().Summary())
 	checkAccounting(t, rep)
 	if rep.QuotaRejected == 0 {
 		t.Fatal("capped tenant was never quota-rejected")
@@ -239,7 +263,7 @@ func TestFleetAutoscaler(t *testing.T) {
 	// Up well under the observed single-fleet p99 so saturation trips it.
 	cfg.Autoscale = Autoscale{Min: 1, Max: 3, Period: 10e-3, Up: 2e-3}
 	rep := mustRun(t, cfg)
-	t.Logf("\n%s", rep)
+	t.Logf("\n%s", rep.RunReport().Summary())
 	checkAccounting(t, rep)
 	ups := 0
 	for _, e := range rep.Scale {
@@ -268,7 +292,7 @@ func TestFleetAutoscalerDrains(t *testing.T) {
 	// Down above the observed light-load p99 so comfort trips a drain.
 	cfg.Autoscale = Autoscale{Min: 1, Max: 3, Period: 10e-3, Up: 20e-3, Down: 5e-3}
 	rep := mustRun(t, cfg)
-	t.Logf("\n%s", rep)
+	t.Logf("\n%s", rep.RunReport().Summary())
 	drains := 0
 	for _, e := range rep.Scale {
 		if e.Action == "drain" {

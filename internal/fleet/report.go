@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/prof"
@@ -16,7 +15,6 @@ import (
 // → bitwise-identical report.
 type Report struct {
 	Policy   Policy
-	Horizon  sim.Time
 	Makespan sim.Time
 	Offered  float64
 	// Throughput is completions across all fleets over the makespan.
@@ -60,7 +58,6 @@ type FleetStat struct {
 func (r *Router) report(end sim.Time) (*Report, error) {
 	rep := &Report{
 		Policy:    r.cfg.Policy,
-		Horizon:   r.cfg.Serve.Duration,
 		Makespan:  end,
 		Offered:   r.cfg.Serve.Rate,
 		Admission: r.in.Totals(),
@@ -133,43 +130,13 @@ func (r *Report) DeadFleets() []int {
 	return out
 }
 
-// String renders the operator-facing summary.
-func (r *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "router %s  fleets %d  horizon %.2fs  makespan %.2fs  offered %.0f req/s\n",
-		r.Policy, len(r.Fleets), float64(r.Horizon), float64(r.Makespan), r.Offered)
-	fmt.Fprintf(&b, "arrived %d  completed %d  shed %d (%.1f%%)  rerouted %d  lost %d\n",
-		r.Arrived, r.Completed(), r.Shed, 100*r.ShedRate(), r.Rerouted, r.Lost())
-	fmt.Fprintf(&b, "throughput %.0f req/s\n", r.Throughput)
-	fmt.Fprintf(&b, "latency  p50 %.3fms  p95 %.3fms  p99 %.3fms  mean %.3fms",
-		1e3*r.Latency.P50(), 1e3*r.Latency.P95(), 1e3*r.Latency.P99(), 1e3*r.Latency.Mean())
-	b.WriteString(r.Summary())
-	for _, f := range r.Fleets {
-		fmt.Fprintf(&b, "\nfleet%d %-8s routed %-6d completed %-6d p99 %.3fms",
-			f.ID, f.State, f.Routed, f.Completed, 1e3*float64(f.P99))
-		if f.Rerouted > 0 || f.Lost > 0 {
-			fmt.Fprintf(&b, "  rerouted %d  lost %d", f.Rerouted, f.Lost)
-		}
-		if len(f.DeadGPUs) > 0 {
-			fmt.Fprintf(&b, "  dead gpus %v", f.DeadGPUs)
-		}
-	}
-	for _, e := range r.Scale {
-		fmt.Fprintf(&b, "\nscale  %s", e)
-	}
-	return b.String()
-}
-
 // RunReport renders the routed run into the canonical dsp-runreport schema:
 // merged latency/goodput and aggregate serving scalars at the top level, the
-// per-fleet breakdown in the Fleet section.
-func (r *Report) RunReport(meta serve.ReportMeta) *prof.RunReport {
+// per-fleet breakdown in the Fleet section. Identity, telemetry and profile
+// are the caller's (RunReport.Attach).
+func (r *Report) RunReport() *prof.RunReport {
 	out := prof.New("dspserve")
 	out.System = "DSP"
-	out.Dataset = meta.Dataset
-	out.GPUs = meta.GPUs
-	out.Seed = meta.Seed
-	out.Shrink = meta.Shrink
 	out.WallTime = float64(r.Makespan)
 	out.Latency = prof.Latency(r.Latency)
 	var sum train.Counters

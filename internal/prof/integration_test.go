@@ -131,11 +131,9 @@ func TestRunReportDeterminism(t *testing.T) {
 		if err := tr.WriteJSON(&traceBuf); err != nil {
 			t.Fatal(err)
 		}
-		rep := train.BuildRunReport(train.ReportInput{
-			Command: "dsptrain", System: sys.Name(), Dataset: "proftest",
-			GPUs: 2, Seed: 13,
-			Epochs: stats, Tracer: tr,
-		})
+		rep := train.BuildRunReport(stats, nil, nil)
+		rep.Command, rep.System, rep.Dataset, rep.GPUs, rep.Seed = "dsptrain", sys.Name(), "proftest", 2, 13
+		rep.Attach(nil, tr)
 		data, err := rep.EncodeJSON()
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,8 @@
 //
 // It also defines the versioned RunReport JSON schema dsptrain and dspserve
 // emit with -report: one machine-readable document the dspprof analyzer
-// summarises and validates.
+// summarises and validates, with one text view (RunReport.Summary) that
+// dspserve and dspprof summary both print.
 //
 // All quantities are functions of virtual time, so identical seeds produce
 // byte-identical reports on any host. That makes the regression gate exact:
@@ -23,6 +24,7 @@ import (
 	"os"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // Schema is the RunReport format version. Bump the suffix on any
@@ -367,6 +369,18 @@ type RecoveryReport struct {
 // New returns a report with the schema stamped.
 func New(command string) *RunReport {
 	return &RunReport{Schema: Schema, Command: command}
+}
+
+// Attach is the one epilogue every run report passes through after its
+// builder rendered the run's own sections: it embeds the telemetry hub's
+// section (nil when telemetry was off) and, when tracer is enabled, the
+// pipeline profile analysed from its events. The run's identity (command,
+// system, dataset, GPUs, seed, shrink) is the caller's to set.
+func (r *RunReport) Attach(tel *TelemetrySection, tracer *trace.Tracer) {
+	r.Telemetry = tel
+	if tracer.Enabled() {
+		r.Profile = Analyze(FromTracer(tracer))
+	}
 }
 
 // WriteJSON emits the report as deterministic, indented JSON: struct fields

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -19,7 +20,18 @@ func TestServeDegradedSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", rep)
+	// The text form is the shared run-report view of the report's sections,
+	// the summary dspserve prints; the degraded lines are in it.
+	text := rep.String()
+	t.Logf("\n%s", text)
+	if want := rep.RunReport().Summary(); text != want {
+		t.Fatalf("Report.String() is not RunReport().Summary():\n%s\n---\n%s", text, want)
+	}
+	for _, line := range []string{"dead gpus [0]", "crash gpu0 at 0.02s", "serving: offered 4000 req/s"} {
+		if !strings.Contains(text, line) {
+			t.Errorf("summary lacks %q", line)
+		}
+	}
 	if len(rep.DeadGPUs) != 1 || rep.DeadGPUs[0] != 0 {
 		t.Fatalf("dead GPUs = %v, want [0]", rep.DeadGPUs)
 	}

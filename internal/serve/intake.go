@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/prof"
@@ -38,21 +35,6 @@ func (a Admission) ShedRate() float64 {
 		return 0
 	}
 	return float64(a.Shed) / float64(a.Arrived)
-}
-
-// Summary renders the goodput and per-tenant lines of a report's text form,
-// each preceded by a newline (empty when the run had neither).
-func (a Admission) Summary() string {
-	var b strings.Builder
-	if a.Goodput != nil {
-		fmt.Fprintf(&b, "\ngoodput  %d/%d within %.1fms SLO (%.1f%%)  %.0f good req/s",
-			a.Goodput.Good(), a.Goodput.Total(), 1e3*float64(a.SLO),
-			100*a.Goodput.GoodFraction(), a.Goodput.Rate())
-	}
-	for _, tc := range a.Tenants {
-		fmt.Fprintf(&b, "\ntenant %-10s admitted %d  rejected %d", tc.Name, tc.Admitted, tc.Rejected)
-	}
-	return b.String()
 }
 
 // RenderServing fills the admission fields of a run report's serving section.

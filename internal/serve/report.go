@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/metrics"
@@ -15,9 +13,7 @@ import (
 // functions of the Config (same seed → bitwise-identical report, including
 // every per-request latency in Requests).
 type Report struct {
-	// Horizon is the configured arrival window; Makespan the virtual time
-	// at which the last round drained.
-	Horizon  sim.Time
+	// Makespan is the virtual time at which the last round drained.
 	Makespan sim.Time
 	// Offered is the configured arrival rate (req/s); Throughput the
 	// completed-request rate over the makespan.
@@ -88,7 +84,6 @@ type Recovery struct {
 
 func (s *Server) report(end sim.Time) *Report {
 	r := &Report{
-		Horizon:         s.cfg.Duration,
 		Makespan:        end,
 		Offered:         s.cfg.Rate,
 		Admission:       *s.adm,
@@ -137,42 +132,6 @@ func (s *Server) report(end sim.Time) *Report {
 	return r
 }
 
-// String renders the operator-facing summary.
-func (r *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "horizon %.2fs  makespan %.2fs  offered %.0f req/s\n",
-		float64(r.Horizon), float64(r.Makespan), r.Offered)
-	fmt.Fprintf(&b, "arrived %d  completed %d  shed %d (%.1f%%)  rounds %d  mean batch %.1f\n",
-		r.Arrived, r.Completed, r.Shed, 100*r.ShedRate(), r.Rounds, r.MeanBatch)
-	fmt.Fprintf(&b, "throughput %.0f req/s\n", r.Throughput)
-	fmt.Fprintf(&b, "latency  p50 %.3fms  p95 %.3fms  p99 %.3fms  mean %.3fms  max %.3fms\n",
-		1e3*r.Latency.P50(), 1e3*r.Latency.P95(), 1e3*r.Latency.P99(),
-		1e3*r.Latency.Mean(), 1e3*r.Latency.Max())
-	fmt.Fprintf(&b, "feature reads  local %d  nvlink %d  host %d  (gpu-cache hit %.1f%%, expected %.1f%%)",
-		r.CacheLocal, r.CachePeer, r.CacheHost, 100*r.CacheHitRate(), 100*r.ExpectedHitRate)
-	b.WriteString(r.Summary())
-	if r.CachePolicy != cache.Static {
-		fmt.Fprintf(&b, "\ncache %s  rebalances %d  promoted %d rows  migrated %.2f MB  overhead %.3fms",
-			r.CachePolicy, r.Rebalances, r.CachePromoted,
-			float64(r.RebalanceBytes)/1e6, 1e3*float64(r.RebalanceTime))
-	}
-	if sec := r.Layout; sec != nil {
-		fmt.Fprintf(&b, "\nstrategy %s  slices %v  push %.2f MB",
-			sec.Name, sec.SliceDims, float64(r.PushWire)/1e6)
-	}
-	if r.StoreHits+r.StoreMisses > 0 {
-		fmt.Fprintf(&b, "\nooc store  hit %.1f%%  demand %.2f MB  prefetch acc %.1f%%  stall %.3fms",
-			100*r.StoreHitRate(), float64(r.StoreDemandBytes)/1e6,
-			100*r.PrefetchAccuracy(), 1e3*float64(r.StoreStall))
-	}
-	if r.Killed {
-		fmt.Fprintf(&b, "\nfleet killed at %.3fs  lost %d", float64(r.KilledAt), r.Lost)
-	}
-	if len(r.Recoveries) > 0 {
-		fmt.Fprintf(&b, "\ndegraded  dead gpus %v  rerouted %d  lost %d", r.DeadGPUs, r.Rerouted, r.Lost)
-		for _, rec := range r.Recoveries {
-			fmt.Fprintf(&b, "\n  crash gpu%d at %.3fs  mttr %.3fms", rec.GPU, float64(rec.At), 1e3*rec.MTTR)
-		}
-	}
-	return b.String()
-}
+// String renders the operator-facing summary: the shared run-report text
+// (prof.RunReport.Summary) of r's own sections.
+func (r *Report) String() string { return r.RunReport().Summary() }

@@ -4,34 +4,17 @@ import (
 	"strings"
 
 	"repro/internal/prof"
-	"repro/internal/trace"
 )
 
-// ReportMeta carries the run identity a Report does not know about itself.
-type ReportMeta struct {
-	Dataset string
-	GPUs    int
-	Seed    uint64
-	Shrink  int
-	// Tracer, when enabled, contributes the trace-derived pipeline profile.
-	Tracer *trace.Tracer
-	// Telemetry, when set, embeds the scrape/alert summary produced by
-	// telemetry.Hub.Section after Finish.
-	Telemetry *prof.TelemetrySection
-}
-
-// RunReport renders the serving report into the canonical prof.RunReport
-// schema shared by every CLI.
-func (r *Report) RunReport(meta ReportMeta) *prof.RunReport {
+// RunReport renders the serving run's own sections of the canonical
+// prof.RunReport schema shared by every CLI. Identity, telemetry and profile
+// are the caller's (RunReport.Attach).
+func (r *Report) RunReport() *prof.RunReport {
 	out := prof.New("dspserve")
 	out.System = "DSP"
 	if r.Strategy != "dsp" {
 		out.System = "DSP-" + strings.ToUpper(r.Strategy)
 	}
-	out.Dataset = meta.Dataset
-	out.GPUs = meta.GPUs
-	out.Seed = meta.Seed
-	out.Shrink = meta.Shrink
 	out.WallTime = float64(r.Makespan)
 	r.Counters.Render(out)
 	out.Latency = prof.Latency(r.Latency)
@@ -64,10 +47,6 @@ func (r *Report) RunReport(meta ReportMeta) *prof.RunReport {
 			fr.MeanMTTR = sum / float64(repaired)
 		}
 		out.Faults = fr
-	}
-	out.Telemetry = meta.Telemetry
-	if meta.Tracer.Enabled() {
-		out.Profile = prof.Analyze(prof.FromTracer(meta.Tracer))
 	}
 	return out
 }

@@ -264,7 +264,8 @@ func TestServeP3Strategy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr := rep.RunReport(ReportMeta{Dataset: cfg.Data.Name, GPUs: 4, Seed: cfg.Seed})
+		rr := rep.RunReport()
+		rr.Dataset, rr.GPUs, rr.Seed = cfg.Data.Name, 4, cfg.Seed
 		if err := rr.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +286,7 @@ func TestServeP3Strategy(t *testing.T) {
 	if rep.Tiers != (cache.Tiers{}) {
 		t.Errorf("p3 has no row cache, yet tier counts = %+v", rep.Tiers)
 	}
-	sec := rep.RunReport(ReportMeta{}).Strategy
+	sec := rep.RunReport().Strategy
 	if sec == nil || sec.Name != "p3" || rep.Strategy != "p3" {
 		t.Fatalf("strategy section = %+v, report strategy %q; want p3", sec, rep.Strategy)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -54,13 +55,14 @@ func ParseTenants(spec string) ([]TenantSpec, error) {
 		}
 		seen[t.Name] = true
 		fields := []*float64{&t.Weight, &t.Rate, &t.Burst}
+		names := []string{"weight", "rate", "burst"}
 		if len(parts)-1 > len(fields) {
 			return nil, fmt.Errorf("serve: tenant entry %q has too many fields (want name:weight[:rate[:burst]])", entry)
 		}
 		for i, p := range parts[1:] {
 			v, err := strconv.ParseFloat(p, 64)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("serve: tenant entry %q: bad value %q", entry, p)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return nil, fmt.Errorf("serve: tenant %q: bad %s %q (want a finite number >= 0)", t.Name, names[i], p)
 			}
 			*fields[i] = v
 		}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -27,9 +29,44 @@ func TestParseTenants(t *testing.T) {
 			t.Errorf("ParseTenants(%q) accepted", bad)
 		}
 	}
+	// A non-finite value is refused by the name of its field: Inf used to
+	// pass "v < 0" and take every arrival, NaN to switch a quota off.
+	for bad, field := range map[string]string{
+		"a:Inf,b:1": "weight", "a:1:NaN,b:1": "rate", "a:1:1:+Inf": "burst", "a:nan": "weight",
+	} {
+		_, err := ParseTenants(bad)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("ParseTenants(%q) = %v; want an error naming %s", bad, err, field)
+		}
+	}
 	if specs, err := ParseTenants(""); err != nil || specs != nil {
 		t.Fatalf("empty spec: %v, %v", specs, err)
 	}
+}
+
+// FuzzParseTenants feeds arbitrary -tenants specs to ParseTenants, seeded
+// with the dspserve doc and CI examples and the non-finite values it once
+// let through. A bad spec is an error, never a panic, and every accepted
+// tenant is named, with a finite weight > 0 and finite rate and burst >= 0.
+func FuzzParseTenants(f *testing.F) {
+	for _, spec := range []string{
+		"free:4:500,pro:1", "free:4:2000,pro:1", "free:4:500,pro:1,batch:2:100:50", "",
+		"a:Inf,b:1", "a:1:NaN,b:1", "a:1:1:-Inf", "a:1e309",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		specs, err := ParseTenants(spec)
+		if err != nil {
+			return
+		}
+		for _, s := range specs {
+			if s.Name == "" || !(s.Weight > 0) || !(s.Rate >= 0) || !(s.Burst >= 0) ||
+				math.IsInf(s.Weight, 0) || math.IsInf(s.Rate, 0) || math.IsInf(s.Burst, 0) {
+				t.Fatalf("ParseTenants(%q) accepted %+v", spec, s)
+			}
+		}
+	})
 }
 
 // TestServeTenantQuota: a rate-capped tenant's overflow is rejected by its
@@ -127,7 +164,8 @@ func TestServeGoodput(t *testing.T) {
 	if rep.Goodput.Good() != within {
 		t.Fatalf("goodput good %d != %d requests within SLO", rep.Goodput.Good(), within)
 	}
-	rr := rep.RunReport(ReportMeta{GPUs: 4, Seed: cfg.Seed})
+	rr := rep.RunReport()
+	rr.GPUs, rr.Seed = 4, cfg.Seed
 	if rr.Serving.Goodput == nil || rr.Serving.Goodput.Good != within {
 		t.Fatalf("run report goodput missing or wrong: %+v", rr.Serving.Goodput)
 	}

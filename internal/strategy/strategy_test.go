@@ -114,7 +114,7 @@ func TestP3EpochAndSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := train.BuildRunReport(train.ReportInput{Epochs: []train.EpochStats{st}})
+	rep := train.BuildRunReport([]train.EpochStats{st}, nil, nil)
 	sec := rep.Strategy
 	if sec == nil || sec.Name != "p3" {
 		t.Fatalf("strategy section = %+v, want name p3", sec)

@@ -3,45 +3,18 @@ package train
 import (
 	"repro/internal/metrics"
 	"repro/internal/prof"
-	"repro/internal/trace"
 )
 
-// ReportInput collects everything a training CLI knows about a finished run;
-// BuildRunReport renders it into the canonical prof.RunReport document.
-type ReportInput struct {
-	Command string // emitting binary, e.g. "dsptrain"
-	System  string // system under test, e.g. "DSP"
-	Dataset string
-	GPUs    int
-	Seed    uint64
-	Shrink  int
-
-	// Epochs are the committed epochs; the wire, compression, cache, store
-	// and strategy sections render from the sum of their Counters.
-	Epochs []EpochStats
-	// ValAcc carries the per-epoch validation accuracies the driver measured
-	// (indexed like Epochs; shorter is fine).
-	ValAcc []float64
-	// FT is the fault-tolerant driver's report, when that path ran.
-	FT *FTReport
-	// Tracer, when enabled, contributes the trace-derived pipeline profile.
-	Tracer *trace.Tracer
-	// Telemetry is the scrape/alert summary (nil without -telemetry).
-	Telemetry *prof.TelemetrySection
-}
-
-// BuildRunReport renders a training run into the versioned RunReport schema.
-// Deterministic: same stats in, same report out.
-func BuildRunReport(in ReportInput) *prof.RunReport {
-	r := prof.New(in.Command)
-	r.System = in.System
-	r.Dataset = in.Dataset
-	r.GPUs = in.GPUs
-	r.Seed = in.Seed
-	r.Shrink = in.Shrink
-
+// BuildRunReport renders a training run's own sections of the versioned
+// RunReport schema: epochs (with the driver's per-epoch validation
+// accuracies, indexed like epochs; shorter is fine), stages, the counter
+// sections summed over epochs and, when the fault-tolerant driver ran (ft
+// non-nil), faults. Identity, telemetry and profile are the caller's
+// (RunReport.Attach). Deterministic: same stats in, same report out.
+func BuildRunReport(epochs []EpochStats, valAcc []float64, ft *FTReport) *prof.RunReport {
+	r := prof.New("")
 	var sum EpochStats
-	for i, st := range in.Epochs {
+	for i, st := range epochs {
 		er := prof.EpochReport{
 			Epoch:       st.Epoch,
 			Time:        float64(st.EpochTime),
@@ -50,14 +23,14 @@ func BuildRunReport(in ReportInput) *prof.RunReport {
 			LoadStage:   st.LoadDist.Sum(),
 			TrainStage:  st.TrainDist.Sum(),
 		}
-		if i < len(in.ValAcc) {
-			er.ValAcc = in.ValAcc[i]
+		if i < len(valAcc) {
+			er.ValAcc = valAcc[i]
 		}
 		r.Epochs = append(r.Epochs, er)
 		sum.Add(st)
 	}
 	r.WallTime = float64(sum.EpochTime)
-	if len(in.Epochs) > 0 {
+	if len(epochs) > 0 {
 		r.Utilization = append([]float64(nil), sum.Utilization...)
 		r.Stages = map[string]float64{
 			"sample": sum.SampleDist.Sum(),
@@ -74,7 +47,7 @@ func BuildRunReport(in ReportInput) *prof.RunReport {
 		}
 	}
 	sum.Counters.Render(r)
-	if ft := in.FT; ft != nil {
+	if ft != nil {
 		r.WallTime = float64(ft.TotalTime)
 		fr := &prof.FaultReport{
 			MeanMTTR:        float64(ft.MTTR()),
@@ -88,10 +61,6 @@ func BuildRunReport(in ReportInput) *prof.RunReport {
 			})
 		}
 		r.Faults = fr
-	}
-	r.Telemetry = in.Telemetry
-	if in.Tracer.Enabled() {
-		r.Profile = prof.Analyze(prof.FromTracer(in.Tracer))
 	}
 	return r
 }

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -24,12 +25,21 @@ import (
 // customClasses is the community count of a custom (-nodes/-degree) graph.
 const customClasses = 16
 
+// maxEdges caps a custom graph's generated edges, -nodes × -degree (at least
+// one edge per node): about five times friendster-sim at -shrink 1, the
+// largest standard graph. Partitioning holds ~50 bytes per edge.
+const maxEdges = 1 << 25
+
+// maxGPUs caps -gpus at eight times the largest patch count any experiment
+// uses (8, one DGX-1): refinement keeps a nodes × gpus table of int64.
+const maxGPUs = 64
+
 func main() {
 	var (
 		dsName = flag.String("dataset", "", "standard dataset (products, papers, friendster); empty = custom")
 		nodes  = flag.Int("nodes", 20000, "custom graph node count")
-		degree = flag.Float64("degree", 16, "custom graph average degree")
-		gpus   = flag.Int("gpus", 4, "number of patches")
+		degree = flag.Float64("degree", 16, fmt.Sprintf("custom graph average degree (-nodes × -degree at most %d edges)", maxEdges))
+		gpus   = flag.Int("gpus", 4, fmt.Sprintf("number of patches, 1 to %d (experiments use up to 8; refinement holds nodes × gpus int64)", maxGPUs))
 		shrink = flag.Int("shrink", 4, "standard dataset shrink divisor")
 		seed   = flag.Uint64("seed", 1, "partitioner seed")
 	)
@@ -37,12 +47,14 @@ func main() {
 	switch {
 	case *dsName != "" && !slices.Contains(gen.StandardNames, *dsName):
 		usageError("unknown dataset %q (want %s)", *dsName, strings.Join(gen.StandardNames, ", "))
-	case *gpus < 1:
-		usageError("-gpus must be at least 1, got %d", *gpus)
+	case *gpus < 1 || *gpus > maxGPUs:
+		usageError("-gpus must be between 1 and %d, got %d", maxGPUs, *gpus)
 	case *nodes < customClasses:
 		usageError("-nodes must be at least %d (one per generated community), got %d", customClasses, *nodes)
-	case !(*degree > 0):
-		usageError("-degree must be positive, got %v", *degree)
+	case !(*degree > 0) || math.IsInf(*degree, 1):
+		usageError("-degree must be positive and finite, got %v", *degree)
+	case float64(*nodes)*max(*degree, 1) > maxEdges:
+		usageError("-nodes %d × -degree %v is above the cap of %d edges", *nodes, *degree, maxEdges)
 	case *shrink < 1:
 		usageError("-shrink must be at least 1, got %d", *shrink)
 	}

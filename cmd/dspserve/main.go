@@ -74,13 +74,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
 		os.Exit(2)
 	}
-	td, nGPU, recShrink, err := cliopts.LoadData(*dataIn, *dsName, *gpus, *shrink)
+	nFleets, err := fleetOpts.N()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
 		os.Exit(2)
 	}
-	*gpus = nGPU
-
 	fleetMode := fleetOpts.FleetMode()
 	routerPolicy, err := fleetOpts.Policy()
 	if err != nil {
@@ -97,8 +95,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
 		os.Exit(2)
 	}
+	td, nGPU, recShrink, err := cliopts.LoadData(*dataIn, *dsName, *gpus, *shrink)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
+		os.Exit(2)
+	}
+	*gpus = nGPU
 
-	built := fleetOpts.N()
+	built := nFleets
 	if autoscale.Max > built {
 		built = autoscale.Max
 	}
@@ -204,7 +208,7 @@ func main() {
 		}
 		router, err := fleet.NewRouter(fleet.Config{
 			Serve:     cfg,
-			Fleets:    fleetOpts.N(),
+			Fleets:    nFleets,
 			Policy:    routerPolicy,
 			Autoscale: autoscale,
 			Faults:    fleetFaults,

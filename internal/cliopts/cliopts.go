@@ -200,11 +200,16 @@ type Fleet struct {
 	autoscale *string
 }
 
+// maxFleets caps -fleets and the -autoscale maximum. Every fleet up to the
+// maximum is built before the run, so the cap bounds set-up memory; 64 fleets
+// of one DGX-1 each is 512 GPUs, past any experiment (the router sweep uses 3).
+const maxFleets = 64
+
 // RegisterFleet installs the replicated-serving flags on fs.
 func RegisterFleet(fs *flag.FlagSet) *Fleet {
 	f := &Fleet{}
 	f.fleets = fs.Int("fleets", 1,
-		"replicated serving fleets behind the router (1 = no router)")
+		fmt.Sprintf("replicated serving fleets behind the router, 1 to %d (1 = no router)", maxFleets))
 	f.router = fs.String("router", "round-robin",
 		"routing policy: round-robin, least-loaded, latency-aware, shard-affinity")
 	f.tenants = fs.String("tenants", "",
@@ -212,12 +217,18 @@ func RegisterFleet(fs *flag.FlagSet) *Fleet {
 	f.slo = fs.Float64("slo", 0,
 		"end-to-end latency SLO in virtual seconds (enables goodput accounting; 0 = none)")
 	f.autoscale = fs.String("autoscale", "",
-		"autoscale active fleets between 'min:max' on the SLO bands (empty = static fleet set)")
+		fmt.Sprintf("autoscale active fleets between 'min:max' on the SLO bands, max at most %d (empty = static fleet set)", maxFleets))
 	return f
 }
 
-// N returns the -fleets count.
-func (f *Fleet) N() int { return *f.fleets }
+// N returns the -fleets count, an error naming the flag outside 1..maxFleets.
+func (f *Fleet) N() (int, error) {
+	n := *f.fleets
+	if n < 1 || n > maxFleets {
+		return 0, fmt.Errorf("cliopts: -fleets must be between 1 and %d, got %d", maxFleets, n)
+	}
+	return n, nil
+}
 
 // Policy resolves the -router flag.
 func (f *Fleet) Policy() (fleet.Policy, error) {
@@ -248,8 +259,8 @@ func (f *Fleet) Autoscale() (fleet.Autoscale, error) {
 	if as.Min, err = strconv.Atoi(lo); err == nil && ok {
 		as.Max, err = strconv.Atoi(hi)
 	}
-	if err != nil || !ok || as.Min < 1 || as.Max < as.Min {
-		return fleet.Autoscale{}, fmt.Errorf("cliopts: bad -autoscale %q (want 'min:max' with 1 <= min <= max)", spec)
+	if err != nil || !ok || as.Min < 1 || as.Max < as.Min || as.Max > maxFleets {
+		return fleet.Autoscale{}, fmt.Errorf("cliopts: bad -autoscale %q (want 'min:max' with 1 <= min <= max <= %d)", spec, maxFleets)
 	}
 	return as, nil
 }

@@ -150,3 +150,39 @@ func hubErr(_ *Common, tel *Telemetry, _ *Fleet) error {
 	_, err := tel.Hub(0)
 	return err
 }
+
+// TestFleetCountsNamed: a fleet count below one or above maxFleets is an
+// error naming its flag. -fleets 0 used to run stand-alone, and every fleet up
+// to an -autoscale maximum of 100000 was built before the run.
+func TestFleetCountsNamed(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string // "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"-fleets", "64", "-autoscale", "1:64"}, ""},
+		{[]string{"-fleets", "0"}, "-fleets"},
+		{[]string{"-fleets", "-2"}, "-fleets"},
+		{[]string{"-fleets", "65"}, "-fleets"},
+		{[]string{"-fleets", "100000"}, "-fleets"},
+		{[]string{"-autoscale", "1:65"}, "-autoscale"},
+		{[]string{"-autoscale", "1:100000"}, "-autoscale"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := RegisterFleet(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		_, err := f.N()
+		if err == nil {
+			_, err = f.Autoscale()
+		}
+		if tc.flag == "" {
+			if err != nil {
+				t.Errorf("%v: %v", tc.args, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.flag)
+		}
+	}
+}

@@ -66,8 +66,9 @@ func BenchmarkCoarsen(b *testing.B) {
 }
 
 // BenchmarkRefine refines the finest level from a finished partition with one
-// node in twenty thrown into a random part: mostly interior nodes to skip, a
-// few thousand moves to make, as in Metis's last and most expensive call.
+// node in twenty thrown into a random part, as in Metis's last and most
+// expensive call: a table build, then up to four passes of O(k) gain reads for
+// every node, nearly all of them on the boundary, and a few thousand moves.
 func BenchmarkRefine(b *testing.B) {
 	g, k := benchFixture(b)
 	w := buildWork(g)

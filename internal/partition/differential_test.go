@@ -10,8 +10,8 @@ import (
 	"repro/internal/rng"
 )
 
-// checkSymmetric verifies what the transpose-as-sort and refine's external
-// degree rest on: every (u,v,wt) has its (v,u,wt), every list is strictly
+// checkSymmetric verifies what the transpose-as-sort and refine's connectivity
+// table rest on: every (u,v,wt) has its (v,u,wt), every list is strictly
 // ascending (so there is no multi-edge), and no node lists itself.
 func checkSymmetric(w *workGraph) error {
 	if len(w.indptr) != w.n+1 || len(w.nw) != w.n || len(w.adj) != len(w.ew) || w.indptr[w.n] != int64(len(w.adj)) {

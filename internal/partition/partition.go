@@ -459,77 +459,57 @@ func (w *workGraph) greedyGrow(k int, r *rng.RNG) []int32 {
 	return parts
 }
 
-// externalDegree returns, for every node, how many of its neighbours are in
-// another part (METIS's ed): zero marks an interior node.
-func (w *workGraph) externalDegree(parts []int32) []int32 {
-	ed := make([]int32, w.n)
+// connectivity returns the n×k table refine and rebalance read gains from:
+// conn[v*k+p] is v's edge weight into part p, int64 like the weights it sums.
+func (w *workGraph) connectivity(parts []int32, k int) []int64 {
+	conn := make([]int64, w.n*k)
 	for v := 0; v < w.n; v++ {
-		pv := parts[v]
-		for _, u := range w.adj[w.indptr[v]:w.indptr[v+1]] {
-			if parts[u] != pv {
-				ed[v]++
-			}
+		row := conn[v*k : v*k+k]
+		for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
+			row[parts[w.adj[i]]] += w.ew[i]
 		}
 	}
-	return ed
+	return conn
 }
 
-// move puts v in part to and keeps ed exact: the graph being symmetric and
-// free of multi-edges, v is in each neighbour's list exactly once, so a
-// neighbour in the part left gains one external neighbour and one in the part
-// entered loses one.
-func (w *workGraph) move(v, to int32, parts, ed []int32) {
+// relocate puts v in part to and keeps conn exact: the graph being symmetric,
+// v is in each neighbour u's list once with the weight u is in v's, so that
+// weight moves from u's column for the part left to the one for the part
+// entered. v's own row does not change.
+func (w *workGraph) relocate(v, to int32, parts []int32, k int, conn []int64) {
 	from := parts[v]
 	parts[v] = to
-	ed[v] = 0
-	for _, u := range w.adj[w.indptr[v]:w.indptr[v+1]] {
-		switch parts[u] {
-		case to:
-			ed[u]--
-		case from:
-			ed[u]++
-			ed[v]++
-		default:
-			ed[v]++
-		}
+	for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
+		row := int(w.adj[i]) * k
+		conn[row+int(from)] -= w.ew[i]
+		conn[row+int(to)] += w.ew[i]
 	}
 }
 
 // refine runs FM-style greedy boundary passes: move a node to the
 // neighbouring part with the highest positive gain, subject to the balance
-// constraint.
+// constraint. Gains come from the connectivity table, so a visit costs O(k)
+// whatever v's degree (an interior node has no positive gain: it stays).
 func (w *workGraph) refine(parts []int32, k int, passes int, order []int, r *rng.RNG) {
 	partW := make([]int64, k)
 	for v := 0; v < w.n; v++ {
 		partW[parts[v]] += w.nw[v]
 	}
 	limit := balanceLimit(w.totalW, k)
-	ed := w.externalDegree(parts) // zero for interior nodes: skipped on one load
-	conn := make([]int64, k)      // scratch: connectivity of v to each part
+	conn := w.connectivity(parts, k)
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for _, vi := range visitOrder(order, w.n, r) {
-			if ed[vi] == 0 {
-				continue
-			}
 			v := int32(vi)
 			pv := parts[v]
-			for p := range conn {
-				conn[p] = 0
-			}
-			for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
-				conn[parts[w.adj[i]]] += w.ew[i]
-			}
+			row := conn[vi*k : vi*k+k]
 			bestP := pv
 			bestGain := int64(0)
-			for p := 0; p < k; p++ {
-				if int32(p) == pv {
+			for p, c := range row {
+				if int32(p) == pv || partW[p]+w.nw[v] > limit {
 					continue
 				}
-				if partW[p]+w.nw[v] > limit {
-					continue
-				}
-				gain := conn[p] - conn[pv]
+				gain := c - row[pv]
 				if gain > bestGain || (gain == bestGain && gain > 0 && partW[p] < partW[bestP]) {
 					bestGain = gain
 					bestP = int32(p)
@@ -538,7 +518,7 @@ func (w *workGraph) refine(parts []int32, k int, passes int, order []int, r *rng
 			if bestP != pv && bestGain > 0 {
 				partW[pv] -= w.nw[v]
 				partW[bestP] += w.nw[v]
-				w.move(v, bestP, parts, ed)
+				w.relocate(v, bestP, parts, k, conn)
 				moved++
 			}
 		}
@@ -546,7 +526,7 @@ func (w *workGraph) refine(parts []int32, k int, passes int, order []int, r *rng
 			break
 		}
 	}
-	w.rebalance(parts, k, partW, limit, order, r)
+	w.rebalance(parts, k, partW, limit, conn, order, r)
 }
 
 // rebalance forcibly empties overweight parts: nodes of any part above the
@@ -555,9 +535,9 @@ func (w *workGraph) refine(parts []int32, k int, passes int, order []int, r *rng
 // imbalanced initial partition). At the finest level node weights are 1 and
 // balanceLimit is at least ceil(n/k), so some part always has room and one
 // pass ends with every part within the limit; at a coarser level a heavy node
-// may fit nowhere, and what is left over is repaired one level down.
-func (w *workGraph) rebalance(parts []int32, k int, partW []int64, limit int64, order []int, r *rng.RNG) {
-	conn := make([]int64, k)
+// may fit nowhere, and what is left over is repaired one level down. conn is
+// refine's table, kept exact through every move.
+func (w *workGraph) rebalance(parts []int32, k int, partW []int64, limit int64, conn []int64, order []int, r *rng.RNG) {
 	for pass := 0; pass < 8; pass++ {
 		over := false
 		for p := 0; p < k; p++ {
@@ -575,20 +555,14 @@ func (w *workGraph) rebalance(parts []int32, k int, partW []int64, limit int64, 
 			if partW[pv] <= limit {
 				continue
 			}
-			for p := range conn {
-				conn[p] = 0
-			}
-			for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
-				conn[parts[w.adj[i]]] += w.ew[i]
-			}
 			best := int32(-1)
 			var bestKey int64 = -1 << 62
-			for p := 0; p < k; p++ {
+			for p, c := range conn[vi*k : vi*k+k] {
 				if int32(p) == pv || partW[p]+w.nw[v] > limit {
 					continue
 				}
 				// Prefer connectivity, then lighter parts.
-				key := conn[p]*1000 - partW[p]
+				key := c*1000 - partW[p]
 				if key > bestKey {
 					bestKey = key
 					best = int32(p)
@@ -597,7 +571,7 @@ func (w *workGraph) rebalance(parts []int32, k int, partW []int64, limit int64, 
 			if best >= 0 {
 				partW[pv] -= w.nw[v]
 				partW[best] += w.nw[v]
-				parts[v] = best
+				w.relocate(v, best, parts, k, conn)
 				moved++
 			}
 		}

@@ -295,10 +295,12 @@ func TestBalanceLimitAchievable(t *testing.T) {
 	}
 }
 
-// TestExternalDegreeExact: refine's interior test is only as good as ed, and
-// a stale non-zero count would hide behind identical output (the node is
-// rescanned and stays put), so hold move to a fresh count directly.
-func TestExternalDegreeExact(t *testing.T) {
+// TestConnectivityExact: refine and rebalance read every gain from the
+// connectivity table and never recount a list, so a stale entry would steer
+// moves without any test of the output saying why. Hold the table to a fresh
+// count after random moves — a quarter of them into part 0, which then runs
+// over the limit — and after each rebalance those moves make necessary.
+func TestConnectivityExact(t *testing.T) {
 	const k = 5
 	w := buildWork(testGraph().G)
 	r := rng.New(11)
@@ -306,17 +308,35 @@ func TestExternalDegreeExact(t *testing.T) {
 	for v := range parts {
 		parts[v] = int32(r.Intn(k))
 	}
-	ed := w.externalDegree(parts)
+	conn := w.connectivity(parts, k)
+	order := make([]int, w.n)
+	limit := balanceLimit(w.totalW, k)
+	rebalanced := 0
 	for i := 0; i < 2000; i++ {
 		v := int32(r.Intn(w.n))
-		w.move(v, (parts[v]+1+int32(r.Intn(k-1)))%k, parts, ed)
+		to := (parts[v] + 1 + int32(r.Intn(k-1))) % k
+		if r.Intn(4) == 0 {
+			to = 0
+		}
+		w.relocate(v, to, parts, k, conn)
 		if i%200 != 199 {
 			continue
 		}
-		for u, want := range w.externalDegree(parts) {
-			if ed[u] != want {
-				t.Fatalf("after %d moves: ed[%d] = %d, a fresh count says %d", i+1, u, ed[u], want)
+		partW := make([]int64, k)
+		for u, p := range parts {
+			partW[p] += w.nw[u]
+		}
+		if partW[0] > limit { // node weights are 1: rebalance moves nodes out
+			w.rebalance(parts, k, partW, limit, conn, order, r)
+			rebalanced++
+		}
+		for j, want := range w.connectivity(parts, k) {
+			if conn[j] != want {
+				t.Fatalf("after %d moves: conn[%d][%d] = %d, a fresh count says %d", i+1, j/k, j%k, conn[j], want)
 			}
 		}
+	}
+	if rebalanced == 0 {
+		t.Fatal("no part went over the limit: the test does not cover rebalance's moves")
 	}
 }

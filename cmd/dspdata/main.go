@@ -126,7 +126,7 @@ func previewFeatureLayouts(td *train.Data) {
 	fmt.Printf("feature layouts: %d rows x dim %d (%.1f MB total)\n",
 		td.G.NumNodes(), td.FeatDim,
 		float64(td.G.NumNodes())*float64(td.RowBytes())/(1<<20))
-	ds := featstore.BuildDimSliced(td.Feats, td.FeatDim, n)
+	ds := featstore.BuildDimSliced(td.G.NumNodes(), td.Features, td.FeatDim, n)
 	for g := 0; g < n; g++ {
 		rows := int64(td.Offsets[g+1] - td.Offsets[g])
 		rowBytes := rows * int64(td.RowBytes())

@@ -141,6 +141,9 @@ func New(kind Kind, opts train.Options) (*Baseline, error) {
 	b.m.Eng.SetParallelism(opts.Parallel)
 	b.trainer = train.NewTrainer(opts, comm.New(b.m))
 	b.sched = train.NewSchedule(d, opts.BatchSize)
+	if opts.RealCompute {
+		d.Features() // drawn at build, not inside a timed epoch
+	}
 	switch kind {
 	case DGLUVA:
 		// "DGL-UVA allows feature caching but requires all node features to

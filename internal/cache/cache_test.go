@@ -17,7 +17,7 @@ import (
 
 type fixture struct {
 	g       *graph.CSR
-	feats   []float32
+	feats   func() []float32
 	dim     int
 	offsets []int64
 }
@@ -29,9 +29,11 @@ func build(t *testing.T, k int) *fixture {
 	})
 	res := partition.Metis(d.G, k, 1)
 	ren := partition.BuildRenumbering(res)
+	feats := make([]float32, d.G.NumNodes()*d.FeatDim)
+	d.Rows.Draw(feats, ren.NewID)
 	return &fixture{
 		g:       ren.ApplyToGraph(d.G),
-		feats:   ren.ApplyToFeatures(d.Features, d.FeatDim),
+		feats:   func() []float32 { return feats },
 		dim:     d.FeatDim,
 		offsets: ren.Offsets,
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/sample"
 	"repro/internal/train"
 )
@@ -101,5 +102,38 @@ func TestEpochRecyclesSampledBlocks(t *testing.T) {
 	t.Logf("epoch allocates %d bytes for %d sampled block bytes (%.3f)", epoch, blocks, ratio)
 	if ratio > 0.5 {
 		t.Errorf("a steady-state epoch allocates %.2f x the block bytes it samples, want <= 0.5", ratio)
+	}
+}
+
+// TestCostOnlyRunDrawsNoFeatures: a cost-only run never reads a feature
+// value, so preparing a friendster stand-in (the widest rows, 256 dims),
+// building the system and running one epoch allocate less than one
+// n x FeatDim x 4 feature table: about half of one. (While Generate drew every
+// row and Prepare copied them into layout order, Prepare alone allocated that
+// table.) Hash partitioning keeps METIS's working set, four such tables here,
+// out of the sum.
+func TestCostOnlyRunDrawsNoFeatures(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates")
+	}
+	d := gen.Generate(gen.StandardDataset("friendster", 16).Config)
+	table := uint64(d.G.NumNodes()) * uint64(d.FeatDim) * 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	td := train.Prepare(d, 4, 1, false)
+	o := smallOpts(td)
+	o.BatchSize = 64
+	sys, err := core.New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunEpoch(0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("prepare, build and one epoch allocate %d bytes; the feature table is %d", got, table)
+	if got >= table {
+		t.Errorf("a cost-only prepare, build and epoch allocate %d bytes, want under one feature table (%d)", got, table)
 	}
 }

@@ -220,6 +220,7 @@ type roundScratch struct {
 	samples   []graph.NodeID // the assembled layer, before Rebuild copies it
 	ahead     []graph.NodeID // next frontier's host-resident rows (prefetch)
 	peerSeed  []uint64
+	keys      sample.Keys // biased draws' selection keys
 }
 
 // Release hands rank's batch mb, sampled on this world, back to the world:
@@ -644,7 +645,7 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 				tps := w.patchOf(t.Node, rank)
 				before := len(buf)
 				buf = sample.DrawAdj(tps.Neighbors(t.Node), tps.NeighborWeights(t.Node),
-					t.Node, layer, int(t.Count), cfg, peerSeed[q], buf)
+					t.Node, layer, int(t.Count), cfg, peerSeed[q], buf, &s.keys)
 				rc[i] = int32(len(buf) - before)
 			}
 			s.replyCounts[q], s.replySamples[q] = rc, buf

@@ -62,7 +62,7 @@ func (w *World) PullDataSampleBatch(p *sim.Proc, rank int, seeds []graph.NodeID,
 				continue
 			}
 			before := len(samples)
-			samples = sample.DrawAdj(adjs[i], wts[i], v, l, int(counts[i]), cfg, batchSeed, samples)
+			samples = sample.DrawAdj(adjs[i], wts[i], v, l, int(counts[i]), cfg, batchSeed, samples, &s.keys)
 			outCounts[i] = int32(len(samples) - before)
 		}
 		s.samples = samples

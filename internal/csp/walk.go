@@ -78,8 +78,9 @@ func (w *World) RandomWalk(p *sim.Proc, rank int, starts []graph.NodeID, length 
 		for q := 0; q < n; q++ {
 			for _, t := range in[q] {
 				adj := ps.Neighbors(t.Cur)
+				// Walks draw with replacement: no selection keys.
 				next := sample.DrawAdj(adj, ps.NeighborWeights(t.Cur), t.Cur,
-					step, 1, cfg, peerSeed[t.Origin], nil)
+					step, 1, cfg, peerSeed[t.Origin], nil, nil)
 				if len(next) == 0 {
 					continue // dead end: the walk terminates here
 				}

@@ -59,12 +59,14 @@ const (
 )
 
 // Store is the feature placement for one machine. Node ids are layout ids
-// (after renumbering); features are stored in the same order.
+// (after renumbering); values returns the feature values in the same order,
+// and only Row and Gather call it.
 type Store struct {
-	Layout   Layout
-	Dim      int
-	NumGPUs  int
-	features []float32
+	Layout  Layout
+	Dim     int
+	NumGPUs int
+	rows    int
+	values  func() []float32
 
 	// cacheGPU[v] is the GPU holding v's cached row under the Partitioned
 	// layout (-1 = not cached). Under Replicated, hot[v] says the row is on
@@ -81,15 +83,16 @@ func (s *Store) RowBytes() int { return s.Dim * 4 }
 
 // Row returns node v's feature row (a view into backing storage).
 func (s *Store) Row(v graph.NodeID) []float32 {
-	return s.features[int(v)*s.Dim : (int(v)+1)*s.Dim]
+	return s.values()[int(v)*s.Dim : (int(v)+1)*s.Dim]
 }
 
 // Gather copies the rows of ids into a contiguous buffer — the real data
 // work the simulated gather kernels account for.
 func (s *Store) Gather(ids []graph.NodeID) []float32 {
+	vals := s.values()
 	out := make([]float32, len(ids)*s.Dim)
 	for i, v := range ids {
-		copy(out[i*s.Dim:(i+1)*s.Dim], s.Row(v))
+		copy(out[i*s.Dim:(i+1)*s.Dim], vals[int(v)*s.Dim:(int(v)+1)*s.Dim])
 	}
 	return out
 }
@@ -170,7 +173,7 @@ func (s *Store) Locate(v graph.NodeID, g int) (Placement, int) {
 }
 
 // NumRows returns the number of feature rows in the store.
-func (s *Store) NumRows() int { return len(s.features) / s.Dim }
+func (s *Store) NumRows() int { return s.rows }
 
 // Holder returns the GPU caching v's row under the Partitioned layout
 // (-1 = not cached). It panics on other layouts, which have no per-row
@@ -271,9 +274,8 @@ func (s *Store) list(v graph.NodeID, g int) int {
 // distribution). A nil weights slice weighs all nodes equally. This is the
 // expected GPU-cache hit rate of the placement under that access pattern.
 func (s *Store) CachedFraction(weights []float64) float64 {
-	n := len(s.features) / s.Dim
 	var total, hit float64
-	for v := 0; v < n; v++ {
+	for v := 0; v < s.rows; v++ {
 		w := 1.0
 		if weights != nil {
 			w = weights[v]
@@ -322,12 +324,13 @@ func hottestFirst(ids []graph.NodeID, scores []float64) {
 
 // BuildPartitioned builds DSP's partitioned cache: GPU g caches the
 // highest-scoring rows of its own id range [offsets[g], offsets[g+1]) up to
-// budgetPerGPU bytes. The graph must already be in layout order.
-func BuildPartitioned(g *graph.CSR, features []float32, dim int, offsets []int64, budgetPerGPU int64, policy Policy) *Store {
+// budgetPerGPU bytes. The graph must already be in layout order, and values
+// returns its nodes' feature values, node-major.
+func BuildPartitioned(g *graph.CSR, values func() []float32, dim int, offsets []int64, budgetPerGPU int64, policy Policy) *Store {
 	numGPUs := len(offsets) - 1
 	s := &Store{
 		Layout: Partitioned, Dim: dim, NumGPUs: numGPUs,
-		features:   features,
+		rows: g.NumNodes(), values: values,
 		cacheGPU:   make([]int8, g.NumNodes()),
 		CachedRows: make([]int64, numGPUs),
 	}
@@ -357,10 +360,10 @@ func BuildPartitioned(g *graph.CSR, features []float32, dim int, offsets []int64
 
 // BuildReplicated builds the Quiver-style replicated cache: the globally
 // highest-scoring rows that fit in ONE GPU's budget, present on every GPU.
-func BuildReplicated(g *graph.CSR, features []float32, dim int, numGPUs int, budgetPerGPU int64, policy Policy) *Store {
+func BuildReplicated(g *graph.CSR, values func() []float32, dim int, numGPUs int, budgetPerGPU int64, policy Policy) *Store {
 	s := &Store{
 		Layout: Replicated, Dim: dim, NumGPUs: numGPUs,
-		features:   features,
+		rows: g.NumNodes(), values: values,
 		hot:        make([]bool, g.NumNodes()),
 		CachedRows: make([]int64, numGPUs),
 	}
@@ -387,15 +390,14 @@ func BuildReplicated(g *graph.CSR, features []float32, dim int, numGPUs int, bud
 // slice. CachedRows counts all rows on every GPU (each holds a slice of
 // each), so the per-GPU byte footprint comes from CacheBytes, which prices
 // the slice width.
-func BuildDimSliced(features []float32, dim, numGPUs int) *Store {
+func BuildDimSliced(rows int, values func() []float32, dim, numGPUs int) *Store {
 	s := &Store{
 		Layout: DimSliced, Dim: dim, NumGPUs: numGPUs,
-		features:   features,
+		rows: rows, values: values,
 		CachedRows: make([]int64, numGPUs),
 	}
-	rows := int64(len(features) / dim)
 	for g := range s.CachedRows {
-		s.CachedRows[g] = rows
+		s.CachedRows[g] = int64(rows)
 	}
 	return s
 }

@@ -15,7 +15,7 @@ import (
 type fixture struct {
 	d       *gen.Dataset
 	g       *graph.CSR
-	feats   []float32
+	feats   func() []float32
 	offsets []int64
 	k       int
 }
@@ -27,10 +27,12 @@ func build(t testing.TB, k int) *fixture {
 	})
 	res := partition.Metis(d.G, k, 1)
 	ren := partition.BuildRenumbering(res)
+	feats := make([]float32, d.G.NumNodes()*d.FeatDim)
+	d.Rows.Draw(feats, ren.NewID)
 	return &fixture{
 		d:       d,
 		g:       ren.ApplyToGraph(d.G),
-		feats:   ren.ApplyToFeatures(d.Features, d.FeatDim),
+		feats:   func() []float32 { return feats },
 		offsets: ren.Offsets,
 		k:       k,
 	}
@@ -172,7 +174,7 @@ func TestSplitPartitionsRequest(t *testing.T) {
 
 func TestGatherCopiesRows(t *testing.T) {
 	f := build(t, 2)
-	s := BuildDimSliced(f.feats, f.d.FeatDim, 2)
+	s := BuildDimSliced(f.g.NumNodes(), f.feats, f.d.FeatDim, 2)
 	ids := []graph.NodeID{5, 0, 17}
 	out := s.Gather(ids)
 	if len(out) != 3*f.d.FeatDim {
@@ -288,7 +290,7 @@ func TestSplitExactPartitionAllLayouts(t *testing.T) {
 		"partitioned": BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, budget, ByDegree),
 		"replicated":  BuildReplicated(f.g, f.feats, f.d.FeatDim, 4, budget, ByDegree),
 		"zerobudget":  BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, 0, ByDegree),
-		"dimsliced":   BuildDimSliced(f.feats, f.d.FeatDim, 4),
+		"dimsliced":   BuildDimSliced(f.g.NumNodes(), f.feats, f.d.FeatDim, 4),
 	}
 	for name, s := range stores {
 		s := s
@@ -365,7 +367,7 @@ func TestSplitMatchesReference(t *testing.T) {
 			"replicated":  BuildReplicated(f.g, f.feats, f.d.FeatDim, k, budget, ByDegree),
 			"zerobudget":  BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, 0, ByDegree),
 			"everything":  BuildPartitioned(f.g, f.feats, f.d.FeatDim, f.offsets, 1<<40, ByDegree),
-			"dimsliced":   BuildDimSliced(f.feats, f.d.FeatDim, k),
+			"dimsliced":   BuildDimSliced(f.g.NumNodes(), f.feats, f.d.FeatDim, k),
 		}
 		for name, s := range stores {
 			s := s
@@ -405,8 +407,7 @@ func TestDimSlicedExactPartition(t *testing.T) {
 	check := func(dimRaw, gpusRaw uint8) bool {
 		dim := 1 + int(dimRaw)%257
 		gpus := 1 + int(gpusRaw)%8
-		feats := make([]float32, 10*dim)
-		s := BuildDimSliced(feats, dim, gpus)
+		s := BuildDimSliced(10, nil, dim, gpus)
 		lo0, _ := s.SliceRange(0)
 		if lo0 != 0 {
 			return false
@@ -450,7 +451,7 @@ func TestDimSlicedExactPartition(t *testing.T) {
 	}
 
 	// Every row reads local on every GPU: the slice holds all rows.
-	s := BuildDimSliced(f.feats, f.d.FeatDim, 4)
+	s := BuildDimSliced(f.g.NumNodes(), f.feats, f.d.FeatDim, 4)
 	for g := 0; g < 4; g++ {
 		for _, v := range []graph.NodeID{0, graph.NodeID(f.g.NumNodes() / 2), graph.NodeID(f.g.NumNodes() - 1)} {
 			if p, h := s.Locate(v, g); p != LocalGPU || h != g {

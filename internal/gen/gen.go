@@ -38,27 +38,42 @@ type Config struct {
 	Seed               uint64
 }
 
-// Dataset is a generated graph with features, labels and splits.
+// Dataset is a generated graph with labels, splits and what draws its
+// features. Generate draws no feature value: Rows draws them on demand.
 type Dataset struct {
 	Name       string
 	G          *graph.CSR
 	FeatDim    int
-	Features   []float32 // flat, node-major: Features[v*FeatDim : (v+1)*FeatDim]
 	Labels     []int32
 	NumClasses int
 	TrainIdx   []graph.NodeID
 	ValIdx     []graph.NodeID
 	TestIdx    []graph.NodeID
+	Rows       FeatureRows
 }
 
-// Feature returns the feature row of node v (a view).
-func (d *Dataset) Feature(v graph.NodeID) []float32 {
-	return d.Features[int(v)*d.FeatDim : (int(v)+1)*d.FeatDim]
+// FeatureRows draws a dataset's feature rows: node v's row is its class
+// centroid scaled by the signal plus unit Gaussian noise, node by node from
+// one stream. It holds that stream as it was before its first draw, so every
+// Draw writes the same values.
+type FeatureRows struct {
+	labels    []int32
+	centroids [][]float32
+	signal    float32
+	noise     rng.RNG
 }
 
-// FeatureBytes returns the total feature storage in bytes.
-func (d *Dataset) FeatureBytes() int64 {
-	return int64(len(d.Features)) * 4
+// Draw writes every node's row into dst, which holds one row per node: node
+// v's row lands at row slot[v].
+func (f *FeatureRows) Draw(dst []float32, slot []graph.NodeID) {
+	noise := f.noise
+	for v, c := range f.labels {
+		cen := f.centroids[c]
+		row := dst[int(slot[v])*len(cen):][:len(cen)]
+		for j, x := range cen {
+			row[j] = f.signal*x + float32(noise.NormFloat64())
+		}
+	}
 }
 
 // withDefaults fills the zero-value knobs.
@@ -169,7 +184,9 @@ func Generate(cfg Config) *Dataset {
 	}
 	g := graph.FromEdges(n, src, dst)
 
-	// Features: class centroid + unit Gaussian noise.
+	// Features: class centroid + unit Gaussian noise. The centroids are drawn
+	// and the noise stream split off here, so the splits below do not depend
+	// on whether a row is ever drawn; Rows.Draw draws the noise.
 	centroids := make([][]float32, cfg.NumClasses)
 	cr := r.Split()
 	for c := range centroids {
@@ -178,23 +195,15 @@ func Generate(cfg Config) *Dataset {
 			centroids[c][j] = float32(cr.NormFloat64())
 		}
 	}
-	features := make([]float32, n*cfg.FeatDim)
-	fr := r.Split()
-	for v := 0; v < n; v++ {
-		cen := centroids[labels[v]]
-		row := features[v*cfg.FeatDim : (v+1)*cfg.FeatDim]
-		for j := range row {
-			row[j] = float32(cfg.FeatureSignal)*cen[j] + float32(fr.NormFloat64())
-		}
-	}
+	rows := FeatureRows{labels: labels, centroids: centroids, signal: float32(cfg.FeatureSignal), noise: *r.Split()}
 
 	// Splits.
 	order := r.Perm(n)
 	nTrain := int(cfg.TrainFrac * float64(n))
 	nVal := int(cfg.ValFrac * float64(n))
 	d := &Dataset{
-		Name: cfg.Name, G: g, FeatDim: cfg.FeatDim, Features: features,
-		Labels: labels, NumClasses: cfg.NumClasses,
+		Name: cfg.Name, G: g, FeatDim: cfg.FeatDim,
+		Labels: labels, NumClasses: cfg.NumClasses, Rows: rows,
 	}
 	for i, v := range order {
 		switch {

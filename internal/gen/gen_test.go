@@ -2,8 +2,10 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -25,11 +27,28 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("adjacency differs at %d", i)
 		}
 	}
-	for i := range a.Features {
-		if a.Features[i] != b.Features[i] {
+	fa, fb := drawRows(a), drawRows(b)
+	for i := range fa {
+		if fa[i] != fb[i] {
 			t.Fatalf("features differ at %d", i)
 		}
 	}
+}
+
+// drawRows draws d's feature rows in node order.
+func drawRows(d *Dataset) []float32 {
+	rows := make([]float32, d.G.NumNodes()*d.FeatDim)
+	d.Rows.Draw(rows, identity(d.G.NumNodes()))
+	return rows
+}
+
+// identity is the slot map that keeps every row in node order.
+func identity(n int) []graph.NodeID {
+	slot := make([]graph.NodeID, n)
+	for v := range slot {
+		slot[v] = graph.NodeID(v)
+	}
+	return slot
 }
 
 func TestGenerateStructure(t *testing.T) {
@@ -44,7 +63,13 @@ func TestGenerateStructure(t *testing.T) {
 	if avg < 8 || avg > 12 {
 		t.Fatalf("avg degree %v, want ~10", avg)
 	}
-	if len(d.Labels) != 2000 || len(d.Features) != 2000*16 {
+	// Draw writes every element of a 2000 x 16 table: none is left NaN.
+	feats := make([]float32, 2000*16)
+	for i := range feats {
+		feats[i] = float32(math.NaN())
+	}
+	d.Rows.Draw(feats, identity(2000))
+	if len(d.Labels) != 2000 || d.FeatDim != 16 || slices.ContainsFunc(feats, func(x float32) bool { return math.IsNaN(float64(x)) }) {
 		t.Fatal("label/feature sizes wrong")
 	}
 	for _, l := range d.Labels {
@@ -124,6 +149,7 @@ func TestFeaturesCarryClassSignal(t *testing.T) {
 	// A nearest-centroid classifier on raw features should beat chance by a
 	// wide margin (otherwise Figure 9's learning curves would be noise).
 	d := Generate(smallCfg())
+	rows := drawRows(d)
 	dim := d.FeatDim
 	centroids := make([][]float64, d.NumClasses)
 	counts := make([]int, d.NumClasses)
@@ -133,7 +159,7 @@ func TestFeaturesCarryClassSignal(t *testing.T) {
 	for v := 0; v < d.G.NumNodes(); v++ {
 		c := d.Labels[v]
 		counts[c]++
-		f := d.Feature(int32(v))
+		f := rows[v*dim : (v+1)*dim]
 		for j := 0; j < dim; j++ {
 			centroids[c][j] += float64(f[j])
 		}
@@ -145,7 +171,7 @@ func TestFeaturesCarryClassSignal(t *testing.T) {
 	}
 	correct := 0
 	for v := 0; v < d.G.NumNodes(); v++ {
-		f := d.Feature(int32(v))
+		f := rows[v*dim : (v+1)*dim]
 		best, bestDist := -1, math.Inf(1)
 		for c := range centroids {
 			var dist float64

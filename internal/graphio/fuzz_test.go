@@ -31,7 +31,7 @@ func FuzzReadData(f *testing.F) {
 		if err := got.G.Validate(); err != nil {
 			t.Fatalf("accepted invalid graph: %v", err)
 		}
-		if len(got.Feats) != got.G.NumNodes()*got.FeatDim {
+		if len(got.Features()) != got.G.NumNodes()*got.FeatDim {
 			t.Fatal("accepted inconsistent features")
 		}
 	})

@@ -215,7 +215,7 @@ func WriteData(dst io.Writer, d *train.Data) error {
 	}
 	// Features, labels, meta.
 	w.u32(uint32(d.FeatDim))
-	w.f32s(d.Feats)
+	w.f32s(d.Features())
 	w.i32s(d.Labels)
 	w.u32(uint32(d.NumClasses))
 	// Layout.
@@ -257,7 +257,8 @@ func ReadData(src io.Reader) (*train.Data, error) {
 	}
 	d.G = g
 	d.FeatDim = int(r.u32())
-	d.Feats = r.f32s()
+	feats := r.f32s()
+	d.SetFeatures(feats)
 	d.Labels = r.i32s()
 	d.NumClasses = int(r.u32())
 	d.Offsets = r.i64s()
@@ -275,9 +276,9 @@ func ReadData(src io.Reader) (*train.Data, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}
-	if len(d.Feats) != g.NumNodes()*d.FeatDim {
+	if len(feats) != g.NumNodes()*d.FeatDim {
 		return nil, fmt.Errorf("graphio: %d features for %d nodes x %d dims",
-			len(d.Feats), g.NumNodes(), d.FeatDim)
+			len(feats), g.NumNodes(), d.FeatDim)
 	}
 	if len(d.Labels) != g.NumNodes() {
 		return nil, fmt.Errorf("graphio: %d labels for %d nodes", len(d.Labels), g.NumNodes())

@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"hash/fnv"
 	"path/filepath"
 	"testing"
 
@@ -48,8 +49,12 @@ func equalData(t *testing.T, a, b *train.Data) {
 			t.Fatalf("weights differ at %d", i)
 		}
 	}
-	for i := range a.Feats {
-		if a.Feats[i] != b.Feats[i] {
+	fa, fb := a.Features(), b.Features()
+	if len(fa) != len(fb) {
+		t.Fatalf("%d features, want %d", len(fb), len(fa))
+	}
+	for i := range fa {
+		if fa[i] != fb[i] {
 			t.Fatalf("features differ at %d", i)
 		}
 	}
@@ -163,5 +168,25 @@ func TestLoadedDataTrains(t *testing.T) {
 	seeds := sched.Batch(got, 1, 0, 0, 0)
 	if len(seeds) == 0 {
 		t.Fatal("no seeds")
+	}
+}
+
+// TestWrittenBytesPinned holds the bytes WriteData writes for a small
+// prepared, weighted dataset to an FNV-64a hash recorded while Generate still
+// drew every feature row eagerly and Prepare copied them into layout order.
+// The writer now draws the values on write, through Data.Features; if this
+// moves, dspdata files moved.
+func TestWrittenBytesPinned(t *testing.T) {
+	d := gen.Generate(gen.Config{Name: "pin", Nodes: 500, AvgDegree: 6, FeatDim: 12, NumClasses: 5, Seed: 17})
+	d.AttachUniformWeights(3)
+	td := train.Prepare(d, 3, 5, true)
+	var buf bytes.Buffer
+	if err := WriteData(&buf, td); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got, want := h.Sum64(), uint64(0x5ee278044d514e7); got != want || buf.Len() != 54563 {
+		t.Fatalf("written file hashes to %#x over %d bytes, want %#x over 54563", got, buf.Len(), want)
 	}
 }

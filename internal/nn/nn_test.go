@@ -120,6 +120,7 @@ func tinyBatch(t testing.TB, layers int) (*sample.MiniBatch, []float32, []int32,
 func genBatch(t testing.TB, cfg gen.Config, nSeeds int, fan []int) (*sample.MiniBatch, []float32, []int32, int) {
 	t.Helper()
 	d := gen.Generate(cfg)
+	rows := drawRows(d)
 	seeds := d.TrainIdx[:nSeeds]
 	mb := sample.Reference(d.G, seeds, sample.Config{Fanout: fan}, 9)
 	if err := mb.Validate(); err != nil {
@@ -128,13 +129,25 @@ func genBatch(t testing.TB, cfg gen.Config, nSeeds int, fan []int) (*sample.Mini
 	inputs := mb.InputNodes()
 	feats := make([]float32, len(inputs)*d.FeatDim)
 	for i, v := range inputs {
-		copy(feats[i*d.FeatDim:(i+1)*d.FeatDim], d.Feature(v))
+		copy(feats[i*d.FeatDim:(i+1)*d.FeatDim], rows[int(v)*d.FeatDim:(int(v)+1)*d.FeatDim])
 	}
 	labels := make([]int32, len(seeds))
 	for i, s := range seeds {
 		labels[i] = d.Labels[s]
 	}
 	return mb, feats, labels, d.FeatDim
+}
+
+// drawRows draws d's feature rows in node order.
+func drawRows(d *gen.Dataset) []float32 {
+	n := d.G.NumNodes()
+	slot := make([]graph.NodeID, n)
+	for v := range slot {
+		slot[v] = graph.NodeID(v)
+	}
+	rows := make([]float32, n*d.FeatDim)
+	d.Rows.Draw(rows, slot)
+	return rows
 }
 
 func gradCheck(t *testing.T, arch Arch) {
@@ -197,6 +210,7 @@ func TestTrainingLearns(t *testing.T) {
 	d := gen.Generate(gen.Config{
 		Name: "t", Nodes: 2000, AvgDegree: 10, FeatDim: 16, NumClasses: 5, Seed: 33,
 	})
+	rows := drawRows(d)
 	cfg := Config{Arch: SAGE, InDim: 16, Hidden: 32, Classes: 5, Layers: 2}
 	m := NewModel(cfg, 7)
 	opt := NewAdam(0.01)
@@ -206,7 +220,7 @@ func TestTrainingLearns(t *testing.T) {
 		inputs := mb.InputNodes()
 		feats := make([]float32, len(inputs)*d.FeatDim)
 		for i, v := range inputs {
-			copy(feats[i*d.FeatDim:(i+1)*d.FeatDim], d.Feature(v))
+			copy(feats[i*d.FeatDim:(i+1)*d.FeatDim], rows[int(v)*d.FeatDim:(int(v)+1)*d.FeatDim])
 		}
 		labels := make([]int32, len(mb.Seeds))
 		for i, s := range mb.Seeds {
@@ -331,6 +345,7 @@ func TestGATTrainingLearns(t *testing.T) {
 	d := gen.Generate(gen.Config{
 		Name: "gat", Nodes: 1500, AvgDegree: 10, FeatDim: 12, NumClasses: 4, Seed: 55,
 	})
+	rows := drawRows(d)
 	cfg := Config{Arch: GAT, InDim: 12, Hidden: 16, Classes: 4, Layers: 2}
 	m := NewModel(cfg, 3)
 	opt := NewAdam(0.01)
@@ -343,7 +358,7 @@ func TestGATTrainingLearns(t *testing.T) {
 			inputs := mb.InputNodes()
 			feats := make([]float32, len(inputs)*d.FeatDim)
 			for i, v := range inputs {
-				copy(feats[i*d.FeatDim:(i+1)*d.FeatDim], d.Feature(v))
+				copy(feats[i*d.FeatDim:(i+1)*d.FeatDim], rows[int(v)*d.FeatDim:(int(v)+1)*d.FeatDim])
 			}
 			labels := make([]int32, len(seeds))
 			for i, s := range seeds {
@@ -360,7 +375,7 @@ func TestGATTrainingLearns(t *testing.T) {
 	inputs := mb.InputNodes()
 	feats := make([]float32, len(inputs)*d.FeatDim)
 	for i, v := range inputs {
-		copy(feats[i*d.FeatDim:(i+1)*d.FeatDim], d.Feature(v))
+		copy(feats[i*d.FeatDim:(i+1)*d.FeatDim], rows[int(v)*d.FeatDim:(int(v)+1)*d.FeatDim])
 	}
 	labels := make([]int32, len(val))
 	for i, s := range val {

@@ -163,18 +163,29 @@ func TestApplyToGraphPreservesStructure(t *testing.T) {
 	}
 }
 
+// TestApplyToFeaturesAndLabels: labels renumbered by ApplyToLabels and
+// feature rows drawn straight into their NewID slots both land where the
+// renumbering puts their node.
 func TestApplyToFeaturesAndLabels(t *testing.T) {
 	d := testGraph()
 	res := Hash(d.G, 4)
 	r := BuildRenumbering(res)
-	nf := r.ApplyToFeatures(d.Features, d.FeatDim)
+	n := d.G.NumNodes()
+	nf := make([]float32, n*d.FeatDim)
+	d.Rows.Draw(nf, r.NewID)
+	nodeOrder := make([]graph.NodeID, n)
+	for v := range nodeOrder {
+		nodeOrder[v] = graph.NodeID(v)
+	}
+	feats := make([]float32, n*d.FeatDim)
+	d.Rows.Draw(feats, nodeOrder)
 	nl := r.ApplyToLabels(d.Labels)
-	for nid := 0; nid < d.G.NumNodes(); nid++ {
+	for nid := 0; nid < n; nid++ {
 		old := r.OldID[nid]
 		if nl[nid] != d.Labels[old] {
 			t.Fatalf("label mismatch at %d", nid)
 		}
-		of := d.Feature(old)
+		of := feats[int(old)*d.FeatDim : int(old+1)*d.FeatDim]
 		for j := 0; j < d.FeatDim; j++ {
 			if nf[nid*d.FeatDim+j] != of[j] {
 				t.Fatalf("feature mismatch at %d[%d]", nid, j)

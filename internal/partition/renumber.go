@@ -99,18 +99,6 @@ func (r *Renumbering) ApplyToIDs(ids []graph.NodeID) []graph.NodeID {
 	return out
 }
 
-// ApplyToFeatures reorders a flat node-major feature matrix into layout
-// order.
-func (r *Renumbering) ApplyToFeatures(features []float32, dim int) []float32 {
-	n := len(r.NewID)
-	out := make([]float32, len(features))
-	for nid := 0; nid < n; nid++ {
-		old := int(r.OldID[nid])
-		copy(out[nid*dim:(nid+1)*dim], features[old*dim:(old+1)*dim])
-	}
-	return out
-}
-
 // ApplyToLabels reorders per-node labels into layout order.
 func (r *Renumbering) ApplyToLabels(labels []int32) []int32 {
 	out := make([]int32, len(labels))

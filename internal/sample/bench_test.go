@@ -65,6 +65,44 @@ func BenchmarkUniform(b *testing.B) {
 	}
 }
 
+// BenchmarkWeighted draws biased neighbour sets without replacement, one
+// call per op over 1 024 rows of degree d, beside the loop it replaced
+// ("ref"), which allocated a key slice of size d on every call. The "keys"
+// rows must report 0 allocs/op.
+func BenchmarkWeighted(b *testing.B) {
+	const rows = 1 << 10
+	for _, d := range []int{32, 256} {
+		adjacency := make([]graph.NodeID, rows*d)
+		weights := make([]float32, rows*d)
+		gen := rng.New(uint64(d))
+		for i := range adjacency {
+			adjacency[i] = graph.NodeID(gen.Intn(1 << 20))
+			weights[i] = float32(gen.Float64()) + 1e-3
+		}
+		for _, k := range []int{5, 15} {
+			var keys Keys
+			for _, impl := range []struct {
+				name string
+				fn   func(*rng.RNG, []graph.NodeID, []float32, int, []graph.NodeID) []graph.NodeID
+			}{{"keys", func(r *rng.RNG, adj []graph.NodeID, w []float32, k int, out []graph.NodeID) []graph.NodeID {
+				return Weighted(r, adj, w, k, out, &keys)
+			}}, {"ref", refWeighted}} {
+				b.Run(fmt.Sprintf("d=%d/k=%d/%s", d, k, impl.name), func(b *testing.B) {
+					out := make([]graph.NodeID, 0, k)
+					var r rng.RNG
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						j := i % rows
+						r.Seed(uint64(j))
+						out = impl.fn(&r, adjacency[j*d:(j+1)*d], weights[j*d:(j+1)*d], k, out[:0])
+					}
+					reportRate(b, int64(k), "edges/s")
+				})
+			}
+		}
+	}
+}
+
 // benchBatch is a three-layer batch at the benchmark's fan-out on a graph
 // small enough to generate in a bench smoke run.
 func benchBatch() (*gen.Dataset, []graph.NodeID, Config) {

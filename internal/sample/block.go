@@ -298,13 +298,14 @@ func Reference(g graph.Topology, seeds []graph.NodeID, cfg Config, batchSeed uin
 func ReferenceInto(d *Deduper, g graph.Topology, seeds []graph.NodeID, cfg Config, batchSeed uint64) *MiniBatch {
 	mb := &MiniBatch{Seeds: seeds, Seed: batchSeed}
 	dst := seeds
+	var keys Keys // one key buffer for every biased draw of the batch
 	blocks := make([]*Block, 0, cfg.Layers())
 	for l := 0; l < cfg.Layers(); l++ {
 		var block *Block
 		if cfg.LayerWise {
-			block = sampleLayerWise(d, g, dst, l, cfg, batchSeed)
+			block = sampleLayerWise(d, &keys, g, dst, l, cfg, batchSeed)
 		} else {
-			block = sampleNodeWise(d, g, dst, l, cfg, batchSeed)
+			block = sampleNodeWise(d, &keys, g, dst, l, cfg, batchSeed)
 		}
 		blocks = append(blocks, block)
 		dst = block.InputNodes
@@ -325,13 +326,13 @@ func buildWith(d *Deduper, dst []graph.NodeID, counts []int32, samples []graph.N
 	return BuildBlock(dst, counts, samples)
 }
 
-func sampleNodeWise(d *Deduper, g graph.Topology, dst []graph.NodeID, layer int, cfg Config, batchSeed uint64) *Block {
+func sampleNodeWise(d *Deduper, keys *Keys, g graph.Topology, dst []graph.NodeID, layer int, cfg Config, batchSeed uint64) *Block {
 	counts := make([]int32, len(dst))
 	var samples []graph.NodeID
 	fanout := cfg.Fanout[layer]
 	for i, v := range dst {
 		before := len(samples)
-		samples = DrawNode(g, v, layer, fanout, cfg, batchSeed, samples)
+		samples = DrawNode(g, v, layer, fanout, cfg, batchSeed, samples, keys)
 		counts[i] = int32(len(samples) - before)
 	}
 	return buildWith(d, dst, counts, samples)
@@ -340,15 +341,17 @@ func sampleNodeWise(d *Deduper, g graph.Topology, dst []graph.NodeID, layer int,
 // DrawNode draws the neighbour sample for one (node, layer) on a full-graph
 // topology. It delegates to DrawAdj with v as both the adjacency index and
 // the seeding id.
-func DrawNode(g graph.Topology, v graph.NodeID, layer int, fanout int, cfg Config, batchSeed uint64, out []graph.NodeID) []graph.NodeID {
-	return DrawAdj(g.Neighbors(v), g.NeighborWeights(v), v, layer, fanout, cfg, batchSeed, out)
+func DrawNode(g graph.Topology, v graph.NodeID, layer int, fanout int, cfg Config, batchSeed uint64, out []graph.NodeID, keys *Keys) []graph.NodeID {
+	return DrawAdj(g.Neighbors(v), g.NeighborWeights(v), v, layer, fanout, cfg, batchSeed, out, keys)
 }
 
 // DrawAdj is THE local sampling kernel: it draws from an adjacency slice,
 // seeding the generator with the node's GLOBAL id. The distributed CSP calls
 // it with a patch-local adjacency slice but the global id, which makes its
-// draws bit-identical to the single-address-space Reference sampler.
-func DrawAdj(adj []graph.NodeID, weights []float32, globalID graph.NodeID, layer int, fanout int, cfg Config, batchSeed uint64, out []graph.NodeID) []graph.NodeID {
+// draws bit-identical to the single-address-space Reference sampler. keys is
+// the caller's scratch for biased draws without replacement; draws with
+// replacement never touch it, so they may pass nil.
+func DrawAdj(adj []graph.NodeID, weights []float32, globalID graph.NodeID, layer int, fanout int, cfg Config, batchSeed uint64, out []graph.NodeID, keys *Keys) []graph.NodeID {
 	// The generator lives in this frame: one per task on the hot path, so it
 	// must not be a heap object (NodeSeed's *rng.RNG is for callers that keep
 	// the stream).
@@ -359,7 +362,7 @@ func DrawAdj(adj []graph.NodeID, weights []float32, globalID graph.NodeID, layer
 		if cfg.WithReplacement {
 			return WeightedWithReplacement(r, adj, weights, fanout, out)
 		}
-		return Weighted(r, adj, weights, fanout, out)
+		return Weighted(r, adj, weights, fanout, out, keys)
 	}
 	if cfg.WithReplacement {
 		return UniformWithReplacement(r, adj, fanout, out)
@@ -370,7 +373,7 @@ func DrawAdj(adj []graph.NodeID, weights []float32, globalID graph.NodeID, layer
 // sampleLayerWise implements Eq. (2): split the layer budget across the
 // frontier proportionally to neighbour weight mass, then node-wise sample
 // the assigned counts.
-func sampleLayerWise(d *Deduper, g graph.Topology, dst []graph.NodeID, layer int, cfg Config, batchSeed uint64) *Block {
+func sampleLayerWise(d *Deduper, keys *Keys, g graph.Topology, dst []graph.NodeID, layer int, cfg Config, batchSeed uint64) *Block {
 	masses := make([]float64, len(dst))
 	for i, v := range dst {
 		masses[i] = g.WeightSum(v)
@@ -395,7 +398,7 @@ func sampleLayerWise(d *Deduper, g graph.Topology, dst []graph.NodeID, layer int
 			continue
 		}
 		before := len(samples)
-		samples = DrawNode(g, v, layer, perNode[i], cfg, batchSeed, samples)
+		samples = DrawNode(g, v, layer, perNode[i], cfg, batchSeed, samples, keys)
 		counts[i] = int32(len(samples) - before)
 	}
 	return buildWith(d, dst, counts, samples)

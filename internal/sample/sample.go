@@ -84,9 +84,15 @@ func UniformWithReplacement(r *rng.RNG, adj []graph.NodeID, fanout int, out []gr
 	return out
 }
 
+// Keys is caller-owned scratch for Weighted's selection keys, one per
+// neighbour of the node being drawn, reused from call to call. The zero value
+// is ready; a Keys serves one draw at a time.
+type Keys struct{ cands []cand }
+
 // Weighted draws min(fanout, len(adj)) neighbours without replacement with
-// probability proportional to weights (A-ES / Efraimidis-Spirakis keys).
-func Weighted(r *rng.RNG, adj []graph.NodeID, weights []float32, fanout int, out []graph.NodeID) []graph.NodeID {
+// probability proportional to weights (A-ES / Efraimidis-Spirakis keys). The
+// keys live in keys, so a warm call allocates nothing.
+func Weighted(r *rng.RNG, adj []graph.NodeID, weights []float32, fanout int, out []graph.NodeID, keys *Keys) []graph.NodeID {
 	d := len(adj)
 	if d == 0 {
 		return out
@@ -96,7 +102,7 @@ func Weighted(r *rng.RNG, adj []graph.NodeID, weights []float32, fanout int, out
 	}
 	// key_i = u^(1/w_i); take the top fanout keys. Equivalent: take the
 	// smallest -ln(u)/w_i (exponential race).
-	cands := make([]cand, 0, d)
+	cands := slices.Grow(keys.cands[:0], d)
 	for i := 0; i < d; i++ {
 		w := float64(weights[i])
 		if w <= 0 {
@@ -104,6 +110,7 @@ func Weighted(r *rng.RNG, adj []graph.NodeID, weights []float32, fanout int, out
 		}
 		cands = append(cands, cand{r.Exp(w), i})
 	}
+	keys.cands = cands
 	if len(cands) <= fanout {
 		for _, c := range cands {
 			out = append(out, adj[c.idx])

@@ -92,7 +92,7 @@ func TestEmptyAdjacency(t *testing.T) {
 	if out := Uniform(rng.New(1), nil, 5, nil); len(out) != 0 {
 		t.Fatal("sampled from empty adjacency")
 	}
-	if out := Weighted(rng.New(1), nil, nil, 5, nil); len(out) != 0 {
+	if out := Weighted(rng.New(1), nil, nil, 5, nil, new(Keys)); len(out) != 0 {
 		t.Fatal("weighted sampled from empty adjacency")
 	}
 }
@@ -104,7 +104,7 @@ func TestWeightedFollowsWeights(t *testing.T) {
 	r := rng.New(5)
 	const trials = 100000
 	for i := 0; i < trials; i++ {
-		for _, v := range Weighted(r, adj, w, 1, nil) {
+		for _, v := range Weighted(r, adj, w, 1, nil, new(Keys)) {
 			counts[v]++
 		}
 	}
@@ -121,7 +121,7 @@ func TestWeightedZeroWeightNeverDrawn(t *testing.T) {
 	w := []float32{1, 0, 1}
 	r := rng.New(6)
 	for i := 0; i < 1000; i++ {
-		for _, v := range Weighted(r, adj, w, 2, nil) {
+		for _, v := range Weighted(r, adj, w, 2, nil, new(Keys)) {
 			if v == 1 {
 				t.Fatal("zero-weight neighbour drawn")
 			}
@@ -371,11 +371,11 @@ func TestDrawNodeLocationIndependent(t *testing.T) {
 	full := d.G
 	v := d.TrainIdx[0]
 	cfg := Config{Fanout: []int{6}}
-	a := DrawNode(full, v, 0, 6, cfg, 42, nil)
+	a := DrawNode(full, v, 0, 6, cfg, 42, nil, nil)
 	// Simulate the owner GPU's local CSR holding just v's adjacency: the
 	// adjacency slice is patch-local, but the seeding id stays global.
 	patch := graph.ExtractPatch(full, []graph.NodeID{v})
-	b := DrawAdj(patch.Adj.Neighbors(0), patch.Adj.NeighborWeights(0), v, 0, 6, cfg, 42, nil)
+	b := DrawAdj(patch.Adj.Neighbors(0), patch.Adj.NeighborWeights(0), v, 0, 6, cfg, 42, nil, nil)
 	if len(a) != len(b) {
 		t.Fatalf("draws differ in size: %v vs %v", a, b)
 	}
@@ -470,6 +470,84 @@ func TestUniformMatchesReference(t *testing.T) {
 		}
 		if rw.k <= 0 && len(got) != rw.prefix {
 			t.Fatalf("row %d %+v: fan-out below one drew %d ids", i, rw, len(got)-rw.prefix)
+		}
+	}
+}
+
+// refWeighted is Weighted as it stood before its keys moved to caller-owned
+// scratch: a fresh candidate slice of the node's degree on every call. The
+// oracle for TestWeightedMatchesReference and the baseline beside
+// BenchmarkWeighted.
+func refWeighted(r *rng.RNG, adj []graph.NodeID, weights []float32, fanout int, out []graph.NodeID) []graph.NodeID {
+	d := len(adj)
+	if d == 0 {
+		return out
+	}
+	if d <= fanout {
+		return append(out, adj...)
+	}
+	cands := make([]cand, 0, d)
+	for i := 0; i < d; i++ {
+		w := float64(weights[i])
+		if w <= 0 {
+			continue
+		}
+		cands = append(cands, cand{r.Exp(w), i})
+	}
+	if len(cands) <= fanout {
+		for _, c := range cands {
+			out = append(out, adj[c.idx])
+		}
+		return out
+	}
+	selectSmallest(cands, fanout)
+	for i := 0; i < fanout; i++ {
+		out = append(out, adj[cands[i].idx])
+	}
+	return out
+}
+
+// TestWeightedMatchesReference: with one Keys carried dirty from row to row
+// (longer rows before shorter ones, and back), Weighted returns the
+// reference's values in its order and leaves the generator where the
+// reference leaves it — on rows with zero weights, tied weights, repeated
+// neighbours and every degree around the fan-out.
+func TestWeightedMatchesReference(t *testing.T) {
+	gen := rng.New(21)
+	var keys Keys
+	for i := 0; i < 60_000; i++ {
+		k := gen.Intn(13) - 1
+		d := gen.Intn(64)
+		if gen.Intn(3) == 0 {
+			d = max(k+gen.Intn(4)-1, 0)
+		}
+		adj := make([]graph.NodeID, d)
+		w := make([]float32, d)
+		universe := 1 << 20
+		if gen.Intn(2) == 0 {
+			universe = d/2 + 1
+		}
+		for j := range adj {
+			adj[j] = graph.NodeID(gen.Intn(universe))
+			switch gen.Intn(4) {
+			case 0:
+				w[j] = 0
+			case 1:
+				w[j] = 1
+			default:
+				w[j] = float32(gen.Float64())
+			}
+		}
+		prefix := []graph.NodeID{7, 9}[:gen.Intn(3)]
+		seed := gen.Uint64()
+		r1, r2 := rng.New(seed), rng.New(seed)
+		got := Weighted(r1, adj, w, k, slices.Clone(prefix), &keys)
+		want := refWeighted(r2, adj, w, k, slices.Clone(prefix))
+		if !slices.Equal(got, want) {
+			t.Fatalf("row %d (d=%d k=%d): got %v, want %v", i, d, k, got, want)
+		}
+		if r1.Uint64() != r2.Uint64() {
+			t.Fatalf("row %d (d=%d k=%d): generator state differs from the reference", i, d, k)
 		}
 	}
 }

@@ -74,6 +74,9 @@ func Build(m *hw.Machine, opts train.Options, role Role) (*Substrate, error) {
 	d := opts.Data
 	n := d.NumGPUs()
 	s := &Substrate{Opts: opts, M: m}
+	if opts.RealCompute {
+		d.Features() // drawn at build, not inside a timed epoch
+	}
 	topoBudget := opts.TopoCacheBudget
 	if topoBudget <= 0 {
 		// Cache the whole patch when it fits; otherwise keep the hottest
@@ -137,11 +140,11 @@ func Build(m *hw.Machine, opts train.Options, role Role) (*Substrate, error) {
 		// P3: every GPU holds a full-row [#Nodes, F/world] column slice —
 		// no hot/cold split, no budget knob; the slab either fits or the
 		// Reserve below fails.
-		s.Store = featstore.BuildDimSliced(d.Feats, d.FeatDim, n)
+		s.Store = featstore.BuildDimSliced(d.G.NumNodes(), d.Features, d.FeatDim, n)
 	case opts.ReplicatedCache:
-		s.Store = featstore.BuildReplicated(d.G, d.Feats, d.FeatDim, n, budget, policy)
+		s.Store = featstore.BuildReplicated(d.G, d.Features, d.FeatDim, n, budget, policy)
 	default:
-		s.Store = featstore.BuildPartitioned(d.G, d.Feats, d.FeatDim, d.Offsets, budget, policy)
+		s.Store = featstore.BuildPartitioned(d.G, d.Features, d.FeatDim, d.Offsets, budget, policy)
 	}
 	for g, dev := range m.GPUs {
 		if err := dev.Reserve(s.Store.CacheBytes(g)); err != nil {

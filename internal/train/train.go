@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/compress"
@@ -26,12 +27,13 @@ import (
 // Data is a dataset prepared for an n-GPU run: renumbered into layout order
 // with per-GPU ownership ranges and co-partitioned seed shards. Every system
 // consumes the same Data so graph samples — and therefore learning curves —
-// are bitwise identical across systems (the paper's Figure 9a).
+// are bitwise identical across systems (the paper's Figure 9a). Its feature
+// values are read through Features, which draws them on the first call; a
+// Data is shared by pointer, never copied.
 type Data struct {
 	Name       string
 	G          *graph.CSR
 	FeatDim    int
-	Feats      []float32
 	Labels     []int32
 	NumClasses int
 	Offsets    []int64
@@ -43,6 +45,31 @@ type Data struct {
 	GPUMemBytes int64
 	// BenchBatch is the registry-recommended mini-batch size (0 = none).
 	BenchBatch int
+
+	feats     []float32       // node-major, layout order; nil until Features
+	drawFeats func([]float32) // fills feats; nil when they were given
+	featsOnce sync.Once
+}
+
+// Features returns the feature values, node-major in layout order: node v's
+// row is the FeatDim values from v*FeatDim. The first call draws them (once,
+// however many goroutines make it at the same time); a run that never calls
+// it never pays for them.
+func (d *Data) Features() []float32 {
+	d.featsOnce.Do(func() {
+		if d.drawFeats != nil {
+			d.feats = make([]float32, d.G.NumNodes()*d.FeatDim)
+			d.drawFeats(d.feats)
+			d.drawFeats = nil
+		}
+	})
+	return d.feats
+}
+
+// SetFeatures gives d its feature values, node-major in layout order, in
+// place of drawing them (a Data read from a file). Call it before Features.
+func (d *Data) SetFeatures(vals []float32) {
+	d.feats, d.drawFeats = vals, nil
 }
 
 // Prepare partitions, renumbers and shards a generated dataset for nGPU
@@ -56,15 +83,16 @@ func Prepare(d *gen.Dataset, nGPU int, seed uint64, useMetis bool) *Data {
 		res = partition.Hash(d.G, nGPU)
 	}
 	ren := partition.BuildRenumbering(res)
+	rows, newID := d.Rows, ren.NewID
 	td := &Data{
 		Name:       d.Name,
 		G:          ren.ApplyToGraph(d.G),
 		FeatDim:    d.FeatDim,
-		Feats:      ren.ApplyToFeatures(d.Features, d.FeatDim),
 		Labels:     ren.ApplyToLabels(d.Labels),
 		NumClasses: d.NumClasses,
 		Offsets:    ren.Offsets,
 		Val:        ren.ApplyToIDs(d.ValIdx),
+		drawFeats:  func(dst []float32) { rows.Draw(dst, newID) },
 	}
 	trainIDs := ren.ApplyToIDs(d.TrainIdx)
 	for g := 0; g < nGPU; g++ {
@@ -106,7 +134,7 @@ func StandardData(name string, gpus, shrink int, seed uint64, metis bool, genera
 func (d *Data) NumGPUs() int { return len(d.Shards) }
 
 // FeatureBytes returns the total feature footprint.
-func (d *Data) FeatureBytes() int64 { return int64(len(d.Feats)) * 4 }
+func (d *Data) FeatureBytes() int64 { return int64(d.G.NumNodes()) * int64(d.FeatDim) * 4 }
 
 // RowBytes returns one feature row's size.
 func (d *Data) RowBytes() int { return d.FeatDim * 4 }
@@ -445,8 +473,9 @@ func GatherFeaturesInto(out []float32, d *Data, mb *sample.MiniBatch) []float32 
 	if len(out) != len(inputs)*d.FeatDim {
 		panic(fmt.Sprintf("train: gather buffer %d for %d rows x %d dims", len(out), len(inputs), d.FeatDim))
 	}
+	feats := d.Features()
 	for i, v := range inputs {
-		copy(out[i*d.FeatDim:(i+1)*d.FeatDim], d.Feats[int(v)*d.FeatDim:(int(v)+1)*d.FeatDim])
+		copy(out[i*d.FeatDim:(i+1)*d.FeatDim], feats[int(v)*d.FeatDim:(int(v)+1)*d.FeatDim])
 	}
 	return out
 }

@@ -266,7 +266,7 @@ func TestGatherFeaturesAndLabels(t *testing.T) {
 	}
 	for i, v := range mb.InputNodes()[:10] {
 		for j := 0; j < td.FeatDim; j++ {
-			if feats[i*td.FeatDim+j] != td.Feats[int(v)*td.FeatDim+j] {
+			if feats[i*td.FeatDim+j] != td.Features()[int(v)*td.FeatDim+j] {
 				t.Fatalf("feature mismatch node %d", v)
 			}
 		}

@@ -21,11 +21,23 @@ import (
 // BenchmarkSampleBatch times whole collective batches (one op = all eight
 // ranks sampling 128 seeds each, three layers) in steady state: the world has
 // sampled once before the clock starts, so allocs/op is what a warm round
-// workspace leaves — the blocks' arrays and the collectives' tables.
+// workspace leaves — the blocks' arrays and the collectives' tables. It runs
+// on two graphs: 40 000 nodes, whose adjacency (3 MB) sits in the last-level
+// cache, and 400 000 nodes (32 MB), far larger than L2, where the order the
+// owners read rows in shows. -short runs the small one only.
 func BenchmarkSampleBatch(b *testing.B) {
+	for _, nodes := range []int{40000, 400000} {
+		if testing.Short() && nodes > 40000 {
+			continue
+		}
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) { benchSampleBatch(b, nodes) })
+	}
+}
+
+func benchSampleBatch(b *testing.B, nodes int) {
 	const nGPU = 8
 	d := gen.Generate(gen.Config{
-		Name: "b", Nodes: 40000, AvgDegree: 20, FeatDim: 4, NumClasses: 6, Seed: 5,
+		Name: "b", Nodes: nodes, AvgDegree: 20, FeatDim: 4, NumClasses: 6, Seed: 5,
 	})
 	ren := partition.BuildRenumbering(partition.Metis(d.G, nGPU, 5))
 	m := hw.NewMachine(nGPU, hw.V100(), hw.XeonE5())

@@ -34,6 +34,7 @@ package csp
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/comm"
@@ -186,8 +187,11 @@ type World struct {
 // marks a round that began and did not end, and the next round then leaves
 // the old task buffers to their readers and appends to fresh ones.
 //
-// Everything else (counts, owner, cur, hostNodes, outCounts, ahead, peerSeed,
-// samples, the deduper) is read by this rank alone. A Clone starts with no
+// start and order (the draw order's buckets and tasks) belong to the draw
+// unit alone: it is their only reader and writer, and it is joined on every
+// way out of the frame, so no two units ever share them. Everything else
+// (counts, owner, cur, hostNodes, outCounts, ahead, peerSeed, samples, the
+// deduper) is read by this rank alone. A Clone starts with no
 // scratch, so every multi-instance sampler world owns its own.
 //
 // The release rule. free holds the batches this rank's last readers handed
@@ -214,6 +218,8 @@ type roundScratch struct {
 
 	replyCounts  [][]int32
 	replySamples [][]graph.NodeID
+	start        []int32   // draw-order bucket offsets (see drawTasks)
+	order        []drawRef // received tasks in draw order
 
 	hostNodes []graph.NodeID
 	outCounts []int32
@@ -593,6 +599,89 @@ func (w *World) fetchMasses(p *sim.Proc, rank int, dst []graph.NodeID) []massInf
 	return info
 }
 
+// drawRef is a received task in the owner's draw order: requester q's i-th
+// task, whose samples are drawn at off in q's reply buffer.
+type drawRef struct {
+	task
+	q, i, off int32
+}
+
+// drawTasks is the owner's fused kernel: it draws every task rank received,
+// from every requester, and leaves each requester's reply in
+// s.replyCounts/s.replySamples in posting order, which the assembly walks.
+//
+// A draw depends on (requester seed, layer, node, count, row) alone, so the
+// tasks run in adjacency order instead: a counting pass on patch-local id
+// puts them in buckets of 2^shift nodes, and each draws into the slots its
+// requester's reply reserves for it (a task yields at most Count ids). Rows
+// are then read in memory order, and a node several requesters asked for is
+// drawn back to back. shift gives about one bucket per task, so the pass is
+// O(tasks) — exact order once the tasks outnumber the patch's nodes, no
+// patch-sized table for a round of a few tasks. Tasks outside the patch (a
+// dead GPU's, in degraded mode) share one last bucket. Packing each reply
+// closes the gaps of tasks that drew fewer than Count ids.
+func (w *World) drawTasks(s *roundScratch, rank int, inTasks [][]task, cfg sample.Config, layer int) {
+	ps := w.Patches[rank]
+	span := int(ps.Hi - ps.Lo)
+	var tasks int
+	for _, ts := range inTasks {
+		tasks += len(ts)
+	}
+	shift := max(bits.Len(uint(span))-bits.Len(uint(tasks)), 0)
+	outside := (span + 1<<shift - 1) >> shift // the out-of-patch bucket
+	bucket := func(v graph.NodeID) int {
+		if v < ps.Lo || v >= ps.Hi {
+			return outside
+		}
+		return int(v-ps.Lo) >> shift
+	}
+	// start[b+1] counts bucket b's tasks, then start[b] is where it begins.
+	start := resized(s.start, outside+2)
+	clear(start)
+	for q, ts := range inTasks {
+		var total int
+		for _, t := range ts {
+			total += int(t.Count)
+			start[bucket(t.Node)+1]++
+		}
+		s.replyCounts[q] = resized(s.replyCounts[q], len(ts))
+		s.replySamples[q] = resized(s.replySamples[q], total)
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	order := resized(s.order, tasks)
+	for q, ts := range inTasks {
+		var off int32
+		for i, t := range ts {
+			b := bucket(t.Node)
+			order[start[b]] = drawRef{t, int32(q), int32(i), off}
+			start[b]++
+			off += t.Count
+		}
+	}
+	for _, d := range order {
+		tps := w.patchOf(d.Node, rank)
+		got := sample.DrawAdj(tps.Neighbors(d.Node), tps.NeighborWeights(d.Node),
+			d.Node, layer, int(d.Count), cfg, s.peerSeed[d.q], s.replySamples[d.q][:d.off], &s.keys)
+		s.replyCounts[d.q][d.i] = int32(len(got)) - d.off
+	}
+	for q, ts := range inTasks {
+		buf, rc := s.replySamples[q], s.replyCounts[q]
+		var to, from int32
+		for i, t := range ts {
+			k := rc[i]
+			if to != from {
+				copy(buf[to:to+k], buf[from:from+k])
+			}
+			to += k
+			from += t.Count
+		}
+		s.replySamples[q] = buf[:to]
+	}
+	s.start, s.order = start, order
+}
+
 // sampleLayer runs one shuffle/sample/reshuffle round and assembles the
 // requester-side block into block. fused selects one kernel for all received
 // tasks (DSP's design) versus one kernel per task (the async alternative).
@@ -601,7 +690,6 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	n := w.Comm.N
 	dev := w.M.GPUs[rank]
 	s := w.scratchOf(rank)
-	peerSeed := s.peerSeed
 
 	// --- shuffle: route tasks to owners -------------------------------
 	outTasks := s.outTasks
@@ -632,25 +720,7 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	// they are offloaded to the worker pool here and joined at the
 	// reshuffle commit point below; the timed kernel/UVA charges in between
 	// overlap the draws in real time.
-	draws := w.group().Submit(func() {
-		for q := 0; q < n; q++ {
-			var total int
-			for _, t := range inTasks[q] {
-				total += int(t.Count)
-			}
-			// A task yields at most Count ids, so the draws never grow buf.
-			rc := resized(s.replyCounts[q], len(inTasks[q]))
-			buf := slices.Grow(s.replySamples[q][:0], total)
-			for i, t := range inTasks[q] {
-				tps := w.patchOf(t.Node, rank)
-				before := len(buf)
-				buf = sample.DrawAdj(tps.Neighbors(t.Node), tps.NeighborWeights(t.Node),
-					t.Node, layer, int(t.Count), cfg, peerSeed[q], buf, &s.keys)
-				rc[i] = int32(len(buf) - before)
-			}
-			s.replyCounts[q], s.replySamples[q] = rc, buf
-		}
-	})
+	draws := w.group().Submit(func() { w.drawTasks(s, rank, inTasks, cfg, layer) })
 	// No unit outlives its round, however the frame is left (a kill unwinds
 	// through here): it reads peers' task buffers and writes this rank's
 	// reply buffers, and both are written again next round.

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -36,7 +37,7 @@ func (b *Block) NumEdges() int { return len(b.Src) }
 // use); node ids must stay below the numNodes it was sized for.
 type Deduper struct {
 	mark []int32        // mark[v] = local index + 1 for the in-flight block
-	in   []graph.NodeID // the in-flight block's unique set, before its exact-size copy
+	in   []graph.NodeID // the in-flight block's unique set (room for every sample), before its exact-size copy
 }
 
 // NewDeduper returns a deduper for global ids in [0, numNodes).
@@ -93,16 +94,25 @@ func (d *Deduper) build(b *Block, dst []graph.NodeID, counts []int32, samples []
 	for i, v := range dst {
 		mark[v] = int32(i) + 1
 	}
-	b.SrcLocal = fit(b.SrcLocal, len(samples))
+	// First-seen order without a branch: whether a sample is new is
+	// data-random, so every sample is written at the next unique slot and
+	// the count advances by fresh (1 when mark[v] is 0, else 0); a repeat is
+	// overwritten by the next sample. A new v's mark becomes the advanced
+	// count, its local index + 1.
+	n := int32(len(in))
+	in = slices.Grow(in, len(samples))[:len(in)+len(samples)]
+	srcLocal := fit(b.SrcLocal, len(samples))
 	for i, v := range samples {
+		in[n] = v
 		li := mark[v]
-		if li == 0 {
-			in = append(in, v)
-			li = int32(len(in))
-			mark[v] = li
-		}
-		b.SrcLocal[i] = li - 1
+		fresh := int32(uint32(li-1) >> 31) // li >= 0, so 1 exactly when li == 0
+		n += fresh
+		li += fresh * n
+		mark[v] = li
+		srcLocal[i] = li - 1
 	}
+	b.SrcLocal = srcLocal
+	in = in[:n]
 	// Reset only the touched entries so the table is clean for the next
 	// block at O(unique) cost.
 	for _, v := range in {

@@ -28,9 +28,25 @@ func reportEdges(b *testing.B, w *workGraph) {
 
 var benchSink int
 
+// BenchmarkMetis partitions benchFixture and, as papers/k=8, the graph the
+// train-cost workload partitions: papers at half size (110 000 nodes, ~6 M
+// symmetrized edges), a sixteenth under -short.
 func BenchmarkMetis(b *testing.B) {
-	g, k := benchFixture(b)
-	w := buildWork(g)
+	b.Run("products/k=4", func(b *testing.B) {
+		g, k := benchFixture(b)
+		benchMetis(b, g, k)
+	})
+	b.Run("papers/k=8", func(b *testing.B) {
+		shrink := 2
+		if testing.Short() {
+			shrink = 16
+		}
+		benchMetis(b, gen.Generate(gen.StandardDataset("papers", shrink).Config).G, 8)
+	})
+}
+
+func benchMetis(b *testing.B, g *graph.CSR, k int) {
+	w, _ := buildWork(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,7 +61,7 @@ func BenchmarkBuildWork(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w = buildWork(g)
+		w, _ = buildWork(g)
 	}
 	reportEdges(b, w)
 }
@@ -53,13 +69,12 @@ func BenchmarkBuildWork(b *testing.B) {
 // BenchmarkCoarsen contracts the finest level once: matching plus contraction.
 func BenchmarkCoarsen(b *testing.B) {
 	g, _ := benchFixture(b)
-	w := buildWork(g)
-	order := make([]int, w.n)
+	w, s := buildWork(g)
 	r := rng.New(2023)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, coarse := w.coarsen(order, r)
+		_, coarse := w.coarsen(s, r)
 		benchSink += coarse.n
 	}
 	reportEdges(b, w)
@@ -71,8 +86,8 @@ func BenchmarkCoarsen(b *testing.B) {
 // every node, nearly all of them on the boundary, and a few thousand moves.
 func BenchmarkRefine(b *testing.B) {
 	g, k := benchFixture(b)
-	w := buildWork(g)
-	order := make([]int, w.n)
+	w, s := buildWork(g)
+	s.conn = make([]int64, w.n*k)
 	r := rng.New(2023)
 	start := Metis(g, k, 2023).Parts
 	for v := range start {
@@ -85,7 +100,7 @@ func BenchmarkRefine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(parts, start)
-		w.refine(parts, k, 4, order, r)
+		w.refine(parts, k, 4, s, r)
 	}
 	reportEdges(b, w)
 }

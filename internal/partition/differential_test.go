@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -10,52 +11,64 @@ import (
 	"repro/internal/rng"
 )
 
-// checkSymmetric verifies what the transpose-as-sort and refine's connectivity
-// table rest on: every (u,v,wt) has its (v,u,wt), every list is strictly
-// ascending (so there is no multi-edge), and no node lists itself.
+// checkSymmetric verifies what contraction and refine's connectivity table
+// rest on: every (u,v,wt) has its (v,u,wt), no list names a neighbour twice,
+// and no node lists itself.
 func checkSymmetric(w *workGraph) error {
 	if len(w.indptr) != w.n+1 || len(w.nw) != w.n || len(w.adj) != len(w.ew) || w.indptr[w.n] != int64(len(w.adj)) {
 		return fmt.Errorf("shape: n=%d indptr=%d nw=%d adj=%d ew=%d", w.n, len(w.indptr), len(w.nw), len(w.adj), len(w.ew))
 	}
-	weight := func(u, v int32) int64 {
-		list := w.adj[w.indptr[u]:w.indptr[u+1]]
-		if i, ok := slices.BinarySearch(list, v); ok {
-			return w.ew[w.indptr[u]+int64(i)]
-		}
-		return 0
-	}
+	weight := make(map[[2]int32]int64, len(w.adj)) // (v,u) -> the weight of u in v's list
 	for v := int32(0); int(v) < w.n; v++ {
 		for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
 			u := w.adj[i]
+			_, twice := weight[[2]int32{v, u}]
 			switch {
 			case u < 0 || int(u) >= w.n:
 				return fmt.Errorf("node %d lists %d of %d", v, u, w.n)
 			case u == v:
 				return fmt.Errorf("node %d lists itself", v)
-			case i > w.indptr[v] && w.adj[i-1] >= u:
-				return fmt.Errorf("node %d: list not strictly ascending at %d", v, u)
+			case twice:
+				return fmt.Errorf("node %d lists %d twice", v, u)
 			case w.ew[i] <= 0:
 				return fmt.Errorf("edge (%d,%d) has weight %d", v, u, w.ew[i])
-			case weight(u, v) != w.ew[i]:
-				return fmt.Errorf("edge (%d,%d) weighs %d, its reverse %d", v, u, w.ew[i], weight(u, v))
+			}
+			weight[[2]int32{v, u}] = w.ew[i]
+		}
+	}
+	for v := int32(0); int(v) < w.n; v++ {
+		for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
+			if rev := weight[[2]int32{w.adj[i], v}]; rev != w.ew[i] {
+				return fmt.Errorf("edge (%d,%d) weighs %d, its reverse %d", v, w.adj[i], w.ew[i], rev)
 			}
 		}
 	}
 	return nil
 }
 
+// sameWork compares two work graphs up to list order: each node's list is a
+// multiset of (neighbour, weight) pairs.
 func sameWork(got, want *workGraph) error {
 	switch {
 	case got.n != want.n || got.totalW != want.totalW:
 		return fmt.Errorf("n=%d totalW=%d, want n=%d totalW=%d", got.n, got.totalW, want.n, want.totalW)
 	case !slices.Equal(got.indptr, want.indptr):
 		return fmt.Errorf("indptr differs")
-	case !slices.Equal(got.adj, want.adj):
-		return fmt.Errorf("adj differs")
-	case !slices.Equal(got.ew, want.ew):
-		return fmt.Errorf("ew differs")
 	case !slices.Equal(got.nw, want.nw):
 		return fmt.Errorf("nw differs")
+	}
+	pairs := func(w *workGraph, v int) [][2]int64 {
+		var list [][2]int64
+		for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
+			list = append(list, [2]int64{int64(w.adj[i]), w.ew[i]})
+		}
+		slices.SortFunc(list, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+		return list
+	}
+	for v := 0; v < got.n; v++ {
+		if !slices.Equal(pairs(got, v), pairs(want, v)) {
+			return fmt.Errorf("node %d: (neighbour, weight) pairs differ", v)
+		}
 	}
 	return nil
 }
@@ -78,8 +91,9 @@ func diffAgainstReference(g *graph.CSR, k int, seed uint64) error {
 		return nil
 	}
 
-	order := make([]int, n)
-	levels, maps := coarsenLevels(buildWork(g), k, order, rng.New(seed))
+	w, s := buildWork(g)
+	s.conn = make([]int64, n*k)
+	levels, maps := coarsenLevels(w, k, s, rng.New(seed))
 	if len(levels) != len(refLevels) {
 		return fmt.Errorf("%d levels, reference %d", len(levels), len(refLevels))
 	}
@@ -98,7 +112,7 @@ func diffAgainstReference(g *graph.CSR, k int, seed uint64) error {
 	cur, ref := levels[0], refLevels[0]
 	ra, rb := rng.New(seed+1), rng.New(seed+1)
 	for depth := 0; depth < 24 && cur.n > 2; depth++ {
-		cmap, coarse := cur.coarsen(order, ra)
+		cmap, coarse := cur.coarsen(s, ra)
 		refCmap, refCoarse := ref.refCoarsen(rb)
 		if !slices.Equal(cmap, refCmap) {
 			return fmt.Errorf("chain depth %d: cmap differs", depth)
@@ -117,14 +131,13 @@ func diffAgainstReference(g *graph.CSR, k int, seed uint64) error {
 
 	// Random parts put most nodes on the boundary and usually one part over
 	// the limit: many moves, and rebalance runs.
-	w := levels[0]
 	parts := make([]int32, n)
 	for v := range parts {
 		parts[v] = int32(ra.Intn(k))
 		rb.Intn(k)
 	}
 	refParts := slices.Clone(parts)
-	w.refine(parts, k, 4, order, ra)
+	w.refine(parts, k, 4, s, ra)
 	w.refRefine(refParts, k, 4, rb)
 	if !slices.Equal(parts, refParts) {
 		return fmt.Errorf("refine from random parts differs from the reference")

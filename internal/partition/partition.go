@@ -12,6 +12,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -116,16 +117,20 @@ func Metis(g *graph.CSR, k int, seed uint64) *Result {
 	if k == 1 {
 		return &Result{K: 1, Parts: make([]int32, n)}
 	}
-	r := rng.New(seed)
-	w := buildWork(g)
-	order := make([]int, n) // visit-order scratch of every level, see visitOrder
+	w, s := buildWork(g)
+	s.conn = make([]int64, n*k)
+	return &Result{K: k, Parts: w.multilevel(k, s, rng.New(seed))}
+}
 
-	levels, maps := coarsenLevels(w, k, order, r)
+// multilevel partitions w: coarsening, an initial partition of the coarsest
+// graph, then refinement at every level on the way back to w.
+func (w *workGraph) multilevel(k int, s *scratch, r *rng.RNG) []int32 {
+	levels, maps := coarsenLevels(w, k, s, r)
 
 	// Initial partition on the coarsest graph.
 	cur := levels[len(maps)]
 	parts := cur.greedyGrow(k, r)
-	cur.refine(parts, k, 8, order, r)
+	cur.refine(parts, k, 8, s, r)
 
 	// Uncoarsening with refinement.
 	for i := len(maps) - 1; i >= 0; i-- {
@@ -136,20 +141,20 @@ func Metis(g *graph.CSR, k int, seed uint64) *Result {
 			fineParts[v] = parts[cmap[v]]
 		}
 		parts = fineParts
-		fine.refine(parts, k, 4, order, r)
+		fine.refine(parts, k, 4, s, r)
 	}
-	return &Result{K: k, Parts: parts}
+	return parts
 }
 
 // coarsenLevels is the coarsening phase: it contracts w until the graph is
 // small enough for the initial partition or stops shrinking. levels[0] is w,
 // maps[i][v] the id at level i+1 of level i's node v, so levels is one longer
 // than maps and ends with the coarsest graph.
-func coarsenLevels(w *workGraph, k int, order []int, r *rng.RNG) (levels []*workGraph, maps [][]int32) {
+func coarsenLevels(w *workGraph, k int, s *scratch, r *rng.RNG) (levels []*workGraph, maps [][]int32) {
 	cur := w
 	coarsenTarget := max(30*k, 256)
 	for cur.n > coarsenTarget {
-		cmap, coarse := cur.coarsen(order, r)
+		cmap, coarse := cur.coarsen(s, r)
 		if coarse.n >= cur.n*95/100 {
 			break // diminishing returns
 		}
@@ -173,9 +178,9 @@ func visitOrder(order []int, n int, r *rng.RNG) []int {
 
 // workGraph is the symmetrized, weighted graph the partitioner operates on.
 // At every level it is symmetric with symmetric weights — u is in v's list
-// with weight wt exactly when v is in u's with wt — has no self-loop, and
-// every list is strictly ascending. Contraction and refinement both lean on
-// that (see transposeInto and refine).
+// with weight wt exactly when v is in u's with wt — has no self-loop and no
+// neighbour listed twice. List order is unspecified: nothing that reads the
+// lists depends on it (matching breaks weight ties by id, the rest sums).
 type workGraph struct {
 	n      int
 	indptr []int64
@@ -185,36 +190,64 @@ type workGraph struct {
 	totalW int64
 }
 
-// transposeInto writes the transpose of the lists (ptr, adj, ew) to (tadj,
-// tew): walking the sources in ascending order, v is appended to the list of
-// every u in v's list. When the input is symmetric — as many lists name u as
-// u's own list has entries, so ptr bounds the output too — the transpose is
-// the input with every list in ascending order: a sort in two linear passes.
-// A nil ew transposes the topology alone. cursor is scratch of len(ptr)-1.
-func transposeInto(ptr []int64, adj []int32, ew []int64, tadj []int32, tew []int64, cursor []int64) {
-	n := len(ptr) - 1
-	copy(cursor, ptr[:n])
-	for v := 0; v < n; v++ {
-		lo, hi := ptr[v], ptr[v+1]
-		if ew == nil {
-			for _, u := range adj[lo:hi] {
-				tadj[cursor[u]] = int32(v)
-				cursor[u]++
-			}
-			continue
-		}
-		for j := lo; j < hi; j++ {
-			u := adj[j]
-			tadj[cursor[u]] = int32(v)
-			tew[cursor[u]] = ew[j]
-			cursor[u]++
-		}
+// scratch is the working memory of every level. A level is never larger than
+// the finest, so each buffer is allocated once at that size and resliced.
+type scratch struct {
+	order []int   // visit order, see visitOrder
+	match []int32 // coarsen's matching
+	pos   []int64 // a merger's position table
+	adj   []int32 // a merger's output, copied out at its exact size
+	ew    []int64
+	conn  []int64 // refine's n×k connectivity table; Metis sizes it, knowing k
+}
+
+func newScratch(n, entries int) *scratch {
+	return &scratch{order: make([]int, n), match: make([]int32, n), pos: make([]int64, n),
+		adj: make([]int32, entries), ew: make([]int64, entries)}
+}
+
+// merger writes lists one after another into s.adj/s.ew, one entry per
+// neighbour in first-seen order: adding a neighbour the open list holds sums
+// the weights. pos[d] is where d was last written, so at or past the open
+// list's start it is in the list, lower a leftover of an earlier one: one load
+// answers both "seen?" and "where?".
+type merger struct {
+	pos        []int64
+	adj        []int32
+	ew         []int64
+	start, end int64 // the open list is adj[start:end]
+}
+
+// merger returns an empty merger over node ids [0,n).
+func (s *scratch) merger(n int) merger {
+	pos := s.pos[:n]
+	for i := range pos {
+		pos[i] = -1
 	}
+	return merger{pos: pos, adj: s.adj, ew: s.ew}
+}
+
+func (m *merger) add(d int32, wt int64) {
+	if p := m.pos[d]; p >= m.start {
+		m.ew[p] += wt
+		return
+	}
+	m.pos[d] = m.end
+	m.adj[m.end] = d
+	m.ew[m.end] = wt
+	m.end++
+}
+
+// close ends the open list and returns where it ends.
+func (m *merger) close() int64 {
+	m.start = m.end
+	return m.end
 }
 
 // buildWork symmetrizes g (union of in/out edges), deduplicates multi-edges
-// into weights and drops self-loops.
-func buildWork(g *graph.CSR) *workGraph {
+// into weights and drops self-loops. It returns the scratch of every level
+// with it, its merge buffers those of the raw lists.
+func buildWork(g *graph.CSR) (*workGraph, *scratch) {
 	n := g.NumNodes()
 	// Both directions of every adjacency entry: count, then fill. A list
 	// comes out unordered with one copy of u per multi-edge, which makes the
@@ -231,9 +264,9 @@ func buildWork(g *graph.CSR) *workGraph {
 	for i := 1; i <= n; i++ {
 		ptr[i] += ptr[i-1]
 	}
-	cursor := make([]int64, n)
+	s := newScratch(n, int(ptr[n]))
+	raw, cursor := s.adj, s.pos // pos is free until the merge
 	copy(cursor, ptr[:n])
-	raw := make([]int32, ptr[n])
 	for v := 0; v < n; v++ {
 		for _, u := range g.Neighbors(graph.NodeID(v)) {
 			if int(u) != v {
@@ -244,50 +277,35 @@ func buildWork(g *graph.CSR) *workGraph {
 			}
 		}
 	}
-	// Sort every list by transposing, then merge each run of equal
-	// neighbours into one entry weighted by the run's length.
-	sorted := make([]int32, len(raw))
-	transposeInto(ptr, raw, nil, sorted, nil, cursor)
+	// Merge each list's copies of a neighbour into one entry weighted by the
+	// copies: contraction under the identity map with unit weights. It runs
+	// in place, the merged lists never reaching past the raw entry being read.
 	w := &workGraph{n: n, nw: make([]int64, n), indptr: make([]int64, n+1), totalW: int64(n)}
+	m := s.merger(n)
 	for v := 0; v < n; v++ {
 		w.nw[v] = 1
-		list := sorted[ptr[v]:ptr[v+1]]
-		runs := int64(0)
-		for i, u := range list {
-			if i == 0 || u != list[i-1] {
-				runs++
-			}
+		for _, u := range raw[ptr[v]:ptr[v+1]] {
+			m.add(u, 1)
 		}
-		w.indptr[v+1] = w.indptr[v] + runs
+		w.indptr[v+1] = m.close()
 	}
-	w.adj = make([]int32, w.indptr[n])
-	w.ew = make([]int64, w.indptr[n])
-	for v := 0; v < n; v++ {
-		list := sorted[ptr[v]:ptr[v+1]]
-		o := w.indptr[v] - 1
-		for i, u := range list {
-			if i == 0 || u != list[i-1] {
-				o++
-				w.adj[o] = u
-			}
-			w.ew[o]++
-		}
-	}
-	return w
+	w.adj, w.ew = slices.Clone(raw[:m.end]), slices.Clone(s.ew[:m.end])
+	return w, s
 }
 
 // coarsen contracts a heavy-edge matching; returns the fine->coarse map and
 // the coarse graph.
-func (w *workGraph) coarsen(order []int, r *rng.RNG) ([]int32, *workGraph) {
-	match := make([]int32, w.n)
+func (w *workGraph) coarsen(s *scratch, r *rng.RNG) ([]int32, *workGraph) {
+	match := s.match[:w.n]
 	for i := range match {
 		match[i] = -1
 	}
-	for _, vi := range visitOrder(order, w.n, r) {
+	for _, vi := range visitOrder(s.order, w.n, r) {
 		v := int32(vi)
 		if match[v] >= 0 {
 			continue
 		}
+		// The heaviest unmatched neighbour, the lowest id among equals.
 		var best int32 = -1
 		var bestW int64 = -1
 		for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
@@ -295,8 +313,8 @@ func (w *workGraph) coarsen(order []int, r *rng.RNG) ([]int32, *workGraph) {
 			if match[u] >= 0 {
 				continue
 			}
-			if w.ew[i] > bestW {
-				bestW = w.ew[i]
+			if ew := w.ew[i]; ew > bestW || (ew == bestW && u < best) {
+				bestW = ew
 				best = u
 			}
 		}
@@ -324,41 +342,21 @@ func (w *workGraph) coarsen(order []int, r *rng.RNG) ([]int32, *workGraph) {
 		}
 		cn++
 	}
-	coarse := &workGraph{n: int(cn), nw: make([]int64, cn), totalW: w.totalW}
+	coarse := &workGraph{n: int(cn), nw: make([]int64, cn), indptr: make([]int64, cn+1), totalW: w.totalW}
 	for v := 0; v < w.n; v++ {
 		coarse.nw[cmap[v]] += w.nw[v]
 	}
-	// Aggregate each coarse node's edges into one unordered list. pos[d] is
-	// where the list being built holds its edge to d: lists are laid out one
-	// after another, so a position at or past the current list's start means
-	// d is already in it, anything lower is a leftover of an earlier list.
-	uptr := make([]int64, cn+1)
-	uadj := make([]int32, len(w.adj))
-	uew := make([]int64, len(w.adj))
-	pos := make([]int64, cn)
-	for i := range pos {
-		pos[i] = -1
-	}
+	// Merge the lists of each coarse node's one or two members.
+	m := s.merger(int(cn))
 	var c int32 // next coarse node; ids ascend with each pair's lower member
-	var m int64
 	for v := 0; v < w.n; v++ {
 		if cmap[v] != c {
 			continue // the higher member of an earlier pair
 		}
-		start := m
 		for x := int32(v); ; x = match[v] { // v, then its partner if it has one
 			for i := w.indptr[x]; i < w.indptr[x+1]; i++ {
-				d := cmap[w.adj[i]]
-				if d == c {
-					continue
-				}
-				if p := pos[d]; p >= start {
-					uew[p] += w.ew[i]
-				} else {
-					pos[d] = m
-					uadj[m] = d
-					uew[m] = w.ew[i]
-					m++
+				if d := cmap[w.adj[i]]; d != c {
+					m.add(d, w.ew[i])
 				}
 			}
 			if x == match[v] {
@@ -366,13 +364,9 @@ func (w *workGraph) coarsen(order []int, r *rng.RNG) ([]int32, *workGraph) {
 			}
 		}
 		c++
-		uptr[c] = m
+		coarse.indptr[c] = m.close()
 	}
-	// Sort every list by transposing; uptr already is the coarse indptr.
-	coarse.indptr = uptr
-	coarse.adj = make([]int32, m)
-	coarse.ew = make([]int64, m)
-	transposeInto(uptr, uadj, uew, coarse.adj, coarse.ew, pos)
+	coarse.adj, coarse.ew = slices.Clone(s.adj[:m.end]), slices.Clone(s.ew[:m.end])
 	return cmap, coarse
 }
 
@@ -459,10 +453,12 @@ func (w *workGraph) greedyGrow(k int, r *rng.RNG) []int32 {
 	return parts
 }
 
-// connectivity returns the n×k table refine and rebalance read gains from:
-// conn[v*k+p] is v's edge weight into part p, int64 like the weights it sums.
-func (w *workGraph) connectivity(parts []int32, k int) []int64 {
-	conn := make([]int64, w.n*k)
+// connectivity fills conn[:n*k] with the table refine and rebalance read
+// gains from: conn[v*k+p] is v's edge weight into part p, int64 like the
+// weights it sums.
+func (w *workGraph) connectivity(parts []int32, k int, conn []int64) []int64 {
+	conn = conn[:w.n*k]
+	clear(conn)
 	for v := 0; v < w.n; v++ {
 		row := conn[v*k : v*k+k]
 		for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
@@ -490,16 +486,16 @@ func (w *workGraph) relocate(v, to int32, parts []int32, k int, conn []int64) {
 // neighbouring part with the highest positive gain, subject to the balance
 // constraint. Gains come from the connectivity table, so a visit costs O(k)
 // whatever v's degree (an interior node has no positive gain: it stays).
-func (w *workGraph) refine(parts []int32, k int, passes int, order []int, r *rng.RNG) {
+func (w *workGraph) refine(parts []int32, k int, passes int, s *scratch, r *rng.RNG) {
 	partW := make([]int64, k)
 	for v := 0; v < w.n; v++ {
 		partW[parts[v]] += w.nw[v]
 	}
 	limit := balanceLimit(w.totalW, k)
-	conn := w.connectivity(parts, k)
+	conn := w.connectivity(parts, k, s.conn)
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		for _, vi := range visitOrder(order, w.n, r) {
+		for _, vi := range visitOrder(s.order, w.n, r) {
 			v := int32(vi)
 			pv := parts[v]
 			row := conn[vi*k : vi*k+k]
@@ -526,7 +522,7 @@ func (w *workGraph) refine(parts []int32, k int, passes int, order []int, r *rng
 			break
 		}
 	}
-	w.rebalance(parts, k, partW, limit, conn, order, r)
+	w.rebalance(parts, k, partW, limit, conn, s.order, r)
 }
 
 // rebalance forcibly empties overweight parts: nodes of any part above the

@@ -313,13 +313,13 @@ func TestBalanceLimitAchievable(t *testing.T) {
 // over the limit — and after each rebalance those moves make necessary.
 func TestConnectivityExact(t *testing.T) {
 	const k = 5
-	w := buildWork(testGraph().G)
+	w, _ := buildWork(testGraph().G)
 	r := rng.New(11)
 	parts := make([]int32, w.n)
 	for v := range parts {
 		parts[v] = int32(r.Intn(k))
 	}
-	conn := w.connectivity(parts, k)
+	conn := w.connectivity(parts, k, make([]int64, w.n*k))
 	order := make([]int, w.n)
 	limit := balanceLimit(w.totalW, k)
 	rebalanced := 0
@@ -341,7 +341,7 @@ func TestConnectivityExact(t *testing.T) {
 			w.rebalance(parts, k, partW, limit, conn, order, r)
 			rebalanced++
 		}
-		for j, want := range w.connectivity(parts, k) {
+		for j, want := range w.connectivity(parts, k, make([]int64, w.n*k)) {
 			if conn[j] != want {
 				t.Fatalf("after %d moves: conn[%d][%d] = %d, a fresh count says %d", i+1, j/k, j%k, conn[j], want)
 			}

@@ -86,7 +86,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dspdata: %v\n", err)
 		os.Exit(2)
 	}
-	if graphOpts.Compress() {
+	if graphOpts.Compress {
 		previewMemory(td.G)
 	}
 

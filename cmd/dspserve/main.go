@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/cliopts"
 	"repro/internal/compress"
@@ -70,87 +69,38 @@ func main() {
 	flag.Parse()
 
 	hub, err := teleOpts.Hub(fleetOpts.SLO())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	nFleets, err := fleetOpts.N()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	fleetMode := fleetOpts.FleetMode()
 	routerPolicy, err := fleetOpts.Policy()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	autoscale, err := fleetOpts.Autoscale()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	tenants, err := fleetOpts.Tenants()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	td, nGPU, recShrink, err := cliopts.LoadData(*dataIn, *dsName, *gpus, *shrink)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	*gpus = nGPU
 
-	built := nFleets
-	if autoscale.Max > built {
-		built = autoscale.Max
-	}
+	built := max(nFleets, autoscale.Max)
 	var faults []fault.Fault
 	var fleetFaults []fault.FleetFault
 	if fleetMode {
 		// With a router in front, -faults speaks the fleet-scoped grammar.
 		fleetFaults, err = common.FleetFaultSchedule(built, *gpus)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(2)
-		}
 	} else {
 		faults, err = common.FaultSchedule(*gpus)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(2)
-		}
 	}
-
-	var batching serve.Batching
-	switch strings.ToLower(*mode) {
-	case "dynamic":
-		batching = serve.BatchDynamic
-	case "single", "batch=1":
-		batching = serve.BatchSingle
-	case "fixed":
-		batching = serve.BatchFixed
-	default:
-		fmt.Fprintf(os.Stderr, "dspserve: unknown batching mode %q\n", *mode)
-		os.Exit(2)
+	check(2, err)
+	batching, err := serve.ParseBatching(*mode)
+	if err != nil {
+		check(2, fmt.Errorf("-mode: %w", err))
 	}
-
 	policy, err := common.Policy()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(2)
-	}
-	kind, err := common.StrategyKind()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	featCodec, err := common.FeatCodec(*seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	if featCodec != nil {
 		fmt.Printf("compression: feat=%s\n", compress.Name(featCodec))
 	}
@@ -168,20 +118,20 @@ func main() {
 		MaxWait:            sim.Time(*maxWait),
 		QueueDepth:         *queue,
 		UseCCC:             true,
-		FeatureCacheBudget: common.CacheBudget(),
+		FeatureCacheBudget: common.CacheBudget,
 		DynamicCache:       policy,
 		RebalanceEvery:     sim.Time(*rebEvery),
 		DriftEvery:         sim.Time(*drift),
 		FeatCodec:          featCodec,
-		Strategy:           string(kind),
+		Strategy:           common.Strategy,
 		Faults:             faults,
 		Tenants:            tenants,
 		SLO:                fleetOpts.SLO(),
 		Telemetry:          hub,
-		CompressTopology:   graphOpts.Compress(),
-		OOC:                graphOpts.OOC(),
-		OOCBudget:          graphOpts.OOCBudget(),
-		OOCNoPrefetch:      graphOpts.OOCNoPrefetch(),
+		CompressTopology:   graphOpts.Compress,
+		OOC:                graphOpts.OOC,
+		OOCBudget:          graphOpts.OOCBudget,
+		OOCNoPrefetch:      graphOpts.OOCNoPrefetch,
 	}
 	if desc := graphOpts.Describe(); desc != "" {
 		fmt.Printf("graph storage: %s\n", desc)
@@ -191,21 +141,22 @@ func main() {
 	// then the report's summary (what dspprof summary prints for it).
 	finish := func(end sim.Time, totalGPUs int, r *prof.RunReport) {
 		r.Dataset, r.GPUs, r.Seed, r.Shrink = td.Name, totalGPUs, *seed, recShrink
-		if err := common.Finish(teleOpts, hub, end, cfg.Tracer, *traceTo, r); err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(1)
-		}
+		check(1, common.Finish(teleOpts, hub, end, cfg.Tracer, *traceTo, r))
 		if *traceTo != "" {
 			fmt.Printf("trace written to %s (%d events)\n", *traceTo, cfg.Tracer.Len())
 		}
 		fmt.Print(r.Summary())
 	}
 
+	// -report profiles a stand-alone run from trace events, so it records an
+	// in-memory trace even when -trace was not requested; a router refuses
+	// any tracer.
+	if *traceTo != "" || (common.Report != "" && !fleetMode) {
+		cfg.Tracer = trace.New()
+		cfg.Tracer.SetMaxEvents(common.TraceMaxEvents())
+	}
+
 	if fleetMode {
-		if *traceTo != "" {
-			fmt.Fprintf(os.Stderr, "dspserve: -trace is not supported with a fleet router (per-request spans would interleave %d replicas)\n", built)
-			os.Exit(2)
-		}
 		router, err := fleet.NewRouter(fleet.Config{
 			Serve:     cfg,
 			Fleets:    nFleets,
@@ -213,39 +164,28 @@ func main() {
 			Autoscale: autoscale,
 			Faults:    fleetFaults,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(2)
-		}
+		check(2, err)
 		fmt.Printf("serving %s on %d fleets x %d GPUs: %s routing, %s batching, %.0f req/s for %.2fs...\n",
 			td.Name, built, *gpus, routerPolicy, batching, *rate, *duration)
 		rep, err := router.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-			os.Exit(1)
-		}
+		check(1, err)
 		finish(rep.Makespan, built**gpus, rep.RunReport())
 		return
 	}
 
-	// -report profiles the run from trace events, so it records an
-	// in-memory trace even when -trace was not requested.
-	if *traceTo != "" || common.ReportPath() != "" {
-		cfg.Tracer = trace.New()
-		cfg.Tracer.SetMaxEvents(common.TraceMaxEvents())
-	}
-
 	srv, err := serve.NewServer(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	fmt.Printf("serving %s on %d GPUs: %s batching, %.0f req/s for %.2fs...\n",
 		td.Name, *gpus, batching, *rate, *duration)
 	rep, err := srv.Run()
+	check(1, err)
+	finish(rep.Makespan, *gpus, rep.RunReport())
+}
+
+// check exits with code after printing err, a no-op for a nil err.
+func check(code int, err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dspserve: %v\n", err)
-		os.Exit(1)
+		os.Exit(code)
 	}
-	finish(rep.Makespan, *gpus, rep.RunReport())
 }

@@ -8,10 +8,10 @@
 //	dsptrain -dataset papers -gpus 8 -arch gcn -shrink 8
 //	dsptrain -system dgl-uva -dataset products -gpus 2
 //
-// Fault tolerance (-system dsp only): -faults injects a deterministic fault
-// schedule and -ckpt-every sets the checkpoint cadence; a GPU crash restarts
-// the fleet from the last checkpoint and replays, converging to the same
-// final model as a crash-free run.
+// Fault tolerance (-system dsp or dsp-seq): -faults injects a deterministic
+// fault schedule and -ckpt-every sets the checkpoint cadence; a GPU crash
+// restarts the fleet from the last checkpoint and replays, converging to the
+// same final model as a crash-free run.
 //
 //	dsptrain -faults 'crash@gpu2:t=1.5' -ckpt-every 50
 //	dsptrain -faults 'stall@gpu0:t=0.8+50ms,degrade@gpu1-gpu2:t=0.3+20ms:x4'
@@ -21,9 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"repro/internal/baselines"
 	"repro/internal/cache"
 	"repro/internal/ckpt"
 	"repro/internal/cliopts"
@@ -33,7 +31,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/prof"
 	"repro/internal/sample"
-	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/train"
@@ -44,7 +41,7 @@ func main() {
 		dsName  = flag.String("dataset", "products", "dataset: products, papers, friendster")
 		gpus    = flag.Int("gpus", 4, "simulated GPU count (1-8)")
 		epochs  = flag.Int("epochs", 5, "training epochs")
-		archStr = flag.String("arch", "sage", "model: sage or gcn")
+		archStr = flag.String("arch", "sage", "model: sage, gcn or gat")
 		hidden  = flag.Int("hidden", 64, "hidden units (paper uses 256; smaller is faster on the host)")
 		batch   = flag.Int("batch", 512, "batch size")
 		shrink  = flag.Int("shrink", 4, "dataset shrink divisor")
@@ -65,105 +62,62 @@ func main() {
 	flag.Parse()
 
 	hub, err := teleOpts.Hub(0)
+	check(2, err)
+	arch, err := nn.ParseArch(*archStr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(2)
+		check(2, fmt.Errorf("-arch: %w", err))
 	}
 	td, nGPU, recShrink, err := cliopts.LoadData(*dataIn, *dsName, *gpus, *shrink)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	*gpus = nGPU
-
 	faults, err := common.FaultSchedule(*gpus)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
 	ftMode := len(faults) > 0 || *ckptEv > 0 || *ckptTo != ""
-	if ftMode && !strings.HasPrefix(strings.ToLower(*sysName), "dsp") {
-		fmt.Fprintf(os.Stderr, "dsptrain: -faults/-ckpt-every/-ckpt-file require -system dsp or dsp-seq\n")
-		os.Exit(2)
-	}
 
-	arch := nn.SAGE
-	if strings.EqualFold(*archStr, "gcn") {
-		arch = nn.GCN
-	}
 	opts := train.Options{
-		Data:        td,
-		Model:       nn.Config{Arch: arch, InDim: td.FeatDim, Hidden: *hidden, Classes: td.NumClasses, Layers: 3},
-		Sample:      sample.Config{Fanout: []int{10, 10, 5}},
-		BatchSize:   *batch,
-		RealCompute: true,
-		Pipeline:    true,
-		UseCCC:      true,
-		LR:          0.003,
-		Seed:        *seed,
-		Faults:      faults,
-		Parallel:    common.Parallel(),
+		Data:               td,
+		Model:              nn.Config{Arch: arch, InDim: td.FeatDim, Hidden: *hidden, Classes: td.NumClasses, Layers: 3},
+		Sample:             sample.Config{Fanout: []int{10, 10, 5}},
+		BatchSize:          *batch,
+		RealCompute:        true,
+		Pipeline:           true,
+		UseCCC:             true,
+		LR:                 0.003,
+		Seed:               *seed,
+		Faults:             faults,
+		Parallel:           common.Parallel(),
+		FeatureCacheBudget: common.CacheBudget,
+		Strategy:           common.Strategy,
+		CompressTopology:   graphOpts.Compress,
+		OOC:                graphOpts.OOC,
+		OOCBudget:          graphOpts.OOCBudget,
+		OOCNoPrefetch:      graphOpts.OOCNoPrefetch,
 	}
 	opts.DynamicCache, err = common.Policy()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(2)
-	}
-	opts.FeatureCacheBudget = common.CacheBudget()
-	kind, err := common.StrategyKind()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(2)
-	}
-	if kind != strategy.KindDSP && strings.ToLower(*sysName) != "dsp" {
-		fmt.Fprintf(os.Stderr, "dsptrain: -strategy %s requires -system dsp\n", kind)
-		os.Exit(2)
-	}
-	opts.Strategy = string(kind)
-	if opts.GradCodec, err = common.GradCodec(*seed); err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(2)
-	}
-	if opts.FeatCodec, err = common.FeatCodec(*seed); err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, err)
+	opts.GradCodec, err = common.GradCodec(*seed)
+	check(2, err)
+	opts.FeatCodec, err = common.FeatCodec(*seed)
+	check(2, err)
 	if opts.GradCodec != nil || opts.FeatCodec != nil {
 		fmt.Printf("compression: grad=%s feat=%s\n",
 			compress.Name(opts.GradCodec), compress.Name(opts.FeatCodec))
 	}
-	opts.CompressTopology = graphOpts.Compress()
-	opts.OOC = graphOpts.OOC()
-	opts.OOCBudget = graphOpts.OOCBudget()
-	opts.OOCNoPrefetch = graphOpts.OOCNoPrefetch()
 	if desc := graphOpts.Describe(); desc != "" {
 		fmt.Printf("graph storage: %s\n", desc)
 	}
 
-	var sys train.System
-	switch strings.ToLower(*sysName) {
-	case "dsp":
-		sys, err = core.New(opts)
-	case "dsp-seq":
-		opts.Pipeline = false
-		sys, err = core.New(opts)
-	default:
-		kind, perr := baselines.Parse(*sysName)
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", perr)
-			os.Exit(2)
-		}
-		sys, err = baselines.New(kind, opts)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(1)
+	sys, err := core.NewSystem(*sysName, opts)
+	check(2, err)
+	rec, ok := sys.(train.Recoverable)
+	if ftMode && !ok {
+		check(2, fmt.Errorf("%s does not support the fault-tolerant driver (-faults, -ckpt-every, -ckpt-file)", sys.Name()))
 	}
 
 	// -report profiles the run from trace events, so it records an
 	// in-memory trace even when -trace was not requested.
 	var tracer *trace.Tracer
-	if *traceTo != "" || common.ReportPath() != "" {
+	if *traceTo != "" || common.Report != "" {
 		tracer = trace.New()
 		tracer.SetMaxEvents(common.TraceMaxEvents())
 		sys.Machine().SetTracer(tracer)
@@ -173,32 +127,24 @@ func main() {
 		if ftMode {
 			// The fault-tolerant driver rebuilds a fresh engine per recovery
 			// attempt; the hub's scraper daemon would die with the first one.
-			fmt.Fprintf(os.Stderr, "dsptrain: -telemetry is incompatible with -faults/-ckpt-every/-ckpt-file\n")
-			os.Exit(2)
+			check(2, fmt.Errorf("-telemetry is incompatible with -faults/-ckpt-every/-ckpt-file"))
 		}
 		at, ok := sys.(interface{ AttachTelemetry(*telemetry.Hub) })
 		if !ok {
-			fmt.Fprintf(os.Stderr, "dsptrain: -telemetry requires -system dsp or dsp-seq\n")
-			os.Exit(2)
+			check(2, fmt.Errorf("-telemetry requires -system dsp or dsp-seq"))
 		}
 		at.AttachTelemetry(hub)
 	}
 	if *loadFm != "" {
 		ck, err := ckpt.LoadFile(*loadFm)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-			os.Exit(1)
-		}
+		check(1, err)
 		if ck.Model != opts.Model {
-			fmt.Fprintf(os.Stderr, "dsptrain: checkpoint config %+v does not match model %+v\n", ck.Model, opts.Model)
-			os.Exit(1)
+			check(1, fmt.Errorf("checkpoint config %+v does not match model %+v", ck.Model, opts.Model))
 		}
 		// Every replica starts from the checkpoint (BSP keeps them equal).
 		for _, m := range trainerModels(sys) {
 			if len(ck.Params) != m.ParamCount() {
-				fmt.Fprintf(os.Stderr, "dsptrain: checkpoint %s has %d params, model wants %d\n",
-					*loadFm, len(ck.Params), m.ParamCount())
-				os.Exit(1)
+				check(1, fmt.Errorf("checkpoint %s has %d params, model wants %d", *loadFm, len(ck.Params), m.ParamCount()))
 			}
 			m.SetParamVector(ck.Params)
 		}
@@ -210,37 +156,28 @@ func main() {
 	finish := func(r *prof.RunReport) {
 		r.Command, r.System, r.Dataset = "dsptrain", sys.Name(), td.Name
 		r.GPUs, r.Seed, r.Shrink = *gpus, *seed, recShrink
-		err := common.Finish(teleOpts, hub, sys.Machine().Eng.Now(), tracer, *traceTo, r)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-			os.Exit(1)
-		}
+		check(1, common.Finish(teleOpts, hub, sys.Machine().Eng.Now(), tracer, *traceTo, r))
 		if tracer != nil && *traceTo != "" {
 			fmt.Printf("wrote %d trace spans to %s (open in chrome://tracing)\n", tracer.Len(), *traceTo)
 		}
 	}
 	if ftMode {
-		rec, ok := sys.(train.Recoverable)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "dsptrain: %s does not support the fault-tolerant driver\n", sys.Name())
-			os.Exit(2)
-		}
 		if len(faults) > 0 {
 			fmt.Printf("fault schedule: %s\n", fault.FormatSpec(faults))
 		}
 		mgr := &ckpt.Manager{EverySteps: *ckptEv, Path: *ckptTo}
 		rep, err := train.RunRecoverable(rec, *epochs, mgr,
 			func() (train.Recoverable, error) {
-				ns, err := core.New(opts)
-				if err == nil && tracer != nil {
+				ns, err := core.NewSystem(*sysName, opts)
+				if err != nil {
+					return nil, err
+				}
+				if tracer != nil {
 					ns.Machine().SetTracer(tracer)
 				}
-				return ns, err
+				return ns.(train.Recoverable), nil
 			})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-			os.Exit(1)
-		}
+		check(1, err)
 		fmt.Println("epoch  sim-time(s)  train-acc  sample-MB  feature-MB")
 		var cum float64
 		for e, st := range rep.Epochs {
@@ -278,8 +215,7 @@ func main() {
 	for e := 0; e < *epochs; e++ {
 		st, err := sys.RunEpoch(e)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsptrain: epoch %d: %v\n", e, err)
-			os.Exit(1)
+			check(1, fmt.Errorf("epoch %d: %w", e, err))
 		}
 		cum += float64(st.EpochTime)
 		valAcc := train.Evaluate(td, sys.Model(), opts.Sample, 2000, 99)
@@ -308,10 +244,7 @@ func saveModel(path string, seed uint64, m *nn.Model) {
 	}
 	st := &ckpt.TrainState{Seed: seed, Model: m.Cfg, Params: make([]float32, m.ParamCount())}
 	m.ParamVector(st.Params)
-	if err := st.SaveFile(path); err != nil {
-		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
-		os.Exit(1)
-	}
+	check(1, st.SaveFile(path))
 	fmt.Printf("saved model checkpoint to %s\n", path)
 }
 
@@ -326,4 +259,12 @@ func trainerModels(sys train.System) []*nn.Model {
 		return []*nn.Model{m}
 	}
 	return nil
+}
+
+// check exits with code after printing err, a no-op for a nil err.
+func check(code int, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dsptrain: %v\n", err)
+		os.Exit(code)
+	}
 }

@@ -23,12 +23,14 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cache"
 	"repro/internal/comm"
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/sim"
+	"repro/internal/strategy"
 	"repro/internal/train"
 )
 
@@ -129,8 +131,30 @@ func (b *Baseline) deduper() *sample.Deduper {
 	return b.dedup
 }
 
-// New builds a baseline system instance.
+// New builds a baseline system instance. A baseline has one fixed data layout
+// and no fault driver, so it refuses the DSP options it would otherwise drop
+// silently, naming the field and its CLI flag. Pipeline, UseCCC, GradCodec and
+// Parallel are accepted: the system comparisons pass them to every system.
 func New(kind Kind, opts train.Options) (*Baseline, error) {
+	strat, serr := strategy.Parse(opts.Strategy)
+	for _, o := range []struct {
+		set         bool
+		field, flag string
+	}{
+		{opts.DynamicCache != cache.Static, "DynamicCache", "-cache"},
+		{opts.FeatureCacheBudget > 0, "FeatureCacheBudget", "-cache-budget"},
+		{opts.FeatCodec != nil, "FeatCodec", "-compress-feat"},
+		{opts.CompressTopology, "CompressTopology", "-graph-compress"},
+		{opts.OOC, "OOC", "-ooc"},
+		{opts.OOCBudget > 0, "OOCBudget", "-ooc-budget"},
+		{opts.OOCNoPrefetch, "OOCNoPrefetch", "-ooc-no-prefetch"},
+		{serr != nil || strat != strategy.KindDSP, "Strategy", "-strategy"},
+		{len(opts.Faults) > 0, "Faults", "-faults"},
+	} {
+		if o.set {
+			return nil, fmt.Errorf("baselines: %s does not honour %s (%s)", kind, o.field, o.flag)
+		}
+	}
 	opts = opts.Defaults()
 	if err := opts.Validate(); err != nil {
 		return nil, err

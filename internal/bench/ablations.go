@@ -30,7 +30,7 @@ func AblationPartition(cfg RunConfig) (*Table, error) {
 		for _, metis := range []bool{true, false} {
 			td := prepared(ds, 4, cfg.Shrink, false, metis)
 			opts := baseOpts(td, cfg)
-			sys, err := buildSystem("DSP", opts)
+			sys, err := core.NewSystem("DSP", opts)
 			if err != nil {
 				return nil, err
 			}
@@ -65,7 +65,7 @@ func AblationCachePolicy(cfg RunConfig) (*Table, error) {
 			opts := baseOpts(td, cfg)
 			opts.CachePolicy = int(pol)
 			opts.FeatureCacheBudget = td.FeatureBytes() / 4 / 8 // 25% aggregate across 8 GPUs
-			sys, err := buildSystem("DSP", opts)
+			sys, err := core.NewSystem("DSP", opts)
 			if err != nil {
 				return nil, err
 			}
@@ -94,7 +94,7 @@ func AblationQueueCap(cfg RunConfig) (*Table, error) {
 		for i, c := range caps {
 			opts := baseOpts(td, cfg)
 			opts.QueueCap = c
-			sys, err := buildSystem("DSP", opts)
+			sys, err := core.NewSystem("DSP", opts)
 			if err != nil {
 				return nil, err
 			}
@@ -124,7 +124,7 @@ func AblationCCC(cfg RunConfig) (*Table, error) {
 			if useCCC {
 				row = "with-CCC"
 			}
-			sys, err := buildSystem("DSP", opts)
+			sys, err := core.NewSystem("DSP", opts)
 			if err != nil {
 				return nil, err
 			}
@@ -155,7 +155,7 @@ func AblationReplicatedCache(cfg RunConfig) (*Table, error) {
 			opts := baseOpts(td, cfg)
 			opts.ReplicatedCache = repl
 			opts.FeatureCacheBudget = td.FeatureBytes() / 4 / 8
-			sys, err := buildSystem("DSP", opts)
+			sys, err := core.NewSystem("DSP", opts)
 			if err != nil {
 				return nil, err
 			}
@@ -186,7 +186,7 @@ func AblationFusedKernels(cfg RunConfig) (*Table, error) {
 		for _, unfused := range []bool{false, true} {
 			opts := baseOpts(td, cfg)
 			opts.UnfusedSampling = unfused
-			sys, err := buildSystem("DSP", opts)
+			sys, err := core.NewSystem("DSP", opts)
 			if err != nil {
 				return nil, err
 			}
@@ -219,7 +219,7 @@ func AblationMultiWorker(cfg RunConfig) (*Table, error) {
 			opts := baseOpts(td, cfg)
 			opts.NumSamplers = w.s
 			opts.NumLoaders = w.l
-			sys, err := buildSystem("DSP", opts)
+			sys, err := core.NewSystem("DSP", opts)
 			if err != nil {
 				return nil, err
 			}
@@ -274,7 +274,7 @@ func ExtensionGNNArchs(cfg RunConfig) (*Table, error) {
 		for _, a := range archs {
 			opts := baseOpts(td, cfg)
 			opts.Model = nn.Config{Arch: a, InDim: td.FeatDim, Hidden: 256, Classes: td.NumClasses, Layers: 3}
-			sys, err := buildSystem("DSP", opts)
+			sys, err := core.NewSystem("DSP", opts)
 			if err != nil {
 				return nil, err
 			}

@@ -24,9 +24,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/baselines"
 	"repro/internal/compress"
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/hw"
 	"repro/internal/nn"
@@ -275,6 +273,27 @@ func prepared(name string, nGPU, shrink int, weighted, metis bool) *train.Data {
 	return td
 }
 
+// realStandIn returns the cached stand-in of a real-compute experiment:
+// genDataset with nodes/shrink nodes (at least minNodes), METIS-partitioned
+// into nGPU patches and scaled like a 111M-node graph on 16 GB GPUs.
+func realStandIn(name string, nodes, minNodes, nGPU, shrink int) *train.Data {
+	key := fmt.Sprintf("%s/%d", name, shrink)
+	cacheMu.Lock()
+	if td, ok := prepCache[key]; ok {
+		cacheMu.Unlock()
+		return td
+	}
+	cacheMu.Unlock()
+	nodes = max(nodes/shrink, minNodes)
+	td := train.Prepare(genDataset(fmt.Sprintf("%s-%d", name, nodes), nodes), nGPU, 13, true)
+	td.ScaleFactor = 111e6 / float64(nodes)
+	td.GPUMemBytes = int64(16 * float64(1<<30) / td.ScaleFactor)
+	cacheMu.Lock()
+	prepCache[key] = td
+	cacheMu.Unlock()
+	return td
+}
+
 // scaledGPU returns the V100 spec with per-batch fixed costs divided by the
 // batch-count ratio (see package comment). Memory is set per dataset by
 // Options.Defaults.
@@ -314,26 +333,6 @@ func baseOpts(td *train.Data, cfg RunConfig) train.Options {
 
 // systemNames in paper order.
 var systemNames = []string{"PyG", "DGL-CPU", "Quiver", "DGL-UVA", "DSP"}
-
-// buildSystem instantiates a system by its paper name.
-func buildSystem(name string, opts train.Options) (train.System, error) {
-	switch name {
-	case "DSP":
-		return core.New(opts)
-	case "DSP-Seq":
-		opts.Pipeline = false
-		return core.New(opts)
-	case "P3":
-		opts.Strategy = "p3"
-		return core.New(opts)
-	default:
-		kind, err := baselines.Parse(name)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %w", err)
-		}
-		return baselines.New(kind, opts)
-	}
-}
 
 // measure runs warmup epochs then averages epoch time over measured epochs.
 func measure(sys train.System, cfg RunConfig, sampleOnly bool) (avgEpoch float64, last train.EpochStats, err error) {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/compress"
+	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/sample"
 	"repro/internal/train"
@@ -47,7 +48,7 @@ func compressRun(td *train.Data, codec compress.Codec, cfg RunConfig) (compressR
 	opts.LR = 0.01
 	opts.GradCodec = codec
 	opts.FeatCodec = codec
-	sys, err := buildSystem("DSP", opts)
+	sys, err := core.NewSystem("DSP", opts)
 	if err != nil {
 		return compressResult{}, err
 	}
@@ -68,31 +69,6 @@ func compressRun(td *train.Data, codec compress.Codec, cfg RunConfig) (compressR
 	res.Params = make([]float32, sys.Model().ParamCount())
 	sys.Model().ParamVector(res.Params)
 	return res, nil
-}
-
-// compressData builds the dedicated real-compute stand-in: small enough for
-// fp32 training on the host, 4 GPUs so every collective actually moves wire
-// bytes.
-func compressData(cfg RunConfig) *train.Data {
-	key := fmt.Sprintf("compress/%d", cfg.Shrink)
-	cacheMu.Lock()
-	if td, ok := prepCache[key]; ok {
-		cacheMu.Unlock()
-		return td
-	}
-	cacheMu.Unlock()
-	nodes := 16000 / cfg.Shrink
-	if nodes < 1500 {
-		nodes = 1500
-	}
-	d := genDataset(fmt.Sprintf("compress-%d", nodes), nodes)
-	td := train.Prepare(d, 4, 13, true)
-	td.ScaleFactor = 111e6 / float64(nodes)
-	td.GPUMemBytes = int64(16 * float64(1<<30) / td.ScaleFactor)
-	cacheMu.Lock()
-	prepCache[key] = td
-	cacheMu.Unlock()
-	return td
 }
 
 // CompressSweep produces the accuracy-vs-bytes frontier: DSP trained for
@@ -116,7 +92,9 @@ func CompressSweep(cfg RunConfig) (*Table, error) {
 	cols := []string{"loss", "dloss%", "val-acc", "dacc", "grad MB", "gradx", "feat MB"}
 	t := NewTable("Compression: accuracy-vs-bytes frontier (DSP, 4 GPUs, equal epochs)", "mixed", rows, cols)
 
-	td := compressData(cfg)
+	// Small enough for fp32 training on the host, 4 GPUs so every collective
+	// actually moves wire bytes.
+	td := realStandIn("compress", 16000, 1500, 4, cfg.Shrink)
 	var base compressResult
 	for i, codec := range codecs {
 		res, err := compressRun(td, codec, cfg)

@@ -72,7 +72,7 @@ func TestCompressRunDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-compute sweep")
 	}
-	td := compressData(RunConfig{Shrink: 8})
+	td := realStandIn("compress", 16000, 1500, 4, 8)
 	codec := compress.NewInt8(2023)
 	a, err := compressRun(td, codec, RunConfig{})
 	if err != nil {

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/hw"
 	"repro/internal/nn"
@@ -36,7 +37,7 @@ func Fig1(cfg RunConfig) (*Table, error) {
 		td := prepared(ds, 8, cfg.Shrink, false, true)
 		opts := baseOpts(td, cfg)
 
-		uva, err := buildSystem("DGL-UVA", opts)
+		uva, err := core.NewSystem("DGL-UVA", opts)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +47,7 @@ func Fig1(cfg RunConfig) (*Table, error) {
 		uvaWire := float64(uva.Machine().Fabric.Counters.TotalWire(hw.TrafficSample))
 		ideal := float64(uva.Machine().Fabric.Counters.UsefulBytes[hw.TrafficSample])
 
-		dsp, err := buildSystem("DSP", opts)
+		dsp, err := core.NewSystem("DSP", opts)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +104,7 @@ func epochTimeTable(cfg RunConfig, title string, gcn bool, counts []int) (*Table
 				opts.Model = gcnModel(td)
 			}
 			for _, name := range systemNames {
-				sys, err := buildSystem(name, opts)
+				sys, err := core.NewSystem(name, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -145,7 +146,7 @@ func Table6(cfg RunConfig) (*Table, error) {
 			td := prepared(ds, n, cfg.Shrink, false, true)
 			opts := baseOpts(td, cfg)
 			for _, name := range systemNames {
-				sys, err := buildSystem(name, opts)
+				sys, err := core.NewSystem(name, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -172,7 +173,7 @@ func Table7(cfg RunConfig) (*Table, error) {
 		opts.Sample = sample.Config{Fanout: []int{1000, 1000}, LayerWise: true}
 		opts.Model = nn.Config{Arch: nn.SAGE, InDim: td.FeatDim, Hidden: 256, Classes: td.NumClasses, Layers: 2}
 		for _, name := range []string{"FastGCN", "DSP"} {
-			sys, err := buildSystem(name, opts)
+			sys, err := core.NewSystem(name, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -202,7 +203,7 @@ func Fig6(cfg RunConfig) (*Table, error) {
 			td := prepared(ds, n, cfg.Shrink, false, true)
 			opts := baseOpts(td, cfg)
 			for _, name := range []string{"DSP-Seq", "DSP"} {
-				sys, err := buildSystem(name, opts)
+				sys, err := core.NewSystem(name, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -230,7 +231,7 @@ func Fig9(cfg RunConfig) (*Table, error) {
 	// A dedicated small stand-in keeps real fp32 training tractable on the
 	// host while preserving the comparison (the substitution DESIGN.md
 	// documents for Papers100M).
-	td := fig9Data(cfg)
+	td := realStandIn("fig9", 20000, 2000, 8, cfg.Shrink)
 	epochs := 6
 	systems := []string{"DSP", "DGL-UVA", "Quiver"}
 	var rows []string
@@ -250,7 +251,7 @@ func Fig9(cfg RunConfig) (*Table, error) {
 		opts.Sample = sample.Config{Fanout: []int{10, 5}}
 		opts.RealCompute = true
 		opts.LR = 0.01
-		sys, err := buildSystem(name, opts)
+		sys, err := core.NewSystem(name, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -271,29 +272,6 @@ func Fig9(cfg RunConfig) (*Table, error) {
 		"accuracy rows must coincide across systems at equal batch counts (BSP equivalence, Figure 9a)",
 		"time rows show DSP reaching any accuracy level first (Figure 9b)")
 	return t, nil
-}
-
-// fig9Data builds the dedicated Figure 9 stand-in.
-func fig9Data(cfg RunConfig) *train.Data {
-	key := fmt.Sprintf("fig9/%d", cfg.Shrink)
-	cacheMu.Lock()
-	if td, ok := prepCache[key]; ok {
-		cacheMu.Unlock()
-		return td
-	}
-	cacheMu.Unlock()
-	nodes := 20000 / cfg.Shrink
-	if nodes < 2000 {
-		nodes = 2000
-	}
-	d := genDataset(fmt.Sprintf("fig9-%d", nodes), nodes)
-	td := train.Prepare(d, 8, 13, true)
-	td.ScaleFactor = 111e6 / float64(nodes)
-	td.GPUMemBytes = int64(16 * float64(1<<30) / td.ScaleFactor)
-	cacheMu.Lock()
-	prepCache[key] = td
-	cacheMu.Unlock()
-	return td
 }
 
 // Fig10 sweeps the split of a fixed per-GPU cache budget (the paper's 6 GB,
@@ -318,7 +296,7 @@ func Fig10(cfg RunConfig) (*Table, error) {
 			// The budget replaces the memory-derived default; make sure the
 			// simulated GPU can hold it.
 			opts.GPU.MemBytes = total * 2
-			sys, err := buildSystem("DSP", opts)
+			sys, err := core.NewSystem("DSP", opts)
 			if err != nil {
 				return nil, err
 			}
@@ -355,7 +333,7 @@ func Fig11(cfg RunConfig) (*Table, error) {
 			opts := baseOpts(td, cfg)
 			opts.Sample = sample.Config{Fanout: []int{15, 10, 5}, Biased: true}
 			opts.PullData = mode == "PullData"
-			sys, err := buildSystem("DSP", opts)
+			sys, err := core.NewSystem("DSP", opts)
 			if err != nil {
 				return nil, err
 			}
@@ -383,7 +361,7 @@ func Fig12(cfg RunConfig) (*Table, error) {
 			opts := baseOpts(td, cfg)
 			var times [2]float64
 			for i, name := range []string{"DSP-Seq", "DSP"} {
-				sys, err := buildSystem(name, opts)
+				sys, err := core.NewSystem(name, opts)
 				if err != nil {
 					return nil, err
 				}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/train"
 )
@@ -57,7 +58,7 @@ func OOCSweep(cfg RunConfig) (*Table, error) {
 	}
 	results := map[string]outcome{}
 	for _, p := range oocSweepPoints {
-		sys, err := buildSystem("DSP", oocSweepOpts(td, p, blockBytes, cfg))
+		sys, err := core.NewSystem("DSP", oocSweepOpts(td, p, blockBytes, cfg))
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/train"
 )
@@ -76,7 +77,7 @@ func TestOOCRunReportByteIdentical(t *testing.T) {
 	point := oocPoint{name: "det", compress: true, ooc: true, budgetFrac: 0.50, prefetch: true}
 
 	report := func() []byte {
-		sys, err := buildSystem("DSP", oocSweepOpts(td, point, blockBytes, RunConfig{}))
+		sys, err := core.NewSystem("DSP", oocSweepOpts(td, point, blockBytes, RunConfig{}))
 		if err != nil {
 			t.Fatal(err)
 		}

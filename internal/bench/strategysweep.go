@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/nn"
 	"repro/internal/train"
@@ -43,7 +44,12 @@ func StrategySweep(cfg RunConfig) (*Table, error) {
 	for _, f := range strategySweepWidths {
 		td := strategySweepData(f, cfg.Shrink)
 		for _, name := range strategySweepSystems {
-			sys, err := buildSystem(name, strategySweepOpts(td, cfg))
+			// P3 is an execution strategy of the DSP system, not a system.
+			opts, system := strategySweepOpts(td, cfg), name
+			if name == "P3" {
+				opts.Strategy, system = "p3", "DSP"
+			}
+			sys, err := core.NewSystem(system, opts)
 			if err != nil {
 				return nil, fmt.Errorf("%s f%d: %w", name, f, err)
 			}

@@ -21,110 +21,92 @@ import (
 	"repro/internal/prof"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/train"
 )
 
 // Common holds the flag values shared by every binary that drives the
-// simulated fleet. Construct it with Register; read the resolved values
-// through the accessor methods after flag.Parse.
+// simulated fleet. Construct it with Register; after flag.Parse read the
+// exported fields directly and the parsed or clamped values through the
+// accessor methods.
 type Common struct {
-	faults        *string
-	cachePolicy   *string
-	cacheBudget   *int64
-	compressFeat  *string
-	compressGrad  *string
-	report        *string
-	strategy      *string
-	parallel      *int
-	traceMaxEvent *int
+	// CacheBudget is -cache-budget, Report -report and Strategy -strategy
+	// (parsed and checked by the system constructor).
+	CacheBudget int64
+	Report      string
+	Strategy    string
+
+	faults        string
+	cachePolicy   string
+	compressFeat  string
+	compressGrad  string
+	parallel      int
+	traceMaxEvent int
 }
 
 // Register installs the shared flags on fs and returns the bound Common.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
-	c.faults = fs.String("faults", "",
+	fs.StringVar(&c.faults, "faults", "",
 		"fault schedule, e.g. 'crash@gpu2:t=0.2,stall@gpu0:t=0.1+50ms'")
-	c.cachePolicy = fs.String("cache", "static",
+	fs.StringVar(&c.cachePolicy, "cache", "static",
 		"adaptive feature-cache policy: static, lfu, hybrid")
-	c.cacheBudget = fs.Int64("cache-budget", 0,
+	fs.Int64Var(&c.CacheBudget, "cache-budget", 0,
 		"per-GPU feature cache budget in bytes (0 = fill free memory)")
-	c.compressFeat = fs.String("compress-feat", "",
+	fs.StringVar(&c.compressFeat, "compress-feat", "",
 		"feature-transfer codec: none, fp32, fp16, int8, topk[:ratio] (NVLink replies and NIC sends)")
-	c.report = fs.String("report", "",
+	fs.StringVar(&c.Report, "report", "",
 		"write the machine-readable run report ("+prof.Schema+" JSON) to this file")
-	c.strategy = fs.String("strategy", "dsp",
+	fs.StringVar(&c.Strategy, "strategy", "dsp",
 		"execution strategy: dsp (paper layout: partitioned features, hot/cold gather) or p3 (dimension-partitioned features, push-pull layer 1)")
-	c.parallel = fs.Int("parallel", 1,
+	fs.IntVar(&c.parallel, "parallel", 1,
 		"OS threads for offloaded simulator data work (sampling draws, codec encodes, reductions); results are bitwise identical at any value")
-	c.traceMaxEvent = fs.Int("trace-max-events", 0,
+	fs.IntVar(&c.traceMaxEvent, "trace-max-events", 0,
 		"cap the in-memory trace buffer at this many events, dropping the oldest (0 = unbounded)")
 	return c
 }
 
 // TraceMaxEvents returns the -trace-max-events ring cap (0 = unbounded).
-func (c *Common) TraceMaxEvents() int {
-	if *c.traceMaxEvent < 0 {
-		return 0
-	}
-	return *c.traceMaxEvent
-}
+func (c *Common) TraceMaxEvents() int { return max(c.traceMaxEvent, 0) }
 
 // Parallel returns the -parallel thread budget (minimum 1).
-func (c *Common) Parallel() int {
-	if *c.parallel < 1 {
-		return 1
-	}
-	return *c.parallel
-}
+func (c *Common) Parallel() int { return max(c.parallel, 1) }
 
 // Graph holds the graph-storage flag values shared by dsptrain, dspserve and
-// dspdata: compressed CSR topology and the out-of-core host/disk tier.
+// dspdata: compressed CSR topology (-graph-compress) and the out-of-core
+// host/disk tier (-ooc, -ooc-budget, -ooc-no-prefetch).
 type Graph struct {
-	compress      *bool
-	ooc           *bool
-	oocBudget     *int64
-	oocNoPrefetch *bool
+	Compress      bool
+	OOC           bool
+	OOCBudget     int64
+	OOCNoPrefetch bool
 }
 
 // RegisterGraph installs the graph-storage flags on fs.
 func RegisterGraph(fs *flag.FlagSet) *Graph {
 	g := &Graph{}
-	g.compress = fs.Bool("graph-compress", false,
+	fs.BoolVar(&g.Compress, "graph-compress", false,
 		"store the partitioned topology varint-compressed (delta-sorted gap encoding; ~4x smaller, decode kernel per sampled row)")
-	g.ooc = fs.Bool("ooc", false,
+	fs.BoolVar(&g.OOC, "ooc", false,
 		"enable the out-of-core tier: spill topology and feature blocks to a simulated NVMe device below host memory")
-	g.oocBudget = fs.Int64("ooc-budget", 0,
+	fs.Int64Var(&g.OOCBudget, "ooc-budget", 0,
 		"host block-cache budget in bytes for -ooc (0 = half the block bytes)")
-	g.oocNoPrefetch = fs.Bool("ooc-no-prefetch", false,
+	fs.BoolVar(&g.OOCNoPrefetch, "ooc-no-prefetch", false,
 		"disable the proximity-aware block prefetcher (with -ooc every host read stalls on demand fetches)")
 	return g
 }
-
-// Compress returns the -graph-compress value.
-func (g *Graph) Compress() bool { return *g.compress }
-
-// OOC returns the -ooc value.
-func (g *Graph) OOC() bool { return *g.ooc }
-
-// OOCBudget returns the -ooc-budget value.
-func (g *Graph) OOCBudget() int64 { return *g.oocBudget }
-
-// OOCNoPrefetch returns the -ooc-no-prefetch value.
-func (g *Graph) OOCNoPrefetch() bool { return *g.oocNoPrefetch }
 
 // Describe returns the operator-facing one-liner for the selected graph
 // storage mode, or "" when every flag is off.
 func (g *Graph) Describe() string {
 	var parts []string
-	if g.Compress() {
+	if g.Compress {
 		parts = append(parts, "compressed topology (delta-sorted varint)")
 	}
-	if g.OOC() {
+	if g.OOC {
 		pf := "proximity prefetch on"
-		if g.OOCNoPrefetch() {
+		if g.OOCNoPrefetch {
 			pf = "prefetch off"
 		}
 		parts = append(parts, "out-of-core tier ("+pf+")")
@@ -135,50 +117,29 @@ func (g *Graph) Describe() string {
 // RegisterGrad additionally installs the gradient-compression flag (training
 // binaries only; serving has no gradients).
 func (c *Common) RegisterGrad(fs *flag.FlagSet) {
-	c.compressGrad = fs.String("compress-grad", "",
+	fs.StringVar(&c.compressGrad, "compress-grad", "",
 		"gradient-allreduce codec: none, fp32, fp16, int8, topk[:ratio] (lossy codecs change the training for real)")
 }
 
 // FaultSchedule parses the -faults spec against the fleet size.
 func (c *Common) FaultSchedule(gpus int) ([]fault.Fault, error) {
-	return fault.ParseSpec(*c.faults, gpus)
+	return fault.ParseSpec(c.faults, gpus)
 }
 
 // Policy resolves the -cache flag.
 func (c *Common) Policy() (cache.Policy, error) {
-	return cache.ParsePolicy(*c.cachePolicy)
-}
-
-// CacheBudget returns the -cache-budget value.
-func (c *Common) CacheBudget() int64 { return *c.cacheBudget }
-
-// StrategyKind resolves the -strategy flag and rejects the cache flags the
-// strategy cannot honour (strategy.Kind.Compatible holds the rules; an
-// unparsable -cache value is reported by Policy).
-func (c *Common) StrategyKind() (strategy.Kind, error) {
-	kind, err := strategy.Parse(*c.strategy)
-	if err != nil {
-		return kind, err
-	}
-	pol, _ := c.Policy()
-	if err := kind.Compatible(train.Options{DynamicCache: pol, FeatureCacheBudget: c.CacheBudget()}); err != nil {
-		return kind, fmt.Errorf("cliopts: %w", err)
-	}
-	return kind, nil
+	return cache.ParsePolicy(c.cachePolicy)
 }
 
 // FeatCodec resolves the -compress-feat flag; the seed drives stochastic
 // codecs so runs stay reproducible.
 func (c *Common) FeatCodec(seed uint64) (compress.Codec, error) {
-	return codec("-compress-feat", *c.compressFeat, seed)
+	return codec("-compress-feat", c.compressFeat, seed)
 }
 
-// GradCodec resolves the -compress-grad flag (RegisterGrad must have run).
+// GradCodec resolves the -compress-grad flag (nil without RegisterGrad).
 func (c *Common) GradCodec(seed uint64) (compress.Codec, error) {
-	if c.compressGrad == nil {
-		return nil, nil
-	}
-	return codec("-compress-grad", *c.compressGrad, seed)
+	return codec("-compress-grad", c.compressGrad, seed)
 }
 
 // codec parses a -compress-* spec, naming the flag in its error.
@@ -193,11 +154,11 @@ func codec(name, spec string, seed uint64) (compress.Codec, error) {
 // Fleet holds the replicated-serving flag values (dspserve only): fleet
 // count, routing policy, tenant quotas, latency SLO and autoscale bounds.
 type Fleet struct {
-	fleets    *int
-	router    *string
-	tenants   *string
-	slo       *float64
-	autoscale *string
+	fleets    int
+	router    string
+	tenants   string
+	slo       float64
+	autoscale string
 }
 
 // maxFleets caps -fleets and the -autoscale maximum. Every fleet up to the
@@ -208,22 +169,22 @@ const maxFleets = 64
 // RegisterFleet installs the replicated-serving flags on fs.
 func RegisterFleet(fs *flag.FlagSet) *Fleet {
 	f := &Fleet{}
-	f.fleets = fs.Int("fleets", 1,
+	fs.IntVar(&f.fleets, "fleets", 1,
 		fmt.Sprintf("replicated serving fleets behind the router, 1 to %d (1 = no router)", maxFleets))
-	f.router = fs.String("router", "round-robin",
+	fs.StringVar(&f.router, "router", "round-robin",
 		"routing policy: round-robin, least-loaded, latency-aware, shard-affinity")
-	f.tenants = fs.String("tenants", "",
+	fs.StringVar(&f.tenants, "tenants", "",
 		"tenant spec 'name:weight[:rate[:burst]],...', e.g. 'free:4:500,pro:1'")
-	f.slo = fs.Float64("slo", 0,
+	fs.Float64Var(&f.slo, "slo", 0,
 		"end-to-end latency SLO in virtual seconds (enables goodput accounting; 0 = none)")
-	f.autoscale = fs.String("autoscale", "",
+	fs.StringVar(&f.autoscale, "autoscale", "",
 		fmt.Sprintf("autoscale active fleets between 'min:max' on the SLO bands, max at most %d (empty = static fleet set)", maxFleets))
 	return f
 }
 
 // N returns the -fleets count, an error naming the flag outside 1..maxFleets.
 func (f *Fleet) N() (int, error) {
-	n := *f.fleets
+	n := f.fleets
 	if n < 1 || n > maxFleets {
 		return 0, fmt.Errorf("cliopts: -fleets must be between 1 and %d, got %d", maxFleets, n)
 	}
@@ -232,12 +193,12 @@ func (f *Fleet) N() (int, error) {
 
 // Policy resolves the -router flag.
 func (f *Fleet) Policy() (fleet.Policy, error) {
-	return fleet.ParsePolicy(*f.router)
+	return fleet.ParsePolicy(f.router)
 }
 
 // Tenants resolves the -tenants spec.
 func (f *Fleet) Tenants() ([]serve.TenantSpec, error) {
-	specs, err := serve.ParseTenants(*f.tenants)
+	specs, err := serve.ParseTenants(f.tenants)
 	if err != nil {
 		return nil, fmt.Errorf("-tenants: %w", err)
 	}
@@ -245,11 +206,11 @@ func (f *Fleet) Tenants() ([]serve.TenantSpec, error) {
 }
 
 // SLO returns the -slo objective.
-func (f *Fleet) SLO() sim.Time { return sim.Time(*f.slo) }
+func (f *Fleet) SLO() sim.Time { return sim.Time(f.slo) }
 
 // Autoscale resolves the -autoscale 'min:max' bounds (zero value = disabled).
 func (f *Fleet) Autoscale() (fleet.Autoscale, error) {
-	spec := strings.TrimSpace(*f.autoscale)
+	spec := strings.TrimSpace(f.autoscale)
 	if spec == "" {
 		return fleet.Autoscale{}, nil
 	}
@@ -269,45 +230,45 @@ func (f *Fleet) Autoscale() (fleet.Autoscale, error) {
 // autoscaling headroom.
 func (f *Fleet) FleetMode() bool {
 	as, err := f.Autoscale()
-	return *f.fleets > 1 || (err == nil && as.Max > 1)
+	return f.fleets > 1 || (err == nil && as.Max > 1)
 }
 
 // FleetFaultSchedule parses the -faults spec in the fleet-scoped grammar
 // (crash@fleetF, stall@fleetF/gpuN, ...) against the built fleet count and
 // per-fleet GPU count.
 func (c *Common) FleetFaultSchedule(nFleet, gpusPer int) ([]fault.FleetFault, error) {
-	return fault.ParseFleetSpec(*c.faults, nFleet, gpusPer)
+	return fault.ParseFleetSpec(c.faults, nFleet, gpusPer)
 }
 
 // Telemetry holds the -telemetry flag group shared by dsptrain and
 // dspserve: the virtual-time scraper, per-request span accounting and the
 // SLO burn-rate alert engine (internal/telemetry).
 type Telemetry struct {
-	enabled  *bool
-	out      *string
-	interval *float64
-	ring     *int
-	target   *float64
+	enabled  bool
+	out      string
+	interval float64
+	ring     int
+	target   float64
 }
 
 // RegisterTelemetry installs the -telemetry flag group on fs.
 func RegisterTelemetry(fs *flag.FlagSet) *Telemetry {
 	t := &Telemetry{}
-	t.enabled = fs.Bool("telemetry", false,
+	fs.BoolVar(&t.enabled, "telemetry", false,
 		"enable the live telemetry hub: virtual-time metric scraping, per-request stage spans and SLO burn-rate alerting")
-	t.out = fs.String("telemetry-out", "",
+	fs.StringVar(&t.out, "telemetry-out", "",
 		"write the "+telemetry.DocSchema+" JSON document to this file (implies -telemetry; render with dspmon)")
-	t.interval = fs.Float64("telemetry-interval", 0,
+	fs.Float64Var(&t.interval, "telemetry-interval", 0,
 		"scrape cadence in virtual seconds (0 = default 2ms)")
-	t.ring = fs.Int("telemetry-ring", 0,
+	fs.IntVar(&t.ring, "telemetry-ring", 0,
 		"per-series ring capacity; older samples are dropped (0 = default 2048)")
-	t.target = fs.Float64("slo-target", 0,
+	fs.Float64Var(&t.target, "slo-target", 0,
 		"availability target whose error budget the burn-rate alerts consume, e.g. 0.99 (0 = default 0.99)")
 	return t
 }
 
 // Enabled reports whether any telemetry flag turned the hub on.
-func (t *Telemetry) Enabled() bool { return *t.enabled || *t.out != "" }
+func (t *Telemetry) Enabled() bool { return t.enabled || t.out != "" }
 
 // Hub builds the configured hub, or nil when telemetry is off. slo is the
 // run's latency objective (the -slo flag for serving; seconds). A non-finite
@@ -317,7 +278,7 @@ func (t *Telemetry) Hub(slo sim.Time) (*telemetry.Hub, error) {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"-telemetry-interval", *t.interval}, {"-slo-target", *t.target}} {
+	}{{"-telemetry-interval", t.interval}, {"-slo-target", t.target}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return nil, fmt.Errorf("cliopts: %s must be finite, got %v", f.name, f.v)
 		}
@@ -326,10 +287,10 @@ func (t *Telemetry) Hub(slo sim.Time) (*telemetry.Hub, error) {
 		return nil, nil
 	}
 	return telemetry.New(telemetry.Config{
-		Interval: sim.Time(*t.interval),
-		RingCap:  *t.ring,
+		Interval: sim.Time(t.interval),
+		RingCap:  t.ring,
 		SLO:      slo,
-		Target:   *t.target,
+		Target:   t.target,
 	}), nil
 }
 
@@ -344,11 +305,11 @@ func (t *Telemetry) Finish(h *telemetry.Hub, end sim.Time) (*telemetry.Doc, erro
 	if err := doc.Validate(); err != nil {
 		return nil, fmt.Errorf("cliopts: telemetry document invalid: %w", err)
 	}
-	if *t.out != "" {
-		if err := doc.WriteFile(*t.out); err != nil {
+	if t.out != "" {
+		if err := doc.WriteFile(t.out); err != nil {
 			return nil, err
 		}
-		fmt.Printf("wrote telemetry to %s\n", *t.out)
+		fmt.Printf("wrote telemetry to %s\n", t.out)
 	}
 	return doc, nil
 }
@@ -398,14 +359,14 @@ func (c *Common) Finish(t *Telemetry, hub *telemetry.Hub, end sim.Time, tracer *
 		sec = doc.Section()
 	}
 	r.Attach(sec, tracer)
-	if *c.report != "" {
+	if c.Report != "" {
 		if err := r.Validate(); err != nil {
 			return err
 		}
-		if err := r.WriteFile(*c.report); err != nil {
+		if err := r.WriteFile(c.Report); err != nil {
 			return err
 		}
-		fmt.Printf("wrote run report to %s\n", *c.report)
+		fmt.Printf("wrote run report to %s\n", c.Report)
 	}
 	if tracer == nil || tracePath == "" {
 		return nil
@@ -420,6 +381,3 @@ func (c *Common) Finish(t *Telemetry, hub *telemetry.Hub, end sim.Time, tracer *
 	}
 	return f.Close()
 }
-
-// ReportPath returns the -report destination (empty = no report requested).
-func (c *Common) ReportPath() string { return *c.report }

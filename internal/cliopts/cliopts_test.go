@@ -30,8 +30,8 @@ func TestDefaults(t *testing.T) {
 	if pol, err := c.Policy(); err != nil || pol != cache.Static {
 		t.Fatalf("default policy = %v, %v", pol, err)
 	}
-	if c.CacheBudget() != 0 {
-		t.Fatalf("default budget = %d", c.CacheBudget())
+	if c.CacheBudget != 0 {
+		t.Fatalf("default budget = %d", c.CacheBudget)
 	}
 	for name, f := range map[string]func(uint64) (any, error){
 		"feat": func(s uint64) (any, error) { return c.FeatCodec(s) },
@@ -66,8 +66,8 @@ func TestParsesSharedFlags(t *testing.T) {
 	if pol, _ := c.Policy(); pol != cache.LFUDecay {
 		t.Fatalf("policy = %v", pol)
 	}
-	if c.CacheBudget() != 1<<20 {
-		t.Fatalf("budget = %d", c.CacheBudget())
+	if c.CacheBudget != 1<<20 {
+		t.Fatalf("budget = %d", c.CacheBudget)
 	}
 	fc, err := c.FeatCodec(1)
 	if err != nil || fc == nil || fc.Name() != "fp16" {

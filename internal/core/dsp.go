@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/baselines"
 	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/csp"
@@ -65,6 +66,37 @@ func New(opts train.Options) (*DSP, error) {
 	}
 	m := hw.NewMachineScaled(opts.Data.NumGPUs(), opts.GPU, hw.XeonE5(), opts.LatencyScale)
 	return build(opts, []*hw.Machine{m})
+}
+
+// NewSystem builds a training system by name: "dsp", "dsp-seq" (DSP without
+// the pipeline) or any baselines.Parse name, case-insensitively and with the
+// hyphen optional. Each constructor refuses the options it cannot honour; the
+// sequential build also refuses the p3 strategy, which Name has no row for.
+func NewSystem(name string, opts train.Options) (train.System, error) {
+	var (
+		sys train.System
+		err error
+	)
+	switch strings.ReplaceAll(strings.ToLower(name), "-", "") {
+	case "dsp":
+		sys, err = New(opts)
+	case "dspseq":
+		if k, _ := strategy.Parse(opts.Strategy); k == strategy.KindP3 {
+			return nil, fmt.Errorf("core: %s does not honour Strategy p3 (-strategy p3 requires -system dsp)", name)
+		}
+		opts.Pipeline = false
+		sys, err = New(opts)
+	default:
+		kind, perr := baselines.Parse(name)
+		if perr != nil {
+			return nil, fmt.Errorf("core: unknown system %q (want dsp, dsp-seq, pyg, dgl-cpu, dgl-uva, quiver or fastgcn)", name)
+		}
+		sys, err = baselines.New(kind, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sys, nil
 }
 
 // NewMulti builds a cluster-wide DSP instance: machines identical servers

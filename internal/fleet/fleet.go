@@ -27,7 +27,8 @@ import (
 // Config describes one routed serving run. Serve is the per-fleet template:
 // its Data/Rate/Duration/Skew/DriftEvery/Tenants describe the router's single
 // arrival process, and its SLO is kept per fleet and merged. Faults are the
-// router's (Config.Faults); setting them on the template is an error.
+// router's (Config.Faults); setting them, or a Tracer, on the template is an
+// error.
 type Config struct {
 	Serve serve.Config
 	// Fleets is the initially active replica count (required, >= 1).
@@ -55,7 +56,9 @@ func (c Config) validate() (Config, error) {
 	}
 	// Per-request tracing across N fleets would interleave pids; the router
 	// reports aggregates instead.
-	c.Serve.Tracer = nil
+	if c.Serve.Tracer != nil {
+		return c, fmt.Errorf("fleet: Serve template must leave Tracer nil (-trace is not supported with a fleet router)")
+	}
 	c.Autoscale = c.Autoscale.withDefaults(c.Serve.SLO)
 	if c.Autoscale.enabled() {
 		if c.Autoscale.Max < c.Fleets {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/train"
 )
 
@@ -353,6 +354,11 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Serve.Faults = []fault.Fault{{Kind: fault.Crash, GPU: 0, At: 0.01}}
 	if _, err := NewRouter(cfg); err == nil {
 		t.Fatal("template fault schedule accepted")
+	}
+	cfg = testConfig(t, 2)
+	cfg.Serve.Tracer = trace.New()
+	if _, err := NewRouter(cfg); err == nil || !strings.Contains(err.Error(), "Tracer") {
+		t.Fatalf("template tracer: NewRouter answered %v", err)
 	}
 	// A scoped schedule that kills every GPU of one fleet leaves its
 	// degraded mode nowhere to re-route: the replica constructor rejects it

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/arena"
 	"repro/internal/rng"
@@ -32,6 +33,20 @@ func (a Arch) String() string {
 	default:
 		return "GraphSAGE"
 	}
+}
+
+// ParseArch resolves an architecture name, case-insensitively: Arch.String's
+// spelling or the short form sage, gcn or gat.
+func ParseArch(s string) (Arch, error) {
+	switch strings.ToLower(s) {
+	case "sage", "graphsage":
+		return SAGE, nil
+	case "gcn":
+		return GCN, nil
+	case "gat":
+		return GAT, nil
+	}
+	return SAGE, fmt.Errorf("nn: unknown architecture %q (want sage, gcn or gat)", s)
 }
 
 // Config describes a model: Layers hops with Hidden units and a final

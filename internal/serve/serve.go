@@ -22,6 +22,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/comm"
@@ -69,6 +70,20 @@ func (b Batching) String() string {
 	default:
 		return "dynamic"
 	}
+}
+
+// ParseBatching resolves a batching policy name, case-insensitively:
+// dynamic, single (or Batching.String's batch=1) or fixed.
+func ParseBatching(s string) (Batching, error) {
+	switch strings.ToLower(s) {
+	case "dynamic":
+		return BatchDynamic, nil
+	case "single", "batch=1":
+		return BatchSingle, nil
+	case "fixed":
+		return BatchFixed, nil
+	}
+	return BatchDynamic, fmt.Errorf("serve: unknown batching mode %q (want dynamic, single or fixed)", s)
 }
 
 // Config describes one serving run. Data, Duration and Rate are required.

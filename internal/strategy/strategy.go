@@ -27,7 +27,6 @@
 package strategy
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -61,27 +60,6 @@ func Parse(s string) (Kind, error) {
 	default:
 		return "", fmt.Errorf("strategy: unknown strategy %q (want dsp or p3)", s)
 	}
-}
-
-// Compatible rejects row-cache options that have no meaning under the
-// strategy's layout. It is the one statement of the p3 rules — Build (and so
-// core.New, core.NewMulti and serve.NewServer) and the CLI flag parser all
-// call it, each prefixing its own package name. The P3 layout has no hot/cold
-// rows, so the row-cache machinery does not apply: reject loudly rather than
-// silently misconfigure.
-func (k Kind) Compatible(o train.Options) error {
-	if k != KindP3 {
-		return nil
-	}
-	switch {
-	case o.ReplicatedCache:
-		return errors.New("-strategy p3 is incompatible with the replicated cache (features are dimension-sliced, not row-cached)")
-	case o.DynamicCache != cache.Static:
-		return fmt.Errorf("-strategy p3 is incompatible with -cache %s: the dimension-sliced layout has no rows to promote or rebalance (use -cache static)", o.DynamicCache)
-	case o.FeatureCacheBudget > 0:
-		return errors.New("-strategy p3 ignores -cache-budget: each GPU holds the full [#nodes, F/world] slice")
-	}
-	return nil
 }
 
 // Loaded is the loader's payload for the forward pass: the sampled batch,

@@ -141,8 +141,8 @@ func TestP3EpochAndSection(t *testing.T) {
 
 // TestP3RejectsIncompatibleOptions: the p3 layout has no per-row cache, so
 // row-policy knobs are configuration errors, not silent no-ops — from every
-// constructor that builds a substrate (all three reach the one rule,
-// Kind.Compatible, through Build). Fault injection is refused only when
+// constructor that builds a substrate (all three reach the one rule through
+// Build). Fault injection is refused only when
 // serving, whose degraded mode re-routes rows to other holders; fail-stop
 // training recovery never does (TestCrashRecoveryMatchesCrashFreeRun's p3 row).
 func TestP3RejectsIncompatibleOptions(t *testing.T) {

@@ -62,14 +62,22 @@ func Build(m *hw.Machine, opts train.Options, role Role) (*Substrate, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := kind.Compatible(opts); err != nil {
-		return nil, err
-	}
-	// Degraded-mode serving re-routes a dead GPU's rows to their other
-	// holders, and a dimension slice has none. Fail-stop training recovery
-	// rebuilds, restores and replays — it never re-routes a row.
-	if kind == KindP3 && role == Serving && len(opts.Faults) > 0 {
-		return nil, errors.New("-strategy p3 does not support fault injection when serving (no per-row holders to re-route around)")
+	// The p3 layout has no hot/cold rows, so the row-cache knobs are refused
+	// rather than silently dropped. Degraded-mode serving re-routes a dead
+	// GPU's rows to their other holders, and a dimension slice has none;
+	// fail-stop training recovery rebuilds, restores and replays — it never
+	// re-routes a row.
+	if kind == KindP3 {
+		switch {
+		case opts.ReplicatedCache:
+			return nil, errors.New("-strategy p3 is incompatible with the replicated cache (features are dimension-sliced, not row-cached)")
+		case opts.DynamicCache != cache.Static:
+			return nil, fmt.Errorf("-strategy p3 is incompatible with -cache %s: the dimension-sliced layout has no rows to promote or rebalance (use -cache static)", opts.DynamicCache)
+		case opts.FeatureCacheBudget > 0:
+			return nil, errors.New("-strategy p3 ignores -cache-budget: each GPU holds the full [#nodes, F/world] slice")
+		case role == Serving && len(opts.Faults) > 0:
+			return nil, errors.New("-strategy p3 does not support fault injection when serving (no per-row holders to re-route around)")
+		}
 	}
 	d := opts.Data
 	n := d.NumGPUs()

@@ -304,7 +304,8 @@ type Options struct {
 	LR          float64
 	Seed        uint64
 
-	// DSP-specific knobs (ignored by baselines):
+	// DSP-specific knobs. Baselines ignore them, except that baselines.New
+	// refuses those a CLI flag sets, GradCodec and Parallel aside.
 	Pipeline bool // producer-consumer pipeline vs DSP-Seq
 	QueueCap int
 	UseCCC   bool
@@ -323,7 +324,7 @@ type Options struct {
 	// DynamicCache selects the adaptive feature-cache policy
 	// (internal/cache): non-static policies rebalance each GPU's shard at
 	// epoch boundaries, promoting rows the tracker observed as hot. Ignored
-	// by baselines and by the replicated layout.
+	// by the replicated layout.
 	DynamicCache cache.Policy
 	// CacheTune tunes the adaptive manager (decay, move cap, degree
 	// weight); zero values take the cache package defaults.
@@ -374,7 +375,8 @@ type Options struct {
 	// Strategy selects the execution strategy: "" or "dsp" is the paper's
 	// row-partitioned hot/cold layout, "p3" the dimension-partitioned
 	// push-pull layout (internal/strategy). A plain string so this package
-	// stays below internal/strategy in the import graph; core validates it.
+	// stays below internal/strategy in the import graph; strategy.Build
+	// parses and checks it.
 	Strategy string
 	// Parallel is the OS-thread budget for offloaded data work (sampling
 	// draws, codec encodes, reductions) between DES commit points

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/comm"
+	"repro/internal/featstore"
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
@@ -113,10 +114,9 @@ type Baseline struct {
 	trainer *train.Trainer
 	sched   train.Schedule
 
-	// cacheAllOnGPU: DGL-UVA caches features only when they all fit.
-	cacheAllOnGPU bool
-	// hot[v]: replicated-cache membership for Quiver.
-	hot []bool
+	// cache is the replicated GPU feature cache of DGL-UVA (every row or
+	// none) and Quiver (the globally hottest rows); nil for the CPU systems.
+	cache *featstore.Store
 	// dedup: reusable block builder for the reference sampler. Safe to share
 	// across ranks — sampling runs serially on the engine thread and each
 	// BuildBlock fully resets its marks before returning.
@@ -168,32 +168,18 @@ func New(kind Kind, opts train.Options) (*Baseline, error) {
 	if opts.RealCompute {
 		d.Features() // drawn at build, not inside a timed epoch
 	}
-	switch kind {
-	case DGLUVA:
-		// "DGL-UVA allows feature caching but requires all node features to
-		// fit in the memory of a single GPU" — cache everything or nothing.
-		if d.FeatureBytes() <= b.m.GPUs[0].MemFree()*9/10 {
-			b.cacheAllOnGPU = true
-			for _, g := range b.m.GPUs {
-				if err := g.Reserve(d.FeatureBytes()); err != nil {
-					return nil, err
-				}
-			}
-		}
-	case Quiver:
-		// Replicated cache of globally hottest rows within one GPU's budget.
+	if kind == DGLUVA || kind == Quiver {
+		// Quiver replicates the globally hottest rows within one GPU's
+		// budget. "DGL-UVA allows feature caching but requires all node
+		// features to fit in the memory of a single GPU": every row, when
+		// the budget takes them all, or none.
 		budget := b.m.GPUs[0].MemFree() * 9 / 10
-		rows := budget / int64(d.RowBytes())
-		b.hot = make([]bool, d.G.NumNodes())
-		order := d.G.NodesByDegreeDesc()
-		if rows > int64(len(order)) {
-			rows = int64(len(order))
+		if kind == DGLUVA && d.FeatureBytes() > budget {
+			budget = 0
 		}
-		for _, v := range order[:rows] {
-			b.hot[v] = true
-		}
-		for _, g := range b.m.GPUs {
-			if err := g.Reserve(rows * int64(d.RowBytes())); err != nil {
+		b.cache = featstore.BuildReplicated(d.G, d.Features, d.FeatDim, d.NumGPUs(), budget, featstore.ByDegree)
+		for g, dev := range b.m.GPUs {
+			if err := dev.Reserve(b.cache.CacheBytes(g)); err != nil {
 				return nil, err
 			}
 		}
@@ -301,7 +287,9 @@ func (b *Baseline) loadStage(p *sim.Proc, rank int, mb *sample.MiniBatch) []floa
 		structure := mb.NumSampledEdges()*4 + int64(len(ids))*4
 		b.m.Fabric.HostDMA(p, rank, bytes+structure, hw.TrafficFeature)
 	case DGLUVA:
-		if b.cacheAllOnGPU {
+		// One read per batch, an empty one included: from the GPU when the
+		// cache holds every row, else from host memory.
+		if b.cache.CachedRows[rank] > 0 {
 			dev.RunKernel(p, hw.KernelGather, bytes)
 		} else {
 			dev.UVARead(p, b.m.Fabric, int64(len(ids)), d.RowBytes(), hw.TrafficFeature)
@@ -309,7 +297,7 @@ func (b *Baseline) loadStage(p *sim.Proc, rank int, mb *sample.MiniBatch) []floa
 	case Quiver:
 		var hit, miss int64
 		for _, v := range ids {
-			if b.hot[v] {
+			if where, _ := b.cache.Locate(v, rank); where == featstore.LocalGPU {
 				hit++
 			} else {
 				miss++

@@ -29,12 +29,7 @@ func AblationPartition(cfg RunConfig) (*Table, error) {
 	for _, ds := range dsList {
 		for _, metis := range []bool{true, false} {
 			td := prepared(ds, 4, cfg.Shrink, false, metis)
-			opts := baseOpts(td, cfg)
-			sys, err := core.NewSystem("DSP", opts)
-			if err != nil {
-				return nil, err
-			}
-			avg, last, err := measure(sys, cfg, false)
+			_, avg, last, err := cfg.measure(core.New(baseOpts(td, cfg)))
 			if err != nil {
 				return nil, err
 			}
@@ -65,11 +60,8 @@ func AblationCachePolicy(cfg RunConfig) (*Table, error) {
 			opts := baseOpts(td, cfg)
 			opts.CachePolicy = int(pol)
 			opts.FeatureCacheBudget = td.FeatureBytes() / 4 / 8 // 25% aggregate across 8 GPUs
-			sys, err := core.NewSystem("DSP", opts)
+			sys, _, _, err := cfg.measure(core.New(opts))
 			if err != nil {
-				return nil, err
-			}
-			if _, _, err := measure(sys, cfg, false); err != nil {
 				return nil, err
 			}
 			bytes := sys.Machine().Fabric.Counters.PCIeBytes[hw.TrafficFeature]
@@ -94,11 +86,7 @@ func AblationQueueCap(cfg RunConfig) (*Table, error) {
 		for i, c := range caps {
 			opts := baseOpts(td, cfg)
 			opts.QueueCap = c
-			sys, err := core.NewSystem("DSP", opts)
-			if err != nil {
-				return nil, err
-			}
-			avg, _, err := measure(sys, cfg, false)
+			_, avg, _, err := cfg.measure(core.New(opts))
 			if err != nil {
 				return nil, err
 			}
@@ -124,11 +112,7 @@ func AblationCCC(cfg RunConfig) (*Table, error) {
 			if useCCC {
 				row = "with-CCC"
 			}
-			sys, err := core.NewSystem("DSP", opts)
-			if err != nil {
-				return nil, err
-			}
-			avg, _, err := measure(sys, cfg, false)
+			_, avg, _, err := cfg.measure(core.New(opts))
 			if err != nil {
 				if _, ok := err.(*sim.DeadlockError); ok {
 					t.Set(row, ds, -1)
@@ -155,11 +139,7 @@ func AblationReplicatedCache(cfg RunConfig) (*Table, error) {
 			opts := baseOpts(td, cfg)
 			opts.ReplicatedCache = repl
 			opts.FeatureCacheBudget = td.FeatureBytes() / 4 / 8
-			sys, err := core.NewSystem("DSP", opts)
-			if err != nil {
-				return nil, err
-			}
-			avg, _, err := measure(sys, cfg, false)
+			sys, avg, _, err := cfg.measure(core.New(opts))
 			if err != nil {
 				return nil, err
 			}
@@ -186,11 +166,7 @@ func AblationFusedKernels(cfg RunConfig) (*Table, error) {
 		for _, unfused := range []bool{false, true} {
 			opts := baseOpts(td, cfg)
 			opts.UnfusedSampling = unfused
-			sys, err := core.NewSystem("DSP", opts)
-			if err != nil {
-				return nil, err
-			}
-			avg, _, err := measure(sys, cfg, true)
+			_, avg, _, err := cfg.measureSampling(core.New(opts))
 			if err != nil {
 				return nil, err
 			}
@@ -219,11 +195,7 @@ func AblationMultiWorker(cfg RunConfig) (*Table, error) {
 			opts := baseOpts(td, cfg)
 			opts.NumSamplers = w.s
 			opts.NumLoaders = w.l
-			sys, err := core.NewSystem("DSP", opts)
-			if err != nil {
-				return nil, err
-			}
-			avg, _, err := measure(sys, cfg, false)
+			_, avg, _, err := cfg.measure(core.New(opts))
 			if err != nil {
 				return nil, err
 			}
@@ -242,12 +214,7 @@ func AblationMultiMachine(cfg RunConfig) (*Table, error) {
 	for _, ds := range dsList {
 		td := prepared(ds, 4, cfg.Shrink, false, true)
 		for _, m := range []int{1, 2, 4} {
-			opts := baseOpts(td, cfg)
-			sys, err := core.NewMulti(opts, m, hw.InfiniBandEDR())
-			if err != nil {
-				return nil, err
-			}
-			avg, _, err := measure(sys, cfg, false)
+			_, avg, _, err := cfg.measure(core.NewMulti(baseOpts(td, cfg), m, hw.InfiniBandEDR()))
 			if err != nil {
 				return nil, err
 			}
@@ -274,11 +241,7 @@ func ExtensionGNNArchs(cfg RunConfig) (*Table, error) {
 		for _, a := range archs {
 			opts := baseOpts(td, cfg)
 			opts.Model = nn.Config{Arch: a, InDim: td.FeatDim, Hidden: 256, Classes: td.NumClasses, Layers: 3}
-			sys, err := core.NewSystem("DSP", opts)
-			if err != nil {
-				return nil, err
-			}
-			avg, _, err := measure(sys, cfg, false)
+			_, avg, _, err := cfg.measure(core.New(opts))
 			if err != nil {
 				return nil, err
 			}

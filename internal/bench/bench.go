@@ -28,6 +28,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hw"
 	"repro/internal/nn"
+	"repro/internal/sample"
 	"repro/internal/train"
 )
 
@@ -234,20 +235,33 @@ var (
 	prepCache = map[string]*train.Data{}
 )
 
+// memo returns cache[key], building and storing it on a miss. The lock is
+// not held while building, so a build may memoise its own inputs (prepared
+// generates through dataset).
+func memo[T any](cache map[string]T, key string, build func() T) T {
+	cacheMu.Lock()
+	v, ok := cache[key]
+	cacheMu.Unlock()
+	if ok {
+		return v
+	}
+	v = build()
+	cacheMu.Lock()
+	cache[key] = v
+	cacheMu.Unlock()
+	return v
+}
+
 // dataset returns the (possibly weighted) generated stand-in, cached.
 func dataset(std gen.Standard, weighted bool) *gen.Dataset {
 	key := fmt.Sprintf("%s/%d/%v", std.Config.Name, std.Config.Nodes, weighted)
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if d, ok := dsCache[key]; ok {
+	return memo(dsCache, key, func() *gen.Dataset {
+		d := gen.Generate(std.Config)
+		if weighted {
+			d.AttachUniformWeights(std.Config.Seed + 7)
+		}
 		return d
-	}
-	d := gen.Generate(std.Config)
-	if weighted {
-		d.AttachUniformWeights(std.Config.Seed + 7)
-	}
-	dsCache[key] = d
-	return d
+	})
 }
 
 // prepared returns the partitioned, renumbered dataset for nGPU, cached.
@@ -255,43 +269,28 @@ func dataset(std gen.Standard, weighted bool) *gen.Dataset {
 // programming error.
 func prepared(name string, nGPU, shrink int, weighted, metis bool) *train.Data {
 	key := fmt.Sprintf("%s/%d/%d/%v/%v", name, nGPU, shrink, weighted, metis)
-	cacheMu.Lock()
-	if td, ok := prepCache[key]; ok {
-		cacheMu.Unlock()
+	return memo(prepCache, key, func() *train.Data {
+		td, err := train.StandardData(name, nGPU, shrink, 13, metis, func(std gen.Standard) *gen.Dataset {
+			return dataset(std, weighted)
+		})
+		if err != nil {
+			panic(err)
+		}
 		return td
-	}
-	cacheMu.Unlock()
-	td, err := train.StandardData(name, nGPU, shrink, 13, metis, func(std gen.Standard) *gen.Dataset {
-		return dataset(std, weighted)
 	})
-	if err != nil {
-		panic(err)
-	}
-	cacheMu.Lock()
-	prepCache[key] = td
-	cacheMu.Unlock()
-	return td
 }
 
 // realStandIn returns the cached stand-in of a real-compute experiment:
 // genDataset with nodes/shrink nodes (at least minNodes), METIS-partitioned
 // into nGPU patches and scaled like a 111M-node graph on 16 GB GPUs.
 func realStandIn(name string, nodes, minNodes, nGPU, shrink int) *train.Data {
-	key := fmt.Sprintf("%s/%d", name, shrink)
-	cacheMu.Lock()
-	if td, ok := prepCache[key]; ok {
-		cacheMu.Unlock()
+	return memo(prepCache, fmt.Sprintf("%s/%d", name, shrink), func() *train.Data {
+		n := max(nodes/shrink, minNodes)
+		td := train.Prepare(genDataset(fmt.Sprintf("%s-%d", name, n), n), nGPU, 13, true)
+		td.ScaleFactor = 111e6 / float64(n)
+		td.GPUMemBytes = int64(16 * float64(1<<30) / td.ScaleFactor)
 		return td
-	}
-	cacheMu.Unlock()
-	nodes = max(nodes/shrink, minNodes)
-	td := train.Prepare(genDataset(fmt.Sprintf("%s-%d", name, nodes), nodes), nGPU, 13, true)
-	td.ScaleFactor = 111e6 / float64(nodes)
-	td.GPUMemBytes = int64(16 * float64(1<<30) / td.ScaleFactor)
-	cacheMu.Lock()
-	prepCache[key] = td
-	cacheMu.Unlock()
-	return td
+	})
 }
 
 // scaledGPU returns the V100 spec with per-batch fixed costs divided by the
@@ -331,32 +330,63 @@ func baseOpts(td *train.Data, cfg RunConfig) train.Options {
 	}
 }
 
+// realOpts is the real-compute recipe of Fig. 9 and the compression sweep:
+// baseOpts with batch 256, a 2-layer hidden-32 GraphSAGE over fan-out
+// [10, 5], real fp32 math and learning rate 0.01.
+func realOpts(td *train.Data, cfg RunConfig) train.Options {
+	opts := baseOpts(td, cfg)
+	opts.BatchSize = 256
+	opts.Model = nn.Config{Arch: nn.SAGE, InDim: td.FeatDim, Hidden: 32, Classes: td.NumClasses, Layers: 2}
+	opts.Sample = sample.Config{Fanout: []int{10, 5}}
+	opts.RealCompute = true
+	opts.LR = 0.01
+	return opts
+}
+
 // systemNames in paper order.
 var systemNames = []string{"PyG", "DGL-CPU", "Quiver", "DGL-UVA", "DSP"}
 
-// measure runs warmup epochs then averages epoch time over measured epochs.
-func measure(sys train.System, cfg RunConfig, sampleOnly bool) (avgEpoch float64, last train.EpochStats, err error) {
-	run := func(e int) (train.EpochStats, error) {
-		if sampleOnly {
-			return sys.RunSampleEpoch(e)
-		}
-		return sys.RunEpoch(e)
+// measure turns a freshly built system into a table cell: cfg.Warmup
+// unmeasured training epochs, then the mean epoch time of cfg.Measure more.
+// It returns the system with that mean and the last measured epoch's stats.
+// sys and err are the constructor's two results, passed straight in
+// (cfg.measure(core.NewSystem(name, opts))); a measured system goes in again
+// with a nil error.
+func (cfg RunConfig) measure(sys train.System, err error) (train.System, float64, train.EpochStats, error) {
+	return cfg.measureEpochs(sys, err, false)
+}
+
+// measureSampling is measure over sampling-only epochs (the samplers alone,
+// paper Table 6's methodology).
+func (cfg RunConfig) measureSampling(sys train.System, err error) (train.System, float64, train.EpochStats, error) {
+	return cfg.measureEpochs(sys, err, true)
+}
+
+// measureEpochs is the body of measure and measureSampling.
+func (cfg RunConfig) measureEpochs(sys train.System, err error, sampleOnly bool) (train.System, float64, train.EpochStats, error) {
+	if err != nil {
+		return nil, 0, train.EpochStats{}, err
+	}
+	run := sys.RunEpoch
+	if sampleOnly {
+		run = sys.RunSampleEpoch
 	}
 	for e := 0; e < cfg.Warmup; e++ {
 		if _, err := run(e); err != nil {
-			return 0, train.EpochStats{}, err
+			return nil, 0, train.EpochStats{}, err
 		}
 	}
-	var total float64
+	var (
+		total float64
+		last  train.EpochStats
+	)
 	for e := 0; e < cfg.Measure; e++ {
-		st, err := run(cfg.Warmup + e)
-		if err != nil {
-			return 0, train.EpochStats{}, err
+		if last, err = run(cfg.Warmup + e); err != nil {
+			return nil, 0, train.EpochStats{}, err
 		}
-		total += float64(st.EpochTime)
-		last = st
+		total += float64(last.EpochTime)
 	}
-	return total / float64(cfg.Measure), last, nil
+	return sys, total / float64(cfg.Measure), last, nil
 }
 
 // Experiments is the registry for the dspbench CLI: id -> experiment.
@@ -425,6 +455,17 @@ func gcnModel(td *train.Data) nn.Config {
 
 // colName builds "products/4" style column labels.
 func colName(ds string, gpus int) string { return fmt.Sprintf("%s/%d", ds, gpus) }
+
+// gridCols labels the dataset x GPU-count grid, dataset-major.
+func gridCols(counts []int) []string {
+	var cols []string
+	for _, ds := range dsList {
+		for _, n := range counts {
+			cols = append(cols, colName(ds, n))
+		}
+	}
+	return cols
+}
 
 // dsList are the three evaluation datasets in paper order.
 var dsList = gen.StandardNames

@@ -54,17 +54,12 @@ func CacheSweep(cfg RunConfig) (*Table, error) {
 // cacheSweepConfig is the drift-serving configuration shared by all rows:
 // only the cache policy varies, so hit-rate differences are attributable.
 func cacheSweepConfig(td *train.Data, pol cache.Policy, budget int64) serve.Config {
-	return serve.Config{
-		Data:               td,
-		Seed:               2023,
-		Duration:           0.5,
-		Rate:               4000,
-		Skew:               1.2,
-		UseCCC:             true,
-		FeatureCacheBudget: budget,
-		DynamicCache:       pol,
-		RebalanceEvery:     5e-3,
-		DriftEvery:         0.1,
-		CacheTune:          cache.Config{Decay: 0.9},
-	}
+	c := serveConfig(td, serve.BatchDynamic, 4000)
+	c.Skew = 1.2
+	c.FeatureCacheBudget = budget
+	c.DynamicCache = pol
+	c.RebalanceEvery = 5e-3
+	c.DriftEvery = 0.1
+	c.CacheTune = cache.Config{Decay: 0.9}
+	return c
 }

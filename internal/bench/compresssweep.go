@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/nn"
-	"repro/internal/sample"
 	"repro/internal/train"
 )
 
@@ -40,15 +38,10 @@ const compressEpochs = 4
 // a pure function of (td, codec): two calls with the same codec must return
 // bit-identical results (asserted by the determinism test).
 func compressRun(td *train.Data, codec compress.Codec, cfg RunConfig) (compressResult, error) {
-	opts := baseOpts(td, cfg)
-	opts.BatchSize = 256
-	opts.Model = nn.Config{Arch: nn.SAGE, InDim: td.FeatDim, Hidden: 32, Classes: td.NumClasses, Layers: 2}
-	opts.Sample = sample.Config{Fanout: []int{10, 5}}
-	opts.RealCompute = true
-	opts.LR = 0.01
+	opts := realOpts(td, cfg)
 	opts.GradCodec = codec
 	opts.FeatCodec = codec
-	sys, err := core.NewSystem("DSP", opts)
+	sys, err := core.New(opts)
 	if err != nil {
 		return compressResult{}, err
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/hw"
@@ -33,25 +34,20 @@ func Table1(cfg RunConfig) (*Table, error) {
 func Fig1(cfg RunConfig) (*Table, error) {
 	t := NewTable("Figure 1: sampling communication volume (normalized by Ideal)", "x",
 		[]string{"UVA", "Ideal", "CSP"}, dsList)
+	once := RunConfig{Measure: 1} // one sampling epoch's wire bytes
 	for _, ds := range dsList {
 		td := prepared(ds, 8, cfg.Shrink, false, true)
 		opts := baseOpts(td, cfg)
 
-		uva, err := core.NewSystem("DGL-UVA", opts)
+		uva, _, _, err := once.measureSampling(core.NewSystem("DGL-UVA", opts))
 		if err != nil {
-			return nil, err
-		}
-		if _, _, err := measure(uva, RunConfig{Warmup: 0, Measure: 1}, true); err != nil {
 			return nil, err
 		}
 		uvaWire := float64(uva.Machine().Fabric.Counters.TotalWire(hw.TrafficSample))
 		ideal := float64(uva.Machine().Fabric.Counters.UsefulBytes[hw.TrafficSample])
 
-		dsp, err := core.NewSystem("DSP", opts)
+		dsp, _, _, err := once.measureSampling(core.NewSystem("DSP", opts))
 		if err != nil {
-			return nil, err
-		}
-		if _, _, err := measure(dsp, RunConfig{Warmup: 0, Measure: 1}, true); err != nil {
 			return nil, err
 		}
 		cspWire := float64(dsp.Machine().Fabric.Counters.TotalWire(hw.TrafficSample))
@@ -86,16 +82,15 @@ func Fig2(cfg RunConfig) (*Table, error) {
 	return t, nil
 }
 
-// epochTimeTable runs the full-training epoch-time comparison for a model
-// family (Table 4 for GraphSAGE across GPU counts, Table 5 for GCN at 8).
-func epochTimeTable(cfg RunConfig, title string, gcn bool, counts []int) (*Table, error) {
-	var cols []string
-	for _, ds := range dsList {
-		for _, n := range counts {
-			cols = append(cols, colName(ds, n))
-		}
+// epochTimeTable measures every system of systemNames on the dataset x
+// GPU-count grid: training epochs of GraphSAGE, or of GCN with gcn set
+// (Tables 4 and 5), or sampling-only epochs (Table 6).
+func epochTimeTable(cfg RunConfig, title string, counts []int, gcn, sampleOnly bool, notes ...string) (*Table, error) {
+	t := NewTable(title, "sim-s", systemNames, gridCols(counts))
+	measure := cfg.measure
+	if sampleOnly {
+		measure = cfg.measureSampling
 	}
-	t := NewTable(title, "sim-s", systemNames, cols)
 	for _, ds := range dsList {
 		for _, n := range counts {
 			td := prepared(ds, n, cfg.Shrink, false, true)
@@ -104,11 +99,7 @@ func epochTimeTable(cfg RunConfig, title string, gcn bool, counts []int) (*Table
 				opts.Model = gcnModel(td)
 			}
 			for _, name := range systemNames {
-				sys, err := core.NewSystem(name, opts)
-				if err != nil {
-					return nil, err
-				}
-				avg, _, err := measure(sys, cfg, false)
+				_, avg, _, err := measure(core.NewSystem(name, opts))
 				if err != nil {
 					return nil, fmt.Errorf("%s on %s/%d: %w", name, ds, n, err)
 				}
@@ -116,50 +107,30 @@ func epochTimeTable(cfg RunConfig, title string, gcn bool, counts []int) (*Table
 			}
 		}
 	}
-	t.Notes = append(t.Notes,
-		"virtual epoch seconds on the scaled stand-ins; multiply by the dataset scale factor (~25-500x) for paper-scale magnitudes",
-		"shape to check: DSP fastest everywhere, CPU systems flat with GPU count")
+	t.Notes = append(t.Notes, notes...)
 	return t, nil
+}
+
+// epochTimeNotes are Tables 4 and 5's notes.
+var epochTimeNotes = []string{
+	"virtual epoch seconds on the scaled stand-ins; multiply by the dataset scale factor (~25-500x) for paper-scale magnitudes",
+	"shape to check: DSP fastest everywhere, CPU systems flat with GPU count",
 }
 
 // Table4 is the headline epoch-time comparison (GraphSAGE).
 func Table4(cfg RunConfig) (*Table, error) {
-	return epochTimeTable(cfg, "Table 4: epoch time, GraphSAGE", false, gpuCounts)
+	return epochTimeTable(cfg, "Table 4: epoch time, GraphSAGE", gpuCounts, false, false, epochTimeNotes...)
 }
 
 // Table5 is the GCN epoch-time comparison at 8 GPUs.
 func Table5(cfg RunConfig) (*Table, error) {
-	return epochTimeTable(cfg, "Table 5: epoch time, GCN, 8 GPUs", true, []int{8})
+	return epochTimeTable(cfg, "Table 5: epoch time, GCN, 8 GPUs", []int{8}, true, false, epochTimeNotes...)
 }
 
 // Table6 measures sampling-only epoch time for every system.
 func Table6(cfg RunConfig) (*Table, error) {
-	var cols []string
-	for _, ds := range dsList {
-		for _, n := range gpuCounts {
-			cols = append(cols, colName(ds, n))
-		}
-	}
-	t := NewTable("Table 6: sampling time per epoch", "sim-s", systemNames, cols)
-	for _, ds := range dsList {
-		for _, n := range gpuCounts {
-			td := prepared(ds, n, cfg.Shrink, false, true)
-			opts := baseOpts(td, cfg)
-			for _, name := range systemNames {
-				sys, err := core.NewSystem(name, opts)
-				if err != nil {
-					return nil, err
-				}
-				avg, _, err := measure(sys, cfg, true)
-				if err != nil {
-					return nil, err
-				}
-				t.Set(name, colName(ds, n), avg)
-			}
-		}
-	}
-	t.Notes = append(t.Notes, "shape to check: CSP (DSP) fastest; UVA beats CPU; CPU flat with GPUs")
-	return t, nil
+	return epochTimeTable(cfg, "Table 6: sampling time per epoch", gpuCounts, false, true,
+		"shape to check: CSP (DSP) fastest; UVA beats CPU; CPU flat with GPUs")
 }
 
 // Table7 compares layer-wise sampling without replacement: FastGCN on CPU
@@ -172,17 +143,18 @@ func Table7(cfg RunConfig) (*Table, error) {
 		opts := baseOpts(td, cfg)
 		opts.Sample = sample.Config{Fanout: []int{1000, 1000}, LayerWise: true}
 		opts.Model = nn.Config{Arch: nn.SAGE, InDim: td.FeatDim, Hidden: 256, Classes: td.NumClasses, Layers: 2}
-		for _, name := range []string{"FastGCN", "DSP"} {
-			sys, err := core.NewSystem(name, opts)
-			if err != nil {
-				return nil, err
-			}
-			avg, _, err := measure(sys, cfg, true)
-			if err != nil {
-				return nil, err
-			}
-			t.Set(name, ds, avg)
+		// FastGCN runs sampling epochs only, so the training system table
+		// (core.NewSystem) refuses it: build the baseline directly.
+		_, fastgcn, _, err := cfg.measureSampling(baselines.New(baselines.FastGCN, opts))
+		if err != nil {
+			return nil, err
 		}
+		_, dsp, _, err := cfg.measureSampling(core.New(opts))
+		if err != nil {
+			return nil, err
+		}
+		t.Set("FastGCN", ds, fastgcn)
+		t.Set("DSP", ds, dsp)
 	}
 	t.Notes = append(t.Notes, "paper: FastGCN is 2-4 orders of magnitude slower than DSP")
 	return t, nil
@@ -190,24 +162,14 @@ func Table7(cfg RunConfig) (*Table, error) {
 
 // Fig6 reports average GPU utilization for sequential vs pipelined DSP.
 func Fig6(cfg RunConfig) (*Table, error) {
-	var cols []string
-	for _, ds := range dsList {
-		for _, n := range gpuCounts {
-			cols = append(cols, colName(ds, n))
-		}
-	}
 	t := NewTable("Figure 6: GPU utilization, DSP-Seq vs DSP pipeline", "%",
-		[]string{"DSP-Seq", "DSP"}, cols)
+		[]string{"DSP-Seq", "DSP"}, gridCols(gpuCounts))
 	for _, ds := range dsList {
 		for _, n := range gpuCounts {
 			td := prepared(ds, n, cfg.Shrink, false, true)
 			opts := baseOpts(td, cfg)
 			for _, name := range []string{"DSP-Seq", "DSP"} {
-				sys, err := core.NewSystem(name, opts)
-				if err != nil {
-					return nil, err
-				}
-				_, last, err := measure(sys, cfg, false)
+				_, _, last, err := cfg.measure(core.NewSystem(name, opts))
 				if err != nil {
 					return nil, err
 				}
@@ -238,19 +200,14 @@ func Fig9(cfg RunConfig) (*Table, error) {
 	for _, s := range systems {
 		rows = append(rows, s+"/acc", s+"/time")
 	}
+	opts := realOpts(td, cfg)
 	var cols []string
-	sched := train.NewSchedule(td, 256)
+	sched := train.NewSchedule(td, opts.BatchSize)
 	for e := 1; e <= epochs; e++ {
 		cols = append(cols, fmt.Sprintf("%db", e*sched.Steps*td.NumGPUs()))
 	}
 	t := NewTable("Figure 9: training quality (accuracy and cumulative sim-time per batch count)", "", rows, cols)
 	for _, name := range systems {
-		opts := baseOpts(td, cfg)
-		opts.BatchSize = 256
-		opts.Model = nn.Config{Arch: nn.SAGE, InDim: td.FeatDim, Hidden: 32, Classes: td.NumClasses, Layers: 2}
-		opts.Sample = sample.Config{Fanout: []int{10, 5}}
-		opts.RealCompute = true
-		opts.LR = 0.01
 		sys, err := core.NewSystem(name, opts)
 		if err != nil {
 			return nil, err
@@ -296,11 +253,7 @@ func Fig10(cfg RunConfig) (*Table, error) {
 			// The budget replaces the memory-derived default; make sure the
 			// simulated GPU can hold it.
 			opts.GPU.MemBytes = total * 2
-			sys, err := core.NewSystem("DSP", opts)
-			if err != nil {
-				return nil, err
-			}
-			avg, _, err := measure(sys, cfg, false)
+			sys, avg, _, err := cfg.measure(core.New(opts))
 			if err != nil {
 				return nil, err
 			}
@@ -309,7 +262,7 @@ func Fig10(cfg RunConfig) (*Table, error) {
 			// (on scaled stand-ins per-batch input dedup flattens the
 			// feature-access skew, so part of the paper's right-flank rise
 			// hides under the loader stage — see EXPERIMENTS.md).
-			sOnly, _, err := measure(sys, RunConfig{Warmup: 0, Measure: 1}, true)
+			_, sOnly, _, err := RunConfig{Measure: 1}.measureSampling(sys, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -333,11 +286,7 @@ func Fig11(cfg RunConfig) (*Table, error) {
 			opts := baseOpts(td, cfg)
 			opts.Sample = sample.Config{Fanout: []int{15, 10, 5}, Biased: true}
 			opts.PullData = mode == "PullData"
-			sys, err := core.NewSystem("DSP", opts)
-			if err != nil {
-				return nil, err
-			}
-			avg, _, err := measure(sys, cfg, true)
+			_, avg, _, err := cfg.measureSampling(core.New(opts))
 			if err != nil {
 				return nil, err
 			}
@@ -361,11 +310,7 @@ func Fig12(cfg RunConfig) (*Table, error) {
 			opts := baseOpts(td, cfg)
 			var times [2]float64
 			for i, name := range []string{"DSP-Seq", "DSP"} {
-				sys, err := core.NewSystem(name, opts)
-				if err != nil {
-					return nil, err
-				}
-				avg, _, err := measure(sys, cfg, false)
+				_, avg, _, err := cfg.measure(core.NewSystem(name, opts))
 				if err != nil {
 					return nil, err
 				}

@@ -71,20 +71,15 @@ func runRouterCell(td *train.Data, pol fleet.Policy, fleets int) (*fleet.Report,
 			Fault: fault.Fault{Kind: fault.Stall, GPU: 0, At: at, Duration: 120e-3},
 		})
 	}
+	sc := serveConfig(td, serve.BatchDynamic, 6000)
+	sc.Duration = horizon
+	sc.SLO = routerSLO
+	// Deep queues so blind policies really pay for feeding the straggler
+	// instead of being bailed out by admission backpressure.
+	sc.QueueDepth = 512
+	sc.DriftEvery = 0.1
 	r, err := fleet.NewRouter(fleet.Config{
-		Serve: serve.Config{
-			Data:     td,
-			Seed:     2023,
-			Duration: horizon,
-			Rate:     6000,
-			Skew:     0.8,
-			UseCCC:   true,
-			SLO:      routerSLO,
-			// Deep queues so blind policies really pay for feeding the
-			// straggler instead of being bailed out by admission backpressure.
-			QueueDepth: 512,
-			DriftEvery: 0.1,
-		},
+		Serve:  sc,
 		Fleets: fleets,
 		Policy: pol,
 		Faults: ffs,

@@ -58,16 +58,13 @@ func OOCSweep(cfg RunConfig) (*Table, error) {
 	}
 	results := map[string]outcome{}
 	for _, p := range oocSweepPoints {
-		sys, err := core.NewSystem("DSP", oocSweepOpts(td, p, blockBytes, cfg))
-		if err != nil {
-			return nil, err
-		}
-		avg, _, err := measure(sys, cfg, false)
+		sys, err := core.New(oocSweepOpts(td, p, blockBytes, cfg))
+		_, avg, _, err := cfg.measure(sys, err)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
-		resident := topoResidentOf(sys)
-		st := countersOf(sys)
+		resident := sys.TopologyResidentBytes()
+		st := sys.Counters()
 		if p.ooc {
 			// The memory axis counts the host block cache alongside the GPU
 			// topology residency: that cache is what -ooc-budget buys.
@@ -134,21 +131,4 @@ func oocSweepOpts(td *train.Data, p oocPoint, blockBytes int64, cfg RunConfig) t
 		opts.OOCBlockNodes = td.G.NumNodes() / 32
 	}
 	return opts
-}
-
-// countersOf reads the cumulative counter snapshot of a system that has a
-// substrate (zero Counters otherwise).
-func countersOf(sys train.System) train.Counters {
-	if h, ok := sys.(interface{ Counters() train.Counters }); ok {
-		return h.Counters()
-	}
-	return train.Counters{}
-}
-
-// topoResidentOf reads the world's resident topology bytes.
-func topoResidentOf(sys train.System) int64 {
-	if h, ok := sys.(interface{ TopologyResidentBytes() int64 }); ok {
-		return h.TopologyResidentBytes()
-	}
-	return 0
 }

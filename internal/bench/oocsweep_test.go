@@ -77,7 +77,7 @@ func TestOOCRunReportByteIdentical(t *testing.T) {
 	point := oocPoint{name: "det", compress: true, ooc: true, budgetFrac: 0.50, prefetch: true}
 
 	report := func() []byte {
-		sys, err := core.NewSystem("DSP", oocSweepOpts(td, point, blockBytes, RunConfig{}))
+		sys, err := core.New(oocSweepOpts(td, point, blockBytes, RunConfig{}))
 		if err != nil {
 			t.Fatal(err)
 		}

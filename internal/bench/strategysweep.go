@@ -49,11 +49,7 @@ func StrategySweep(cfg RunConfig) (*Table, error) {
 			if name == "P3" {
 				opts.Strategy, system = "p3", "DSP"
 			}
-			sys, err := core.NewSystem(system, opts)
-			if err != nil {
-				return nil, fmt.Errorf("%s f%d: %w", name, f, err)
-			}
-			avg, last, err := measure(sys, cfg, false)
+			_, avg, last, err := cfg.measure(core.NewSystem(system, opts))
 			if err != nil {
 				return nil, fmt.Errorf("%s f%d: %w", name, f, err)
 			}

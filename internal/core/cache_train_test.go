@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -93,8 +94,8 @@ func TestDSPDynamicCacheDeterministic(t *testing.T) {
 }
 
 // TestDSPStaticCacheUnchanged: the default (static) policy records tier
-// counts but never rebalances, and the manager is inert for the replicated
-// layout even under a dynamic policy.
+// counts but never rebalances, and the replicated layout refuses a dynamic
+// policy.
 func TestDSPStaticCacheUnchanged(t *testing.T) {
 	td := testData(t, 2)
 	opts := smallOpts(td)
@@ -114,17 +115,11 @@ func TestDSPStaticCacheUnchanged(t *testing.T) {
 		t.Fatal("static policy recorded no tiered reads")
 	}
 
+	// The replicated layout has no per-GPU shard to rebalance, so it refuses
+	// a dynamic policy instead of ignoring it.
 	ropts := dynamicOpts(testData(t, 2))
 	ropts.ReplicatedCache = true
-	rsys, err := core.New(ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rst, err := rsys.RunEpoch(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rst.CachePromoted != 0 || rst.RebalanceBytes != 0 {
-		t.Fatalf("replicated layout rebalanced: %+v", rst)
+	if _, err := core.New(ropts); err == nil || !strings.Contains(err.Error(), "DynamicCache") {
+		t.Fatalf("replicated layout with a dynamic policy: err = %v, want a refusal naming DynamicCache", err)
 	}
 }

@@ -69,9 +69,10 @@ func New(opts train.Options) (*DSP, error) {
 }
 
 // NewSystem builds a training system by name: "dsp", "dsp-seq" (DSP without
-// the pipeline) or any baselines.Parse name, case-insensitively and with the
-// hyphen optional. Each constructor refuses the options it cannot honour; the
-// sequential build also refuses the p3 strategy, which Name has no row for.
+// the pipeline) or any baselines.Parse name but FastGCN, which runs sampling
+// epochs only, case-insensitively and with the hyphen optional. Each
+// constructor refuses the options it cannot honour; the sequential build also
+// refuses the p3 strategy, which Name has no row for.
 func NewSystem(name string, opts train.Options) (train.System, error) {
 	var (
 		sys train.System
@@ -88,8 +89,11 @@ func NewSystem(name string, opts train.Options) (train.System, error) {
 		sys, err = New(opts)
 	default:
 		kind, perr := baselines.Parse(name)
-		if perr != nil {
-			return nil, fmt.Errorf("core: unknown system %q (want dsp, dsp-seq, pyg, dgl-cpu, dgl-uva, quiver or fastgcn)", name)
+		switch {
+		case perr != nil:
+			return nil, fmt.Errorf("core: unknown system %q (want dsp, dsp-seq, pyg, dgl-cpu, dgl-uva or quiver)", name)
+		case kind == baselines.FastGCN:
+			return nil, fmt.Errorf("core: -system %s runs sampling epochs only, so it cannot train (dspbench's table7 measures it)", name)
 		}
 		sys, err = baselines.New(kind, opts)
 	}

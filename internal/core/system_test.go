@@ -38,7 +38,7 @@ func TestNewSystemHonoursOrRefuses(t *testing.T) {
 		{"Faults", func(o *train.Options) { o.Faults = []fault.Fault{{Kind: fault.Crash, GPU: 1, At: 1}} }},
 	}
 	// The spellings vary case and hyphen; the first two name DSP.
-	names := []string{"dsp", "DSP-Seq", "pyg", "DGL-CPU", "dgluva", "Quiver", "fastgcn"}
+	names := []string{"dsp", "DSP-Seq", "pyg", "DGL-CPU", "dgluva", "Quiver"}
 	for i, name := range names {
 		if _, err := core.NewSystem(name, smallOpts(td)); err != nil {
 			t.Fatalf("%s with no option set: %v", name, err)
@@ -46,7 +46,9 @@ func TestNewSystemHonoursOrRefuses(t *testing.T) {
 		for _, o := range options {
 			opts := smallOpts(td)
 			o.set(&opts)
-			refuse := i > 1 || (i == 1 && o.field == "Strategy")
+			// Without OOC, DSP refuses the out-of-core knobs too.
+			refuse := i > 1 || (i == 1 && o.field == "Strategy") ||
+				o.field == "OOCBudget" || o.field == "OOCNoPrefetch"
 			sys, err := core.NewSystem(name, opts)
 			switch {
 			case refuse && err == nil:
@@ -64,6 +66,10 @@ func TestNewSystemHonoursOrRefuses(t *testing.T) {
 	}
 	if _, err := core.NewSystem("p3", smallOpts(td)); err == nil {
 		t.Error("NewSystem accepted p3, a strategy, as a system name")
+	}
+	// FastGCN runs sampling epochs only: it is Table 7's, not a trainer.
+	if _, err := core.NewSystem("FastGCN", smallOpts(td)); err == nil || !strings.Contains(err.Error(), "-system") {
+		t.Errorf("NewSystem(FastGCN) = %v, want a refusal naming -system", err)
 	}
 }
 

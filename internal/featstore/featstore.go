@@ -312,7 +312,7 @@ func Scores(g *graph.CSR, policy Policy) []float64 {
 
 // hottestFirst orders ids by descending score, ties by ascending id. That is
 // a total order, so the unstable sort is deterministic. The builders skip it
-// when the budget takes every id.
+// when the budget takes every id or none.
 func hottestFirst(ids []graph.NodeID, scores []float64) {
 	slices.SortFunc(ids, func(a, b graph.NodeID) int {
 		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
@@ -347,7 +347,7 @@ func BuildPartitioned(g *graph.CSR, values func() []float32, dim int, offsets []
 			ids = append(ids, graph.NodeID(v))
 		}
 		take := min(int64(len(ids)), capRows)
-		if take < int64(len(ids)) {
+		if 0 < take && take < int64(len(ids)) {
 			hottestFirst(ids, scores)
 		}
 		for _, v := range ids[:take] {
@@ -367,14 +367,13 @@ func BuildReplicated(g *graph.CSR, values func() []float32, dim int, numGPUs int
 		hot:        make([]bool, g.NumNodes()),
 		CachedRows: make([]int64, numGPUs),
 	}
-	scores := Scores(g, policy)
 	ids := make([]graph.NodeID, g.NumNodes())
 	for i := range ids {
 		ids[i] = graph.NodeID(i)
 	}
 	take := min(int64(len(ids)), budgetPerGPU/int64(dim*4))
-	if take < int64(len(ids)) {
-		hottestFirst(ids, scores)
+	if 0 < take && take < int64(len(ids)) {
+		hottestFirst(ids, Scores(g, policy))
 	}
 	for _, v := range ids[:take] {
 		s.hot[v] = true

@@ -79,6 +79,9 @@ func Build(m *hw.Machine, opts train.Options, role Role) (*Substrate, error) {
 			return nil, errors.New("-strategy p3 does not support fault injection when serving (no per-row holders to re-route around)")
 		}
 	}
+	if opts.ReplicatedCache && opts.DynamicCache != cache.Static {
+		return nil, fmt.Errorf("DynamicCache %s (-cache) is incompatible with ReplicatedCache: every GPU holds the same rows, so there is no per-GPU shard to rebalance", opts.DynamicCache)
+	}
 	d := opts.Data
 	n := d.NumGPUs()
 	s := &Substrate{Opts: opts, M: m}

@@ -323,8 +323,8 @@ type Options struct {
 	CachePolicy int
 	// DynamicCache selects the adaptive feature-cache policy
 	// (internal/cache): non-static policies rebalance each GPU's shard at
-	// epoch boundaries, promoting rows the tracker observed as hot. Ignored
-	// by the replicated layout.
+	// epoch boundaries, promoting rows the tracker observed as hot. The
+	// replicated layout has no shard to rebalance and refuses them.
 	DynamicCache cache.Policy
 	// CacheTune tunes the adaptive manager (decay, move cap, degree
 	// weight); zero values take the cache package defaults.
@@ -455,6 +455,16 @@ func (o Options) Validate() error {
 	}
 	if o.QueueCap < 0 {
 		return fmt.Errorf("train: negative QueueCap %d (0 selects the default of 2)", o.QueueCap)
+	}
+	// The out-of-core knobs tune a tier that only OOC builds.
+	switch {
+	case o.OOC:
+	case o.OOCBudget != 0:
+		return fmt.Errorf("train: OOCBudget (-ooc-budget) requires OOC (-ooc)")
+	case o.OOCNoPrefetch:
+		return fmt.Errorf("train: OOCNoPrefetch (-ooc-no-prefetch) requires OOC (-ooc)")
+	case o.OOCBlockNodes != 0:
+		return fmt.Errorf("train: OOCBlockNodes requires OOC")
 	}
 	return nil
 }

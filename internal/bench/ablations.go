@@ -58,7 +58,7 @@ func AblationCachePolicy(cfg RunConfig) (*Table, error) {
 		td := prepared(ds, 8, cfg.Shrink, false, true)
 		for _, pol := range policies {
 			opts := baseOpts(td, cfg)
-			opts.CachePolicy = int(pol)
+			opts.CachePolicy = pol
 			opts.FeatureCacheBudget = td.FeatureBytes() / 4 / 8 // 25% aggregate across 8 GPUs
 			sys, _, _, err := cfg.measure(core.New(opts))
 			if err != nil {

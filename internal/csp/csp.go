@@ -63,17 +63,13 @@ type PatchStore struct {
 	// compressed size and every sampled row pays a decode kernel. The
 	// in-process data plane stays the decoded Adj for correctness.
 	Comp *graph.CompressedCSR
-	// compBytes[v] is Comp.NodeBytes(v) for every local node, filled once
-	// when the world is built: the sample stage prices a decode kernel per
-	// received task and must not re-walk the row's varints to do it.
-	compBytes []int64
 }
 
 // rowBytes returns the device-resident size of local node v's adjacency row
 // under the active representation.
 func (ps *PatchStore) rowBytes(v graph.NodeID) int64 {
 	if ps.Comp != nil {
-		b := ps.compBytes[v]
+		b := ps.Comp.NodeBytes(v)
 		if ps.Comp.Weights != nil {
 			b += int64(ps.Comp.Degree(v)) * 4
 		}
@@ -362,7 +358,6 @@ func NewWorldBudget(m *hw.Machine, g graph.Topology, offsets []int64, topoBudget
 		ps := &PatchStore{Lo: lo, Hi: hi, Adj: patch.Adj}
 		if compressed {
 			ps.Comp = graph.Compress(&ps.Adj)
-			ps.compBytes = ps.Comp.NodeByteTable()
 		}
 		ps.applyBudget(topoBudget)
 		if err := m.GPUs[gpu].Reserve(ps.GPUBytes); err != nil {
@@ -732,7 +727,7 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 			fusedWork += int64(t.Count)
 			tps := w.patchOf(t.Node, rank)
 			if tps.Comp != nil {
-				decodeBytes += tps.compBytes[tps.Local(t.Node)]
+				decodeBytes += tps.Comp.NodeBytes(tps.Local(t.Node))
 			}
 			if tps != w.Patches[rank] || (tps.OnHost != nil && tps.OnHost[tps.Local(t.Node)]) {
 				// Host-resident adjacency — either spilled by the topology

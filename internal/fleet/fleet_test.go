@@ -218,6 +218,27 @@ func TestFleetCrashReroute(t *testing.T) {
 	}
 }
 
+// TestFleetGPUCrashShedsConserved: a fleet-scoped GPU crash re-routes the
+// dead GPU's queued requests inside its replica, and the ones the next live
+// GPU's full queue turns away are sheds on the router's ledger too, so every
+// arrival is still accounted for.
+func TestFleetGPUCrashShedsConserved(t *testing.T) {
+	for _, depth := range []int{1, 2, 4} {
+		cfg := testConfig(t, 2)
+		cfg.Serve.Rate, cfg.Serve.MaxBatch, cfg.Serve.QueueDepth = 20000, 1, depth
+		ffs, err := fault.ParseFleetSpec("crash@fleet0/gpu1:t=0.02", 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = ffs
+		rep := mustRun(t, cfg)
+		if rep.PerFleet[0].Rerouted == 0 {
+			t.Fatalf("queue depth %d: fleet0 re-routed nothing off its dead GPU", depth)
+		}
+		checkAccounting(t, rep)
+	}
+}
+
 // rescuedOf extracts the router-rescued component of a fleet's Rerouted count
 // (its serve-internal GPU reroutes are the rest).
 func (r *Report) rescuedOf(f int) int {

@@ -65,7 +65,6 @@ func (r *Router) report(end sim.Time) (*Report, error) {
 		Latency:   metrics.New(),
 		Scale:     append([]ScaleEvent(nil), r.scale...),
 	}
-	rep.SLO = r.cfg.Serve.SLO
 	total := 0
 	for f, s := range r.servers {
 		fr, err := s.Finish(end)

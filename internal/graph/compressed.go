@@ -19,8 +19,8 @@ const MaxNodes = math.MaxInt32 - 1
 const MaxEdges = int64(1) << 40
 
 // CheckScale validates a (node count, edge count) pair against the storage
-// limits. FromEdges and NewEncoder call it before sizing any slice, so
-// 100M+-node configurations fail loudly instead of corrupting int32 ids.
+// limits. FromEdges calls it before sizing any slice, so 100M+-node
+// configurations fail loudly instead of corrupting int32 ids.
 func CheckScale(nodes int64, edges int64) error {
 	if nodes < 0 || edges < 0 {
 		return fmt.Errorf("graph: negative scale (%d nodes, %d edges)", nodes, edges)
@@ -107,125 +107,49 @@ func (p idWeightPairs) Swap(a, b int) {
 // typical social/citation graphs encode in 1-2 bytes per edge against the 8
 // bytes per edge the flat accounting charges.
 //
-// Offsets holds byte offsets into Data at BlockSize-node granularity
-// (BlockSize 1 = per-node decode; larger blocks trade offset memory for a
-// short in-block walk). EdgeOff mirrors it with first-edge indices so
-// weighted graphs can locate their raw float32 weight runs.
+// Offsets[v] is the byte offset of node v's encoded row in Data and
+// EdgeOff[v] its first-edge index, each with a trailing sentinel, so every
+// row is sized, located and decoded without walking its predecessors;
+// EdgeOff also locates a weighted graph's raw float32 weight run.
 type CompressedCSR struct {
-	N         int
-	Edges     int64
-	BlockSize int
-	Offsets   []int64
-	EdgeOff   []int64
-	Data      []byte
+	N       int
+	Edges   int64
+	Offsets []int64
+	EdgeOff []int64
+	Data    []byte
 	// Weights, when non-nil, holds per-edge sampling weights in the same
 	// sorted order as the encoded ids (weights do not delta-compress).
 	Weights []float32
 }
 
-// Compress encodes g (canonicalised with Sorted) with per-node offsets.
-func Compress(g *CSR) *CompressedCSR { return CompressBlocks(g, 1) }
-
-// CompressBlocks encodes g with offsets every blockSize nodes.
-func CompressBlocks(g *CSR, blockSize int) *CompressedCSR {
-	if blockSize < 1 {
-		blockSize = 1
-	}
+// Compress encodes g in its Sorted form: each row is sorted (weights
+// permuted alongside) and appended as its degree and gap uvarints.
+func Compress(g *CSR) *CompressedCSR {
 	n := g.NumNodes()
-	enc := NewEncoder(n, blockSize, g.Weights != nil)
+	c := &CompressedCSR{N: n, Offsets: make([]int64, 1, n+1), EdgeOff: make([]int64, 1, n+1)}
+	if g.Weights != nil {
+		c.Weights = make([]float32, 0, len(g.Weights))
+	}
 	ids := make([]NodeID, 0, 64)
-	var ws []float32
-	for v := 0; v < n; v++ {
-		ids = append(ids[:0], g.Neighbors(NodeID(v))...)
-		if g.Weights != nil {
-			ws = append(ws[:0], g.NeighborWeights(NodeID(v))...)
-			sort.Stable(idWeightPairs{ids, ws})
+	for v := NodeID(0); int(v) < n; v++ {
+		ids = append(ids[:0], g.Neighbors(v)...)
+		if c.Weights != nil {
+			c.Weights = append(c.Weights, g.NeighborWeights(v)...)
+			sort.Stable(idWeightPairs{ids, c.Weights[c.Edges:]})
 		} else {
 			slices.Sort(ids)
-			ws = nil
 		}
-		enc.AppendNode(ids, ws)
-	}
-	return enc.Finish()
-}
-
-// Encoder streams adjacency lists into a CompressedCSR one node at a time,
-// in ascending node order; CompressBlocks feeds it from a flat CSR.
-type Encoder struct {
-	c      *CompressedCSR
-	next   int
-	varbuf [binary.MaxVarintLen64]byte
-}
-
-// NewEncoder starts an encoder for n nodes.
-func NewEncoder(n, blockSize int, weighted bool) *Encoder {
-	if blockSize < 1 {
-		blockSize = 1
-	}
-	if err := CheckScale(int64(n), 0); err != nil {
-		panic(err)
-	}
-	nb := 0
-	if n > 0 {
-		nb = (n + blockSize - 1) / blockSize
-	}
-	c := &CompressedCSR{N: n, BlockSize: blockSize,
-		Offsets: make([]int64, 1, nb+1), EdgeOff: make([]int64, 1, nb+1)}
-	if weighted {
-		c.Weights = []float32{}
-	}
-	return &Encoder{c: c}
-}
-
-// AppendNode encodes the next node's adjacency list. ids must be sorted
-// ascending; weights must be nil for unweighted encoders and id-aligned
-// otherwise.
-func (e *Encoder) AppendNode(ids []NodeID, weights []float32) {
-	if e.next >= e.c.N {
-		panic("graph: Encoder.AppendNode past node count")
-	}
-	if e.c.Weights == nil && len(weights) > 0 {
-		panic("graph: weights passed to unweighted Encoder")
-	}
-	if e.c.Weights != nil && len(weights) != len(ids) {
-		panic("graph: Encoder weights not aligned with ids")
-	}
-	c := e.c
-	k := binary.PutUvarint(e.varbuf[:], uint64(len(ids)))
-	c.Data = append(c.Data, e.varbuf[:k]...)
-	prev := NodeID(0)
-	for i, u := range ids {
-		if i > 0 && u < prev {
-			panic("graph: Encoder.AppendNode ids not sorted")
+		c.Data = binary.AppendUvarint(c.Data, uint64(len(ids)))
+		prev := NodeID(0)
+		for _, u := range ids {
+			c.Data = binary.AppendUvarint(c.Data, uint64(u-prev))
+			prev = u
 		}
-		delta := uint64(u)
-		if i > 0 {
-			delta = uint64(u - prev)
-		}
-		k = binary.PutUvarint(e.varbuf[:], delta)
-		c.Data = append(c.Data, e.varbuf[:k]...)
-		prev = u
-	}
-	if weights != nil {
-		c.Weights = append(c.Weights, weights...)
-	}
-	c.Edges += int64(len(ids))
-	e.next++
-	if e.next%c.BlockSize == 0 || e.next == c.N {
+		c.Edges += int64(len(ids))
 		c.Offsets = append(c.Offsets, int64(len(c.Data)))
 		c.EdgeOff = append(c.EdgeOff, c.Edges)
 	}
-	if err := CheckScale(int64(c.N), c.Edges); err != nil {
-		panic(err)
-	}
-}
-
-// Finish returns the encoded graph; the encoder must have seen all n nodes.
-func (e *Encoder) Finish() *CompressedCSR {
-	if e.next != e.c.N {
-		panic(fmt.Sprintf("graph: Encoder finished at node %d of %d", e.next, e.c.N))
-	}
-	return e.c
+	return c
 }
 
 // NumNodes implements Topology.
@@ -237,54 +161,26 @@ func (c *CompressedCSR) NumEdges() int64 { return c.Edges }
 // Weighted implements Topology.
 func (c *CompressedCSR) Weighted() bool { return c.Weights != nil }
 
-// seek walks to node v inside its block and returns the byte position of
-// v's encoded list, its first-edge index, and its degree.
-func (c *CompressedCSR) seek(v NodeID) (pos int64, edge int64, deg int) {
-	b := int(v) / c.BlockSize
-	pos, edge = c.Offsets[b], c.EdgeOff[b]
-	for u := NodeID(b * c.BlockSize); ; u++ {
-		d, k := binary.Uvarint(c.Data[pos:])
-		if k <= 0 {
-			panic("graph: corrupt compressed adjacency")
-		}
-		if u == v {
-			return pos + int64(k), edge, int(d)
-		}
-		pos += int64(k)
-		for i := uint64(0); i < d; i++ {
-			_, k = binary.Uvarint(c.Data[pos:])
-			if k <= 0 {
-				panic("graph: corrupt compressed adjacency")
-			}
-			pos += int64(k)
-		}
-		edge += int64(d)
-	}
-}
-
-// Degree implements Topology by decoding the degree varint.
+// Degree implements Topology from the first-edge index.
 func (c *CompressedCSR) Degree(v NodeID) int {
-	_, _, deg := c.seek(v)
-	return deg
+	return int(c.EdgeOff[v+1] - c.EdgeOff[v])
 }
 
 // Neighbors implements Topology: it decodes v's sorted adjacency list into
 // a fresh slice.
 func (c *CompressedCSR) Neighbors(v NodeID) []NodeID {
-	pos, _, deg := c.seek(v)
-	out := make([]NodeID, deg)
+	out := make([]NodeID, c.Degree(v))
+	pos := c.Offsets[v]
+	_, k := binary.Uvarint(c.Data[pos:]) // the degree, which EdgeOff gives
 	prev := NodeID(0)
-	for i := 0; i < deg; i++ {
-		d, k := binary.Uvarint(c.Data[pos:])
+	for i := range out {
+		pos += int64(k)
+		var d uint64
+		d, k = binary.Uvarint(c.Data[pos:])
 		if k <= 0 {
 			panic("graph: corrupt compressed adjacency")
 		}
-		pos += int64(k)
-		if i == 0 {
-			prev = NodeID(d)
-		} else {
-			prev += NodeID(d)
-		}
+		prev += NodeID(d)
 		out[i] = prev
 	}
 	return out
@@ -295,8 +191,7 @@ func (c *CompressedCSR) NeighborWeights(v NodeID) []float32 {
 	if c.Weights == nil {
 		return nil
 	}
-	_, edge, deg := c.seek(v)
-	return c.Weights[edge : edge+int64(deg)]
+	return c.Weights[c.EdgeOff[v]:c.EdgeOff[v+1]]
 }
 
 // WeightSum implements Topology.
@@ -325,74 +220,20 @@ func (c *CompressedCSR) TopologyBytes() int64 {
 // NodeBytes returns the encoded size of v's adjacency list (degree varint
 // included) — the decode work a sampler touching v pays.
 func (c *CompressedCSR) NodeBytes(v NodeID) int64 {
-	pos, _, deg := c.seek(v)
-	end := pos
-	for i := 0; i < deg; i++ {
-		_, k := binary.Uvarint(c.Data[end:])
-		end += int64(k)
-	}
-	// seek already skipped the degree varint; charge it too.
-	b := int(v) / c.BlockSize
-	if int(v) == b*c.BlockSize {
-		return end - c.Offsets[b]
-	}
-	return end - pos + varintLen(uint64(deg))
+	return c.Offsets[v+1] - c.Offsets[v]
 }
 
-// NodeByteTable returns NodeBytes(v) for every node from one linear pass
-// over Data, for callers that price rows repeatedly.
-func (c *CompressedCSR) NodeByteTable() []int64 {
-	out := make([]int64, c.N)
-	var pos int64
-	for v := range out {
-		start := pos
-		deg, k := binary.Uvarint(c.Data[pos:])
-		for i := uint64(0); k > 0 && i < deg; i++ {
-			pos += int64(k)
-			_, k = binary.Uvarint(c.Data[pos:])
-		}
-		if k <= 0 {
-			panic("graph: corrupt compressed adjacency")
-		}
-		pos += int64(k)
-		out[v] = pos - start
-	}
-	return out
-}
-
-func varintLen(x uint64) int64 {
-	n := int64(1)
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-// RangeBytes returns the resident bytes of nodes [lo, hi): encoded
-// adjacency plus the per-block offset-table share plus weights. lo and hi
-// must be BlockSize-aligned (hi may be N) so block boundaries are exact —
-// the out-of-core store aligns its blocks to the encoding.
+// RangeBytes returns the resident bytes of nodes [lo, hi), lo <= hi <= N:
+// encoded adjacency plus the offset-table share plus weights.
 func (c *CompressedCSR) RangeBytes(lo, hi NodeID) int64 {
-	bl, bh := c.blockIndex(lo, "lo"), c.blockIndex(hi, "hi")
-	b := c.Offsets[bh] - c.Offsets[bl] + int64(bh-bl)*16
-	if bh == len(c.Offsets)-1 {
+	b := c.Offsets[hi] - c.Offsets[lo] + int64(hi-lo)*16
+	if int(hi) == c.N {
 		b += 16 // the trailing offset-table sentinel lives with the last range
 	}
 	if c.Weights != nil {
-		b += (c.EdgeOff[bh] - c.EdgeOff[bl]) * 4
+		b += (c.EdgeOff[hi] - c.EdgeOff[lo]) * 4
 	}
 	return b
-}
-
-func (c *CompressedCSR) blockIndex(v NodeID, what string) int {
-	if int(v) == c.N {
-		return len(c.Offsets) - 1
-	}
-	if int(v)%c.BlockSize != 0 {
-		panic(fmt.Sprintf("graph: RangeBytes %s=%d not aligned to block size %d", what, v, c.BlockSize))
-	}
-	return int(v) / c.BlockSize
 }
 
 // RangeBytes returns the flat resident bytes of nodes [lo, hi) (indptr

@@ -83,7 +83,6 @@ type Fabric struct {
 	Topo     *Topology
 	Counters Counters
 
-	eng       *sim.Engine
 	linkRes   []*sim.Resource // parallel to Topo.Links
 	switchRes []*sim.Resource // per PCIe switch
 	linkScale []float64       // per-link bandwidth multiplier (fault injection); nil = all 1
@@ -122,7 +121,7 @@ func (f *Fabric) SeizeLink(p *sim.Proc, li int, dur sim.Time) {
 
 // NewFabric instantiates the runtime fabric for a topology on an engine.
 func NewFabric(eng *sim.Engine, topo *Topology) *Fabric {
-	f := &Fabric{Topo: topo, eng: eng}
+	f := &Fabric{Topo: topo}
 	f.linkRes = make([]*sim.Resource, len(topo.Links))
 	for i := range f.linkRes {
 		f.linkRes[i] = eng.NewResource(1)

@@ -24,9 +24,8 @@ type Admission struct {
 	// Config.Tenants). Admitted+Rejected summed over tenants equals Arrived.
 	Tenants []TenantCount
 	// Goodput is the windowed within-SLO completion counter (nil without
-	// Config.SLO); SLO echoes the configured objective.
+	// Config.SLO).
 	Goodput *metrics.Goodput
-	SLO     sim.Time
 }
 
 // ShedRate is the fraction of arrivals rejected by admission control.
@@ -72,7 +71,7 @@ func NewIntake(cfg Config) *Intake {
 }
 
 // Totals returns the admission totals so far, per-tenant counts included
-// (Goodput and SLO are left to the caller, which owns the completions).
+// (Goodput is left to the caller, which owns the completions).
 func (in *Intake) Totals() Admission {
 	a := in.Admission
 	a.Tenants = in.tenants.Counts()

@@ -101,7 +101,7 @@ func (s *Server) report(end sim.Time) *Report {
 	if s.intake != nil {
 		r.Admission = s.intake.Totals()
 	}
-	r.Goodput, r.SLO = s.goodput, s.cfg.SLO
+	r.Goodput = s.goodput
 	for _, h := range s.latency {
 		r.Latency.Merge(h)
 	}

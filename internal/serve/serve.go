@@ -334,9 +334,11 @@ type Server struct {
 
 	// intake is a stand-alone server's arrival process (nil for a replica,
 	// which a router admits into); adm is where this server's arrivals and
-	// sheds are counted — the intake's totals when it has one.
+	// sheds are counted — the intake's totals when it has one. ledger is the
+	// run's ledger: the router's intake for a replica, adm stand-alone.
 	intake  *Intake
 	adm     *Admission
+	ledger  *Admission
 	goodput *metrics.Goodput
 
 	// run state
@@ -404,6 +406,7 @@ func newServer(cfg Config, eng *sim.Engine, name string, in *Intake, onComplete 
 		in = NewIntake(cfg)
 		s.intake, s.adm = in, &in.Admission
 	}
+	s.ledger = &in.Admission
 	s.weights = in.pop.Weights()
 	if cfg.SLO > 0 {
 		s.goodput = metrics.NewGoodput(float64(goodputWindow), float64(cfg.SLO))
@@ -516,7 +519,12 @@ func (s *Server) onCrash(p *sim.Proc, g int) {
 		t := s.view.NextLive(g)
 		for _, r := range s.pending[g] {
 			if len(s.pending[t]) >= s.cfg.QueueDepth {
+				// Admitted once, shed now: the router counts no shed of its
+				// own for this request, so the run's ledger takes it too.
 				s.adm.Shed++
+				if s.ledger != s.adm {
+					s.ledger.Shed++
+				}
 				s.cfg.Telemetry.ObserveShed(p.Now())
 				continue
 			}

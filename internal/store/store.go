@@ -27,8 +27,7 @@ import (
 // Config tunes the out-of-core tier.
 type Config struct {
 	// BlockNodes is the node-range width of one block (topology and feature
-	// tiers both; default 4096). Rounded up to the compressed encoding's
-	// offset granularity when the topology is compressed.
+	// tiers both; default 4096).
 	BlockNodes int
 	// CacheBytes is the host block-cache budget. <=0 selects half the total
 	// block bytes — enough to force real spill traffic on any graph.
@@ -143,9 +142,6 @@ func New(eng *sim.Engine, topo graph.Topology, featRows, rowBytes int, cfg Confi
 		cfg.BlockNodes = 4096
 	}
 	comp, isComp := topo.(*graph.CompressedCSR)
-	if isComp && cfg.BlockNodes%comp.BlockSize != 0 {
-		cfg.BlockNodes += comp.BlockSize - cfg.BlockNodes%comp.BlockSize
-	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4
 	}

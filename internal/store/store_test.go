@@ -301,25 +301,6 @@ func TestDeterministicStats(t *testing.T) {
 	}
 }
 
-func TestBlockNodesAlignsToCompressedBlockSize(t *testing.T) {
-	eng := sim.NewEngine()
-	g := graph.CompressBlocks(uniformCSR(64, 4), 7)
-	st, err := New(eng, g, 0, 0, Config{BlockNodes: 10, Spill: testSpill()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.blockNodes%7 != 0 {
-		t.Errorf("blockNodes %d not aligned to compressed block size 7", st.blockNodes)
-	}
-	var total int64
-	for _, b := range st.blocks {
-		total += b.bytes
-	}
-	if total != g.TopologyBytes() {
-		t.Errorf("block bytes sum %d != topology bytes %d", total, g.TopologyBytes())
-	}
-}
-
 // refUniqueBlocks is uniqueBlocks as it was: a map of the blocks seen.
 func refUniqueBlocks(s *Store, ids []graph.NodeID, base int) []int {
 	seen := make(map[int]struct{}, 8)

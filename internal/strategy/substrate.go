@@ -145,7 +145,6 @@ func Build(m *hw.Machine, opts train.Options, role Role) (*Substrate, error) {
 		}
 		budget = free * 9 / 10 // leave headroom for activations
 	}
-	policy := featstore.Policy(opts.CachePolicy)
 	switch {
 	case kind == KindP3:
 		// P3: every GPU holds a full-row [#Nodes, F/world] column slice —
@@ -153,9 +152,9 @@ func Build(m *hw.Machine, opts train.Options, role Role) (*Substrate, error) {
 		// Reserve below fails.
 		s.Store = featstore.BuildDimSliced(d.G.NumNodes(), d.Features, d.FeatDim, n)
 	case opts.ReplicatedCache:
-		s.Store = featstore.BuildReplicated(d.G, d.Features, d.FeatDim, n, budget, policy)
+		s.Store = featstore.BuildReplicated(d.G, d.Features, d.FeatDim, n, budget, opts.CachePolicy)
 	default:
-		s.Store = featstore.BuildPartitioned(d.G, d.Features, d.FeatDim, d.Offsets, budget, policy)
+		s.Store = featstore.BuildPartitioned(d.G, d.Features, d.FeatDim, d.Offsets, budget, opts.CachePolicy)
 	}
 	for g, dev := range m.GPUs {
 		if err := dev.Reserve(s.Store.CacheBytes(g)); err != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/compress"
 	"repro/internal/fault"
+	"repro/internal/featstore"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/hw"
@@ -319,8 +320,8 @@ type Options struct {
 	// (<=0: cache the whole patch). Smaller budgets spill low-degree
 	// adjacency lists to CPU memory (Figure 10).
 	TopoCacheBudget int64
-	// CachePolicy selects the hot-node criterion (0 = by degree).
-	CachePolicy int
+	// CachePolicy selects the hot-node criterion (zero value: by degree).
+	CachePolicy featstore.Policy
 	// DynamicCache selects the adaptive feature-cache policy
 	// (internal/cache): non-static policies rebalance each GPU's shard at
 	// epoch boundaries, promoting rows the tracker observed as hot. The

@@ -207,28 +207,76 @@ func (m *Manager) Dynamic() bool {
 // attempts do not double-count (the hotness counters deliberately do count
 // every attempt — the access pattern is real even if the round retries).
 func (m *Manager) Split(ids []graph.NodeID, g int) (local []graph.NodeID, remote [][]graph.NodeID, host []graph.NodeID) {
+	m.track(ids)
+	local, remote, host = m.store.Split(ids, g)
+	for q := range remote {
+		if len(remote[q]) > 0 && m.dead(q) {
+			host = append(host, remote[q]...)
+			remote[q] = nil
+		}
+	}
+	return local, remote, host
+}
+
+// Tally is Split by counts, for a caller that reads only the lists' lengths:
+// it records hotness and re-routes dead holders' rows exactly as Split does,
+// and leaves in counts what Split's lists would hold — counts[g] local
+// rows, counts[q] rows from peer q, counts[NumGPUs] host rows (a dead
+// holder's included, its own count zero). counts must have NumGPUs+1
+// entries. With withHost it also returns the host rows themselves, in
+// Split's order (host rows in request order, then each dead holder's rows
+// in GPU order), in a new slice of exactly that length; otherwise nil.
+func (m *Manager) Tally(ids []graph.NodeID, g int, counts []int, withHost bool) (host []graph.NodeID) {
+	m.track(ids)
+	m.store.Tally(ids, g, counts)
+	n := m.store.NumGPUs
+	for q := 0; q < n; q++ {
+		if q != g && counts[q] > 0 && m.dead(q) {
+			counts[n] += counts[q]
+			counts[q] = 0
+		}
+	}
+	if withHost && counts[n] > 0 {
+		host = m.store.AppendList(make([]graph.NodeID, 0, counts[n]), ids, g, n)
+		for q := 0; q < n; q++ {
+			if q != g && m.dead(q) {
+				host = m.store.AppendList(host, ids, g, q)
+			}
+		}
+	}
+	return host
+}
+
+// track records every requested row into the hotness counters (when
+// Dynamic).
+func (m *Manager) track(ids []graph.NodeID) {
 	if m.counts != nil {
 		for _, v := range ids {
 			m.counts[v]++
 		}
 	}
-	local, remote, host = m.store.Split(ids, g)
-	if m.view != nil {
-		for q := range remote {
-			if len(remote[q]) > 0 && !m.view.Alive(q) {
-				host = append(host, remote[q]...)
-				remote[q] = nil
-			}
-		}
-	}
-	return local, remote, host
 }
+
+// dead reports whether GPU q's shard is unreachable under the attached view.
+func (m *Manager) dead(q int) bool { return m.view != nil && !m.view.Alive(q) }
 
 // CountTiers folds a Split result into tier counts.
 func CountTiers(local []graph.NodeID, remote [][]graph.NodeID, host []graph.NodeID) Tiers {
 	t := Tiers{Local: int64(len(local)), Host: int64(len(host))}
 	for _, rq := range remote {
 		t.Peer += int64(len(rq))
+	}
+	return t
+}
+
+// TallyTiers folds requesting GPU g's Tally counts into tier counts.
+func TallyTiers(counts []int, g int) Tiers {
+	n := len(counts) - 1
+	t := Tiers{Local: int64(counts[g]), Host: int64(counts[n])}
+	for q, c := range counts[:n] {
+		if q != g {
+			t.Peer += int64(c)
+		}
 	}
 	return t
 }

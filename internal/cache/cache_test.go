@@ -303,3 +303,88 @@ func TestHottestFirstMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// TestTallyMatchesSplit: Tally is Split by counts. On random placements of
+// both row-cache layouts, requests with repeats, and membership views with
+// dead holders, its counts are Split's list lengths (counts[q] = len(remote[q]),
+// counts[g] = len(local), counts[n] = len(host)), they fold into CountTiers'
+// tiers, the host rows it returns on request are Split's host list in the
+// same order, and it records the same hotness.
+func TestTallyMatchesSplit(t *testing.T) {
+	const n = 4
+	f := build(t, n)
+	rows := f.g.NumNodes()
+	r := rng.New(17)
+	rerouted := 0 // trials in which a dead holder's rows went to the host
+	for trial := 0; trial < 60; trial++ {
+		var s *featstore.Store
+		if trial%3 == 2 {
+			s = featstore.BuildReplicated(f.g, f.feats, f.dim, n, int64(r.Intn(rows))*int64(f.dim*4), featstore.ByDegree)
+		} else {
+			s = f.store(int64(r.Intn(rows / n)))
+			for i := 0; i < rows/4; i++ { // scatter the placement
+				v := graph.NodeID(r.Intn(rows))
+				if r.Intn(3) == 0 {
+					s.Demote(v)
+				} else {
+					s.Promote(v, r.Intn(n))
+				}
+			}
+		}
+		split := New(s, f.g, f.offsets, Config{Policy: LFUDecay})
+		tally := New(s, f.g, f.offsets, Config{Policy: LFUDecay})
+		if trial%2 == 1 {
+			view := fault.NewView(n)
+			for _, q := range r.Perm(n)[:1+trial%3] {
+				view.Kill(q)
+			}
+			split.SetView(view)
+			tally.SetView(view)
+		}
+		ids := make([]graph.NodeID, r.Intn(300))
+		for i := range ids {
+			ids[i] = graph.NodeID(r.Intn(rows))
+		}
+		g := r.Intn(n)
+		local, remote, host := split.Split(ids, g)
+		raw := make([]int, n+1)
+		s.Tally(ids, g, raw)
+		if len(host) > raw[n] {
+			rerouted++
+		}
+		for _, withHost := range []bool{false, true} {
+			counts := make([]int, n+1)
+			got := tally.Tally(ids, g, counts, withHost)
+			want := make([]int, n+1)
+			for q := range remote {
+				want[q] = len(remote[q])
+			}
+			want[g], want[n] = len(local), len(host)
+			if !slices.Equal(counts, want) {
+				t.Fatalf("trial %d (layout %d, GPU %d): Tally counts %v, Split's list lengths %v", trial, s.Layout, g, counts, want)
+			}
+			if tiers := TallyTiers(counts, g); tiers != CountTiers(local, remote, host) {
+				t.Fatalf("trial %d: TallyTiers %+v, CountTiers %+v", trial, tiers, CountTiers(local, remote, host))
+			}
+			if !withHost {
+				if got != nil {
+					t.Fatalf("trial %d: Tally without host rows returned %d of them", trial, len(got))
+				}
+				continue
+			}
+			if !slices.Equal(got, host) || len(got) != cap(got) {
+				t.Fatalf("trial %d: Tally's host rows (len %d cap %d) differ from Split's %d", trial, len(got), cap(got), len(host))
+			}
+		}
+		// Tally ran twice on the same request, Split once.
+		for v := range split.counts {
+			if 2*split.counts[v] != tally.counts[v] {
+				t.Fatalf("trial %d: row %d hotness %v after one Split, %v after two Tallies", trial, v, split.counts[v], tally.counts[v])
+			}
+		}
+	}
+	if rerouted == 0 {
+		t.Fatal("no trial re-routed a dead holder's rows")
+	}
+	t.Logf("%d of 60 trials re-routed dead holders' rows", rerouted)
+}

@@ -38,7 +38,7 @@ func BenchmarkFeatureReply(b *testing.B) {
 				m.Eng.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 					for i := 0; i < b.N; i++ {
 						if mode == "counts" {
-							AllToAllCounts(c, p, r, counts, o)
+							AllToAllCounts(c, p, r, counts, nil, o)
 							continue
 						}
 						in := AllToAll(c, p, r, payloads, o)

@@ -109,7 +109,8 @@ type Communicator struct {
 	N       int
 
 	barrier *sim.Barrier
-	slots   []any // per-rank posted payload for the in-flight collective
+	slots   []*arPost // per-rank allreduce contribution in flight
+	boards  []board   // per payload type, the all-to-all posts in flight (see boardFor)
 	gate    Gate
 	comp    map[hw.TrafficClass]*CompressionStats
 
@@ -127,10 +128,34 @@ type Communicator struct {
 	// collective aborts (panics fault.Aborted) the instant a member dies, so
 	// participants can retry under the new view.
 	view    *fault.View
-	attGen  []int      // per-rank membership generation captured by Begin
-	arrived int        // live arrivals in the current barrier cycle
-	release int        // completed barrier cycles
-	bcond   *sim.Event // trigger-and-replace wakeup for barrier waiters
+	attGen  []int     // per-rank membership generation captured by Begin
+	arrived int       // live arrivals in the current barrier cycle
+	release int       // completed barrier cycles
+	bcond   *sim.Cond // wakes barrier waiters
+}
+
+// board is the post table of one all-to-all payload type; drop forgets every
+// rank's post.
+type board interface{ drop() }
+
+// typedBoard is the board of payload type S: posted[r] is rank r's out table.
+// Posting a slice into a table of its own type boxes nothing.
+type typedBoard[S any] struct{ posted [][]S }
+
+func (b *typedBoard[S]) drop() { clear(b.posted) }
+
+// boardFor returns c's board for payload type S, creating it on first use. A
+// communicator carries a handful of payload types, so a scan of type
+// assertions finds it without a map.
+func boardFor[S any](c *Communicator) *typedBoard[S] {
+	for _, b := range c.boards {
+		if b, ok := b.(*typedBoard[S]); ok {
+			return b
+		}
+	}
+	b := &typedBoard[S]{posted: make([][]S, c.N)}
+	c.boards = append(c.boards, b)
+	return b
 }
 
 // SetGate installs a communication-kernel launch gate (one per worker
@@ -144,7 +169,7 @@ func (c *Communicator) SetGate(g Gate) { c.gate = g }
 func (c *Communicator) SetView(v *fault.View) {
 	c.view = v
 	c.attGen = make([]int, c.N)
-	c.bcond = c.Machine.Eng.NewEvent()
+	c.bcond = c.Machine.Eng.NewCond()
 	v.OnChange(func() {
 		// A member died: void the in-flight attempt. Arrivals reset, posted
 		// payloads are dropped (the shared reduction with them — it is NOT
@@ -152,8 +177,9 @@ func (c *Communicator) SetView(v *fault.View) {
 		// reference), and every waiter wakes to observe the stale generation
 		// and unwind.
 		c.arrived = 0
-		for i := range c.slots {
-			c.slots[i] = nil
+		clear(c.slots)
+		for _, b := range c.boards {
+			b.drop()
 		}
 		c.arSum, c.arLive = nil, 0
 		c.notify()
@@ -182,12 +208,8 @@ func (c *Communicator) alive(q int) bool {
 	return c.view == nil || c.view.Alive(q)
 }
 
-// notify wakes all barrier waiters (trigger-and-replace).
-func (c *Communicator) notify() {
-	ev := c.bcond
-	c.bcond = c.Machine.Eng.NewEvent()
-	ev.Trigger()
-}
+// notify wakes all barrier waiters.
+func (c *Communicator) notify() { c.bcond.Broadcast() }
 
 // arrive is the collective barrier: the plain cyclic barrier without a view,
 // or a membership-aware one that releases when all live ranks have arrived
@@ -233,7 +255,7 @@ func New(m *hw.Machine) *Communicator {
 		Machine: m,
 		N:       n,
 		barrier: m.Eng.NewBarrier(n),
-		slots:   make([]any, n),
+		slots:   make([]*arPost, n),
 		comp:    map[hw.TrafficClass]*CompressionStats{},
 	}
 }
@@ -278,41 +300,56 @@ const sizeHeaderBytes = 8
 // return value's [r] on rank q. o prices the wire (a codec discounts the
 // bill but never touches the values). Must be called by all ranks.
 func AllToAll[T any](c *Communicator, p *sim.Proc, rank int, out [][]T, o Opts) [][]T {
-	return exchange(c, p, rank, out, o, func(seg []T) int { return len(seg) })
+	return AllToAllInto(c, p, rank, out, nil, o)
+}
+
+// AllToAllInto is AllToAll receiving into in: the result is in, resized to
+// the rank count, when its capacity allows, and a new table otherwise. Only
+// the table is the caller's; its segments are the senders' out segments, as
+// in AllToAll.
+func AllToAllInto[T any](c *Communicator, p *sim.Proc, rank int, out, in [][]T, o Opts) [][]T {
+	return exchange(c, p, rank, out, in, o, func(seg []T) int { return len(seg) })
 }
 
 // AllToAllCounts is AllToAll for a modelled payload: rank sends counts[q]
 // elements to q and gets back, indexed by sender, the count each live peer
-// sent it (zero from dead ranks). The virtual time, fabric bytes and codec
-// accounting are exactly AllToAll's on payloads of those lengths; no
-// element is materialised. Must be called by all ranks.
-func AllToAllCounts(c *Communicator, p *sim.Proc, rank int, counts []int, o Opts) []int {
-	return exchange(c, p, rank, counts, o, func(n int) int { return n })
+// sent it (zero from dead ranks), received into in as AllToAllInto does
+// (nil allocates). The virtual time, fabric bytes and codec accounting are
+// exactly AllToAll's on payloads of those lengths; no element is
+// materialised. Must be called by all ranks.
+func AllToAllCounts(c *Communicator, p *sim.Proc, rank int, counts, in []int, o Opts) []int {
+	return exchange(c, p, rank, counts, in, o, func(n int) int { return n })
 }
 
-// exchange is the one all-to-all body: post, synchronise, collect, the timed
-// wire loop, synchronise. out[q] is what rank sends q and elems(out[q]) its
-// element count on the wire.
-func exchange[S any](c *Communicator, p *sim.Proc, rank int, out []S, o Opts, elems func(S) int) []S {
+// exchange is the one all-to-all body: post, synchronise, collect into in,
+// the timed wire loop, synchronise. out[q] is what rank sends q and
+// elems(out[q]) its element count on the wire.
+func exchange[S any](c *Communicator, p *sim.Proc, rank int, out, in []S, o Opts, elems func(S) int) []S {
 	if len(out) != c.N {
 		panic(fmt.Sprintf("comm: rank %d posted %d buffers for %d ranks", rank, len(out), c.N))
 	}
+	if cap(in) < c.N {
+		in = make([]S, c.N)
+	}
+	in = in[:c.N]
 	if c.N == 1 {
-		return []S{out[0]}
+		in[0] = out[0]
+		return in
 	}
 	c.enter(p, rank)
 	defer c.exit(rank)
 	// Post and synchronise so every rank's payload is visible.
-	c.slots[rank] = out
+	b := boardFor[S](c)
+	b.posted[rank] = out
 	c.arrive(p, rank)
 	// Collect (data is valid now; timing is enforced below). Dead ranks
-	// contribute nothing — their in[q] stays the zero value (empty).
-	in := make([]S, c.N)
+	// contribute nothing — their in[q] is the zero value (empty).
+	var zero S
 	for q := 0; q < c.N; q++ {
-		if !c.alive(q) || c.slots[q] == nil {
-			continue
+		in[q] = zero
+		if c.alive(q) && b.posted[q] != nil {
+			in[q] = b.posted[q][rank]
 		}
-		in[q] = c.slots[q].([]S)[rank]
 	}
 	// Timed wire movement: size headers then payloads, charged to the
 	// sender in deterministic peer order. Nothing is sent to dead ranks.
@@ -377,7 +414,7 @@ func (c *Communicator) reduceOnce(n int, o Opts, lossy bool) {
 			continue
 		}
 		live++
-		posts = append(posts, c.slots[q].(*arPost))
+		posts = append(posts, c.slots[q])
 	}
 	sum := c.pool.Get(n)
 	contribs := make([][]float32, 0, len(posts))

@@ -69,7 +69,7 @@ func runCounted(t *testing.T, n, rounds, scale int, o Opts, withView bool, victi
 						}()
 						c.Begin(r)
 						if counted {
-							got = AllToAllCounts(c, p, r, counts, o)
+							got = AllToAllCounts(c, p, r, counts, nil, o)
 							return false
 						}
 						in := AllToAll(c, p, r, zeroPayloads(counts), o)

@@ -181,14 +181,16 @@ type World struct {
 // collective and start its retry while a peer still sleeps in the old
 // attempt's sample window, its unit reading the tasks this rank posted: open
 // marks a round that began and did not end, and the next round then leaves
-// the old task buffers to their readers and appends to fresh ones.
+// the old task buffers to their readers and appends to fresh ones. It
+// leaves the old receive tables (inTasks, backCounts, backSamples) behind
+// the same way.
 //
 // start and order (the draw order's buckets and tasks) belong to the draw
 // unit alone: it is their only reader and writer, and it is joined on every
 // way out of the frame, so no two units ever share them. Everything else
 // (counts, owner, cur, hostNodes, outCounts, ahead, peerSeed, samples, the
-// deduper) is read by this rank alone. A Clone starts with no
-// scratch, so every multi-instance sampler world owns its own.
+// receive tables, the deduper) is read by this rank alone. A Clone starts
+// with no scratch, so every multi-instance sampler world owns its own.
 //
 // The release rule. free holds the batches this rank's last readers handed
 // back with Release; the next batch pops one and is rebuilt in its arrays.
@@ -216,6 +218,16 @@ type roundScratch struct {
 	replySamples [][]graph.NodeID
 	start        []int32   // draw-order bucket offsets (see drawTasks)
 	order        []drawRef // received tasks in draw order
+
+	// inTasks, backCounts and backSamples are the tables the shuffle and
+	// the reshuffle receive into. draw is the draw unit, bound to this
+	// workspace once; drawCfg and drawLayer name the layer it draws.
+	inTasks     [][]task
+	backCounts  [][]int32
+	backSamples [][]graph.NodeID
+	draw        func()
+	drawCfg     sample.Config
+	drawLayer   int
 
 	hostNodes []graph.NodeID
 	outCounts []int32
@@ -279,7 +291,7 @@ func (w *World) scratchOf(rank int) *roundScratch {
 	}
 	if w.scratch[rank] == nil {
 		n := w.Comm.N
-		w.scratch[rank] = &roundScratch{
+		s := &roundScratch{
 			dedup:        sample.NewDeduper(int(w.Offsets[len(w.Offsets)-1])),
 			outTasks:     make([][]task, n),
 			cur:          make([]replyCursor, n),
@@ -287,6 +299,8 @@ func (w *World) scratchOf(rank int) *roundScratch {
 			replySamples: make([][]graph.NodeID, n),
 			peerSeed:     make([]uint64, n),
 		}
+		s.draw = func() { w.drawTasks(s, rank, s.inTasks, s.drawCfg, s.drawLayer) }
+		w.scratch[rank] = s
 	}
 	return w.scratch[rank]
 }
@@ -695,6 +709,9 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 			outTasks[o] = outTasks[o][:0]
 		}
 	}
+	if s.open {
+		s.inTasks, s.backCounts, s.backSamples = nil, nil, nil
+	}
 	s.open = true
 	s.owner = resized(s.owner, len(dst))
 	owner := s.owner
@@ -707,7 +724,8 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 		owner[i] = int8(o)
 		outTasks[o] = append(outTasks[o], task{Node: v, Count: counts[i]})
 	}
-	inTasks := comm.AllToAll(w.Comm, p, rank, outTasks, comm.Raw(taskBytes, hw.TrafficSample))
+	s.inTasks = comm.AllToAllInto(w.Comm, p, rank, outTasks, s.inTasks, comm.Raw(taskBytes, hw.TrafficSample))
+	inTasks := s.inTasks
 
 	// --- sample: one fused kernel over every received task ------------
 	// The actual neighbour draws are pure data work (each draw is seeded by
@@ -715,7 +733,8 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	// they are offloaded to the worker pool here and joined at the
 	// reshuffle commit point below; the timed kernel/UVA charges in between
 	// overlap the draws in real time.
-	draws := w.group().Submit(func() { w.drawTasks(s, rank, inTasks, cfg, layer) })
+	s.drawCfg, s.drawLayer = cfg, layer
+	draws := w.group().Submit(s.draw)
 	// No unit outlives its round, however the frame is left (a kill unwinds
 	// through here): it reads peers' task buffers and writes this rank's
 	// reply buffers, and both are written again next round.
@@ -766,9 +785,10 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	}
 	// --- reshuffle: results travel back to requesters ------------------
 	draws.Join() // commit point: replyCounts/replySamples valid from here
-	backCounts := comm.AllToAll(w.Comm, p, rank, s.replyCounts, comm.Raw(4, hw.TrafficSample))
-	backSamples := comm.AllToAll(w.Comm, p, rank, s.replySamples, comm.Raw(idBytes, hw.TrafficSample))
+	s.backCounts = comm.AllToAllInto(w.Comm, p, rank, s.replyCounts, s.backCounts, comm.Raw(4, hw.TrafficSample))
+	s.backSamples = comm.AllToAllInto(w.Comm, p, rank, s.replySamples, s.backSamples, comm.Raw(idBytes, hw.TrafficSample))
 	s.open = false // every rank entered the reshuffle: no draw unit is left
+	backCounts, backSamples := s.backCounts, s.backSamples
 
 	// --- assembly on the requester -------------------------------------
 	var total int

@@ -10,7 +10,8 @@ import (
 
 // The featstore slice of the per-package ledger: ns/op, allocs/op and rows/s
 // of Split on a 4-GPU partitioned cache, beside the append loop it replaced
-// ("ref"), so one process gives both sides of the comparison:
+// ("ref"), so one process gives both sides of the comparison, and of the
+// count-only Tally the loader runs:
 //
 //	go test -run '^$' -bench . -benchmem ./internal/featstore/
 func BenchmarkSplit(b *testing.B) {
@@ -37,4 +38,13 @@ func BenchmarkSplit(b *testing.B) {
 			b.ReportMetric(float64(len(ids))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
+	// Tally is the loader's split: the same classification, counts only.
+	b.Run(fmt.Sprintf("rows=%d/tally", len(ids)), func(b *testing.B) {
+		b.ReportAllocs()
+		counts := make([]int, s.NumGPUs+1)
+		for i := 0; i < b.N; i++ {
+			s.Tally(ids, i%4, counts)
+		}
+		b.ReportMetric(float64(len(ids))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
 }

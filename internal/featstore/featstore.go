@@ -215,18 +215,39 @@ func (s *Store) Demote(v graph.NodeID) {
 	}
 }
 
+// Tally counts requested ids by Split list for requesting GPU g: counts[q]
+// is the number of rows GPU q's cache serves (q == g: the local ones) and
+// counts[NumGPUs] the number of host rows. counts must have NumGPUs+1
+// entries; Tally overwrites them.
+func (s *Store) Tally(ids []graph.NodeID, g int, counts []int) {
+	clear(counts)
+	for _, v := range ids {
+		counts[s.list(v, g)]++
+	}
+}
+
+// AppendList appends to dst, in request order, the ids of Split list l for
+// requesting GPU g (l = q: rows GPU q's cache serves; l = NumGPUs: host
+// rows) and returns the extended slice.
+func (s *Store) AppendList(dst, ids []graph.NodeID, g, l int) []graph.NodeID {
+	for _, v := range ids {
+		if s.list(v, g) == l {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
 // Split partitions requested ids by placement for requesting GPU g:
 // local rows, per-remote-GPU rows, and host rows, each in request order and
-// nil when empty. A counting pass sizes every list exactly and a second
-// pass places each row into one backing array, where the lists lie end to
-// end. Each list is capped at its length, so an append (the cache manager's
+// nil when empty. Tally sizes every list exactly and a second pass places
+// each row into one backing array, where the lists lie end to end. Each
+// list is capped at its length, so an append (the cache manager's
 // dead-holder reroute) copies instead of overwriting a neighbour.
 func (s *Store) Split(ids []graph.NodeID, g int) (local []graph.NodeID, remote [][]graph.NodeID, host []graph.NodeID) {
 	n := s.NumGPUs
 	next := make([]int, n+1)
-	for _, v := range ids {
-		next[s.list(v, g)]++
-	}
+	s.Tally(ids, g, next)
 	// Counts to start offsets: next[l] is where list l's next row goes.
 	off := 0
 	for l, c := range next {

@@ -55,10 +55,11 @@ type Coordinator struct {
 	slot []*sim.Resource
 
 	// Leader state: the global grant order (worker ids in leader submission
-	// order) and each GPU's progress through it.
+	// order) and each GPU's progress through it. Only the suffix some live
+	// GPU has not yet passed is kept (see trim).
 	granted   []int
 	nextGrant []int
-	cond      []*sim.Event // per-GPU "state advanced" condition
+	cond      []*sim.Cond // per-GPU "state advanced" condition
 
 	// view, when set, enables leader failover: the leader is the lowest
 	// LIVE GPU, and a death resets the grant log (every in-flight collective
@@ -77,7 +78,7 @@ func NewCoordinator(eng *sim.Engine, n int, useCCC bool, slotCap int) *Coordinat
 	c := &Coordinator{eng: eng, n: n, UseCCC: useCCC}
 	for g := 0; g < n; g++ {
 		c.slot = append(c.slot, eng.NewResource(slotCap))
-		c.cond = append(c.cond, eng.NewEvent())
+		c.cond = append(c.cond, eng.NewCond())
 	}
 	c.nextGrant = make([]int, n)
 	return c
@@ -108,11 +109,7 @@ func (c *Coordinator) Leader() int {
 }
 
 // notify wakes every process waiting on GPU g's condition.
-func (c *Coordinator) notify(g int) {
-	ev := c.cond[g]
-	c.cond[g] = c.eng.NewEvent()
-	ev.Trigger()
-}
+func (c *Coordinator) notify(g int) { c.cond[g].Broadcast() }
 
 // notifyAll broadcasts a state change to all GPUs (leader grants are global).
 func (c *Coordinator) notifyAll() {
@@ -140,6 +137,7 @@ func (c *Coordinator) Enter(p *sim.Proc, gpu, workerID int) {
 		for {
 			if c.nextGrant[gpu] < len(c.granted) && c.granted[c.nextGrant[gpu]] == workerID {
 				c.nextGrant[gpu]++
+				c.trim()
 				c.notify(gpu) // others on this GPU may now be up
 				break
 			}
@@ -159,6 +157,26 @@ func (c *Coordinator) Enter(p *sim.Proc, gpu, workerID int) {
 				float64(t0), float64(c.eng.Now()),
 				map[string]string{"worker": fmt.Sprint(workerID)})
 		}
+	}
+}
+
+// trim drops the prefix of the grant log that every live GPU has passed and
+// rebases their positions, so the log holds only grants still to be taken
+// somewhere and does not grow with the length of the run. A dead GPU takes no
+// more grants (a death resets the log), so it holds nothing back.
+func (c *Coordinator) trim() {
+	done := len(c.granted)
+	for g, k := range c.nextGrant {
+		if c.view == nil || c.view.Alive(g) {
+			done = min(done, k)
+		}
+	}
+	if done == 0 {
+		return
+	}
+	c.granted = c.granted[:copy(c.granted, c.granted[done:])]
+	for g := range c.nextGrant {
+		c.nextGrant[g] = max(c.nextGrant[g]-done, 0)
 	}
 }
 

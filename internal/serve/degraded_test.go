@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/trace"
 )
 
 // TestServeDegradedSurvivesCrash: a GPU crash mid-run switches the fleet to
@@ -140,4 +141,37 @@ func TestServeLinkFaultsSlowButComplete(t *testing.T) {
 	}
 	t.Logf("clean mean %.3fms, faulty mean %.3fms",
 		1e3*clean.Latency.Mean(), 1e3*faulty.Latency.Mean())
+}
+
+// TestCrashShedsTraced: a crash re-routes the dead GPU's queued requests into
+// a live GPU's full queue, and each one shed there is a "shed" trace instant
+// at the crash instant, as an admission shed is — the trace counts exactly
+// the report's sheds.
+func TestCrashShedsTraced(t *testing.T) {
+	cfg := testConfig(t, 2)
+	const crashAt = 0.02
+	cfg.Faults = []fault.Fault{{Kind: fault.Crash, GPU: 1, At: crashAt}}
+	cfg.QueueDepth, cfg.MaxBatch = 4, 1
+	cfg.Rate = 20000
+	tr := trace.New()
+	cfg.Tracer = tr
+	rep, err := Serve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sheds, atCrash int
+	for _, e := range tr.Events() {
+		if e.Ph == "i" && e.Name == "shed" {
+			sheds++
+			if e.Ts == crashAt*1e6 {
+				atCrash++
+			}
+		}
+	}
+	if sheds != rep.Shed {
+		t.Errorf("%d shed instants in the trace, the report sheds %d", sheds, rep.Shed)
+	}
+	if atCrash == 0 {
+		t.Error("no shed at the crash instant: the scenario no longer sheds re-routed requests")
+	}
 }

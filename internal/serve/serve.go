@@ -342,7 +342,7 @@ type Server struct {
 	goodput *metrics.Goodput
 
 	// run state
-	wake      *sim.Event
+	wake      *sim.Cond
 	genDone   bool
 	started   bool
 	pending   [][]*Request
@@ -525,7 +525,7 @@ func (s *Server) onCrash(p *sim.Proc, g int) {
 				if s.ledger != s.adm {
 					s.ledger.Shed++
 				}
-				s.cfg.Telemetry.ObserveShed(p.Now())
+				s.observeShed(p.Now(), r.Node, t)
 				continue
 			}
 			r.GPU = t
@@ -569,7 +569,7 @@ func (s *Server) Start() {
 	s.started = true
 	n := s.cfg.Data.NumGPUs()
 	eng := s.m.Eng
-	s.wake = eng.NewEvent()
+	s.wake = eng.NewCond()
 	s.pending = make([][]*Request, n)
 	for g := 0; g < n; g++ {
 		s.sampQ = append(s.sampQ, eng.NewQueue(1))
@@ -694,11 +694,7 @@ func (s *Server) Admit(now sim.Time, id int, node graph.NodeID, tenant int) bool
 func (s *Server) admit(now sim.Time, id int, node graph.NodeID, tenant int) bool {
 	g := s.targetGPU(node)
 	if len(s.pending[g]) >= s.cfg.QueueDepth {
-		s.cfg.Telemetry.ObserveShed(now)
-		if tr := s.cfg.Tracer; tr.Enabled() {
-			tr.Instant("shed", "serve", len(s.pending), 0, float64(now), "t",
-				map[string]string{"node": fmt.Sprint(node), "gpu": fmt.Sprint(g)})
-		}
+		s.observeShed(now, node, g)
 		return false
 	}
 	s.pending[g] = append(s.pending[g], &Request{
@@ -707,6 +703,16 @@ func (s *Server) admit(now sim.Time, id int, node graph.NodeID, tenant int) bool
 	s.traceDepth(now)
 	s.signal()
 	return true
+}
+
+// observeShed records a request for node shed at GPU g's full admission
+// queue: on the telemetry hub and as a "shed" trace instant.
+func (s *Server) observeShed(now sim.Time, node graph.NodeID, g int) {
+	s.cfg.Telemetry.ObserveShed(now)
+	if tr := s.cfg.Tracer; tr.Enabled() {
+		tr.Instant("shed", "serve", len(s.pending), 0, float64(now), "t",
+			map[string]string{"node": fmt.Sprint(node), "gpu": fmt.Sprint(g)})
+	}
 }
 
 // CloseIntake marks the arrival stream finished: the controller drains the
@@ -764,13 +770,8 @@ func Serve(cfg Config) (*Report, error) {
 	return s.Run()
 }
 
-// signal wakes the controller: trigger-and-replace, the event-based
-// condition variable pattern (events are one-shot).
-func (s *Server) signal() {
-	old := s.wake
-	s.wake = s.m.Eng.NewEvent()
-	old.Trigger()
-}
+// signal wakes the controller.
+func (s *Server) signal() { s.wake.Broadcast() }
 
 // traceDepth samples every GPU's admission-queue depth as one counter event.
 func (s *Server) traceDepth(now sim.Time) {

@@ -17,10 +17,11 @@
 // sequence number). Runs are therefore bit-for-bit reproducible regardless of
 // GOMAXPROCS.
 //
-// Processes advance virtual time with Sleep, synchronise with Event, Barrier
-// and Resource, and exchange data through bounded Queues. A park allocates
-// nothing: what a process waits for is a (kind, deadline) value on the Proc
-// that is only put into words when a deadlock is reported. When no process is
+// Processes advance virtual time with Sleep, synchronise with Event (one
+// shot), Cond (a reusable broadcast), Barrier and Resource, and exchange data
+// through bounded Queues. A park allocates nothing: what a process waits for
+// is a (kind, deadline) value on the Proc that is only put into words when a
+// deadlock is reported. When no process is
 // runnable and no timer is pending but live processes remain parked, Run
 // reports a deadlock together with the parked process names — this is used to
 // demonstrate the communication-deadlock hazard the paper's CCC scheme
@@ -409,12 +410,19 @@ func (ev *Event) Trigger() {
 		return
 	}
 	ev.fired = true
-	for _, w := range ev.waiters {
-		if w.gen == w.p.gen { // skip waiters already woken by their timeout
-			ev.eng.makeReady(w.p)
+	ev.eng.wakeWaiters(ev.waiters)
+	ev.waiters = nil
+}
+
+// wakeWaiters readies, in registration order, every waiter still parked on
+// the registration: one whose process has resumed since (its timeout won, or
+// it was killed) is skipped.
+func (e *Engine) wakeWaiters(ws []eventWaiter) {
+	for _, w := range ws {
+		if w.gen == w.p.gen {
+			e.makeReady(w.p)
 		}
 	}
-	ev.waiters = nil
 }
 
 // Wait parks p until the event fires.
@@ -454,6 +462,66 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 	ev.waiters = append(ev.waiters, eventWaiter{p, p.gen})
 	p.park(parkEventTimeout, e.now+d)
 	return ev.fired
+}
+
+// Cond is a reusable broadcast condition: processes Wait on it, and each
+// Broadcast wakes, at the current instant and in registration order, every
+// process waiting at that moment. Unlike an Event it never stays fired — a
+// Wait after a Broadcast parks until the next one — so one Cond serves a
+// state that changes many times, where an Event would have to be replaced on
+// every change. The waiter list keeps its storage across broadcasts, so a
+// steady Wait/Broadcast cycle allocates nothing.
+type Cond struct {
+	eng     *Engine
+	waiters []eventWaiter
+	n       uint64 // broadcasts so far
+}
+
+// NewCond creates a condition with no waiters.
+func (e *Engine) NewCond() *Cond { return &Cond{eng: e} }
+
+// Broadcast wakes every process waiting on c. A registration whose process
+// has already resumed (a WaitTimeout whose timer won) is skipped, as in
+// Event.Trigger.
+func (c *Cond) Broadcast() {
+	c.n++
+	c.eng.wakeWaiters(c.waiters)
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
+}
+
+// Wait parks p until the next Broadcast.
+func (c *Cond) Wait(p *Proc) {
+	c.register(p)
+	p.park(parkEvent, 0)
+}
+
+// WaitTimeout parks p until the next Broadcast or until d virtual seconds
+// elapse, whichever comes first, and reports whether a Broadcast woke it.
+// Ties and d <= 0 resolve exactly as in Event.WaitTimeout: a Broadcast
+// delivered while p is still parked beats a timer due at the same instant.
+func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
+	if d < 0 {
+		d = 0
+	}
+	n := c.n
+	e := p.eng
+	e.seq++
+	e.timers.Push(timer{at: e.now + d, seq: e.seq, p: p, gen: p.gen})
+	c.register(p)
+	p.park(parkEventTimeout, e.now+d)
+	return c.n != n
+}
+
+// register adds p as a waiter. Before the list would grow it drops the
+// registrations whose processes have resumed since, which no Broadcast
+// would wake, so timed-out waiters of a Cond that is seldom broadcast do
+// not accumulate.
+func (c *Cond) register(p *Proc) {
+	if len(c.waiters) == cap(c.waiters) {
+		c.waiters = slices.DeleteFunc(c.waiters, func(w eventWaiter) bool { return w.gen != w.p.gen })
+	}
+	c.waiters = append(c.waiters, eventWaiter{p, p.gen})
 }
 
 // Barrier blocks processes until n of them have arrived, then releases the

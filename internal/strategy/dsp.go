@@ -30,6 +30,32 @@ type DSP struct {
 	// commits once a round survives its collective attempts); otherwise
 	// Load commits at split time.
 	deferTiers bool
+
+	// tables[rank] is the free list of rank's Load count tables.
+	tables [][]*loadTables
+}
+
+// loadTables is one Load's count tables: the manager's Tally counts, the
+// request and reply counts the two all-to-alls send, and the table both
+// receive into. Loader instances on one rank run concurrently, so each Load
+// takes a set off its rank's free list and puts it back when it returns; a
+// Load unwound by an aborted round drops its set, as the round drops its
+// batch.
+type loadTables struct {
+	split, reqs, replies, in []int
+}
+
+// takeTables returns a free set of count tables for rank on n GPUs.
+func (s *DSP) takeTables(rank, n int) *loadTables {
+	if s.tables == nil {
+		s.tables = make([][]*loadTables, n)
+	}
+	if k := len(s.tables[rank]); k > 0 {
+		t := s.tables[rank][k-1]
+		s.tables[rank] = s.tables[rank][:k-1]
+		return t
+	}
+	return &loadTables{split: make([]int, n+1), reqs: make([]int, n), replies: make([]int, n), in: make([]int, n)}
 }
 
 // Kind implements ExecutionStrategy.
@@ -45,14 +71,17 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 	dev := s.M.GPUs[rank]
 	ids := mb.InputNodes()
 	feats, gather := s.stage(mb)
-	// The manager's Split records row hotness for the epoch-boundary
-	// rebalancer and re-routes dead-holder rows to the host tier.
-	local, remote, host := s.Cache.Split(ids, rank)
-	tiers := cache.CountTiers(local, remote, host)
+	n := lc.N
+	t := s.takeTables(rank, n)
+	// The manager's Tally records row hotness for the epoch-boundary
+	// rebalancer and re-routes dead-holder rows to the host tier. Every
+	// path is charged by row counts; only the out-of-core tier and a
+	// cluster's owner split read which rows are cold.
+	host := s.Cache.Tally(ids, rank, t.split, s.Host != nil || s.clustered())
+	tiers := cache.TallyTiers(t.split, rank)
 	if !s.deferTiers {
 		s.Cache.Account(rank, tiers)
 	}
-	n := lc.N
 
 	// Feature tier of the frontier walk: the split names exactly the
 	// host-tier rows the UVA side path is about to read — prefetch their
@@ -64,9 +93,10 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 
 	// Cold rows this machine's CPU memory holds, via UVA, concurrently with
 	// the NVLink path.
-	mine, foreign := s.coldOwners(host)
-	uvaDone := eng.NewEvent()
+	mine, foreign := s.coldOwners(t.split[n], host)
+	var uvaDone *sim.Event
 	if mine > 0 {
+		uvaDone = eng.NewEvent()
 		eng.Go(fmt.Sprintf("gpu%d/uva", rank), func(cp *sim.Proc) {
 			// Host rows must be cache-resident before UVA can read them:
 			// the out-of-core tier stalls this side path (not the NVLink
@@ -77,8 +107,6 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 			dev.UVARead(cp, s.M.Fabric, mine, d.RowBytes(), hw.TrafficFeature)
 			uvaDone.Trigger()
 		})
-	} else {
-		uvaDone.Trigger()
 	}
 	// Cold rows other machines hold, also concurrently.
 	var netDone *sim.Event
@@ -105,8 +133,8 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 	}
 
 	// Local cache hits: one gather kernel.
-	if len(local) > 0 {
-		dev.RunKernel(p, hw.KernelGather, int64(len(local))*int64(d.RowBytes()))
+	if local := t.split[rank]; local > 0 {
+		dev.RunKernel(p, hw.KernelGather, int64(local)*int64(d.RowBytes()))
 	}
 
 	// Remote hot rows: request ids, owners gather, rows come back. Both are
@@ -114,41 +142,49 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 	// only their element counts move, the reply priced under the feature
 	// codec.
 	if n > 1 {
-		reqs := make([]int, n)
-		for q, ids := range remote {
-			reqs[q] = len(ids)
-		}
-		reqIn := comm.AllToAllCounts(lc, p, rank, reqs, comm.Raw(4, hw.TrafficFeature))
-		replies := make([]int, n)
+		copy(t.reqs, t.split[:n])
+		t.reqs[rank] = 0
+		reqIn := comm.AllToAllCounts(lc, p, rank, t.reqs, t.in, comm.Raw(4, hw.TrafficFeature))
 		var served int64
 		for q := 0; q < n; q++ {
 			served += int64(reqIn[q])
-			replies[q] = reqIn[q] * d.FeatDim
+			t.replies[q] = reqIn[q] * d.FeatDim
 		}
 		if served > 0 {
 			dev.RunKernel(p, hw.KernelGather, served*int64(d.RowBytes()))
 		}
-		comm.AllToAllCounts(lc, p, rank, replies, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
+		comm.AllToAllCounts(lc, p, rank, t.replies, t.in, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
 	}
 
-	uvaDone.Wait(p)
+	if uvaDone != nil {
+		uvaDone.Wait(p)
+	}
 	if netDone != nil {
 		netDone.Wait(p)
 	}
 	// Assemble the contiguous input-feature buffer.
 	dev.RunKernel(p, hw.KernelGather, int64(len(ids))*int64(d.RowBytes()))
 	gather.Join()
+	s.tables[rank] = append(s.tables[rank], t)
 	return Loaded{MB: mb, Feats: feats, Tiers: tiers}
 }
 
-// coldOwners splits the host-tier rows by owning machine: mine counts the
-// rows this machine's CPU memory holds and foreign[o] the rows machine o
-// holds (nil when there are none — always, outside a cluster of several).
-func (s *DSP) coldOwners(host []graph.NodeID) (mine int64, foreign []int64) {
+// clustered reports whether this machine belongs to a cluster of several,
+// whose CPU memories shard the cold rows.
+func (s *DSP) clustered() bool {
 	c := s.M.Cluster
-	if c == nil || len(c.Machines) == 1 {
-		return int64(len(host)), nil
+	return c != nil && len(c.Machines) > 1
+}
+
+// coldOwners splits the cold rows by owning machine: mine counts the rows
+// this machine's CPU memory holds and foreign[o] the rows machine o holds
+// (nil when there are none). Outside a cluster of several, all cold rows
+// are this machine's and host is not read.
+func (s *DSP) coldOwners(cold int, host []graph.NodeID) (mine int64, foreign []int64) {
+	if !s.clustered() {
+		return int64(cold), nil
 	}
+	c := s.M.Cluster
 	for _, v := range host {
 		if o := int(v) % len(c.Machines); o == s.M.Index {
 			mine++

@@ -85,7 +85,7 @@ func (s *P3) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communic
 			out[q] = len(ids)
 		}
 	}
-	sizes := comm.AllToAllCounts(lc, p, rank, out, comm.Raw(4, hw.TrafficFeature))
+	sizes := comm.AllToAllCounts(lc, p, rank, out, nil, comm.Raw(4, hw.TrafficFeature))
 	sizes[rank] = len(ids)
 	// Model-parallel first layer: gather the local column slice of every
 	// batch's inputs and project through the local W1 column shard.
@@ -106,7 +106,7 @@ func (s *P3) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communic
 	}
 	// Push the partial activations home to each batch's owner (modelled:
 	// only the element counts move).
-	comm.AllToAllCounts(lc, p, rank, push, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
+	comm.AllToAllCounts(lc, p, rank, push, nil, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
 	for _, elems := range push {
 		s.pushWire += compress.WireBytes(s.Opts.FeatCodec, elems)
 	}
@@ -154,7 +154,7 @@ func (s *P3) Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats) {
 				out[q] = elems
 			}
 		}
-		in := comm.AllToAllCounts(t.Comm, p, rank, out, comm.Compressed(s.Opts.GradCodec, hw.TrafficGradient))
+		in := comm.AllToAllCounts(t.Comm, p, rank, out, nil, comm.Compressed(s.Opts.GradCodec, hw.TrafficGradient))
 		factor := denseFactor(s.Opts.Model.Arch)
 		slice := int64(s.Store.SliceDim(rank))
 		for q := 0; q < n; q++ {

@@ -20,11 +20,13 @@ import (
 
 // BenchmarkSampleBatch times whole collective batches (one op = all eight
 // ranks sampling 128 seeds each, three layers) in steady state: the world has
-// sampled once before the clock starts, so allocs/op is what a warm round
-// workspace leaves — the blocks' arrays and the collectives' tables. It runs
-// on two graphs: 40 000 nodes, whose adjacency (3 MB) sits in the last-level
-// cache, and 400 000 nodes (32 MB), far larger than L2, where the order the
-// owners read rows in shows. -short runs the small one only.
+// sampled once before the clock starts, and each rank releases its batch to
+// the world as the trainer and the server do, so the next is rebuilt in its
+// arrays and allocs/op is what the warm round itself leaves — a draw unit's
+// ticket per rank and layer, the seed exchange and what a buffer outgrows.
+// It runs on two graphs: 40 000 nodes, whose adjacency (3 MB) sits in the
+// last-level cache, and 400 000 nodes (32 MB), far larger than L2, where the
+// order the owners read rows in shows. -short runs the small one only.
 func BenchmarkSampleBatch(b *testing.B) {
 	for _, nodes := range []int{40000, 400000} {
 		if testing.Short() && nodes > 40000 {
@@ -60,6 +62,7 @@ func benchSampleBatch(b *testing.B, nodes int) {
 				for i := 0; i < batches; i++ {
 					mb := w.SampleBatch(p, r, seeds[r], cfg, rng.Mix(uint64(i), uint64(r)))
 					edges += mb.NumSampledEdges()
+					w.Release(r, mb)
 				}
 			})
 		}

@@ -151,9 +151,11 @@ type World struct {
 
 	// par offloads the owner-side neighbour draws to worker threads between
 	// the shuffle and reshuffle commit points; scratch holds one reusable
-	// round workspace per rank. Both are lazily built.
+	// round workspace per rank; dedup is the mark table every rank's block
+	// assembly shares. All three are lazily built.
 	par     *sim.ParallelGroup
 	scratch []*roundScratch
+	dedup   *sample.Deduper
 }
 
 // roundScratch is one rank's reusable workspace for sampling rounds: after a
@@ -185,12 +187,20 @@ type World struct {
 // leaves the old receive tables (inTasks, backCounts, backSamples) behind
 // the same way.
 //
-// start and order (the draw order's buckets and tasks) belong to the draw
-// unit alone: it is their only reader and writer, and it is joined on every
-// way out of the frame, so no two units ever share them. Everything else
-// (counts, owner, cur, hostNodes, outCounts, ahead, peerSeed, samples, the
-// receive tables, the deduper) is read by this rank alone. A Clone starts
-// with no scratch, so every multi-instance sampler world owns its own.
+// start, order and layerSeed (the draw order's buckets and tasks, and each
+// requester's seed prefix for the layer) belong to the draw unit alone: it is
+// their only reader and writer, and it is joined on every way out of the
+// frame, so no two units ever share them. Everything else (counts, owner,
+// cur, hostNodes, outCounts, ahead, peerSeed, samples, the receive tables) is
+// read by this rank alone. A Clone starts with no scratch, so every
+// multi-instance sampler world owns its own.
+//
+// The mark table is not in the workspace: the world's one Deduper serves
+// every rank, because a build runs on the engine thread from start to end —
+// in a process body, never in a draw unit, and without parking — so no two
+// ranks' builds interleave, and each leaves the table zeroed for the next.
+// One table instead of one per rank keeps the randomly read working set
+// numNodes entries whatever the rank count.
 //
 // The release rule. free holds the batches this rank's last readers handed
 // back with Release; the next batch pops one and is rebuilt in its arrays.
@@ -201,9 +211,8 @@ type World struct {
 // that cannot promise it (a serving round some attempt of which aborted,
 // leaving a staged gather behind) drops the batch instead.
 type roundScratch struct {
-	dedup *sample.Deduper
-	free  []*sample.MiniBatch
-	open  bool // a round began and has not left its reshuffle
+	free []*sample.MiniBatch
+	open bool // a round began and has not left its reshuffle
 	// counts is the node-wise fan-out per frontier node; outTasks[o] the
 	// tasks routed to owner o; owner[i] the owner frontier node i's task went
 	// to (-1: no task). Owner o answers its tasks in posting order, which is
@@ -234,6 +243,7 @@ type roundScratch struct {
 	samples   []graph.NodeID // the assembled layer, before Rebuild copies it
 	ahead     []graph.NodeID // next frontier's host-resident rows (prefetch)
 	peerSeed  []uint64
+	layerSeed []uint64    // sample.LayerSeed of each peerSeed for the drawn layer
 	keys      sample.Keys // biased draws' selection keys
 }
 
@@ -292,17 +302,26 @@ func (w *World) scratchOf(rank int) *roundScratch {
 	if w.scratch[rank] == nil {
 		n := w.Comm.N
 		s := &roundScratch{
-			dedup:        sample.NewDeduper(int(w.Offsets[len(w.Offsets)-1])),
 			outTasks:     make([][]task, n),
 			cur:          make([]replyCursor, n),
 			replyCounts:  make([][]int32, n),
 			replySamples: make([][]graph.NodeID, n),
 			peerSeed:     make([]uint64, n),
+			layerSeed:    make([]uint64, n),
 		}
 		s.draw = func() { w.drawTasks(s, rank, s.inTasks, s.drawCfg, s.drawLayer) }
 		w.scratch[rank] = s
 	}
 	return w.scratch[rank]
+}
+
+// deduper returns the world's block-assembly mark table, sized for every
+// global id.
+func (w *World) deduper() *sample.Deduper {
+	if w.dedup == nil {
+		w.dedup = sample.NewDeduper(int(w.Offsets[len(w.Offsets)-1]))
+	}
+	return w.dedup
 }
 
 // SetHostStore attaches the out-of-core tier (nil detaches it).
@@ -648,6 +667,7 @@ func (w *World) drawTasks(s *roundScratch, rank int, inTasks [][]task, cfg sampl
 	start := resized(s.start, outside+2)
 	clear(start)
 	for q, ts := range inTasks {
+		s.layerSeed[q] = sample.LayerSeed(s.peerSeed[q], layer)
 		var total int
 		for _, t := range ts {
 			total += int(t.Count)
@@ -672,7 +692,7 @@ func (w *World) drawTasks(s *roundScratch, rank int, inTasks [][]task, cfg sampl
 	for _, d := range order {
 		tps := w.patchOf(d.Node, rank)
 		got := sample.DrawAdj(tps.Neighbors(d.Node), tps.NeighborWeights(d.Node),
-			d.Node, layer, int(d.Count), cfg, s.peerSeed[d.q], s.replySamples[d.q][:d.off], &s.keys)
+			d.Node, s.layerSeed[d.q], int(d.Count), cfg, s.replySamples[d.q][:d.off], &s.keys)
 		s.replyCounts[d.q][d.i] = int32(len(got)) - d.off
 	}
 	for q, ts := range inTasks {
@@ -817,5 +837,5 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	if len(samples) > 0 {
 		dev.RunKernel(p, hw.KernelGather, int64(len(samples))*16)
 	}
-	s.dedup.Rebuild(block, dst, outCounts, samples)
+	w.deduper().Rebuild(block, dst, outCounts, samples)
 }

@@ -57,19 +57,20 @@ func (w *World) PullDataSampleBatch(p *sim.Proc, rank int, seeds []graph.NodeID,
 		}
 		outCounts := make([]int32, len(dst))
 		samples := s.samples[:0]
+		ls := sample.LayerSeed(batchSeed, l)
 		for i, v := range dst {
 			if counts[i] == 0 {
 				continue
 			}
 			before := len(samples)
-			samples = sample.DrawAdj(adjs[i], wts[i], v, l, int(counts[i]), cfg, batchSeed, samples, &s.keys)
+			samples = sample.DrawAdj(adjs[i], wts[i], v, ls, int(counts[i]), cfg, samples, &s.keys)
 			outCounts[i] = int32(len(samples) - before)
 		}
 		s.samples = samples
 		if len(samples) > 0 {
 			w.M.GPUs[rank].RunKernel(p, hw.KernelGather, int64(len(samples))*16)
 		}
-		s.dedup.Rebuild(block, dst, outCounts, samples)
+		w.deduper().Rebuild(block, dst, outCounts, samples)
 		dst = block.InputNodes
 	}
 	slices.Reverse(mb.Blocks)

@@ -56,7 +56,11 @@ func (w *World) RandomWalk(p *sim.Proc, rank int, starts []graph.NodeID, length 
 	if w.Patches[rank].Adj.Weights != nil {
 		cfg.Biased = true
 	}
+	stepSeed := make([]uint64, n) // sample.LayerSeed of each origin's seed for the step
 	for step := 0; step < length; step++ {
+		for q := range stepSeed {
+			stepSeed[q] = sample.LayerSeed(peerSeed[q], step)
+		}
 		// Shuffle stage: send each active task to the owner of its node.
 		out := make([][]walkTask, n)
 		for _, t := range active {
@@ -80,7 +84,7 @@ func (w *World) RandomWalk(p *sim.Proc, rank int, starts []graph.NodeID, length 
 				adj := ps.Neighbors(t.Cur)
 				// Walks draw with replacement: no selection keys.
 				next := sample.DrawAdj(adj, ps.NeighborWeights(t.Cur), t.Cur,
-					step, 1, cfg, peerSeed[t.Origin], nil, nil)
+					stepSeed[t.Origin], 1, cfg, nil, nil)
 				if len(next) == 0 {
 					continue // dead end: the walk terminates here
 				}

@@ -143,13 +143,22 @@ func (r *RNG) Exp(lambda float64) float64 {
 // node's neighbour draw is the same no matter which GPU executes it — the
 // property that makes distributed CSP results identical to a single-address-
 // space reference sampler.
+//
+// Mix is the fold of MixStep from Mix(), the chain's start state, so
+// Mix(a, b, c) equals MixStep(Mix(a, b), c): a caller that mixes many values
+// after a common prefix computes the prefix once.
 func Mix(vals ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range vals {
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
+		h = MixStep(h, v)
 	}
 	return h
+}
+
+// MixStep folds v into the chain state h: one step of Mix.
+func MixStep(h, v uint64) uint64 {
+	h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+	return h ^ h>>31
 }

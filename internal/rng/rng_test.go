@@ -234,3 +234,46 @@ func BenchmarkUint64n(b *testing.B) {
 		})
 	}
 }
+
+// refMix is Mix as one loop body, before it was split into MixStep.
+func refMix(vals ...uint64) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, v := range vals {
+		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	return h
+}
+
+// TestMixIsFoldOfStep: Mix of 1–5 values equals MixStep folded over them from
+// Mix(), and both equal the one-loop oracle — so a caller may hoist any
+// prefix of the chain. Values include 0 and MaxUint64.
+func TestMixIsFoldOfStep(t *testing.T) {
+	if Mix() != refMix() {
+		t.Fatalf("Mix() = %#x, want the start state %#x", Mix(), refMix())
+	}
+	r := New(11)
+	edge := []uint64{0, math.MaxUint64, 1, 1 << 63}
+	for trial := 0; trial < 2000; trial++ {
+		vals := make([]uint64, 1+trial%5)
+		for i := range vals {
+			if r.Intn(3) == 0 {
+				vals[i] = edge[r.Intn(len(edge))]
+			} else {
+				vals[i] = r.Uint64()
+			}
+		}
+		h := Mix()
+		for _, v := range vals {
+			h = MixStep(h, v)
+		}
+		if got, want := Mix(vals...), refMix(vals...); got != want || h != want {
+			t.Fatalf("Mix(%#x) = %#x, fold of MixStep %#x, oracle %#x", vals, got, h, want)
+		}
+		if k := len(vals) - 1; MixStep(Mix(vals[:k]...), vals[k]) != Mix(vals...) {
+			t.Fatalf("Mix(%#x) is not MixStep of its prefix", vals)
+		}
+	}
+}

@@ -33,8 +33,10 @@ func (b *Block) NumEdges() int { return len(b.Src) }
 
 // Deduper assembles blocks with a reusable direct-address mark table instead
 // of a per-call hash map — the dominant cost of BuildBlock on the hot
-// sampling path. One Deduper serves one rank (it is not safe for concurrent
-// use); node ids must stay below the numNodes it was sized for.
+// sampling path. It is not safe for concurrent use, but every build leaves
+// the table zeroed, so any number of callers whose builds never overlap —
+// the ranks of one sampler world, which build on the engine thread — share
+// one; node ids must stay below the numNodes it was sized for.
 type Deduper struct {
 	mark []int32        // mark[v] = local index + 1 for the in-flight block
 	in   []graph.NodeID // the in-flight block's unique set (room for every sample), before its exact-size copy
@@ -340,33 +342,28 @@ func sampleNodeWise(d *Deduper, keys *Keys, g graph.Topology, dst []graph.NodeID
 	counts := make([]int32, len(dst))
 	var samples []graph.NodeID
 	fanout := cfg.Fanout[layer]
+	ls := LayerSeed(batchSeed, layer)
 	for i, v := range dst {
 		before := len(samples)
-		samples = DrawNode(g, v, layer, fanout, cfg, batchSeed, samples, keys)
+		samples = DrawAdj(g.Neighbors(v), g.NeighborWeights(v), v, ls, fanout, cfg, samples, keys)
 		counts[i] = int32(len(samples) - before)
 	}
 	return buildWith(d, dst, counts, samples)
 }
 
-// DrawNode draws the neighbour sample for one (node, layer) on a full-graph
-// topology. It delegates to DrawAdj with v as both the adjacency index and
-// the seeding id.
-func DrawNode(g graph.Topology, v graph.NodeID, layer int, fanout int, cfg Config, batchSeed uint64, out []graph.NodeID, keys *Keys) []graph.NodeID {
-	return DrawAdj(g.Neighbors(v), g.NeighborWeights(v), v, layer, fanout, cfg, batchSeed, out, keys)
-}
-
 // DrawAdj is THE local sampling kernel: it draws from an adjacency slice,
-// seeding the generator with the node's GLOBAL id. The distributed CSP calls
-// it with a patch-local adjacency slice but the global id, which makes its
-// draws bit-identical to the single-address-space Reference sampler. keys is
-// the caller's scratch for biased draws without replacement; draws with
+// seeding the generator with the node's GLOBAL id mixed into layerSeed, the
+// batch's LayerSeed for this layer. The distributed CSP calls it with a
+// patch-local adjacency slice but the global id, which makes its draws
+// bit-identical to the single-address-space Reference sampler. keys is the
+// caller's scratch for biased draws without replacement; draws with
 // replacement never touch it, so they may pass nil.
-func DrawAdj(adj []graph.NodeID, weights []float32, globalID graph.NodeID, layer int, fanout int, cfg Config, batchSeed uint64, out []graph.NodeID, keys *Keys) []graph.NodeID {
+func DrawAdj(adj []graph.NodeID, weights []float32, globalID graph.NodeID, layerSeed uint64, fanout int, cfg Config, out []graph.NodeID, keys *Keys) []graph.NodeID {
 	// The generator lives in this frame: one per task on the hot path, so it
 	// must not be a heap object (NodeSeed's *rng.RNG is for callers that keep
 	// the stream).
 	var gen rng.RNG
-	gen.Seed(nodeSeed(batchSeed, layer, globalID))
+	gen.Seed(rng.MixStep(layerSeed, uint64(uint32(globalID))))
 	r := &gen
 	if cfg.Biased {
 		if cfg.WithReplacement {
@@ -403,12 +400,13 @@ func sampleLayerWise(d *Deduper, keys *Keys, g graph.Topology, dst []graph.NodeI
 	}
 	counts := make([]int32, len(dst))
 	var samples []graph.NodeID
+	ls := LayerSeed(batchSeed, layer)
 	for i, v := range dst {
 		if perNode[i] == 0 {
 			continue
 		}
 		before := len(samples)
-		samples = DrawNode(g, v, layer, perNode[i], cfg, batchSeed, samples, keys)
+		samples = DrawAdj(g.Neighbors(v), g.NeighborWeights(v), v, ls, perNode[i], cfg, samples, keys)
 		counts[i] = int32(len(samples) - before)
 	}
 	return buildWith(d, dst, counts, samples)

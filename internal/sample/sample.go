@@ -12,7 +12,10 @@
 // therefore a pure function of (batch seed, layer, node), independent of
 // which device executes it — this is what lets the tests assert that
 // multi-GPU CSP produces bit-identical samples to a single-address-space
-// sampler.
+// sampler. The first two steps of that chain are the same for every node of
+// a layer, so callers compute them once, as LayerSeed(s, l), and DrawAdj
+// mixes in the node id alone: the same integer operations in the same order,
+// so the same seed.
 package sample
 
 import (
@@ -25,6 +28,13 @@ import (
 // nodeSeed is the generator seed of (batchSeed, layer, node).
 func nodeSeed(batchSeed uint64, layer int, v graph.NodeID) uint64 {
 	return rng.Mix(batchSeed, uint64(layer), uint64(uint32(v)))
+}
+
+// LayerSeed is the seed chain's state after (batchSeed, layer), the prefix
+// every node seed of that layer shares: DrawAdj takes it and mixes in the
+// node id, which gives nodeSeed(batchSeed, layer, node).
+func LayerSeed(batchSeed uint64, layer int) uint64 {
+	return rng.Mix(batchSeed, uint64(layer))
 }
 
 // NodeSeed derives the deterministic RNG for (batchSeed, layer, node).

@@ -364,18 +364,42 @@ func TestBuildBlockMismatchPanics(t *testing.T) {
 	BuildBlock([]graph.NodeID{1}, []int32{2}, []graph.NodeID{3})
 }
 
+// TestNodeSeedFromLayerSeed: a node's seed is the seed chain's step on the
+// layer's prefix, for every (batch seed, layer, node) — the budget split's
+// node id -1 and the extremes of the seed included — so hoisting LayerSeed
+// out of a layer's draws changes no seed.
+func TestNodeSeedFromLayerSeed(t *testing.T) {
+	r := rng.New(3)
+	seeds := []uint64{0, 1, math.MaxUint64, r.Uint64(), r.Uint64()}
+	nodes := []graph.NodeID{-1, 0, 1, math.MaxInt32}
+	for i := 0; i < 200; i++ {
+		nodes = append(nodes, graph.NodeID(r.Intn(1<<31)))
+	}
+	for _, s := range seeds {
+		for l := 0; l < 4; l++ {
+			ls := LayerSeed(s, l)
+			for _, v := range nodes {
+				if got, want := rng.MixStep(ls, uint64(uint32(v))), nodeSeed(s, l, v); got != want {
+					t.Fatalf("seed %#x layer %d node %d: step on LayerSeed %#x, nodeSeed %#x", s, l, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDrawNodeLocationIndependent(t *testing.T) {
-	// The core CSP-equivalence property: DrawNode on a patch (same
-	// adjacency content) equals DrawNode on the full graph.
+	// The core CSP-equivalence property: a draw on a patch (same adjacency
+	// content) equals the draw on the full graph with v's own generator,
+	// NodeSeed(batch seed, layer, v).
 	d := testDataset()
 	full := d.G
 	v := d.TrainIdx[0]
 	cfg := Config{Fanout: []int{6}}
-	a := DrawNode(full, v, 0, 6, cfg, 42, nil, nil)
+	a := Uniform(NodeSeed(42, 1, v), full.Neighbors(v), 6, nil)
 	// Simulate the owner GPU's local CSR holding just v's adjacency: the
 	// adjacency slice is patch-local, but the seeding id stays global.
 	patch := graph.ExtractPatch(full, []graph.NodeID{v})
-	b := DrawAdj(patch.Adj.Neighbors(0), patch.Adj.NeighborWeights(0), v, 0, 6, cfg, 42, nil, nil)
+	b := DrawAdj(patch.Adj.Neighbors(0), patch.Adj.NeighborWeights(0), v, LayerSeed(42, 1), 6, cfg, nil, nil)
 	if len(a) != len(b) {
 		t.Fatalf("draws differ in size: %v vs %v", a, b)
 	}

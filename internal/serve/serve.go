@@ -346,8 +346,8 @@ type Server struct {
 	genDone   bool
 	started   bool
 	pending   [][]*Request
-	sampQ     []*sim.Queue
-	execQ     []*sim.Queue
+	sampQ     []*sim.QueueOf[*round]
+	execQ     []*sim.QueueOf[execItem]
 	dones     []*sim.Event
 	ctrlProc  *sim.Proc
 	rebProc   *sim.Proc
@@ -489,6 +489,18 @@ func (s *Server) alive(g int) bool {
 	return s.view == nil || s.view.Alive(g)
 }
 
+// drain starts a daemon that takes and drops q's items until q is closed and
+// empty, so no producer wedges on a queue whose consumer is dead.
+func drain[T any](eng *sim.Engine, name string, q *sim.QueueOf[T]) {
+	eng.GoDaemon(name, func(p *sim.Proc) {
+		for {
+			if _, ok := q.Get(p); !ok {
+				return
+			}
+		}
+	})
+}
+
 // onCrash is the degraded-mode fail-over, run in engine context at the crash
 // instant (the membership view already reflects the death, and every
 // in-flight collective has been voided). It stops the dead GPU's workers,
@@ -504,16 +516,9 @@ func (s *Server) onCrash(p *sim.Proc, g int) {
 	if s.sampProcs != nil {
 		eng.Kill(s.sampProcs[g])
 		eng.Kill(s.execProcs[g])
-		for _, q := range []*sim.Queue{s.sampQ[g], s.execQ[g]} {
-			q := q
-			eng.GoDaemon(fmt.Sprintf("fault/drain-gpu%d", g), func(dp *sim.Proc) {
-				for {
-					if _, ok := q.Get(dp); !ok {
-						return
-					}
-				}
-			})
-		}
+		name := fmt.Sprintf("fault/drain-gpu%d", g)
+		drain(eng, name, s.sampQ[g])
+		drain(eng, name, s.execQ[g])
 	}
 	if s.pending != nil {
 		t := s.view.NextLive(g)
@@ -572,8 +577,8 @@ func (s *Server) Start() {
 	s.wake = eng.NewCond()
 	s.pending = make([][]*Request, n)
 	for g := 0; g < n; g++ {
-		s.sampQ = append(s.sampQ, eng.NewQueue(1))
-		s.execQ = append(s.execQ, eng.NewQueue(execQueueCap))
+		s.sampQ = append(s.sampQ, sim.NewQueueOf[*round](eng, 1))
+		s.execQ = append(s.execQ, sim.NewQueueOf[execItem](eng, execQueueCap))
 		s.latency = append(s.latency, metrics.New())
 		s.dones = append(s.dones, eng.NewEvent())
 	}
@@ -937,12 +942,11 @@ func runRound(p *sim.Proc, begin func(), body func()) (retried bool) {
 // the controller's round seed so all ranks agree without a seed exchange.
 func (s *Server) sampler(p *sim.Proc, g int) {
 	for {
-		v, ok := s.sampQ[g].Get(p)
+		rd, ok := s.sampQ[g].Get(p)
 		if !ok {
 			s.execQ[g].Close()
 			return
 		}
-		rd := v.(*round)
 		runRound(p, func() { s.world.Comm.Begin(g) }, func() {
 			p.Sleep(stageOverhead)
 			seeds := make([]graph.NodeID, len(rd.reqs[g]))
@@ -950,7 +954,7 @@ func (s *Server) sampler(p *sim.Proc, g int) {
 				seeds[i] = r.Node
 			}
 			mb := s.world.SampleBatchShared(p, g, seeds, s.cfg.Sample, rd.seed)
-			s.execQ[g].Put(p, &execItem{rd: rd, mb: mb, sampledAt: p.Now()})
+			s.execQ[g].Put(p, execItem{rd: rd, mb: mb, sampledAt: p.Now()})
 		})
 	}
 }
@@ -963,12 +967,11 @@ func (s *Server) sampler(p *sim.Proc, g int) {
 // a worker thread: that batch is dropped.
 func (s *Server) executor(p *sim.Proc, g int) {
 	for {
-		v, ok := s.execQ[g].Get(p)
+		it, ok := s.execQ[g].Get(p)
 		if !ok {
 			s.dones[g].Trigger()
 			return
 		}
-		it := v.(*execItem)
 		var preds []int32
 		// Tier counts ride on the attempt's Loaded and commit only on success
 		// (the report counts each served request's rows once); the fabric byte

@@ -77,59 +77,33 @@ func NewTable(title, unit string, rows, cols []string) *Table {
 	return t
 }
 
-// Set stores a cell by row/col name, panicking on unknown names (experiment
-// code addresses tables it constructed itself, so a miss is a programming
-// error). Use SetCell for the error-returning variant.
+// Set stores a cell by row/col name. Experiment code addresses tables it
+// constructed itself, so an unknown name is a programming error: Set and Get
+// panic with a message listing the valid names.
 func (t *Table) Set(row, col string, v float64) {
-	if err := t.SetCell(row, col, v); err != nil {
-		panic(err)
-	}
-}
-
-// Get reads a cell by row/col name, panicking on unknown names. Use GetCell
-// for the error-returning variant.
-func (t *Table) Get(row, col string) float64 {
-	v, err := t.GetCell(row, col)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// SetCell stores a cell by row/col name; an unknown name yields an error
-// listing the valid ones.
-func (t *Table) SetCell(row, col string, v float64) error {
-	ri, ci, err := t.cell(row, col)
-	if err != nil {
-		return err
-	}
+	ri, ci := t.cell(row, col)
 	t.Cells[ri][ci] = v
-	return nil
 }
 
-// GetCell reads a cell by row/col name; an unknown name yields an error
-// listing the valid ones.
-func (t *Table) GetCell(row, col string) (float64, error) {
-	ri, ci, err := t.cell(row, col)
-	if err != nil {
-		return 0, err
-	}
-	return t.Cells[ri][ci], nil
+// Get reads a cell by row/col name, panicking on unknown names like Set.
+func (t *Table) Get(row, col string) float64 {
+	ri, ci := t.cell(row, col)
+	return t.Cells[ri][ci]
 }
 
 // cell resolves (row, col) names to indices.
-func (t *Table) cell(row, col string) (int, int, error) {
+func (t *Table) cell(row, col string) (int, int) {
 	ri := slices.Index(t.Rows, row)
 	if ri < 0 {
-		return 0, 0, fmt.Errorf("bench: unknown row %q in table %q (rows: %s)",
-			row, t.Title, strings.Join(t.Rows, ", "))
+		panic(fmt.Sprintf("bench: unknown row %q in table %q (rows: %s)",
+			row, t.Title, strings.Join(t.Rows, ", ")))
 	}
 	ci := slices.Index(t.Cols, col)
 	if ci < 0 {
-		return 0, 0, fmt.Errorf("bench: unknown col %q in table %q (cols: %s)",
-			col, t.Title, strings.Join(t.Cols, ", "))
+		panic(fmt.Sprintf("bench: unknown col %q in table %q (cols: %s)",
+			col, t.Title, strings.Join(t.Cols, ", ")))
 	}
-	return ri, ci, nil
+	return ri, ci
 }
 
 // Fprint renders the table as aligned text.

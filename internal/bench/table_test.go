@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -11,30 +12,37 @@ import (
 
 func TestTableCellErrors(t *testing.T) {
 	tb := NewTable("t", "ms", []string{"r1", "r2"}, []string{"c1", "c2"})
-	if err := tb.SetCell("r2", "c1", 4.5); err != nil {
-		t.Fatalf("SetCell on known names: %v", err)
+	tb.Set("r2", "c1", 4.5)
+	if v := tb.Get("r2", "c1"); v != 4.5 {
+		t.Fatalf("Get = %v; want 4.5", v)
 	}
-	v, err := tb.GetCell("r2", "c1")
-	if err != nil || v != 4.5 {
-		t.Fatalf("GetCell = %v, %v; want 4.5, nil", v, err)
+	// An unknown name panics with a message naming it and listing the valid
+	// ones, from Set and Get alike.
+	for _, tc := range []struct {
+		name string
+		op   func()
+		want []string
+	}{
+		{"Get unknown row", func() { tb.Get("nope", "c1") }, []string{`unknown row "nope"`, "r1, r2"}},
+		{"Set unknown col", func() { tb.Set("r1", "nope", 1) }, []string{`unknown col "nope"`, "c1, c2"}},
+		{"Set unknown row", func() { tb.Set("nope", "c1", 1) }, []string{`unknown row "nope"`, "r1, r2"}},
+		{"Get unknown col", func() { tb.Get("r1", "nope") }, []string{`unknown col "nope"`, "c1, c2"}},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s: no panic", tc.name)
+				}
+				for _, w := range tc.want {
+					if msg := fmt.Sprint(r); !strings.Contains(msg, w) {
+						t.Fatalf("%s: panic %q does not contain %q", tc.name, msg, w)
+					}
+				}
+			}()
+			tc.op()
+		}()
 	}
-	if _, err := tb.GetCell("nope", "c1"); err == nil {
-		t.Fatal("GetCell with unknown row: want error")
-	} else if !strings.Contains(err.Error(), `unknown row "nope"`) || !strings.Contains(err.Error(), "r1, r2") {
-		t.Fatalf("unknown-row error should name the row and list valid ones, got: %v", err)
-	}
-	if err := tb.SetCell("r1", "nope", 1); err == nil {
-		t.Fatal("SetCell with unknown col: want error")
-	} else if !strings.Contains(err.Error(), `unknown col "nope"`) || !strings.Contains(err.Error(), "c1, c2") {
-		t.Fatalf("unknown-col error should name the col and list valid ones, got: %v", err)
-	}
-	// The panicking wrappers delegate to the same resolution.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Get with unknown names should panic")
-		}
-	}()
-	tb.Get("nope", "c1")
 }
 
 func TestTableWriteJSON(t *testing.T) {

@@ -389,7 +389,7 @@ func AllGather[T any](c *Communicator, p *sim.Proc, rank int, data []T, o Opts) 
 type arPost struct {
 	raw  []float32
 	enc  *compress.Buf
-	tick *sim.Ticket
+	tick sim.Ticket
 }
 
 // group lazily binds the communicator to the engine's parallel budget.

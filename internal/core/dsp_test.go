@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/hw"
+	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sample"
 	"repro/internal/train"
@@ -505,13 +508,15 @@ func TestDSPTrainsGAT(t *testing.T) {
 }
 
 // TestRealEpochPinned holds one real-compute epoch of each strategy to the
-// virtual epoch time, loss, accuracy count, FLOP-priced train-stage time and
+// virtual epoch time, loss, accuracy count, priced train-stage time and
 // parameter bits it had with nn's scalar triple-loop kernels, plus the wire
-// and codec byte totals. The first two rows were recorded at commit 6c6d167
-// before any kernel was touched, the codec rows at 410a76c while the
-// feature reply, the p3 push and the p3 pull still round-tripped zero
-// vectors through the codec. They are amd64 values (arm64 fuses a*b+c in
-// nn's Go loops), so the test only runs there.
+// and codec byte totals. The loss, accuracy, parameter and byte columns of
+// the first two rows were recorded at commit 6c6d167 before any kernel was
+// touched, those of the codec rows at 410a76c while the feature reply, the p3
+// push and the p3 pull still round-tripped zero vectors through the codec.
+// The epoch and stage columns were re-recorded when both compute modes came
+// to charge one shape-derived price. They are amd64 values (arm64 fuses
+// a*b+c in nn's Go loops), so the test only runs there.
 func TestRealEpochPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("pinned constants are amd64 values (arm64 fuses a*b+c)")
@@ -528,18 +533,18 @@ func TestRealEpochPinned(t *testing.T) {
 		params             uint64 // FNV-1a over the parameter bits
 		wire               wire
 	}{
-		{"dsp", nil, nil, 0x3f8fbcd3cf744d7e, 0x403c4824ff5b7018, 0x3f94a0614bbce5b3, 558, 4000, 0x8cb1b12cd2e9079e,
+		{"dsp", nil, nil, 0x3f8fbfa3a6651c7d, 0x403c4824ff5b7018, 0x3f94bcff5b5e2d40, 558, 4000, 0x8cb1b12cd2e9079e,
 			wire{2858724, 104000, 0, 0, 0, 0, 0}},
-		{"p3", nil, nil, 0x3f8fedffd99003f3, 0x403c4824ff5b7018, 0x3f950b65aba0a27c, 558, 4000, 0x8cb1b12cd2e9079e,
+		{"p3", nil, nil, 0x3f8ff0b4ae3cfc9b, 0x403c4824ff5b7018, 0x3f95216b61fe6b14, 558, 4000, 0x8cb1b12cd2e9079e,
 			wire{7524132, 7318208, 7296128, 0, 0, 0, 0}},
 		// Codec rows, recorded before the modelled all-to-alls went
 		// count-only: the feature codec prices the reply and the push, the
 		// gradient codec the pull and the allreduce.
-		{"dsp", compress.NewInt8(3), nil, 0x3f8fb785dedcea85, 0x403c4824ff5b7018, 0x3f94a0614bbce5b4, 558, 4000, 0x8cb1b12cd2e9079e,
+		{"dsp", compress.NewInt8(3), nil, 0x3f8fba55b5cdb984, 0x403c4824ff5b7018, 0x3f94bcff5b5e2d42, 558, 4000, 0x8cb1b12cd2e9079e,
 			wire{801332, 104000, 0, 2772096, 714704, 0, 0}},
-		{"p3", compress.NewInt8(3), nil, 0x3f8fdfe08fa65e86, 0x403c4824ff5b7018, 0x3f950b65aba0a27c, 558, 4000, 0x8cb1b12cd2e9079e,
+		{"p3", compress.NewInt8(3), nil, 0x3f8fe2956453572e, 0x403c4824ff5b7018, 0x3f9520bdbcbd1c20, 558, 4000, 0x8cb1b12cd2e9079e,
 			wire{2109076, 7318208, 1881072, 7296128, 1881072, 0, 0}},
-		{"p3", nil, compress.NewInt8(3), 0x3f8fdfcf09a476d6, 0x403c48d29df7e212, 0x3f94d271ee75f15d, 558, 4000, 0xceaa68fdd771f07e,
+		{"p3", nil, compress.NewInt8(3), 0x3f8fe283de516f7e, 0x403c48d29df7e212, 0x3f94e877a4d3b9f5, 558, 4000, 0xceaa68fdd771f07e,
 			wire{7524132, 1886832, 7296128, 0, 0, 7318208, 1886832}},
 	} {
 		o := smallOpts(td)
@@ -570,6 +575,51 @@ func TestRealEpochPinned(t *testing.T) {
 			t.Errorf("%s feat=%s grad=%s: {epoch: %#x, loss: %#x, stage: %#x, correct: %d, seen: %d, params: %#x, wire: %v}, pinned %+v",
 				tc.strategy, compress.Name(tc.feat), compress.Name(tc.grad),
 				epoch, loss, stage, st.Correct, st.Seen, h.Sum64(), w, tc)
+		}
+	}
+}
+
+// TestCostOnlyMatchesRealCompute: the two compute modes are one cost model.
+// A step and an inference are priced from the batch's shapes, not from the
+// math, so an epoch that runs the math and one that does not spend the same
+// virtual time, bit for bit — epoch, every stage sum and every counter —
+// for both strategies, every architecture, with and without a gradient
+// codec (int8's wire size depends on the element count alone).
+func TestCostOnlyMatchesRealCompute(t *testing.T) {
+	td := testData(t, 2)
+	for _, strategy := range []string{"dsp", "p3"} {
+		for _, arch := range []nn.Arch{nn.SAGE, nn.GCN, nn.GAT} {
+			for _, grad := range []compress.Codec{nil, compress.NewInt8(3)} {
+				epoch := func(real bool) train.EpochStats {
+					o := smallOpts(td)
+					o.Model.Arch, o.Strategy, o.GradCodec, o.RealCompute = arch, strategy, grad, real
+					sys, err := core.New(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st, err := sys.RunEpoch(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st
+				}
+				cost, real := epoch(false), epoch(true)
+				name := fmt.Sprintf("%s/%v/grad=%s", strategy, arch, compress.Name(grad))
+				if cost.EpochTime != real.EpochTime {
+					t.Errorf("%s: epoch %v cost-only, %v real", name, cost.EpochTime, real.EpochTime)
+				}
+				for _, s := range []struct {
+					stage      string
+					cost, real *metrics.Histogram
+				}{{"sample", cost.SampleDist, real.SampleDist}, {"load", cost.LoadDist, real.LoadDist}, {"train", cost.TrainDist, real.TrainDist}} {
+					if c, r := s.cost.Sum(), s.real.Sum(); c != r {
+						t.Errorf("%s: %s stage sum %v cost-only, %v real", name, s.stage, c, r)
+					}
+				}
+				if !reflect.DeepEqual(cost.Counters, real.Counters) {
+					t.Errorf("%s: counters differ\ncost-only %+v\nreal      %+v", name, cost.Counters, real.Counters)
+				}
+			}
 		}
 	}
 }

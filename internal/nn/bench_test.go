@@ -91,8 +91,8 @@ func BenchmarkForward(b *testing.B) {
 	reportGFLOPs(b, (FlopCount()-start)/int64(b.N))
 }
 
-// BenchmarkTrainStep reports a charged-FLOP rate: the layer-0 input gradient
-// is counted (the simulated GPU runs that kernel) but not executed.
+// BenchmarkTrainStep reports an executed-FLOP rate: FlopCount counts what
+// the kernels run, which is NominalFlops, the price a training step charges.
 func BenchmarkTrainStep(b *testing.B) {
 	m, mb, feats, labels := benchStep(b)
 	b.ReportAllocs()

@@ -84,8 +84,8 @@ func (m *Model) forwardGAT(l int, block *sample.Block, x *Matrix, c *gatCache) *
 }
 
 // backwardGAT propagates gradients through the attention layer, returning
-// the input gradient — nil at layer 0, where nothing reads it: Backward's
-// comment gives the rule, inputGradFlops the charge.
+// the input gradient — nil at layer 0, where nothing reads it (Backward's
+// comment gives the rule).
 func (m *Model) backwardGAT(l int, c *gatCache, dh *Matrix) *Matrix {
 	in, out := m.Cfg.dims(l)
 	ws := &m.ws
@@ -143,7 +143,6 @@ func (m *Model) backwardGAT(l int, c *gatCache, dh *Matrix) *Matrix {
 	MatMulAT(gw, c.x, dz)
 	addInto(m.wNeigh[l].G, gw)
 	if l == 0 {
-		flops += inputGradFlops(dz, in)
 		return nil
 	}
 	dx := ws.matrix(c.x.R, in)

@@ -304,8 +304,8 @@ func (m *Model) Forward(mb *sample.MiniBatch, feats []float32) (*Matrix, []*laye
 // Backward propagates dlogits through the cached layers, accumulating
 // parameter gradients. It stops at layer 0's parameters: the gradient with
 // respect to the input features is read by nothing (features are data, not
-// parameters), so the host does not compute it — but the modelled GPU runs
-// that kernel, so its FLOPs are charged all the same (see inputGradFlops).
+// parameters, and DGL's loader copies them without a gradient), so it is
+// neither computed nor counted.
 func (m *Model) Backward(caches []*layerCache, dlogits *Matrix) {
 	ws := &m.ws
 	dh := dlogits
@@ -332,17 +332,10 @@ func (m *Model) Backward(caches []*layerCache, dlogits *Matrix) {
 		}
 		MatMulAT(gw, c.agg, dh)
 		addInto(m.wNeigh[l].G, gw)
-		block := c.block
 		if l == 0 {
-			// Charged, not computed: the input-gradient products and their
-			// scatter.
-			products := int64(1)
-			if m.Cfg.Arch == SAGE {
-				products = 2
-			}
-			flops += products*inputGradFlops(dh, in) + 2*int64(len(block.Src))*int64(in)
 			return
 		}
+		block := c.block
 		var dSelf *Matrix
 		dAgg := ws.matrix(dh.R, in)
 		wt := ws.matrix(dh.C, in)
@@ -378,15 +371,6 @@ func (m *Model) Backward(caches []*layerCache, dlogits *Matrix) {
 	}
 }
 
-// inputGradFlops is what MatMulBT counts for the input gradient dh @ Wᵀ of a
-// layer with `in` inputs — the charge of layer 0's product, which Backward
-// skips on the host and still bills to the simulated GPU: Trainer.Step turns
-// the FLOP count into virtual kernel time, and NominalFlops prices the same
-// kernel sequence for cost-only runs.
-func inputGradFlops(dh *Matrix, in int) int64 {
-	return 2 * int64(dh.R) * int64(dh.C) * int64(in)
-}
-
 func addInto(dst, src *Matrix) {
 	axpy(dst.Data, src.Data, 1)
 	flops += int64(len(dst.Data))
@@ -394,15 +378,14 @@ func addInto(dst, src *Matrix) {
 
 // TrainStep runs forward, loss and backward for one batch, accumulating
 // gradients (call ZeroGrads first). labels are the seed labels in order.
-// It returns the mean loss, the number of correct predictions, and the
-// FLOPs charged.
-func (m *Model) TrainStep(mb *sample.MiniBatch, feats []float32, labels []int32) (loss float64, correct int, stepFlops int64) {
-	start := flops
+// It returns the mean loss and the number of correct predictions; the FLOPs
+// it executes are NominalFlops(m.Cfg, mb).
+func (m *Model) TrainStep(mb *sample.MiniBatch, feats []float32, labels []int32) (loss float64, correct int) {
 	logits, caches := m.Forward(mb, feats)
 	dlogits := m.ws.matrix(logits.R, logits.C)
 	loss, correct = SoftmaxCrossEntropy(logits, labels, dlogits)
 	m.Backward(caches, dlogits)
-	return loss, correct, flops - start
+	return loss, correct
 }
 
 // Evaluate runs forward only and returns loss and accuracy.
@@ -411,55 +394,79 @@ func (m *Model) Evaluate(mb *sample.MiniBatch, feats []float32, labels []int32) 
 	return SoftmaxCrossEntropy(logits, labels, m.ws.matrix(logits.R, logits.C))
 }
 
-// LayerFlops is the nominal forward cost of layer l over block b, split into
-// its dense (projection matmul) and aggregation terms. Every nominal-cost
-// estimate — training, inference, and the strategies' partial charges — is a
-// weighted sum of these two numbers.
-func LayerFlops(cfg Config, l int, b *sample.Block) (dense, agg int64) {
+// LayerFlops is the work of layer l over block b exactly as the host kernels
+// count it (FlopCount), from the shapes alone: forward is what Forward
+// executes for the layer, backward what Backward executes (nothing below
+// layer 0's parameters), and dense the projection's products — the forward
+// pass runs them once and the weight gradient once more at the same size, so
+// each of forward and backward holds dense once. Every compute charge, for
+// training, inference and the strategies' netting, is a sum of these.
+func LayerFlops(cfg Config, l int, b *sample.Block) (forward, backward, dense int64) {
 	in, out := cfg.dims(l)
+	dst, edges := int64(len(b.Dst)), int64(len(b.Src))
+	io, rows := int64(in)*int64(out), dst*int64(out)
+	agg := 2 * edges * int64(in) // the neighbour sum, and backward its scatter
+	var inputGrad int64          // dh @ Wᵀ and its scatter: above layer 0 only
 	switch cfg.Arch {
 	case GAT:
-		// Projection over ALL input nodes plus per-edge attention.
-		dense = 2 * int64(len(b.InputNodes)) * int64(in) * int64(out)
-		agg = 12 * int64(len(b.Src)) * int64(out)
+		// z = x @ W over every input row; per attention slot (each edge and
+		// one self slot per destination) the score dot product and the
+		// weighted sum, 6 flops a unit forward and 8 backward, plus each
+		// destination's own score dot product.
+		dense = 2 * int64(len(b.InputNodes)) * io
+		slots := (edges + dst) * int64(out)
+		forward = dense + 6*slots + 2*rows
+		backward = 8*slots + dense + io // attention, weight gradient, accumulate
+		inputGrad = dense
 	case SAGE:
-		dense = 4 * int64(len(b.Dst)) * int64(in) * int64(out) // self + neigh
-		agg = 2 * int64(len(b.Src)) * int64(in)
+		dense = 4 * dst * io           // self and neighbour projections
+		forward = agg + dense + rows   // and their sum
+		backward = rows + dense + 2*io // bias, weight gradients, accumulate
+		inputGrad = dense + agg
 	default:
-		dense = 2 * int64(len(b.Dst)) * int64(in) * int64(out)
-		agg = 2 * int64(len(b.Src)) * int64(in)
+		dense = 2 * dst * io
+		forward = agg + dense
+		backward = rows + dense + io
+		inputGrad = dense + agg
 	}
-	return dense, agg
+	forward += rows // bias
+	if l < cfg.Layers-1 {
+		forward += rows // ReLU
+	}
+	if l > 0 {
+		backward += inputGrad
+	}
+	return forward, backward, dense
 }
 
-// NominalFlops estimates the forward+backward FLOPs a batch would execute
-// under cfg without running the math — used by the cost-only trainer mode
-// in the large timing sweeps, where the paper-scale hidden size (256) would
-// be too slow to execute for real on the host.
+// NominalFlops is the FLOPs TrainStep executes on mb under cfg — every
+// layer's forward and backward plus the loss — priced from the shapes
+// without running the math. Every training step charges it as one compute
+// kernel, whether or not the math runs.
 func NominalFlops(cfg Config, mb *sample.MiniBatch) int64 {
 	var total int64
 	for l, b := range mb.Blocks {
-		dense, agg := LayerFlops(cfg, l, b)
-		// Forward + two backward matmuls per forward matmul.
-		total += 3*dense + 2*agg
+		fwd, bwd, _ := LayerFlops(cfg, l, b)
+		total += fwd + bwd
 	}
-	return total
+	seeds := int64(len(mb.Blocks[len(mb.Blocks)-1].Dst))
+	return total + 5*seeds*int64(cfg.Classes) // SoftmaxCrossEntropy
 }
 
-// NominalForwardFlops estimates the floating-point work of a forward-only
-// (inference) pass: the same per-layer dense and aggregation terms as
-// NominalFlops without the two backward matmuls per forward matmul.
+// NominalForwardFlops is the FLOPs Forward executes on mb under cfg: the
+// charge of an inference pass.
 func NominalForwardFlops(cfg Config, mb *sample.MiniBatch) int64 {
 	var total int64
 	for l, b := range mb.Blocks {
-		dense, agg := LayerFlops(cfg, l, b)
-		total += dense + agg
+		fwd, _, _ := LayerFlops(cfg, l, b)
+		total += fwd
 	}
 	return total
 }
 
-// NominalAggBytes estimates the memory traffic of the aggregation kernels
-// (edges × feature width), charged to the gather cost model.
+// NominalAggBytes is the row traffic of the aggregation (edges × input width
+// × 4 B per layer): every step and inference charges it to the gather model
+// beside its FLOPs, because gathering neighbour rows is bandwidth-bound.
 func NominalAggBytes(cfg Config, mb *sample.MiniBatch) int64 {
 	var total int64
 	for l, b := range mb.Blocks {

@@ -1,12 +1,12 @@
 // Package nn implements the dense math for GNN training: a small matrix
-// library, GraphSAGE and GCN models with manual backpropagation, losses and
-// optimizers. The math is real — Figure 9's learning curves come from
-// genuine gradient descent — and every floating-point operation of the
-// modelled kernel sequence is counted so the simulated GPUs can be charged
-// the equivalent kernel time. The host executes all of them but one product:
-// the first layer's input gradient, which nothing reads, is counted and not
-// computed (Model.Backward). A rate taken from FlopCount over a train step —
-// the benchmark's nn.trainstep_gflops — is therefore a charged-FLOP rate.
+// library, GraphSAGE, GCN and GAT models with manual backpropagation, losses
+// and optimizers. The math is real — Figure 9's learning curves come from
+// genuine gradient descent — and FlopCount counts the floating-point work
+// the kernels execute. NominalFlops and NominalForwardFlops give the same
+// numbers from a batch's shapes alone, and they are what the simulated GPUs
+// are charged, whether or not the math runs. A rate taken from FlopCount over
+// a train step — the benchmark's nn.trainstep_gflops — is an executed-FLOP
+// rate.
 package nn
 
 import (
@@ -52,13 +52,13 @@ func (m *Matrix) GlorotInit(r *rng.RNG) {
 	}
 }
 
-// flops accumulates the floating-point operations this package charges;
-// callers snapshot it around a training step to charge simulated kernels.
-// It is package-level because model forward/backward spans many helpers; the
-// simulator is single-threaded per step so no synchronisation is needed.
+// flops accumulates the floating-point operations this package executes;
+// tests and benchmarks snapshot it around a call. It is package-level because
+// model forward/backward spans many helpers; the simulator is single-threaded
+// per step so no synchronisation is needed.
 var flops int64
 
-// FlopCount returns the cumulative FLOPs charged so far.
+// FlopCount returns the cumulative FLOPs executed so far.
 func FlopCount() int64 { return flops }
 
 // axpy computes dst[i] += a*x[i] over len(dst) elements: the one inner loop

@@ -34,7 +34,9 @@ type pinnedRun struct {
 // replaced those fields to the values every run used to get. The fleet row
 // was re-pinned once when its report gained the telemetry section (the run
 // report then went through the same epilogue as a stand-alone one); without
-// that section its bytes are the old row's. They are amd64
+// that section its bytes are the old row's. Every row was re-pinned when an
+// inference came to be priced by nn.NominalForwardFlops, the work Forward
+// executes. They are amd64
 // values (real-compute predictions run nn's Go loops, which arm64 fuses), so
 // the test only runs there.
 func TestServePinned(t *testing.T) {
@@ -67,25 +69,25 @@ func TestServePinned(t *testing.T) {
 		cfg  serve.Config
 		run  func(serve.Config) (pinnedRun, error)
 	}{
-		{"dynamic", 0x25567dadc6e88d35, base(d4), alone},
-		{"real", 0x15d9ed743251b934, func() serve.Config {
+		{"dynamic", 0x988dbae922b20958, base(d4), alone},
+		{"real", 0x77d46ab71259528b, func() serve.Config {
 			c := base(d4)
 			c.RealCompute = true
 			return c
 		}(), alone},
-		{"p3", 0x41b20af8ef301b5d, func() serve.Config {
+		{"p3", 0x614177a21e77329a, func() serve.Config {
 			c := base(d4)
 			c.Strategy = "p3"
 			return c
 		}(), alone},
-		{"tiered", 0xa394a0d108dc7d72, func() serve.Config {
+		{"tiered", 0x3f5a9ae3ca7ed8cf, func() serve.Config {
 			c := base(d2)
 			c.CompressTopology, c.OOC = true, true
 			c.FeatCodec = compress.NewInt8(c.Seed)
 			c.DynamicCache, c.RebalanceEvery, c.DriftEvery = cache.LFUDecay, 0.01, 0.02
 			return c
 		}(), alone},
-		{"tenants", 0x60265c530d344dfa, func() serve.Config {
+		{"tenants", 0xcbf475fb9f6158b8, func() serve.Config {
 			c := base(d4)
 			c.Rate = 6000
 			c.Tenants = []serve.TenantSpec{{Name: "free", Weight: 4, Rate: 500}, {Name: "pro", Weight: 1}}
@@ -93,7 +95,7 @@ func TestServePinned(t *testing.T) {
 			c.Telemetry = telemetry.New(telemetry.Config{SLO: c.SLO})
 			return c
 		}(), alone},
-		{"fleet", 0x5bb21532b5a1c222, func() serve.Config {
+		{"fleet", 0xdadd20f654d225c, func() serve.Config {
 			c := base(d2)
 			c.Rate, c.SLO = 8000, 5e-3
 			c.Telemetry = telemetry.New(telemetry.Config{SLO: c.SLO})

@@ -58,8 +58,8 @@ type ParallelGroup struct {
 // NewParallelGroup returns a group drawing on the engine's parallelism.
 func (e *Engine) NewParallelGroup() *ParallelGroup { return &ParallelGroup{eng: e} }
 
-// Ticket is a handle for one submitted unit. The zero/nil ticket joins
-// immediately.
+// Ticket is a handle for one submitted unit, held by value: Submit allocates
+// none. The zero Ticket joins immediately.
 type Ticket struct {
 	fn   func() // inline mode: deferred to Join
 	done chan struct{}
@@ -69,30 +69,28 @@ type Ticket struct {
 // immediately (bounded by the engine's thread budget) and runs concurrently
 // with the simulation; at parallelism 1 it is deferred and runs inline at
 // Join. Either way fn's effects may only be observed after Join returns.
-func (g *ParallelGroup) Submit(fn func()) *Ticket {
+func (g *ParallelGroup) Submit(fn func()) Ticket {
 	e := g.eng
 	if e.par <= 1 {
-		return &Ticket{fn: fn}
+		return Ticket{fn: fn}
 	}
-	t := &Ticket{done: make(chan struct{})}
+	done := make(chan struct{})
 	sem := e.parSem
 	go func() {
-		defer close(t.done)
+		defer close(done)
 		sem <- struct{}{}
 		defer func() { <-sem }()
 		fn()
 	}()
-	return t
+	return Ticket{done: done}
 }
 
 // Join waits (real time, zero virtual time) until the unit has run. It is
-// safe to call from any sim process — not only the submitter — and at most
-// once per ticket from one place; the commit point it marks is where the
-// unit's results become visible for deterministic merge.
+// safe to call from any sim process — not only the submitter — and again on
+// the same ticket, which then returns at once; a copy of a ticket is not the
+// same ticket. The commit point it marks is where the unit's results become
+// visible for deterministic merge.
 func (t *Ticket) Join() {
-	if t == nil {
-		return
-	}
 	if t.fn != nil {
 		fn := t.fn
 		t.fn = nil

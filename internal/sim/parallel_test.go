@@ -73,6 +73,6 @@ func TestParallelGroupScatter(t *testing.T) {
 }
 
 func TestTicketJoinIdempotentForNil(t *testing.T) {
-	var tk *Ticket
-	tk.Join() // must not panic
+	var tk Ticket
+	tk.Join() // the zero ticket joins at once
 }

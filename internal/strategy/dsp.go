@@ -8,7 +8,6 @@ import (
 	"repro/internal/compress"
 	"repro/internal/graph"
 	"repro/internal/hw"
-	"repro/internal/nn"
 	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -200,12 +199,12 @@ func (s *DSP) coldOwners(cold int, host []graph.NodeID) (mine int64, foreign []i
 
 // Infer implements ExecutionStrategy: the full forward pass.
 func (s *DSP) Infer(p *sim.Proc, rank int, l Loaded) []int32 {
-	return s.infer(p, rank, l, nn.NominalForwardFlops(s.Opts.Model, l.MB))
+	return s.infer(p, rank, l, 0)
 }
 
 // Train implements ExecutionStrategy: the standard data-parallel step.
 func (s *DSP) Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats) {
-	s.train(p, rank, l, st, s.Opts.GradOpts(), nn.NominalFlops)
+	s.train(p, rank, l, st, s.Opts.GradOpts(), 0)
 }
 
 // Count implements ExecutionStrategy: nothing of its own to add.

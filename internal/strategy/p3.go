@@ -121,18 +121,23 @@ func (s *P3) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communic
 	return Loaded{MB: mb, Feats: feats}
 }
 
-// firstDense is the first layer's nominal dense flops: the work the push
-// exchange (forward) and the pull (backward) have already charged as
-// partial projections, so the trainer and inference kernels net it out.
-func firstDense(cfg nn.Config, mb *sample.MiniBatch) int64 {
-	dense, _ := nn.LayerFlops(cfg, 0, mb.Blocks[0])
+// firstDense is the first layer's projection products in the step's price
+// (nn.LayerFlops). P3's exchange charges that work instead of the trainer and
+// inference kernels — the partial projections in Load, and in training the
+// pull's weight-gradient shards, the same size again — so both net it out.
+// A single GPU exchanges nothing and nets out nothing.
+func (s *P3) firstDense(mb *sample.MiniBatch) int64 {
+	if len(s.M.GPUs) == 1 {
+		return 0
+	}
+	_, _, dense := nn.LayerFlops(s.Opts.Model, 0, mb.Blocks[0])
 	return dense
 }
 
 // Infer implements ExecutionStrategy: the forward pass net of the first
-// layer's dense term.
+// layer's projection.
 func (s *P3) Infer(p *sim.Proc, rank int, l Loaded) []int32 {
-	return s.infer(p, rank, l, nn.NominalForwardFlops(s.Opts.Model, l.MB)-firstDense(s.Opts.Model, l.MB))
+	return s.infer(p, rank, l, s.firstDense(l.MB))
 }
 
 // Train implements ExecutionStrategy: pull the layer-1 activation gradients
@@ -173,14 +178,12 @@ func (s *P3) Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats) {
 	// dense layers, full-vector allreduce. Only the wire PRICE of the
 	// sharded first-layer weights changes (PriceElems) — the values reduced
 	// are identical to DSP's, so replicas of the two strategies stay bitwise
-	// equal at the same seed. Cost-only, the first layer's dense work is
-	// already charged in the loader (partial projections) and the pull
-	// (weight-gradient shards): layer 0 contributes only its aggregation.
+	// equal at the same seed. The step's kernel nets out the first layer's
+	// projection and weight-gradient products, which the loader and the pull
+	// have charged.
 	grad := s.Opts.GradOpts()
 	grad.PriceElems = s.priceElems()
-	s.train(p, rank, l, st, grad, func(cfg nn.Config, mb *sample.MiniBatch) int64 {
-		return nn.NominalFlops(cfg, mb) - 3*firstDense(cfg, mb)
-	})
+	s.train(p, rank, l, st, grad, 2*s.firstDense(l.MB))
 }
 
 // priceElems is the allreduce element count the wire is charged for: the

@@ -113,23 +113,25 @@ type replica struct {
 // virtual-time choreography of Load; the caller Joins the ticket before
 // returning the buffer. A Load that unwinds first (an aborted serve round)
 // just drops the buffer: it must never be recycled un-joined.
-func (r *replica) stage(mb *sample.MiniBatch) ([]float32, *sim.Ticket) {
+func (r *replica) stage(mb *sample.MiniBatch) ([]float32, sim.Ticket) {
 	if !r.Opts.RealCompute {
-		return nil, nil
+		return nil, sim.Ticket{}
 	}
 	d := r.Opts.Data
 	feats := r.pool.Get(len(mb.InputNodes()) * d.FeatDim)
 	return feats, r.par.Submit(func() { train.GatherFeaturesInto(feats, d, mb) })
 }
 
-// infer is the forward-only pass both layouts share; flops is the layout's
-// nominal compute charge.
-func (r *replica) infer(p *sim.Proc, rank int, l Loaded, flops int64) []int32 {
+// infer is the forward-only pass both layouts share: the aggregation's row
+// traffic and one compute kernel priced at nn.NominalForwardFlops net of what
+// the layout has charged elsewhere — Trainer.Step's price, forward only —
+// then the math under RealCompute.
+func (r *replica) infer(p *sim.Proc, rank int, l Loaded, charged int64) []int32 {
 	var preds []int32
 	if len(l.MB.Seeds) > 0 {
 		dev := r.M.GPUs[rank]
 		dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(r.Opts.Model, l.MB))
-		dev.RunKernel(p, hw.KernelCompute, flops)
+		dev.RunKernel(p, hw.KernelCompute, nn.NominalForwardFlops(r.Opts.Model, l.MB)-charged)
 		if r.Opts.RealCompute {
 			logits, _ := r.Models[rank].Forward(l.MB, l.Feats)
 			preds = make([]int32, logits.R)
@@ -151,8 +153,7 @@ func (r *replica) infer(p *sim.Proc, rank int, l Loaded, flops int64) []int32 {
 
 // train is the data-parallel step both layouts share, then the staged
 // gather's recycling.
-func (r *replica) train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats,
-	grad comm.Opts, nominal func(nn.Config, *sample.MiniBatch) int64) {
-	r.Trainer.Step(p, r.M.GPUs[rank], rank, l.MB, l.Feats, st, grad, nominal)
+func (r *replica) train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats, grad comm.Opts, charged int64) {
+	r.Trainer.Step(p, r.M.GPUs[rank], rank, l.MB, l.Feats, st, grad, charged)
 	r.pool.Put(l.Feats) // the step has consumed the staged gather
 }

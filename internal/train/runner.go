@@ -172,7 +172,7 @@ type Reducer interface {
 
 // Trainer is the data-parallel trainer worker shared by every strategy,
 // every machine of a cluster and every baseline: forward/backward (real or
-// nominal-cost), gradient allreduce, synchronous update. All systems execute
+// priced only), gradient allreduce, synchronous update. All systems execute
 // the same BSP training logic — which is why their accuracy-versus-batch
 // curves coincide (Figure 9a).
 type Trainer struct {
@@ -212,36 +212,38 @@ func NewTrainer(opts Options, c *comm.Communicator) *Trainer {
 // gradient codec on the gradient traffic class.
 func (o Options) GradOpts() comm.Opts { return comm.Compressed(o.GradCodec, hw.TrafficGradient) }
 
-// Step runs one mini-batch training step on rank's GPU: the math (or, in
-// cost-only mode, the aggregation kernel plus nominal(model, batch) flops),
-// the gradient reduction under grad, the mean and the optimiser update.
+// Step runs one mini-batch training step on rank's GPU: the aggregation's
+// row traffic (nn.NominalAggBytes) and one compute kernel priced at
+// nn.NominalFlops net of the work the strategy has already charged elsewhere
+// (P3's layer-0 exchange), then — with the math under RealCompute, by count
+// alone otherwise — the gradient reduction under grad, the mean and the
+// optimiser update. The price comes from the batch's shapes, so both modes
+// spend the same virtual time.
 func (t *Trainer) Step(p *sim.Proc, dev *hw.Device, rank int, mb *sample.MiniBatch, feats []float32, st *EpochStats,
-	grad comm.Opts, nominal func(nn.Config, *sample.MiniBatch) int64) {
-	if t.Opts.RealCompute {
-		m := t.Models[rank]
-		m.ZeroGrads()
-		if len(mb.Seeds) > 0 {
-			loss, correct, flops := m.TrainStep(mb, feats, SeedLabels(t.Opts.Data, mb))
-			dev.RunKernel(p, hw.KernelCompute, flops)
-			st.Loss += loss
-			st.Correct += correct
-			st.Seen += len(mb.Seeds)
-		}
-		m.GradVector(t.Grad[rank])
-		t.Reduce.AllReduceSum(p, rank, t.Grad[rank], grad)
-		inv := float32(1.0) / float32(t.World)
-		for i := range t.Grad[rank] {
-			t.Grad[rank][i] *= inv
-		}
-		m.SetGradVector(t.Grad[rank])
-		t.Optims[rank].Step(m)
-		return
-	}
-	// Cost-only: charge nominal kernel work and the gradient allreduce; no
-	// gradient value exists, so none moves.
+	grad comm.Opts, charged int64) {
 	if len(mb.Seeds) > 0 {
 		dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(t.Opts.Model, mb))
-		dev.RunKernel(p, hw.KernelCompute, nominal(t.Opts.Model, mb))
+		dev.RunKernel(p, hw.KernelCompute, nn.NominalFlops(t.Opts.Model, mb)-charged)
 	}
-	t.Reduce.AllReduceCount(p, rank, t.Params, grad)
+	if !t.Opts.RealCompute {
+		// No gradient value exists, so none moves.
+		t.Reduce.AllReduceCount(p, rank, t.Params, grad)
+		return
+	}
+	m := t.Models[rank]
+	m.ZeroGrads()
+	if len(mb.Seeds) > 0 {
+		loss, correct := m.TrainStep(mb, feats, SeedLabels(t.Opts.Data, mb))
+		st.Loss += loss
+		st.Correct += correct
+		st.Seen += len(mb.Seeds)
+	}
+	m.GradVector(t.Grad[rank])
+	t.Reduce.AllReduceSum(p, rank, t.Grad[rank], grad)
+	inv := float32(1.0) / float32(t.World)
+	for i := range t.Grad[rank] {
+		t.Grad[rank][i] *= inv
+	}
+	m.SetGradVector(t.Grad[rank])
+	t.Optims[rank].Step(m)
 }

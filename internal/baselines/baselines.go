@@ -218,8 +218,8 @@ func (b *Baseline) cpuWorkers() (threads int, efficiency float64) {
 // sampling cost.
 func (b *Baseline) sampleStage(p *sim.Proc, rank, epoch, step int) *sample.MiniBatch {
 	d := b.Opts.Data
-	seeds := b.sched.Batch(d, b.Opts.Seed, epoch, step, rank)
-	mb := sample.ReferenceInto(b.deduper(), d.G, seeds, b.Opts.Sample, train.BatchSeed(b.Opts.Seed, epoch, step, rank))
+	seeds, seed := b.sched.Step(d, b.Opts.Seed, epoch, step, 0, rank)
+	mb := sample.ReferenceInto(b.deduper(), d.G, seeds, b.Opts.Sample, seed)
 	dev := b.m.GPUs[rank]
 	switch b.Kind {
 	case PyG, DGLCPU:
@@ -316,32 +316,25 @@ func (b *Baseline) loadStage(p *sim.Proc, rank int, mb *sample.MiniBatch) []floa
 	return nil
 }
 
-// loadedBatch pairs a sample with its features.
-type loadedBatch struct {
-	mb    *sample.MiniBatch
-	feats []float32
-}
-
 // RunEpoch implements train.System. Baseline systems execute stages
 // sequentially (no producer-consumer pipeline — DSP's contribution).
 func (b *Baseline) RunEpoch(epoch int) (train.EpochStats, error) {
 	if b.Kind == FastGCN {
 		return train.EpochStats{}, fmt.Errorf("baselines: FastGCN supports sampling epochs only (Table 7)")
 	}
-	return train.RunEpoch(train.Window{Machines: []*hw.Machine{b.m}}, epoch, 0, -1, false, 0, b.Opts.EffectiveStageOverhead(),
-		func(_, rank int, st *train.EpochStats) pipeline.Stages {
-			return pipeline.Stages{
+	return train.RunEpoch(train.Window{Machines: []*hw.Machine{b.m}}, epoch, 0, -1, false, 0,
+		func(_, rank int, st *train.EpochStats) pipeline.Stages[*sample.MiniBatch, strategy.Loaded] {
+			return pipeline.Stages[*sample.MiniBatch, strategy.Loaded]{
 				NumBatches: b.sched.Steps,
-				Samplers: []pipeline.SampleFunc{func(p *sim.Proc, step int) interface{} {
+				Overhead:   b.Opts.EffectiveStageOverhead(),
+				Samplers: []func(*sim.Proc, int) *sample.MiniBatch{func(p *sim.Proc, step int) *sample.MiniBatch {
 					return b.sampleStage(p, rank, epoch, step)
 				}},
-				Loaders: []pipeline.LoadFunc{func(p *sim.Proc, step int, v interface{}) interface{} {
-					mb := v.(*sample.MiniBatch)
-					return loadedBatch{mb, b.loadStage(p, rank, mb)}
+				Loaders: []func(*sim.Proc, int, *sample.MiniBatch) strategy.Loaded{func(p *sim.Proc, step int, mb *sample.MiniBatch) strategy.Loaded {
+					return strategy.Loaded{MB: mb, Feats: b.loadStage(p, rank, mb)}
 				}},
-				Train: func(p *sim.Proc, step int, v interface{}) {
-					l := v.(loadedBatch)
-					b.trainer.Step(p, b.m.GPUs[rank], rank, l.mb, l.feats, st, b.Opts.GradOpts(), 0)
+				Train: func(p *sim.Proc, step int, l strategy.Loaded) {
+					b.trainer.Step(p, b.m.GPUs[rank], rank, l.MB, l.Feats, st, b.Opts.GradOpts(), 0)
 				},
 			}
 		})
@@ -359,8 +352,8 @@ var _ train.System = (*Baseline)(nil)
 // (epoch, step, rank) is the exact sample DSP draws, because both use the
 // shared schedule and seeding discipline on the same prepared data.
 func (b *Baseline) SamplesMatchDSP(epoch, step, rank int, other *sample.MiniBatch) bool {
-	seeds := b.sched.Batch(b.Opts.Data, b.Opts.Seed, epoch, step, rank)
-	mine := sample.Reference(b.Opts.Data.G, seeds, b.Opts.Sample, train.BatchSeed(b.Opts.Seed, epoch, step, rank))
+	seeds, seed := b.sched.Step(b.Opts.Data, b.Opts.Seed, epoch, step, 0, rank)
+	mine := sample.Reference(b.Opts.Data.G, seeds, b.Opts.Sample, seed)
 	if len(mine.Blocks) != len(other.Blocks) {
 		return false
 	}

@@ -60,6 +60,6 @@ func cacheSweepConfig(td *train.Data, pol cache.Policy, budget int64) serve.Conf
 	c.DynamicCache = pol
 	c.RebalanceEvery = 5e-3
 	c.DriftEvery = 0.1
-	c.CacheTune = cache.Config{Decay: 0.9}
+	c.CacheDecay = 0.9
 	return c
 }

@@ -25,7 +25,7 @@ func raceEnabled() bool {
 // TestWarmExchangeAllocs: an all-to-all given a receive table allocates
 // nothing once its communicator has seen the payload type — the post is not
 // boxed and the table is the caller's — for counts and for slice payloads,
-// with and without a membership view. Rank 0 measures while every rank
+// and an all-gather given one, with and without a membership view. Rank 0 measures while every rank
 // runs the same calls.
 func TestWarmExchangeAllocs(t *testing.T) {
 	if raceEnabled() {
@@ -42,6 +42,7 @@ func TestWarmExchangeAllocs(t *testing.T) {
 			m.Eng.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 				counts, countsIn := make([]int, n), make([]int, n)
 				out, in := make([][]int32, n), make([][]int32, n)
+				seed, seeds := []uint64{uint64(r)}, make([][]uint64, n)
 				for q := range out {
 					counts[q] = 8 * q
 					out[q] = make([]int32, q)
@@ -50,8 +51,9 @@ func TestWarmExchangeAllocs(t *testing.T) {
 					c.Begin(r)
 					countsIn = AllToAllCounts(c, p, r, counts, countsIn, Raw(4, hw.TrafficFeature))
 					in = AllToAllInto(c, p, r, out, in, Raw(4, hw.TrafficSample))
+					seeds = AllGather(c, p, r, seed, seeds, Raw(8, hw.TrafficOther))
 				}
-				exchange() // the communicator meets both payload types
+				exchange() // the communicator meets every payload type
 				if r == 0 {
 					allocs = testing.AllocsPerRun(calls, exchange)
 					return

@@ -139,8 +139,9 @@ type Communicator struct {
 type board interface{ drop() }
 
 // typedBoard is the board of payload type S: posted[r] is rank r's out table.
-// Posting a slice into a table of its own type boxes nothing.
-type typedBoard[S any] struct{ posted [][]S }
+// Posting a slice into a table of its own type boxes nothing. gather[r] is
+// the out table rank r's AllGather posts, kept for its next one.
+type typedBoard[S any] struct{ posted, gather [][]S }
 
 func (b *typedBoard[S]) drop() { clear(b.posted) }
 
@@ -370,15 +371,24 @@ func exchange[S any](c *Communicator, p *sim.Proc, rank int, out, in []S, o Opts
 	return in
 }
 
-// AllGather delivers every rank's slice to every rank, indexed by rank.
-func AllGather[T any](c *Communicator, p *sim.Proc, rank int, data []T, o Opts) [][]T {
-	out := make([][]T, c.N)
+// AllGather delivers every rank's slice to every rank, indexed by rank,
+// received into in as AllToAllInto does (nil allocates). Its segments are
+// the senders' data slices.
+func AllGather[T any](c *Communicator, p *sim.Proc, rank int, data []T, in [][]T, o Opts) [][]T {
+	b := boardFor[[]T](c)
+	if b.gather == nil {
+		b.gather = make([][][]T, c.N)
+	}
+	if b.gather[rank] == nil {
+		b.gather[rank] = make([][]T, c.N)
+	}
+	out := b.gather[rank]
 	for q := range out {
 		if q != rank {
 			out[q] = data
 		}
 	}
-	in := AllToAll(c, p, rank, out, o)
+	in = AllToAllInto(c, p, rank, out, in, o)
 	in[rank] = data
 	return in
 }

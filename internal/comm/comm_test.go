@@ -147,7 +147,7 @@ func TestAllGather(t *testing.T) {
 	for r := 0; r < n; r++ {
 		r := r
 		m.Eng.Go("rank", func(p *sim.Proc) {
-			got[r] = AllGather(c, p, r, []int64{int64(r)}, Raw(8, hw.TrafficOther))
+			got[r] = AllGather(c, p, r, []int64{int64(r)}, nil, Raw(8, hw.TrafficOther))
 		})
 	}
 	if _, err := m.Eng.Run(); err != nil {

@@ -89,7 +89,7 @@ func TestEpochRecyclesSampledBlocks(t *testing.T) {
 	// The epoch's blocks, resampled by the reference sampler: every array a
 	// block holds, at 4 bytes an entry.
 	var blocks uint64
-	sched := train.Schedule{BatchSize: o.BatchSize}
+	sched := train.NewSchedule(td, o.BatchSize)
 	for step := 0; step < sys.Steps(); step++ {
 		for rank := 0; rank < td.NumGPUs(); rank++ {
 			mb := sample.Reference(td.G, sched.Batch(td, o.Seed, 1, step, rank), o.Sample, train.BatchSeed(o.Seed, 1, step, rank))

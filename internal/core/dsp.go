@@ -29,6 +29,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
+	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
@@ -45,16 +46,6 @@ type DSP struct {
 	subs  []*strategy.Substrate // one per machine
 	sched train.Schedule
 	injs  []*fault.Injector // one per machine when Opts.Faults is set
-	// perms[rank] is rank's shard permutation for one epoch, drawn into the
-	// last epoch's array at the epoch's first batch and shared by every
-	// machine.
-	perms []epochPerm
-}
-
-// epochPerm is a schedule permutation and the epoch it was drawn for.
-type epochPerm struct {
-	epoch int
-	perm  []int
 }
 
 // New builds a DSP instance on one stand-alone machine: partitioned topology,
@@ -128,13 +119,7 @@ func NewMulti(opts train.Options, machines int, net hw.NetworkSpec) (*DSP, error
 // one engine) from resolved options.
 func build(opts train.Options, machines []*hw.Machine) (*DSP, error) {
 	machines[0].Eng.SetParallelism(opts.Parallel)
-	s := &DSP{Opts: opts, sched: train.Schedule{BatchSize: opts.BatchSize},
-		perms: make([]epochPerm, opts.Data.NumGPUs())}
-	// Each machine consumes a 1/machines stride of every shard.
-	for _, shard := range opts.Data.Shards {
-		per := (len(shard) + len(machines) - 1) / len(machines)
-		s.sched.Steps = max(s.sched.Steps, (per+opts.BatchSize-1)/opts.BatchSize)
-	}
+	s := &DSP{Opts: opts, sched: train.NewClusterSchedule(opts.Data, opts.BatchSize, len(machines))}
 	for _, m := range machines {
 		sub, err := strategy.Build(m, opts, strategy.Training)
 		if err != nil {
@@ -231,18 +216,6 @@ func (s *DSP) Compression() [hw.TrafficOther + 1]comm.CompressionStats {
 // window is the epoch bracket over every machine's substrate.
 func (s *DSP) window(boundary bool) train.Window { return strategy.Window(boundary, s.subs...) }
 
-// batch names (epoch, step)'s seeds and sampling seed for rank on machine:
-// rank's shard is shuffled per epoch (the shared permutation, drawn once) and
-// the machines take interleaved batch-sized slices of it.
-func (s *DSP) batch(machine, epoch, step, rank int) ([]graph.NodeID, uint64) {
-	ep := &s.perms[rank]
-	if ep.perm == nil || ep.epoch != epoch {
-		*ep = epochPerm{epoch: epoch, perm: s.sched.Perm(ep.perm, s.Opts.Data, s.Opts.Seed, epoch, rank)}
-	}
-	stride := step*len(s.subs) + machine
-	return s.sched.Seeds(s.Opts.Data, ep.perm, stride, rank), train.BatchSeed(s.Opts.Seed, epoch, stride, rank)
-}
-
 // RunEpoch implements train.System.
 func (s *DSP) RunEpoch(epoch int) (train.EpochStats, error) {
 	return s.RunEpochRange(epoch, 0, s.sched.Steps)
@@ -255,11 +228,10 @@ func (s *DSP) RunEpoch(epoch int) (train.EpochStats, error) {
 func (s *DSP) RunEpochRange(epoch, from, to int) (train.EpochStats, error) {
 	// Epoch-boundary adaptation only when this range reaches the epoch's end
 	// — checkpoint segments mid-epoch do not rebalance.
-	return train.RunEpoch(s.window(to >= s.sched.Steps), epoch, from, to,
-		s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
-		func(m, rank int, st *train.EpochStats) pipeline.Stages {
+	return train.RunEpoch(s.window(to >= s.sched.Steps), epoch, from, to, s.Opts.Pipeline, s.Opts.QueueCap,
+		func(m, rank int, st *train.EpochStats) pipeline.Stages[*sample.MiniBatch, strategy.Loaded] {
 			return s.subs[m].Stages(rank, s.sched.Steps, st, func(step int) ([]graph.NodeID, uint64) {
-				return s.batch(m, epoch, step, rank)
+				return s.sched.Step(s.Opts.Data, s.Opts.Seed, epoch, step, m, rank)
 			})
 		})
 }
@@ -321,7 +293,7 @@ func (s *DSP) Restore(st *ckpt.TrainState) error {
 func (s *DSP) RunSampleEpoch(epoch int) (train.EpochStats, error) {
 	return train.SampleEpoch(s.window(false).Machines, epoch, s.sched.Steps, s.Opts.EffectiveStageOverhead(),
 		func(p *sim.Proc, m, rank, step int) {
-			seeds, seed := s.batch(m, epoch, step, rank)
+			seeds, seed := s.sched.Step(s.Opts.Data, s.Opts.Seed, epoch, step, m, rank)
 			w := s.subs[m].Worlds[0]
 			w.Release(rank, s.subs[m].Sample(p, w, rank, seeds, seed))
 		})

@@ -17,7 +17,7 @@ import (
 // substrates — the hierarchical gradient reducer (intra-machine NVLink
 // allreduce, inter-machine ring over the NICs between machine leaders,
 // cluster barrier). The striding of each shard's batches across machines is
-// DSP.batch; cold rows owned by another machine's CPU memory cross the NIC
+// train.Schedule.Step; cold rows owned by another machine's CPU memory cross the NIC
 // inside strategy.DSP.Load.
 
 // clusterReduction is the inter-machine rendezvous the machines' reducers

@@ -243,6 +243,13 @@ type roundScratch struct {
 	samples   []graph.NodeID // the assembled layer, before Rebuild copies it
 	ahead     []graph.NodeID // next frontier's host-resident rows (prefetch)
 	peerSeed  []uint64
+	// sent and seeds are the batch-seed exchange's send slots and receive
+	// table. Sends alternate between the slots: a peer may still read this
+	// rank's last seed once the rank has posted the next, but never once it
+	// has posted two, because the second exchange waits for that peer.
+	sent      [2]uint64
+	sends     int
+	seeds     [][]uint64
 	layerSeed []uint64    // sample.LayerSeed of each peerSeed for the drawn layer
 	keys      sample.Keys // biased draws' selection keys
 }
@@ -491,13 +498,22 @@ func (w *World) SampleBatchShared(p *sim.Proc, rank int, seeds []graph.NodeID, c
 }
 
 func (w *World) sampleBatch(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sample.Config, batchSeed uint64, fused bool) *sample.MiniBatch {
-	// Exchange batch seeds so owners can seed draws for any requester.
-	seedsAll := comm.AllGather(w.Comm, p, rank, []uint64{batchSeed}, comm.Raw(8, hw.TrafficOther))
-	peerSeed := w.scratchOf(rank).peerSeed
-	for q := range peerSeed {
-		peerSeed[q] = seedsAll[q][0]
-	}
+	w.exchangeSeeds(p, rank, batchSeed)
 	return w.sampleLayers(p, rank, seeds, cfg, batchSeed, fused)
+}
+
+// exchangeSeeds gathers every rank's batch seed into rank's peerSeed table,
+// so owners can seed draws for any requester, and returns the table.
+func (w *World) exchangeSeeds(p *sim.Proc, rank int, batchSeed uint64) []uint64 {
+	s := w.scratchOf(rank)
+	i := s.sends % 2
+	s.sends++
+	s.sent[i] = batchSeed
+	s.seeds = comm.AllGather(w.Comm, p, rank, s.sent[i:i+1], s.seeds, comm.Raw(8, hw.TrafficOther))
+	for q := range s.peerSeed {
+		s.peerSeed[q] = s.seeds[q][0]
+	}
+	return s.peerSeed
 }
 
 // sampleLayers runs the rounds of one batch; the caller has filled the rank's

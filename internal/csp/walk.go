@@ -37,11 +37,7 @@ const walkResultBytes = 12
 // RandomWalk together.
 func (w *World) RandomWalk(p *sim.Proc, rank int, starts []graph.NodeID, length int, batchSeed uint64) [][]graph.NodeID {
 	n := w.Comm.N
-	seedsAll := comm.AllGather(w.Comm, p, rank, []uint64{batchSeed}, comm.Raw(8, hw.TrafficOther))
-	peerSeed := make([]uint64, n)
-	for q := range peerSeed {
-		peerSeed[q] = seedsAll[q][0]
-	}
+	peerSeed := w.exchangeSeeds(p, rank, batchSeed)
 
 	paths := make([][]graph.NodeID, len(starts))
 	for i, v := range starts {

@@ -97,6 +97,7 @@ func (m *Model) backwardGAT(l int, c *gatCache, dh *Matrix) *Matrix {
 	for i := 0; i < dh.R; i++ {
 		axpy(bg, dh.Row(i), 1)
 	}
+	flops += int64(dh.R) * int64(dh.C)
 	dz := ws.matrix(c.z.R, out)
 	daSrc := m.attSrc[l].G.Data
 	daDst := m.attDst[l].G.Data

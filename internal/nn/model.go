@@ -416,7 +416,7 @@ func LayerFlops(cfg Config, l int, b *sample.Block) (forward, backward, dense in
 		dense = 2 * int64(len(b.InputNodes)) * io
 		slots := (edges + dst) * int64(out)
 		forward = dense + 6*slots + 2*rows
-		backward = 8*slots + dense + io // attention, weight gradient, accumulate
+		backward = rows + 8*slots + dense + io // bias, attention, weight gradient, accumulate
 		inputGrad = dense
 	case SAGE:
 		dense = 4 * dst * io           // self and neighbour projections

@@ -10,22 +10,22 @@ import (
 )
 
 // mkStages builds stages with fixed virtual durations and a trace log.
-func mkStages(batches int, sampleT, loadT, trainT sim.Time, trace *[]string) Stages {
-	return Stages{
+func mkStages(batches int, sampleT, loadT, trainT sim.Time, trace *[]string) Stages[int, int] {
+	return Stages[int, int]{
 		NumBatches: batches,
-		Samplers: []SampleFunc{func(p *sim.Proc, step int) interface{} {
+		Samplers: []func(*sim.Proc, int) int{func(p *sim.Proc, step int) int {
 			p.Sleep(sampleT)
 			return step * 10
 		}},
-		Loaders: []LoadFunc{func(p *sim.Proc, step int, v interface{}) interface{} {
-			if v.(int) != step*10 {
+		Loaders: []func(*sim.Proc, int, int) int{func(p *sim.Proc, step, v int) int {
+			if v != step*10 {
 				panic("load got wrong payload")
 			}
 			p.Sleep(loadT)
 			return step * 100
 		}},
-		Train: func(p *sim.Proc, step int, v interface{}) {
-			if v.(int) != step*100 {
+		Train: func(p *sim.Proc, step, v int) {
+			if v != step*100 {
 				panic("train got wrong payload")
 			}
 			p.Sleep(trainT)
@@ -95,20 +95,20 @@ func TestQueueCapacityBoundsRunAhead(t *testing.T) {
 		eng := sim.NewEngine()
 		done := eng.NewEvent()
 		sampled, trained, maxAhead := 0, 0, 0
-		s := Stages{NumBatches: 60, Train: func(p *sim.Proc, step int, v interface{}) {
+		s := Stages[int, int]{NumBatches: 60, Train: func(p *sim.Proc, step, v int) {
 			p.Sleep(1)
 			trained++
 		}}
 		for i := 0; i < sh.s; i++ {
-			s.Samplers = append(s.Samplers, func(p *sim.Proc, step int) interface{} {
+			s.Samplers = append(s.Samplers, func(p *sim.Proc, step int) int {
 				sampled++
 				maxAhead = max(maxAhead, sampled-trained)
 				p.Sleep(0.01)
-				return nil
+				return step
 			})
 		}
 		for j := 0; j < sh.l; j++ {
-			s.Loaders = append(s.Loaders, func(p *sim.Proc, step int, v interface{}) interface{} { return nil })
+			s.Loaders = append(s.Loaders, func(p *sim.Proc, step, v int) int { return v })
 		}
 		RunPipelined(eng, "g", s, queueCap, done)
 		if _, err := eng.Run(); err != nil {
@@ -255,13 +255,13 @@ func TestSequentialMatchesPipelineResults(t *testing.T) {
 		eng := sim.NewEngine()
 		done := eng.NewEvent()
 		var got []int
-		s := Stages{
+		s := Stages[int, int]{
 			NumBatches: 15,
-			Samplers:   []SampleFunc{func(p *sim.Proc, step int) interface{} { p.Sleep(0.2); return step }},
-			Loaders:    []LoadFunc{func(p *sim.Proc, step int, v interface{}) interface{} { p.Sleep(0.1); return v.(int) * 2 }},
-			Train: func(p *sim.Proc, step int, v interface{}) {
+			Samplers:   []func(*sim.Proc, int) int{func(p *sim.Proc, step int) int { p.Sleep(0.2); return step }},
+			Loaders:    []func(*sim.Proc, int, int) int{func(p *sim.Proc, step, v int) int { p.Sleep(0.1); return v * 2 }},
+			Train: func(p *sim.Proc, step, v int) {
 				p.Sleep(0.3)
-				got = append(got, v.(int))
+				got = append(got, v)
 			},
 		}
 		if pipelined {
@@ -287,9 +287,9 @@ func TestSequentialMatchesPipelineResults(t *testing.T) {
 
 // samplers builds n sampler instances; instance i sleeps d(i), records the
 // step in seen[i] and passes it on as the payload.
-func samplers(n int, d func(i int) sim.Time, seen [][]int) (out []SampleFunc) {
+func samplers(n int, d func(i int) sim.Time, seen [][]int) (out []func(*sim.Proc, int) int) {
 	for i := 0; i < n; i++ {
-		out = append(out, func(p *sim.Proc, step int) interface{} {
+		out = append(out, func(p *sim.Proc, step int) int {
 			p.Sleep(d(i))
 			seen[i] = append(seen[i], step)
 			return step
@@ -299,12 +299,12 @@ func samplers(n int, d func(i int) sim.Time, seen [][]int) (out []SampleFunc) {
 }
 
 // loaders is samplers for the load stage; the payload goes on times mul.
-func loaders(n int, d func(i int) sim.Time, mul int, seen [][]int) (out []LoadFunc) {
+func loaders(n int, d func(i int) sim.Time, mul int, seen [][]int) (out []func(*sim.Proc, int, int) int) {
 	for i := 0; i < n; i++ {
-		out = append(out, func(p *sim.Proc, step int, v interface{}) interface{} {
+		out = append(out, func(p *sim.Proc, step, v int) int {
 			p.Sleep(d(i))
 			seen[i] = append(seen[i], step)
-			return v.(int) * mul
+			return v * mul
 		})
 	}
 	return out
@@ -316,12 +316,12 @@ func TestMultiPipelineCompletesInOrder(t *testing.T) {
 	var got []int
 	// Different sampler instances run at different speeds: the trainer must
 	// still see every step, in order, with its own payload.
-	s := Stages{
+	s := Stages[int, int]{
 		NumBatches: 23,
 		Samplers:   samplers(3, func(i int) sim.Time { return sim.Time(0.1 * float64(i+1)) }, make([][]int, 3)),
 		Loaders:    loaders(2, func(int) sim.Time { return 0.02 }, 100, make([][]int, 2)),
-		Train: func(p *sim.Proc, step int, v interface{}) {
-			if v.(int) != step*100 {
+		Train: func(p *sim.Proc, step, v int) {
+			if v != step*100 {
 				t.Errorf("step %d payload %v", step, v)
 			}
 			p.Sleep(0.05)
@@ -351,11 +351,11 @@ func TestMultiPipelineLoaderInstanceOrdering(t *testing.T) {
 	done := eng.NewEvent()
 	const L = 3
 	seen := make([][]int, L)
-	s := Stages{
+	s := Stages[int, int]{
 		NumBatches: 17,
 		Samplers:   samplers(1, func(int) sim.Time { return 0.01 }, make([][]int, 1)),
 		Loaders:    loaders(L, func(int) sim.Time { return 0 }, 1, seen),
-		Train:      func(p *sim.Proc, step int, v interface{}) {},
+		Train:      func(p *sim.Proc, step, v int) {},
 	}
 	RunPipelined(eng, "g", s, 2, done)
 	if _, err := eng.Run(); err != nil {
@@ -376,7 +376,7 @@ func TestMultiPipelinePanicsWithoutWorkers(t *testing.T) {
 			t.Fatal("no panic for empty worker set")
 		}
 	}()
-	RunPipelined(sim.NewEngine(), "g", Stages{NumBatches: 1}, 2, nil)
+	RunPipelined(sim.NewEngine(), "g", Stages[int, int]{NumBatches: 1}, 2, nil)
 }
 
 var shapes = []struct{ s, l int }{{1, 1}, {2, 2}, {3, 2}, {2, 1}, {1, 2}}
@@ -393,13 +393,13 @@ func TestFirstBatchResidueClasses(t *testing.T) {
 				done := eng.NewEvent()
 				sSeen, lSeen := make([][]int, sh.s), make([][]int, sh.l)
 				var trained []int
-				s := Stages{
+				s := Stages[int, int]{
 					NumBatches: batches, FirstBatch: first,
 					Samplers: samplers(sh.s, func(i int) sim.Time { return sim.Time(0.03 * float64(i+1)) }, sSeen),
 					Loaders:  loaders(sh.l, func(i int) sim.Time { return sim.Time(0.05 * float64(sh.l-i)) }, 1, lSeen),
-					Train: func(p *sim.Proc, step int, v interface{}) {
+					Train: func(p *sim.Proc, step, v int) {
 						p.Sleep(0.04)
-						trained = append(trained, v.(int))
+						trained = append(trained, v)
 					},
 				}
 				if pipelined {
@@ -461,17 +461,17 @@ func jitterRun(seed uint64, nS, nL int) error {
 				p.Sleep(jitter(1))
 			}
 		}
-		s := Stages{NumBatches: steps}
+		s := Stages[int, int]{NumBatches: steps}
 		for i := 0; i < nS; i++ {
 			run := stage(i)
-			s.Samplers = append(s.Samplers, func(p *sim.Proc, step int) interface{} { run(p, step); return nil })
+			s.Samplers = append(s.Samplers, func(p *sim.Proc, step int) int { run(p, step); return step })
 		}
 		for j := 0; j < nL; j++ {
 			run := stage(nS + j)
-			s.Loaders = append(s.Loaders, func(p *sim.Proc, step int, v interface{}) interface{} { run(p, step); return nil })
+			s.Loaders = append(s.Loaders, func(p *sim.Proc, step, v int) int { run(p, step); return v })
 		}
 		run := stage(nS + nL)
-		s.Train = func(p *sim.Proc, step int, v interface{}) { run(p, step) }
+		s.Train = func(p *sim.Proc, step, v int) { run(p, step) }
 		RunPipelined(eng, fmt.Sprintf("gpu%d", g), s, 2, eng.NewEvent())
 	}
 	_, err := eng.Run()

@@ -20,7 +20,7 @@ func driftConfig(t testing.TB) Config {
 	cfg.RebalanceEvery = 5e-3
 	// Slow decay: the tracker remembers most of a phase, not just the last
 	// couple of rounds, so promotion decisions are not sampling noise.
-	cfg.CacheTune = cache.Config{Decay: 0.9}
+	cfg.CacheDecay = 0.9
 
 	// ~80 rows per GPU out of ~750 owned: heavy cache pressure.
 	cfg.FeatureCacheBudget = int64(80 * cfg.Data.FeatDim * 4)

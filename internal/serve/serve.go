@@ -140,9 +140,9 @@ type Config struct {
 	// RebalanceEvery is the rebalance period (default 25 ms when a dynamic
 	// policy is selected).
 	RebalanceEvery sim.Time
-	// CacheTune tunes the adaptive manager (decay, move cap); zero values
-	// take the cache package defaults.
-	CacheTune cache.Config
+	// CacheDecay is the adaptive manager's per-rebalance hotness decay
+	// (cache.Config.Decay; outside (0, 1] the cache package default).
+	CacheDecay float64
 	// DriftEvery re-draws the workload's popularity assignment at this virtual
 	// period (0 = static popularity). Drift is what dynamic caching adapts to.
 	DriftEvery sim.Time
@@ -265,7 +265,7 @@ func (c Config) substrate() train.Options {
 	return train.Options{
 		Data: c.Data, Model: nn.Config{Arch: nn.SAGE, Hidden: 64, Layers: 2}, Sample: c.Sample,
 		RealCompute: c.RealCompute, Seed: c.Seed, UseCCC: c.UseCCC,
-		FeatureCacheBudget: c.FeatureCacheBudget, DynamicCache: c.DynamicCache, CacheTune: c.CacheTune,
+		FeatureCacheBudget: c.FeatureCacheBudget, DynamicCache: c.DynamicCache, CacheDecay: c.CacheDecay,
 		CompressTopology: c.CompressTopology, OOC: c.OOC, OOCBudget: c.OOCBudget,
 		OOCNoPrefetch: c.OOCNoPrefetch, FeatCodec: c.FeatCodec, Faults: c.Faults,
 		Strategy: c.Strategy,

@@ -161,9 +161,7 @@ func Build(m *hw.Machine, opts train.Options, role Role) (*Substrate, error) {
 			return nil, fmt.Errorf("feature cache: %w", err)
 		}
 	}
-	mcfg := opts.CacheTune
-	mcfg.Policy = opts.DynamicCache
-	s.Cache = cache.New(s.Store, d.G, d.Offsets, mcfg)
+	s.Cache = cache.New(s.Store, d.G, d.Offsets, cache.Config{Policy: opts.DynamicCache, Decay: opts.CacheDecay})
 
 	// Distinct CCC worker ids: samplers 0..nS-1, loaders nS..nS+nL-1,
 	// trainer last.
@@ -231,21 +229,20 @@ func (s *Substrate) Sample(p *sim.Proc, w *csp.World, rank int, seeds []graph.No
 // seeds and the sampling seed of a step (the schedule is the caller's: a
 // cluster strides it across machines).
 func (s *Substrate) Stages(rank, steps int, st *train.EpochStats,
-	batch func(step int) (seeds []graph.NodeID, sampleSeed uint64)) pipeline.Stages {
-	ps := pipeline.Stages{NumBatches: steps}
+	batch func(step int) (seeds []graph.NodeID, sampleSeed uint64)) pipeline.Stages[*sample.MiniBatch, Loaded] {
+	ps := pipeline.Stages[*sample.MiniBatch, Loaded]{NumBatches: steps, Overhead: s.Opts.EffectiveStageOverhead()}
 	for _, w := range s.Worlds {
-		ps.Samplers = append(ps.Samplers, func(p *sim.Proc, step int) interface{} {
+		ps.Samplers = append(ps.Samplers, func(p *sim.Proc, step int) *sample.MiniBatch {
 			seeds, seed := batch(step)
 			return s.Sample(p, w, rank, seeds, seed)
 		})
 	}
 	for _, lc := range s.Loaders {
-		ps.Loaders = append(ps.Loaders, func(p *sim.Proc, step int, v interface{}) interface{} {
-			return s.Strategy.Load(p, rank, v.(*sample.MiniBatch), lc)
+		ps.Loaders = append(ps.Loaders, func(p *sim.Proc, step int, mb *sample.MiniBatch) Loaded {
+			return s.Strategy.Load(p, rank, mb, lc)
 		})
 	}
-	ps.Train = func(p *sim.Proc, step int, v interface{}) {
-		l := v.(Loaded)
+	ps.Train = func(p *sim.Proc, step int, l Loaded) {
 		s.Strategy.Train(p, rank, l, st)
 		s.Worlds[step%len(s.Worlds)].Release(rank, l.MB)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Window is what the epoch bracket measures: the machines whose GPUs run the
@@ -37,12 +36,11 @@ type Window struct {
 // the utilization and the counter delta into one EpochStats.
 //
 // pipelined selects the producer-consumer pipeline; otherwise stages run back
-// to back (DSP-Seq and all baseline systems). Every stage instance runs under
-// the stageHook, preceded by the host-side framework overhead; in pipelined
-// mode the workers pay it concurrently, which is part of what the pipeline
-// hides.
-func RunEpoch(w Window, epoch, from, to int, pipelined bool, queueCap int, overhead sim.Time,
-	stagesFor func(machine, rank int, st *EpochStats) pipeline.Stages) (EpochStats, error) {
+// to back (DSP-Seq and all baseline systems). Either runner pays, times and
+// traces every stage; RunEpoch hands it the GPU's tracer and the rank's
+// distributions.
+func RunEpoch[S, L any](w Window, epoch, from, to int, pipelined bool, queueCap int,
+	stagesFor func(machine, rank int, st *EpochStats) pipeline.Stages[S, L]) (EpochStats, error) {
 	if w.Counters == nil {
 		w.Counters = func() Counters { return FabricCounters(w.Machines...) }
 	}
@@ -62,7 +60,8 @@ func RunEpoch(w Window, epoch, from, to int, pipelined bool, queueCap int, overh
 			if to >= 0 {
 				stages.NumBatches = to
 			}
-			stageHook{overhead: overhead, tracer: g.Tracer, rank: rank}.wrap(&stages, st)
+			stages.SampleDist, stages.LoadDist, stages.TrainDist = st.SampleDist, st.LoadDist, st.TrainDist
+			stages.Tracer, stages.Pid = g.Tracer, rank
 			if pipelined {
 				pipeline.RunPipelined(eng, workerName(m, rank), stages, queueCap, done)
 			} else {
@@ -105,60 +104,6 @@ func workerName(m *hw.Machine, rank int) string {
 		return fmt.Sprintf("m%dg%d", m.Index, rank)
 	}
 	return fmt.Sprintf("gpu%d", rank)
-}
-
-// stageHook is the one wrapper around a worker stage: it pays the host-side
-// framework overhead, runs the stage, records its virtual duration in the
-// epoch's per-step distribution, and emits the stage span when the GPU is
-// traced.
-type stageHook struct {
-	overhead sim.Time
-	tracer   *trace.Tracer
-	rank     int
-}
-
-// wrap puts every stage instance of s under the hook, accumulating into st.
-func (h stageHook) wrap(s *pipeline.Stages, st *EpochStats) {
-	// More worker instances contend for the same host cores, so each stage's
-	// framework overhead grows with the total instance count (the paper's
-	// second reason against them: "the resource contention for both CPU and
-	// GPU is more severe"). Only past the plain pipeline's three workers:
-	// x*3/3 is not x in float64, and single-instance byte identity hangs on it.
-	if workers := len(s.Samplers) + len(s.Loaders) + 1; workers > 3 {
-		h.overhead = h.overhead * sim.Time(workers) / 3
-	}
-	if h.tracer.Enabled() {
-		// Arms the pipeline's queue-wait stall tracing on the same lanes.
-		s.Tracer, s.Pid = h.tracer, h.rank
-	}
-	for i, sample := range s.Samplers {
-		s.Samplers[i] = func(p *sim.Proc, step int) (v interface{}) {
-			h.run(p, "sample", trace.LaneSampler, step, st.SampleDist, func() { v = sample(p, step) })
-			return v
-		}
-	}
-	for j, load := range s.Loaders {
-		s.Loaders[j] = func(p *sim.Proc, step int, in interface{}) (v interface{}) {
-			h.run(p, "load", trace.LaneLoader, step, st.LoadDist, func() { v = load(p, step, in) })
-			return v
-		}
-	}
-	train := s.Train
-	s.Train = func(p *sim.Proc, step int, in interface{}) {
-		h.run(p, "train", trace.LaneTrainer, step, st.TrainDist, func() { train(p, step, in) })
-	}
-}
-
-func (h stageHook) run(p *sim.Proc, name string, lane, step int, dist *metrics.Histogram, body func()) {
-	t0 := p.Now()
-	if h.overhead > 0 {
-		p.Sleep(h.overhead)
-	}
-	body()
-	dist.Observe(float64(p.Now() - t0))
-	if h.tracer.Enabled() {
-		h.tracer.Complete(fmt.Sprintf("%s step %d", name, step), "stage", h.rank, lane, float64(t0), float64(p.Now()), nil)
-	}
 }
 
 // Reducer sums a gradient vector in place across every replica of a run, or

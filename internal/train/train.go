@@ -142,57 +142,72 @@ func (d *Data) RowBytes() int { return d.FeatDim * 4 }
 
 // Schedule is the per-epoch batch plan: all ranks execute the same number of
 // steps so collectives stay aligned; ranks whose shard is exhausted
-// participate with empty seed sets.
+// participate with empty seed sets. Machines interleave batch-sized slices of
+// every shard (one machine takes them all).
 type Schedule struct {
 	BatchSize int
 	Steps     int
+	Machines  int
+	// perms[rank] is rank's shard permutation for one epoch, drawn into the
+	// last epoch's array at the epoch's first batch and shared by every
+	// machine.
+	perms []epochPerm
 }
 
-// NewSchedule computes the step count for the epoch (max over shards).
-func NewSchedule(d *Data, batchSize int) Schedule {
-	steps := 0
-	for _, s := range d.Shards {
-		n := (len(s) + batchSize - 1) / batchSize
-		if n > steps {
-			steps = n
-		}
+// epochPerm is a shard permutation and the epoch it was drawn for.
+type epochPerm struct {
+	epoch int
+	perm  []int
+}
+
+// NewSchedule plans one machine's epoch over d's shards.
+func NewSchedule(d *Data, batchSize int) Schedule { return NewClusterSchedule(d, batchSize, 1) }
+
+// NewClusterSchedule plans an epoch whose every shard machines consume in
+// turn: the step count is the most batches one machine's stride of a shard
+// holds.
+func NewClusterSchedule(d *Data, batchSize, machines int) Schedule {
+	s := Schedule{BatchSize: batchSize, Machines: machines, perms: make([]epochPerm, d.NumGPUs())}
+	for _, shard := range d.Shards {
+		per := (len(shard) + machines - 1) / machines
+		s.Steps = max(s.Steps, (per+batchSize-1)/batchSize)
 	}
-	return Schedule{BatchSize: batchSize, Steps: steps}
+	return s
 }
 
-// Batch returns rank's seed slice for (epoch, step), shuffled per epoch with
-// a deterministic permutation shared by every system.
-func (s Schedule) Batch(d *Data, runSeed uint64, epoch, step, rank int) []graph.NodeID {
-	return s.Seeds(d, s.Perm(nil, d, runSeed, epoch, rank), step, rank)
-}
-
-// Perm writes rank's shard permutation for epoch — the one Batch slices —
-// into buf's storage when it is large enough and returns it. A caller that
-// walks an epoch's steps draws it once and slices it with Seeds.
-func (s Schedule) Perm(buf []int, d *Data, runSeed uint64, epoch, rank int) []int {
-	n := len(d.Shards[rank])
-	buf = slices.Grow(buf[:0], n)[:n]
-	for i := range buf {
-		buf[i] = i
-	}
-	rng.New(rng.Mix(runSeed, 0xE0C, uint64(epoch), uint64(rank))).ShuffleInts(buf)
-	return buf
-}
-
-// Seeds returns rank's seed slice for step under perm, its Perm of the epoch:
-// a new array, nil once the shard is exhausted.
-func (s Schedule) Seeds(d *Data, perm []int, step, rank int) []graph.NodeID {
+// Step returns rank's seeds and sampling seed for (epoch, step) on machine:
+// rank's shard, shuffled per epoch with a deterministic permutation shared by
+// every system and machine (drawn once per epoch and rank), is cut into
+// batches the machines take in turn. The seeds are a new array, nil once the
+// shard is exhausted.
+func (s *Schedule) Step(d *Data, runSeed uint64, epoch, step, machine, rank int) ([]graph.NodeID, uint64) {
 	shard := d.Shards[rank]
-	lo := step * s.BatchSize
+	ep := &s.perms[rank]
+	if ep.perm == nil || ep.epoch != epoch {
+		ep.epoch, ep.perm = epoch, slices.Grow(ep.perm[:0], len(shard))[:len(shard)]
+		for i := range ep.perm {
+			ep.perm[i] = i
+		}
+		rng.New(rng.Mix(runSeed, 0xE0C, uint64(epoch), uint64(rank))).ShuffleInts(ep.perm)
+	}
+	stride := step*s.Machines + machine
+	seed := BatchSeed(runSeed, epoch, stride, rank)
+	lo := stride * s.BatchSize
 	if lo >= len(shard) {
-		return nil
+		return nil, seed
 	}
 	hi := min(lo+s.BatchSize, len(shard))
 	out := make([]graph.NodeID, 0, hi-lo)
-	for _, idx := range perm[lo:hi] {
+	for _, idx := range ep.perm[lo:hi] {
 		out = append(out, shard[idx])
 	}
-	return out
+	return out, seed
+}
+
+// Batch is one machine's Step without the sampling seed.
+func (s *Schedule) Batch(d *Data, runSeed uint64, epoch, step, rank int) []graph.NodeID {
+	seeds, _ := s.Step(d, runSeed, epoch, step, 0, rank)
+	return seeds
 }
 
 // BatchSeed derives the sampling seed for (epoch, step, rank).
@@ -327,9 +342,9 @@ type Options struct {
 	// epoch boundaries, promoting rows the tracker observed as hot. The
 	// replicated layout has no shard to rebalance and refuses them.
 	DynamicCache cache.Policy
-	// CacheTune tunes the adaptive manager (decay, move cap, degree
-	// weight); zero values take the cache package defaults.
-	CacheTune cache.Config
+	// CacheDecay is the adaptive manager's per-rebalance hotness decay
+	// (cache.Config.Decay; outside (0, 1] the cache package default).
+	CacheDecay float64
 	// CompressTopology stores the partitioned topology varint-compressed
 	// (delta-sorted gap encoding, internal/graph.CompressedCSR): resident
 	// topology bytes shrink ~4x and sampling pays a decode kernel per

@@ -302,12 +302,12 @@ func TestEpochStatsAcc(t *testing.T) {
 func TestRunEpochPopulatesStageDistributions(t *testing.T) {
 	m := hw.NewMachine(2, hw.V100(), hw.XeonE5())
 	const steps = 4
-	stats, err := RunEpoch(Window{Machines: []*hw.Machine{m}}, 0, 0, -1, true, 2, 0, func(_, rank int, st *EpochStats) pipeline.Stages {
-		return pipeline.Stages{
+	stats, err := RunEpoch(Window{Machines: []*hw.Machine{m}}, 0, 0, -1, true, 2, func(_, rank int, st *EpochStats) pipeline.Stages[int, int] {
+		return pipeline.Stages[int, int]{
 			NumBatches: steps,
-			Samplers:   []pipeline.SampleFunc{func(p *sim.Proc, step int) interface{} { p.Sleep(0.001); return step }},
-			Loaders:    []pipeline.LoadFunc{func(p *sim.Proc, step int, v interface{}) interface{} { p.Sleep(0.002); return v }},
-			Train:      func(p *sim.Proc, step int, v interface{}) { p.Sleep(0.003) },
+			Samplers:   []func(p *sim.Proc, step int) int{func(p *sim.Proc, step int) int { p.Sleep(0.001); return step }},
+			Loaders:    []func(p *sim.Proc, step, v int) int{func(p *sim.Proc, step, v int) int { p.Sleep(0.002); return v }},
+			Train:      func(p *sim.Proc, step, v int) { p.Sleep(0.003) },
 		}
 	})
 	if err != nil {

@@ -315,14 +315,14 @@ func (Int8) Decode(b *Buf, out []float32) {
 			// Constant chunk: every element decodes to the same value. The
 			// explicit mn + 0*sc keeps IEEE semantics (zero-sign handling)
 			// identical to the general path below for any code byte.
-			v := mn + 0*sc
+			v := mn + float32(0*sc)
 			for i := range dst {
 				dst[i] = v
 			}
 			continue
 		}
 		for i, u := range src {
-			dst[i] = mn + float32(u)*sc
+			dst[i] = mn + float32(float32(u)*sc)
 		}
 	}
 }

@@ -156,7 +156,7 @@ func (r *Report) RunReport() *prof.RunReport {
 	for _, fr := range r.PerFleet {
 		sv.Rounds += fr.Rounds
 		rounds += fr.Rounds
-		batch += fr.MeanBatch * float64(fr.Rounds)
+		batch += float64(fr.MeanBatch * float64(fr.Rounds))
 	}
 	if rounds > 0 {
 		sv.MeanBatch = batch / float64(rounds)

@@ -71,7 +71,7 @@ func (f *FeatureRows) Draw(dst []float32, slot []graph.NodeID) {
 		cen := f.centroids[c]
 		row := dst[int(slot[v])*len(cen):][:len(cen)]
 		for j, x := range cen {
-			row[j] = f.signal*x + float32(noise.NormFloat64())
+			row[j] = float32(f.signal*x) + float32(noise.NormFloat64())
 		}
 	}
 }
@@ -157,7 +157,7 @@ func Generate(cfg Config) *Dataset {
 		share := prop[v] / propSum
 		deg := int(share * float64(targetEdges))
 		// Probabilistic rounding keeps the total close to target.
-		frac := share*float64(targetEdges) - float64(deg)
+		frac := float64(share*float64(targetEdges)) - float64(deg)
 		if r.Float64() < frac {
 			deg++
 		}

@@ -57,7 +57,7 @@ func refGenerate(cfg Config) (*Dataset, []float32) {
 	for v := 0; v < n; v++ {
 		share := prop[v] / propSum
 		deg := int(share * float64(targetEdges))
-		frac := share*float64(targetEdges) - float64(deg)
+		frac := float64(share*float64(targetEdges)) - float64(deg)
 		if r.Float64() < frac {
 			deg++
 		}
@@ -98,7 +98,7 @@ func refGenerate(cfg Config) (*Dataset, []float32) {
 		cen := centroids[labels[v]]
 		row := features[v*cfg.FeatDim : (v+1)*cfg.FeatDim]
 		for j := range row {
-			row[j] = float32(cfg.FeatureSignal)*cen[j] + float32(fr.NormFloat64())
+			row[j] = float32(float32(cfg.FeatureSignal)*cen[j]) + float32(fr.NormFloat64())
 		}
 	}
 

@@ -189,7 +189,7 @@ func (t *Topology) Route(src, dst int) []int {
 func (t *Topology) AggregateNVLinkBandwidth() float64 {
 	var total float64
 	for _, l := range t.Links {
-		total += float64(l.Lanes) * l.Bandwidth * 2
+		total += 2 * float64(float64(l.Lanes)*l.Bandwidth)
 	}
 	return total
 }

@@ -12,8 +12,10 @@ import (
 // The nn slice of the per-package ledger: ns/op, allocs/op and GFLOP/s for
 // the axpy primitive, the three products at the benchmark's train-real layer
 // shapes, and a whole forward pass and train step on a train-real batch.
-// The products and axpy time the scalar loop they replaced beside them
-// ("ref"), so one process gives both sides of the comparison:
+// Each product runs under both rowKernel bodies — the AVX2 "kernel" (where
+// the CPU has it) and the portable "axpy" sweep — beside the scalar loop it
+// replaced ("ref"), and axpy beside its Go loop, so one process gives every
+// side of the comparison:
 //
 //	go test -run '^$' -bench . -benchmem -count 5 ./internal/nn/
 
@@ -29,7 +31,7 @@ func BenchmarkAxpy(b *testing.B) {
 		for _, impl := range []struct {
 			name string
 			fn   func(dst, x []float32, a float32)
-		}{{"sse2", axpy}, {"ref", axpyGo}} {
+		}{{"asm", axpy}, {"ref", axpyGo}} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, impl.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					impl.fn(dst, x, 1e-3)
@@ -48,18 +50,28 @@ var layerShapes = []struct {
 	zeros   float64
 }{{8448, 100, 64, 0}, {768, 64, 64, 0.5}, {128, 64, 47, 0.5}}
 
-// benchProduct times a product and the loop it replaced on every layer shape.
+// benchProduct times a product under each body, and the loop it replaced,
+// on every layer shape.
 func benchProduct(b *testing.B, p product) {
 	for _, s := range layerShapes {
 		r := rng.New(2)
 		outS, aS, bS := p.shapes(s.m, s.k, s.n)
 		out, a, bm := NewMatrix(outS[0], outS[1]), randMatrix(r, aS[0], aS[1], s.zeros), randMatrix(r, bS[0], bS[1], 0)
-		for _, impl := range []struct {
+		type impl struct {
 			name string
+			avx2 bool
 			fn   func(out, a, b *Matrix)
-		}{{"axpy", p.fn}, {"ref", p.ref}} {
+		}
+		var impls []impl
+		for _, body := range bodies(b) {
+			impls = append(impls, impl{body.name, body.avx2, p.fn})
+		}
+		for _, impl := range append(impls, impl{"ref", false, p.ref}) {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.k, s.n, impl.name), func(b *testing.B) {
+				useAVX2 = impl.avx2
+				impl.fn(out, a, bm) // mulBT's scratch is sized here, untimed
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					impl.fn(out, a, bm)
 				}
@@ -82,6 +94,7 @@ func benchStep(b *testing.B) (*Model, *sample.MiniBatch, []float32, []int32) {
 
 func BenchmarkForward(b *testing.B) {
 	m, mb, feats, _ := benchStep(b)
+	m.Forward(mb, feats) // grows the workspace, untimed
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := FlopCount()
@@ -95,6 +108,8 @@ func BenchmarkForward(b *testing.B) {
 // the kernels run, which is NominalFlops, the price a training step charges.
 func BenchmarkTrainStep(b *testing.B) {
 	m, mb, feats, labels := benchStep(b)
+	m.ZeroGrads()
+	m.TrainStep(mb, feats, labels) // grows the workspace, untimed
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := FlopCount()

@@ -115,20 +115,20 @@ func (m *Model) backwardGAT(l int, c *gatCache, dh *Matrix) *Matrix {
 			dzr := dz.Row(s)
 			var da float32
 			for j := range dhr {
-				dzr[j] += ak * dhr[j]
-				da += dhr[j] * zr[j]
+				dzr[j] += float32(ak * dhr[j])
+				da += float32(dhr[j] * zr[j])
 			}
 			dAlpha[k] = da
 		}
 		// Softmax backward: de_k = a_k * (dAlpha_k - sum_j a_j dAlpha_j).
 		var mix float32
 		for k := range a {
-			mix += a[k] * dAlpha[k]
+			mix += float32(a[k] * dAlpha[k])
 		}
 		var dDstScore float32
 		for k, ak := range a {
 			de := ak * (dAlpha[k] - mix)
-			de *= leakyGrad(eRaw[k])
+			de = float32(de * leakyGrad(eRaw[k]))
 			// e = aSrc·z_s + aDst·z_dst (pre-activation).
 			s := c.slotNode(i, k)
 			axpy(daSrc, c.z.Row(s), de)
@@ -154,7 +154,7 @@ func (m *Model) backwardGAT(l int, c *gatCache, dh *Matrix) *Matrix {
 func dot(a, b []float32) float32 {
 	var s float32
 	for i := range a {
-		s += a[i] * b[i]
+		s += float32(a[i] * b[i])
 	}
 	flops += int64(2 * len(a))
 	return s

@@ -17,58 +17,64 @@ import (
 )
 
 func TestMatMulCorrect(t *testing.T) {
-	a := &Matrix{R: 2, C: 3, Data: []float32{1, 2, 3, 4, 5, 6}}
-	b := &Matrix{R: 3, C: 2, Data: []float32{7, 8, 9, 10, 11, 12}}
-	out := NewMatrix(2, 2)
-	MatMul(out, a, b)
-	want := []float32{58, 64, 139, 154}
-	for i := range want {
-		if out.Data[i] != want[i] {
-			t.Fatalf("matmul = %v, want %v", out.Data, want)
+	for _, body := range bodies(t) {
+		useAVX2 = body.avx2
+		a := &Matrix{R: 2, C: 3, Data: []float32{1, 2, 3, 4, 5, 6}}
+		b := &Matrix{R: 3, C: 2, Data: []float32{7, 8, 9, 10, 11, 12}}
+		out := NewMatrix(2, 2)
+		MatMul(out, a, b)
+		want := []float32{58, 64, 139, 154}
+		for i := range want {
+			if out.Data[i] != want[i] {
+				t.Fatalf("%s: matmul = %v, want %v", body.name, out.Data, want)
+			}
 		}
 	}
 }
 
 func TestMatMulTransposesAgree(t *testing.T) {
-	r := rng.New(3)
-	a := NewMatrix(5, 4)
-	b := NewMatrix(5, 6)
-	for i := range a.Data {
-		a.Data[i] = float32(r.NormFloat64())
-	}
-	for i := range b.Data {
-		b.Data[i] = float32(r.NormFloat64())
-	}
-	// aT @ b via MatMulAT == transpose(a) @ b via MatMul.
-	at := NewMatrix(4, 5)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 4; j++ {
-			at.Data[j*5+i] = a.Data[i*4+j]
+	for _, body := range bodies(t) {
+		useAVX2 = body.avx2
+		r := rng.New(3)
+		a := NewMatrix(5, 4)
+		b := NewMatrix(5, 6)
+		for i := range a.Data {
+			a.Data[i] = float32(r.NormFloat64())
 		}
-	}
-	want := NewMatrix(4, 6)
-	MatMul(want, at, b)
-	got := NewMatrix(4, 6)
-	MatMulAT(got, a, b)
-	for i := range want.Data {
-		if math.Abs(float64(want.Data[i]-got.Data[i])) > 1e-4 {
-			t.Fatalf("MatMulAT mismatch at %d", i)
+		for i := range b.Data {
+			b.Data[i] = float32(r.NormFloat64())
 		}
-	}
-	// a @ bT via MatMulBT.
-	bt := NewMatrix(6, 5)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 6; j++ {
-			bt.Data[j*5+i] = b.Data[i*6+j]
+		// aT @ b via MatMulAT == transpose(a) @ b via MatMul.
+		at := NewMatrix(4, 5)
+		for i := 0; i < 5; i++ {
+			for j := 0; j < 4; j++ {
+				at.Data[j*5+i] = a.Data[i*4+j]
+			}
 		}
-	}
-	want2 := NewMatrix(4, 5)
-	MatMul(want2, got, bt) // (4x6)@(6x5)
-	got2 := NewMatrix(4, 5)
-	MatMulBT(got2, got, b)
-	for i := range want2.Data {
-		if math.Abs(float64(want2.Data[i]-got2.Data[i])) > 1e-3 {
-			t.Fatalf("MatMulBT mismatch at %d: %v vs %v", i, got2.Data[i], want2.Data[i])
+		want := NewMatrix(4, 6)
+		MatMul(want, at, b)
+		got := NewMatrix(4, 6)
+		MatMulAT(got, a, b)
+		for i := range want.Data {
+			if math.Abs(float64(want.Data[i]-got.Data[i])) > 1e-4 {
+				t.Fatalf("%s: MatMulAT mismatch at %d", body.name, i)
+			}
+		}
+		// a @ bT via matMulBT.
+		bt := NewMatrix(6, 5)
+		for i := 0; i < 5; i++ {
+			for j := 0; j < 6; j++ {
+				bt.Data[j*5+i] = b.Data[i*6+j]
+			}
+		}
+		want2 := NewMatrix(4, 5)
+		MatMul(want2, got, bt) // (4x6)@(6x5)
+		got2 := NewMatrix(4, 5)
+		matMulBT(got2, got, b, NewMatrix(6, 5))
+		for i := range want2.Data {
+			if math.Abs(float64(want2.Data[i]-got2.Data[i])) > 1e-3 {
+				t.Fatalf("%s: matMulBT mismatch at %d: %v vs %v", body.name, i, got2.Data[i], want2.Data[i])
+			}
 		}
 	}
 }
@@ -518,7 +524,7 @@ func TestTrainingBitsPinned(t *testing.T) {
 }
 
 // refMatMul, refMatMulAT and refMatMulBT are the scalar triple loops the
-// axpy row sweeps replaced, kept verbatim as the oracle of the differential
+// row kernels replaced, kept verbatim as the oracle of the differential
 // tests and the baseline of the benchmarks.
 func refMatMul(out, a, b *Matrix) {
 	out.Zero()
@@ -532,7 +538,7 @@ func refMatMul(out, a, b *Matrix) {
 			}
 			br := b.Row(k)
 			for j := range br {
-				or[j] += av * br[j]
+				or[j] += float32(av * br[j])
 			}
 		}
 	}
@@ -550,7 +556,7 @@ func refMatMulAT(out, a, b *Matrix) {
 			}
 			or := out.Row(i)
 			for j := range br {
-				or[j] += av * br[j]
+				or[j] += float32(av * br[j])
 			}
 		}
 	}
@@ -565,7 +571,7 @@ func refMatMulBT(out, a, b *Matrix) {
 			br := b.Row(j)
 			var s float32
 			for k := range ar {
-				s += ar[k] * br[k]
+				s += float32(ar[k] * br[k])
 			}
 			or[j] = s
 		}
@@ -589,11 +595,42 @@ var (
 	prodMatMulAT = product{"MatMulAT", MatMulAT, refMatMulAT, func(m, k, n int) (out, a, b [2]int) {
 		return [2]int{k, n}, [2]int{m, k}, [2]int{m, n} // gw = xᵀ @ dh
 	}}
-	prodMatMulBT = product{"MatMulBT", MatMulBT, refMatMulBT, func(m, k, n int) (out, a, b [2]int) {
+	prodMatMulBT = product{"matMulBT", mulBT, refMatMulBT, func(m, k, n int) (out, a, b [2]int) {
 		return [2]int{m, k}, [2]int{m, n}, [2]int{k, n} // dx = dh @ Wᵀ
 	}}
 	products = []product{prodMatMul, prodMatMulAT, prodMatMulBT}
 )
+
+// btScratch is mulBT's bᵀ, kept across calls of one shape so that a
+// benchmark's calls allocate nothing.
+var btScratch = NewMatrix(0, 0)
+
+// mulBT is matMulBT with the scratch it needs.
+func mulBT(out, a, b *Matrix) {
+	if btScratch.R != b.C || btScratch.C != b.R {
+		btScratch = NewMatrix(b.C, b.R)
+	}
+	matMulBT(out, a, b, btScratch)
+}
+
+// body is one of rowKernel's two bodies, named as the ledger names them.
+type body struct {
+	name string
+	avx2 bool
+}
+
+// bodies lists the bodies this CPU can run — the portable axpy sweep, and
+// the AVX2 kernel where the CPU has it — for a test or benchmark that sets
+// useAVX2 to each in turn; the probe's choice is restored when tb ends.
+func bodies(tb testing.TB) []body {
+	probed := useAVX2
+	tb.Cleanup(func() { useAVX2 = probed })
+	bs := []body{{"axpy", false}}
+	if cpuHasAVX2() {
+		bs = append(bs, body{"kernel", true})
+	}
+	return bs
+}
 
 // randMatrix fills a rows×cols matrix with normal values, a `zeros` fraction
 // of them replaced by 0 the way a ReLU leaves them.
@@ -704,26 +741,30 @@ func TestProductShapePanicsNameShapes(t *testing.T) {
 	}
 }
 
-// TestProductsMatchReference holds the three axpy row sweeps to the scalar
-// triple loops they replaced, bit for bit, over odd and layer-sized shapes,
-// every multiplier sparsity the zero skip can meet, and operands salted with
-// the specials.
+// TestProductsMatchReference holds the three products, under each rowKernel
+// body, to the scalar triple loops they replaced, bit for bit, over odd and
+// layer-sized shapes (widths with every kind of column tile and tail,
+// contractions past one kChunk), every multiplier sparsity the zero skip can
+// meet, and operands salted with the specials.
 func TestProductsMatchReference(t *testing.T) {
-	r := rng.New(31)
-	for _, p := range products {
-		for _, s := range [][3]int{{1, 1, 1}, {7, 5, 3}, {129, 257, 9}, {513, 64, 47}, {2000, 100, 64}} {
-			for _, zeros := range []float64{0, 0.5, 0.95, 1} {
-				outS, aS, bS := p.shapes(s[0], s[1], s[2])
-				a, b := randMatrix(r, aS[0], aS[1], zeros), randMatrix(r, bS[0], bS[1], 0)
-				salt(r, a.Data)
-				salt(r, b.Data)
-				// Both start from garbage: out is overwritten, not added to.
-				got, want := randMatrix(r, outS[0], outS[1], 0), randMatrix(r, outS[0], outS[1], 0)
-				p.fn(got, a, b)
-				p.ref(want, a, b)
-				if i, ok := sameBits(got.Data, want.Data); !ok {
-					t.Fatalf("%s %v zeros=%v: out[%d] = %v (%#x), reference %v (%#x)", p.name, s, zeros,
-						i, got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+	for _, body := range bodies(t) {
+		useAVX2 = body.avx2
+		r := rng.New(31)
+		for _, p := range products {
+			for _, s := range [][3]int{{1, 1, 1}, {7, 5, 3}, {129, 257, 9}, {513, 64, 47}, {2000, 100, 64}, {33, 300, 300}} {
+				for _, zeros := range []float64{0, 0.5, 0.95, 1} {
+					outS, aS, bS := p.shapes(s[0], s[1], s[2])
+					a, b := randMatrix(r, aS[0], aS[1], zeros), randMatrix(r, bS[0], bS[1], 0)
+					salt(r, a.Data)
+					salt(r, b.Data)
+					// Both start from garbage: out is overwritten, not added to.
+					got, want := randMatrix(r, outS[0], outS[1], 0), randMatrix(r, outS[0], outS[1], 0)
+					p.fn(got, a, b)
+					p.ref(want, a, b)
+					if i, ok := sameBits(got.Data, want.Data); !ok {
+						t.Fatalf("%s %s %v zeros=%v: out[%d] = %v (%#x), reference %v (%#x)", body.name, p.name, s, zeros,
+							i, got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+					}
 				}
 			}
 		}
@@ -787,13 +828,13 @@ func refBackward(m *Model, caches []*layerCache, dlogits *Matrix) {
 				inv = 1 / float32(count+1)
 				dr := dx.Row(i)
 				for j := range dr {
-					dr[j] += ar[j] * inv
+					dr[j] += float32(ar[j] * inv)
 				}
 			}
 			for e := block.SrcPtr[i]; e < block.SrcPtr[i+1]; e++ {
 				xr := dx.Row(int(block.SrcLocal[e]))
 				for j := range xr {
-					xr[j] += ar[j] * inv
+					xr[j] += float32(ar[j] * inv)
 				}
 			}
 		}
@@ -827,30 +868,30 @@ func refBackwardGAT(m *Model, l int, c *gatCache, dh *Matrix) *Matrix {
 			zr, dzr := c.z.Row(c.slotNode(i, k)), dz.Row(c.slotNode(i, k))
 			var da float32
 			for j := range dhr {
-				dzr[j] += a[k] * dhr[j]
-				da += dhr[j] * zr[j]
+				dzr[j] += float32(a[k] * dhr[j])
+				da += float32(dhr[j] * zr[j])
 			}
 			dAlpha[k] = da
 		}
 		var mix float32
 		for k := range a {
-			mix += a[k] * dAlpha[k]
+			mix += float32(a[k] * dAlpha[k])
 		}
 		var dDstScore float32
 		for k := range a {
 			de := a[k] * (dAlpha[k] - mix)
-			de *= leakyGrad(eRaw[k])
+			de = float32(de * leakyGrad(eRaw[k]))
 			zr, dzr := c.z.Row(c.slotNode(i, k)), dz.Row(c.slotNode(i, k))
 			for j := range zr {
-				daSrc[j] += de * zr[j]
-				dzr[j] += de * aSrc[j]
+				daSrc[j] += float32(de * zr[j])
+				dzr[j] += float32(de * aSrc[j])
 			}
 			dDstScore += de
 		}
 		zd, dzd := c.z.Row(i), dz.Row(i)
 		for j := range zd {
-			daDst[j] += dDstScore * zd[j]
-			dzd[j] += dDstScore * aDst[j]
+			daDst[j] += float32(dDstScore * zd[j])
+			dzd[j] += float32(dDstScore * aDst[j])
 		}
 		flops += int64(len(a)) * int64(out) * 8
 	}

@@ -73,8 +73,8 @@ func (o *Adam) Step(m *Model) {
 		m1, m2 := o.m1[i], o.m2[i]
 		for j := range p.W.Data {
 			g := p.G.Data[j]
-			m1[j] = b1*m1[j] + (1-b1)*g
-			m2[j] = b2*m2[j] + (1-b2)*g*g
+			m1[j] = float32(b1*m1[j]) + float32((1-b1)*g)
+			m2[j] = float32(b2*m2[j]) + float32((1-b2)*g*g)
 			mh := float64(m1[j]) / c1
 			vh := float64(m2[j]) / c2
 			p.W.Data[j] -= float32(o.LR * mh / (math.Sqrt(vh) + o.Eps))

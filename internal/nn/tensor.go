@@ -61,17 +61,15 @@ var flops int64
 // FlopCount returns the cumulative FLOPs executed so far.
 func FlopCount() int64 { return flops }
 
-// axpy computes dst[i] += a*x[i] over len(dst) elements: the one inner loop
-// under MatMul, MatMulAT and MatMulBT and under the model's aggregation,
-// scatter and bias loops. On amd64 the body is SSE2 assembly, four lanes
+// axpy computes dst[i] += a*x[i] over len(dst) elements: the inner loop of
+// the model's aggregation, scatter and bias loops, and of rowGo, the
+// products' portable body. On amd64 the body is SSE2 assembly, four lanes
 // wide, that multiplies (MULPS) and then adds (ADDPS) and never fuses the
 // two: each lane rounds the product and then the sum exactly as the scalar
 // MULSS/ADDSS of the Go loop do, so every result has the bits axpyGo gives —
 // which is what keeps losses, parameters, checkpoints and reports identical
 // to the scalar kernels' at the same seed. An FMA rounds once and would move
-// them all. (SSE2 is in the GOAMD64=v1 baseline, so there is no CPU probe and
-// no second amd64 path.) With a == 1 the product is exact and axpy is a plain
-// vector add.
+// them all. With a == 1 the product is exact and axpy is a plain vector add.
 func axpy(dst, x []float32, a float32) {
 	if len(x) < len(dst) {
 		panic(axpyLenError{len(dst), len(x)})
@@ -92,59 +90,48 @@ func (e axpyLenError) Error() string {
 func axpyGo(dst, x []float32, a float32) {
 	x = x[:len(dst)]
 	for i := range dst {
-		dst[i] += a * x[i]
+		dst[i] += float32(a * x[i])
 	}
 }
 
 // MatMul computes out = a @ b (a: m×k, b: k×n). out must be m×n and is
-// overwritten. The loops are ordered i-k-j for streaming access: each output
-// row is a sum of axpys over the rows of b.
+// overwritten. Each output row is one rowKernel sum over the rows of b,
+// skipping zero multipliers.
 func MatMul(out, a, b *Matrix) {
 	if a.C != b.R || out.R != a.R || out.C != b.C {
 		panic(fmt.Sprintf("nn: matmul shape (%dx%d)@(%dx%d)->(%dx%d)", a.R, a.C, b.R, b.C, out.R, out.C))
 	}
-	out.Zero()
 	for i := 0; i < a.R; i++ {
-		ar := a.Row(i)
-		or := out.Row(i)
-		for k := 0; k < a.C; k++ {
-			av := ar[k]
-			if av == 0 {
-				continue
-			}
-			axpy(or, b.Row(k), av)
-		}
+		rowKernel(out.Row(i), a.Row(i), 1, b.Data, b.C, a.C, true, false)
 	}
 	flops += 2 * int64(a.R) * int64(a.C) * int64(b.C)
 }
 
 // MatMulAT computes out = aᵀ @ b (a: k×m, b: k×n, out: m×n) — the weight-
-// gradient product of backprop.
+// gradient product of backprop. Output row i sums column i of a (stride m)
+// against the rows of b, skipping zero multipliers; k goes in blocks of
+// kChunk rows, every output row sweeping one block of b while it is in
+// cache, so each element is still summed over k ascending.
 func MatMulAT(out, a, b *Matrix) {
 	if a.R != b.R || out.R != a.C || out.C != b.C {
 		panic(fmt.Sprintf("nn: matmulAT shape (%dx%d)T@(%dx%d)->(%dx%d)", a.R, a.C, b.R, b.C, out.R, out.C))
 	}
-	out.Zero()
-	for k := 0; k < a.R; k++ {
-		ar := a.Row(k)
-		br := b.Row(k)
-		for i, av := range ar {
-			if av == 0 {
-				continue
-			}
-			axpy(out.Row(i), br, av)
+	if a.R == 0 {
+		out.Zero()
+	}
+	for k0 := 0; k0 < a.R; k0 += kChunk {
+		kn := min(kChunk, a.R-k0)
+		for i := 0; i < a.C; i++ {
+			rowKernel(out.Row(i), a.Data[k0*a.C+i:], a.C, b.Data[k0*b.C:], b.C, kn, true, k0 > 0)
 		}
 	}
 	flops += 2 * int64(a.R) * int64(a.C) * int64(b.C)
 }
 
-// MatMulBT computes out = a @ bᵀ (a: m×k, b: n×k, out: m×n) — the input-
-// gradient product of backprop. out is overwritten.
-func MatMulBT(out, a, b *Matrix) { matMulBT(out, a, b, NewMatrix(b.C, b.R)) }
-
-// matMulBT is MatMulBT with the caller's k×n scratch for bᵀ. Transposing b
-// once turns the product's n·m serial dot products into the row sweep of
-// MatMul, which vectorises; every out[i][j] is still summed from +0 over k
+// matMulBT computes out = a @ bᵀ (a: m×k, b: n×k, out: m×n) — the input-
+// gradient product of backprop — with the caller's k×n scratch for bᵀ.
+// Transposing b once turns the product's n·m serial dot products into
+// MatMul's row sums; every out[i][j] is still summed from +0 over k
 // ascending, the dot product's own sequence of rounded operations. There is
 // no zero skip: a dot product multiplies its zeros too (0·Inf is NaN).
 func matMulBT(out, a, b, bt *Matrix) {
@@ -157,12 +144,8 @@ func matMulBT(out, a, b, bt *Matrix) {
 			bt.Data[k*bt.C+j] = v
 		}
 	}
-	out.Zero()
 	for i := 0; i < a.R; i++ {
-		or := out.Row(i)
-		for k, av := range a.Row(i) {
-			axpy(or, bt.Row(k), av)
-		}
+		rowKernel(out.Row(i), a.Row(i), 1, bt.Data, bt.C, a.C, false, false)
 	}
 	flops += 2 * int64(a.R) * int64(a.C) * int64(b.R)
 }
@@ -176,12 +159,11 @@ func AddBiasInPlace(m *Matrix, bias []float32) {
 }
 
 // ReLUInPlace applies max(0, x). The output is its own mask for the backward
-// pass: an entry was clamped exactly when it is not positive.
+// pass: an entry was clamped exactly when it is not positive. NaN and −0
+// become +0.
 func ReLUInPlace(m *Matrix) {
 	for i, v := range m.Data {
-		if !(v > 0) {
-			m.Data[i] = 0
-		}
+		m.Data[i] = math.Float32frombits(math.Float32bits(v) & positive(v))
 	}
 	flops += int64(len(m.Data))
 }
@@ -189,11 +171,18 @@ func ReLUInPlace(m *Matrix) {
 // ReLUBackwardInPlace zeroes gradient entries where the activation was
 // clamped; act is the ReLU's output.
 func ReLUBackwardInPlace(g, act *Matrix) {
+	gd := g.Data[:len(act.Data)]
 	for i, v := range act.Data {
-		if !(v > 0) {
-			g.Data[i] = 0
-		}
+		gd[i] = math.Float32frombits(math.Float32bits(gd[i]) & positive(v))
 	}
+}
+
+// positive is the mask of v > 0 — all ones when it holds, else zero, for NaN
+// and −0 too — made by integer compare, so a half-negative ReLU input costs
+// no branch mispredictions: v > 0 exactly when its bits minus one lie below
+// those of +Inf.
+func positive(v float32) uint32 {
+	return uint32((int64(math.Float32bits(v)-1) - 0x7f800000) >> 63)
 }
 
 // SoftmaxCrossEntropy computes mean cross-entropy loss and accuracy over

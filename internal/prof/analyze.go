@@ -322,7 +322,7 @@ func stallReport(t *Trace, spans []trace.Event) StallReport {
 		if e.Cat != "stall" {
 			continue
 		}
-		d := e.Dur * usec
+		d := float64(e.Dur * usec)
 		rep.Count++
 		rep.ByLane[t.PidName(e.Pid)+"/"+t.LaneName(e.Pid, e.Tid)] += d
 		if e.Name == "ccc-wait" {
@@ -639,8 +639,8 @@ func topSpans(spans []trace.Event, n int) []SpanAgg {
 				agg[k] = a
 			}
 			a.Count++
-			a.Total += e.Dur * usec
-			a.Self += self[i] * usec
+			a.Total += float64(e.Dur * usec)
+			a.Self += float64(self[i] * usec)
 		}
 	}
 	out := make([]SpanAgg, 0, len(agg))

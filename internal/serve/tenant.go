@@ -155,7 +155,7 @@ func (t *tenantTable) TakeToken(id int, now sim.Time) bool {
 		return true
 	}
 	if now > t.last[id] {
-		t.tokens[id] += float64(now-t.last[id]) * s.Rate
+		t.tokens[id] += float64(float64(now-t.last[id]) * s.Rate)
 		if max := t.burst(id); t.tokens[id] > max {
 			t.tokens[id] = max
 		}

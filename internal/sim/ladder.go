@@ -88,7 +88,7 @@ func (q *timerQueue) Push(t timer) {
 		q.bottom = slices.Insert(q.bottom, i, t)
 		return
 	}
-	if q.rungIdx < len(q.rung) && t.at < q.rungStart+Time(len(q.rung))*q.rungWidth {
+	if q.rungIdx < len(q.rung) && t.at < q.rungStart+Time(Time(len(q.rung))*q.rungWidth) {
 		i := int((t.at - q.rungStart) / q.rungWidth)
 		// Float rounding or a deadline inside the bucket currently being
 		// drained can land before the drain point; clamp (see type comment).

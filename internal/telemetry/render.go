@@ -34,7 +34,7 @@ func Sparkline(values []float64, width int) string {
 	if math.IsInf(span, 0) {
 		// The series spans more than MaxFloat64: scale it by a half, which
 		// keeps every difference finite and every fraction in [0, 1].
-		lo, span = lo/2, hi/2-lo/2
+		lo, span = lo/2, float64(hi/2)-float64(lo/2)
 		for i := range cols {
 			cols[i] /= 2
 		}

@@ -104,14 +104,14 @@ func (c *Counters) combine(o Counters, k int64) {
 	c.Rebalances += int(k) * o.Rebalances
 	c.CachePromoted += k * o.CachePromoted
 	c.RebalanceBytes += k * o.RebalanceBytes
-	c.RebalanceTime += sim.Time(k) * o.RebalanceTime
+	c.RebalanceTime += sim.Time(sim.Time(k) * o.RebalanceTime)
 	c.StoreHits += k * o.StoreHits
 	c.StoreMisses += k * o.StoreMisses
 	c.StoreDemandBytes += k * o.StoreDemandBytes
 	c.StorePrefetchBytes += k * o.StorePrefetchBytes
 	c.StorePrefetchIssued += k * o.StorePrefetchIssued
 	c.StorePrefetchUsed += k * o.StorePrefetchUsed
-	c.StoreStall += sim.Time(k) * o.StoreStall
+	c.StoreStall += sim.Time(sim.Time(k) * o.StoreStall)
 	c.StoreDeviceReads += k * o.StoreDeviceReads
 	c.StoreDeviceBytes += k * o.StoreDeviceBytes
 	for class, cs := range o.Codec {

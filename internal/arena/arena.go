@@ -3,7 +3,8 @@
 // epoch re-requests the same few buffer shapes thousands of times; pooling
 // them removes the per-round allocation and the GC pressure of multi-MB
 // float32 slices without changing any computed value — Get returns zeroed
-// memory, exactly like make.
+// memory, exactly like make, and GetNoZero skips the clearing for a caller
+// that writes every element before it reads any.
 //
 // Pools are NOT safe for concurrent use. Each owner (a communicator, a
 // strategy instance) keeps its own pool and touches it only from simulation
@@ -38,8 +39,26 @@ func sizeClass(c int) int {
 // Get returns a zeroed buffer of length n, reusing pooled capacity when a
 // large-enough buffer is available.
 func (p *Pool) Get(n int) []float32 {
+	b, reused := p.get(n)
+	if reused {
+		clear(b)
+	}
+	return b
+}
+
+// GetNoZero is Get for a caller that writes every element before it reads
+// any — a product's output, a gather's destination: a reused buffer keeps
+// whatever its last holder left in it.
+func (p *Pool) GetNoZero(n int) []float32 {
+	b, _ := p.get(n)
+	return b
+}
+
+// get returns a buffer of length n and whether it came from the pool (a new
+// one is zeroed by make).
+func (p *Pool) get(n int) ([]float32, bool) {
 	if n == 0 {
-		return nil
+		return nil, false
 	}
 	// A buffer that can hold n lives in class ceil(log2 n) or above.
 	k := sizeClass(n)
@@ -47,18 +66,16 @@ func (p *Pool) Get(n int) []float32 {
 		k++
 	}
 	if k >= maxClass {
-		return make([]float32, n)
+		return make([]float32, n), false
 	}
 	for c := k; c < maxClass; c++ {
 		if m := len(p.buckets[c]); m > 0 {
 			b := p.buckets[c][m-1]
 			p.buckets[c] = p.buckets[c][:m-1]
-			b = b[:n]
-			clear(b)
-			return b
+			return b[:n], true
 		}
 	}
-	return make([]float32, n, 1<<uint(k))
+	return make([]float32, n, 1<<uint(k)), false
 }
 
 // Put recycles b's capacity. Putting nil or zero-capacity slices is a no-op.

@@ -26,6 +26,30 @@ func TestArenaGetZeroesDirtyBuffers(t *testing.T) {
 	}
 }
 
+// TestArenaGetNoZeroKeepsContents: GetNoZero reuses a pooled buffer as Get
+// does but leaves its contents as the last holder wrote them, and a fresh
+// one is zeroed by make.
+func TestArenaGetNoZeroKeepsContents(t *testing.T) {
+	var p Pool
+	if b := p.GetNoZero(50); len(b) != 50 || b[0] != 0 || b[49] != 0 {
+		t.Fatalf("fresh buffer: len %d, ends %g %g", len(b), b[0], b[len(b)-1])
+	} else {
+		for i := range b {
+			b[i] = float32(i + 1)
+		}
+		p.Put(b)
+		got := p.GetNoZero(40)
+		if &got[0] != &b[0] || len(got) != 40 {
+			t.Fatal("GetNoZero did not reuse the pooled buffer")
+		}
+		for i, v := range got {
+			if v != float32(i+1) {
+				t.Fatalf("recycled buffer cleared at %d: %g", i, v)
+			}
+		}
+	}
+}
+
 // TestArenaCapacityClassRounding: a fresh buffer's capacity is the next
 // power of two at or above the request, so it returns to the class a later
 // request of the same size searches first.

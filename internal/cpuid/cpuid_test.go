@@ -1,4 +1,4 @@
-package nn
+package cpuid
 
 import (
 	"os"
@@ -9,8 +9,9 @@ import (
 
 // TestProbeMatchesCPUInfo holds the CPUID+XGETBV probe to the kernel's own
 // view of the CPU: on linux the avx2 flag in /proc/cpuinfo is set exactly
-// when the probe chooses the AVX2 body. A broken probe would otherwise fall
-// back to the portable body without a word, and every test would still pass.
+// when the probe reports AVX2. A broken probe would otherwise send every
+// kernel to its portable body without a word, and every test would still
+// pass.
 func TestProbeMatchesCPUInfo(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("reads /proc/cpuinfo")
@@ -33,7 +34,7 @@ func TestProbeMatchesCPUInfo(t *testing.T) {
 	for _, f := range strings.Fields(flags) {
 		want = want || f == "avx2"
 	}
-	if got := cpuHasAVX2(); got != want || useAVX2 != want {
-		t.Fatalf("probe says AVX2 %v (useAVX2 %v), /proc/cpuinfo says %v", got, useAVX2, want)
+	if got := hasAVX2(); got != want || AVX2 != want {
+		t.Fatalf("probe says AVX2 %v (AVX2 %v), /proc/cpuinfo says %v", got, AVX2, want)
 	}
 }

@@ -252,6 +252,7 @@ type roundScratch struct {
 	seeds     [][]uint64
 	layerSeed []uint64    // sample.LayerSeed of each peerSeed for the drawn layer
 	keys      sample.Keys // biased draws' selection keys
+	rows      sample.Rows // node-wise uniform draws of own-patch rows, eight a pass
 }
 
 // Release hands rank's batch mb, sampled on this world, back to the world:
@@ -662,7 +663,9 @@ type drawRef struct {
 // drawn back to back. shift gives about one bucket per task, so the pass is
 // O(tasks) — exact order once the tasks outnumber the patch's nodes, no
 // patch-sized table for a round of a few tasks. Tasks outside the patch (a
-// dead GPU's, in degraded mode) share one last bucket. Packing each reply
+// dead GPU's, in degraded mode) share one last bucket. Node-wise uniform
+// draws of the patch's own rows go through sample.Rows, which draws them
+// eight at a time; every other task through DrawAdj. Packing each reply
 // closes the gaps of tasks that drew fewer than Count ids.
 func (w *World) drawTasks(s *roundScratch, rank int, inTasks [][]task, cfg sample.Config, layer int) {
 	ps := w.Patches[rank]
@@ -705,12 +708,19 @@ func (w *World) drawTasks(s *roundScratch, rank int, inTasks [][]task, cfg sampl
 			off += t.Count
 		}
 	}
+	uniform := !cfg.Biased && !cfg.WithReplacement && !cfg.LayerWise
 	for _, d := range order {
+		if uniform && d.Node >= ps.Lo && d.Node < ps.Hi {
+			s.replyCounts[d.q][d.i] = int32(s.rows.Add(ps.Neighbors(d.Node), d.Node, s.layerSeed[d.q],
+				int(d.Count), s.replySamples[d.q][d.off:d.off+d.Count]))
+			continue
+		}
 		tps := w.patchOf(d.Node, rank)
 		got := sample.DrawAdj(tps.Neighbors(d.Node), tps.NeighborWeights(d.Node),
 			d.Node, s.layerSeed[d.q], int(d.Count), cfg, s.replySamples[d.q][:d.off], &s.keys)
 		s.replyCounts[d.q][d.i] = int32(len(got)) - d.off
 	}
+	s.rows.Flush()
 	for q, ts := range inTasks {
 		buf, rc := s.replySamples[q], s.replyCounts[q]
 		var to, from int32

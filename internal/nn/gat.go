@@ -54,13 +54,13 @@ func (m *Model) forwardGAT(l int, block *sample.Block, x *Matrix, c *gatCache) *
 	ws := &m.ws
 	*c = gatCache{block: block, x: x}
 	// Project every input node once.
-	c.z = ws.matrix(x.R, out)
+	c.z = ws.dirty(x.R, out)
 	MatMul(c.z, x, m.wNeigh[l].W)
 	aSrc := m.attSrc[l].W.Data
 	aDst := m.attDst[l].W.Data
 	h := ws.matrix(len(block.Dst), out)
-	c.alpha = ws.matrix(1, len(block.Src)+len(block.Dst)).Data
-	c.eRaw = ws.matrix(1, len(c.alpha)).Data
+	c.alpha = ws.dirty(1, len(block.Src)+len(block.Dst)).Data
+	c.eRaw = ws.dirty(1, len(c.alpha)).Data
 	for i := range block.Dst {
 		lo, hi := c.slots(i)
 		e, a := c.eRaw[lo:hi], c.alpha[lo:hi]
@@ -103,7 +103,7 @@ func (m *Model) backwardGAT(l int, c *gatCache, dh *Matrix) *Matrix {
 	daDst := m.attDst[l].G.Data
 	aSrc := m.attSrc[l].W.Data
 	aDst := m.attDst[l].W.Data
-	dAlphas := ws.matrix(1, len(c.alpha)).Data
+	dAlphas := ws.dirty(1, len(c.alpha)).Data
 	for i := range block.Dst {
 		lo, hi := c.slots(i)
 		a, eRaw, dAlpha := c.alpha[lo:hi], c.eRaw[lo:hi], dAlphas[lo:hi]
@@ -140,14 +140,14 @@ func (m *Model) backwardGAT(l int, c *gatCache, dh *Matrix) *Matrix {
 		flops += int64(len(a)) * int64(out) * 8
 	}
 	// z = x @ W.
-	gw := ws.matrix(in, out)
+	gw := ws.dirty(in, out)
 	MatMulAT(gw, c.x, dz)
 	addInto(m.wNeigh[l].G, gw)
 	if l == 0 {
 		return nil
 	}
-	dx := ws.matrix(c.x.R, in)
-	matMulBT(dx, dz, m.wNeigh[l].W, ws.matrix(out, in))
+	dx := ws.dirty(c.x.R, in)
+	matMulBT(dx, dz, m.wNeigh[l].W, ws.dirty(out, in))
 	return dx
 }
 

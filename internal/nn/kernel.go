@@ -1,8 +1,10 @@
 package nn
 
+import "repro/internal/cpuid"
+
 // useAVX2 selects rowKernel's body: set once from the CPU probe, and by
 // tests that run both bodies over the same inputs.
-var useAVX2 = cpuHasAVX2()
+var useAVX2 = cpuid.AVX2
 
 // kChunk is the most multipliers one call of the AVX2 body sums. It bounds
 // the stack table rowKernel compacts into, and it is MatMulAT's block over

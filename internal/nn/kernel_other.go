@@ -2,8 +2,6 @@
 
 package nn
 
-func cpuHasAVX2() bool { return false }
-
 // The AVX2 bodies exist only on amd64, and useAVX2 is never set elsewhere.
 
 func rowAVX2(out, a []float32, astride int, b []float32, bstride int, ks []int32, acc bool) {

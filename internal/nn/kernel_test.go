@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cpuid"
 	"repro/internal/rng"
 )
 
@@ -26,7 +27,7 @@ var multiplierKinds = []float32{
 // skip on and off, a fresh or an accumulated output, and the multiplier
 // kinds above; b carries the same kinds at a few places.
 func FuzzRowKernel(f *testing.F) {
-	if !cpuHasAVX2() {
+	if !cpuid.AVX2 {
 		f.Skip("no AVX2 body on this CPU")
 	}
 	for _, c := range []struct {

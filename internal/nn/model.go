@@ -95,8 +95,9 @@ type Model struct {
 // workspace is a Model's step-local storage: every activation, cache and
 // gradient matrix of one Forward/Backward comes from a pool that the next
 // Forward takes them back into, so a steady-state step allocates nothing.
-// pool.Get returns zeroed memory exactly like make, so no value depends on
-// the recycling.
+// matrix hands out zeroed memory exactly like make, and dirty only to full
+// writers — the products' outputs, the transpose scratch, copies and
+// gathers, the loss gradient — so no value depends on the recycling.
 type workspace struct {
 	pool   arena.Pool
 	mats   []*Matrix // reusable headers; mats[:used] hold this step's buffers
@@ -115,13 +116,20 @@ func (w *workspace) reset() {
 }
 
 // matrix returns a zeroed r×c matrix that is valid until the next reset.
-func (w *workspace) matrix(r, c int) *Matrix {
+func (w *workspace) matrix(r, c int) *Matrix { return w.header(r, c, w.pool.Get(r*c)) }
+
+// dirty is matrix with unspecified contents, for a caller that writes every
+// element before it reads any: an accumulator must take matrix.
+func (w *workspace) dirty(r, c int) *Matrix { return w.header(r, c, w.pool.GetNoZero(r*c)) }
+
+// header wraps data, r×c, in the next reusable header.
+func (w *workspace) header(r, c int, data []float32) *Matrix {
 	if w.used == len(w.mats) {
 		w.mats = append(w.mats, new(Matrix))
 	}
 	m := w.mats[w.used]
 	w.used++
-	*m = Matrix{R: r, C: c, Data: w.pool.Get(r * c)}
+	*m = Matrix{R: r, C: c, Data: data}
 	return m
 }
 
@@ -253,7 +261,7 @@ func (m *Model) Forward(mb *sample.MiniBatch, feats []float32) (*Matrix, []*laye
 		}
 		*c = layerCache{block: block, x: x}
 		// Gather self rows and aggregate neighbour rows.
-		c.self = ws.matrix(len(block.Dst), in)
+		c.self = ws.dirty(len(block.Dst), in)
 		c.agg = ws.matrix(len(block.Dst), in)
 		for i := range block.Dst {
 			copy(c.self.Row(i), x.Row(i))
@@ -281,10 +289,10 @@ func (m *Model) Forward(mb *sample.MiniBatch, feats []float32) (*Matrix, []*laye
 		}
 		flops += 2 * int64(len(block.Src)) * int64(in)
 		// Dense transform.
-		h := ws.matrix(len(block.Dst), out)
+		h := ws.dirty(len(block.Dst), out)
 		if m.Cfg.Arch == SAGE {
 			MatMul(h, c.self, m.wSelf[l].W)
-			tmp := ws.matrix(len(block.Dst), out)
+			tmp := ws.dirty(len(block.Dst), out)
 			MatMul(tmp, c.agg, m.wNeigh[l].W)
 			axpy(h.Data, tmp.Data, 1)
 			flops += int64(len(h.Data))
@@ -325,7 +333,7 @@ func (m *Model) Backward(caches []*layerCache, dlogits *Matrix) {
 			axpy(bg, dh.Row(i), 1)
 		}
 		flops += int64(dh.R) * int64(dh.C)
-		gw := ws.matrix(in, dh.C)
+		gw := ws.dirty(in, dh.C)
 		if m.Cfg.Arch == SAGE {
 			MatMulAT(gw, c.self, dh)
 			addInto(m.wSelf[l].G, gw)
@@ -337,10 +345,10 @@ func (m *Model) Backward(caches []*layerCache, dlogits *Matrix) {
 		}
 		block := c.block
 		var dSelf *Matrix
-		dAgg := ws.matrix(dh.R, in)
-		wt := ws.matrix(dh.C, in)
+		dAgg := ws.dirty(dh.R, in)
+		wt := ws.dirty(dh.C, in)
 		if m.Cfg.Arch == SAGE {
-			dSelf = ws.matrix(dh.R, in)
+			dSelf = ws.dirty(dh.R, in)
 			matMulBT(dSelf, dh, m.wSelf[l].W, wt)
 		}
 		matMulBT(dAgg, dh, m.wNeigh[l].W, wt)
@@ -382,7 +390,7 @@ func addInto(dst, src *Matrix) {
 // it executes are NominalFlops(m.Cfg, mb).
 func (m *Model) TrainStep(mb *sample.MiniBatch, feats []float32, labels []int32) (loss float64, correct int) {
 	logits, caches := m.Forward(mb, feats)
-	dlogits := m.ws.matrix(logits.R, logits.C)
+	dlogits := m.ws.dirty(logits.R, logits.C)
 	loss, correct = SoftmaxCrossEntropy(logits, labels, dlogits)
 	m.Backward(caches, dlogits)
 	return loss, correct
@@ -391,7 +399,7 @@ func (m *Model) TrainStep(mb *sample.MiniBatch, feats []float32, labels []int32)
 // Evaluate runs forward only and returns loss and accuracy.
 func (m *Model) Evaluate(mb *sample.MiniBatch, feats []float32, labels []int32) (loss float64, correct int) {
 	logits, _ := m.Forward(mb, feats)
-	return SoftmaxCrossEntropy(logits, labels, m.ws.matrix(logits.R, logits.C))
+	return SoftmaxCrossEntropy(logits, labels, m.ws.dirty(logits.R, logits.C))
 }
 
 // LayerFlops is the work of layer l over block b exactly as the host kernels

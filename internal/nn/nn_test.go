@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpuid"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -626,7 +627,7 @@ func bodies(tb testing.TB) []body {
 	probed := useAVX2
 	tb.Cleanup(func() { useAVX2 = probed })
 	bs := []body{{"axpy", false}}
-	if cpuHasAVX2() {
+	if cpuid.AVX2 {
 		bs = append(bs, body{"kernel", true})
 	}
 	return bs

@@ -43,6 +43,10 @@ func (r *RNG) Seed(seed uint64) {
 	}
 }
 
+// SetState sets the generator's four xoshiro256** words, so a stream
+// another generator of the same kind began can be replayed from there.
+func (r *RNG) SetState(s [4]uint64) { r.s = s }
+
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Uint64 returns the next 64 random bits.

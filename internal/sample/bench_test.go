@@ -21,46 +21,112 @@ func reportRate(b *testing.B, perOp int64, unit string) {
 	b.ReportMetric(float64(perOp)*float64(b.N)/b.Elapsed().Seconds(), unit)
 }
 
-// BenchmarkUniform draws from rows scattered over an adjacency array far
-// larger than the last-level cache (64 MB; 1 MB under -short), so every
-// neighbour read misses, as on the full-size graphs — which is where reading
-// the k neighbours back to back instead of one per step pays.
-func BenchmarkUniform(b *testing.B) {
-	entries := 16 << 20
+// adjacencyCases are the two adjacency arrays the draw benchmarks read rows
+// from: 256 KB, which stays in L2, so the draw's own instructions show; and
+// 64 MB (1 MB under -short), far larger than the last-level cache, so every
+// neighbour read misses, as on the full-size graphs.
+func adjacencyCases() []struct {
+	name    string
+	entries int
+} {
+	large := 16 << 20
 	if testing.Short() {
-		entries = 256 << 10
+		large = 256 << 10
 	}
-	adjacency := make([]graph.NodeID, entries)
+	return []struct {
+		name    string
+		entries int
+	}{{"L2", 64 << 10}, {"mem", large}}
+}
+
+// rowStarts places rows of degree d at random offsets of an entries-long
+// adjacency array.
+func rowStarts(entries, d, rows int) []int {
+	starts := make([]int, rows)
+	gen := rng.New(uint64(d))
+	for i := range starts {
+		starts[i] = gen.Intn(entries - d)
+	}
+	return starts
+}
+
+// identity returns the adjacency array 0, 1, …, n−1.
+func identity(n int) []graph.NodeID {
+	adjacency := make([]graph.NodeID, n)
 	for i := range adjacency {
 		adjacency[i] = graph.NodeID(i)
 	}
+	return adjacency
+}
+
+// BenchmarkUniform draws from rows scattered over each adjacency array. In
+// memory, reading the k neighbours back to back instead of one per step is
+// what pays; in L2 the draw is bound by its instructions — the seeding, the
+// Lemire chain and the replacement scan — not by the reads.
+func BenchmarkUniform(b *testing.B) {
 	const rows = 1 << 12
-	for _, d := range []int{8, 32, 256} {
-		starts := make([]int, rows)
-		gen := rng.New(uint64(d))
-		for i := range starts {
-			starts[i] = gen.Intn(entries - d)
-		}
-		for _, k := range []int{5, 15} {
-			for _, impl := range []struct {
-				name string
-				fn   func(*rng.RNG, []graph.NodeID, int, []graph.NodeID) []graph.NodeID
-			}{{"gather", Uniform}, {"ref", refUniform}} {
-				b.Run(fmt.Sprintf("d=%d/k=%d/%s", d, k, impl.name), func(b *testing.B) {
-					out := make([]graph.NodeID, 0, rows*k)
-					var r rng.RNG
-					var edges int64
-					for i := 0; i < b.N; i++ {
-						out = out[:0]
-						for j, s := range starts {
-							r.Seed(uint64(j))
-							out = impl.fn(&r, adjacency[s:s+d], k, out)
+	for _, size := range adjacencyCases() {
+		adjacency := identity(size.entries)
+		for _, d := range []int{8, 32, 256} {
+			starts := rowStarts(size.entries, d, rows)
+			for _, k := range []int{5, 15} {
+				for _, impl := range []struct {
+					name string
+					fn   func(*rng.RNG, []graph.NodeID, int, []graph.NodeID) []graph.NodeID
+				}{{"gather", Uniform}, {"ref", refUniform}} {
+					b.Run(fmt.Sprintf("adj=%s/d=%d/k=%d/%s", size.name, d, k, impl.name), func(b *testing.B) {
+						out := make([]graph.NodeID, 0, rows*k)
+						var r rng.RNG
+						var edges int64
+						for i := 0; i < b.N; i++ {
+							out = out[:0]
+							for j, s := range starts {
+								r.Seed(uint64(j))
+								out = impl.fn(&r, adjacency[s:s+d], k, out)
+							}
+							edges = int64(len(out))
 						}
-						edges = int64(len(out))
-					}
-					reportRate(b, edges, "edges/s")
-				})
+						reportRate(b, edges, "edges/s")
+					})
+				}
 			}
+		}
+	}
+}
+
+// BenchmarkDrawRows draws 4 096 node-wise uniform rows (d = 40, k = 15, one
+// layer seed, distinct node ids) through Rows, whose AVX2 body ("kernel")
+// draws eight rows a pass, beside the portable per-row DrawAdj ("portable"),
+// in one process. The kernel row must report 0 allocs/op.
+func BenchmarkDrawRows(b *testing.B) {
+	const rows, d, k = 1 << 12, 40, 15
+	probed := useAVX2
+	b.Cleanup(func() { useAVX2 = probed })
+	for _, size := range adjacencyCases() {
+		adjacency := identity(size.entries)
+		starts := rowStarts(size.entries, d, rows)
+		out := make([]graph.NodeID, rows*k)
+		for _, body := range []struct {
+			name string
+			avx2 bool
+		}{{"kernel", true}, {"portable", false}} {
+			if body.avx2 && !probed {
+				continue
+			}
+			b.Run(fmt.Sprintf("adj=%s/d=%d/k=%d/%s", size.name, d, k, body.name), func(b *testing.B) {
+				useAVX2 = body.avx2
+				var r Rows
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for j, s := range starts {
+						r.Add(adjacency[s:s+d], graph.NodeID(j), uint64(i), k, out[j*k:])
+					}
+					r.Flush()
+				}
+				edges := float64(rows * k)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(edges*float64(b.N)), "ns/edge")
+				reportRate(b, rows*k, "edges/s")
+			})
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -173,5 +174,70 @@ func TestCrashShedsTraced(t *testing.T) {
 	}
 	if atCrash == 0 {
 		t.Error("no shed at the crash instant: the scenario no longer sheds re-routed requests")
+	}
+}
+
+// TestRoundsRecycledIntact: serving reuses its rounds (their request tables
+// and seed lists), and a reused round must never be one a worker still
+// reads. Healthy and across a mid-round crash — whose voided attempts
+// (three at this instant) keep their rounds out of the pool, as does the
+// dead GPU's pipeline — every completed request still carries its own
+// round: the requests of one round share its dispatch time, rounds start
+// in id order, and each (round, GPU) completes exactly its batch. A few
+// rounds serve the whole run, taken from the pool without an allocation.
+// Run it under -race as well.
+func TestRoundsRecycledIntact(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults []fault.Fault
+	}{
+		{"healthy", nil},
+		{"crash", []fault.Fault{{Kind: fault.Crash, GPU: 1, At: 0.02}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t, 4)
+			cfg.Faults = tc.faults
+			s, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.rounds) == 0 || len(s.rounds) > 4*execQueueCap*len(s.pending) {
+				t.Fatalf("%d rounds pooled after %d dispatched", len(s.rounds), s.nextRound)
+			}
+			if a := testing.AllocsPerRun(10, func() { s.drop(s.newRound(), false) }); a != 0 {
+				t.Fatalf("taking a pooled round allocates %v objects", a)
+			}
+			for _, rd := range s.rounds {
+				if rd.holds != 0 || rd.voided {
+					t.Fatalf("pooled round %d: holds %d, voided %v", rd.id, rd.holds, rd.voided)
+				}
+			}
+			start := map[int]sim.Time{}
+			count := map[[2]int]int{}
+			for _, req := range rep.Requests {
+				if st, ok := start[req.Round]; ok && st != req.Start {
+					t.Fatalf("round %d dispatched at %v and at %v", req.Round, st, req.Start)
+				}
+				start[req.Round] = req.Start
+				count[[2]int{req.Round, req.GPU}]++
+			}
+			for _, req := range rep.Requests {
+				if n := count[[2]int{req.Round, req.GPU}]; n != req.Batch {
+					t.Fatalf("round %d on gpu %d completed %d requests of a batch of %d", req.Round, req.GPU, n, req.Batch)
+				}
+				for id, st := range start {
+					if (id < req.Round && st > req.Start) || (id > req.Round && st < req.Start) {
+						t.Fatalf("round %d starts at %v, round %d at %v", id, st, req.Round, req.Start)
+					}
+				}
+			}
+			if tc.faults != nil && len(rep.Recoveries) != 1 {
+				t.Fatalf("recoveries = %d, want 1", len(rep.Recoveries))
+			}
+		})
 	}
 }

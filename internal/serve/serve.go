@@ -291,12 +291,23 @@ type Request struct {
 func (r *Request) Latency() sim.Time { return r.Done - r.Arrival }
 
 // round is one collective dispatch: every GPU samples and executes it, with
-// reqs[g] the requests admitted to GPU g (possibly empty).
+// reqs[g] the requests admitted to GPU g (possibly empty) and seeds[g] their
+// nodes, GPU g's seed list (its batch keeps it as Seeds).
+//
+// Rounds are recycled through Server.rounds. holds counts the GPUs whose
+// executor has yet to finish the round, plus the dispatcher while it hands
+// the round out; the last drop returns it to the pool. A round some attempt
+// of which was voided is never returned: what the aborted attempt left
+// behind may still point into it. Nor is one a dead GPU's worker or drain
+// took: its hold is never dropped.
 type round struct {
-	id    int
-	seed  uint64
-	start sim.Time
-	reqs  [][]*Request
+	id     int
+	seed   uint64
+	start  sim.Time
+	reqs   [][]*Request
+	seeds  [][]graph.NodeID
+	holds  int
+	voided bool
 }
 
 // execItem carries a sampled round from the sampler to the executor.
@@ -354,7 +365,9 @@ type Server struct {
 	sampProcs []*sim.Proc
 	execProcs []*sim.Proc
 	// nextRound is the next round's id: the count of rounds dispatched.
+	// rounds holds the rounds free for reuse (see round).
 	nextRound int
+	rounds    []*round
 
 	// whole-fleet crash state (router-driven Shutdown)
 	dead     bool
@@ -876,12 +889,10 @@ func (s *Server) dispatch(p *sim.Proc) {
 	if cfg.Batching == BatchSingle {
 		take = 1
 	}
-	rd := &round{
-		id:    s.nextRound,
-		seed:  rng.Mix(cfg.Seed, 0x5E12E, uint64(s.nextRound)),
-		start: p.Now(),
-		reqs:  make([][]*Request, len(s.pending)),
-	}
+	rd := s.newRound()
+	rd.id = s.nextRound
+	rd.seed = rng.Mix(cfg.Seed, 0x5E12E, uint64(s.nextRound))
+	rd.start = p.Now()
 	s.nextRound++
 	dispatched := 0
 	for g := range s.pending {
@@ -897,8 +908,32 @@ func (s *Server) dispatch(p *sim.Proc) {
 	s.traceDepth(p.Now())
 	for g := range s.sampQ {
 		if s.alive(g) {
+			rd.holds++
 			s.sampQ[g].Put(p, rd)
 		}
+	}
+	s.drop(rd, false)
+}
+
+// newRound returns a free round, or a new one, held by the dispatcher.
+func (s *Server) newRound() *round {
+	var rd *round
+	if k := len(s.rounds); k > 0 {
+		rd = s.rounds[k-1]
+		s.rounds = s.rounds[:k-1]
+	} else {
+		rd = &round{reqs: make([][]*Request, len(s.pending)), seeds: make([][]graph.NodeID, len(s.pending))}
+	}
+	rd.holds = 1
+	return rd
+}
+
+// drop releases one hold on rd, voided if the holder saw an attempt of the
+// round aborted; the last hold on a round never voided returns it.
+func (s *Server) drop(rd *round, voided bool) {
+	rd.voided = rd.voided || voided
+	if rd.holds--; rd.holds == 0 && !rd.voided {
+		s.rounds = append(s.rounds, rd)
 	}
 }
 
@@ -947,15 +982,18 @@ func (s *Server) sampler(p *sim.Proc, g int) {
 			s.execQ[g].Close()
 			return
 		}
-		runRound(p, func() { s.world.Comm.Begin(g) }, func() {
+		if runRound(p, func() { s.world.Comm.Begin(g) }, func() {
 			p.Sleep(stageOverhead)
-			seeds := make([]graph.NodeID, len(rd.reqs[g]))
-			for i, r := range rd.reqs[g] {
-				seeds[i] = r.Node
+			seeds := rd.seeds[g][:0]
+			for _, r := range rd.reqs[g] {
+				seeds = append(seeds, r.Node)
 			}
+			rd.seeds[g] = seeds
 			mb := s.world.SampleBatchShared(p, g, seeds, s.cfg.Sample, rd.seed)
 			s.execQ[g].Put(p, execItem{rd: rd, mb: mb, sampledAt: p.Now()})
-		})
+		}) {
+			rd.voided = true
+		}
 	}
 }
 
@@ -1024,5 +1062,6 @@ func (s *Server) executor(p *sim.Proc, g int) {
 				g, trace.LaneRounds, float64(it.rd.start), float64(now),
 				map[string]string{"batch": fmt.Sprint(batch)})
 		}
+		s.drop(it.rd, retried)
 	}
 }

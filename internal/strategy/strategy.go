@@ -118,7 +118,7 @@ func (r *replica) stage(mb *sample.MiniBatch) ([]float32, sim.Ticket) {
 		return nil, sim.Ticket{}
 	}
 	d := r.Opts.Data
-	feats := r.pool.Get(len(mb.InputNodes()) * d.FeatDim)
+	feats := r.pool.GetNoZero(len(mb.InputNodes()) * d.FeatDim) // the gather writes every element
 	return feats, r.par.Submit(func() { train.GatherFeaturesInto(feats, d, mb) })
 }
 

@@ -24,6 +24,7 @@ package cache
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/fault"
@@ -149,6 +150,9 @@ type Manager struct {
 	tracer *trace.Tracer
 	pid    int
 	stats  Stats
+	// keys, promote and demote are the rebalancer's buffers, reused GPU
+	// after GPU (see plan).
+	keys, promote, demote []rankKey
 }
 
 // New builds a manager over a store. g supplies the degree prior; offsets
@@ -218,30 +222,32 @@ func (m *Manager) Split(ids []graph.NodeID, g int) (local []graph.NodeID, remote
 	return local, remote, host
 }
 
-// Tally is Split by counts, for a caller that reads only the lists' lengths:
-// it records hotness and re-routes dead holders' rows exactly as Split does,
-// and leaves in counts what Split's lists would hold — counts[g] local
-// rows, counts[q] rows from peer q, counts[NumGPUs] host rows (a dead
-// holder's included, its own count zero). counts must have NumGPUs+1
-// entries. With withHost it also returns the host rows themselves, in
-// Split's order (host rows in request order, then each dead holder's rows
-// in GPU order), in a new slice of exactly that length; otherwise nil.
-func (m *Manager) Tally(ids []graph.NodeID, g int, counts []int, withHost bool) (host []graph.NodeID) {
-	m.track(ids)
-	m.store.Tally(ids, g, counts)
+// Tally is Split by counts, for a caller that reads only the lists' lengths
+// and the host rows: in one pass over ids it records hotness, leaves in
+// counts what Split's lists would hold — counts[g] local rows, counts[q]
+// rows from peer q, counts[NumGPUs] host rows — and lists the host rows.
+// counts must have NumGPUs+1 entries. A dead holder's rows are re-routed to
+// the host as Split does (its own count zero, its rows listed after the
+// others in GPU order); that costs a further pass per dead holder.
+//
+// The buffer contract: host is the caller's buffer, kept from call to call.
+// Tally writes the list (Split's host list, in Split's order) into its
+// storage when its capacity is at least len(ids), and otherwise into a new
+// array with room for a quarter more, and returns it; the caller keeps the
+// result as its buffer for the next call. The list is valid until then.
+func (m *Manager) Tally(ids []graph.NodeID, g int, counts []int, host []graph.NodeID) []graph.NodeID {
+	if cap(host) < len(ids) {
+		// A quarter of headroom: the next request of the same shape differs
+		// by a few per cent.
+		host = make([]graph.NodeID, 0, len(ids)+len(ids)/4)
+	}
+	host = m.store.Tally(ids, g, counts, m.counts, host)
 	n := m.store.NumGPUs
 	for q := 0; q < n; q++ {
-		if q != g && counts[q] > 0 && m.dead(q) {
+		if q != g && m.dead(q) && counts[q] > 0 {
 			counts[n] += counts[q]
 			counts[q] = 0
-		}
-	}
-	if withHost && counts[n] > 0 {
-		host = m.store.AppendList(make([]graph.NodeID, 0, counts[n]), ids, g, n)
-		for q := 0; q < n; q++ {
-			if q != g && m.dead(q) {
-				host = m.store.AppendList(host, ids, g, q)
-			}
+			host = m.store.AppendList(host, ids, g, q)
 		}
 	}
 	return host
@@ -336,24 +342,92 @@ func (m *Manager) Rebalance(p *sim.Proc, fab *hw.Fabric) {
 	}
 }
 
-// hottestFirst orders GPU g's ids hottest first. Score ties rank
-// currently-held rows above unheld ones (hysteresis: a row is never displaced
-// without evidence, so unobserved rows keep their offline placement), then
-// break by id — a total order, so the unstable sort is deterministic.
-func (m *Manager) hottestFirst(ids []graph.NodeID, g int) {
-	slices.SortFunc(ids, func(a, b graph.NodeID) int {
-		if c := cmp.Compare(m.score(int(b)), m.score(int(a))); c != 0 {
-			return c
+// rankKey is one row's place in a GPU's residency ranking: ascending keys
+// run hottest first. hi is the score's float64 bits inverted: scores are
+// non-negative, so their bits order as they do. lo breaks score ties —
+// currently-held rows above unheld ones (hysteresis: a row is never
+// displaced without evidence, so unobserved rows keep their offline
+// placement), then by id — so the keys are a total order and no two rows
+// tie.
+type rankKey struct{ hi, lo uint64 }
+
+func (k rankKey) id() graph.NodeID    { return graph.NodeID(uint32(k.lo)) }
+func (k rankKey) held() bool          { return k.lo>>32 == 0 }
+func (k rankKey) less(o rankKey) bool { return k.hi < o.hi || k.hi == o.hi && k.lo < o.lo }
+func hotter(a, b rankKey) int         { return cmp.Or(cmp.Compare(a.hi, b.hi), cmp.Compare(a.lo, b.lo)) }
+func colder(a, b rankKey) int         { return hotter(b, a) }
+
+// plan returns GPU g's promotions, hottest first, and demotions, coldest
+// first, for a shard of budget rows over its rows [lo, hi). The target
+// shard is the budget hottest rows; promotions are its rows not yet held,
+// demotions the held rows outside it, so the lists are equally long. Every
+// score and holder is read once, into a key in the manager's buffer; a
+// selection splits the target shard from the rest and only the two lists
+// are sorted — the lists a full ranking gives, since no two keys tie.
+func (m *Manager) plan(g int, lo, hi, budget int64) (promote, demote []rankKey) {
+	keys := m.keys[:0]
+	for v := lo; v < hi; v++ {
+		d := uint64(m.store.Holder(graph.NodeID(v)) ^ g)
+		unheld := (d | -d) >> 63 // 1 unless d is 0: held rows sit at random
+		keys = append(keys, rankKey{^math.Float64bits(m.score(int(v))), unheld<<32 | uint64(v)})
+	}
+	selectHottest(keys, int(budget))
+	promote, demote = m.promote[:0], m.demote[:0]
+	for _, k := range keys[:budget] {
+		if !k.held() {
+			promote = append(promote, k)
 		}
-		ha, hb := m.store.Holder(a) == g, m.store.Holder(b) == g
-		if ha != hb {
-			if ha {
-				return -1
+	}
+	for _, k := range keys[budget:] {
+		if k.held() {
+			demote = append(demote, k)
+		}
+	}
+	slices.SortFunc(promote, hotter)
+	slices.SortFunc(demote, colder)
+	m.keys, m.promote, m.demote = keys, promote, demote
+	return promote, demote
+}
+
+// selectHottest reorders keys so that keys[:k] are the k hottest, in no
+// particular order: Hoare's selection with a median-of-three pivot, which
+// sorts what is left should it take more than 64 rounds.
+func selectHottest(keys []rankKey, k int) {
+	lo, hi := 0, len(keys)
+	for round := 0; lo < k && k < hi; round++ {
+		if round == 64 {
+			slices.SortFunc(keys[lo:hi], hotter)
+			return
+		}
+		// Order keys[lo], keys[mid], keys[hi-1]; the median is the pivot,
+		// parked at hi-1 while the rest is split around it.
+		mid := lo + (hi-lo)/2
+		if keys[mid].less(keys[lo]) {
+			keys[lo], keys[mid] = keys[mid], keys[lo]
+		}
+		if keys[hi-1].less(keys[lo]) {
+			keys[lo], keys[hi-1] = keys[hi-1], keys[lo]
+		}
+		if keys[hi-1].less(keys[mid]) {
+			keys[mid], keys[hi-1] = keys[hi-1], keys[mid]
+		}
+		keys[mid], keys[hi-1] = keys[hi-1], keys[mid]
+		pivot, at := keys[hi-1], lo
+		for j := lo; j < hi-1; j++ {
+			if keys[j].less(pivot) {
+				keys[at], keys[j] = keys[j], keys[at]
+				at++
 			}
-			return 1
 		}
-		return cmp.Compare(a, b)
-	})
+		keys[at], keys[hi-1] = keys[hi-1], keys[at]
+		// keys[lo:at] are hotter than the pivot, now at at, and keys[at+1:hi]
+		// colder; k lies in [lo, hi].
+		if at < k {
+			lo = at + 1
+		} else {
+			hi = at
+		}
+	}
 }
 
 // rebalanceGPU adapts GPU g's shard and returns the number of promoted rows.
@@ -363,25 +437,9 @@ func (m *Manager) rebalanceGPU(p *sim.Proc, fab *hw.Fabric, g int) int64 {
 	if budget <= 0 || budget >= hi-lo {
 		return 0 // empty shard, or the whole range already fits
 	}
-	ids := make([]graph.NodeID, 0, hi-lo)
-	for v := lo; v < hi; v++ {
-		ids = append(ids, graph.NodeID(v))
-	}
-	m.hottestFirst(ids, g)
-	// The target shard is the top `budget` rows. Promotions are target rows
-	// not yet held; each is paired with the coldest held row outside the
-	// target, so the shard size is invariant.
-	var promote, demote []graph.NodeID
-	for _, v := range ids[:budget] {
-		if m.store.Holder(v) != g {
-			promote = append(promote, v)
-		}
-	}
-	for i := len(ids) - 1; i >= int(budget); i-- { // coldest first
-		if m.store.Holder(ids[i]) == g {
-			demote = append(demote, ids[i])
-		}
-	}
+	// Each promotion is paired with a demotion, so the shard size is
+	// invariant.
+	promote, demote := m.plan(g, lo, hi, budget)
 	moves := len(promote) // == len(demote) by construction
 	if moves > m.cfg.MaxMovesPerGPU {
 		moves = m.cfg.MaxMovesPerGPU
@@ -390,8 +448,8 @@ func (m *Manager) rebalanceGPU(p *sim.Proc, fab *hw.Fabric, g int) int64 {
 		return 0
 	}
 	for i := 0; i < moves; i++ {
-		m.store.Demote(demote[i])
-		m.store.Promote(promote[i], g)
+		m.store.Demote(demote[i].id())
+		m.store.Promote(promote[i].id(), g)
 	}
 	bytes := int64(moves) * int64(m.store.RowBytes())
 	fab.HostDMA(p, g, bytes, hw.TrafficCache)

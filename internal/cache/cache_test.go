@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"testing"
@@ -267,9 +268,32 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// TestHottestFirstMatchesStableSort holds the rebalancer's ranking to the
-// stable comparison sort it replaced, on counters with many score ties (few,
-// repeated observations) and with held and unheld rows in each range.
+// hottestFirst is the rebalancer's ranking as a comparison sort over ids,
+// reading score and holder on every comparison: with the promote and demote
+// loops below it, the oracle for plan.
+func (m *Manager) hottestFirst(ids []graph.NodeID, g int) {
+	slices.SortFunc(ids, func(a, b graph.NodeID) int {
+		if c := cmp.Compare(m.score(int(b)), m.score(int(a))); c != 0 {
+			return c
+		}
+		ha, hb := m.store.Holder(a) == g, m.store.Holder(b) == g
+		if ha != hb {
+			if ha {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
+// TestHottestFirstMatchesStableSort holds the rebalancer's plan — keys of
+// (score, held, id) built once, a selection of the target shard, then a
+// sort of the promotions and of the demotions — to the lists hottestFirst's
+// full ranking gives, and hottestFirst to the stable sort that came before
+// it. The counters have many score ties (few, repeated observations), each
+// range has held and unheld rows, some held by another GPU, and budgets run
+// from one row to all but one.
 func TestHottestFirstMatchesStableSort(t *testing.T) {
 	f := build(t, 3)
 	for _, policy := range []Policy{LFUDecay, DegreeHybrid} {
@@ -279,9 +303,13 @@ func TestHottestFirstMatchesStableSort(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			mgr.Split([]graph.NodeID{graph.NodeID(r.Intn(f.g.NumNodes()))}, r.Intn(3))
 		}
+		for i := 0; i < 30; i++ { // rows cached away from their own range
+			s.Promote(graph.NodeID(r.Intn(f.g.NumNodes())), r.Intn(3))
+		}
 		for g := 0; g < 3; g++ {
+			lo, hi := f.offsets[g], f.offsets[g+1]
 			var ids []graph.NodeID
-			for v := f.offsets[g]; v < f.offsets[g+1]; v++ {
+			for v := lo; v < hi; v++ {
 				ids = append(ids, graph.NodeID(v))
 			}
 			want := slices.Clone(ids)
@@ -298,7 +326,65 @@ func TestHottestFirstMatchesStableSort(t *testing.T) {
 			})
 			mgr.hottestFirst(ids, g)
 			if !slices.Equal(ids, want) {
-				t.Fatalf("policy %v GPU %d: ranking differs from the stable sort", policy, g)
+				t.Fatalf("policy %v GPU %d: hottestFirst differs from the stable sort", policy, g)
+			}
+			for _, budget := range []int64{1, 7, 50, (hi - lo) / 2, hi - lo - 1} {
+				var wantP, wantD []graph.NodeID
+				for _, v := range ids[:budget] {
+					if s.Holder(v) != g {
+						wantP = append(wantP, v)
+					}
+				}
+				for i := len(ids) - 1; i >= int(budget); i-- {
+					if s.Holder(ids[i]) == g {
+						wantD = append(wantD, ids[i])
+					}
+				}
+				promote, demote := mgr.plan(g, lo, hi, budget)
+				gotP, gotD := keyIDs(promote), keyIDs(demote)
+				if !slices.Equal(gotP, wantP) || !slices.Equal(gotD, wantD) {
+					t.Fatalf("policy %v GPU %d budget %d: plan promotes %v and demotes %v, the full ranking %v and %v",
+						policy, g, budget, gotP, gotD, wantP, wantD)
+				}
+			}
+		}
+	}
+}
+
+func keyIDs(keys []rankKey) []graph.NodeID {
+	var ids []graph.NodeID
+	for _, k := range keys {
+		ids = append(ids, k.id())
+	}
+	return ids
+}
+
+// TestSelectHottestSplitsAtK: after selectHottest, keys[:k] are the k least
+// keys, on random keys with ties in hi, sorted and reversed input and every
+// k.
+func TestSelectHottestSplitsAtK(t *testing.T) {
+	r := rng.New(9)
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(300)
+		keys := make([]rankKey, n)
+		for i := range keys {
+			keys[i] = rankKey{uint64(r.Intn(5)), uint64(i)}
+		}
+		switch trial % 3 {
+		case 1:
+			slices.SortFunc(keys, hotter)
+		case 2:
+			slices.SortFunc(keys, colder)
+		}
+		sorted := slices.Clone(keys)
+		slices.SortFunc(sorted, hotter)
+		for k := 0; k <= n; k++ {
+			got := slices.Clone(keys)
+			selectHottest(got, k)
+			top := got[:k]
+			slices.SortFunc(top, hotter)
+			if !slices.Equal(top, sorted[:k]) {
+				t.Fatalf("trial %d, n %d, k %d: keys[:k] are not the k least", trial, n, k)
 			}
 		}
 	}
@@ -308,8 +394,9 @@ func TestHottestFirstMatchesStableSort(t *testing.T) {
 // both row-cache layouts, requests with repeats, and membership views with
 // dead holders, its counts are Split's list lengths (counts[q] = len(remote[q]),
 // counts[g] = len(local), counts[n] = len(host)), they fold into CountTiers'
-// tiers, the host rows it returns on request are Split's host list in the
-// same order, and it records the same hotness.
+// tiers, the host rows it returns are Split's host list in the same order —
+// in a new buffer with room for every requested row, then in the storage of
+// the one it returned — and it records the same hotness.
 func TestTallyMatchesSplit(t *testing.T) {
 	const n = 4
 	f := build(t, n)
@@ -348,13 +435,16 @@ func TestTallyMatchesSplit(t *testing.T) {
 		g := r.Intn(n)
 		local, remote, host := split.Split(ids, g)
 		raw := make([]int, n+1)
-		s.Tally(ids, g, raw)
+		s.Tally(ids, g, raw, nil, make([]graph.NodeID, len(ids)))
 		if len(host) > raw[n] {
 			rerouted++
 		}
-		for _, withHost := range []bool{false, true} {
+		// Twice into one buffer: first from nothing, then in the storage the
+		// first call returned.
+		var buf []graph.NodeID
+		for call := 0; call < 2; call++ {
 			counts := make([]int, n+1)
-			got := tally.Tally(ids, g, counts, withHost)
+			got := tally.Tally(ids, g, counts, buf)
 			want := make([]int, n+1)
 			for q := range remote {
 				want[q] = len(remote[q])
@@ -366,15 +456,13 @@ func TestTallyMatchesSplit(t *testing.T) {
 			if tiers := TallyTiers(counts, g); tiers != CountTiers(local, remote, host) {
 				t.Fatalf("trial %d: TallyTiers %+v, CountTiers %+v", trial, tiers, CountTiers(local, remote, host))
 			}
-			if !withHost {
-				if got != nil {
-					t.Fatalf("trial %d: Tally without host rows returned %d of them", trial, len(got))
-				}
-				continue
-			}
-			if !slices.Equal(got, host) || len(got) != cap(got) {
+			if !slices.Equal(got, host) || cap(got) < len(ids) {
 				t.Fatalf("trial %d: Tally's host rows (len %d cap %d) differ from Split's %d", trial, len(got), cap(got), len(host))
 			}
+			if call == 1 && len(ids) > 0 && &got[:1][0] != &buf[:1][0] {
+				t.Fatalf("trial %d: the second Tally did not reuse the buffer the first returned", trial)
+			}
+			buf = got
 		}
 		// Tally ran twice on the same request, Split once.
 		for v := range split.counts {

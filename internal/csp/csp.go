@@ -83,10 +83,10 @@ func (ps *PatchStore) rowBytes(v graph.NodeID) int64 {
 }
 
 // applyBudget marks the lowest-degree nodes host-resident until the
-// GPU-resident share fits budget (<=0 keeps everything on the GPU).
+// GPU-resident share fits budget (<=0 keeps everything on the GPU). OnHost
+// stays nil when the whole patch fits: no row of it is read from the host.
 func (ps *PatchStore) applyBudget(budget int64) {
 	n := ps.Adj.NumNodes()
-	ps.OnHost = make([]bool, n)
 	total := ps.Adj.TopologyBytes()
 	if ps.Comp != nil {
 		total = ps.Comp.TopologyBytes()
@@ -95,6 +95,7 @@ func (ps *PatchStore) applyBudget(budget int64) {
 	if budget <= 0 || total <= budget {
 		return
 	}
+	ps.OnHost = make([]bool, n)
 	order := ps.Adj.NodesByDegreeDesc()
 	// Walk from the hottest node down, keeping rows until budget runs out.
 	used := int64(n+1) * 8 // indptr / position list stays resident
@@ -166,14 +167,15 @@ type World struct {
 // collective's first arrive before this rank writes the buffer again — so one
 // set per rank suffices, with no double buffering:
 //
-//   - outTasks (posted by the shuffle) is read by each owner's draw unit and
-//     charge loop, both of which end before that owner enters the reshuffle;
-//     this rank refills it at the start of its next round, after it has
-//     itself left the reshuffle.
+//   - outTasks (posted by the shuffle) is read by each owner's counting pass
+//     and draw unit, both of which end before that owner enters the
+//     reshuffle; this rank refills it at the start of its next round, after
+//     it has itself left the reshuffle.
 //   - replyCounts/replySamples (posted by the reshuffle) are read by each
-//     requester's assembly, which copies out of them in the instant the
-//     reshuffle releases it; this rank's next draw unit, which refills them,
-//     starts only after the next shuffle.
+//     requester's assembly, which copies out of them into its block in the
+//     instant the reshuffle releases it; this rank's next counting pass and
+//     draw unit, which size and refill them, start only after the next
+//     shuffle.
 //
 // Two things keep the rule true when a round does not reach its end. The
 // draw unit runs on a worker thread, reading peers' task buffers and writing
@@ -187,12 +189,16 @@ type World struct {
 // leaves the old receive tables (inTasks, backCounts, backSamples) behind
 // the same way.
 //
-// start, order and layerSeed (the draw order's buckets and tasks, and each
-// requester's seed prefix for the layer) belong to the draw unit alone: it is
-// their only reader and writer, and it is joined on every way out of the
-// frame, so no two units ever share them. Everything else (counts, owner,
-// cur, hostNodes, outCounts, ahead, peerSeed, samples, the receive tables) is
-// read by this rank alone. A Clone starts with no scratch, so every
+// The counting pass (countTasks) runs on the engine thread before the unit
+// is submitted: it writes start, shift, outside and layerSeed (the draw order's
+// bucket counts and shape, and each requester's seed prefix for the layer), sizes
+// the replies and prices the kernel. From the submit on, start, order and
+// layerSeed belong to the draw unit alone — it turns the counts into offsets
+// and places the tasks in order — and the unit is joined on every way out of
+// the frame, so no two units ever share them and no counting pass writes
+// under one. What the unit still owns is the data work: placing, drawing
+// and packing. Everything else (counts, owner, cur, hostNodes, outCounts,
+// spare, ahead, peerSeed, the receive tables) is read by this rank alone. A Clone starts with no scratch, so every
 // multi-instance sampler world owns its own.
 //
 // The mark table is not in the workspace: the world's one Deduper serves
@@ -225,23 +231,24 @@ type roundScratch struct {
 
 	replyCounts  [][]int32
 	replySamples [][]graph.NodeID
-	start        []int32   // draw-order bucket offsets (see drawTasks)
+	start        []int32   // draw-order bucket counts, then offsets (see countTasks)
+	shift        int       // draw-order bucket width, log2 patch-local ids
+	outside      int       // the draw order's out-of-patch bucket
 	order        []drawRef // received tasks in draw order
 
 	// inTasks, backCounts and backSamples are the tables the shuffle and
 	// the reshuffle receive into. draw is the draw unit, bound to this
-	// workspace once; drawCfg and drawLayer name the layer it draws.
+	// workspace once; drawCfg names the draws it makes.
 	inTasks     [][]task
 	backCounts  [][]int32
 	backSamples [][]graph.NodeID
 	draw        func()
 	drawCfg     sample.Config
-	drawLayer   int
 
 	hostNodes []graph.NodeID
 	outCounts []int32
-	samples   []graph.NodeID // the assembled layer, before Rebuild copies it
-	ahead     []graph.NodeID // next frontier's host-resident rows (prefetch)
+	spare     [][]graph.NodeID // per layer, a Src array an empty block let go (see srcFor)
+	ahead     []graph.NodeID   // next frontier's host-resident rows (prefetch)
 	peerSeed  []uint64
 	// sent and seeds are the batch-seed exchange's send slots and receive
 	// table. Sends alternate between the slots: a peer may still read this
@@ -284,6 +291,24 @@ func (s *roundScratch) batch(layers int) *sample.MiniBatch {
 	return mb
 }
 
+// srcFor readies block's Src for n samples of layer (Block.SrcFor). A block
+// with no samples must have a nil Src, as the reference sampler leaves it,
+// so its array waits in spare for the layer's next block that has samples
+// and none of its own: a rank whose batch came up empty (its share of an
+// epoch ran out) does not make the next one allocate its Src again.
+func (s *roundScratch) srcFor(block *sample.Block, layer, n int) []graph.NodeID {
+	for len(s.spare) <= layer {
+		s.spare = append(s.spare, nil)
+	}
+	switch {
+	case n == 0 && cap(block.Src) > cap(s.spare[layer]):
+		s.spare[layer] = block.Src
+	case n > 0 && block.Src == nil:
+		block.Src, s.spare[layer] = s.spare[layer], nil
+	}
+	return block.SrcFor(n)
+}
+
 // replyCursor walks one owner's reply: the next task's index into its count
 // list and where that task's samples start.
 type replyCursor struct{ next, off int32 }
@@ -317,7 +342,7 @@ func (w *World) scratchOf(rank int) *roundScratch {
 			peerSeed:     make([]uint64, n),
 			layerSeed:    make([]uint64, n),
 		}
-		s.draw = func() { w.drawTasks(s, rank, s.inTasks, s.drawCfg, s.drawLayer) }
+		s.draw = func() { w.drawTasks(s, rank, s.inTasks, s.drawCfg) }
 		w.scratch[rank] = s
 	}
 	return w.scratch[rank]
@@ -348,6 +373,22 @@ func (w *World) hostResident(v graph.NodeID) bool {
 	return ps.OnHost != nil && ps.OnHost[ps.Local(v)]
 }
 
+// readsHost reports whether any adjacency read can go through host memory:
+// a membership view is set (a dead owner's rows are read from the host
+// copy) or some patch spilled rows under the topology budget. When neither
+// holds, the prefetcher has nothing to walk.
+func (w *World) readsHost() bool {
+	if w.view != nil {
+		return true
+	}
+	for _, ps := range w.Patches {
+		if ps.OnHost != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // SetView makes the world fleet-membership-aware: its communicator
 // synchronises over live ranks only, and sampling tasks owned by dead GPUs
 // fall back to the requester's cold path.
@@ -357,9 +398,11 @@ func (w *World) SetView(v *fault.View) {
 }
 
 // routeOwner returns the GPU a task for node v is sent to: the owner, or the
-// requester itself when the owner is dead (cold-path fallback).
+// requester itself when the owner is dead (cold-path fallback). Unlike Owner
+// it does not check that v is in range, so it inlines into the shuffle; an
+// id out of range panics at its owner's draw, in patchOf.
 func (w *World) routeOwner(v graph.NodeID, rank int) int {
-	o := w.Owner(v)
+	o := ownerIn(w.Offsets[1:len(w.Offsets)-1], v)
 	if w.view != nil && !w.view.Alive(o) {
 		return rank
 	}
@@ -430,11 +473,16 @@ func (w *World) Owner(v graph.NodeID) int {
 	if id < w.Offsets[0] || id >= w.Offsets[last] {
 		panic(fmt.Sprintf("csp: node %d out of range", v))
 	}
+	return ownerIn(w.Offsets[1:last], v)
+}
+
+// ownerIn is Owner's count for an id in range: the inner partition
+// boundaries at or below v, each added as the sign bit of off-1-v (ids and
+// offsets are far below 2^62), since a compiled branch would mispredict.
+func ownerIn(bounds []int64, v graph.NodeID) int {
 	g := 0
-	for _, off := range w.Offsets[1:last] {
-		if id >= off {
-			g++
-		}
+	for _, off := range bounds {
+		g += int(uint64(off-1-int64(v)) >> 63)
 	}
 	return g
 }
@@ -541,7 +589,7 @@ func (w *World) sampleLayers(p *sim.Proc, rank int, seeds []graph.NodeID, cfg sa
 		// Proximity-aware prefetch (BGL-style): the next layer will read the
 		// adjacency of this frontier, so warm the out-of-core tier for its
 		// host-resident rows while this rank continues sampling.
-		if w.hostStore != nil && l+1 < cfg.Layers() {
+		if w.hostStore != nil && l+1 < cfg.Layers() && w.readsHost() {
 			ahead := s.ahead[:0]
 			for _, v := range dst {
 				if w.hostResident(v) {
@@ -651,50 +699,95 @@ type drawRef struct {
 	q, i, off int32
 }
 
-// drawTasks is the owner's fused kernel: it draws every task rank received,
-// from every requester, and leaves each requester's reply in
-// s.replyCounts/s.replySamples in posting order, which the assembly walks.
+// countTasks is the owner's one pass over every task rank received, on the
+// engine thread before the draw unit starts. It seeds each requester's
+// layer, sizes each requester's reply (replyCounts, replySamples: a task
+// yields at most Count ids), counts the draw order's buckets into start,
+// lists the host-resident tasks' nodes in hostNodes and returns the kernel
+// charges: the entries sampled, the items read through UVA and the
+// compressed bytes decoded.
 //
-// A draw depends on (requester seed, layer, node, count, row) alone, so the
-// tasks run in adjacency order instead: a counting pass on patch-local id
-// puts them in buckets of 2^shift nodes, and each draws into the slots its
-// requester's reply reserves for it (a task yields at most Count ids). Rows
-// are then read in memory order, and a node several requesters asked for is
-// drawn back to back. shift gives about one bucket per task, so the pass is
-// O(tasks) — exact order once the tasks outnumber the patch's nodes, no
-// patch-sized table for a round of a few tasks. Tasks outside the patch (a
-// dead GPU's, in degraded mode) share one last bucket. Node-wise uniform
-// draws of the patch's own rows go through sample.Rows, which draws them
-// eight at a time; every other task through DrawAdj. Packing each reply
-// closes the gaps of tasks that drew fewer than Count ids.
-func (w *World) drawTasks(s *roundScratch, rank int, inTasks [][]task, cfg sample.Config, layer int) {
+// The draw order is adjacency order: buckets of 2^shift patch-local ids,
+// with shift giving about one bucket per task, so the count is O(tasks) —
+// exact order once the tasks outnumber the patch's nodes, no patch-sized
+// table for a round of a few tasks. Tasks outside the patch (a dead GPU's,
+// in degraded mode) share one last bucket. Only a compressed patch, a
+// spilled one or a membership view sends a task to the host-read and
+// decode checks.
+func (w *World) countTasks(s *roundScratch, rank int, inTasks [][]task, layer int) (fusedWork, hostItems, decodeBytes int64) {
 	ps := w.Patches[rank]
 	span := int(ps.Hi - ps.Lo)
 	var tasks int
 	for _, ts := range inTasks {
 		tasks += len(ts)
 	}
-	shift := max(bits.Len(uint(span))-bits.Len(uint(tasks)), 0)
-	outside := (span + 1<<shift - 1) >> shift // the out-of-patch bucket
-	bucket := func(v graph.NodeID) int {
-		if v < ps.Lo || v >= ps.Hi {
-			return outside
-		}
-		return int(v-ps.Lo) >> shift
-	}
-	// start[b+1] counts bucket b's tasks, then start[b] is where it begins.
-	start := resized(s.start, outside+2)
+	s.shift = max(bits.Len(uint(span))-bits.Len(uint(tasks)), 0)
+	s.outside = (span + 1<<s.shift - 1) >> s.shift
+	// start[b+1] counts bucket b's tasks (drawTasks turns it into offsets).
+	start := resized(s.start, s.outside+2)
 	clear(start)
+	s.start = start
+	inspect := ps.Comp != nil || ps.OnHost != nil || w.view != nil
+	hostNodes := s.hostNodes[:0]
 	for q, ts := range inTasks {
 		s.layerSeed[q] = sample.LayerSeed(s.peerSeed[q], layer)
-		var total int
+		var total int64
 		for _, t := range ts {
-			total += int(t.Count)
-			start[bucket(t.Node)+1]++
+			total += int64(t.Count)
+			start[s.bucket(ps, t.Node)+1]++
+			if !inspect {
+				continue
+			}
+			tps := w.patchOf(t.Node, rank)
+			lv := tps.Local(t.Node)
+			if tps.Comp != nil {
+				decodeBytes += tps.Comp.NodeBytes(lv)
+			}
+			if tps != ps || (tps.OnHost != nil && tps.OnHost[lv]) {
+				// Host-resident adjacency — either spilled by the topology
+				// budget or belonging to a dead GPU's patch (degraded mode
+				// reads the host master copy): the kernel reads the sampled
+				// entries (plus the position lookup) through UVA.
+				hostItems += int64(t.Count) + 1
+				hostNodes = append(hostNodes, t.Node)
+			}
 		}
+		fusedWork += total
 		s.replyCounts[q] = resized(s.replyCounts[q], len(ts))
-		s.replySamples[q] = resized(s.replySamples[q], total)
+		s.replySamples[q] = resized(s.replySamples[q], int(total))
 	}
+	s.hostNodes = hostNodes
+	return fusedWork, hostItems, decodeBytes
+}
+
+// bucket is node v's draw-order bucket in patch ps (see countTasks).
+func (s *roundScratch) bucket(ps *PatchStore, v graph.NodeID) int {
+	if v < ps.Lo || v >= ps.Hi {
+		return s.outside
+	}
+	return int(v-ps.Lo) >> s.shift
+}
+
+// drawTasks is the owner's fused kernel: it draws every task rank received,
+// from every requester, in the order countTasks bucketed, and leaves each
+// requester's reply in s.replyCounts/s.replySamples in posting order, which
+// the assembly walks.
+//
+// A draw depends on (requester seed, layer, node, count, row) alone, so the
+// tasks run in adjacency order: each draws into the slots its requester's
+// reply reserves for it. Rows are then read in memory order, and a node
+// several requesters asked for is drawn back to back. Node-wise uniform
+// draws of the patch's own rows go through sample.Rows, which draws them
+// eight at a time; every other task through DrawAdj. Packing each reply
+// closes the gaps of tasks that drew fewer than Count ids.
+func (w *World) drawTasks(s *roundScratch, rank int, inTasks [][]task, cfg sample.Config) {
+	ps := w.Patches[rank]
+	start := s.start
+	var tasks int
+	for _, ts := range inTasks {
+		tasks += len(ts)
+	}
+	// Bucket counts to start offsets: start[b] is where bucket b begins.
 	for b := 1; b < len(start); b++ {
 		start[b] += start[b-1]
 	}
@@ -702,7 +795,7 @@ func (w *World) drawTasks(s *roundScratch, rank int, inTasks [][]task, cfg sampl
 	for q, ts := range inTasks {
 		var off int32
 		for i, t := range ts {
-			b := bucket(t.Node)
+			b := s.bucket(ps, t.Node)
 			order[start[b]] = drawRef{t, int32(q), int32(i), off}
 			start[b]++
 			off += t.Count
@@ -734,7 +827,7 @@ func (w *World) drawTasks(s *roundScratch, rank int, inTasks [][]task, cfg sampl
 		}
 		s.replySamples[q] = buf[:to]
 	}
-	s.start, s.order = start, order
+	s.order = order
 }
 
 // sampleLayer runs one shuffle/sample/reshuffle round and assembles the
@@ -774,38 +867,20 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	inTasks := s.inTasks
 
 	// --- sample: one fused kernel over every received task ------------
-	// The actual neighbour draws are pure data work (each draw is seeded by
+	// The owner sizes the replies and prices the kernel in one pass here;
+	// the actual neighbour draws are pure data work (each draw is seeded by
 	// (requester seed, layer, node id), independent of execution order), so
-	// they are offloaded to the worker pool here and joined at the
-	// reshuffle commit point below; the timed kernel/UVA charges in between
-	// overlap the draws in real time.
-	s.drawCfg, s.drawLayer = cfg, layer
+	// they are offloaded to the worker pool and joined at the reshuffle
+	// commit point below; the timed kernel/UVA charges in between overlap
+	// the draws in real time.
+	fusedWork, hostItems, decodeBytes := w.countTasks(s, rank, inTasks, layer)
+	s.drawCfg = cfg
 	draws := w.group().Submit(s.draw)
 	// No unit outlives its round, however the frame is left (a kill unwinds
 	// through here): it reads peers' task buffers and writes this rank's
 	// reply buffers, and both are written again next round.
 	defer draws.Join()
-	var fusedWork, hostItems, decodeBytes int64
-	hostNodes := s.hostNodes[:0]
-	for q := 0; q < n; q++ {
-		for _, t := range inTasks[q] {
-			fusedWork += int64(t.Count)
-			tps := w.patchOf(t.Node, rank)
-			if tps.Comp != nil {
-				decodeBytes += tps.Comp.NodeBytes(tps.Local(t.Node))
-			}
-			if tps != w.Patches[rank] || (tps.OnHost != nil && tps.OnHost[tps.Local(t.Node)]) {
-				// Host-resident adjacency — either spilled by the topology
-				// budget or belonging to a dead GPU's patch (degraded mode
-				// reads the host master copy): the kernel reads the sampled
-				// entries (plus the position lookup) through UVA.
-				hostItems += int64(t.Count) + 1
-				hostNodes = append(hostNodes, t.Node)
-			}
-		}
-	}
-	s.hostNodes = hostNodes
-	if len(hostNodes) > 0 && w.hostStore != nil {
+	if hostNodes := s.hostNodes; len(hostNodes) > 0 && w.hostStore != nil {
 		// The out-of-core tier sits below host memory: host-resident rows
 		// whose backing block was spilled to disk must be fetched (and
 		// decoded) into the host block cache before the UVA read can serve.
@@ -837,14 +912,17 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 	backCounts, backSamples := s.backCounts, s.backSamples
 
 	// --- assembly on the requester -------------------------------------
+	// Each frontier node's samples are copied out of its owner's reply
+	// straight into the block's Src, in frontier order.
 	var total int
 	for o := range backSamples {
 		total += len(backSamples[o])
 	}
-	samples := slices.Grow(s.samples[:0], total)
+	src := s.srcFor(block, layer, total)
 	clear(s.cur)
 	s.outCounts = resized(s.outCounts, len(dst))
 	outCounts := s.outCounts
+	var at int32
 	for i, o := range owner {
 		if o < 0 {
 			outCounts[i] = 0
@@ -852,16 +930,16 @@ func (w *World) sampleLayer(p *sim.Proc, rank int, dst []graph.NodeID, counts []
 		}
 		c := &s.cur[o]
 		k := backCounts[o][c.next]
-		samples = append(samples, backSamples[o][c.off:c.off+k]...)
+		copy(src[at:at+k], backSamples[o][c.off:c.off+k])
 		outCounts[i] = k
+		at += k
 		c.next++
 		c.off += k
 	}
-	s.samples = samples
 	// The block-assembly kernel (unique + index building) is bandwidth
 	// work proportional to the gathered ids.
-	if len(samples) > 0 {
-		dev.RunKernel(p, hw.KernelGather, int64(len(samples))*16)
+	if total > 0 {
+		dev.RunKernel(p, hw.KernelGather, int64(total)*16)
 	}
-	w.deduper().Rebuild(block, dst, outCounts, samples)
+	w.deduper().Build(block, dst, outCounts)
 }

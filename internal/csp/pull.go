@@ -55,8 +55,10 @@ func (w *World) PullDataSampleBatch(p *sim.Proc, rank int, seeds []graph.NodeID,
 		if work > 0 {
 			w.M.GPUs[rank].RunKernel(p, hw.KernelSample, work)
 		}
+		// The draws append straight into the block's Src storage; a block
+		// that drew nothing keeps no Src.
 		outCounts := make([]int32, len(dst))
-		samples := s.samples[:0]
+		samples := block.Src[:0]
 		ls := sample.LayerSeed(batchSeed, l)
 		for i, v := range dst {
 			if counts[i] == 0 {
@@ -66,11 +68,12 @@ func (w *World) PullDataSampleBatch(p *sim.Proc, rank int, seeds []graph.NodeID,
 			samples = sample.DrawAdj(adjs[i], wts[i], v, ls, int(counts[i]), cfg, samples, &s.keys)
 			outCounts[i] = int32(len(samples) - before)
 		}
-		s.samples = samples
+		block.Src = nil
 		if len(samples) > 0 {
+			block.Src = samples
 			w.M.GPUs[rank].RunKernel(p, hw.KernelGather, int64(len(samples))*16)
 		}
-		w.deduper().Rebuild(block, dst, outCounts, samples)
+		w.deduper().Build(block, dst, outCounts)
 		dst = block.InputNodes
 	}
 	slices.Reverse(mb.Blocks)

@@ -277,6 +277,7 @@ func TestKillInsideSampleWindow(t *testing.T) {
 	tw.w.SetView(view)
 	// Every row host-resident: each round's sample window touches the store.
 	for _, ps := range tw.w.Patches {
+		ps.OnHost = make([]bool, ps.Adj.NumNodes()) // nil while the patch fits
 		for i := range ps.OnHost {
 			ps.OnHost[i] = true
 		}
@@ -373,6 +374,7 @@ func TestKilledRoundLeavesNoUnit(t *testing.T) {
 	tw := buildWorld(t, nGPU, false)
 	tw.m.Eng.SetParallelism(4)
 	for _, ps := range tw.w.Patches {
+		ps.OnHost = make([]bool, ps.Adj.NumNodes()) // nil while the patch fits
 		for i := range ps.OnHost {
 			ps.OnHost[i] = true
 		}
@@ -442,4 +444,40 @@ func TestOwnerMatchesScan(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// TestEmptyBatchKeepsSrcArrays: a rank whose batch comes up empty (its share
+// of an epoch ran out) must return blocks with a nil Src, as the reference
+// sampler does, yet keep the arrays: the rank's next batch with samples
+// draws into the very Src arrays its batch before the empty one used,
+// instead of allocating them again.
+func TestEmptyBatchKeepsSrcArrays(t *testing.T) {
+	const nGPU, empty = 4, 2
+	tw := buildWorld(t, nGPU, false)
+	cfg := sample.Config{Fanout: []int{5, 3, 2}}
+	var first []*graph.NodeID // rank empty's Src arrays in round 0, input-most first
+	runRounds(t, tw, tw.w, []int{0, 1, 2, 3}, 3, func(p *sim.Proc, w *World, r, round int) *sample.MiniBatch {
+		seeds := tw.seeds[r][:32]
+		if r == empty && round == 1 {
+			seeds = nil
+		}
+		mb := w.SampleBatch(p, r, seeds, cfg, tw.bseeds[r]+uint64(round))
+		if r == empty {
+			if want := sample.Reference(tw.g, seeds, cfg, tw.bseeds[r]+uint64(round)); !reflect.DeepEqual(mb.Blocks, want.Blocks) {
+				t.Errorf("round %d: blocks differ from the reference (%v)", round, sameBatch(mb, want))
+			}
+			for l, b := range mb.Blocks {
+				switch round {
+				case 0:
+					first = append(first, &b.Src[:1][0])
+				case 2:
+					if &b.Src[:1][0] != first[l] {
+						t.Errorf("block %d: the batch after an empty one allocated a new Src array", l)
+					}
+				}
+			}
+		}
+		w.Release(r, mb)
+		return mb
+	})
 }

@@ -11,7 +11,7 @@ import (
 // The featstore slice of the per-package ledger: ns/op, allocs/op and rows/s
 // of Split on a 4-GPU partitioned cache, beside the append loop it replaced
 // ("ref"), so one process gives both sides of the comparison, and of the
-// count-only Tally the loader runs:
+// one-pass Tally the loader runs (counts and the host list):
 //
 //	go test -run '^$' -bench . -benchmem ./internal/featstore/
 func BenchmarkSplit(b *testing.B) {
@@ -38,12 +38,14 @@ func BenchmarkSplit(b *testing.B) {
 			b.ReportMetric(float64(len(ids))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
-	// Tally is the loader's split: the same classification, counts only.
+	// Tally is the loader's split: the same classification, counts and the
+	// host list only.
 	b.Run(fmt.Sprintf("rows=%d/tally", len(ids)), func(b *testing.B) {
 		b.ReportAllocs()
 		counts := make([]int, s.NumGPUs+1)
+		host := make([]graph.NodeID, len(ids))
 		for i := 0; i < b.N; i++ {
-			s.Tally(ids, i%4, counts)
+			s.Tally(ids, i%4, counts, nil, host)
 		}
 		b.ReportMetric(float64(len(ids))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	})

@@ -215,15 +215,49 @@ func (s *Store) Demote(v graph.NodeID) {
 	}
 }
 
-// Tally counts requested ids by Split list for requesting GPU g: counts[q]
-// is the number of rows GPU q's cache serves (q == g: the local ones) and
-// counts[NumGPUs] the number of host rows. counts must have NumGPUs+1
-// entries; Tally overwrites them.
-func (s *Store) Tally(ids []graph.NodeID, g int, counts []int) {
+// Tally counts requested ids by Split list for requesting GPU g and lists
+// the host rows, in one pass over ids: counts[q] is the number of rows GPU
+// q's cache serves (q == g: the local ones) and counts[NumGPUs] the number of
+// host rows, which it writes in request order into host's storage and
+// returns. counts must have NumGPUs+1 entries (Tally overwrites them) and
+// host room for len(ids). hot, when non-nil, gains one per requested row:
+// the cache manager's hotness counters, kept in the same pass.
+func (s *Store) Tally(ids []graph.NodeID, g int, counts []int, hot []float64, host []graph.NodeID) []graph.NodeID {
 	clear(counts)
-	for _, v := range ids {
-		counts[s.list(v, g)]++
+	host = host[:len(ids)]
+	k := 0
+	if s.Layout != Partitioned {
+		for _, v := range ids {
+			l := s.list(v, g)
+			counts[l]++
+			host[k] = v
+			if l == s.NumGPUs {
+				k++
+			}
+		}
+		return host[:k]
 	}
+	// Partitioned: branch-free, since a batch's placements are data-random.
+	// Every row is written at the next host slot, which advances only past
+	// an uncached one (holder -1).
+	holder, np1 := s.cacheGPU, s.NumGPUs+1
+	if hot != nil {
+		for _, v := range ids {
+			hot[v]++
+			h := int(holder[v])
+			counts[h+(h>>63)&np1]++
+			host[k] = v
+			k -= h >> 63
+		}
+	} else {
+		for _, v := range ids {
+			h := int(holder[v])
+			counts[h+(h>>63)&np1]++
+			host[k] = v
+			k -= h >> 63
+		}
+	}
+	return host[:k]
 }
 
 // AppendList appends to dst, in request order, the ids of Split list l for
@@ -247,13 +281,13 @@ func (s *Store) AppendList(dst, ids []graph.NodeID, g, l int) []graph.NodeID {
 func (s *Store) Split(ids []graph.NodeID, g int) (local []graph.NodeID, remote [][]graph.NodeID, host []graph.NodeID) {
 	n := s.NumGPUs
 	next := make([]int, n+1)
-	s.Tally(ids, g, next)
+	buf := make([]graph.NodeID, len(ids))
+	s.Tally(ids, g, next, nil, buf) // the placement pass below overwrites its host list
 	// Counts to start offsets: next[l] is where list l's next row goes.
 	off := 0
 	for l, c := range next {
 		next[l], off = off, off+c
 	}
-	buf := make([]graph.NodeID, len(ids))
 	for _, v := range ids {
 		l := s.list(v, g)
 		buf[next[l]] = v

@@ -2,7 +2,6 @@ package sample
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -38,8 +37,7 @@ func (b *Block) NumEdges() int { return len(b.Src) }
 // the ranks of one sampler world, which build on the engine thread — share
 // one; node ids must stay below the numNodes it was sized for.
 type Deduper struct {
-	mark []int32        // mark[v] = local index + 1 for the in-flight block
-	in   []graph.NodeID // the in-flight block's unique set (room for every sample), before its exact-size copy
+	mark []int32 // mark[v] = local index + 1 for the in-flight block
 }
 
 // NewDeduper returns a deduper for global ids in [0, numNodes).
@@ -52,32 +50,34 @@ func NewDeduper(numNodes int) *Deduper {
 // keeps samples as its Src.
 func (d *Deduper) BuildBlock(dst []graph.NodeID, counts []int32, samples []graph.NodeID) *Block {
 	b := &Block{Src: samples}
-	d.build(b, dst, counts, samples)
+	d.Build(b, dst, counts)
 	return b
 }
 
-// Rebuild is BuildBlock writing into b, a block of a batch its sampler got
-// back: Src, SrcPtr, SrcLocal and InputNodes are written into b's own
-// arrays, each grown with headroom when it is too small, and samples is
-// copied, not kept. The result equals BuildBlock's by reflect.DeepEqual — Src
-// is nil when samples is empty (its storage is dropped with it), SrcLocal and
-// InputNodes are non-nil.
-func (d *Deduper) Rebuild(b *Block, dst []graph.NodeID, counts []int32, samples []graph.NodeID) {
+// SrcFor readies b.Src to take n samples and returns it: b's own storage
+// when it is large enough, grown with headroom otherwise (see fit), and nil
+// when n is 0 — a block with no samples keeps no Src array, as BuildBlock
+// leaves it. The caller writes the samples into it, then calls Build.
+func (b *Block) SrcFor(n int) []graph.NodeID {
 	src := b.Src
 	b.Src = nil
-	if len(samples) > 0 {
-		b.Src = fit(src, len(samples))
-		copy(b.Src, samples)
+	if n > 0 {
+		b.Src = fit(src, n)
 	}
-	d.build(b, dst, counts, samples)
+	return b.Src
 }
 
-// build writes b's Dst, SrcPtr, SrcLocal and InputNodes for samples, in b's
-// arrays when it has them (see fit).
-func (d *Deduper) build(b *Block, dst []graph.NodeID, counts []int32, samples []graph.NodeID) {
+// Build writes b's Dst, SrcPtr, SrcLocal and InputNodes for the samples
+// already in b.Src, in b's own arrays when they are large enough (see fit):
+// a block of a batch its sampler got back is rebuilt with no copy of its
+// samples and no allocation. The result equals BuildBlock's on the same
+// samples by reflect.DeepEqual (SrcLocal and InputNodes are never nil). dst
+// must not share storage with b's arrays.
+func (d *Deduper) Build(b *Block, dst []graph.NodeID, counts []int32) {
 	if len(dst) != len(counts) {
 		panic("sample: dst/counts length mismatch")
 	}
+	samples := b.Src
 	b.Dst = dst
 	b.SrcPtr = fit(b.SrcPtr, len(dst)+1)
 	b.SrcPtr[0] = 0
@@ -89,10 +89,13 @@ func (d *Deduper) build(b *Block, dst []graph.NodeID, counts []int32, samples []
 	if int(total) != len(samples) {
 		panic(fmt.Sprintf("sample: %d samples for counts summing to %d", len(samples), total))
 	}
-	// InputNodes: dst first, then unseen src nodes, collected in the reused
-	// buffer so the block keeps one array of its own (non-nil when empty).
+	// InputNodes: dst first, then unseen src nodes, written in place into
+	// the block's array. The loop below writes up to one slot past the
+	// unique count, so the array needs len(dst)+len(samples) slots, or one
+	// more than there are ids if that is fewer.
 	mark := d.mark
-	in := append(d.in[:0], dst...)
+	in := fit(b.InputNodes, min(len(dst)+len(samples), len(mark)+1))
+	copy(in, dst)
 	for i, v := range dst {
 		mark[v] = int32(i) + 1
 	}
@@ -101,8 +104,7 @@ func (d *Deduper) build(b *Block, dst []graph.NodeID, counts []int32, samples []
 	// the count advances by fresh (1 when mark[v] is 0, else 0); a repeat is
 	// overwritten by the next sample. A new v's mark becomes the advanced
 	// count, its local index + 1.
-	n := int32(len(in))
-	in = slices.Grow(in, len(samples))[:len(in)+len(samples)]
+	n := int32(len(dst))
 	srcLocal := fit(b.SrcLocal, len(samples))
 	for i, v := range samples {
 		in[n] = v
@@ -120,9 +122,7 @@ func (d *Deduper) build(b *Block, dst []graph.NodeID, counts []int32, samples []
 	for _, v := range in {
 		mark[v] = 0
 	}
-	d.in = in
-	b.InputNodes = fit(b.InputNodes, len(in))
-	copy(b.InputNodes, in)
+	b.InputNodes = in
 }
 
 // fit returns s with length n and unspecified contents, never nil. A nil s

@@ -9,9 +9,10 @@ import (
 )
 
 // FuzzDeduper holds the mark-table block builder to the map-based BuildBlock
-// on arbitrary (dst, counts, samples): Deduper.BuildBlock, and Rebuild into a
-// block that already holds another batch's arrays, must both equal it by
-// reflect.DeepEqual, nil-ness included. Ids are drawn from few values, 0 and
+// on arbitrary (dst, counts, samples): Deduper.BuildBlock, and Build in
+// place — the samples written into SrcFor's storage of a block that already
+// holds another batch's arrays — must both equal it by reflect.DeepEqual,
+// nil-ness included. Ids are drawn from few values, 0 and
 // numNodes−1 among them, so most samples repeat a dst or an earlier sample.
 //
 //	go test ./internal/sample/ -run '^$' -fuzz FuzzDeduper -fuzztime 30s
@@ -66,8 +67,8 @@ func FuzzDeduper(f *testing.F) {
 				t.Fatalf("BuildBlock:\n got %+v\nwant %+v", got, want)
 			}
 		}
-		// Rebuild into one block again and again: from a new block, into
-		// the arrays of a batch twice as large, and back.
+		// Build in place in one block again and again: from a new block,
+		// into the arrays of a batch twice as large, and back.
 		double := make([]int32, len(counts))
 		for i, c := range counts {
 			double[i] = 2 * c
@@ -78,9 +79,10 @@ func FuzzDeduper(f *testing.F) {
 			counts  []int32
 			samples []graph.NodeID
 		}{{counts, samples}, {double, twice}, {counts, samples}} {
-			d.Rebuild(b, dst, in.counts, in.samples)
+			copy(b.SrcFor(len(in.samples)), in.samples)
+			d.Build(b, dst, in.counts)
 			if want := BuildBlock(dst, in.counts, in.samples); !reflect.DeepEqual(b, want) {
-				t.Fatalf("Rebuild of %d samples:\n got %+v\nwant %+v", len(in.samples), b, want)
+				t.Fatalf("Build in place of %d samples:\n got %+v\nwant %+v", len(in.samples), b, want)
 			}
 		}
 	})

@@ -207,51 +207,58 @@ func (s *Store) Stats() Stats {
 // adjacency rows of ids, their backing blocks must be cache-resident;
 // non-resident blocks stall the caller for the spill fetch (and decode).
 func (s *Store) TouchTopology(p *sim.Proc, ids []graph.NodeID) {
-	for _, b := range s.uniqueBlocks(ids, 0) {
-		s.ensure(p, b)
-	}
-}
-
-// TouchFeatures is TouchTopology for the feature-row tier (the loader's UVA
-// host reads).
-func (s *Store) TouchFeatures(p *sim.Proc, ids []graph.NodeID) {
-	for _, b := range s.uniqueBlocks(ids, s.nTopo) {
-		s.ensure(p, b)
-	}
+	s.Touch(p, s.uniqueBlocks(nil, ids, 0, s.nTopo))
 }
 
 // PrefetchTopology implements csp.HostStore: fetch the blocks backing ids in
 // background procs so a later touch finds them resident or in flight.
 func (s *Store) PrefetchTopology(ids []graph.NodeID) {
-	s.prefetch(s.uniqueBlocks(ids, 0))
+	s.Prefetch(s.uniqueBlocks(nil, ids, 0, s.nTopo))
 }
 
-// PrefetchFeatures is PrefetchTopology for the feature-row tier.
-func (s *Store) PrefetchFeatures(ids []graph.NodeID) {
-	s.prefetch(s.uniqueBlocks(ids, s.nTopo))
+// FeatureBlocks appends to dst the feature-tier blocks backing the rows ids
+// (the loader's UVA host reads), each once, in first-appearance order, and
+// returns the extended slice: the list Touch and Prefetch take.
+func (s *Store) FeatureBlocks(dst []int, ids []graph.NodeID) []int {
+	return s.uniqueBlocks(dst, ids, s.nTopo, len(s.blocks)-s.nTopo)
 }
 
-// uniqueBlocks maps ids to block indices (offset by base for the feature
-// tier), deduplicated in first-appearance order — deterministic for a
-// deterministic id stream. A block is listed once per call: each call takes a
-// new generation and stamps the blocks it lists. The list is the caller's
-// (touches sleep on fetches while other readers call in).
-func (s *Store) uniqueBlocks(ids []graph.NodeID, base int) []int {
+// Touch makes blocks bs resident before host memory serves their rows,
+// stalling the caller on each non-resident block's spill fetch (and decode).
+// bs must stay unchanged until Touch returns.
+func (s *Store) Touch(p *sim.Proc, bs []int) {
+	for _, b := range bs {
+		s.ensure(p, b)
+	}
+}
+
+// uniqueBlocks appends to dst the blocks backing ids in a tier of nBlocks
+// blocks starting at base, deduplicated in first-appearance order —
+// deterministic for a deterministic id stream — and returns the extended
+// slice. A block is listed once per call: each call takes a new generation
+// and stamps the blocks it lists, and the scan stops once every block of the
+// tier is listed. The list is the caller's (touches sleep on fetches while
+// other readers call in).
+func (s *Store) uniqueBlocks(dst []int, ids []graph.NodeID, base, nBlocks int) []int {
 	s.gen++
 	if s.gen == 0 { // wrapped: no stale stamp may equal a generation again
 		clear(s.seen)
 		s.gen = 1
 	}
-	var out []int
+	seen, gen, width := s.seen[base:base+nBlocks], s.gen, uint32(s.blockNodes)
+	listed := 0
 	for _, v := range ids {
-		b := base + int(v)/s.blockNodes
-		if s.seen[b] == s.gen {
+		b := int(uint32(v) / width)
+		if seen[b] == gen {
 			continue
 		}
-		s.seen[b] = s.gen
-		out = append(out, b)
+		seen[b] = gen
+		dst = append(dst, base+b)
+		if listed++; listed == nBlocks {
+			break
+		}
 	}
-	return out
+	return dst
 }
 
 // ensure makes block b resident for a demand reader, stalling it on the
@@ -291,19 +298,21 @@ func (s *Store) markUsed(blk *block) {
 	}
 }
 
-// prefetch queues background fetches for the given non-resident blocks.
+// Prefetch queues background fetches for blocks bs (it copies bs), so a
+// later touch finds them resident or in flight; it skips resident ones.
 // MaxInflight bounds how many run concurrently; the rest wait in the pending
 // queue and issue as completions free slots, so every prediction is
 // eventually covered (unless a demand touch got there first).
-func (s *Store) prefetch(bs []int) {
+func (s *Store) Prefetch(bs []int) {
 	if !s.cfg.Prefetch {
 		return
 	}
 	s.pending = append(s.pending, bs...)
 	// Predictions go stale after roughly a batch; cap the queue so a burst
-	// can't keep issuing long-obsolete fetches.
+	// can't keep issuing long-obsolete fetches. The queue moves down in its
+	// array, so a steady stream of predictions allocates nothing.
 	if max := 16 * s.cfg.MaxInflight; len(s.pending) > max {
-		s.pending = s.pending[len(s.pending)-max:]
+		s.pending = append(s.pending[:0], s.pending[len(s.pending)-max:]...)
 	}
 	s.drainPrefetch()
 }
@@ -311,9 +320,10 @@ func (s *Store) prefetch(bs []int) {
 // drainPrefetch issues queued prefetches while slots are free, skipping
 // blocks a demand fetch or earlier prefetch already covers.
 func (s *Store) drainPrefetch() {
-	for s.inflightPrefetch < s.cfg.MaxInflight && len(s.pending) > 0 {
-		b := s.pending[0]
-		s.pending = s.pending[1:]
+	next := 0
+	for s.inflightPrefetch < s.cfg.MaxInflight && next < len(s.pending) {
+		b := s.pending[next]
+		next++
 		blk := &s.blocks[b]
 		if blk.resident || blk.inflight != nil {
 			continue
@@ -337,6 +347,7 @@ func (s *Store) drainPrefetch() {
 			s.drainPrefetch()
 		})
 	}
+	s.pending = append(s.pending[:0], s.pending[next:]...) // the queue stays at the front of its array
 }
 
 // fetch reads block b from the spill device (decoding compressed topology),

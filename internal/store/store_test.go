@@ -3,6 +3,7 @@ package store
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -211,8 +212,8 @@ func TestFeatureTierSeparateBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Go("reader", func(p *sim.Proc) {
-		st.TouchFeatures(p, []graph.NodeID{0, 17}) // both feature blocks
-		st.TouchTopology(p, []graph.NodeID{0})     // topology block 0 still cold
+		st.Touch(p, st.FeatureBlocks(nil, []graph.NodeID{0, 17})) // both feature blocks
+		st.TouchTopology(p, []graph.NodeID{0})                    // topology block 0 still cold
 	})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -281,7 +282,7 @@ func runScenario(seed int64) Stats {
 					st.PrefetchTopology([]graph.NodeID{graph.NodeID(lr.Intn(256))})
 				}
 				st.TouchTopology(p, ids)
-				st.TouchFeatures(p, ids)
+				st.Touch(p, st.FeatureBlocks(nil, ids))
 				p.Sleep(sim.Time(float64(lr.Intn(5)) * 1e-4))
 			}
 		})
@@ -317,9 +318,10 @@ func refUniqueBlocks(s *Store, ids []graph.NodeID, base int) []int {
 }
 
 // TestUniqueBlocksMatchesMap: on random id streams over both tiers — empty,
-// repeating, spanning every block — the stamped table lists the same blocks
-// in the same first-appearance order as the map, through a wrap of the
-// generation counter.
+// repeating, spanning every block, so the scan stops early — the stamped
+// table lists the same blocks in the same first-appearance order as the map,
+// through a wrap of the generation counter, appended to what the caller's
+// buffer already holds.
 func TestUniqueBlocksMatchesMap(t *testing.T) {
 	const n = 500
 	eng := sim.NewEngine()
@@ -334,17 +336,35 @@ func TestUniqueBlocksMatchesMap(t *testing.T) {
 		s.seen[b] = uint32(b%4 + 1)
 	}
 	s.gen = ^uint32(0) - 3
+	var buf []int
+	stopped := 0 // calls whose stream listed every block of its tier
 	for call := 0; call < 400; call++ {
 		ids := make([]graph.NodeID, r.Intn(40))
+		if call%5 == 4 {
+			ids = make([]graph.NodeID, 300+r.Intn(300))
+		}
 		for i := range ids {
 			ids[i] = graph.NodeID(r.Intn(n))
 		}
-		base := 0
+		base, nBlocks := 0, s.nTopo
 		if call%2 == 1 {
-			base = s.nTopo
+			base, nBlocks = s.nTopo, len(s.blocks)-s.nTopo
 		}
-		if got, want := s.uniqueBlocks(ids, base), refUniqueBlocks(s, ids, base); !reflect.DeepEqual(got, want) {
+		want := refUniqueBlocks(s, ids, base)
+		if got := s.uniqueBlocks(nil, ids, base, nBlocks); !reflect.DeepEqual(got, want) {
 			t.Fatalf("call %d (gen %d): got %v, want %v", call, s.gen, got, want)
 		}
+		if len(want) == nBlocks {
+			stopped++
+		}
+		// Into a reused buffer, after what it already holds.
+		buf = append(buf[:0], -1)
+		buf = s.uniqueBlocks(buf, ids, base, nBlocks)
+		if buf[0] != -1 || !slices.Equal(buf[1:], want) {
+			t.Fatalf("call %d: into a buffer got %v, want [-1] then %v", call, buf, want)
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no stream listed every block of its tier")
 	}
 }

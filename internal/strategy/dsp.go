@@ -34,14 +34,16 @@ type DSP struct {
 	tables [][]*loadTables
 }
 
-// loadTables is one Load's count tables: the manager's Tally counts, the
-// request and reply counts the two all-to-alls send, and the table both
-// receive into. Loader instances on one rank run concurrently, so each Load
-// takes a set off its rank's free list and puts it back when it returns; a
-// Load unwound by an aborted round drops its set, as the round drops its
-// batch.
+// loadTables is one Load's tables: the manager's Tally counts and host-row
+// list, the out-of-core feature blocks backing those rows, the request and
+// reply counts the two all-to-alls send, and the table both receive into.
+// Loader instances on one rank run concurrently, so each Load takes a set
+// off its rank's free list and puts it back when it returns; a Load unwound
+// by an aborted round drops its set, as the round drops its batch.
 type loadTables struct {
 	split, reqs, replies, in []int
+	host                     []graph.NodeID
+	blocks                   []int
 }
 
 // takeTables returns a free set of count tables for rank on n GPUs.
@@ -76,7 +78,8 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 	// rebalancer and re-routes dead-holder rows to the host tier. Every
 	// path is charged by row counts; only the out-of-core tier and a
 	// cluster's owner split read which rows are cold.
-	host := s.Cache.Tally(ids, rank, t.split, s.Host != nil || s.clustered())
+	t.host = s.Cache.Tally(ids, rank, t.split, t.host)
+	host := t.host
 	tiers := cache.TallyTiers(t.split, rank)
 	if !s.deferTiers {
 		s.Cache.Account(rank, tiers)
@@ -85,9 +88,11 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 	// Feature tier of the frontier walk: the split names exactly the
 	// host-tier rows the UVA side path is about to read — prefetch their
 	// blocks now (MaxInflight-way parallel, non-blocking) so the spill reads
-	// overlap the NVLink path instead of serialising in the toucher.
+	// overlap the NVLink path instead of serialising in the toucher. The
+	// block list is made once and read by both.
 	if s.Host != nil && len(host) > 0 {
-		s.Host.PrefetchFeatures(host)
+		t.blocks = s.Host.FeatureBlocks(t.blocks[:0], host)
+		s.Host.Prefetch(t.blocks)
 	}
 
 	// Cold rows this machine's CPU memory holds, via UVA, concurrently with
@@ -101,7 +106,7 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 			// the out-of-core tier stalls this side path (not the NVLink
 			// path) on any spill-device fetch.
 			if s.Host != nil {
-				s.Host.TouchFeatures(cp, host)
+				s.Host.Touch(cp, t.blocks)
 			}
 			dev.UVARead(cp, s.M.Fabric, mine, d.RowBytes(), hw.TrafficFeature)
 			uvaDone.Trigger()
